@@ -1,0 +1,10 @@
+"""The benchmark's modules live in ``bench/`` as scripts; make them
+importable by name, the way ``run.py`` and ``child.py`` import each
+other."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))

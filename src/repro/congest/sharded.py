@@ -25,10 +25,11 @@ fans only the kernel out:
 **Determinism.**  Byte-identity with the single-process fast path holds
 structurally, not statistically:
 
-* Every node's generator lives in exactly one worker (forked at
-  finalize, after the launch draws), and the kernel consumes it in the
-  same canonical per-node segment order as the single-process call, so
-  all random streams are identical.
+* Every node's stream (its generator plus its read-ahead buffer) is
+  consumed in exactly one worker (forked at finalize, after the launch
+  draws), and the kernel reads it in the same canonical per-node
+  segment order as the single-process call, so every node sees the
+  same raw uint32 sequence and draws the same ports.
 * Concatenating the shard replies in shard order reproduces the exact
   global entry row order (shards own ascending node ranges, and the
   kernel emits cells group-major).
@@ -36,8 +37,8 @@ structurally, not statistically:
   parent's post-launch value).  Two workers reuse the same values, but
   a sequence number is only ever *compared* within one directed edge's
   FIFO, and each edge is owned by its source node's single shard, where
-  the counter is strictly increasing - so the emission lexsort orders
-  every queue exactly as the single-process engine does.
+  the counter is strictly increasing - so the emission's stable sort by
+  edge orders every queue exactly as the single-process engine does.
 * Death deltas are returned as unaggregated pairs and folded with
   ``np.add.at``; addition commutes, so the convergecast totals match.
 
@@ -63,6 +64,7 @@ import numpy as np
 
 from repro.congest.errors import ConfigError, ShardExecutionError
 from repro.core.walk_engine import CountingWalkEngine, counting_round_kernel
+from repro.walks.streams import PortStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
@@ -71,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover
 def _shard_worker(
     conn: "Connection",
     counts: np.ndarray,
-    rngs: dict[int, np.random.Generator],
+    streams: PortStreams,
     alpha: float | None,
     absorbing_target: int,
     degrees: np.ndarray,
@@ -83,9 +85,10 @@ def _shard_worker(
 
     Forked from the parent at engine finalize, so ``counts`` is the
     parent's shared-memory mapping (writes are visible immediately) and
-    ``rngs`` holds this shard's generators in their exact post-launch
-    state.  Any failure is reported up the pipe as a formatted
-    traceback; the parent turns it into a
+    ``streams`` is a copy of the parent's per-node streams in their
+    exact post-launch state; the worker only ever reads its own nodes'.
+    Any failure is reported up the pipe as a formatted traceback; the
+    parent turns it into a
     :class:`~repro.congest.errors.ShardExecutionError`.
     """
     seq = seq_start
@@ -101,7 +104,7 @@ def _shard_worker(
                 remainings,
                 halves,
                 group_counts,
-                rngs,
+                streams,
                 alpha,
                 absorbing_target,
                 counts,
@@ -168,20 +171,18 @@ class ShardedWalkEngine(CountingWalkEngine):
     # ------------------------------------------------------------------
     def _finalize(self) -> None:
         super()._finalize()
-        # Fork now: the launch queues are adopted and every generator
+        # Fork now: the launch queues are adopted and every node stream
         # sits in its exact post-launch state, which the workers must
         # inherit (and the parent must stop consuming).
         ctx = multiprocessing.get_context("fork")
         for shard in range(self.num_shards):
-            lo = int(self._bounds[shard])
-            hi = int(self._bounds[shard + 1])
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_worker,
                 args=(
                     child_conn,
                     self.counts,
-                    {node: self._rngs[node] for node in range(lo, hi)},
+                    self._streams,
                     self._alpha,
                     self._absorbing_target,
                     self._degrees,

@@ -18,10 +18,13 @@ Equivalence with per-node processing is by construction, not luck:
   segments are exactly the canonical group order
   :func:`~repro.walks.batched.aggregate_groups` yields node-by-node;
 * randomness stays attributed: each node's segment is thinned/routed
-  with *that node's own generator*, with the same calls in the same
-  per-node order as :meth:`WalkManager.receive_group_arrays` - and
-  since the generators are independent, the cross-node interleaving is
-  immaterial;
+  from *that node's own generator*, and each node's stream is the same
+  raw uint32 sequence :meth:`WalkManager.receive_group_arrays` reads,
+  only read ahead: :class:`~repro.walks.streams.PortStreams` maps it to
+  the same ports ``rng.integers`` would, for every node in one array
+  pass (damped mode reads nothing ahead, because the binomial thinning
+  shares the generator) - and since the generators are independent,
+  the cross-node interleaving is immaterial;
 * the managers' launch-time per-edge FIFO queues are adopted verbatim
   into one pending-token table ordered by (edge, arrival sequence), and
   the engine's segmented-cumsum emission takes tokens per edge in
@@ -54,6 +57,7 @@ from repro.core.walk_manager import (
     sequence_block,
 )
 from repro.walks.batched import aggregate_network_groups
+from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.congest.node import BulkRoundContext, NodeProgram
@@ -85,15 +89,23 @@ def counting_round_kernel(
     The node-local half of the counting round: thin (damped mode) or
     absorb (absorbing mode), tally visits into ``count_tensor``, expire
     zero-remaining tokens, and sample next hops into pending-table
-    entries.  Pure function of its inputs plus the per-node generators
-    in ``rngs`` - which is what makes it the unit of sharding: a worker
-    process that owns a contiguous node range runs this verbatim on its
-    slice of the canonical arrays, with the same generators in the same
-    per-node order, and necessarily produces the parent's byte-exact
-    results (``repro.congest.sharded``).
+    entries.  ``rngs`` is the run's
+    :class:`~repro.walks.streams.PortStreams`: ``rngs[node]`` is the
+    node's generator (damped thinning draws from it) and
+    ``rngs.ports`` serves every node's next hops in one pass, from the
+    same raw per-node streams, read ahead.  The kernel is a pure
+    function of its inputs plus those per-node streams - which is what
+    makes it the unit of sharding: a worker process that owns a
+    contiguous node range runs this verbatim on its slice of the
+    canonical arrays, consuming its nodes' streams in the same order,
+    and necessarily produces the parent's byte-exact results
+    (``repro.congest.sharded``).
 
     ``nodes`` must be sorted ascending (the canonical order from
-    :func:`~repro.walks.batched.aggregate_network_groups`).  Returns
+    :func:`~repro.walks.batched.aggregate_network_groups`).  ``degrees``
+    goes unread (the streams carry the degrees they map with); it stays
+    in the parameter list so callers and wrappers keep one signature.
+    Returns
     ``(entries, death_nodes, death_counts, next_seq)``: pending-table
     rows ``(edge id, seq, source, remaining_here, half, count)``, the
     death deltas to fold into the convergecast (unaggregated pairs; the
@@ -153,24 +165,15 @@ def counting_round_kernel(
             halves = halves[live]
             counts = counts[live]
     if len(nodes):
-        # Sample next hops: one uniform draw per node, from that node's
-        # own generator over its canonical segment - identical stream
-        # to :func:`~repro.walks.batched.route_groups`.  Expansion,
-        # histogramming, and entry building are one batch over the
-        # whole slice.
+        # Sample next hops: each node's tokens take the next ports of
+        # that node's own stream, in canonical segment order - the same
+        # ports :func:`~repro.walks.batched.route_groups` draws.  The
+        # draws, expansion, histogramming, and entry building are each
+        # one batch over the whole slice.
         groups = len(nodes)
         token_group = np.repeat(np.arange(groups, dtype=np.int64), counts)
-        bounds = np.empty(groups + 1, dtype=np.int64)
-        bounds[0] = 0
-        np.cumsum(counts, out=bounds[1:])
-        draws = np.empty(len(token_group), dtype=np.int64)
-        starts, ends = _segments(nodes)
-        for i in range(len(starts)):
-            node = int(nodes[starts[i]])
-            lo, hi = bounds[starts[i]], bounds[ends[i]]
-            draws[lo:hi] = rngs[node].integers(
-                0, int(degrees[node]), size=int(hi - lo)
-            )
+        starts, _ = _segments(nodes)
+        draws = rngs.ports(nodes[starts], np.add.reduceat(counts, starts))
         # Histogram tokens into (group, chosen port) cells.  Ascending
         # cell index is group-major: for any fixed edge, groups enter
         # the pending table in ascending canonical order - the same
@@ -231,6 +234,7 @@ class CountingWalkEngine:
         self._counters: dict[int, DeathCounterLogic] = {}
         self._contexts: dict[int, BulkRoundContext] = {}
         self._rngs: dict[int, np.random.Generator] = {}
+        self._streams: PortStreams | None = None
         self._touched: set[int] = set()
         # Reliable-mode state: per-node ARQ channels, fresh walk tokens
         # that arrived as control retransmissions this round, nodes
@@ -422,6 +426,13 @@ class CountingWalkEngine:
             np.arange(self.n, dtype=np.int64), self._degrees
         )
         self._max_degree = int(self._degrees.max())
+        # Damped thinning draws from the same generators between
+        # routing calls, so that mode may not read ahead.
+        self._streams = PortStreams(
+            self._rngs,
+            self._degrees,
+            DEFAULT_READ_AHEAD if self._alpha is None else 0,
+        )
         if self._reliable:
             self._edge_index = {
                 (int(s) << 32) | int(t): edge
@@ -681,7 +692,7 @@ class CountingWalkEngine:
             remainings,
             halves,
             counts,
-            self._rngs,
+            self._streams,
             self._alpha,
             self._absorbing_target,
             self.counts,
@@ -786,7 +797,7 @@ class CountingWalkEngine:
 
         QUEUE charges the budget per *token* and may split the group at
         the queue head; BATCH charges it per *group message*.  Both are
-        computed for all edges at once: sort the pending table by
+        computed for all edges at once: order the pending table by
         (edge, seq) and a segmented cumulative sum yields each group's
         take under its edge's budget - exactly the decisions the
         per-edge head-of-queue loop would make.
@@ -799,7 +810,13 @@ class CountingWalkEngine:
         and each row is sequenced through the sender's channel in the
         same per-edge FIFO order the slow path sends in."""
         pending = self._pending
-        order = np.lexsort((pending[:, 1], pending[:, 0]))
+        # The table is kept rows, already in (edge, seq) order, followed
+        # by this round's kernel rows, whose seqs exceed every kept seq
+        # on their edge and ascend within it (in a sharded run each
+        # edge's rows come from its one owning worker).  So a stable
+        # sort on the edge alone yields (edge, seq) order, and the kept
+        # rows enter it as one presorted run.
+        order = np.argsort(pending[:, 0], kind="stable")
         pending = pending[order]
         edges = pending[:, 0]
         counts = pending[:, 5]

@@ -71,9 +71,14 @@ class Log2Histogram:
         if len(values) == 0:
             return
         values = np.asarray(values)
-        indices = np.searchsorted(_POW2, values, side="right") - 1
-        np.clip(indices, 0, _BUCKETS - 1, out=indices)
-        np.add.at(self.buckets, indices, 1)
+        # searchsorted gives bucket + 1, and 0 for the values 0 and 1
+        # that bucket 0 also holds: one bincount, no scatter-add.
+        per_slot = np.bincount(
+            np.searchsorted(_POW2, values, side="right"),
+            minlength=_BUCKETS + 1,
+        )
+        self.buckets += per_slot[1:]
+        self.buckets[0] += per_slot[0]
         self.count += int(len(values))
         self.total += int(values.sum())
         peak = int(values.max())

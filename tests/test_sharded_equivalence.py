@@ -25,6 +25,7 @@ from repro.graphs.generators import (
     erdos_renyi_graph,
     grid_graph,
     random_tree,
+    star_graph,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -116,6 +117,26 @@ class TestShardedEquivalence:
             num_shards=2,
         )
         _assert_identical(base, sharded)
+
+    @pytest.mark.parametrize("alpha", [None, 0.85], ids=["absorbing", "damped"])
+    def test_star_matches_both_loops(self, alpha):
+        """Degree-1 leaves draw no ports; the hub's stream lives in
+        shard 0 and the leaves split across both workers."""
+        graph = star_graph(12)
+        parameters = WalkParameters(length=40, walks_per_source=6)
+        runs = [
+            estimate_rwbc_distributed(
+                graph, parameters, seed=11, survival_alpha=alpha, **options
+            )
+            for options in (
+                {"vectorized": False},
+                {},
+                {"executor": "sharded", "num_shards": 2},
+            )
+        ]
+        assert not runs[2].fallback_reasons
+        for run in runs[1:]:
+            _assert_identical(runs[0], run)
 
     def test_single_shard_is_the_degenerate_case(self):
         """num_shards=1 still runs the worker machinery (one process)."""

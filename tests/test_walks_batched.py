@@ -11,17 +11,24 @@ Two layers:
   accounting - not statistically similar, byte-equal.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.congest.errors import ConfigError
 from repro.congest.scheduler import Simulator
 from repro.congest.trace import Tracer
+from repro.core.estimator import estimate_rwbc_distributed
+from repro.core.parameters import WalkParameters
 from repro.core.protocol import ProtocolConfig, make_protocol_factory
+from repro.core.walk_engine import CountingWalkEngine
 from repro.core.walk_manager import TransportPolicy
 from repro.graphs.generators import (
+    barabasi_albert_graph,
     erdos_renyi_graph,
     grid_graph,
+    random_tree,
     star_graph,
 )
 from repro.walks.batched import (
@@ -32,6 +39,7 @@ from repro.walks.batched import (
     step_tokens,
     thin_groups,
 )
+from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +250,109 @@ class TestPathEquivalence:
                 policy=TransportPolicy.BATCH,
             ),
         )
+
+
+class TestPortStreamBranches:
+    """Fast path vs per-message identity where the port sampler
+    branches: degree-1 leaves draw nothing (star), and a hub whose
+    per-round need exceeds the read-ahead block draws directly (BA hub
+    of degree 67; BATCH groups let it receive hundreds of tokens a
+    round).  Each case also checks that the branch really ran."""
+
+    @pytest.fixture
+    def needs_seen(self, monkeypatch):
+        seen: list[tuple[np.ndarray, np.ndarray, int]] = []
+        original = PortStreams.ports
+
+        def spy(streams, nodes, needs):
+            seen.append(
+                (streams._degrees[nodes], needs.copy(), streams.read_ahead)
+            )
+            return original(streams, nodes, needs)
+
+        monkeypatch.setattr(PortStreams, "ports", spy)
+        return seen
+
+    @pytest.mark.parametrize("alpha", [None, 0.85], ids=["absorbing", "damped"])
+    def test_star_leaves_draw_nothing(self, alpha, needs_seen):
+        graph = star_graph(12)
+        _assert_identical(
+            graph, ProtocolConfig(**BASE, survival_alpha=alpha)
+        )
+        assert any((degrees == 1).any() for degrees, _, _ in needs_seen)
+
+    @pytest.mark.parametrize("alpha", [None, 0.85], ids=["absorbing", "damped"])
+    def test_hub_need_exceeds_the_block(self, alpha, needs_seen):
+        graph = barabasi_albert_graph(300, 2, seed=5)
+        assert max(graph.degree(node) for node in graph.nodes()) >= 60
+        config = ProtocolConfig(
+            length=6,
+            walks_per_source=16,
+            policy=TransportPolicy.BATCH,
+            survival_alpha=alpha,
+        )
+        _assert_identical(graph, config, seed=3)
+        expected_block = DEFAULT_READ_AHEAD if alpha is None else 0
+        assert {block for _, _, block in needs_seen} == {expected_block}
+        assert max(int(needs.max()) for _, needs, _ in needs_seen) > (
+            DEFAULT_READ_AHEAD
+        )
+
+    def test_generator_calls_follow_refills(self, needs_seen):
+        """Absorbing mode calls each generator once per refill, not once
+        per node per round as per-node ``integers`` calls would."""
+        graph = random_tree(40, seed=2)
+        fast = _run(graph, ProtocolConfig(**BASE), vectorized=True)
+        streams = fast.program(0)._engine._streams
+        routed_node_rounds = sum(
+            int((degrees > 1).sum()) for degrees, _, _ in needs_seen
+        )
+        assert routed_node_rounds > 1000
+        assert 0 < streams.generator_calls < routed_node_rounds / 10
+
+
+def _is_edge_seq_ordered(pending: np.ndarray) -> bool:
+    order = np.lexsort((pending[:, 1], pending[:, 0]))
+    return bool(np.array_equal(order, np.arange(len(pending))))
+
+
+@pytest.mark.parametrize(
+    "shards",
+    [
+        None,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(
+                "fork" not in multiprocessing.get_all_start_methods(),
+                reason="sharded executor requires the fork start method",
+            ),
+        ),
+    ],
+    ids=["single", "sharded2"],
+)
+def test_pending_table_stays_edge_seq_ordered(shards, monkeypatch):
+    """``_emit`` orders the pending table with a stable sort on the edge
+    alone; that equals the (edge, seq) order only while kept rows stay
+    ordered and new rows arrive with larger seqs.  Check the invariant
+    after every round of a backlogged QUEUE tree run."""
+    original = CountingWalkEngine.end_round
+    backlog: list[int] = []
+
+    def checked(engine, *args):
+        original(engine, *args)
+        assert _is_edge_seq_ordered(engine._pending)
+        backlog.append(len(engine._pending))
+
+    monkeypatch.setattr(CountingWalkEngine, "end_round", checked)
+    graph = random_tree(40, seed=2)
+    parameters = WalkParameters(length=80, walks_per_source=6)
+    if shards is None:
+        estimate_rwbc_distributed(graph, parameters, seed=4)
+    else:
+        estimate_rwbc_distributed(
+            graph, parameters, seed=4, executor="sharded", num_shards=shards
+        )
+    assert len(backlog) > 50 and max(backlog) > 40
 
 
 class TestFastPathSelection:

@@ -174,12 +174,13 @@ class InLink:
     (:class:`InLinkFlatState`) for array-level acceptance.
     """
 
-    __slots__ = ("cum", "mask", "ack_due")
+    __slots__ = ("cum", "mask", "ack_due", "acked_round")
 
     def __init__(self) -> None:
         self.cum = -1  # highest seq with all predecessors delivered
         self.mask = 0  # delivered seqs above cum, relative to cum + 1
         self.ack_due = False
+        self.acked_round = -1  # last round an ack went out on this link
 
     def accept(self, seq: int) -> bool:
         """Register a delivery; True iff this seq is new (not a dup)."""
@@ -267,6 +268,8 @@ class ReliableChannel:
         # edge is fully settled, so quiet edges cost nothing per round.
         self._active: set[int] = set()
         self.stats = ChannelStats()
+        # Last round :meth:`flush` ran (see :meth:`ack_late`).
+        self.flushed_round = -1
         # Optional repro.obs.InstrumentSet: ARQ window occupancy,
         # per-round retransmit/ack counters, and recovery latencies.
         # Strictly observational - the channel never reads it back.
@@ -381,6 +384,7 @@ class ReliableChannel:
         the walk layer subtracts them from its fresh-emission budget so
         the edge's token slots are never oversubscribed.
         """
+        self.flushed_round = round_number
         token_retransmits: dict[int, int] = {}
         retransmits_this_round = 0
         acks_this_round = 0
@@ -435,6 +439,7 @@ class ReliableChannel:
                     Message(self.node_id, neighbor, KIND_ACK, (cum, bitmap))
                 )
                 inlink.ack_due = False
+                inlink.acked_round = round_number
                 self.stats.acks_sent += 1
                 acks_this_round += 1
             if tokens_sent:
@@ -452,6 +457,33 @@ class ReliableChannel:
                 )
             self._instruments.observe("arq_window", self.unacked_count)
         return token_retransmits
+
+    def ack_late(
+        self,
+        neighbor: int,
+        round_number: int,
+        push: Callable[[Message], None],
+    ) -> None:
+        """Settle an accept on ``neighbor``'s link that landed *after*
+        this round's :meth:`flush` (the fast path's walk engine dedups
+        claimed token rows at end of round, after exchange/done nodes
+        have flushed).  Had the accept come first, the flush would have
+        closed that neighbor's section with one ack, so: send that ack
+        now - it is still last on its edge - unless the flush already
+        acked this link this round, whose ``(cum, bitmap)`` the late
+        duplicate cannot have changed."""
+        inlink = self.inn[neighbor]
+        if not inlink.ack_due:
+            return
+        inlink.ack_due = False
+        if inlink.acked_round == round_number:
+            return
+        cum, bitmap = inlink.ack_fields()
+        push(Message(self.node_id, neighbor, KIND_ACK, (cum, bitmap)))
+        inlink.acked_round = round_number
+        self.stats.acks_sent += 1
+        if self._instruments is not None:
+            self._instruments.bump_round("acks", round_number, 1)
 
     # ------------------------------------------------------------------
     # Drain / introspection

@@ -119,7 +119,10 @@ class BulkKindInbox:
     """One node's aggregated arrivals of one message kind this round."""
 
     senders: np.ndarray
-    fields: np.ndarray  # (groups, field_count) integer matrix
+    # (groups, field_count) integer matrix; None for priced traffic
+    # (:meth:`BulkOutbox.push_priced`), which only its claiming driver
+    # ever takes.
+    fields: np.ndarray | None
     multiplicity: np.ndarray  # identical copies per row
 
 
@@ -160,6 +163,9 @@ class _KindBatch:
     fields: list[np.ndarray] = field(default_factory=list)
     multiplicity: list[np.ndarray] = field(default_factory=list)
     row_bits: list[np.ndarray] = field(default_factory=list)
+    # Set by :meth:`BulkOutbox.push_priced`: one payload-free message on
+    # each of a set of distinct directed edges, bits priced by the caller.
+    priced: bool = False
 
 
 class BulkRound:
@@ -202,7 +208,8 @@ class BulkRound:
         Used by fast-path drivers that claim a message kind: the claimed
         traffic skips the per-receiver split of :meth:`group_by_receiver`
         and is processed network-wide instead.  Accounting is unaffected
-        (``traffic`` was fixed at drain time)."""
+        (``traffic`` was fixed at drain time).  ``fields`` is None for
+        priced traffic (:meth:`BulkOutbox.push_priced`)."""
         batch = self._kinds.pop(kind, None)
         if batch is None:
             return None
@@ -456,6 +463,19 @@ class BulkOutbox:
         else:
             multiplicity = np.asarray(multiplicity, dtype=np.int64)
         row_bits = TAG_BITS + int_bits_array(fields).sum(axis=1)
+        self._check_budget(kind, senders, row_bits)
+        batch = self._batches.setdefault(kind, _KindBatch())
+        batch.senders.append(senders)
+        batch.receivers.append(receivers)
+        batch.fields.append(fields)
+        batch.multiplicity.append(multiplicity)
+        batch.row_bits.append(row_bits)
+
+    def _check_budget(
+        self, kind: str, senders: np.ndarray, row_bits: np.ndarray
+    ) -> None:
+        """Raise :class:`CongestViolation` for the costliest row when any
+        row exceeds the per-message budget."""
         limit = self._policy.bits_per_message
         if (row_bits > limit).any():
             worst = int(np.argmax(row_bits))
@@ -464,12 +484,37 @@ class BulkOutbox:
                 f"{int(row_bits[worst])} bits, exceeding the per-message "
                 f"budget of {limit} bits"
             )
-        batch = self._batches.setdefault(kind, _KindBatch())
-        batch.senders.append(senders)
-        batch.receivers.append(receivers)
-        batch.fields.append(fields)
-        batch.multiplicity.append(multiplicity)
-        batch.row_bits.append(row_bits)
+
+    def push_priced(
+        self,
+        kind: str,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        row_bits: np.ndarray,
+    ) -> None:
+        """Queue one message on each of a set of *distinct* directed
+        edges (``senders[i] -> receivers[i]``) whose bit costs the
+        caller has already priced - a fast-path driver that can price a
+        whole phase at once skips building and pricing a fields matrix
+        every round.  The per-message budget is enforced here, exactly
+        as in :meth:`push_rows`.
+
+        The rows carry no payload: the pushing driver must claim
+        ``kind`` and read what it needs elsewhere, and this must be the
+        kind's only push of the round.
+        Accounting is that of materialized messages with those bit
+        costs; :meth:`drain` reads it straight off ``row_bits`` when
+        nothing else shares the round."""
+        if len(receivers) == 0:
+            return
+        self._check_budget(kind, senders, row_bits)
+        self._batches[kind] = _KindBatch(
+            senders=[senders],
+            receivers=[receivers],
+            multiplicity=[np.ones(len(senders), dtype=np.int64)],
+            row_bits=[np.asarray(row_bits, dtype=np.int64)],
+            priced=True,
+        )
 
     def drain(self, n: int, control_messages: list[Message]) -> BulkRound:
         """Close the round: merge accounting with the round's control
@@ -478,6 +523,10 @@ class BulkOutbox:
         batches, self._batches = self._batches, {}
         if not batches and not control_messages:
             return _EMPTY_ROUND
+        if len(batches) == 1 and not control_messages:
+            ((kind, batch),) = batches.items()
+            if batch.priced:
+                return _priced_round(kind, batch)
         kinds: dict[str, BulkKindInbox] = {}
         receivers_by_kind: dict[str, np.ndarray] = {}
         row_bits_by_kind: dict[str, np.ndarray] = {}
@@ -490,7 +539,7 @@ class BulkOutbox:
         for kind, batch in batches.items():
             senders = np.concatenate(batch.senders)
             receivers = np.concatenate(batch.receivers)
-            fields = np.concatenate(batch.fields)
+            fields = None if batch.priced else np.concatenate(batch.fields)
             multiplicity = np.concatenate(batch.multiplicity)
             row_bits = np.concatenate(batch.row_bits)
             kinds[kind] = BulkKindInbox(
@@ -544,3 +593,29 @@ class BulkOutbox:
             edge_bits=edge_bits.astype(np.int64),
         )
         return BulkRound(kinds, receivers_by_kind, row_bits_by_kind, traffic)
+
+
+def _priced_round(kind: str, batch: _KindBatch) -> BulkRound:
+    """A round whose only traffic is one priced push: one message per
+    distinct edge, so each row *is* its edge's load and the merged
+    accounting reads straight off the row bits."""
+    (senders,) = batch.senders
+    (receivers,) = batch.receivers
+    (ones,) = batch.multiplicity
+    (row_bits,) = batch.row_bits
+    peak = int(row_bits.max())
+    traffic = RoundTraffic(
+        total_messages=len(row_bits),
+        total_bits=int(row_bits.sum()),
+        max_edge_messages=1,
+        max_edge_bits=peak,
+        max_message_bits=peak,
+        edge_messages=ones,
+        edge_bits=row_bits,
+    )
+    return BulkRound(
+        {kind: BulkKindInbox(senders=senders, fields=None, multiplicity=ones)},
+        {kind: receivers},
+        {kind: row_bits},
+        traffic,
+    )

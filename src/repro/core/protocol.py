@@ -55,7 +55,11 @@ from repro.congest.reliable import KIND_ACK, ReliableChannel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.congest.node import BulkRoundContext
     from repro.congest.transport import BulkInbox
-from repro.core.flow_math import betweenness_from_raw_flow, node_raw_flow
+from repro.core.flow_math import (
+    betweenness_from_raw_flow,
+    node_raw_flow,
+    pair_sum_all,
+)
 from repro.core.termination import KIND_DONE, KIND_TERM, DeathCounterLogic
 from repro.core.walk_engine import CountingWalkEngine
 from repro.core.walk_manager import (
@@ -466,21 +470,29 @@ class RWBCNodeProgram(VectorizedProgram):
             # done wave needs every launched walk dead, which cannot
             # happen before this node launches its own.
         rctx = _ReliableCtx(self._channel, self.neighbors, r)
-        if not self._announced:
-            self._flood.step(rctx, flood_mail)
-            if r >= announce:
-                # Normally exactly round ``announce``; later only when
-                # this node was crashed through it.
-                self._flood.announce_parent(rctx)
-                for neighbor in self.neighbors:
-                    self._channel.queue(neighbor, KIND_DEGREE, (self.degree,))
-                self._announced = True
+        # The flood keeps running until launch, not just until the
+        # announcement: a node crashed through the flood's last waves
+        # (or through the announcement itself) catches up on recovery
+        # and re-floods what it learns, and its neighbors must still
+        # take that in.  Without a crash the flood is stable long
+        # before ``announce`` and later flood mail changes nothing.
+        self._flood.step(rctx, flood_mail)
+        if not self._announced and r >= announce:
+            # Normally exactly round ``announce``; later only when this
+            # node was crashed through it.
+            self._flood.announce_parent(rctx)
+            for neighbor in self.neighbors:
+                self._channel.queue(neighbor, KIND_DEGREE, (self.degree,))
+            self._announced = True
         if r >= launch:
-            # Freeze the tree from the stabilized flood state.  Missing
-            # adopters (their announcement still in retransmission) are
-            # auto-adopted by the non-strict death counter on their
-            # first report; missing degrees arrive before the exchange
-            # phase can finish.
+            # Freeze the tree from the flood state at launch.  Adopters
+            # only seed the death counter's child set: a missing child
+            # (its announcement still in retransmission, or one that
+            # switched to this parent after announcing) is auto-adopted
+            # by the non-strict counter on its first report, and a
+            # stale one (switched away after announcing) never reports
+            # and adds 0 to the subtree total.  Missing degrees arrive
+            # before the exchange phase can finish.
             self._tree = FloodMaxState(
                 leader_id=self._flood.best_id,
                 leader_rank=self._flood.best_rank,
@@ -926,27 +938,25 @@ class RWBCNodeProgram(VectorizedProgram):
         n = self.info.n
         self.counts = self._walks.counts.copy()
         own_potential = self.counts / self.degree
-        neighbor_potentials = (
-            self._neighbor_counts[neighbor].sum(axis=0)
-            / self._neighbor_degrees[neighbor]
-            for neighbor in self.neighbors
-        )
-        raw = node_raw_flow(own_potential, neighbor_potentials, self.node_id)
-        # Free by-product of the exchange: each incident edge's
-        # current-flow betweenness, estimated from the same potentials
-        # (sum over all pairs; no exclusion - edges have no Eq. 7 term).
-        from repro.core.flow_math import pair_sum_all
-
+        # One pass over the neighbors: each potential difference ``w``
+        # feeds both the node's raw flow (the pair sum excluding this
+        # node, summed as in ``node_raw_flow``) and, as a free
+        # by-product, the incident edge's current-flow betweenness
+        # (the sum over all pairs; edges have no Eq. 7 term).
         pairs = 0.5 * n * (n - 1)
+        total = 0.0
         for neighbor in self.neighbors:
             w = (
                 own_potential
                 - self._neighbor_counts[neighbor].sum(axis=0)
                 / self._neighbor_degrees[neighbor]
             )
-            self.edge_betweenness[neighbor] = pair_sum_all(w) / (
+            full = pair_sum_all(w)
+            total += full - float(np.abs(w - w[self.node_id]).sum())
+            self.edge_betweenness[neighbor] = full / (
                 pairs * self.config.walks_per_source
             )
+        raw = 0.5 * total
         self.betweenness = betweenness_from_raw_flow(
             raw,
             n,

@@ -362,7 +362,7 @@ class CountingWalkEngine:
         )
         if self._reliable and claimed:
             with profiler.span("engine.dedup"):
-                claimed = self._dedup_claimed(claimed)
+                claimed = self._dedup_claimed(claimed, round_number, outbox)
         if claimed or self._control_arrivals:
             with profiler.span("engine.arrivals"):
                 dead = self._process_arrivals(claimed)
@@ -444,7 +444,10 @@ class CountingWalkEngine:
         self._finalized = True
 
     def _dedup_claimed(
-        self, claimed: dict[str, ClaimedKind]
+        self,
+        claimed: dict[str, ClaimedKind],
+        round_number: int,
+        outbox: "RoundOutbox",
     ) -> dict[str, ClaimedKind]:
         """Reliable mode: run every claimed walk row through the
         receiver's ARQ before counting.
@@ -456,10 +459,15 @@ class CountingWalkEngine:
         so the sender retransmits it past the launch round.  InLink
         state updates here are order-independent within a round, so the
         slow path's arrival order and this row order agree byte for
-        byte."""
+        byte.
+
+        A receiver past counting flushes in its own round handler,
+        which ran before this pass; its accepts here are settled by
+        :meth:`_settle_late_accepts` instead."""
         out: dict[str, ClaimedKind] = {}
         flat = self._in_state
         channels = self._channels
+        late: dict[int, set[int]] = {}
         for kind, (senders, receivers, fields, multiplicity) in (
             claimed.items()
         ):
@@ -579,6 +587,15 @@ class CountingWalkEngine:
                 link = channels[node].inn[send_list[row]]
                 if link.accept(int(seqs[row])):
                     keep[row] = True
+            past_counting = {
+                node for node, phase in phase_of.items()
+                if phase not in ("setup", "counting")
+                and node not in self._transitioned
+            }
+            if past_counting:
+                for sender, node in zip(send_list, recv_list):
+                    if node in past_counting:
+                        late.setdefault(node, set()).add(sender)
             if keep.any():
                 bad = keep & np.fromiter(
                     (phase_of[node] != "counting" for node in recv_list),
@@ -611,7 +628,32 @@ class CountingWalkEngine:
                     fields[keep],
                     np.ones(int(keep.sum()), dtype=np.int64),
                 )
+        if late:
+            self._settle_late_accepts(late, round_number, outbox)
         return out
+
+    def _settle_late_accepts(
+        self,
+        late: dict[int, set[int]],
+        round_number: int,
+        outbox: "RoundOutbox",
+    ) -> None:
+        """Owe what the per-message loop's handler would have sent for
+        token rows that reached exchange/done receivers (necessarily
+        duplicates: a fresh one raised above).  There the receiver runs
+        the rows through its channel and then flushes, so every touched
+        link ends the round acked.  A receiver that already flushed
+        this round gets just those acks; a halted one the scheduler did
+        not step (it had no control mail) gets the flush its woken
+        handler would have run."""
+        channels = self._channels
+        for node in sorted(late):
+            channel = channels[node]
+            if channel.flushed_round == round_number:
+                for sender in sorted(late[node]):
+                    channel.ack_late(sender, round_number, outbox.push)
+            else:
+                channel.flush(round_number, outbox.push)
 
     def _process_arrivals(
         self, claimed: dict[str, ClaimedKind]

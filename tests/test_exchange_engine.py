@@ -1,0 +1,174 @@
+"""Unit tests for the fast-path exchange driver's accounting.
+
+:class:`~repro.core.exchange_engine.ExchangeEngine` prices every
+node's column messages once, from the frozen count tensor, and ships
+each round as priced traffic (:meth:`BulkOutbox.push_priced`).  These
+tests drive it over a fabricated tensor and check every round against
+the reference: the same rows pushed as a fields matrix through
+:meth:`BulkOutbox.push_rows` and drained.
+"""
+
+import re
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.congest.errors import CongestViolation
+from repro.congest.message import Message
+from repro.congest.transport import BandwidthPolicy, BulkOutbox
+from repro.core.exchange_engine import ExchangeEngine, column_bits
+from repro.core.protocol import KIND_EXCHANGE
+
+#: A small connected graph (adjacency in ascending neighbor order).
+NEIGHBORS = {0: [1, 2], 1: [0, 2, 3], 2: [0, 1, 4], 3: [1], 4: [2]}
+N = len(NEIGHBORS)
+START = 10
+
+
+def _fabricated_counts() -> np.ndarray:
+    """A frozen ``(n, 2, n)`` tensor whose columns cross bit widths:
+    0, 255/256 (8 -> 9 magnitude bits), and a few mid-sized values."""
+    counts = np.zeros((N, 2, N), dtype=np.int64)
+    counts[0, 0, 1] = 255
+    counts[0, 1, 1] = 256
+    counts[1, 0, 1] = 256
+    counts[2, :, 2] = [1, 3]
+    counts[3, 0, 3] = 1023
+    counts[3, 1, 3] = 1024
+    counts[4, :, 4] = [7, 8]
+    return counts
+
+
+class _Program:
+    """Just enough of an RWBCNodeProgram for the driver."""
+
+    def __init__(self, node: int) -> None:
+        self.node_id = node
+        self.neighbors = NEIGHBORS[node]
+        self.finished_at = None
+
+    def _finish(self, round_number: int) -> None:
+        self.finished_at = round_number
+
+
+def _driver(counts: np.ndarray) -> tuple[ExchangeEngine, SimpleNamespace]:
+    edge_src = np.repeat(
+        np.arange(N, dtype=np.int64), [len(NEIGHBORS[v]) for v in range(N)]
+    )
+    targets = np.array(
+        [u for v in range(N) for u in NEIGHBORS[v]], dtype=np.int64
+    )
+    engine = SimpleNamespace(counts=counts, _edge_src=edge_src, _targets=targets)
+    driver = ExchangeEngine(N, START, engine)
+    for node in range(N):
+        driver.register(_Program(node))
+    return driver, engine
+
+
+def _per_edge(traffic, codes) -> dict:
+    return {
+        int(code): (int(messages), int(bits))
+        for code, messages, bits in zip(
+            codes, traffic.edge_messages, traffic.edge_bits
+        )
+    }
+
+
+def _reference(policy, engine, source, control=()):
+    """The round as a fields matrix through push_rows + drain."""
+    outbox = BulkOutbox(policy)
+    fields = np.empty((len(engine._edge_src), 3), dtype=np.int64)
+    fields[:, 0] = source
+    fields[:, 1] = engine.counts[engine._edge_src, 0, source]
+    fields[:, 2] = engine.counts[engine._edge_src, 1, source]
+    outbox.push_rows(KIND_EXCHANGE, engine._edge_src, engine._targets, fields)
+    return outbox.drain(N, list(control))
+
+
+def _reference_codes(engine) -> np.ndarray:
+    """Edge codes in the order ``drain``'s merge reports edge loads."""
+    return np.unique(engine._edge_src * N + engine._targets)
+
+
+POLICY = BandwidthPolicy(n=N)
+
+
+class TestPricedRounds:
+    def test_every_round_matches_push_rows(self):
+        driver, engine = _driver(_fabricated_counts())
+        outbox = BulkOutbox(POLICY)
+        codes = engine._edge_src * N + engine._targets
+        for source in range(N):
+            driver.end_round(START + source, {}, None, outbox)
+            priced = outbox.drain(N, [])
+            reference = _reference(POLICY, engine, source)
+            assert priced.traffic == reference.traffic
+            assert _per_edge(priced.traffic, codes) == _per_edge(
+                reference.traffic, _reference_codes(engine)
+            )
+            senders, receivers, fields, multiplicity = priced.take(
+                KIND_EXCHANGE
+            )
+            assert fields is None
+            assert (senders == engine._edge_src).all()
+            assert (receivers == engine._targets).all()
+            assert (multiplicity == 1).all()
+
+    def test_bit_width_boundaries_are_priced(self):
+        counts = _fabricated_counts()
+        table = column_bits(counts)
+        # Node 0, column 1: (1, 255, 256) -> 8 + 2 + 9 + 10 bits.
+        assert table[1, 0] == 8 + 2 + 9 + 10
+        # Node 0, column 0: (0, 0, 0) -> every field floors to 2 bits.
+        assert table[0, 0] == 8 + 2 + 2 + 2
+        # Node 3, column 3: (3, 1023, 1024) -> 8 + 3 + 11 + 12 bits.
+        assert table[3, 3] == 8 + 3 + 11 + 12
+
+    def test_shared_round_runs_the_merge(self):
+        """Control traffic on the same edges: the merged accounting
+        must still equal the reference (two messages on edge 0 -> 1)."""
+        driver, engine = _driver(_fabricated_counts())
+        outbox = BulkOutbox(POLICY)
+        control = [Message(0, 1, "term", (5,)), Message(4, 2, "done", (40,))]
+        driver.end_round(START + 1, {}, None, outbox)
+        priced = outbox.drain(N, control)
+        reference = _reference(POLICY, engine, 1, control)
+        assert priced.traffic == reference.traffic
+        assert priced.traffic.max_edge_messages == 2
+        for name in ("edge_messages", "edge_bits"):
+            assert (
+                getattr(priced.traffic, name) == getattr(reference.traffic, name)
+            ).all()
+
+    def test_finish_round_calls_every_program(self):
+        driver, engine = _driver(_fabricated_counts())
+        outbox = BulkOutbox(POLICY)
+        for source in range(N):
+            driver.end_round(START + source, {}, None, outbox)
+            outbox.drain(N, [])
+        driver.end_round(START + N, {}, None, outbox)
+        for node, program in driver._programs.items():
+            assert program.finished_at == START + N
+            for neighbor, slab in program._neighbor_counts.items():
+                assert np.shares_memory(slab, engine.counts)
+                assert (slab == engine.counts[neighbor]).all()
+        assert not outbox.drain(N, [])
+
+
+class TestBudget:
+    def test_oversized_column_raises_in_its_round(self):
+        counts = _fabricated_counts()
+        counts[2, 0, 3] = 1 << 20
+        counts[2, 1, 3] = 1 << 20
+        driver, engine = _driver(counts)
+        outbox = BulkOutbox(POLICY)
+        for source in range(3):
+            driver.end_round(START + source, {}, None, outbox)
+            outbox.drain(N, [])
+        with pytest.raises(CongestViolation) as raised:
+            driver.end_round(START + 3, {}, None, outbox)
+        assert re.search(r"from node 2 is 55 bits", str(raised.value))
+        with pytest.raises(CongestViolation) as reference:
+            _reference(POLICY, engine, 3)
+        assert str(raised.value) == str(reference.value)

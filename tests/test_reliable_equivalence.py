@@ -10,7 +10,9 @@ hypothesis sweep over random small plans that hunts edge-grouping
 regressions.
 """
 
-from hypothesis import HealthCheck, given, settings
+import os
+
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.congest.faults import CrashWindow, FaultPlan
@@ -95,6 +97,19 @@ class TestBoundaryEquivalence:
         _assert_identical(slow, fast)
         assert slow.metrics.faults["delayed"] > 0
 
+    def test_late_duplicates_past_counting(self):
+        """Delay slips far longer than the exchange phase land duplicate
+        walk tokens at nodes already exchanging or finished.  The
+        per-message loop acks them in the receiver's own flush; the
+        fast path dedups them after that flush (or without stepping a
+        finished node) and must send the same acks itself."""
+        graph = erdos_renyi_graph(6, 0.5, seed=2, ensure_connected=True)
+        plan = FaultPlan(
+            seed=15, duplicate_rate=0.3, delay_rate=0.3, max_delay=30
+        )
+        slow, fast = _run_both_loops(graph, plan)
+        _assert_identical(slow, fast)
+
 
 @st.composite
 def fault_plans(draw):
@@ -133,9 +148,61 @@ def fault_plans(draw):
     return n, plan
 
 
+#: Tier-1 keeps the sweep short.  Selecting a profile through
+#: ``HYPOTHESIS_PROFILE`` (the scheduled CI job uses ``nightly``, see
+#: ``tests/conftest.py``) hands the example count to that profile.
+SWEEP_EXAMPLES = (
+    settings.default.max_examples
+    if os.environ.get("HYPOTHESIS_PROFILE")
+    else 15
+)
+
+
 @given(case=fault_plans())
+@example(
+    # A duplicate walk token reaching a node already in the exchange
+    # phase: the per-message loop acks it in that round's flush; the
+    # fast path dedups it after the node has flushed, so the walk
+    # engine must send that ack itself.
+    case=(
+        6,
+        FaultPlan(
+            seed=17480039,
+            drop_rate=0.03125,
+            delay_rate=0.051419101017703965,
+            max_delay=6,
+        ),
+    )
+)
+@example(
+    # Node 0 down from round 2 until just past the parent announcement
+    # (round 6n = 36) misses the whole flood and announces on recovery
+    # from a stale flood state.  The flood must keep running until
+    # launch so the node still learns the leader; otherwise it keeps a
+    # stale one and the loops disagree.
+    case=(
+        6,
+        FaultPlan(
+            seed=0,
+            max_delay=1,
+            crashes=(CrashWindow(node=0, start=2, end=37),),
+        ),
+    )
+)
+@example(
+    # The same with node 2 back exactly at the announcement; with a
+    # stale leader here the run never terminates.
+    case=(
+        6,
+        FaultPlan(
+            seed=0,
+            max_delay=1,
+            crashes=(CrashWindow(node=2, start=2, end=36),),
+        ),
+    )
+)
 @settings(
-    max_examples=15,
+    max_examples=SWEEP_EXAMPLES,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

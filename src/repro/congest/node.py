@@ -112,6 +112,36 @@ class RoundContext:
         self._outbox.push(message)
 
 
+class EdgeIndex:
+    """The run's directed edges as flat arrays, built once per fast-path run.
+
+    Edge ids ascend node-major over the graph's canonical order, and
+    each node's edges follow its ports - the ``info.neighbors`` order -
+    so edge ``offsets[i] + j`` is ``order[i] -> neighbors[j]``.  A
+    driver that pushes whole-network rows in edge order therefore
+    pushes them in exactly the order a sorted per-node loop of
+    ``broadcast`` calls would have sent them.  With the protocol's
+    ``0 .. n-1`` labels a node's canonical position is its label.
+    """
+
+    __slots__ = ("offsets", "degrees", "src", "dst")
+
+    def __init__(
+        self, order: tuple[int, ...], neighbor_arrays: list[np.ndarray]
+    ) -> None:
+        degrees = np.array([len(a) for a in neighbor_arrays], dtype=np.int64)
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        self.offsets = offsets
+        self.degrees = degrees
+        self.src = np.repeat(np.array(order, dtype=np.int64), degrees)
+        self.dst = np.concatenate(neighbor_arrays)
+
+    @property
+    def n(self) -> int:
+        return len(self.degrees)
+
+
 class SharedFastPathState:
     """Per-run coordination space for cooperating fast-path programs.
 
@@ -134,9 +164,12 @@ class SharedFastPathState:
     (the walk engine's equivalence is pinned by tests).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, edges: EdgeIndex) -> None:
         self.slots: dict[str, object] = {}
         self.drivers: list[object] = []
+        # The run's directed edges (see EdgeIndex); every driver that
+        # ships or reads whole-network per-edge arrays uses this one.
+        self.edges = edges
         # The run's FaultRuntime (None on fault-free runs).  Drivers
         # consult it for the crashed-node set so they can suppress a
         # down node's emissions exactly as the per-node loop does by

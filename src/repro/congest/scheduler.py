@@ -30,6 +30,7 @@ from repro.congest.message import Message
 from repro.congest.metrics import RunMetrics
 from repro.congest.node import (
     BulkRoundContext,
+    EdgeIndex,
     NodeInfo,
     NodeProgram,
     RoundContext,
@@ -401,12 +402,13 @@ class Simulator:
         idle nodes are skipped outright (safe by the
         :class:`VectorizedProgram` ``bulk_idle`` contract).  Control
         messages still travel as ordinary :class:`Message` objects, so
-        phases that need per-message semantics (leader election, the
-        termination convergecast) are untouched.  Cooperating programs
-        may additionally register cross-node *drivers* through
+        phases that need per-message semantics (the termination
+        convergecast) are untouched.  Cooperating programs may
+        additionally register cross-node *drivers* through
         ``ctx.shared`` (see :class:`SharedFastPathState`): a driver
         claims whole message kinds and processes them network-wide once
-        per round instead of node by node.  Bandwidth limits are
+        per round instead of node by node, over the run's directed-edge
+        arrays (``shared.edges``).  Bandwidth limits are
         enforced on the merged control + bulk load of every edge, and
         :class:`RunMetrics` receives exactly the numbers the per-message
         loop would have recorded.
@@ -417,7 +419,11 @@ class Simulator:
         outbox = RoundOutbox(self.policy)
         bulk_outbox = BulkOutbox(self.policy)
         order = self.graph.canonical_order()
-        shared = SharedFastPathState()
+        neighbor_arrays = [
+            np.array(programs[node].neighbors, dtype=np.int64)
+            for node in order
+        ]
+        shared = SharedFastPathState(EdgeIndex(order, neighbor_arrays))
         fault_rt = None if self.faults.is_trivial else FaultRuntime(self.faults)
         shared.fault_runtime = fault_rt
         shared.profiler = profiler
@@ -444,10 +450,10 @@ class Simulator:
                 outbox,
                 0,
                 bulk_outbox,
-                np.array(programs[node].neighbors, dtype=np.int64),
+                neighbor_array,
                 shared,
             )
-            for node in order
+            for node, neighbor_array in zip(order, neighbor_arrays)
         }
         claimed_kinds: dict[str, object] = {}  # kind -> claiming driver
         known_drivers = 0

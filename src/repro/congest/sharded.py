@@ -69,6 +69,8 @@ from repro.walks.streams import PortStreams
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
 
+    from repro.congest.node import EdgeIndex
+
 
 def _shard_worker(
     conn: "Connection",
@@ -134,7 +136,8 @@ class ShardedWalkEngine(CountingWalkEngine):
     handling, termination, emission - is inherited verbatim.
     """
 
-    def __init__(self, n: int, num_shards: int) -> None:
+    def __init__(self, edges: EdgeIndex, num_shards: int) -> None:
+        n = edges.n
         if num_shards < 1:
             raise ConfigError("num_shards must be >= 1")
         if num_shards > n:
@@ -147,7 +150,7 @@ class ShardedWalkEngine(CountingWalkEngine):
                 "(workers must inherit post-launch generator state); "
                 "it is unavailable on this platform"
             )
-        super().__init__(n)
+        super().__init__(edges)
         self.num_shards = num_shards
         # Re-home the count tensor in a POSIX shared-memory segment so
         # worker tallies land in the parent's view without copies.

@@ -20,10 +20,11 @@ matrix is built, priced or drained.
 
 Byte-identity with the per-node path is structural, not approximate:
 
-* **Traffic.**  Edge ids ascend node-major with ports in each node's
-  ``info.neighbors`` order, so the edge arrays carry exactly the
-  messages the per-node loop pushes, one per directed edge, in the
-  same rounds.  The table entry is the same integer sum
+* **Traffic.**  The run's :class:`~repro.congest.node.EdgeIndex`
+  ascends node-major with ports in each node's ``info.neighbors``
+  order, so its edge arrays carry exactly the messages the per-node
+  loop pushes, one per directed edge, in the same rounds.  The table
+  entry is the same integer sum
   :meth:`~repro.congest.transport.BulkOutbox.push_rows` charges for the
   row ``(s, c_a, c_b)`` (``int_bits_array`` over the same values), and
   a column over the per-message budget raises the same
@@ -56,6 +57,7 @@ from repro.congest.errors import ProtocolError
 from repro.congest.message import TAG_BITS, int_bits_array
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.congest.node import EdgeIndex
     from repro.congest.transport import BulkOutbox, RoundOutbox
     from repro.core.protocol import RWBCNodeProgram
     from repro.core.walk_engine import ClaimedKind, CountingWalkEngine
@@ -97,15 +99,16 @@ class ExchangeEngine:
     """
 
     def __init__(
-        self, n: int, start: int, engine: "CountingWalkEngine"
+        self, start: int, engine: "CountingWalkEngine", edges: "EdgeIndex"
     ) -> None:
         from repro.core.protocol import KIND_EXCHANGE
 
         self.claimed_kinds = frozenset({KIND_EXCHANGE})
         self._kind = KIND_EXCHANGE
-        self.n = n
+        self.n = edges.n
         self.start = start
         self._engine = engine
+        self._edges = edges
         self._programs: dict[int, "RWBCNodeProgram"] = {}
         self._done = False
         self._bits: np.ndarray | None = None  # (n, n) uint8, see column_bits
@@ -144,10 +147,9 @@ class ExchangeEngine:
             source = round_number - self.start
             if self._bits is None:
                 self._bits = column_bits(engine.counts)
-            edge_src = engine._edge_src
+            edges = self._edges
             bulk_outbox.push_priced(
-                self._kind, edge_src, engine._targets,
-                self._bits[source][edge_src],
+                self._kind, edges.src, edges.dst, self._bits[source][edges.src]
             )
             return
         # Round start + n: all columns have (virtually) arrived; run

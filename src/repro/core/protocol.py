@@ -240,6 +240,12 @@ class RWBCNodeProgram(VectorizedProgram):
         self.phase = PHASE_SETUP
         rank = int(rng.integers(0, max(2, info.n) ** 3))
         self._flood = FloodMaxBFS(info.node_id, rank)
+        # Fast path only: the shared setup driver (non-reliable runs
+        # without fault injection).  When set, the flood, the parent
+        # announcements and the degree exchange run inside the driver,
+        # which freezes this node's tree, target and neighbor degrees;
+        # the node sleeps until it launches its walks.
+        self._setup_engine = None
         # Fast path only: the shared exchange driver (non-reliable runs
         # without fault injection).  When set, the whole exchange phase -
         # column broadcasts, neighbor-count collection, and the final
@@ -252,19 +258,13 @@ class RWBCNodeProgram(VectorizedProgram):
         # Fast path only: the shared network-wide counting engine.
         self._engine: CountingWalkEngine | None = None
         self._neighbor_degrees: dict[int, int] = {}
-        # One (2, n) half-count slab per neighbor, backed by a single
-        # (degree, 2, n) matrix so the fast path can scatter a whole
-        # round's exchange arrivals in one vectorized store.  The dict
-        # values are views into the matrix - both access paths see the
-        # same data.
+        # Neighbor half counts, allocated on first use (see
+        # _neighbor_slabs); the exchange driver installs views into the
+        # count tensor instead, so the fault-free fast path never
+        # allocates the matrix.
         self._neighbor_index = np.array(info.neighbors, dtype=np.int64)
-        self._neighbor_matrix = np.zeros(
-            (info.degree, 2, info.n), dtype=np.int64
-        )
-        self._neighbor_counts: dict[int, np.ndarray] = {
-            neighbor: self._neighbor_matrix[j]
-            for j, neighbor in enumerate(info.neighbors)
-        }
+        self._neighbor_matrix: np.ndarray | None = None
+        self._neighbor_counts: dict[int, np.ndarray] | None = None
         self._exchange_start: int | None = None
         # Reliable-mode state (all inert when config.reliable is False).
         self._channel: ReliableChannel | None = None
@@ -298,6 +298,21 @@ class RWBCNodeProgram(VectorizedProgram):
     # ------------------------------------------------------------------
     def on_start(self, ctx: RoundContext) -> None:
         if self._channel is None:
+            shared = getattr(ctx, "shared", None)
+            if shared is not None and shared.fault_runtime is None:
+                # Fault-free fast path: hand the whole setup phase to the
+                # shared driver, which floods every node's candidate once
+                # the last node has registered.
+                from repro.core.setup_engine import SetupEngine
+
+                setup = shared.slots.get("setup_engine")
+                if setup is None:
+                    setup = SetupEngine(shared.edges)
+                    shared.slots["setup_engine"] = setup
+                    shared.register_driver(setup)
+                setup.register(self, ctx.bulk)
+                self._setup_engine = setup
+                return
             self._flood.start(ctx)
             return
         rctx = _ReliableCtx(self._channel, self.neighbors, ctx.round_number)
@@ -322,8 +337,8 @@ class RWBCNodeProgram(VectorizedProgram):
         bulk: BulkInbox | None,
     ) -> None:
         if self.phase == PHASE_SETUP:
-            # Setup traffic (flood-max, degrees) is lightweight control
-            # traffic; it stays per-message on both paths.
+            # With the setup driver installed this is the launch round;
+            # otherwise (faults) setup traffic stays per-message.
             self._setup_round(ctx, inbox)
         elif self.phase == PHASE_COUNTING:
             self._counting_round_engine(ctx, inbox)
@@ -369,7 +384,10 @@ class RWBCNodeProgram(VectorizedProgram):
         ``n`` (parent announcement), ``n + 1`` (degree broadcast) and
         ``n + 2`` (launch) - between floods the ``FloodMaxBFS.step``
         with an empty inbox is a strict no-op, so sleeping until the
-        next milestone is safe.  Reliable mode is timer-driven (ARQ
+        next milestone is safe.  When the shared setup driver owns the
+        phase, its traffic never reaches the node and the driver does
+        the milestones' work, so the node sleeps straight through to
+        its launch at ``n + 2``.  Reliable mode is timer-driven (ARQ
         retransmits), so it keeps the historical every-round stepping.
         Counting is mail-only (the engine does the work).  Exchange is
         calendar-driven from ``_exchange_start`` unless the shared
@@ -379,6 +397,8 @@ class RWBCNodeProgram(VectorizedProgram):
             if self._channel is not None:
                 return round_number + 1
             n = self.info.n
+            if self._setup_engine is not None:
+                return n + 2
             return n if round_number < n else round_number + 1
         if self.phase == PHASE_COUNTING:
             return None
@@ -400,6 +420,11 @@ class RWBCNodeProgram(VectorizedProgram):
             return
         n = self.info.n
         r = ctx.round_number
+        if self._setup_engine is not None:
+            # The driver froze the tree, target and neighbor degrees; the
+            # node's only setup step is its launch at round n + 2.
+            self._launch_counting(ctx, r)
+            return
         if r <= n:
             self._flood.step(ctx, inbox)
             if r == n:
@@ -547,9 +572,9 @@ class RWBCNodeProgram(VectorizedProgram):
                 if num_shards:
                     from repro.congest.sharded import ShardedWalkEngine
 
-                    engine = ShardedWalkEngine(n, num_shards)
+                    engine = ShardedWalkEngine(shared.edges, num_shards)
                 else:
-                    engine = CountingWalkEngine(n)
+                    engine = CountingWalkEngine(shared.edges)
                 shared.slots["walk_engine"] = engine
                 shared.register_driver(engine)
             engine.register(
@@ -737,11 +762,28 @@ class RWBCNodeProgram(VectorizedProgram):
             instruments=self.config.instruments,
         )
 
+    def _neighbor_slabs(self) -> dict[int, np.ndarray]:
+        """One ``(2, n)`` half-count slab per neighbor, allocated on
+        first use: a single ``(degree, 2, n)`` matrix, so the fast path
+        can scatter a whole round's exchange arrivals in one vectorized
+        store, with the dict values as views into it.  The exchange
+        driver installs views into the count tensor instead, and then
+        nothing is allocated."""
+        if self._neighbor_counts is None:
+            self._neighbor_matrix = np.zeros(
+                (self.degree, 2, self.info.n), dtype=np.int64
+            )
+            self._neighbor_counts = {
+                neighbor: self._neighbor_matrix[j]
+                for j, neighbor in enumerate(self.neighbors)
+            }
+        return self._neighbor_counts
+
     def _store_exchange(self, sender: int, payload: tuple[int, ...]) -> None:
         """Fold one fresh (deduplicated) exchange column from a
         neighbor; reliable mode only."""
         source, count_a, count_b = payload
-        slab = self._neighbor_counts[sender]
+        slab = self._neighbor_slabs()[sender]
         slab[0, source] = count_a
         slab[1, source] = count_b
         self._xch_received[sender] += 1
@@ -789,9 +831,7 @@ class RWBCNodeProgram(VectorizedProgram):
 
                 xch = shared.slots.get("exchange_engine")
                 if xch is None:
-                    xch = ExchangeEngine(
-                        self.info.n, done_round, self._engine
-                    )
+                    xch = ExchangeEngine(done_round, self._engine, shared.edges)
                     shared.slots["exchange_engine"] = xch
                     shared.register_driver(xch)
                 xch.register(self)
@@ -823,8 +863,9 @@ class RWBCNodeProgram(VectorizedProgram):
         for message in inbox:
             if message.kind == KIND_EXCHANGE:
                 source, count_a, count_b = message.fields
-                self._neighbor_counts[message.sender][0, source] = count_a
-                self._neighbor_counts[message.sender][1, source] = count_b
+                slab = self._neighbor_slabs()[message.sender]
+                slab[0, source] = count_a
+                slab[1, source] = count_b
             elif message.kind in (KIND_TERM, KIND_DONE):
                 continue  # stragglers from the counting phase
             elif message.kind in (KIND_WALK, KIND_WALK_BATCH):
@@ -840,6 +881,7 @@ class RWBCNodeProgram(VectorizedProgram):
                 )
             exchange = bulk.get(KIND_EXCHANGE)
             if exchange is not None:
+                self._neighbor_slabs()  # allocates the matrix on first use
                 rows = np.searchsorted(
                     self._neighbor_index, exchange.senders
                 )
@@ -945,10 +987,11 @@ class RWBCNodeProgram(VectorizedProgram):
         # (the sum over all pairs; edges have no Eq. 7 term).
         pairs = 0.5 * n * (n - 1)
         total = 0.0
+        slabs = self._neighbor_slabs()
         for neighbor in self.neighbors:
             w = (
                 own_potential
-                - self._neighbor_counts[neighbor].sum(axis=0)
+                - slabs[neighbor].sum(axis=0)
                 / self._neighbor_degrees[neighbor]
             )
             full = pair_sum_all(w)
@@ -982,11 +1025,9 @@ class RWBCNodeProgram(VectorizedProgram):
             self._walks.half_counts[0] - self._walks.half_counts[1]
         ) / (2.0 * self.degree)
         half_k = self.config.walks_per_source // 2
+        slabs = self._neighbor_slabs()
         neighbor_noise = (
-            (
-                self._neighbor_counts[neighbor][0]
-                - self._neighbor_counts[neighbor][1]
-            )
+            (slabs[neighbor][0] - slabs[neighbor][1])
             / (2.0 * self._neighbor_degrees[neighbor])
             for neighbor in self.neighbors
         )

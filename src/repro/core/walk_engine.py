@@ -60,7 +60,7 @@ from repro.walks.batched import aggregate_network_groups
 from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.congest.node import BulkRoundContext, NodeProgram
+    from repro.congest.node import BulkRoundContext, EdgeIndex, NodeProgram
     from repro.congest.transport import BulkOutbox, RoundOutbox
 
 #: Claimed traffic of one kind: (senders, receivers, fields, multiplicity).
@@ -221,7 +221,8 @@ class CountingWalkEngine:
 
     claimed_kinds = frozenset({KIND_WALK, KIND_WALK_BATCH})
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, edges: EdgeIndex) -> None:
+        n = edges.n
         self.n = n
         # xi tensors and per-node aggregates; managers hold views into
         # ``counts`` so both access paths see the same numbers.
@@ -263,12 +264,13 @@ class CountingWalkEngine:
         self._pending = np.empty((0, 6), dtype=np.int64)
         self._seq = 0
         self._finalized = False
-        # Filled at finalize (from the registered managers).
-        self._offsets: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-        self._degrees: np.ndarray | None = None
-        self._edge_src: np.ndarray | None = None
-        self._max_degree = 1
+        # The run's directed edges (``SharedFastPathState.edges``): edge
+        # ``offsets[v] + port`` is ``v -> neighbors[port]``.
+        self._offsets = edges.offsets
+        self._targets = edges.dst
+        self._degrees = edges.degrees
+        self._edge_src = edges.src
+        self._max_degree = int(edges.degrees.max())
         self._policy: TransportPolicy = TransportPolicy.QUEUE
         self._budget = 1
         self._alpha: float | None = None
@@ -396,15 +398,11 @@ class CountingWalkEngine:
         self._budget = first.walk_budget
         self._alpha = first.survival_alpha
         self._absorbing_target = first.target
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        targets: list[int] = []
         adopted: list[tuple[int, int, int, int, int, int]] = []
         seq = 0
         for node in range(self.n):
             manager = self._managers[node]
-            base = len(targets)
-            targets.extend(manager.neighbors)
-            offsets[node + 1] = len(targets)
+            base = int(self._offsets[node])
             # Adopt the managers' launch-time queues verbatim: per-edge
             # FIFO order is part of the random-stream contract.
             for port, neighbor in enumerate(manager.neighbors):
@@ -419,13 +417,6 @@ class CountingWalkEngine:
         if adopted:
             self._pending = np.array(adopted, dtype=np.int64)
         self._seq = seq
-        self._offsets = offsets
-        self._targets = np.array(targets, dtype=np.int64)
-        self._degrees = np.diff(offsets)
-        self._edge_src = np.repeat(
-            np.arange(self.n, dtype=np.int64), self._degrees
-        )
-        self._max_degree = int(self._degrees.max())
         # Damped thinning draws from the same generators between
         # routing calls, so that mode may not read ahead.
         self._streams = PortStreams(

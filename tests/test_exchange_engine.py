@@ -16,6 +16,7 @@ import pytest
 
 from repro.congest.errors import CongestViolation
 from repro.congest.message import Message
+from repro.congest.node import EdgeIndex
 from repro.congest.transport import BandwidthPolicy, BulkOutbox
 from repro.core.exchange_engine import ExchangeEngine, column_bits
 from repro.core.protocol import KIND_EXCHANGE
@@ -53,16 +54,14 @@ class _Program:
 
 
 def _driver(counts: np.ndarray) -> tuple[ExchangeEngine, SimpleNamespace]:
-    edge_src = np.repeat(
-        np.arange(N, dtype=np.int64), [len(NEIGHBORS[v]) for v in range(N)]
+    edges = EdgeIndex(
+        tuple(range(N)),
+        [np.array(NEIGHBORS[v], dtype=np.int64) for v in range(N)],
     )
-    targets = np.array(
-        [u for v in range(N) for u in NEIGHBORS[v]], dtype=np.int64
-    )
-    engine = SimpleNamespace(counts=counts, _edge_src=edge_src, _targets=targets)
-    driver = ExchangeEngine(N, START, engine)
+    driver = ExchangeEngine(START, SimpleNamespace(counts=counts), edges)
     for node in range(N):
         driver.register(_Program(node))
+    engine = SimpleNamespace(counts=counts, src=edges.src, dst=edges.dst)
     return driver, engine
 
 
@@ -78,17 +77,17 @@ def _per_edge(traffic, codes) -> dict:
 def _reference(policy, engine, source, control=()):
     """The round as a fields matrix through push_rows + drain."""
     outbox = BulkOutbox(policy)
-    fields = np.empty((len(engine._edge_src), 3), dtype=np.int64)
+    fields = np.empty((len(engine.src), 3), dtype=np.int64)
     fields[:, 0] = source
-    fields[:, 1] = engine.counts[engine._edge_src, 0, source]
-    fields[:, 2] = engine.counts[engine._edge_src, 1, source]
-    outbox.push_rows(KIND_EXCHANGE, engine._edge_src, engine._targets, fields)
+    fields[:, 1] = engine.counts[engine.src, 0, source]
+    fields[:, 2] = engine.counts[engine.src, 1, source]
+    outbox.push_rows(KIND_EXCHANGE, engine.src, engine.dst, fields)
     return outbox.drain(N, list(control))
 
 
 def _reference_codes(engine) -> np.ndarray:
     """Edge codes in the order ``drain``'s merge reports edge loads."""
-    return np.unique(engine._edge_src * N + engine._targets)
+    return np.unique(engine.src * N + engine.dst)
 
 
 POLICY = BandwidthPolicy(n=N)
@@ -98,7 +97,7 @@ class TestPricedRounds:
     def test_every_round_matches_push_rows(self):
         driver, engine = _driver(_fabricated_counts())
         outbox = BulkOutbox(POLICY)
-        codes = engine._edge_src * N + engine._targets
+        codes = engine.src * N + engine.dst
         for source in range(N):
             driver.end_round(START + source, {}, None, outbox)
             priced = outbox.drain(N, [])
@@ -111,8 +110,8 @@ class TestPricedRounds:
                 KIND_EXCHANGE
             )
             assert fields is None
-            assert (senders == engine._edge_src).all()
-            assert (receivers == engine._targets).all()
+            assert (senders == engine.src).all()
+            assert (receivers == engine.dst).all()
             assert (multiplicity == 1).all()
 
     def test_bit_width_boundaries_are_priced(self):

@@ -136,7 +136,9 @@ class ShardedWalkEngine(CountingWalkEngine):
     handling, termination, emission - is inherited verbatim.
     """
 
-    def __init__(self, edges: EdgeIndex, num_shards: int) -> None:
+    def __init__(
+        self, edges: EdgeIndex, num_shards: int, convergecast: bool
+    ) -> None:
         n = edges.n
         if num_shards < 1:
             raise ConfigError("num_shards must be >= 1")
@@ -150,7 +152,7 @@ class ShardedWalkEngine(CountingWalkEngine):
                 "(workers must inherit post-launch generator state); "
                 "it is unavailable on this platform"
             )
-        super().__init__(edges)
+        super().__init__(edges, convergecast)
         self.num_shards = num_shards
         # Re-home the count tensor in a POSIX shared-memory segment so
         # worker tallies land in the parent's view without copies.
@@ -174,9 +176,9 @@ class ShardedWalkEngine(CountingWalkEngine):
     # ------------------------------------------------------------------
     def _finalize(self) -> None:
         super()._finalize()
-        # Fork now: the launch queues are adopted and every node stream
-        # sits in its exact post-launch state, which the workers must
-        # inherit (and the parent must stop consuming).
+        # Fork now: the walks are launched and every node stream sits in
+        # its exact post-launch state, which the workers must inherit
+        # (and the parent must stop consuming).
         ctx = multiprocessing.get_context("fork")
         for shard in range(self.num_shards):
             parent_conn, child_conn = ctx.Pipe()

@@ -244,7 +244,7 @@ class RWBCNodeProgram(VectorizedProgram):
         # without fault injection).  When set, the flood, the parent
         # announcements and the degree exchange run inside the driver,
         # which freezes this node's tree, target and neighbor degrees;
-        # the node sleeps until it launches its walks.
+        # the node sleeps until it joins the counting phase.
         self._setup_engine = None
         # Fast path only: the shared exchange driver (non-reliable runs
         # without fault injection).  When set, the whole exchange phase -
@@ -371,9 +371,10 @@ class RWBCNodeProgram(VectorizedProgram):
         """Skippable on the fast path: during counting, all walk
         movement and termination reporting runs inside the shared
         :class:`CountingWalkEngine`, so a node only needs a round of its
-        own when control mail (term/done) arrives.  Setup and exchange
-        rounds are round-number driven, so the node must run every one
-        of them."""
+        own when control mail arrives - the done wave, plus term reports
+        and ARQ traffic where the engine leaves the convergecast to the
+        nodes.  Setup and exchange rounds are round-number driven, so
+        the node must run every one of them."""
         return self.phase == PHASE_COUNTING
 
     def next_wake(self, round_number: int) -> int | None:
@@ -387,9 +388,12 @@ class RWBCNodeProgram(VectorizedProgram):
         next milestone is safe.  When the shared setup driver owns the
         phase, its traffic never reaches the node and the driver does
         the milestones' work, so the node sleeps straight through to
-        its launch at ``n + 2``.  Reliable mode is timer-driven (ARQ
-        retransmits), so it keeps the historical every-round stepping.
-        Counting is mail-only (the engine does the work).  Exchange is
+        its launch at ``n + 2``, where it only builds its manager and
+        counter and registers them: the engine launches the walks.
+        Reliable mode is timer-driven (ARQ retransmits), so it keeps the
+        historical every-round stepping.  Counting is mail-only (the
+        engine does the work; with the array convergecast only the done
+        wave wakes a node).  Exchange is
         calendar-driven from ``_exchange_start`` unless the shared
         exchange driver owns it, in which case the node sleeps forever
         and the driver finishes it."""
@@ -531,9 +535,34 @@ class RWBCNodeProgram(VectorizedProgram):
         self._channel.flush(r, ctx.push_message)
 
     def _launch_counting(self, ctx: RoundContext, r: int) -> None:
-        """Build the walk manager and death counter, join the fast-path
-        engine when one is available, and launch this node's walks."""
+        """Build the walk manager and death counter and start counting.
+
+        On the fast path the node joins (or creates) the network-wide
+        engine, which launches every node's walks at the end of this
+        round and owns the sends from then on; otherwise the node
+        launches its own walks and sends this round's traffic."""
         n = self.info.n
+        shared = getattr(ctx, "shared", None)
+        engine = None
+        if shared is not None:
+            engine = shared.slots.get("walk_engine")
+            if engine is None:
+                num_shards = getattr(shared, "num_shards", None)
+                # The convergecast runs as arrays where the setup and
+                # exchange drivers run: fault-free and not reliable.
+                convergecast = (
+                    self._channel is None and shared.fault_runtime is None
+                )
+                if num_shards:
+                    from repro.congest.sharded import ShardedWalkEngine
+
+                    engine = ShardedWalkEngine(
+                        shared.edges, num_shards, convergecast
+                    )
+                else:
+                    engine = CountingWalkEngine(shared.edges, convergecast)
+                shared.slots["walk_engine"] = engine
+                shared.register_driver(engine)
         self._walks = WalkManager(
             node_id=self.node_id,
             neighbors=self.neighbors,
@@ -547,6 +576,7 @@ class RWBCNodeProgram(VectorizedProgram):
             count_initial=self.config.count_initial,
             survival_alpha=self.config.survival_alpha,
             split_sampling=self.config.split_sampling,
+            half_counts=None if engine is None else engine.counts[self.node_id],
         )
         # In damped mode every node launches K walks; in absorbing mode
         # the target sits out (its walks would die at birth).
@@ -561,43 +591,19 @@ class RWBCNodeProgram(VectorizedProgram):
         for sender, total in self._early_terms:
             self._death_counter.receive_report(sender, total)
         self._early_terms = []
-        shared = getattr(ctx, "shared", None)
-        if shared is not None:
-            # Fast path: join (or create) the network-wide engine.  This
-            # must precede launch() so the launch visits land in the
-            # engine's global count tensor.
-            engine = shared.slots.get("walk_engine")
-            if engine is None:
-                num_shards = getattr(shared, "num_shards", None)
-                if num_shards:
-                    from repro.congest.sharded import ShardedWalkEngine
-
-                    engine = ShardedWalkEngine(shared.edges, num_shards)
-                else:
-                    engine = CountingWalkEngine(shared.edges)
-                shared.slots["walk_engine"] = engine
-                shared.register_driver(engine)
+        self.phase = PHASE_COUNTING
+        self.counting_start_round = r
+        if engine is not None:
             engine.register(
                 self, self._walks, self._death_counter, ctx, self._channel
             )
             self._engine = engine
-        self.phase = PHASE_COUNTING
-        self.counting_start_round = r
+            return
         self._walks.launch()
-        self._death_counter.record_deaths(self._collect_immediate_deaths())
-        if self._engine is not None:
-            # The engine adopts the launch queues at end of this round
-            # and performs the sends (walks and initial term report).
-            self._engine.touch(self.node_id)
-        elif self._channel is None:
+        if self._channel is None:
             self._counting_sends(ctx)
         else:
             self._reliable_counting_sends(ctx)
-
-    def _collect_immediate_deaths(self) -> int:
-        """Deaths at launch time: none with length >= 1 (enforced), but
-        kept explicit so the accounting is visibly complete."""
-        return 0
 
     # ------------------------------------------------------------------
     # Phase 2: counting (Algorithm 1)
@@ -609,7 +615,9 @@ class RWBCNodeProgram(VectorizedProgram):
         (walk traffic is claimed by the engine), so this just folds in
         term reports, reacts to the done wave, and tells the engine the
         node was active so the post-round pass re-examines its
-        reporting state.
+        reporting state.  When the engine runs the convergecast as
+        arrays it claims the term rows too, and the done wave is the
+        only mail that steps a counting node.
 
         In reliable mode the control mail additionally includes acks
         and retransmitted walk tokens; fresh tokens are handed to the
@@ -791,6 +799,8 @@ class RWBCNodeProgram(VectorizedProgram):
     def _begin_done_wave(self, ctx: RoundContext, done_round: int) -> None:
         self._exchange_start = done_round
         self._death_counter.stop()
+        if self._engine is not None:
+            self._engine.stop_reporting(self.node_id)
         if self._walks.held_walks:
             raise ProtocolError(
                 f"node {self.node_id} still holds walks at the done wave; "

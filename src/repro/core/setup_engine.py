@@ -24,7 +24,7 @@ whole network as arrays:
   neighbor degrees, and ships the degree rows.
 * **Round n + 2.**  The degree rows arrive, still claimed, and are
   dropped (their content is already in place); every node wakes on its
-  calendar and launches its walks itself, as on every other path.
+  calendar and joins the counting engine, which launches the walks.
 
 Nodes sleep from round 0 to ``n + 2`` (``next_wake``): claimed traffic
 never reaches an inbox, so no node is stepped during the setup rounds.

@@ -17,15 +17,31 @@ root can detect termination by aggregating a *monotone* counter:
 
 The root then floods a ``done`` message carrying a common future round
 number at which all nodes switch to the exchange phase in lockstep.
+
+When to report is one rule, :func:`report_due`.  Per node it runs inside
+:meth:`DeathCounterLogic.pop_report`; on the fault-free fast path the
+counting engine applies it to every node's counters as arrays at once.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.congest.errors import ProtocolError
 from repro.congest.node import RoundContext
 
 KIND_TERM = "term"
 KIND_DONE = "done"
+
+
+def report_due(total, last_reported, stopped, parent):
+    """The convergecast's report rule: a node reports its subtree total
+    iff it has not stopped, it has a parent (``parent >= 0``; the root
+    never reports), and the total exceeds its last report.
+
+    Arguments are scalars or equal-length arrays; the result is a bool
+    or a bool array."""
+    return (total > last_reported) & (parent >= 0) & np.logical_not(stopped)
 
 
 class DeathCounterLogic:
@@ -84,14 +100,13 @@ class DeathCounterLogic:
         """Consume a pending report: the new subtree total if it changed
         since the last report (marking it reported), else ``None``.
 
-        Both simulator paths must send the returned total to the parent
-        as a ``term`` message this round - popping without sending would
+        The caller must send the returned total to the parent as a
+        ``term`` message this round - popping without sending would
         desynchronize the convergecast.
         """
-        if self.stopped or self.parent is None:
-            return None
         total = self.subtree_total
-        if total <= self._last_reported:
+        parent = -1 if self.parent is None else self.parent
+        if not report_due(total, self._last_reported, self.stopped, parent):
             return None
         self._last_reported = total
         return total
@@ -101,21 +116,6 @@ class DeathCounterLogic:
         total = self.pop_report()
         if total is not None:
             ctx.send(self.parent, KIND_TERM, total)
-
-    @property
-    def pending_report(self) -> bool:
-        """True when :meth:`maybe_report` would send this round.
-
-        The scheduler's fast path uses this (via the program's
-        ``bulk_idle``) to skip mail-less rounds: a node with nothing
-        queued and nothing unreported cannot change global state.  The
-        root never reports, and its completion check is safe to skip on
-        mail-less rounds because its subtree total only moves when a
-        report arrives or local walks die - both of which deliver mail.
-        """
-        if self.stopped or self.parent is None:
-            return False
-        return self.subtree_total > self._last_reported
 
     @property
     def root_detects_completion(self) -> bool:

@@ -9,7 +9,11 @@ network's in-flight walk traffic as four flat arrays; the engine then
 runs the whole round - visit counting, absorption/expiry/thinning,
 next-hop sampling, per-edge budgeted emission, and the death-counter
 convergecast sends - with one pass of vectorized kernels instead of
-``n`` per-node calls.
+``n`` per-node calls.  Both bookends of the phase are network-wide too:
+the engine launches every node's walks (Algorithm 1 line 3) in one
+routing pass, and on fault-free runs it also claims the ``term`` kind
+and runs the death-count convergecast as arrays, so nodes are stepped
+only for the ``done`` wave.
 
 Equivalence with per-node processing is by construction, not luck:
 
@@ -25,17 +29,25 @@ Equivalence with per-node processing is by construction, not luck:
   pass (damped mode reads nothing ahead, because the binomial thinning
   shares the generator) - and since the generators are independent,
   the cross-node interleaving is immaterial;
-* the managers' launch-time per-edge FIFO queues are adopted verbatim
-  into one pending-token table ordered by (edge, arrival sequence), and
+* the launch routes each node's launch groups
+  (:func:`~repro.core.walk_manager.launch_groups`, in that order)
+  through the same :func:`route_entries` the arrivals use, from the same
+  per-node streams ``WalkManager.launch`` draws from; every launch
+  happens in one round, so no node's stream is read out of turn;
+* the pending-token table is ordered by (edge, arrival sequence), each
+  edge's rows in canonical group order - the per-node FIFO order - and
   the engine's segmented-cumsum emission takes tokens per edge in
   exactly the slow path's head-of-queue/budget-splitting order, so
   which token moves when under the bandwidth budget is bit-identical;
 * emission ships the same per-message fields through
   :meth:`BulkOutbox.push_rows`, which charges the same bits and counts
-  the per-message path would.
+  the per-message path would; so do the convergecast's ``term`` rows,
+  chosen by the same :func:`~repro.core.termination.report_due` rule
+  each per-node counter applies.
 
-The tested guarantee (``tests/test_walks_batched.py``): same seed in,
-identical tallies, estimates, round counts, and traffic accounting out.
+The tested guarantee (``tests/test_walks_batched.py``,
+``tests/test_counting_bookends.py``): same seed in, identical tallies,
+estimates, round counts, and traffic accounting out.
 """
 
 from __future__ import annotations
@@ -48,12 +60,13 @@ from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
 from repro.congest.reliable import InLinkFlatState
 from repro.obs.spans import NULL_PROFILER
-from repro.core.termination import KIND_TERM, DeathCounterLogic
+from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
 from repro.core.walk_manager import (
     KIND_WALK,
     KIND_WALK_BATCH,
     TransportPolicy,
     WalkManager,
+    launch_groups,
     sequence_block,
 )
 from repro.walks.batched import aggregate_network_groups
@@ -165,36 +178,10 @@ def counting_round_kernel(
             halves = halves[live]
             counts = counts[live]
     if len(nodes):
-        # Sample next hops: each node's tokens take the next ports of
-        # that node's own stream, in canonical segment order - the same
-        # ports :func:`~repro.walks.batched.route_groups` draws.  The
-        # draws, expansion, histogramming, and entry building are each
-        # one batch over the whole slice.
-        groups = len(nodes)
-        token_group = np.repeat(np.arange(groups, dtype=np.int64), counts)
-        starts, _ = _segments(nodes)
-        draws = rngs.ports(nodes[starts], np.add.reduceat(counts, starts))
-        # Histogram tokens into (group, chosen port) cells.  Ascending
-        # cell index is group-major: for any fixed edge, groups enter
-        # the pending table in ascending canonical order - the same
-        # per-edge FIFO order the per-node path produces.
-        flat = np.bincount(
-            token_group * max_degree + draws, minlength=groups * max_degree
+        entries, seq_start = route_entries(
+            nodes, sources, remainings, halves, counts, rngs, offsets,
+            max_degree, seq_start,
         )
-        cells = np.nonzero(flat)[0]
-        group_of = cells // max_degree
-        port = cells - group_of * max_degree
-        g_nodes = nodes[group_of]
-        entries = np.empty((len(cells), 6), dtype=np.int64)
-        entries[:, 0] = offsets[g_nodes] + port
-        entries[:, 1] = np.arange(
-            seq_start, seq_start + len(cells), dtype=np.int64
-        )
-        seq_start += len(cells)
-        entries[:, 2] = sources[group_of]
-        entries[:, 3] = remainings[group_of]
-        entries[:, 4] = halves[group_of]
-        entries[:, 5] = flat[cells]
     else:
         entries = np.empty((0, 6), dtype=np.int64)
     if death_node_parts:
@@ -206,24 +193,77 @@ def counting_round_kernel(
     return entries, death_nodes, death_counts, seq_start
 
 
+def route_entries(
+    nodes: np.ndarray,
+    sources: np.ndarray,
+    remainings: np.ndarray,
+    halves: np.ndarray,
+    counts: np.ndarray,
+    rngs: PortStreams,
+    offsets: np.ndarray,
+    max_degree: int,
+    seq_start: int,
+) -> tuple[np.ndarray, int]:
+    """Sample next hops for a non-empty node-sorted group array and
+    build its pending-table rows; returns ``(entries, next_seq)``.
+
+    Each node's tokens take the next ports of that node's own stream, in
+    segment order - the same ports
+    :func:`~repro.walks.batched.route_groups` draws.  The draws,
+    expansion, histogramming, and entry building are each one batch over
+    the whole array.  Both the counting round's survivors and the
+    launch route through here."""
+    groups = len(nodes)
+    token_group = np.repeat(np.arange(groups, dtype=np.int64), counts)
+    starts, _ = _segments(nodes)
+    draws = rngs.ports(nodes[starts], np.add.reduceat(counts, starts))
+    # Histogram tokens into (group, chosen port) cells.  Ascending cell
+    # index is group-major: for any fixed edge, groups enter the pending
+    # table in ascending segment order - the same per-edge FIFO order
+    # the per-node path produces.
+    flat = np.bincount(
+        token_group * max_degree + draws, minlength=groups * max_degree
+    )
+    cells = np.nonzero(flat)[0]
+    group_of = cells // max_degree
+    port = cells - group_of * max_degree
+    entries = np.empty((len(cells), 6), dtype=np.int64)
+    entries[:, 0] = offsets[nodes[group_of]] + port
+    entries[:, 1] = np.arange(
+        seq_start, seq_start + len(cells), dtype=np.int64
+    )
+    entries[:, 2] = sources[group_of]
+    entries[:, 3] = remainings[group_of]
+    entries[:, 4] = halves[group_of]
+    entries[:, 5] = flat[cells]
+    return entries, seq_start + len(cells)
+
+
 class CountingWalkEngine:
     """One counting phase for the whole network, as a fast-path driver.
 
     Lifecycle: the first node to finish setup creates the engine in
-    ``ctx.shared`` and registers it as a driver; every node then calls
-    :meth:`register` *before* launching its walks (so the manager's
-    count slab becomes a view into the engine's global tensor) and
-    :meth:`touch` each counting round it is woken for control mail.
-    The scheduler calls :meth:`end_round` once per round after the
-    per-node loop; on its first call the engine adopts every manager's
-    launch-time queues and takes over all walk movement from there.
+    ``ctx.shared`` and registers it as a driver; every node then builds
+    its manager over its view of the engine's count tensor, calls
+    :meth:`register`, and :meth:`touch` each counting round it is woken
+    for control mail.  The scheduler calls :meth:`end_round` once per
+    round after the per-node loop; on its first call the engine launches
+    every node's walks and takes over all walk movement from there.
+
+    ``convergecast``: run the termination convergecast as arrays and
+    claim its ``term`` rows (fault-free, non-reliable runs).  Otherwise
+    each node's :class:`DeathCounterLogic` reports, and ``term`` travels
+    as control mail the node folds in itself.
     """
 
-    claimed_kinds = frozenset({KIND_WALK, KIND_WALK_BATCH})
-
-    def __init__(self, edges: EdgeIndex) -> None:
+    def __init__(self, edges: EdgeIndex, convergecast: bool) -> None:
         n = edges.n
         self.n = n
+        self.claimed_kinds = frozenset(
+            {KIND_WALK, KIND_WALK_BATCH}
+            | ({KIND_TERM} if convergecast else set())
+        )
+        self._convergecast = convergecast
         # xi tensors and per-node aggregates; managers hold views into
         # ``counts`` so both access paths see the same numbers.
         self.counts = np.zeros((n, 2, n), dtype=np.int64)
@@ -275,6 +315,18 @@ class CountingWalkEngine:
         self._budget = 1
         self._alpha: float | None = None
         self._absorbing_target = -1
+        # Array convergecast (``convergecast`` mode): per node, the
+        # children's summed reports, the last total it reported, its
+        # latest report its parent has heard, whether the done wave
+        # stopped it, and its tree parent (-1 at the root).  Local
+        # deaths are ``deaths``.  Filled at finalize.
+        self._child_sum = np.zeros(n, dtype=np.int64)
+        self._last_reported = np.full(n, -1, dtype=np.int64)
+        self._heard = np.zeros(n, dtype=np.int64)
+        self._stopped = np.zeros(n, dtype=bool)
+        self._parent = np.full(n, -1, dtype=np.int64)
+        self._root = -1
+        self._expected_total = 0
 
     # ------------------------------------------------------------------
     # Per-node hooks (called from the node programs)
@@ -287,9 +339,9 @@ class CountingWalkEngine:
         ctx: "BulkRoundContext",
         channel=None,
     ) -> None:
-        """Adopt one node.  Must run before the manager launches its
-        walks: the manager's count slab is replaced by a view into the
-        engine's global tensor, so launch-time visits land there.
+        """Adopt one node.  The manager must tally into
+        ``counts[node]`` (pass it as ``half_counts``); the engine
+        launches its walks at the first :meth:`end_round`.
 
         ``channel`` is the node's
         :class:`~repro.congest.reliable.ReliableChannel` when the
@@ -301,7 +353,6 @@ class CountingWalkEngine:
             raise ProtocolError(
                 f"node {node} registered twice with the walk engine"
             )
-        manager.half_counts = self.counts[node]
         manager.attach_engine(self)
         self._programs[node] = program
         self._managers[node] = manager
@@ -322,6 +373,10 @@ class CountingWalkEngine:
         """Mark a node as active this round (it ran for control mail),
         so the post-round pass considers its termination reporting."""
         self._touched.add(node)
+
+    def stop_reporting(self, node: int) -> None:
+        """The done wave reached ``node``: its counter stops reporting."""
+        self._stopped[node] = True
 
     def deliver_control_walk(
         self, node: int, kind: str, payload: tuple[int, ...]
@@ -354,9 +409,11 @@ class CountingWalkEngine:
         outbox: "RoundOutbox",
         bulk_outbox: "BulkOutbox",
     ) -> None:
-        if not self._finalized:
+        launch_round = not self._finalized
+        if launch_round:
             self._finalize()
         profiler = self._profiler
+        term = claimed.pop(KIND_TERM, None) if self._convergecast else None
         crashed = (
             self._fault_runtime.crashed(round_number)
             if self._fault_runtime is not None
@@ -370,7 +427,13 @@ class CountingWalkEngine:
                 dead = self._process_arrivals(claimed)
         else:
             dead = ()
-        if self._touched or len(dead):
+        if self._convergecast:
+            if launch_round or term is not None or len(dead):
+                with profiler.span("engine.post_round"):
+                    self._convergecast_round(
+                        round_number, bulk_outbox, term, dead
+                    )
+        elif self._touched or len(dead):
             with profiler.span("engine.post_round"):
                 self._post_round(round_number, outbox, dead)
         retransmits = None
@@ -387,7 +450,8 @@ class CountingWalkEngine:
     # Internals
     # ------------------------------------------------------------------
     def _finalize(self) -> None:
-        """First end_round: adopt launch state from every manager."""
+        """First end_round (the launch round): launch every node's
+        walks and set up the convergecast."""
         if len(self._managers) != self.n:
             raise ProtocolError(
                 f"walk engine started with {len(self._managers)}/{self.n} "
@@ -398,25 +462,6 @@ class CountingWalkEngine:
         self._budget = first.walk_budget
         self._alpha = first.survival_alpha
         self._absorbing_target = first.target
-        adopted: list[tuple[int, int, int, int, int, int]] = []
-        seq = 0
-        for node in range(self.n):
-            manager = self._managers[node]
-            base = int(self._offsets[node])
-            # Adopt the managers' launch-time queues verbatim: per-edge
-            # FIFO order is part of the random-stream contract.
-            for port, neighbor in enumerate(manager.neighbors):
-                for group in manager._queues[neighbor]:
-                    adopted.append(
-                        (base + port, seq, group[0], group[1], group[2],
-                         group[3])
-                    )
-                    seq += 1
-            self.held[node] = manager._held
-            manager._held = 0
-        if adopted:
-            self._pending = np.array(adopted, dtype=np.int64)
-        self._seq = seq
         # Damped thinning draws from the same generators between
         # routing calls, so that mode may not read ahead.
         self._streams = PortStreams(
@@ -424,6 +469,18 @@ class CountingWalkEngine:
             self._degrees,
             DEFAULT_READ_AHEAD if self._alpha is None else 0,
         )
+        self._launch(first)
+        if self._convergecast:
+            for node, counter in self._counters.items():
+                if counter.parent is None:
+                    self._root = node
+                else:
+                    self._parent[node] = counter.parent
+            self._expected_total = self._counters[0].expected_total
+        else:
+            # Every node launched this round, so every node's counter
+            # owes its first report.
+            self._touched.update(range(self.n))
         if self._reliable:
             self._edge_index = {
                 (int(s) << 32) | int(t): edge
@@ -433,6 +490,43 @@ class CountingWalkEngine:
             }
             self._in_state = InLinkFlatState(len(self._targets))
         self._finalized = True
+
+    def _launch(self, manager: WalkManager) -> None:
+        """Algorithm 1 line 3 for the whole network, in one routing pass.
+
+        Every launching node (all of them in damped mode; all but the
+        absorbing target otherwise) contributes its
+        :func:`~repro.core.walk_manager.launch_groups` at ``remaining =
+        l``.  A launch skips thinning and expiry (``l >= 1``), counts the
+        start visit only under ``count_initial``, and routes through
+        :func:`route_entries` from the streams ``WalkManager.launch``
+        would have drawn from - so its ports, and each edge's FIFO
+        order, are the per-node launch's."""
+        launchers = np.arange(self.n, dtype=np.int64)
+        if self._alpha is None:
+            launchers = launchers[launchers != self._absorbing_target]
+        group_halves, group_counts = launch_groups(
+            manager.walks_per_source, manager.split_sampling
+        )
+        nodes = np.repeat(launchers, len(group_halves))
+        halves = np.tile(group_halves, len(launchers))
+        counts = np.tile(group_counts, len(launchers))
+        if manager.count_initial:
+            # (node, half) pairs are distinct: no np.add.at needed.
+            self.counts[nodes, halves, nodes] += counts
+        entries, self._seq = route_entries(
+            nodes,
+            nodes,
+            np.full(len(nodes), manager.length, dtype=np.int64),
+            halves,
+            counts,
+            self._streams,
+            self._offsets,
+            self._max_degree,
+            0,
+        )
+        np.add.at(self.held, self._edge_src[entries[:, 0]], entries[:, 5])
+        self._pending = entries
 
     def _dedup_claimed(
         self,
@@ -781,6 +875,55 @@ class CountingWalkEngine:
                             )
                         )
         self._touched = set()
+
+    def _convergecast_round(
+        self,
+        round_number: int,
+        bulk_outbox: "BulkOutbox",
+        term: ClaimedKind | None,
+        dead: np.ndarray | tuple,
+    ) -> None:
+        """:meth:`_post_round` for every node at once (``convergecast``
+        mode): fold this round's ``term`` rows and deaths into the
+        subtree totals, ship every due report (:func:`report_due`) as
+        one ``push_rows`` - the same fields, bits and edges as the
+        per-node ``term`` messages - and let the root start the done
+        wave on detection, in the same round as the per-node pass.
+
+        The per-node pass examines only the nodes whose totals moved;
+        every other node has nothing due, so examining all of them
+        reports the same nodes."""
+        if term is not None:
+            senders, receivers, fields, _ = term
+            strangers = np.flatnonzero(self._parent[senders] != receivers)
+            if len(strangers):
+                bad = strangers[0]
+                raise ProtocolError(
+                    f"termination report from non-child {int(senders[bad])} "
+                    f"at node {int(receivers[bad])}"
+                )
+            # Monotone: a child's latest report replaces its earlier one.
+            heard = np.maximum(self._heard[senders], fields[:, 0])
+            np.add.at(self._child_sum, receivers, heard - self._heard[senders])
+            self._heard[senders] = heard
+        if len(dead):
+            self.deaths[dead] += self._round_deaths[dead]
+            self._round_deaths[dead] = 0
+        total = self.deaths + self._child_sum
+        reporters = np.flatnonzero(
+            report_due(total, self._last_reported, self._stopped, self._parent)
+        )
+        if len(reporters):
+            totals = total[reporters]
+            self._last_reported[reporters] = totals
+            bulk_outbox.push_rows(
+                KIND_TERM, reporters, self._parent[reporters], totals[:, None]
+            )
+        root = self._root
+        if not self._stopped[root] and total[root] >= self._expected_total:
+            self._programs[root]._begin_done_wave(
+                self._contexts[root], round_number + self.n + 2
+            )
 
     def _flush_channels(
         self,

@@ -62,6 +62,25 @@ def sequence_block(
     )
 
 
+def launch_groups(
+    walks_per_source: int, split_sampling: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """A launching node's token groups, as ``(halves, counts)``: its
+    ``K`` walks as one half-0 group, or in split mode a half-0 group
+    then a half-1 group.  The order is part of the random-stream
+    contract: routing draws the groups' ports in this order."""
+    if split_sampling:
+        halves = np.array([0, 1], dtype=np.int64)
+        counts = np.array(
+            [(walks_per_source + 1) // 2, walks_per_source // 2],
+            dtype=np.int64,
+        )
+    else:
+        halves = np.zeros(1, dtype=np.int64)
+        counts = np.array([walks_per_source], dtype=np.int64)
+    return halves, counts
+
+
 class TransportPolicy(enum.Enum):
     """How queued walk tokens map onto messages."""
 
@@ -86,6 +105,7 @@ class WalkManager:
         count_initial: bool = True,
         survival_alpha: float | None = None,
         split_sampling: bool = False,
+        half_counts: np.ndarray | None = None,
     ) -> None:
         """``survival_alpha``: when set, walks are *damped* instead of
         absorbed - every hop succeeds only with probability alpha (the
@@ -96,6 +116,10 @@ class WalkManager:
         ``split_sampling``: tag each walk with a half-bit (A/B) and keep
         two count vectors, enabling the noise-floor bias correction of
         :mod:`repro.core.bias` at the cost of one extra bit per token.
+
+        ``half_counts``: the ``(2, n)`` count slab to tally into; the
+        fast path passes the node's view into the counting engine's
+        tensor.  Allocated here when omitted.
         """
         if walk_budget < 1:
             raise ProtocolError("walk_budget must be >= 1")
@@ -121,24 +145,27 @@ class WalkManager:
             )
         # xi_v^s of Algorithm 1, indexed by source id (labels are 0..n-1);
         # in split mode, one row per half (A = 0, B = 1).
-        self.half_counts = np.zeros((2, n), dtype=np.int64)
+        if half_counts is None:
+            half_counts = np.zeros((2, n), dtype=np.int64)
+        self.half_counts = half_counts
         self._deaths = 0
         # One FIFO of [source, remaining_here, half, count] groups per edge.
         self._queues: dict[int, deque[list[int]]] = {
             neighbor: deque() for neighbor in neighbors
         }
         self._held = 0
-        # Set when a network-wide engine takes over this manager's queue
-        # and death bookkeeping (the half_counts array is then a view
-        # into the engine's global tensor).
+        # Set when a network-wide engine takes over this manager's
+        # launch, queue and death bookkeeping (the half_counts array is
+        # then a view into the engine's global tensor).
         self._engine = None
 
     def attach_engine(self, engine) -> None:
         """Hand bookkeeping over to a network-wide counting engine.
 
         After attachment, :attr:`deaths`, :attr:`held_walks`, and
-        :attr:`idle` read the engine's per-node slots; the per-manager
-        receive/send machinery must no longer be driven directly.
+        :attr:`idle` read the engine's per-node slots; the engine
+        launches this node's walks, and the per-manager launch/receive/
+        send machinery must no longer be driven directly.
         """
         self._engine = engine
 
@@ -160,13 +187,9 @@ class WalkManager:
         """
         if self.survival_alpha is None and self.node_id == self.target:
             return
-        k = self.walks_per_source
-        if self.split_sampling:
-            halves = np.array([0, 1], dtype=np.int64)
-            group_counts = np.array([(k + 1) // 2, k // 2], dtype=np.int64)
-        else:
-            halves = np.zeros(1, dtype=np.int64)
-            group_counts = np.array([k], dtype=np.int64)
+        halves, group_counts = launch_groups(
+            self.walks_per_source, self.split_sampling
+        )
         if self.count_initial:
             np.add.at(
                 self.half_counts,

@@ -8,14 +8,19 @@ the two representations meet.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.graphs.graph import Graph, GraphError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
     """Convert to an undirected networkx graph with identical node labels."""
-    nx_graph = nx.Graph()
+    import networkx
+
+    nx_graph = networkx.Graph()
     nx_graph.add_nodes_from(graph.nodes())
     nx_graph.add_edges_from(graph.edges())
     return nx_graph

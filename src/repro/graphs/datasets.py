@@ -10,8 +10,6 @@ Miserables is a larger co-occurrence network with heavy-tailed degrees.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.graphs.convert import from_networkx
 from repro.graphs.graph import Graph
 
@@ -23,6 +21,8 @@ def karate_club() -> Graph:
     club's real-world split followed the two leaders, who are also the
     betweenness leaders.
     """
+    import networkx as nx
+
     return from_networkx(nx.karate_club_graph())
 
 
@@ -32,11 +32,15 @@ def florentine_families() -> Graph:
     The Medici owe their historical brokerage position to betweenness:
     they top every betweenness variant on this graph.
     """
+    import networkx as nx
+
     return from_networkx(nx.florentine_families_graph())
 
 
 def les_miserables() -> Graph:
     """Character co-occurrence network of Les Miserables (n = 77, m = 254)."""
+    import networkx as nx
+
     return from_networkx(nx.les_miserables_graph())
 
 

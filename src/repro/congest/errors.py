@@ -68,17 +68,6 @@ class ProtocolError(SimulatorError):
     """A node program reached an inconsistent internal state."""
 
 
-class ShardExecutionError(SimulatorError):
-    """A sharded-executor worker process failed.
-
-    Raised in the parent when a shard worker dies (its pipe hits EOF)
-    or reports an exception; ``context`` carries the shard index and,
-    when the worker could still speak, the remote traceback text.  The
-    scheduler's cleanup path reaps the remaining workers, so the error
-    surfaces structured and immediately instead of as a hang.
-    """
-
-
 class FaultInjectionError(ConfigError):
     """An invalid fault-injection configuration (``FaultPlan``).
 

@@ -62,20 +62,10 @@ def kind_code(kind: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _mix64(values: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (uint64, wrapping arithmetic)."""
-    with np.errstate(over="ignore"):
-        z = (values + np.uint64(_GOLDEN)).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
 def _mix64_array(values: np.ndarray) -> np.ndarray:
-    """:func:`_mix64` for 1-d uint64 arrays.  Elementwise ufuncs on
-    arrays wrap silently (only numpy *scalar* arithmetic warns on
-    overflow), so this skips the per-call ``errstate`` context manager -
-    the dominant cost of hashing millions of small batches."""
+    """Vectorized splitmix64 finalizer for 1-d uint64 arrays.
+    Elementwise ufuncs on arrays wrap silently (only numpy *scalar*
+    arithmetic warns on overflow), so no ``errstate`` guard is needed."""
     z = values + np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -84,7 +74,7 @@ def _mix64_array(values: np.ndarray) -> np.ndarray:
 
 def _mix64_int(value: int) -> int:
     """Scalar splitmix64 finalizer in pure Python ints (identical to
-    :func:`_mix64` mod 2**64, without numpy scalar overhead)."""
+    :func:`_mix64_array` mod 2**64, without numpy scalar overhead)."""
     z = (value + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -123,17 +113,8 @@ def _edge_base_array(
     return _mix64_array(h ^ (codes.astype(np.uint64) * golden))
 
 
-def _uniforms(base: int, salt: int, indices: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) draw per message index, from the stateless hash."""
-    keys = (
-        np.uint64(base)
-        ^ ((indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
-    ) + np.uint64(salt * 0x2545F4914F6CDD1D & _MASK64)
-    return (_mix64(keys) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def _uniform_one(base: int, salt: int, index: int) -> float:
-    """Scalar :func:`_uniforms` for a single message index (pure Python
+    """Scalar :func:`_uniforms_array` for a single message index (pure Python
     ints; bit-identical to the vectorized draw mod 2**64).  The
     asynchronous executor decides fates one in-flight message at a
     time, where a one-element numpy round trip would dominate."""
@@ -147,8 +128,11 @@ def _uniform_one(base: int, salt: int, index: int) -> float:
 def _uniforms_array(
     bases: np.ndarray, salt: int, indices: np.ndarray
 ) -> np.ndarray:
-    """:func:`_uniforms` with a per-message ``bases`` array, so one call
-    covers every (edge, kind) group of a round at once."""
+    """Uniform [0, 1) draw per message, from the stateless hash.
+
+    ``bases`` is each message's edge-hash base (an array, or one
+    ``np.uint64`` shared by every index), so one call covers every
+    (edge, kind) group of a round at once."""
     keys = (
         bases
         ^ ((indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
@@ -481,24 +465,26 @@ class FaultRuntime:
         delay_rounds = np.zeros(count, dtype=np.int64)
         if drop == dup == delay == 0.0:
             return dropped, duplicated, delay_rounds
-        base = _edge_base(self.plan.seed, self._round, sender, receiver, code)
+        base = np.uint64(
+            _edge_base(self.plan.seed, self._round, sender, receiver, code)
+        )
         if drop > 0.0:
-            dropped = _uniforms(base, _SALT_DROP, indices) < drop
+            dropped = _uniforms_array(base, _SALT_DROP, indices) < drop
         survivors = ~dropped
         if delay > 0.0:
             slipped = (
-                _uniforms(base, _SALT_DELAY, indices) < delay
+                _uniforms_array(base, _SALT_DELAY, indices) < delay
             ) & survivors
             if slipped.any():
                 amounts = (
-                    _uniforms(base, _SALT_AMOUNT, indices)
+                    _uniforms_array(base, _SALT_AMOUNT, indices)
                     * self.plan.max_delay
                 ).astype(np.int64) + 1
                 delay_rounds[slipped] = amounts[slipped]
                 survivors &= ~slipped
         if dup > 0.0:
             duplicated = (
-                _uniforms(base, _SALT_DUP, indices) < dup
+                _uniforms_array(base, _SALT_DUP, indices) < dup
             ) & survivors
         return dropped, duplicated, delay_rounds
 

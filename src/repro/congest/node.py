@@ -182,11 +182,6 @@ class SharedFastPathState:
         # may ever influence protocol behavior or randomness.
         self.profiler: object = NULL_PROFILER
         self.instruments: object | None = None
-        # Requested worker-process count for the counting engine (None
-        # or 0 = single-process).  Installed by the scheduler from its
-        # ``num_shards`` parameter; the protocol reads it when choosing
-        # which engine class to instantiate.
-        self.num_shards: int | None = None
         # Wake requests drained by the scheduler after the driver pass:
         # a driver (or a program called *from* a driver, outside the
         # per-node loop) that changes a node's phase can no longer rely

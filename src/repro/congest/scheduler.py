@@ -151,7 +151,6 @@ class Simulator:
         faults: FaultPlan | None = None,
         vectorized: bool | None = None,
         telemetry=None,
-        num_shards: int | None = None,
     ) -> None:
         if graph.num_nodes == 0:
             raise ConfigError("cannot simulate the empty graph")
@@ -165,19 +164,6 @@ class Simulator:
             raise ConfigError("graph must be connected")
         if max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
-        if num_shards is not None:
-            if num_shards < 1:
-                raise ConfigError("num_shards must be >= 1")
-            if vectorized is False:
-                raise ConfigError(
-                    "num_shards requires the vectorized fast path "
-                    "(vectorized=False was requested)"
-                )
-            if record_messages:
-                raise ConfigError(
-                    "num_shards requires the vectorized fast path, which "
-                    "record_messages disables"
-                )
         if drop_rate and faults is not None:
             raise ConfigError(
                 "pass either drop_rate (shorthand) or faults (full plan), "
@@ -207,7 +193,6 @@ class Simulator:
         self._seed = seed
         self._factory = program_factory
         self.vectorized = vectorized
-        self.num_shards = num_shards
         self.telemetry = telemetry
         self._profiler = (
             telemetry.profiler if telemetry is not None else NULL_PROFILER
@@ -269,14 +254,9 @@ class Simulator:
             reasons = self._bulk_reasons_against(programs)
             if not reasons:
                 return self._run_bulk(programs)
-            if self.vectorized is True or self.num_shards is not None:
-                requirement = (
-                    "vectorized=True"
-                    if self.vectorized is True
-                    else "num_shards"
-                )
+            if self.vectorized is True:
                 raise ConfigError(
-                    f"{requirement} but the fast path is unavailable: "
+                    "vectorized=True but the fast path is unavailable: "
                     + "; ".join(reasons)
                 )
             fallback_reasons = tuple(reasons)
@@ -428,7 +408,6 @@ class Simulator:
         shared.fault_runtime = fault_rt
         shared.profiler = profiler
         shared.instruments = self._instruments
-        shared.num_shards = self.num_shards
         # O(1) global-termination accounting: every halt/unhalt
         # transition bumps this counter through the program's halt sink,
         # so the loop never scans all n programs per round.
@@ -496,166 +475,156 @@ class Simulator:
         bulk_in_flight = bulk_outbox.drain(n, in_flight)
 
         round_number = 0
-        try:
-            while True:
-                all_halted = halted_total == n
-                pending_delayed = (
-                    fault_rt is not None and fault_rt.has_pending_delayed
+        while True:
+            all_halted = halted_total == n
+            pending_delayed = (
+                fault_rt is not None and fault_rt.has_pending_delayed
+            )
+            if (
+                all_halted
+                and not in_flight
+                and not bulk_in_flight
+                and not pending_delayed
+            ):
+                break
+            round_number += 1
+            profiler.round_tick(round_number)
+            if round_number > self.max_rounds:
+                error_cls = (
+                    UnrecoverableLossError
+                    if fault_rt is not None
+                    else RoundLimitExceeded
                 )
-                if (
-                    all_halted
-                    and not in_flight
-                    and not bulk_in_flight
-                    and not pending_delayed
-                ):
-                    break
-                round_number += 1
-                profiler.round_tick(round_number)
-                if round_number > self.max_rounds:
-                    error_cls = (
-                        UnrecoverableLossError
-                        if fault_rt is not None
-                        else RoundLimitExceeded
+                raise error_cls(
+                    f"no termination after {self.max_rounds} rounds "
+                    f"({sum(p.halted for p in programs.values())}/"
+                    f"{len(programs)} nodes halted, "
+                    f"{len(in_flight) + bulk_in_flight.total_messages} "
+                    "messages in flight)",
+                    context={
+                        "round": round_number,
+                        "max_rounds": self.max_rounds,
+                        "halted": sum(
+                            p.halted for p in programs.values()
+                        ),
+                        "nodes": len(programs),
+                        "in_flight": len(in_flight)
+                        + bulk_in_flight.total_messages,
+                        "faults": (
+                            fault_rt.counters.summary()
+                            if fault_rt is not None
+                            else None
+                        ),
+                    },
+                    metrics=metrics,
+                )
+            crashed_now: frozenset[int] = frozenset()
+            if fault_rt is not None:
+                with profiler.span("faults.filter"):
+                    # Same application order as the per-message loop:
+                    # control messages first, then bulk rows (indices
+                    # continue across the two), then matured delayed
+                    # traffic; the replacement traffic numbers reflect
+                    # what was actually delivered.
+                    crashed_now = fault_rt.crashed(round_number)
+                    fault_rt.note_crash_rounds(len(crashed_now))
+                    fault_rt.begin_round(round_number)
+                    in_flight = fault_rt.filter_messages(
+                        round_number, in_flight
                     )
-                    raise error_cls(
-                        f"no termination after {self.max_rounds} rounds "
-                        f"({sum(p.halted for p in programs.values())}/"
-                        f"{len(programs)} nodes halted, "
-                        f"{len(in_flight) + bulk_in_flight.total_messages} "
-                        "messages in flight)",
-                        context={
-                            "round": round_number,
-                            "max_rounds": self.max_rounds,
-                            "halted": sum(
-                                p.halted for p in programs.values()
-                            ),
-                            "nodes": len(programs),
-                            "in_flight": len(in_flight)
-                            + bulk_in_flight.total_messages,
-                            "faults": (
-                                fault_rt.counters.summary()
-                                if fault_rt is not None
-                                else None
-                            ),
-                        },
-                        metrics=metrics,
+                    in_flight, bulk_in_flight = bulk_in_flight.apply_faults(
+                        fault_rt, round_number, n, in_flight
                     )
-                crashed_now: frozenset[int] = frozenset()
-                if fault_rt is not None:
-                    with profiler.span("faults.filter"):
-                        # Same application order as the per-message loop:
-                        # control messages first, then bulk rows (indices
-                        # continue across the two), then matured delayed
-                        # traffic; the replacement traffic numbers reflect
-                        # what was actually delivered.
-                        crashed_now = fault_rt.crashed(round_number)
-                        fault_rt.note_crash_rounds(len(crashed_now))
-                        fault_rt.begin_round(round_number)
-                        in_flight = fault_rt.filter_messages(
-                            round_number, in_flight
-                        )
-                        in_flight, bulk_in_flight = bulk_in_flight.apply_faults(
-                            fault_rt, round_number, n, in_flight
-                        )
-                    if self._instruments is not None:
-                        self._instruments.record_fault_counters(
-                            round_number, fault_rt.counters.snapshot()
-                        )
-                metrics.record_round_aggregate(bulk_in_flight.traffic)
-                if not isinstance(self.tracer, NullTracer):
-                    # Expand this round's deliveries into the same per-
-                    # message trace events the slow loop records (order is
-                    # kind-major rather than delivery order; equivalence
-                    # tests compare sorted streams).  Done before the
-                    # claimed-kind divert so driver traffic is traced too.
-                    for message in in_flight:
-                        self.tracer.record(
-                            round_number,
-                            message.receiver,
-                            "deliver",
-                            message.kind,
-                            message.sender,
-                        )
-                    bulk_in_flight.trace_into(self.tracer, round_number)
-                # Divert driver-claimed kinds before the per-receiver split;
-                # the claiming driver gets them whole at end of round.
-                claimed_traffic: dict[int, dict[str, tuple]] = {}
-                if claimed_kinds and bulk_in_flight:
-                    for kind, driver in claimed_kinds.items():
-                        data = bulk_in_flight.take(kind)
-                        if data is not None:
-                            claimed_traffic.setdefault(id(driver), {})[
-                                kind
-                            ] = data
-                with profiler.span("deliver"):
-                    inboxes: dict[int, list[Message]] = {}
-                    for message in in_flight:
-                        inboxes.setdefault(message.receiver, []).append(message)
-                    bulk_inboxes = bulk_in_flight.group_by_receiver()
-                with profiler.span("nodes"):
-                    # Step exactly the nodes with mail plus the ones whose
-                    # wake round arrived; everything else provably has
-                    # nothing to do this round (the ``next_wake`` /
-                    # ``bulk_idle`` contract), so per-round cost tracks the
-                    # active set instead of n.
-                    step_set = set(inboxes)
-                    step_set.update(bulk_inboxes)
-                    for node in calendar.pop(round_number, ()):
-                        if wake_round.get(node) == round_number:
-                            del wake_round[node]
-                            step_set.add(node)
-                    for node in sorted(step_set):
-                        if node in crashed_now:
-                            # Down: executes nothing, sends nothing, loses
-                            # this round's mail.  Re-arm so the node is
-                            # re-examined right after it recovers, exactly
-                            # like the historical every-round scan did.
-                            schedule_wake(node, round_number + 1)
+                if self._instruments is not None:
+                    self._instruments.record_fault_counters(
+                        round_number, fault_rt.counters.snapshot()
+                    )
+            metrics.record_round_aggregate(bulk_in_flight.traffic)
+            if not isinstance(self.tracer, NullTracer):
+                # Expand this round's deliveries into the same per-
+                # message trace events the slow loop records (order is
+                # kind-major rather than delivery order; equivalence
+                # tests compare sorted streams).  Done before the
+                # claimed-kind divert so driver traffic is traced too.
+                for message in in_flight:
+                    self.tracer.record(
+                        round_number,
+                        message.receiver,
+                        "deliver",
+                        message.kind,
+                        message.sender,
+                    )
+                bulk_in_flight.trace_into(self.tracer, round_number)
+            # Divert driver-claimed kinds before the per-receiver split;
+            # the claiming driver gets them whole at end of round.
+            claimed_traffic: dict[int, dict[str, tuple]] = {}
+            if claimed_kinds and bulk_in_flight:
+                for kind, driver in claimed_kinds.items():
+                    data = bulk_in_flight.take(kind)
+                    if data is not None:
+                        claimed_traffic.setdefault(id(driver), {})[
+                            kind
+                        ] = data
+            with profiler.span("deliver"):
+                inboxes: dict[int, list[Message]] = {}
+                for message in in_flight:
+                    inboxes.setdefault(message.receiver, []).append(message)
+                bulk_inboxes = bulk_in_flight.group_by_receiver()
+            with profiler.span("nodes"):
+                # Step exactly the nodes with mail plus the ones whose
+                # wake round arrived; everything else provably has
+                # nothing to do this round (the ``next_wake`` /
+                # ``bulk_idle`` contract), so per-round cost tracks the
+                # active set instead of n.
+                step_set = set(inboxes)
+                step_set.update(bulk_inboxes)
+                for node in calendar.pop(round_number, ()):
+                    if wake_round.get(node) == round_number:
+                        del wake_round[node]
+                        step_set.add(node)
+                for node in sorted(step_set):
+                    if node in crashed_now:
+                        # Down: executes nothing, sends nothing, loses
+                        # this round's mail.  Re-arm so the node is
+                        # re-examined right after it recovers, exactly
+                        # like the historical every-round scan did.
+                        schedule_wake(node, round_number + 1)
+                        continue
+                    program = programs[node]
+                    inbox = inboxes.get(node)
+                    bulk = bulk_inboxes.get(node)
+                    has_mail = inbox is not None or bulk is not None
+                    if program.halted:
+                        if not has_mail:
                             continue
-                        program = programs[node]
-                        inbox = inboxes.get(node)
-                        bulk = bulk_inboxes.get(node)
-                        has_mail = inbox is not None or bulk is not None
-                        if program.halted:
-                            if not has_mail:
-                                continue
-                            program.unhalt()
-                        elif not has_mail and program.bulk_idle:
-                            continue
-                        ctx = contexts[node]
-                        ctx.round_number = round_number
-                        program.on_bulk_round(ctx, inbox or [], bulk)
-                        if not program.halted:
-                            wake = program.next_wake(round_number)
-                            if wake is not None:
-                                schedule_wake(node, wake)
-                if known_drivers != len(shared.drivers):
-                    refresh_claims()
-                with profiler.span("drivers"):
-                    for driver in shared.drivers:
-                        driver.end_round(
-                            round_number,
-                            claimed_traffic.get(id(driver), {}),
-                            outbox,
-                            bulk_outbox,
-                        )
-                if shared.wake_requests:
-                    for node, target in shared.wake_requests:
-                        # A target at or before the current round means
-                        # "as soon as possible": the next round.
-                        schedule_wake(node, max(target, round_number + 1))
-                    shared.wake_requests.clear()
-                in_flight = outbox.drain()
-                bulk_in_flight = bulk_outbox.drain(n, in_flight)
-
-        finally:
-            # Release driver-held resources (the sharded engine's
-            # worker processes and shared memory) on every exit path,
-            # success or error.
-            for driver in shared.drivers:
-                close = getattr(driver, "close", None)
-                if close is not None:
-                    close()
+                        program.unhalt()
+                    elif not has_mail and program.bulk_idle:
+                        continue
+                    ctx = contexts[node]
+                    ctx.round_number = round_number
+                    program.on_bulk_round(ctx, inbox or [], bulk)
+                    if not program.halted:
+                        wake = program.next_wake(round_number)
+                        if wake is not None:
+                            schedule_wake(node, wake)
+            if known_drivers != len(shared.drivers):
+                refresh_claims()
+            with profiler.span("drivers"):
+                for driver in shared.drivers:
+                    driver.end_round(
+                        round_number,
+                        claimed_traffic.get(id(driver), {}),
+                        outbox,
+                        bulk_outbox,
+                    )
+            if shared.wake_requests:
+                for node, target in shared.wake_requests:
+                    # A target at or before the current round means
+                    # "as soon as possible": the next round.
+                    schedule_wake(node, max(target, round_number + 1))
+                shared.wake_requests.clear()
+            in_flight = outbox.drain()
+            bulk_in_flight = bulk_outbox.drain(n, in_flight)
 
         profiler.run_finished()
         if fault_rt is not None:

@@ -547,20 +547,12 @@ class RWBCNodeProgram(VectorizedProgram):
         if shared is not None:
             engine = shared.slots.get("walk_engine")
             if engine is None:
-                num_shards = getattr(shared, "num_shards", None)
                 # The convergecast runs as arrays where the setup and
                 # exchange drivers run: fault-free and not reliable.
                 convergecast = (
                     self._channel is None and shared.fault_runtime is None
                 )
-                if num_shards:
-                    from repro.congest.sharded import ShardedWalkEngine
-
-                    engine = ShardedWalkEngine(
-                        shared.edges, num_shards, convergecast
-                    )
-                else:
-                    engine = CountingWalkEngine(shared.edges, convergecast)
+                engine = CountingWalkEngine(shared.edges, convergecast)
                 shared.slots["walk_engine"] = engine
                 shared.register_driver(engine)
         self._walks = WalkManager(

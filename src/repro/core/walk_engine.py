@@ -107,17 +107,13 @@ def counting_round_kernel(
     node's generator (damped thinning draws from it) and
     ``rngs.ports`` serves every node's next hops in one pass, from the
     same raw per-node streams, read ahead.  The kernel is a pure
-    function of its inputs plus those per-node streams - which is what
-    makes it the unit of sharding: a worker process that owns a
-    contiguous node range runs this verbatim on its slice of the
-    canonical arrays, consuming its nodes' streams in the same order,
-    and necessarily produces the parent's byte-exact results
-    (``repro.congest.sharded``).
+    function of its inputs plus those per-node streams.
 
     ``nodes`` must be sorted ascending (the canonical order from
     :func:`~repro.walks.batched.aggregate_network_groups`).  ``degrees``
     goes unread (the streams carry the degrees they map with); it stays
-    in the parameter list so callers and wrappers keep one signature.
+    in the parameter list because the benchmark's layer probe
+    (``bench/probes.py``) wraps this function by its exact signature.
     Returns
     ``(entries, death_nodes, death_counts, next_seq)``: pending-table
     rows ``(edge id, seq, source, remaining_here, half, count)``, the
@@ -782,8 +778,20 @@ class CountingWalkEngine:
         nodes, sources, remainings, halves, counts = (
             aggregate_network_groups(*raw)
         )
-        entries, death_nodes, death_counts, self._seq = self._run_kernel(
-            nodes, sources, remainings, halves, counts
+        entries, death_nodes, death_counts, self._seq = counting_round_kernel(
+            nodes,
+            sources,
+            remainings,
+            halves,
+            counts,
+            self._streams,
+            self._alpha,
+            self._absorbing_target,
+            self.counts,
+            self._degrees,
+            self._offsets,
+            self._max_degree,
+            self._seq,
         )
         deaths = self._round_deaths
         if len(death_nodes):
@@ -800,34 +808,6 @@ class CountingWalkEngine:
             else:
                 self._pending = entries
         return np.nonzero(deaths)[0]
-
-    def _run_kernel(
-        self,
-        nodes: np.ndarray,
-        sources: np.ndarray,
-        remainings: np.ndarray,
-        halves: np.ndarray,
-        counts: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Run the counting-round kernel over the canonical arrays.
-
-        The sharded engine overrides this to fan the slice out across
-        worker processes by node range."""
-        return counting_round_kernel(
-            nodes,
-            sources,
-            remainings,
-            halves,
-            counts,
-            self._streams,
-            self._alpha,
-            self._absorbing_target,
-            self.counts,
-            self._degrees,
-            self._offsets,
-            self._max_degree,
-            self._seq,
-        )
 
     def _post_round(
         self,
@@ -988,10 +968,9 @@ class CountingWalkEngine:
         pending = self._pending
         # The table is kept rows, already in (edge, seq) order, followed
         # by this round's kernel rows, whose seqs exceed every kept seq
-        # on their edge and ascend within it (in a sharded run each
-        # edge's rows come from its one owning worker).  So a stable
-        # sort on the edge alone yields (edge, seq) order, and the kept
-        # rows enter it as one presorted run.
+        # on their edge and ascend within it.  So a stable sort on the
+        # edge alone yields (edge, seq) order, and the kept rows enter it
+        # as one presorted run.
         order = np.argsort(pending[:, 0], kind="stable")
         pending = pending[order]
         edges = pending[:, 0]

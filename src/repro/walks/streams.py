@@ -75,9 +75,7 @@ class PortStreams:
     ``read_ahead``, so memory follows each node's demand: a node that
     routes a dozen tokens a run never holds hundreds.
 
-    Each node's stream is consumed in order and only by :meth:`ports`,
-    so a worker process that owns a node range can use a forked copy
-    for its nodes while the parent never touches them.
+    Each node's stream is consumed in order and only by :meth:`ports`.
     """
 
     def __init__(

@@ -309,6 +309,16 @@ class TestConfigValidation:
                 cycle_graph(6), PARAMS, seed=1, executor="threads"
             )
 
+    def test_sharded_executor_removed(self):
+        with pytest.raises(ConfigError, match="expected 'sync' or 'async'"):
+            estimate_rwbc_distributed(
+                cycle_graph(6), PARAMS, seed=1, executor="sharded"
+            )
+        with pytest.raises(TypeError, match="num_shards"):
+            estimate_rwbc_distributed(
+                cycle_graph(6), PARAMS, seed=1, num_shards=2
+            )
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -344,6 +344,25 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["estimate", "--executor", "sharded"], "invalid choice"),
+            (["estimate", "--shards", "2"], "unrecognized arguments"),
+            (["chaos", "--executor", "sharded"], "invalid choice"),
+            (["chaos", "--shards", "2"], "unrecognized arguments"),
+        ],
+        ids=["estimate-executor", "estimate-shards", "chaos-executor",
+             "chaos-shards"],
+    )
+    def test_removed_sharded_options_are_argparse_errors(
+        self, argv, complaint, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--family", "path", "--n", "6"])
+        assert excinfo.value.code == 2
+        assert complaint in capsys.readouterr().err
+
 
 class TestDatasets:
     def test_counts(self):

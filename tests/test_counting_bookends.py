@@ -11,7 +11,6 @@ is :func:`~repro.core.termination.report_due`; its unit tests pin the
 parts of it the two loops cannot tell apart.
 """
 
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -60,11 +59,6 @@ MODES = {
     "budget1": {"walk_budget": 1},
     "budget3": {"walk_budget": 3},
 }
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded executor requires the fork start method",
-)
 
 
 def _run(graph, vectorized, seed=7, **kwargs):
@@ -116,15 +110,6 @@ class TestLoopsAgree:
         _assert_identical(
             _run(graph, vectorized=False, **mode),
             _run(graph, vectorized=True, **mode),
-        )
-
-    @needs_fork
-    @pytest.mark.parametrize("mode", ["absorbing", "split"])
-    def test_sharded(self, mode):
-        graph = GRAPHS["grid"]
-        _assert_identical(
-            _run(graph, vectorized=False, **MODES[mode]),
-            _run(graph, None, executor="sharded", num_shards=2, **MODES[mode]),
         )
 
     def test_lossy_reliable(self):

@@ -11,10 +11,19 @@ import pytest
 
 from repro.congest.errors import FaultInjectionError
 from repro.congest.faults import (
+    _SALT_AMOUNT,
+    _SALT_DELAY,
+    _SALT_DROP,
+    _SALT_DUP,
     CrashWindow,
     EdgeFaultRates,
     FaultPlan,
     FaultRuntime,
+    _edge_base,
+    _edge_base_array,
+    _uniform_one,
+    _uniforms_array,
+    kind_code,
 )
 from repro.congest.message import Message
 
@@ -173,6 +182,54 @@ class TestDeterminism:
         assert (
             whole.counters.summary() == composed.counters.summary()
         )
+
+
+_MAX64 = (1 << 64) - 1
+_HASH_BASES = [0, 1, _MAX64] + [
+    int(v)
+    for v in np.random.default_rng(0x5EED).integers(
+        0, _MAX64, size=5, dtype=np.uint64, endpoint=True
+    )
+]
+
+
+class TestHashTwins:
+    """The pure-int scalar hash (one message at a time, async executor)
+    and the array hash (bulk and batched fates) are one function."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "salt", [_SALT_DROP, _SALT_DUP, _SALT_DELAY, _SALT_AMOUNT]
+    )
+    @pytest.mark.parametrize("base", _HASH_BASES)
+    def test_uniform_one_matches_array(self, base, salt):
+        indices = np.array([0, 1, 2, 63, 1000, 2**40, 2**62], dtype=np.int64)
+        shared = _uniforms_array(np.uint64(base), salt, indices)
+        per_message = _uniforms_array(
+            np.full(len(indices), base, dtype=np.uint64), salt, indices
+        )
+        scalar = [_uniform_one(base, salt, int(i)) for i in indices]
+        assert shared.tolist() == scalar
+        assert per_message.tolist() == scalar
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", _HASH_BASES)
+    def test_edge_base_matches_array(self, seed):
+        senders = np.array([0, 3, 9999, 2**31], dtype=np.int64)
+        receivers = np.array([1, 0, 12, 7], dtype=np.int64)
+        codes = np.array(
+            [kind_code(kind) for kind in ("walk", "ack", "term", "done")],
+            dtype=np.uint64,
+        )
+        for round_number in (0, 1, 5000):
+            array = _edge_base_array(
+                seed, round_number, senders, receivers, codes
+            )
+            scalar = [
+                _edge_base(seed, round_number, int(s), int(r), int(c))
+                for s, r, c in zip(senders, receivers, codes)
+            ]
+            assert [int(v) for v in array] == scalar
 
 
 class TestFilterSemantics:

@@ -25,7 +25,7 @@ class TestRegistry:
     def test_smoke_covers_the_matrix(self):
         smoke = SUITES["smoke"]
         assert {s.executor for s in smoke} == {
-            "sync", "per-message", "async", "sharded",
+            "sync", "per-message", "async",
         }
         assert {s.faults for s in smoke} == {"none", "lossy", "chaos"}
         assert {s.variant for s in smoke} == {"distributed", "weighted",
@@ -55,6 +55,8 @@ class TestScenarioValidation:
             Scenario("x", family="er", variant="quantum")
         with pytest.raises(GraphError, match="executor"):
             Scenario("x", family="er", executor="mpi")
+        with pytest.raises(GraphError, match="unknown executor 'sharded'"):
+            Scenario("x", family="er", executor="sharded")
         with pytest.raises(GraphError, match="fault profile"):
             Scenario("x", family="er", faults="meteor")
 

@@ -9,7 +9,6 @@ where the parent choice depends on the tie-break: the first arrival in
 inbox order, i.e. the smallest sender.
 """
 
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -177,18 +176,6 @@ class TestInstallation:
         for node in graph.nodes():
             assert fast.program(node)._neighbor_matrix is None
             assert slow.program(node)._neighbor_matrix is not None
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="sharded executor requires the fork start method",
-    )
-    def test_sharded_executor_matches_the_per_message_loop(self):
-        graph = TIE_GRAPHS["grid"]
-        sharded = _run(graph, vectorized=True, num_shards=2)
-        assert all(
-            p._setup_engine is not None for p in sharded[0].programs.values()
-        )
-        _assert_identical(graph, _run(graph, vectorized=False), sharded)
 
 
 def _state(rank, leader, distance):

@@ -11,7 +11,6 @@ Two layers:
   accounting - not statistically similar, byte-equal.
 """
 
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -316,21 +315,7 @@ def _is_edge_seq_ordered(pending: np.ndarray) -> bool:
     return bool(np.array_equal(order, np.arange(len(pending))))
 
 
-@pytest.mark.parametrize(
-    "shards",
-    [
-        None,
-        pytest.param(
-            2,
-            marks=pytest.mark.skipif(
-                "fork" not in multiprocessing.get_all_start_methods(),
-                reason="sharded executor requires the fork start method",
-            ),
-        ),
-    ],
-    ids=["single", "sharded2"],
-)
-def test_pending_table_stays_edge_seq_ordered(shards, monkeypatch):
+def test_pending_table_stays_edge_seq_ordered(monkeypatch):
     """``_emit`` orders the pending table with a stable sort on the edge
     alone; that equals the (edge, seq) order only while kept rows stay
     ordered and new rows arrive with larger seqs.  Check the invariant
@@ -346,12 +331,7 @@ def test_pending_table_stays_edge_seq_ordered(shards, monkeypatch):
     monkeypatch.setattr(CountingWalkEngine, "end_round", checked)
     graph = random_tree(40, seed=2)
     parameters = WalkParameters(length=80, walks_per_source=6)
-    if shards is None:
-        estimate_rwbc_distributed(graph, parameters, seed=4)
-    else:
-        estimate_rwbc_distributed(
-            graph, parameters, seed=4, executor="sharded", num_shards=shards
-        )
+    estimate_rwbc_distributed(graph, parameters, seed=4)
     assert len(backlog) > 50 and max(backlog) > 40
 
 

@@ -107,7 +107,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         estimate_rwbc_montecarlo,
     )
     from repro.core.parameters import WalkParameters, default_parameters
-    from repro.core.walk_manager import TransportPolicy
+    from repro.core.walk_engine import TransportPolicy
 
     graph = _resolve_graph(args)
     if args.length and args.walks:
@@ -235,6 +235,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.scenarios import SUITES, run_suite, suite_scenarios
     from repro.obs.trajectory import (
         append_entry,
+        checksum_drift,
         compare_entries,
         load_trajectory,
         new_entry,
@@ -292,6 +293,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"# compared against {baseline_path} entry "
                 f"sha={previous.get('sha')} date={previous.get('date')}"
             )
+            for name, old, new in checksum_drift(previous, entry):
+                print(f"# NOTE checksum drift {name}: {old} -> {new}")
             if regressions:
                 for regression in regressions:
                     print(f"# REGRESSION {regression}")
@@ -325,7 +328,7 @@ def _cmd_observe_trend(args: argparse.Namespace) -> int:
 def _cmd_observe_run(args: argparse.Namespace) -> int:
     from repro.core.estimator import estimate_rwbc_distributed
     from repro.core.parameters import WalkParameters, default_parameters
-    from repro.core.walk_manager import TransportPolicy
+    from repro.core.walk_engine import TransportPolicy
     from repro.obs import Telemetry
     from repro.obs.export import write_artifact
 

@@ -398,14 +398,15 @@ class FaultRuntime:
 
         Returns ``(dropped, duplicated, delay_rounds)`` - the same
         mutually exclusive outcomes, priorities, and hash family as
-        :meth:`_fates`, evaluated one message at a time.  ``round_number``
-        is the simulated round the message belongs to (its synchronizer
-        round tag; 0 for untagged control traffic such as acks), and the
-        per-``(round, edge, kind)`` index auto-increments across the
-        run, so every transmission - including each retransmission of
-        the same payload - faces an independent draw.  Counters are
-        bumped here; crash losses are *not* decided here (the executor
-        applies crash windows at delivery time, in virtual time).
+        :meth:`_batched_fates`, evaluated one message at a time.
+        ``round_number`` is the simulated round the message belongs to
+        (its synchronizer round tag; 0 for untagged control traffic such
+        as acks), and the per-``(round, edge, kind)`` index
+        auto-increments across the run, so every transmission -
+        including each retransmission of the same payload - faces an
+        independent draw.  Counters are bumped here; crash losses are
+        *not* decided here (the executor applies crash windows at
+        delivery time, in virtual time).
         """
         drop, dup, delay = self.plan.rates_for(sender, receiver)
         if drop == dup == delay == 0.0:
@@ -440,54 +441,6 @@ class FaultRuntime:
         self._indices = {}
         self._round = round_number
 
-    def _fates(
-        self,
-        sender: int,
-        receiver: int,
-        kind: str,
-        count: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decide ``count`` consecutive messages of one (edge, kind).
-
-        Returns ``(dropped, duplicated, delay_rounds)`` arrays; a
-        positive ``delay_rounds[i]`` means message ``i`` is removed now
-        and re-delivered that many rounds later.  Advances the edge's
-        index counter, so control and bulk calls compose.
-        """
-        code = kind_code(kind)
-        key = (sender, receiver, code)
-        start = self._indices.get(key, 0)
-        self._indices[key] = start + count
-        drop, dup, delay = self.plan.rates_for(sender, receiver)
-        indices = np.arange(start, start + count, dtype=np.int64)
-        dropped = np.zeros(count, dtype=bool)
-        duplicated = np.zeros(count, dtype=bool)
-        delay_rounds = np.zeros(count, dtype=np.int64)
-        if drop == dup == delay == 0.0:
-            return dropped, duplicated, delay_rounds
-        base = np.uint64(
-            _edge_base(self.plan.seed, self._round, sender, receiver, code)
-        )
-        if drop > 0.0:
-            dropped = _uniforms_array(base, _SALT_DROP, indices) < drop
-        survivors = ~dropped
-        if delay > 0.0:
-            slipped = (
-                _uniforms_array(base, _SALT_DELAY, indices) < delay
-            ) & survivors
-            if slipped.any():
-                amounts = (
-                    _uniforms_array(base, _SALT_AMOUNT, indices)
-                    * self.plan.max_delay
-                ).astype(np.int64) + 1
-                delay_rounds[slipped] = amounts[slipped]
-                survivors &= ~slipped
-        if dup > 0.0:
-            duplicated = (
-                _uniforms_array(base, _SALT_DUP, indices) < dup
-            ) & survivors
-        return dropped, duplicated, delay_rounds
-
     def _batched_fates(
         self,
         bases: np.ndarray,
@@ -503,10 +456,14 @@ class FaultRuntime:
 
         ``bases`` carries each message's edge-hash base and ``indices``
         its canonical index; the rates are scalars (uniform plans) or
-        per-message arrays (edge overrides).  Message for message this
-        evaluates exactly the draws a per-group :meth:`_fates` call
-        would - a zero rate compares every uniform against 0.0, which is
-        the same ``False`` the per-group path gets without drawing.
+        per-message arrays (edge overrides).  Returns ``(dropped,
+        duplicated, delay_rounds)`` arrays.  The outcomes are mutually
+        exclusive, in priority order drop, delay, duplicate, each drawn
+        from its own salted uniform; a positive ``delay_rounds[i]``
+        means message ``i`` is removed now and re-delivered that many
+        rounds later.  A rate whose ``have_*`` flag is off is never
+        drawn, and a zero rate inside a per-message array compares its
+        uniforms against 0.0, so it never fires either.
         """
         count = len(indices)
         if have_drop:

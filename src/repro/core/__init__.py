@@ -45,7 +45,8 @@ from repro.core.parameters import (
 from repro.core.protocol import ProtocolConfig, RWBCNodeProgram
 from repro.core.trivial import TrivialResult, trivial_collect_all
 from repro.core.result import DistributedRWBCResult
-from repro.core.walk_manager import TransportPolicy, WalkManager
+from repro.core.walk_engine import TransportPolicy
+from repro.core.walk_manager import WalkManager
 
 __all__ = [
     "AdaptiveResult",

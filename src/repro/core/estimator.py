@@ -18,7 +18,7 @@ from repro.core.exact import rwbc_exact
 from repro.core.parameters import WalkParameters, default_parameters
 from repro.core.protocol import ProtocolConfig, make_protocol_factory
 from repro.core.result import DistributedRWBCResult
-from repro.core.walk_manager import TransportPolicy
+from repro.core.walk_engine import TransportPolicy
 from repro.graphs.graph import Graph, GraphError
 
 __all__ = [

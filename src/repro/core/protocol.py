@@ -61,13 +61,13 @@ from repro.core.flow_math import (
     pair_sum_all,
 )
 from repro.core.termination import KIND_DONE, KIND_TERM, DeathCounterLogic
-from repro.core.walk_engine import CountingWalkEngine
-from repro.core.walk_manager import (
+from repro.core.walk_engine import (
     KIND_WALK,
     KIND_WALK_BATCH,
+    CountingWalkEngine,
     TransportPolicy,
-    WalkManager,
 )
+from repro.core.walk_manager import WalkManager
 
 KIND_DEGREE = "deg"
 KIND_EXCHANGE = "xch"
@@ -171,11 +171,6 @@ class ProtocolConfig:
                 "split_sampling requires an even walks_per_source"
             )
 
-    @property
-    def launching_nodes(self) -> str:
-        """Documentation helper: who launches walks in this mode."""
-        return "all nodes" if self.survival_alpha is not None else "all but t"
-
 
 class _ReliableCtx:
     """Context adapter that reroutes a primitive's control sends into
@@ -222,10 +217,13 @@ class RWBCNodeProgram(VectorizedProgram):
 
     The program is a :class:`VectorizedProgram`: walk and exchange
     traffic can travel as aggregate per-edge counts on the scheduler's
-    fast path.  Both paths funnel each round's walk arrivals through one
-    grouped :meth:`WalkManager.receive_group_arrays` call, so the random
-    stream - and therefore every tally and every message count - is
-    identical for the same seed.
+    fast path.  Both paths run one counting kernel
+    (:mod:`repro.core.walk_engine`): the per-message loop through this
+    node's :class:`WalkManager`, on a one-node slice, once per round
+    with all of the round's arrivals; the fast path through the shared
+    :class:`CountingWalkEngine`, over every node at once.  So the
+    random stream - and therefore every tally and every message count -
+    is identical for the same seed.
     """
 
     def __init__(

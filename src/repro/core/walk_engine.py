@@ -15,43 +15,46 @@ routing pass, and on fault-free runs it also claims the ``term`` kind
 and runs the death-count convergecast as arrays, so nodes are stepped
 only for the ``done`` wave.
 
-Equivalence with per-node processing is by construction, not luck:
+One kernel, two slices.  The counting round's rule lives once, in this
+module's functions, and both scheduler loops run it:
 
-* arrivals are canonicalized network-wide by
-  :func:`~repro.walks.batched.aggregate_network_groups`, whose per-node
-  segments are exactly the canonical group order
-  :func:`~repro.walks.batched.aggregate_groups` yields node-by-node;
-* randomness stays attributed: each node's segment is thinned/routed
-  from *that node's own generator*, and each node's stream is the same
-  raw uint32 sequence :meth:`WalkManager.receive_group_arrays` reads,
-  only read ahead: :class:`~repro.walks.streams.PortStreams` maps it to
-  the same ports ``rng.integers`` would, for every node in one array
-  pass (damped mode reads nothing ahead, because the binomial thinning
-  shares the generator) - and since the generators are independent,
-  the cross-node interleaving is immaterial;
-* the launch routes each node's launch groups
-  (:func:`~repro.core.walk_manager.launch_groups`, in that order)
-  through the same :func:`route_entries` the arrivals use, from the same
-  per-node streams ``WalkManager.launch`` draws from; every launch
-  happens in one round, so no node's stream is read out of turn;
+* :func:`~repro.walks.batched.aggregate_network_groups` canonicalizes
+  the arrivals, :func:`counting_round_kernel` thins or absorbs, tallies,
+  expires and routes them (through :func:`route_entries`, which the
+  launch uses too, with the groups of :func:`launch_groups`), and
+  :func:`budget_takes` decides which pending tokens each edge sends.
+  The engine calls them over the whole network; each per-message
+  :class:`~repro.core.walk_manager.WalkManager` calls them on its
+  one-node slice (node 0, its ports as edge ids, its count slab as a
+  one-node tensor);
+* randomness stays attributed: each node's segment is thinned and
+  routed from *that node's own generator*, through a
+  :class:`~repro.walks.streams.PortStreams` that reads each stream
+  ahead (damped mode reads nothing ahead, because the binomial thinning
+  shares the generator).  Per-node streams are independent, so serving
+  many nodes in one pass consumes what serving them one by one would;
 * the pending-token table is ordered by (edge, arrival sequence), each
-  edge's rows in canonical group order - the per-node FIFO order - and
-  the engine's segmented-cumsum emission takes tokens per edge in
-  exactly the slow path's head-of-queue/budget-splitting order, so
-  which token moves when under the bandwidth budget is bit-identical;
+  edge's rows in canonical group order - the per-edge FIFO order - and
+  emission takes tokens from each edge's head, so which token moves
+  when under the bandwidth budget is the same on either slice;
 * emission ships the same per-message fields through
   :meth:`BulkOutbox.push_rows`, which charges the same bits and counts
   the per-message path would; so do the convergecast's ``term`` rows,
   chosen by the same :func:`~repro.core.termination.report_due` rule
   each per-node counter applies.
 
-The tested guarantee (``tests/test_walks_batched.py``,
-``tests/test_counting_bookends.py``): same seed in, identical tallies,
-estimates, round counts, and traffic accounting out.
+What the slices do not share is how traffic moves: the per-message
+loop materializes :class:`~repro.congest.message.Message` objects (for
+the message log, the CONGEST audit and the asynchronous executor), and
+the engine ships aggregate rows.  The tested guarantee
+(``tests/test_walks_batched.py``, ``tests/test_counting_bookends.py``):
+same seed in, identical tallies, estimates, round counts, and traffic
+accounting out.
 """
 
 from __future__ import annotations
 
+import enum
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,25 +64,47 @@ from repro.congest.message import Message
 from repro.congest.reliable import InLinkFlatState
 from repro.obs.spans import NULL_PROFILER
 from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
-from repro.core.walk_manager import (
-    KIND_WALK,
-    KIND_WALK_BATCH,
-    TransportPolicy,
-    WalkManager,
-    launch_groups,
-    sequence_block,
-)
 from repro.walks.batched import aggregate_network_groups
 from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.congest.node import BulkRoundContext, EdgeIndex, NodeProgram
     from repro.congest.transport import BulkOutbox, RoundOutbox
+    from repro.core.walk_manager import WalkManager
+
+KIND_WALK = "walk"
+KIND_WALK_BATCH = "walkb"
 
 #: Claimed traffic of one kind: (senders, receivers, fields, multiplicity).
 ClaimedKind = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+
+class TransportPolicy(enum.Enum):
+    """How queued walk tokens map onto messages."""
+
+    QUEUE = "queue"
+    BATCH = "batch"
+
+
+def launch_groups(
+    walks_per_source: int, split_sampling: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """A launching node's token groups, as ``(halves, counts)``: its
+    ``K`` walks as one half-0 group, or in split mode a half-0 group
+    then a half-1 group.  The order is part of the random-stream
+    contract: routing draws the groups' ports in this order."""
+    if split_sampling:
+        halves = np.array([0, 1], dtype=np.int64)
+        counts = np.array(
+            [(walks_per_source + 1) // 2, walks_per_source // 2],
+            dtype=np.int64,
+        )
+    else:
+        halves = np.zeros(1, dtype=np.int64)
+        counts = np.array([walks_per_source], dtype=np.int64)
+    return halves, counts
 
 
 def counting_round_kernel(
@@ -124,8 +149,7 @@ def counting_round_kernel(
     death_count_parts: list[np.ndarray] = []
     if alpha is not None:
         # Damped mode: per node, one binomial over its canonical
-        # segment - the same single thin_groups call the slow path
-        # makes with the same generator.
+        # segment, drawn from the node's own generator.
         starts, ends = _segments(nodes)
         survivors = np.empty_like(counts)
         for i in range(len(starts)):
@@ -204,19 +228,16 @@ def route_entries(
     build its pending-table rows; returns ``(entries, next_seq)``.
 
     Each node's tokens take the next ports of that node's own stream, in
-    segment order - the same ports
-    :func:`~repro.walks.batched.route_groups` draws.  The draws,
-    expansion, histogramming, and entry building are each one batch over
-    the whole array.  Both the counting round's survivors and the
-    launch route through here."""
+    segment order.  The draws, expansion, histogramming, and entry
+    building are each one batch over the whole array.  Both the counting
+    round's survivors and the launch route through here."""
     groups = len(nodes)
     token_group = np.repeat(np.arange(groups, dtype=np.int64), counts)
     starts, _ = _segments(nodes)
     draws = rngs.ports(nodes[starts], np.add.reduceat(counts, starts))
     # Histogram tokens into (group, chosen port) cells.  Ascending cell
     # index is group-major: for any fixed edge, groups enter the pending
-    # table in ascending segment order - the same per-edge FIFO order
-    # the per-node path produces.
+    # table in ascending segment order, its FIFO order.
     flat = np.bincount(
         token_group * max_degree + draws, minlength=groups * max_degree
     )
@@ -233,6 +254,33 @@ def route_entries(
     entries[:, 4] = halves[group_of]
     entries[:, 5] = flat[cells]
     return entries, seq_start + len(cells)
+
+
+def budget_takes(
+    edges: np.ndarray,
+    counts: np.ndarray,
+    budget: int | np.ndarray,
+    policy: TransportPolicy,
+) -> np.ndarray:
+    """How many tokens each pending row sends this round under the
+    per-edge budget (the CONGEST constraint of Algorithm 1).
+
+    The rows are a pending table in (edge, seq) order, so each edge's
+    rows are its FIFO queue, head first.  ``budget`` is one slot count
+    for every edge, or one per row (equal across an edge's rows); an
+    edge with zero or fewer slots sends nothing.  QUEUE charges a slot
+    per *token* and splits the first row that does not fit, so the
+    rest of it waits at the head; BATCH charges a slot per *row* and
+    sends up to ``budget`` whole rows.  A segmented cumulative sum
+    makes every edge's head-of-queue decisions in one pass."""
+    starts, ends = _segments(edges)
+    lengths = ends - starts
+    if policy is TransportPolicy.QUEUE:
+        prior = np.cumsum(counts) - counts
+        prior_within = prior - np.repeat(prior[starts], lengths)
+        return np.minimum(np.maximum(budget - prior_within, 0), counts)
+    rank = np.arange(len(edges), dtype=np.int64) - np.repeat(starts, lengths)
+    return np.where(rank < budget, counts, 0)
 
 
 class CountingWalkEngine:
@@ -419,8 +467,7 @@ class CountingWalkEngine:
             with profiler.span("engine.dedup"):
                 claimed = self._dedup_claimed(claimed, round_number, outbox)
         if claimed or self._control_arrivals:
-            with profiler.span("engine.arrivals"):
-                dead = self._process_arrivals(claimed)
+            dead = self._process_arrivals(claimed)
         else:
             dead = ()
         if self._convergecast:
@@ -491,13 +538,12 @@ class CountingWalkEngine:
         """Algorithm 1 line 3 for the whole network, in one routing pass.
 
         Every launching node (all of them in damped mode; all but the
-        absorbing target otherwise) contributes its
-        :func:`~repro.core.walk_manager.launch_groups` at ``remaining =
-        l``.  A launch skips thinning and expiry (``l >= 1``), counts the
-        start visit only under ``count_initial``, and routes through
-        :func:`route_entries` from the streams ``WalkManager.launch``
-        would have drawn from - so its ports, and each edge's FIFO
-        order, are the per-node launch's."""
+        absorbing target otherwise) contributes its :func:`launch_groups`
+        at ``remaining = l``.  A launch skips thinning and expiry
+        (``l >= 1``), counts the start visit only under
+        ``count_initial``, and routes through :func:`route_entries` - as
+        ``WalkManager.launch`` does for one node - so its ports, and
+        each edge's FIFO order, are the per-node launch's."""
         launchers = np.arange(self.n, dtype=np.int64)
         if self._alpha is None:
             launchers = launchers[launchers != self._absorbing_target]
@@ -775,24 +821,29 @@ class CountingWalkEngine:
             raw = tuple(
                 np.concatenate([part[i] for part in parts]) for i in range(5)
             )
-        nodes, sources, remainings, halves, counts = (
-            aggregate_network_groups(*raw)
-        )
-        entries, death_nodes, death_counts, self._seq = counting_round_kernel(
-            nodes,
-            sources,
-            remainings,
-            halves,
-            counts,
-            self._streams,
-            self._alpha,
-            self._absorbing_target,
-            self.counts,
-            self._degrees,
-            self._offsets,
-            self._max_degree,
-            self._seq,
-        )
+        profiler = self._profiler
+        with profiler.span("engine.aggregate"):
+            nodes, sources, remainings, halves, counts = (
+                aggregate_network_groups(*raw)
+            )
+        with profiler.span("engine.kernel"):
+            entries, death_nodes, death_counts, self._seq = (
+                counting_round_kernel(
+                    nodes,
+                    sources,
+                    remainings,
+                    halves,
+                    counts,
+                    self._streams,
+                    self._alpha,
+                    self._absorbing_target,
+                    self.counts,
+                    self._degrees,
+                    self._offsets,
+                    self._max_degree,
+                    self._seq,
+                )
+            )
         deaths = self._round_deaths
         if len(death_nodes):
             np.add.at(deaths, death_nodes, death_counts)
@@ -947,16 +998,9 @@ class CountingWalkEngine:
         crashed: frozenset = frozenset(),
     ) -> None:
         """Dequeue every edge's sendable tokens under the per-edge
-        budget (same head-splitting / whole-group rules as
-        :meth:`WalkManager.emit_round`) and ship the whole round as one
-        aggregate push.
-
-        QUEUE charges the budget per *token* and may split the group at
-        the queue head; BATCH charges it per *group message*.  Both are
-        computed for all edges at once: order the pending table by
-        (edge, seq) and a segmented cumulative sum yields each group's
-        take under its edge's budget - exactly the decisions the
-        per-edge head-of-queue loop would make.
+        budget (:func:`budget_takes`, the rule
+        :meth:`WalkManager.emit_round` applies to one node's edges) and
+        ship the whole round as one aggregate push.
 
         Under faults the budget becomes per edge: ``retransmits`` debits
         slots the ARQ flush already spent, and edges out of a crashed
@@ -964,7 +1008,7 @@ class CountingWalkEngine:
         its queues just wait).  In reliable mode every shipped token
         needs its own seq, so QUEUE groups expand to one row per token
         and each row is sequenced through the sender's channel in the
-        same per-edge FIFO order the slow path sends in."""
+        same per-edge FIFO order the per-message loop sends in."""
         pending = self._pending
         # The table is kept rows, already in (edge, seq) order, followed
         # by this round's kernel rows, whose seqs exceed every kept seq
@@ -975,8 +1019,6 @@ class CountingWalkEngine:
         pending = pending[order]
         edges = pending[:, 0]
         counts = pending[:, 5]
-        starts, ends = _segments(edges)
-        lengths = ends - starts
         budget: int | np.ndarray = self._budget
         if retransmits or crashed:
             edge_budget = np.full(
@@ -990,15 +1032,7 @@ class CountingWalkEngine:
                     np.isin(self._edge_src, np.array(sorted(crashed)))
                 ] = 0
             budget = edge_budget[edges]
-        if self._policy is TransportPolicy.QUEUE:
-            prior = np.cumsum(counts) - counts
-            prior_within = prior - np.repeat(prior[starts], lengths)
-            take = np.clip(budget - prior_within, 0, counts)
-        else:
-            rank = np.arange(len(edges), dtype=np.int64) - np.repeat(
-                starts, lengths
-            )
-            take = np.where(rank < budget, counts, 0)
+        take = budget_takes(edges, counts, budget, self._policy)
         sendable = take > 0
         sent = pending[sendable]
         taken = take[sendable]
@@ -1085,8 +1119,7 @@ class CountingWalkEngine:
             starts, ends = _segments(row_edges)
             seq_col = fields[:, 3]
             for lo, hi in zip(starts.tolist(), ends.tolist()):
-                start_seq = sequence_block(
-                    channels[int(row_senders[lo])],
+                start_seq = channels[int(row_senders[lo])].register_block(
                     int(row_targets[lo]),
                     KIND_WALK,
                     rows_t[lo:hi],
@@ -1106,8 +1139,7 @@ class CountingWalkEngine:
             starts, ends = _segments(sent[:, 0])
             seq_col = fields[:, 4]
             for lo, hi in zip(starts.tolist(), ends.tolist()):
-                start_seq = sequence_block(
-                    channels[int(senders[lo])],
+                start_seq = channels[int(senders[lo])].register_block(
                     int(targets[lo]),
                     KIND_WALK_BATCH,
                     rows_t[lo:hi],

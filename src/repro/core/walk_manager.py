@@ -20,72 +20,46 @@ The paper's line 6 ("if there is more than one random walk needed to be
 sent to v, just send a random walk to v randomly") is ambiguous between
 these readings; both are implemented and compared in experiment E12.
 
-Internally all token state is *grouped*: tokens with identical
-``(source, remaining, half)`` are one ``count`` entry, and each round's
-arrivals are canonicalized and routed by the vectorized kernel in
-:mod:`repro.walks.batched` with a single uniform draw per node per
-round.  Because the draw order depends only on the canonical group
-order - never on message arrival order - the per-message simulation and
-the scheduler's aggregate fast path consume identical random streams and
-produce identical tallies.
+The manager holds no walk semantics of its own.  It runs the counting
+engine's array code (:mod:`repro.core.walk_engine`) on a one-node slice
+of the network: the node is index 0 of its own
+:class:`~repro.walks.streams.PortStreams`, its ``(2, n)`` count slab is
+a one-node count tensor, and its ports are its edge ids.  Arrivals go
+through :func:`~repro.walks.batched.aggregate_network_groups` and
+:func:`~repro.core.walk_engine.counting_round_kernel`, the launch
+through :func:`~repro.core.walk_engine.route_entries`, and emission
+through :func:`~repro.core.walk_engine.budget_takes`.  The fast path
+runs the same functions over every node at once, so the two loops share
+one copy of the rule; what stays here is the per-message surface -
+materializing :class:`~repro.congest.message.Message` objects for the
+message log, the CONGEST audit and the asynchronous executor.
 """
 
 from __future__ import annotations
 
-import enum
-from collections import deque
+from functools import cached_property
 
 import numpy as np
 
 from repro.congest.errors import ProtocolError
 from repro.congest.node import RoundContext
-from repro.walks.batched import aggregate_groups, route_groups, thin_groups
+from repro.core.walk_engine import (
+    KIND_WALK,
+    KIND_WALK_BATCH,
+    TransportPolicy,
+    budget_takes,
+    counting_round_kernel,
+    launch_groups,
+    route_entries,
+)
+from repro.walks.batched import aggregate_network_groups
+from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
-KIND_WALK = "walk"
-KIND_WALK_BATCH = "walkb"
+#: The one-node slice's edge offsets: node 0's port ``j`` is edge ``j``.
+_ORIGIN = np.zeros(1, dtype=np.int64)
 
-
-def sequence_block(
-    channel,
-    neighbor: int,
-    kind: str,
-    payload_rows: list[tuple[int, ...]],
-    round_number: int,
-) -> int:
-    """Sequence a head-of-queue block of messages all shipped on one
-    edge this round through the sender's reliable channel; returns the
-    first seq (rows get consecutive seqs in order).  Shared by the
-    per-message :meth:`WalkManager.send_round` and the fast-path
-    engine's ``_emit_reliable`` so both allocate identically."""
-    return channel.register_block(
-        neighbor, kind, payload_rows, round_number
-    )
-
-
-def launch_groups(
-    walks_per_source: int, split_sampling: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """A launching node's token groups, as ``(halves, counts)``: its
-    ``K`` walks as one half-0 group, or in split mode a half-0 group
-    then a half-1 group.  The order is part of the random-stream
-    contract: routing draws the groups' ports in this order."""
-    if split_sampling:
-        halves = np.array([0, 1], dtype=np.int64)
-        counts = np.array(
-            [(walks_per_source + 1) // 2, walks_per_source // 2],
-            dtype=np.int64,
-        )
-    else:
-        halves = np.zeros(1, dtype=np.int64)
-        counts = np.array([walks_per_source], dtype=np.int64)
-    return halves, counts
-
-
-class TransportPolicy(enum.Enum):
-    """How queued walk tokens map onto messages."""
-
-    QUEUE = "queue"
-    BATCH = "batch"
+#: An empty pending-token table.
+_NO_ROWS = np.empty((0, 6), dtype=np.int64)
 
 
 class WalkManager:
@@ -149,11 +123,16 @@ class WalkManager:
             half_counts = np.zeros((2, n), dtype=np.int64)
         self.half_counts = half_counts
         self._deaths = 0
-        # One FIFO of [source, remaining_here, half, count] groups per edge.
-        self._queues: dict[int, deque[list[int]]] = {
-            neighbor: deque() for neighbor in neighbors
-        }
-        self._held = 0
+        # The one-node slice of the engine's arrays: this node is node
+        # 0, its ports are its edge ids, and its slab, seen as
+        # ``half_counts[None]``, is a one-node count tensor.
+        self._degrees = np.array([len(neighbors)], dtype=np.int64)
+        # Pending-token table, one row per queued group:
+        # (port, arrival seq, source, remaining_here, half, count).
+        # Rows with equal port in ascending seq order are that edge's
+        # FIFO queue.
+        self._pending = _NO_ROWS
+        self._seq = 0
         # Set when a network-wide engine takes over this manager's
         # launch, queue and death bookkeeping (the half_counts array is
         # then a view into the engine's global tensor).
@@ -174,6 +153,18 @@ class WalkManager:
         """Total visit counts (both halves combined)."""
         return self.half_counts.sum(axis=0)
 
+    @cached_property
+    def _streams(self) -> PortStreams:
+        """This node's generator as a one-node stream set, built on first
+        use (a manager whose walks the engine runs never routes).  Damped
+        thinning draws from the same generator between routing calls,
+        so that mode may not read ahead."""
+        return PortStreams(
+            {0: self.rng},
+            self._degrees,
+            DEFAULT_READ_AHEAD if self.survival_alpha is None else 0,
+        )
+
     # ------------------------------------------------------------------
     # Walk lifecycle
     # ------------------------------------------------------------------
@@ -191,14 +182,21 @@ class WalkManager:
             self.walks_per_source, self.split_sampling
         )
         if self.count_initial:
-            np.add.at(
-                self.half_counts,
-                (halves, np.full(len(halves), self.node_id)),
-                group_counts,
-            )
-        sources = np.full(len(halves), self.node_id, dtype=np.int64)
-        remainings = np.full(len(halves), self.length, dtype=np.int64)
-        self._route(sources, remainings, halves, group_counts)
+            # The halves are distinct: no np.add.at needed.
+            self.half_counts[halves, self.node_id] += group_counts
+        groups = len(halves)
+        entries, self._seq = route_entries(
+            np.zeros(groups, dtype=np.int64),
+            np.full(groups, self.node_id, dtype=np.int64),
+            np.full(groups, self.length, dtype=np.int64),
+            halves,
+            group_counts,
+            self._streams,
+            _ORIGIN,
+            len(self.neighbors),
+            self._seq,
+        )
+        self._pending = np.concatenate((self._pending, entries))
 
     def receive(
         self, source: int, remaining: int, count: int = 1, half: int = 0
@@ -232,67 +230,41 @@ class WalkManager:
 
         ``remainings`` are the hop budgets left *from this node*.  The
         groups are canonicalized first, so the randomness consumed here
-        is a function of the multiset of arrivals only - the property the
-        batched fast path relies on.  In damped mode each arriving token
-        first survives its hop with probability alpha (vectorized
-        binomial thinning); dead tokens neither count the visit nor
-        continue - matching the ``sum_r (alpha M)^r`` series the
-        alpha-CFBC potentials are built from.
+        is a function of the multiset of arrivals only.  The round then
+        runs :func:`~repro.core.walk_engine.counting_round_kernel` on
+        this node's slice: in damped mode each token first survives its
+        hop with probability alpha, and dead tokens neither count the
+        visit nor continue - matching the ``sum_r (alpha M)^r`` series
+        the alpha-CFBC potentials are built from.
         """
         if len(sources) == 0:
             return
-        sources, remainings, halves, counts = aggregate_groups(
-            sources, remainings, halves, counts
+        nodes, sources, remainings, halves, counts = (
+            aggregate_network_groups(
+                np.zeros(len(sources), dtype=np.int64),
+                sources,
+                remainings,
+                halves,
+                counts,
+            )
         )
-        if self.survival_alpha is not None:
-            survivors = thin_groups(self.rng, counts, self.survival_alpha)
-            self._deaths += int(counts.sum() - survivors.sum())
-            alive = survivors > 0
-            if not alive.any():
-                return
-            sources = sources[alive]
-            remainings = remainings[alive]
-            halves = halves[alive]
-            counts = survivors[alive]
-        elif self.node_id == self.target:
-            # Absorbed; by Eq. 3's removed row, absorption is not a visit.
-            self._deaths += int(counts.sum())
-            return
-        np.add.at(self.half_counts, (halves, sources), counts)
-        expired = remainings == 0
-        if expired.any():
-            self._deaths += int(counts[expired].sum())
-            live = ~expired
-            if not live.any():
-                return
-            sources = sources[live]
-            remainings = remainings[live]
-            halves = halves[live]
-            counts = counts[live]
-        self._route(sources, remainings, halves, counts)
-
-    def _route(
-        self,
-        sources: np.ndarray,
-        remainings: np.ndarray,
-        halves: np.ndarray,
-        counts: np.ndarray,
-    ) -> None:
-        """Choose next hops now (one vectorized draw; choices are final)
-        and queue the resulting per-edge groups."""
-        allocation = route_groups(self.rng, len(self.neighbors), counts)
-        for j, neighbor in enumerate(self.neighbors):
-            column = allocation[:, j]
-            for g in np.nonzero(column)[0]:
-                self._queues[neighbor].append(
-                    [
-                        int(sources[g]),
-                        int(remainings[g]),
-                        int(halves[g]),
-                        int(column[g]),
-                    ]
-                )
-        self._held += int(counts.sum())
+        entries, _, death_counts, self._seq = counting_round_kernel(
+            nodes,
+            sources,
+            remainings,
+            halves,
+            counts,
+            self._streams,
+            self.survival_alpha,
+            0 if self.node_id == self.target else -1,
+            self.half_counts[None],
+            self._degrees,
+            _ORIGIN,
+            len(self.neighbors),
+            self._seq,
+        )
+        self._deaths += int(death_counts.sum())
+        self._pending = np.concatenate((self._pending, entries))
 
     # ------------------------------------------------------------------
     # Sending
@@ -303,47 +275,41 @@ class WalkManager:
         """Dequeue this round's sendable tokens under the per-edge budget.
 
         Returns ``(neighbor, source, remaining_after_hop, half, count)``
-        entries.  Under QUEUE each entry stands for ``count`` individual
-        messages (the budget counts tokens); under BATCH each entry is
-        one counted message (the budget counts messages).  The caller
-        materializes messages (slow path) or ships the entries in
-        aggregate (fast path) - either way the queue dynamics, and hence
-        the random stream, are identical.
+        entries, each edge's in FIFO order.  Under QUEUE each entry
+        stands for ``count`` individual messages (the budget counts
+        tokens); under BATCH each entry is one counted message (the
+        budget counts messages).  Which tokens move is decided by
+        :func:`~repro.core.walk_engine.budget_takes`, the rule the fast
+        path's emission applies to every edge of the network.
 
         ``budgets`` overrides the per-neighbor budget for this round:
         under lossy-link recovery, retransmitted tokens occupy edge
         slots first and fresh emission gets what remains.
         """
-        entries: list[tuple[int, int, int, int, int]] = []
-        for neighbor in self.neighbors:
-            queue = self._queues[neighbor]
-            if not queue:
-                continue
-            budget = self.walk_budget
-            if budgets is not None:
-                budget = budgets.get(neighbor, budget)
-                if budget <= 0:
-                    continue
-            if self.policy is TransportPolicy.QUEUE:
-                while queue and budget > 0:
-                    group = queue[0]
-                    take = min(budget, group[3])
-                    entries.append(
-                        (neighbor, group[0], group[1] - 1, group[2], take)
-                    )
-                    budget -= take
-                    if take == group[3]:
-                        queue.popleft()
-                    else:
-                        group[3] -= take
-            else:
-                while queue and budget > 0:
-                    source, remaining_here, half, count = queue.popleft()
-                    entries.append(
-                        (neighbor, source, remaining_here - 1, half, count)
-                    )
-                    budget -= 1
-        self._held -= sum(entry[4] for entry in entries)
+        pending = self._pending
+        if not len(pending):
+            return []
+        # Kept rows are already in (port, seq) order and every new row's
+        # seq exceeds theirs, so a stable sort on the port suffices.
+        pending = pending[np.argsort(pending[:, 0], kind="stable")]
+        ports = pending[:, 0]
+        budget: int | np.ndarray = self.walk_budget
+        if budgets is not None:
+            budget = np.array(
+                [budgets.get(neighbor, budget) for neighbor in self.neighbors],
+                dtype=np.int64,
+            )[ports]
+        take = budget_takes(ports, pending[:, 5], budget, self.policy)
+        neighbors = self.neighbors
+        entries = [
+            (neighbors[port], source, remaining - 1, half, count)
+            for (port, _, source, remaining, half, _), count in zip(
+                pending.tolist(), take.tolist()
+            )
+            if count
+        ]
+        pending[:, 5] -= take
+        self._pending = pending[pending[:, 5] > 0]
         return entries
 
     def send_round(
@@ -375,8 +341,7 @@ class WalkManager:
         for neighbor, source, remaining, half, count in entries:
             if self.policy is TransportPolicy.QUEUE:
                 if channel is not None:
-                    start = sequence_block(
-                        channel,
+                    start = channel.register_block(
                         neighbor,
                         KIND_WALK,
                         [(source, remaining, half)] * count,
@@ -392,8 +357,7 @@ class WalkManager:
                 sent += count
             else:
                 if channel is not None:
-                    seq = sequence_block(
-                        channel,
+                    seq = channel.register_block(
                         neighbor,
                         KIND_WALK_BATCH,
                         [(source, remaining, half, count)],
@@ -437,7 +401,7 @@ class WalkManager:
         """Tokens currently queued at this node."""
         if self._engine is not None:
             return int(self._engine.held[self.node_id])
-        return self._held
+        return int(self._pending[:, 5].sum())
 
     @property
     def idle(self) -> bool:

@@ -17,7 +17,7 @@ from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.exact import rwbc_exact
 from repro.core.montecarlo import estimate_rwbc_montecarlo
 from repro.core.parameters import WalkParameters
-from repro.core.walk_manager import TransportPolicy
+from repro.core.walk_engine import TransportPolicy
 from repro.graphs.graph import Graph
 
 

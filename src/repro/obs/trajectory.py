@@ -19,7 +19,10 @@ Two metric classes are compared very differently:
   (a laptop baseline must not gate a CI runner).
 
 Other row fields (``checksum``, graph shape, configuration echoes) ride
-along for triage but are never gated on.
+along for triage but are never gated on.  A changed ``checksum`` is
+still reported (:func:`checksum_drift`), as a note: estimates are
+floats, so BLAS differences across machines can move it, but on one
+machine it shows whether a change kept every estimate byte-identical.
 
 The schema (:data:`TRAJECTORY_SCHEMA`) is versioned like the observe
 artifact schema; readers reject other versions via the shared
@@ -43,6 +46,7 @@ __all__ = [
     "WALL_METRIC",
     "Regression",
     "append_entry",
+    "checksum_drift",
     "compare_entries",
     "git_sha",
     "load_trajectory",
@@ -290,3 +294,18 @@ def compare_entries(
                     )
                 )
     return regressions
+
+
+def checksum_drift(
+    previous: dict, current: dict
+) -> list[tuple[str, str, str]]:
+    """``(scenario, old, new)`` for every scenario in both entries whose
+    ``checksum`` changed.  Informational only: never a regression."""
+    drift = []
+    for name, old in previous["scenarios"].items():
+        new = current["scenarios"].get(name)
+        if new is None or "checksum" not in old or "checksum" not in new:
+            continue
+        if old["checksum"] != new["checksum"]:
+            drift.append((name, old["checksum"], new["checksum"]))
+    return drift

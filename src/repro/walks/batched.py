@@ -10,27 +10,24 @@ resident at a node advances by one i.i.d. uniform step, so all of a
 node's tokens can be routed with one vectorized draw over its CSR
 adjacency row.
 
-This module is that primitive, in three layers:
+This module holds that primitive's group algebra and its centralized
+form:
 
 * **group algebra** - in-flight tokens are represented as *groups*
-  ``(source, remaining, half) -> count`` held in parallel numpy arrays.
-  :func:`aggregate_groups` canonicalizes any multiset of groups
-  (deterministically, independent of arrival order), which is what makes
-  the per-message and the aggregate transport paths produce *identical*
-  random streams;
-* **sampling** - :func:`route_groups` advances all tokens at one node
-  with a single ``rng.integers`` draw (`thin_groups` is the damped-mode
-  binomial companion).  Both paths of the simulator call these with the
-  same per-node generator in the same canonical order, so seeded runs
-  agree token-for-token;
+  ``(node, source, remaining, half) -> count`` held in parallel numpy
+  arrays.  :func:`aggregate_network_groups` canonicalizes any multiset
+  of groups (deterministically, independent of arrival order), which is
+  why the randomness a node consumes depends only on what arrived, not
+  on how it was delivered;
 * **token arrays** - :func:`step_tokens` is the fully centralized
   variant used by the Monte-Carlo engine (`repro.walks.simulate`), where
   no per-node bookkeeping is needed at all.
 
-`repro.core.walk_manager.WalkManager` builds the per-node, bandwidth-
-constrained state machine on top of these kernels; the CONGEST
-scheduler's fast path (`repro.congest.scheduler`) moves the resulting
-groups between nodes without materializing per-token messages.
+The counting round built on the groups - thinning, visit tallies,
+expiry, next-hop sampling and budgeted emission - is one kernel in
+:mod:`repro.core.walk_engine`.  The CONGEST scheduler's fast path runs
+it over the whole network; each per-node
+`repro.core.walk_manager.WalkManager` runs it on its one-node slice.
 """
 
 from __future__ import annotations
@@ -40,12 +37,9 @@ import numpy as np
 from repro.graphs.graph import Graph
 
 __all__ = [
-    "aggregate_groups",
     "aggregate_network_groups",
     "csr_arrays",
-    "route_groups",
     "step_tokens",
-    "thin_groups",
 ]
 
 
@@ -64,29 +58,6 @@ def csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return offsets, np.array(targets_list, dtype=np.int64)
 
 
-def aggregate_groups(
-    sources: np.ndarray,
-    remainings: np.ndarray,
-    halves: np.ndarray,
-    counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Merge token groups with identical ``(source, remaining, half)``.
-
-    Returns the groups in *canonical order* (sorted by the tuple), which
-    is the load-bearing property: both simulator paths feed the merged
-    groups to :func:`route_groups` in this order, so the hop randomness
-    they consume is identical no matter how arrivals were interleaved.
-    """
-    if len(sources) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy(), empty.copy()
-    base = int(remainings.max()) + 1
-    key = (sources * base + remainings) * 2 + halves
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    merged = np.bincount(inverse, weights=counts).astype(np.int64)
-    return sources[first], remainings[first], halves[first], merged
-
-
 def aggregate_network_groups(
     nodes: np.ndarray,
     sources: np.ndarray,
@@ -94,15 +65,15 @@ def aggregate_network_groups(
     halves: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Network-wide :func:`aggregate_groups`: merge token groups with
-    identical ``(node, source, remaining, half)`` across every node at
-    once.
+    """Merge token groups with identical ``(node, source, remaining,
+    half)``, across every node at once.
 
-    The result is sorted by that tuple, so each node's segment appears
-    in exactly the canonical order :func:`aggregate_groups` would have
-    produced for it alone - the batched engine's per-node slices
-    therefore consume the same per-node randomness as node-by-node
-    processing.
+    The result is sorted by that tuple - the *canonical order*, which
+    is the load-bearing property: each node's segment is its groups
+    sorted by ``(source, remaining, half)`` whatever the order they
+    arrived in, and the kernel draws the node's randomness in that
+    order.  A one-node call (all ``nodes`` equal) canonicalizes a
+    single node's arrivals.
     """
     if len(nodes) == 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -128,38 +99,6 @@ def aggregate_network_groups(
         halves[first],
         merged.astype(np.int64, copy=False),
     )
-
-
-def route_groups(
-    rng: np.random.Generator, degree: int, counts: np.ndarray
-) -> np.ndarray:
-    """Choose next hops for every token of every group at one node.
-
-    One vectorized uniform draw covers all ``counts.sum()`` tokens (this
-    is the "single multinomial over the CSR row" of the batched-walk
-    framework; drawing per-token indices and histogramming them is the
-    same distribution and keeps the stream layout obvious).  Returns an
-    ``(len(counts), degree)`` allocation matrix whose rows sum to the
-    group counts.
-    """
-    total = int(counts.sum())
-    groups = len(counts)
-    if total == 0:
-        return np.zeros((groups, degree), dtype=np.int64)
-    choices = rng.integers(0, degree, size=total)
-    group_ids = np.repeat(np.arange(groups, dtype=np.int64), counts)
-    flat = np.bincount(group_ids * degree + choices, minlength=groups * degree)
-    return flat.reshape(groups, degree).astype(np.int64)
-
-
-def thin_groups(
-    rng: np.random.Generator, counts: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Damped-mode survival (section II-C): binomially thin every group
-    with one vectorized draw; survivors per group are returned."""
-    if len(counts) == 0:
-        return counts.copy()
-    return rng.binomial(counts, alpha).astype(np.int64)
 
 
 def step_tokens(

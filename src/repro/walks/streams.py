@@ -2,9 +2,8 @@
 
 Every node of Algorithm 1 forwards each token it holds to a uniformly
 random neighbour, using only its own randomness.  The simulator keeps
-that as one ``np.random.Generator`` per node, and the per-message loop
-draws a node's ports with ``rng.integers(0, degree, size=k)``
-(:func:`~repro.walks.batched.route_groups`).
+that as one ``np.random.Generator`` per node, and a node's ports are
+what ``rng.integers(0, degree, size=k)`` would draw.
 
 For ``2 <= d < 2**32`` that call is a deterministic function of the
 generator's raw ``next_uint32`` stream: each raw value ``u`` becomes
@@ -19,7 +18,11 @@ node's own generator, gathers every active node's next ``need`` values
 with one fancy index, and maps them all in one pass.  The ports are
 byte-identical to the per-node ``integers`` calls, so read-ahead is
 invisible to everything downstream; only the number of generator calls
-changes (it now grows with refills, not with rounds times nodes).
+changes (it grows with refills, not with rounds times nodes).  The
+vectorized engine holds one stream set for the whole network; each
+per-message :class:`~repro.core.walk_manager.WalkManager` holds a
+one-node set over its own generator.  Both route through the same
+:func:`~repro.core.walk_engine.route_entries`.
 
 Two cases take an exact per-node path instead of the block gather: a
 node whose ``need`` exceeds the block (it drains its buffer, then draws

@@ -293,6 +293,27 @@ class TestSweep:
         # --no-append left the mutated file as it was.
         assert len(json.loads(path.read_text())["entries"]) == 1
 
+    def test_check_notes_checksum_drift_without_failing(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        _, path = self.run_sweep(tmp_path)
+        data = json.loads(path.read_text())
+        row = data["entries"][-1]["scenarios"]["er30-edges"]
+        fresh = row["checksum"]
+        row["checksum"] = "0" * len(fresh)
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code, _ = self.run_sweep(tmp_path, "--check", "--no-append")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert (
+            f"# NOTE checksum drift er30-edges: {'0' * len(fresh)} -> {fresh}"
+            in out
+        )
+        assert "no regressions" in out
+
     def test_unknown_suite(self, capsys):
         assert main(["sweep", "--suite", "nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err

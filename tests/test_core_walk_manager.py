@@ -74,6 +74,17 @@ class TestReceive:
         assert manager.deaths == 1
         assert manager.held_walks == 0
 
+    def test_dead_tokens_consume_no_randomness(self):
+        manager = make_manager(rng=np.random.default_rng(3))
+        manager.receive(source=2, remaining=0, count=4)  # all expire
+        absorbing = make_manager(
+            node_id=3, neighbors=(0,), rng=np.random.default_rng(3)
+        )
+        absorbing.receive(source=1, remaining=7, count=4)  # all absorbed
+        fresh = np.random.default_rng(3).integers(0, 1 << 30)
+        assert manager.rng.integers(0, 1 << 30) == fresh
+        assert absorbing.rng.integers(0, 1 << 30) == fresh
+
     def test_bulk_receive(self):
         manager = make_manager()
         manager.receive(source=1, remaining=4, count=10)

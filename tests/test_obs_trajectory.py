@@ -8,6 +8,7 @@ from repro.obs.export import SchemaError
 from repro.obs.trajectory import (
     TRAJECTORY_SCHEMA,
     append_entry,
+    checksum_drift,
     compare_entries,
     git_sha,
     load_trajectory,
@@ -152,6 +153,17 @@ class TestFileRoundTrip:
 class TestCompare:
     def test_identical_entries_pass(self):
         assert compare_entries(entry(), entry()) == []
+
+    def test_checksum_drift_is_noted_not_gated(self):
+        assert checksum_drift(entry(), entry()) == []
+        changed = entry()
+        changed["scenarios"]["er30-sync"]["checksum"] = "fff000"
+        del changed["scenarios"]["er30-edges"]["checksum"]
+        assert checksum_drift(entry(), changed) == [
+            ("er30-sync", "abc123", "fff000")
+        ]
+        found = compare_entries(entry(), changed)
+        assert "checksum" not in {r.metric for r in found}
 
     def test_deterministic_change_is_regression(self):
         changed = entry()

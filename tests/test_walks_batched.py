@@ -2,8 +2,9 @@
 
 Two layers:
 
-* unit tests of the :mod:`repro.walks.batched` kernels (canonical group
-  algebra, vectorized sampling, CSR stepping);
+* unit tests of the shared kernels (canonical group algebra in
+  :mod:`repro.walks.batched`, the per-edge budget rule in
+  :mod:`repro.core.walk_engine`, CSR stepping);
 * seeded equivalence of the simulator's two execution paths: the
   per-message loop and the vectorized fast path (network-wide
   :class:`~repro.core.walk_engine.CountingWalkEngine`) must produce
@@ -11,6 +12,7 @@ Two layers:
   accounting - not statistically similar, byte-equal.
 """
 
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,8 +23,11 @@ from repro.congest.trace import Tracer
 from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.parameters import WalkParameters
 from repro.core.protocol import ProtocolConfig, make_protocol_factory
-from repro.core.walk_engine import CountingWalkEngine
-from repro.core.walk_manager import TransportPolicy
+from repro.core.walk_engine import (
+    CountingWalkEngine,
+    TransportPolicy,
+    budget_takes,
+)
 from repro.graphs.generators import (
     barabasi_albert_graph,
     erdos_renyi_graph,
@@ -31,12 +36,9 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.walks.batched import (
-    aggregate_groups,
     aggregate_network_groups,
     csr_arrays,
-    route_groups,
     step_tokens,
-    thin_groups,
 )
 from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
@@ -44,39 +46,49 @@ from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 # ---------------------------------------------------------------------------
 # Kernel unit tests
 # ---------------------------------------------------------------------------
+def _one_node(sources, remainings, halves, counts):
+    """``aggregate_network_groups`` on a single node's arrivals."""
+    nodes = np.zeros(len(sources), dtype=np.int64)
+    return aggregate_network_groups(nodes, sources, remainings, halves, counts)
+
+
 class TestAggregateGroups:
-    def test_merges_duplicates_and_sorts(self):
+    """Group aggregation of one node's arrivals."""
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        out = _one_node(empty, empty, empty, empty)
+        assert len(out) == 5
+        assert all(len(a) == 0 for a in out)
+
+
+class TestAggregateNetworkGroups:
+    def test_single_node_merges_duplicates_and_sorts(self):
         sources = np.array([3, 1, 3, 1], dtype=np.int64)
         remainings = np.array([5, 2, 5, 2], dtype=np.int64)
         halves = np.array([0, 1, 0, 1], dtype=np.int64)
         counts = np.array([2, 1, 4, 7], dtype=np.int64)
-        s, r, h, c = aggregate_groups(sources, remainings, halves, counts)
+        n, s, r, h, c = _one_node(sources, remainings, halves, counts)
+        assert n.tolist() == [0, 0]
         assert s.tolist() == [1, 3]
         assert r.tolist() == [2, 5]
         assert h.tolist() == [1, 0]
         assert c.tolist() == [8, 6]
 
-    def test_order_independent(self):
+    def test_single_node_order_independent(self):
         rng = np.random.default_rng(0)
         sources = rng.integers(0, 5, size=40)
         remainings = rng.integers(0, 7, size=40)
         halves = rng.integers(0, 2, size=40)
         counts = rng.integers(1, 9, size=40)
-        forward = aggregate_groups(sources, remainings, halves, counts)
+        forward = _one_node(sources, remainings, halves, counts)
         perm = rng.permutation(40)
-        shuffled = aggregate_groups(
+        shuffled = _one_node(
             sources[perm], remainings[perm], halves[perm], counts[perm]
         )
         for a, b in zip(forward, shuffled):
             assert np.array_equal(a, b)
 
-    def test_empty(self):
-        empty = np.zeros(0, dtype=np.int64)
-        out = aggregate_groups(empty, empty, empty, empty)
-        assert all(len(a) == 0 for a in out)
-
-
-class TestAggregateNetworkGroups:
     def test_matches_per_node_aggregation(self):
         rng = np.random.default_rng(1)
         nodes = rng.integers(0, 6, size=80)
@@ -89,15 +101,17 @@ class TestAggregateNetworkGroups:
         )
         assert np.all(gn[:-1] <= gn[1:])  # sorted by node
         for node in np.unique(nodes):
-            mask = nodes == node
-            es, er, eh, ec = aggregate_groups(
-                sources[mask], remainings[mask], halves[mask], counts[mask]
-            )
             seg = gn == node
-            assert np.array_equal(gs[seg], es)
-            assert np.array_equal(gr[seg], er)
-            assert np.array_equal(gh[seg], eh)
-            assert np.array_equal(gc[seg], ec)
+            keys = list(
+                zip(gs[seg].tolist(), gr[seg].tolist(), gh[seg].tolist())
+            )
+            # Canonical order: strictly ascending, so each key once.
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            expected = Counter()
+            for i in np.nonzero(nodes == node)[0].tolist():
+                key = (int(sources[i]), int(remainings[i]), int(halves[i]))
+                expected[key] += int(counts[i])
+            assert dict(zip(keys, gc[seg].tolist())) == dict(expected)
 
     def test_empty(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -105,36 +119,76 @@ class TestAggregateNetworkGroups:
         assert all(len(a) == 0 for a in out)
 
 
-class TestRouteGroups:
-    def test_allocation_conserves_tokens(self):
-        rng = np.random.default_rng(2)
-        counts = np.array([5, 0, 13], dtype=np.int64)
-        allocation = route_groups(rng, 4, counts)
-        assert allocation.shape == (3, 4)
-        assert np.array_equal(allocation.sum(axis=1), counts)
+class TestBudgetTakes:
+    """The per-edge budget rule both emission slices call, against
+    hand-computed tables.  Rows are a pending table in (edge, seq)
+    order: each edge's rows are its FIFO queue, head first."""
 
-    def test_zero_tokens_consume_no_randomness(self):
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        route_groups(rng_a, 4, np.zeros(2, dtype=np.int64))
-        # The empty draw must leave the stream untouched.
-        assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
+    EDGES = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
+    COUNTS = np.array([2, 2, 1, 5, 1, 1], dtype=np.int64)
 
-    def test_roughly_uniform(self):
-        rng = np.random.default_rng(4)
-        allocation = route_groups(rng, 5, np.array([50_000], dtype=np.int64))
-        assert allocation.min() > 9_000  # expectation 10k per port
+    def test_queue_splits_the_head_and_carries_the_rest(self):
+        take = budget_takes(self.EDGES, self.COUNTS, 3, TransportPolicy.QUEUE)
+        # Edge 0 sends 2 + 1 of its 3 slots' worth; edge 1's first row
+        # is split 3 of 5; edge 2 sends its lone token.
+        assert take.tolist() == [2, 1, 0, 3, 0, 1]
+        left = self.COUNTS - take
+        kept = left > 0
+        edges, counts = self.EDGES[kept], left[kept]
+        assert edges.tolist() == [0, 0, 1, 1]
+        assert counts.tolist() == [1, 1, 2, 1]
+        # Next round the split remainders are still at their heads.
+        take = budget_takes(edges, counts, 3, TransportPolicy.QUEUE)
+        assert take.tolist() == [1, 1, 2, 1]
 
+    def test_batch_takes_whole_rows_up_to_budget(self):
+        take = budget_takes(self.EDGES, self.COUNTS, 2, TransportPolicy.BATCH)
+        assert take.tolist() == [2, 2, 0, 5, 1, 1]
+        take = budget_takes(self.EDGES, self.COUNTS, 1, TransportPolicy.BATCH)
+        assert take.tolist() == [2, 0, 0, 5, 0, 1]
 
-class TestThinGroups:
-    def test_bounds_and_empty(self):
-        rng = np.random.default_rng(5)
-        counts = np.array([10, 0, 1000], dtype=np.int64)
-        survivors = thin_groups(rng, counts, 0.5)
-        assert np.all(survivors >= 0)
-        assert np.all(survivors <= counts)
-        empty = np.zeros(0, dtype=np.int64)
-        assert len(thin_groups(rng, empty, 0.5)) == 0
+    @pytest.mark.parametrize(
+        "policy, expected",
+        [
+            (TransportPolicy.QUEUE, [1, 0, 0, 0, 0, 0]),
+            (TransportPolicy.BATCH, [2, 0, 0, 0, 0, 0]),
+        ],
+        ids=["queue", "batch"],
+    )
+    def test_per_row_budget_with_empty_and_overdrawn_edges(
+        self, policy, expected
+    ):
+        # Edge 0 keeps one slot; edge 1's sender is crashed (0 slots);
+        # edge 2's retransmits already spent more than the budget.
+        budget = np.array([1, 1, 1, 0, 0, -1], dtype=np.int64)
+        take = budget_takes(self.EDGES, self.COUNTS, budget, policy)
+        assert take.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "policy", list(TransportPolicy), ids=lambda policy: policy.value
+    )
+    def test_rows_leave_in_fifo_order(self, policy):
+        rng = np.random.default_rng(9)
+        edges = np.sort(rng.integers(0, 7, size=60))
+        counts = rng.integers(1, 6, size=60)
+        take = budget_takes(edges, counts, 4, policy)
+        assert np.all((take >= 0) & (take <= counts))
+        for edge in np.unique(edges).tolist():
+            row_take = take[edges == edge].tolist()
+            row_count = counts[edges == edge].tolist()
+            # Only the last row that sends may be partial, and no row
+            # sends while an earlier row on its edge still waits.
+            sending = [t > 0 for t in row_take]
+            last = max((i for i, s in enumerate(sending) if s), default=-1)
+            assert all(sending[: last + 1]) and not any(sending[last + 1:])
+            assert row_take[:last] == row_count[:last]
+            if policy is TransportPolicy.QUEUE:
+                assert sum(row_take) == min(4, sum(row_count))
+            else:
+                assert row_take == [
+                    count if rank < 4 else 0
+                    for rank, count in enumerate(row_count)
+                ]
 
 
 class TestCsrStepping:

@@ -281,6 +281,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         baseline = load_trajectory(baseline_path)
         if baseline["entries"]:
             previous = baseline["entries"][-1]
+            if args.only:
+                # A partial run is compared on the scenarios it ran; a
+                # full run still reports every scenario that vanished.
+                previous = {
+                    **previous,
+                    "scenarios": {
+                        name: row
+                        for name, row in previous["scenarios"].items()
+                        if name in entry["scenarios"]
+                    },
+                }
             regressions = compare_entries(
                 previous,
                 entry,
@@ -589,7 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         action="append",
         metavar="SUBSTRING",
-        help="run only scenarios whose name contains SUBSTRING (repeatable)",
+        help="run only scenarios whose name contains SUBSTRING "
+        "(repeatable; needs --no-append, and --check then compares "
+        "only the scenarios that ran)",
     )
     sweep.add_argument(
         "--check",
@@ -745,6 +758,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.only and not args.no_append:
+        parser.error(
+            "sweep --only runs part of a suite and needs --no-append: "
+            "a partial entry would break the next full --check"
+        )
     try:
         return args.handler(args)
     except (GraphError, SchemaError, OSError) as error:

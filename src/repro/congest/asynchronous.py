@@ -700,7 +700,7 @@ class AsyncSimulator:
             metrics.control_messages += 1
             self._count_round(max(1, metrics.rounds_completed), message.bits)
             cum, bitmap = message.fields
-            confirmed = state.out[sender].apply_ack_seqs(cum, bitmap)
+            confirmed = state.out[sender].apply_ack(cum, bitmap)
             if confirmed:
                 for seq in confirmed:
                     state.retries.pop((sender, seq), None)

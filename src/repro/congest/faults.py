@@ -36,15 +36,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.congest.errors import FaultInjectionError
 from repro.congest.message import Message
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -327,8 +324,9 @@ class FaultRuntime:
     1. :meth:`crashed` - the nodes down this round;
     2. :meth:`begin_round` - reset the per-(edge, kind) index counters;
     3. :meth:`filter_messages` on the round's control messages, then
-       (fast path only) :meth:`filter_bulk` per bulk kind - index
-       counters carry across the two calls, fixing the canonical
+       (fast path only) :meth:`filter_bulk` per bulk kind.  Both are
+       thin wrappers of one fate core, :meth:`_decide_rows`, whose
+       index counters carry across the calls, fixing the canonical
        control-then-bulk order;
     4. :meth:`take_delayed` - traffic delayed in earlier rounds that
        matures now (delivered after the fresh traffic, in both loops).
@@ -351,6 +349,8 @@ class FaultRuntime:
                 for rates in plan.edge_overrides.values()
             )
         )
+        # This round's next fate index per (sender, receiver, kind
+        # code); see _decide_rows.
         self._indices: dict[tuple[int, int, int], int] = {}
         # Asynchronous-executor fate counters: one running index per
         # (round, sender, receiver, kind) across the whole run (the
@@ -491,6 +491,118 @@ class FaultRuntime:
             duplicated = np.zeros(count, dtype=bool)
         return dropped, duplicated, delay_rounds
 
+    def _decide_rows(
+        self,
+        round_number: int,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        codes: np.ndarray,
+        multiplicity: np.ndarray,
+    ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+        """The round's fates for a batch of rows, in canonical order.
+
+        Row ``i`` stands for ``multiplicity[i]`` identical messages of
+        kind code ``codes[i]`` on edge ``(senders[i], receivers[i])``.
+        Rows to crashed receivers are lost whole.  Every other row takes
+        the next ``multiplicity[i]`` consecutive indices of its (edge,
+        kind), in row order, continuing the counters of earlier calls
+        this round - exactly the positions the per-message loop assigns
+        to the same traffic - and one batched hash decides every message.
+
+        Returns each row's delivered copies (0 removes the row; a
+        duplicated message adds one) and the delayed ``(row, slip,
+        count)`` triples, ascending by row then slip.  The caller
+        re-queues the delayed copies; the counters are bumped here.
+        """
+        copies = multiplicity.astype(np.int64, copy=True)
+        if self.crashed(round_number):
+            lost = np.isin(receivers, self._down_array(round_number))
+            if lost.any():
+                self.counters.crash_dropped += int(copies[lost].sum())
+                copies[lost] = 0
+        if self._all_rates_zero:
+            # Crash-only plan: no per-message hash is ever evaluated, so
+            # the per-(edge, kind) index counters are never read and need
+            # not advance; the crash loss above is the plan's whole effect.
+            return copies, []
+        rows = np.flatnonzero(copies)
+        if not len(rows):
+            return copies, []
+        row_counts = copies[rows]
+        row_senders = senders[rows]
+        row_receivers = receivers[rows]
+        row_codes = codes[rows]
+        send_list = row_senders.tolist()
+        recv_list = row_receivers.tolist()
+        # Each row takes the next indices of its (edge, kind), in row
+        # order, continuing this round's counters.
+        edge_counters = self._indices
+        starts = []
+        for key, count in zip(
+            zip(send_list, recv_list, row_codes.tolist()),
+            row_counts.tolist(),
+        ):
+            start = edge_counters.get(key, 0)
+            edge_counters[key] = start + count
+            starts.append(start)
+        if self._uniform_rates:
+            drop = self.plan.drop_rate
+            dup = self.plan.duplicate_rate
+            delay = self.plan.delay_rate
+            have_drop, have_dup, have_delay = drop > 0.0, dup > 0.0, delay > 0.0
+        else:
+            row_rates = np.array(
+                [
+                    self.plan.rates_for(s, r)
+                    for s, r in zip(send_list, recv_list)
+                ],
+                dtype=np.float64,
+            )
+            have_drop, have_dup, have_delay = row_rates.any(axis=0).tolist()
+        if not (have_drop or have_dup or have_delay):
+            return copies, []
+        # One entry per message: row j covers messages ``bounds[j] ..
+        # bounds[j + 1] - 1``, at consecutive indices from its start.
+        bounds = np.cumsum(row_counts) - row_counts
+        message_index = np.arange(int(row_counts.sum())) + np.repeat(
+            np.array(starts, dtype=np.int64) - bounds, row_counts
+        )
+        bases = np.repeat(
+            _edge_base_array(
+                self.plan.seed, self._round, row_senders, row_receivers,
+                row_codes,
+            ),
+            row_counts,
+        )
+        if not self._uniform_rates:
+            drop, dup, delay = np.repeat(row_rates, row_counts, axis=0).T
+        dropped, duplicated, delay_rounds = self._batched_fates(
+            bases, message_index, drop, dup, delay,
+            have_drop, have_dup, have_delay,
+        )
+        slipped = delay_rounds > 0
+        copies[rows] = (
+            row_counts
+            + np.add.reduceat(duplicated.astype(np.int64), bounds)
+            - np.add.reduceat((dropped | slipped).astype(np.int64), bounds)
+        )
+        self.counters.dropped += int(np.count_nonzero(dropped))
+        self.counters.duplicated += int(np.count_nonzero(duplicated))
+        if not slipped.any():
+            return copies, []
+        self.counters.delayed += int(np.count_nonzero(slipped))
+        span = self.plan.max_delay + 1
+        pairs, pair_counts = np.unique(
+            np.repeat(rows, row_counts)[slipped] * span
+            + delay_rounds[slipped],
+            return_counts=True,
+        )
+        delayed = [
+            (pair // span, pair % span, count)
+            for pair, count in zip(pairs.tolist(), pair_counts.tolist())
+        ]
+        return copies, delayed
+
     def filter_messages(
         self, round_number: int, messages: list[Message]
     ) -> list[Message]:
@@ -498,102 +610,32 @@ class FaultRuntime:
 
         Call :meth:`begin_round` first.  Messages to crashed nodes are
         lost; the rest face the drop/delay/duplicate hash.  Duplicates
-        are delivered immediately after their original.
+        are delivered immediately after their original, and delayed
+        messages re-queue in message order.
         """
         if not messages:
             return []
-        down = self.crashed(round_number)
-        if down:
-            live: list[Message] = []
-            for message in messages:
-                if message.receiver in down:
-                    self.counters.crash_dropped += 1
-                else:
-                    live.append(message)
-        else:
-            live = messages
-        if not live:
-            return []
-        if self._all_rates_zero:
-            # Crash-only plan: nothing left to decide, and no counter
-            # to advance (no hash is ever evaluated under zero rates).
-            return list(live)
-        # One pass assigns every message its canonical index within its
-        # (edge, kind) group - composing with the per-edge counters -
-        # then a single batched hash decides the whole round.
-        count = len(live)
-        senders = np.empty(count, dtype=np.int64)
-        receivers = np.empty(count, dtype=np.int64)
-        codes = np.empty(count, dtype=np.uint64)
-        indices = np.empty(count, dtype=np.int64)
-        next_index: dict[tuple[int, int, int], int] = {}
-        edge_counters = self._indices
-        for position, message in enumerate(live):
-            sender = message.sender
-            receiver = message.receiver
-            code = kind_code(message.kind)
-            senders[position] = sender
-            receivers[position] = receiver
-            codes[position] = code
-            key = (sender, receiver, code)
-            index = next_index.get(key)
-            if index is None:
-                index = edge_counters.get(key, 0)
-            indices[position] = index
-            next_index[key] = index + 1
-        edge_counters.update(next_index)
-        if self._uniform_rates:
-            drop = self.plan.drop_rate
-            dup = self.plan.duplicate_rate
-            delay = self.plan.delay_rate
-            have_drop, have_dup, have_delay = (
-                drop > 0.0, dup > 0.0, delay > 0.0
-            )
-        else:
-            drop = np.empty(count, dtype=np.float64)
-            dup = np.empty(count, dtype=np.float64)
-            delay = np.empty(count, dtype=np.float64)
-            rate_cache: dict[tuple[int, int], tuple] = {}
-            for position, message in enumerate(live):
-                edge = (message.sender, message.receiver)
-                rates = rate_cache.get(edge)
-                if rates is None:
-                    rates = self.plan.rates_for(*edge)
-                    rate_cache[edge] = rates
-                drop[position], dup[position], delay[position] = rates
-            have_drop = bool(drop.any())
-            have_dup = bool(dup.any())
-            have_delay = bool(delay.any())
-        bases = _edge_base_array(
-            self.plan.seed, self._round, senders, receivers, codes
+        count = len(messages)
+        copies, delayed = self._decide_rows(
+            round_number,
+            np.fromiter((m.sender for m in messages), np.int64, count),
+            np.fromiter((m.receiver for m in messages), np.int64, count),
+            np.fromiter(
+                (kind_code(m.kind) for m in messages), np.uint64, count
+            ),
+            np.ones(count, dtype=np.int64),
         )
-        dropped, duplicated, delay_rounds = self._batched_fates(
-            bases, indices, drop, dup, delay,
-            have_drop, have_dup, have_delay,
-        )
-        dropped_list = dropped.tolist()
-        duplicated_list = duplicated.tolist()
-        slips = delay_rounds.tolist()
         delivered: list[Message] = []
         append = delivered.append
-        delayed = self._delayed_messages
-        n_dropped = n_duplicated = n_delayed = 0
-        for position, message in enumerate(live):
-            if dropped_list[position]:
-                n_dropped += 1
-                continue
-            slip = slips[position]
-            if slip:
-                n_delayed += 1
-                delayed.setdefault(round_number + slip, []).append(message)
-                continue
-            append(message)
-            if duplicated_list[position]:
-                n_duplicated += 1
+        for message, n in zip(messages, copies.tolist()):
+            if n:
                 append(message)
-        self.counters.dropped += n_dropped
-        self.counters.duplicated += n_duplicated
-        self.counters.delayed += n_delayed
+                if n == 2:
+                    append(message)
+        for row, slip, _ in delayed:
+            self._delayed_messages.setdefault(
+                round_number + slip, []
+            ).append(messages[row])
         return delivered
 
     def filter_bulk(
@@ -612,158 +654,31 @@ class FaultRuntime:
         occupying consecutive indices in its edge's canonical order -
         exactly the positions the per-message loop assigns to the same
         traffic - so decisions agree bit-for-bit across the loops.
+        Delayed copies re-queue grouped by edge, edges in order of first
+        appearance, rows in row order and slips ascending within a row.
         """
-        down = self.crashed(round_number)
-        new_mult = multiplicity.astype(np.int64, copy=True)
-        if down:
-            lost = np.isin(receivers, self._down_array(round_number))
-            if lost.any():
-                self.counters.crash_dropped += int(new_mult[lost].sum())
-                new_mult[lost] = 0
-        if self._all_rates_zero:
-            # Quiescent round of a crash-only plan: with zero rates
-            # everywhere no per-message hash is ever evaluated, so the
-            # per-edge fate index counters are never read and advancing
-            # them is a no-op (they reset each round anyway); the crash
-            # zeroing above is the plan's entire effect on bulk rows.
-            return new_mult
-        active = new_mult > 0
-        if not active.any():
-            return new_mult
-        # Group the active rows by directed edge, edges ordered by first
-        # appearance in row order and rows kept in row order within each
-        # edge - the exact iteration order of the per-row dict walk this
-        # replaces, which the delayed-row re-queue order depends on.
-        rows = np.nonzero(active)[0]
-        row_senders = senders[rows].astype(np.int64, copy=False)
-        row_receivers = receivers[rows].astype(np.int64, copy=False)
-        edge_keys = (row_senders << np.int64(32)) | row_receivers
-        unique_keys, first_pos, inverse = np.unique(
-            edge_keys, return_index=True, return_inverse=True
+        copies, delayed = self._decide_rows(
+            round_number,
+            senders,
+            receivers,
+            np.full(len(senders), kind_code(kind), dtype=np.uint64),
+            multiplicity,
         )
-        n_edges = len(unique_keys)
-        appearance = np.argsort(first_pos, kind="stable")
-        rank = np.empty(n_edges, dtype=np.int64)
-        rank[appearance] = np.arange(n_edges, dtype=np.int64)
-        row_rank = rank[inverse]
-        order = np.argsort(row_rank, kind="stable")
-        grouped_rows = rows[order]
-        grouped_counts = new_mult[grouped_rows]
-        edge_senders = row_senders[first_pos[appearance]]
-        edge_receivers = row_receivers[first_pos[appearance]]
-        edge_sizes = np.bincount(row_rank, minlength=n_edges)
-        edge_row_starts = np.empty(n_edges, dtype=np.int64)
-        edge_row_starts[0] = 0
-        np.cumsum(edge_sizes[:-1], out=edge_row_starts[1:])
-        edge_totals = np.add.reduceat(grouped_counts, edge_row_starts)
-        code = kind_code(kind)
-        # Advance each edge's fate counter (composing with this round's
-        # control traffic of the same kind, which was filtered first).
-        starts = np.empty(n_edges, dtype=np.int64)
-        edge_counters = self._indices
-        senders_list = edge_senders.tolist()
-        receivers_list = edge_receivers.tolist()
-        for j, total in enumerate(edge_totals.tolist()):
-            key = (senders_list[j], receivers_list[j], code)
-            start = edge_counters.get(key, 0)
-            starts[j] = start
-            edge_counters[key] = start + total
-        if self._uniform_rates:
-            drop = self.plan.drop_rate
-            dup = self.plan.duplicate_rate
-            delay = self.plan.delay_rate
-            have_drop, have_dup, have_delay = (
-                drop > 0.0, dup > 0.0, delay > 0.0
+        if delayed:
+            live = np.flatnonzero(multiplicity > 0)
+            edge_keys = (senders[live].astype(np.int64) << np.int64(32)) | (
+                receivers[live]
             )
-            drop_pm = drop
-            dup_pm = dup
-            delay_pm = delay
-        else:
-            edge_drop = np.empty(n_edges, dtype=np.float64)
-            edge_dup = np.empty(n_edges, dtype=np.float64)
-            edge_delay = np.empty(n_edges, dtype=np.float64)
-            for j in range(n_edges):
-                edge_drop[j], edge_dup[j], edge_delay[j] = (
-                    self.plan.rates_for(senders_list[j], receivers_list[j])
-                )
-            have_drop = bool(edge_drop.any())
-            have_dup = bool(edge_dup.any())
-            have_delay = bool(edge_delay.any())
-        if not (have_drop or have_dup or have_delay):
-            return new_mult
-        # Expand to one entry per message: each row i contributes
-        # ``grouped_counts[i]`` consecutive indices of its edge.
-        message_row = np.repeat(
-            np.arange(len(grouped_rows), dtype=np.int64), grouped_counts
-        )
-        row_bounds = np.empty(len(grouped_rows) + 1, dtype=np.int64)
-        row_bounds[0] = 0
-        np.cumsum(grouped_counts, out=row_bounds[1:])
-        total_messages = int(row_bounds[-1])
-        message_edge = np.repeat(
-            np.arange(n_edges, dtype=np.int64), edge_totals
-        )
-        edge_offsets = np.empty(n_edges, dtype=np.int64)
-        edge_offsets[0] = 0
-        np.cumsum(edge_totals[:-1], out=edge_offsets[1:])
-        message_index = (
-            np.arange(total_messages, dtype=np.int64)
-            - edge_offsets[message_edge]
-            + starts[message_edge]
-        )
-        edge_bases = _edge_base_array(
-            self.plan.seed, self._round, edge_senders, edge_receivers,
-            np.full(n_edges, code, dtype=np.uint64),
-        )
-        bases = edge_bases[message_edge]
-        if not self._uniform_rates:
-            drop_pm = edge_drop[message_edge]
-            dup_pm = edge_dup[message_edge]
-            delay_pm = edge_delay[message_edge]
-        dropped, duplicated, delay_rounds = self._batched_fates(
-            bases, message_index, drop_pm, dup_pm, delay_pm,
-            have_drop, have_dup, have_delay,
-        )
-        slipped = delay_rounds > 0
-        starts_of_rows = row_bounds[:-1]
-        dropped_per_row = np.add.reduceat(
-            dropped.astype(np.int64), starts_of_rows
-        )
-        duplicated_per_row = np.add.reduceat(
-            duplicated.astype(np.int64), starts_of_rows
-        )
-        slipped_per_row = np.add.reduceat(
-            slipped.astype(np.int64), starts_of_rows
-        )
-        new_mult[grouped_rows] = (
-            grouped_counts
-            - dropped_per_row
-            - slipped_per_row
-            + duplicated_per_row
-        )
-        self.counters.dropped += int(dropped_per_row.sum())
-        self.counters.duplicated += int(duplicated_per_row.sum())
-        n_slipped = int(slipped_per_row.sum())
-        if n_slipped:
-            self.counters.delayed += n_slipped
-            # Re-queue delayed copies grouped as (row, slip) pairs; the
-            # ascending composite key reproduces the per-row walk's
-            # append order (edges by first appearance, rows in row
-            # order, slips ascending within a row).
-            span = self.plan.max_delay + 1
-            slip_keys = (
-                message_row[slipped] * span + delay_rounds[slipped]
+            _, first, inverse = np.unique(
+                edge_keys, return_index=True, return_inverse=True
             )
-            pair_keys, pair_counts = np.unique(
-                slip_keys, return_counts=True
-            )
-            delayed = self._delayed_bulk
-            for pair, count in zip(
-                pair_keys.tolist(), pair_counts.tolist()
-            ):
-                row = int(grouped_rows[pair // span])
-                slip = pair % span
-                delayed.setdefault(round_number + slip, {}).setdefault(
+            edge_first = np.zeros(len(senders), dtype=np.int64)
+            edge_first[live] = live[first][inverse]
+            edge_first_list = edge_first.tolist()
+            delayed.sort(key=lambda triple: edge_first_list[triple[0]])
+            queued = self._delayed_bulk
+            for row, slip, count in delayed:
+                queued.setdefault(round_number + slip, {}).setdefault(
                     kind, []
                 ).append(
                     (
@@ -773,7 +688,7 @@ class FaultRuntime:
                         count,
                     )
                 )
-        return new_mult
+        return copies
 
     def take_delayed(
         self, round_number: int

@@ -23,14 +23,15 @@ asymptotic one.
 Determinism: the ARQ consumes **no randomness**.  Its state evolves as
 a pure function of the delivered-message history, so the per-message
 loop and the vectorized fast path - which feed it the same history -
-keep byte-identical channel states.
+keep byte-identical channel states.  Each rule has one copy: both loops
+accept through :meth:`ReliableChannel.accept` (the fast path once per
+claimed walk row) and confirm through :meth:`OutLink.apply_ack` (the
+asynchronous executor included).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
-
-import numpy as np
 
 from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
@@ -102,46 +103,25 @@ class OutLink:
 
     def apply_ack(
         self, cum: int, bitmap: int, latencies: list | None = None
-    ) -> int:
-        """Discard everything the ack covers; returns how many seqs
-        were newly confirmed.  With ``latencies``, appends each
+    ) -> list[int]:
+        """Discard everything the ack covers; returns the newly
+        confirmed seqs, ascending.  With ``latencies``, appends each
         confirmed seq's ``last_sent - first_sent`` (extra rounds spent
         retransmitting before the acked copy went out; 0 = first try)."""
-        confirmed = 0
-        for seq in [s for s in self.unacked if s <= cum]:
-            entry = self.unacked.pop(seq)
+        unacked = self.unacked
+        # Seqs enter ``unacked`` in ascending order, and every bitmap
+        # seq is above ``cum``.
+        confirmed = [seq for seq in unacked if seq <= cum]
+        seq = cum + 1
+        while bitmap:
+            if bitmap & 1 and seq in unacked:
+                confirmed.append(seq)
+            bitmap >>= 1
+            seq += 1
+        for seq in confirmed:
+            entry = unacked.pop(seq)
             if latencies is not None:
                 latencies.append(entry[2] - entry[3])
-            confirmed += 1
-        offset = 0
-        while bitmap:
-            if bitmap & 1:
-                seq = cum + 1 + offset
-                entry = self.unacked.pop(seq, None)
-                if entry is not None:
-                    if latencies is not None:
-                        latencies.append(entry[2] - entry[3])
-                    confirmed += 1
-            bitmap >>= 1
-            offset += 1
-        return confirmed
-
-    def apply_ack_seqs(self, cum: int, bitmap: int) -> list[int]:
-        """Like :meth:`apply_ack`, but returns the newly confirmed seqs
-        (ascending) instead of a count.  The asynchronous executor maps
-        each confirmed seq back to the simulated round whose safety
-        gate it holds open."""
-        confirmed = [seq for seq in self.unacked if seq <= cum]
-        for seq in confirmed:
-            del self.unacked[seq]
-        offset = 0
-        while bitmap:
-            if bitmap & 1:
-                seq = cum + 1 + offset
-                if self.unacked.pop(seq, None) is not None:
-                    confirmed.append(seq)
-            bitmap >>= 1
-            offset += 1
         return confirmed
 
     def due(self, round_number: int) -> list[int]:
@@ -169,9 +149,9 @@ class InLink:
 
     Delivered-but-unordered seqs live in ``mask``, an unbounded int
     bitmask relative to ``cum`` (bit ``i`` = seq ``cum + 1 + i``
-    delivered).  The mask form makes acceptance O(1) bit ops and lets
-    the fast path mirror many links into flat arrays
-    (:class:`InLinkFlatState`) for array-level acceptance.
+    delivered).  The mask form makes acceptance O(1) bit ops.  Both
+    scheduler loops accept through :meth:`ReliableChannel.accept`, one
+    call per arriving message or claimed walk row.
     """
 
     __slots__ = ("cum", "mask", "ack_due", "acked_round")
@@ -197,16 +177,6 @@ class InLink:
             mask >>= advance
         self.mask = mask
         return True
-
-    @property
-    def seen(self) -> set[int]:
-        """Delivered seqs above ``cum`` (set view of the mask)."""
-        mask = self.mask
-        return {
-            self.cum + 1 + offset
-            for offset in range(mask.bit_length())
-            if (mask >> offset) & 1
-        }
 
     def ack_fields(self) -> tuple[int, int]:
         """Current ``(cum, bitmap)`` selective-ack payload."""
@@ -305,11 +275,6 @@ class ReliableChannel:
             kind, fields_rows, round_number
         )
 
-    def mark_active(self, neighbor: int) -> None:
-        """Note that the edge to ``neighbor`` has flush work (used by
-        the fast path, which mutates the links directly)."""
-        self._active.add(neighbor)
-
     def queue(self, neighbor: int, kind: str, fields: tuple[int, ...]) -> None:
         """Queue a reliable control message; ``flush`` sends it when a
         slot frees up."""
@@ -360,12 +325,24 @@ class ReliableChannel:
             else:
                 self.out[sender].apply_ack(cum, bitmap)
             return None
-        seq = message.fields[-1]
-        self._active.add(sender)  # the accept owes an ack either way
-        if self.inn[sender].accept(seq):
+        if self.accept(sender, message.fields[-1]):
             return message.fields[:-1]
-        self.stats.duplicates_rejected += 1
         return None
+
+    def accept(self, sender: int, seq: int, copies: int = 1) -> bool:
+        """Run ``copies`` identical arrivals of ``seq`` from ``sender``
+        through the receive window; True iff the seq is new.
+
+        Every copy past the first fresh one counts as a rejected
+        duplicate, and the edge owes an ack either way.  The fast path
+        calls this once per claimed walk row (``copies`` being the row's
+        fault multiplicity), :meth:`receive` once per message."""
+        self._active.add(sender)
+        if self.inn[sender].accept(seq):
+            self.stats.duplicates_rejected += copies - 1
+            return True
+        self.stats.duplicates_rejected += copies
+        return False
 
     # ------------------------------------------------------------------
     # Per-round flush
@@ -503,50 +480,3 @@ class ReliableChannel:
             return False
         return not any(link.ack_due for link in self.inn.values())
 
-
-class InLinkFlatState:
-    """Flat numpy mirror of many :class:`InLink` cursors, by edge id.
-
-    The fast path's network-wide engine owns one of these, sized to the
-    network's directed-edge table.  Each round it *pulls* the cursors of
-    the edges appearing in the claimed walk traffic, decides acceptance
-    for every row with array compares against ``cum``/``mask``, and
-    *pushes* the advanced cursors back into the InLink objects - which
-    stay the single source of truth, because the control path keeps
-    accepting retransmitted tokens through
-    :meth:`ReliableChannel.receive` on the very same links.
-
-    Masks wider than 63 bits (a hole older than 63 seqs, e.g. behind a
-    long crash window) do not fit the uint64 mirror; such edges are
-    flagged ``wide`` and the caller routes their rows through the plain
-    per-row :meth:`InLink.accept` fallback.
-    """
-
-    __slots__ = ("cum", "mask", "wide")
-
-    def __init__(self, size: int) -> None:
-        self.cum = np.full(size, -1, dtype=np.int64)
-        self.mask = np.zeros(size, dtype=np.uint64)
-        self.wide = np.zeros(size, dtype=bool)
-
-    def pull(self, edge_ids: list[int], links: list[InLink]) -> None:
-        """Refresh the mirror from the InLink objects for these edges."""
-        cum, mask, wide = self.cum, self.mask, self.wide
-        for edge_id, link in zip(edge_ids, links):
-            cum[edge_id] = link.cum
-            link_mask = link.mask
-            if link_mask >> 63:
-                wide[edge_id] = True
-                mask[edge_id] = 0
-            else:
-                wide[edge_id] = False
-                mask[edge_id] = link_mask
-
-    def push(self, edge_ids: list[int], links: list[InLink]) -> None:
-        """Write advanced cursors back into the InLink objects (also
-        marking their acks due, as every accept does)."""
-        cum, mask = self.cum, self.mask
-        for edge_id, link in zip(edge_ids, links):
-            link.cum = int(cum[edge_id])
-            link.mask = int(mask[edge_id])
-            link.ack_due = True

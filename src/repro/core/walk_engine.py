@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
-from repro.congest.reliable import InLinkFlatState
 from repro.obs.spans import NULL_PROFILER
 from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
 from repro.walks.batched import aggregate_network_groups
@@ -328,11 +327,6 @@ class CountingWalkEngine:
         # set.  All stay empty/None on fault-free runs.
         self._channels: dict[int, object] = {}
         self._reliable = False
-        # Reliable fast path: directed-edge lookup ((s << 32) | t ->
-        # edge id) and the flat numpy mirror of the InLink cursors used
-        # for array-level dedup.  Built at finalize in reliable mode.
-        self._edge_index: dict[int, int] | None = None
-        self._in_state: InLinkFlatState | None = None
         self._control_arrivals: list[tuple[int, int, int, int, int]] = []
         self._transitioned: set[int] = set()
         self._fault_runtime = None
@@ -524,14 +518,6 @@ class CountingWalkEngine:
             # Every node launched this round, so every node's counter
             # owes its first report.
             self._touched.update(range(self.n))
-        if self._reliable:
-            self._edge_index = {
-                (int(s) << 32) | int(t): edge
-                for edge, (s, t) in enumerate(
-                    zip(self._edge_src, self._targets)
-                )
-            }
-            self._in_state = InLinkFlatState(len(self._targets))
         self._finalized = True
 
     def _launch(self, manager: WalkManager) -> None:
@@ -579,175 +565,54 @@ class CountingWalkEngine:
         """Reliable mode: run every claimed walk row through the
         receiver's ARQ before counting.
 
-        Mirrors, row by row, what the per-message loop does with each
-        token message: a first-seen seq is fresh (kept, multiplicity
-        one - fault duplication cannot double a token), a repeat is
-        rejected, and a receiver still in setup leaves the row unacked
-        so the sender retransmits it past the launch round.  InLink
-        state updates here are order-independent within a round, so the
-        slow path's arrival order and this row order agree byte for
-        byte.
+        Each row goes through :meth:`ReliableChannel.accept
+        <repro.congest.reliable.ReliableChannel.accept>`, the call the
+        per-message loop makes for each token message: a first-seen seq
+        is fresh (kept, multiplicity one - fault duplication cannot
+        double a token), a repeat is rejected, and every copy past the
+        fresh one counts as a rejected duplicate.  A receiver still in
+        setup leaves the row unaccepted and unacked, so the sender
+        retransmits it past the launch round.  Within a round the final
+        receive windows do not depend on arrival order, so the slow
+        path's arrival order and this row order agree byte for byte.
 
         A receiver past counting flushes in its own round handler,
         which ran before this pass; its accepts here are settled by
         :meth:`_settle_late_accepts` instead."""
         out: dict[str, ClaimedKind] = {}
-        flat = self._in_state
         channels = self._channels
+        transitioned = self._transitioned
         late: dict[int, set[int]] = {}
         for kind, (senders, receivers, fields, multiplicity) in (
             claimed.items()
         ):
-            rows = len(receivers)
-            keep = np.zeros(rows, dtype=bool)
-            seqs = fields[:, -1]
             recv_list = receivers.tolist()
-            send_list = senders.tolist()
             phase_of = {
                 node: self._programs[node].phase for node in set(recv_list)
             }
-            # Receivers still in setup (crashed through the launch
-            # round): no accept, no ack; the sender retries later.
-            eligible = np.fromiter(
-                (phase_of[node] != "setup" for node in recv_list),
-                dtype=bool, count=rows,
-            )
-            if not eligible.any():
-                continue
-            positions = np.nonzero(eligible)[0]
-            e_senders = senders[positions]
-            e_receivers = receivers[positions]
-            e_seqs = seqs[positions]
-            edge_keys = (e_senders << np.int64(32)) | e_receivers
-            # A repeat of an (edge, seq) already seen earlier in this
-            # batch is a duplicate; the stable sort keeps the earliest
-            # row first in each run.
-            sort_order = np.lexsort(
-                (np.arange(len(positions)), e_seqs, edge_keys)
-            )
-            sorted_keys = edge_keys[sort_order]
-            sorted_seqs = e_seqs[sort_order]
-            repeat = np.zeros(len(positions), dtype=bool)
-            repeat[1:] = (sorted_keys[1:] == sorted_keys[:-1]) & (
-                sorted_seqs[1:] == sorted_seqs[:-1]
-            )
-            intra_dup = np.zeros(len(positions), dtype=bool)
-            intra_dup[sort_order] = repeat
-            unique_keys, first_pos, inverse = np.unique(
-                edge_keys, return_index=True, return_inverse=True
-            )
-            links = [
-                channels[node].inn[sender]
-                for sender, node in zip(
-                    e_senders[first_pos].tolist(),
-                    e_receivers[first_pos].tolist(),
+            keep = np.zeros(len(recv_list), dtype=bool)
+            for row, (sender, node, seq, copies) in enumerate(
+                zip(
+                    senders.tolist(),
+                    recv_list,
+                    fields[:, -1].tolist(),
+                    multiplicity.tolist(),
                 )
-            ]
-            edge_index = self._edge_index
-            edge_ids = [edge_index[key] for key in unique_keys.tolist()]
-            # Every touched edge ends the round owing an ack; tell the
-            # receiver's channel so its flush visits the edge.
-            for sender, node in zip(
-                e_senders[first_pos].tolist(),
-                e_receivers[first_pos].tolist(),
             ):
-                channels[node].mark_active(sender)
-            flat.pull(edge_ids, links)
-            edge_id_arr = np.fromiter(
-                edge_ids, dtype=np.int64, count=len(edge_ids)
-            )
-            row_edge = edge_id_arr[inverse]
-            offsets = e_seqs - flat.cum[row_edge] - 1
-            # Rows the uint64 mirror cannot decide (link mask wider
-            # than 63 bits, or a seq more than 62 ahead of the cursor)
-            # fall back to per-row accepts after the array pass.
-            narrow = ~flat.wide[row_edge] & (offsets <= 62)
-            in_window = narrow & (offsets >= 0)
-            already = np.zeros(len(positions), dtype=bool)
-            already[in_window] = (
-                (
-                    flat.mask[row_edge[in_window]]
-                    >> offsets[in_window].astype(np.uint64)
-                )
-                & np.uint64(1)
-            ).astype(bool)
-            fresh = in_window & ~already & ~intra_dup
-            if fresh.any():
-                accepted_edge = inverse[fresh]
-                bits = (
-                    np.uint64(1) << offsets[fresh].astype(np.uint64)
-                )
-                acc_order = np.argsort(accepted_edge, kind="stable")
-                acc_edges = accepted_edge[acc_order]
-                acc_bits = bits[acc_order]
-                seg_starts, _ = _segments(acc_edges)
-                merged = np.bitwise_or.reduceat(acc_bits, seg_starts)
-                touched = edge_id_arr[acc_edges[seg_starts]]
-                mask = flat.mask[touched] | merged
-                # The run of trailing ones is the contiguous prefix the
-                # cursor slides past; its length is the exponent of the
-                # lowest zero bit.
-                lowest_zero = (mask + np.uint64(1)) & ~mask
-                _, exponents = np.frexp(lowest_zero.astype(np.float64))
-                advance = (exponents - 1).astype(np.int64)
-                flat.cum[touched] += advance
-                flat.mask[touched] = mask >> advance.astype(np.uint64)
-                keep[positions[fresh]] = True
-            # Write the advanced cursors back (and owe the acks every
-            # accept - fresh or duplicate - owes).  Wide edges were
-            # never mirrored; their rows settle through the fallback.
-            pushable = [
-                j for j in range(len(edge_ids))
-                if not flat.wide[edge_ids[j]]
-            ]
-            if len(pushable) == len(edge_ids):
-                flat.push(edge_ids, links)
-            else:
-                flat.push(
-                    [edge_ids[j] for j in pushable],
-                    [links[j] for j in pushable],
-                )
-            overflow = eligible.copy()
-            overflow[positions] = ~narrow
-            for row in np.nonzero(overflow)[0].tolist():
-                node = recv_list[row]
-                link = channels[node].inn[send_list[row]]
-                if link.accept(int(seqs[row])):
+                phase = phase_of[node]
+                if phase == "setup":
+                    # Crashed through the launch round: no accept, no
+                    # ack; the sender retries later.
+                    continue
+                if channels[node].accept(sender, seq, copies):
+                    if phase != "counting":
+                        raise ProtocolError(
+                            f"fresh walk token arrived during {phase} at "
+                            f"node {node}: recovery lost a death"
+                        )
                     keep[row] = True
-            past_counting = {
-                node for node, phase in phase_of.items()
-                if phase not in ("setup", "counting")
-                and node not in self._transitioned
-            }
-            if past_counting:
-                for sender, node in zip(send_list, recv_list):
-                    if node in past_counting:
-                        late.setdefault(node, set()).add(sender)
-            if keep.any():
-                bad = keep & np.fromiter(
-                    (phase_of[node] != "counting" for node in recv_list),
-                    dtype=bool, count=rows,
-                )
-                if bad.any():
-                    row = int(np.nonzero(bad)[0][0])
-                    node = recv_list[row]
-                    raise ProtocolError(
-                        "fresh walk token arrived during "
-                        f"{phase_of[node]} at node {node}: recovery "
-                        "lost a death"
-                    )
-            # Every eligible row charges the receiver's dup counter its
-            # full multiplicity, minus one when the row survived.
-            rejected_copies = np.where(
-                eligible, multiplicity - keep.astype(np.int64), 0
-            )
-            per_receiver = np.bincount(
-                receivers, weights=rejected_copies, minlength=self.n
-            ).astype(np.int64)
-            for node in np.nonzero(per_receiver)[0].tolist():
-                channels[node].stats.duplicates_rejected += int(
-                    per_receiver[node]
-                )
+                elif phase != "counting" and node not in transitioned:
+                    late.setdefault(node, set()).add(sender)
             if keep.any():
                 out[kind] = (
                     senders[keep],

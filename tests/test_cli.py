@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import contextlib
+
 import pytest
 
 from repro.cli import main
+from repro.experiments.scenarios import SUITES
 from repro.graphs.generators import path_graph
 from repro.graphs.io import write_edge_list
 
@@ -223,23 +226,32 @@ class TestObserve:
         }
 
 
+@contextlib.contextmanager
+def smoke_suite(*names):
+    """Narrow the smoke suite to the named scenarios, so a test can
+    append a whole-suite entry (``--only`` may not append) in seconds."""
+    scenarios = tuple(s for s in SUITES["smoke"] if s.name in names)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(SUITES, "smoke", scenarios)
+        yield
+
+
 class TestSweep:
     def run_sweep(self, tmp_path, *extra):
         path = tmp_path / "BENCH_test.json"
-        code = main(
-            [
-                "sweep",
-                "--suite",
-                "smoke",
-                "--only",
-                "er30-edges",
-                "--out",
-                str(path),
-                "--sha",
-                "test",
-                *extra,
-            ]
-        )
+        with smoke_suite("er30-edges"):
+            code = main(
+                [
+                    "sweep",
+                    "--suite",
+                    "smoke",
+                    "--out",
+                    str(path),
+                    "--sha",
+                    "test",
+                    *extra,
+                ]
+            )
         return code, path
 
     def test_list(self, capsys):
@@ -272,10 +284,11 @@ class TestSweep:
         import json
 
         path = tmp_path / "BENCH_test.json"
-        code = main(
-            ["sweep", "--suite", "smoke", "--only", "cycle8-async",
-             "--out", str(path), "--sha", "test"]
-        )
+        with smoke_suite("cycle8-async"):
+            code = main(
+                ["sweep", "--suite", "smoke", "--out", str(path),
+                 "--sha", "test"]
+            )
         assert code == 0
         data = json.loads(path.read_text())
         for name in data["entries"][-1]["scenarios"]:
@@ -313,6 +326,41 @@ class TestSweep:
             in out
         )
         assert "no regressions" in out
+
+    def test_only_checks_just_the_scenarios_that_ran(self, tmp_path, capsys):
+        import json
+
+        _, path = self.run_sweep(tmp_path)
+        data = json.loads(path.read_text())
+        scenarios = data["entries"][-1]["scenarios"]
+        scenarios["not-run"] = dict(scenarios["er30-edges"])
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(
+            ["sweep", "--suite", "smoke", "--only", "er30-edges",
+             "--out", str(path), "--check", "--no-append"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "no regressions" in out
+        assert "disappeared" not in out
+        # A full run still reports the scenario it no longer produces.
+        code, _ = self.run_sweep(tmp_path, "--check", "--no-append")
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "# REGRESSION not-run.scenario" in out
+        assert "scenario disappeared" in out
+
+    def test_only_without_no_append_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_test.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["sweep", "--suite", "smoke", "--only", "er30-edges",
+                 "--out", str(path)]
+            )
+        assert exit_info.value.code == 2
+        assert "--no-append" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_unknown_suite(self, capsys):
         assert main(["sweep", "--suite", "nope"]) == 2

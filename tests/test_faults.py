@@ -184,6 +184,57 @@ class TestDeterminism:
         )
 
 
+class TestAsyncFateTwin:
+    """``async_fate`` keeps its own pure-int hash and its own copy of
+    the drop > delay > duplicate priority; it must decide, message by
+    message, what the batched fate core decides for the same traffic."""
+
+    PLAN = FaultPlan(
+        seed=31,
+        drop_rate=0.2,
+        duplicate_rate=0.2,
+        delay_rate=0.2,
+        max_delay=4,
+        edge_overrides={
+            (2, 5): EdgeFaultRates(drop=0.1, duplicate=0.3, delay=0.25)
+        },
+    )
+
+    @pytest.mark.parametrize("edge", [(0, 1), (2, 5)])
+    @pytest.mark.parametrize("kind", ["walk", "ack"])
+    def test_matches_filter_messages(self, edge, kind):
+        sender, receiver = edge
+        round_number, count = 7, 300
+        batched = FaultRuntime(self.PLAN)
+        batched.begin_round(round_number)
+        delivered = batched.filter_messages(
+            round_number,
+            [_msg(sender, receiver, kind, fields=(i,)) for i in range(count)],
+        )
+        copies = [0] * count
+        for message in delivered:
+            copies[message.fields[0]] += 1
+        slips = [0] * count
+        for slip in range(1, self.PLAN.max_delay + 1):
+            matured, _ = batched.take_delayed(round_number + slip)
+            for message in matured:
+                slips[message.fields[0]] = slip
+        expected = [
+            (copies[i] == 0 and not slips[i], copies[i] == 2, slips[i])
+            for i in range(count)
+        ]
+        one_by_one = FaultRuntime(self.PLAN)
+        observed = [
+            one_by_one.async_fate(round_number, sender, receiver, kind)
+            for _ in range(count)
+        ]
+        assert observed == expected
+        assert one_by_one.counters.summary() == batched.counters.summary()
+        summary = batched.counters.summary()
+        assert summary["dropped"] and summary["duplicated"]
+        assert summary["delayed"]
+
+
 _MAX64 = (1 << 64) - 1
 _HASH_BASES = [0, 1, _MAX64] + [
     int(v)

@@ -37,7 +37,7 @@ class TestOutLink:
         link = OutLink()
         for i in range(5):
             link.assign("walk", (i,), 0)
-        assert link.apply_ack(2, 0) == 3
+        assert link.apply_ack(2, 0) == [0, 1, 2]
         assert set(link.unacked) == {3, 4}
 
     def test_selective_ack_bitmap(self):
@@ -45,7 +45,7 @@ class TestOutLink:
         for i in range(6):
             link.assign("walk", (i,), 0)
         # cum=1 plus bits for seqs 3 and 5 (offsets 1 and 3).
-        assert link.apply_ack(1, 0b1010) == 4
+        assert link.apply_ack(1, 0b1010) == [0, 1, 3, 5]
         assert set(link.unacked) == {2, 4}
 
     def test_due_after_timeout(self):

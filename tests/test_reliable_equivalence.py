@@ -1,8 +1,9 @@
 """Cross-loop equivalence of the *vectorized* reliable path.
 
-The fast path's reliable machinery (array-level ARQ acceptance in
-``walk_engine._dedup_claimed``, block seq assignment in
-``_emit_reliable``, and the lexsort-grouped ``FaultRuntime.filter_bulk``)
+The fast path's reliable machinery (per-row ARQ acceptance through
+``ReliableChannel.accept`` in ``walk_engine._dedup_claimed``, block seq
+assignment in ``_emit_reliable``, and ``FaultRuntime.filter_bulk`` over
+aggregate rows, which shares its fate core with ``filter_messages``)
 must reproduce the per-message loop byte for byte.  The fixed-seed
 checks in ``test_failure_injection.py`` pin a handful of schedules;
 this file adds the boundary cases those seeds happen to miss, plus a
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.congest.faults import CrashWindow, FaultPlan
+from repro.congest.reliable import InLink
 from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.parameters import WalkParameters
 from repro.core.protocol import ProtocolConfig
@@ -96,6 +98,44 @@ class TestBoundaryEquivalence:
         slow, fast = _run_both_loops(graph, plan)
         _assert_identical(slow, fast)
         assert slow.metrics.faults["delayed"] > 0
+
+    def test_receive_hole_wider_than_63_seqs(self, monkeypatch):
+        """A crash window in counting, on a wide walk budget, leaves a
+        receive hole of more than 63 seqs on some edge: the sender
+        retransmits due seqs ascending, skipping the ones it resent in
+        the last few rounds, so later seqs overtake them.  The unbounded
+        ``InLink.mask`` must handle such windows the same on both
+        loops."""
+        n = 8
+        launch = _launch_round(n)
+        parameters = WalkParameters(length=20, walks_per_source=30)
+        plan = FaultPlan(
+            seed=5,
+            drop_rate=0.05,
+            crashes=(
+                CrashWindow(node=1, start=launch + 5, end=launch + 65),
+            ),
+        )
+
+        def run(vectorized):
+            return estimate_rwbc_distributed(
+                cycle_graph(n), parameters, seed=3, faults=plan,
+                walk_budget=32, vectorized=vectorized,
+            )
+
+        slow = run(vectorized=False)
+        widest = [0]
+        accept = InLink.accept
+
+        def tracked(link, seq):
+            fresh = accept(link, seq)
+            widest[0] = max(widest[0], link.mask.bit_length())
+            return fresh
+
+        monkeypatch.setattr(InLink, "accept", tracked)
+        fast = run(vectorized=True)
+        assert widest[0] > 63
+        _assert_identical(slow, fast)
 
     def test_late_duplicates_past_counting(self):
         """Delay slips far longer than the exchange phase land duplicate

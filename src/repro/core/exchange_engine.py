@@ -72,7 +72,9 @@ PRICE_CHUNK = 1 << 16
 def column_bits(counts: np.ndarray) -> np.ndarray:
     """Bit cost of every node's exchange message, source-major.
 
-    ``counts`` is the frozen ``(n, 2, n)`` count tensor; entry ``[s, v]``
+    ``counts`` is the frozen count tensor's ``(n, 2, n)`` view
+    ``[node, half, source]`` (stored half-first, in
+    :func:`~repro.core.walk_engine.count_dtype` cells); entry ``[s, v]``
     of the result is what node ``v``'s column-``s`` message ``(s,
     c_a[v, s], c_b[v, s])`` costs.  Every entry is at most ``TAG_BITS +
     3 * 65`` bits, so ``uint8`` holds it."""

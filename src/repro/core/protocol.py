@@ -66,6 +66,7 @@ from repro.core.walk_engine import (
     KIND_WALK_BATCH,
     CountingWalkEngine,
     TransportPolicy,
+    count_dtype,
 )
 from repro.core.walk_manager import WalkManager
 
@@ -210,8 +211,9 @@ class RWBCNodeProgram(VectorizedProgram):
     """One node of the distributed RWBC algorithm.
 
     Outputs after the run: ``betweenness`` (this node's estimate),
-    ``counts`` (its ``xi`` vector), ``target`` (the elected absorbing
-    node), and the phase-boundary rounds ``counting_start_round`` /
+    ``counts`` (its ``xi`` vector; outside split mode a view of its
+    count slab, not a copy), ``target`` (the elected absorbing node),
+    and the phase-boundary rounds ``counting_start_round`` /
     ``exchange_start_round`` / ``finish_round`` for the complexity
     experiments.
 
@@ -550,7 +552,12 @@ class RWBCNodeProgram(VectorizedProgram):
                 convergecast = (
                     self._channel is None and shared.fault_runtime is None
                 )
-                engine = CountingWalkEngine(shared.edges, convergecast)
+                engine = CountingWalkEngine(
+                    shared.edges,
+                    convergecast,
+                    self.config.walks_per_source,
+                    self.config.length,
+                )
                 shared.slots["walk_engine"] = engine
                 shared.register_driver(engine)
         self._walks = WalkManager(
@@ -769,7 +776,10 @@ class RWBCNodeProgram(VectorizedProgram):
         nothing is allocated."""
         if self._neighbor_counts is None:
             self._neighbor_matrix = np.zeros(
-                (self.degree, 2, self.info.n), dtype=np.int64
+                (self.degree, 2, self.info.n),
+                dtype=count_dtype(
+                    self.config.walks_per_source, self.config.length
+                ),
             )
             self._neighbor_counts = {
                 neighbor: self._neighbor_matrix[j]
@@ -978,7 +988,7 @@ class RWBCNodeProgram(VectorizedProgram):
 
     def _finish(self, round_number: int) -> None:
         n = self.info.n
-        self.counts = self._walks.counts.copy()
+        self.counts = self._walks.counts
         own_potential = self.counts / self.degree
         # One pass over the neighbors: each potential difference ``w``
         # feeds both the node's raw flow (the pair sum excluding this
@@ -1021,13 +1031,16 @@ class RWBCNodeProgram(VectorizedProgram):
         ``(A + B) / 2`` under a zero true difference, so its pair-sum
         measures the bias floor of the plain estimate.
         """
-        own_noise = (
-            self._walks.half_counts[0] - self._walks.half_counts[1]
-        ) / (2.0 * self.degree)
+        # Half 1 may exceed half 0, so both differences are taken in
+        # int64: the unsigned count cells would wrap.
+        own = self._walks.half_counts
+        own_noise = np.subtract(own[0], own[1], dtype=np.int64) / (
+            2.0 * self.degree
+        )
         half_k = self.config.walks_per_source // 2
         slabs = self._neighbor_slabs()
         neighbor_noise = (
-            (slabs[neighbor][0] - slabs[neighbor][1])
+            np.subtract(slabs[neighbor][0], slabs[neighbor][1], dtype=np.int64)
             / (2.0 * self._neighbor_degrees[neighbor])
             for neighbor in self.neighbors
         )

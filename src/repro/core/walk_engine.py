@@ -80,6 +80,16 @@ ClaimedKind = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
+def count_dtype(walks_per_source: int, length: int) -> type[np.integer]:
+    """The visit counters' cell type.  A walk makes at most ``l + 1``
+    visits, so no cell ``xi_v[s]`` (one half, or both summed) exceeds
+    ``K * (l + 1)``: ``uint32`` holds it below ``2**32``, ``int64``
+    past that."""
+    if walks_per_source * (length + 1) < 1 << 32:
+        return np.uint32
+    return np.int64
+
+
 class TransportPolicy(enum.Enum):
     """How queued walk tokens map onto messages."""
 
@@ -185,7 +195,11 @@ def counting_round_kernel(
             halves = halves[keep]
             counts = counts[keep]
     if len(nodes):
-        np.add.at(count_tensor, (nodes, halves, sources), counts)
+        np.add.at(
+            count_tensor,
+            (nodes, halves, sources),
+            counts.astype(count_tensor.dtype, copy=False),
+        )
         expired = remainings == 0
         if expired.any():
             death_node_parts.append(nodes[expired])
@@ -299,7 +313,13 @@ class CountingWalkEngine:
     as control mail the node folds in itself.
     """
 
-    def __init__(self, edges: EdgeIndex, convergecast: bool) -> None:
+    def __init__(
+        self,
+        edges: EdgeIndex,
+        convergecast: bool,
+        walks_per_source: int,
+        length: int,
+    ) -> None:
         n = edges.n
         self.n = n
         self.claimed_kinds = frozenset(
@@ -308,8 +328,14 @@ class CountingWalkEngine:
         )
         self._convergecast = convergecast
         # xi tensors and per-node aggregates; managers hold views into
-        # ``counts`` so both access paths see the same numbers.
-        self.counts = np.zeros((n, 2, n), dtype=np.int64)
+        # ``counts`` so both access paths see the same numbers.  The
+        # cells are stored half-first, ``[half, node, source]``, and
+        # ``counts`` is the ``(n, 2, n)`` view ``[node, half, source]``:
+        # outside split mode nothing writes half 1, so its pages are
+        # never made resident.
+        self.counts = np.zeros(
+            (2, n, n), dtype=count_dtype(walks_per_source, length)
+        ).transpose(1, 0, 2)
         self.held = np.zeros(n, dtype=np.int64)
         self.deaths = np.zeros(n, dtype=np.int64)
         self._round_deaths = np.zeros(n, dtype=np.int64)
@@ -541,7 +567,9 @@ class CountingWalkEngine:
         counts = np.tile(group_counts, len(launchers))
         if manager.count_initial:
             # (node, half) pairs are distinct: no np.add.at needed.
-            self.counts[nodes, halves, nodes] += counts
+            self.counts[nodes, halves, nodes] += counts.astype(
+                self.counts.dtype
+            )
         entries, self._seq = route_entries(
             nodes,
             nodes,

@@ -48,6 +48,7 @@ from repro.core.walk_engine import (
     KIND_WALK_BATCH,
     TransportPolicy,
     budget_takes,
+    count_dtype,
     counting_round_kernel,
     launch_groups,
     route_entries,
@@ -91,9 +92,10 @@ class WalkManager:
         two count vectors, enabling the noise-floor bias correction of
         :mod:`repro.core.bias` at the cost of one extra bit per token.
 
-        ``half_counts``: the ``(2, n)`` count slab to tally into; the
-        fast path passes the node's view into the counting engine's
-        tensor.  Allocated here when omitted.
+        ``half_counts``: the ``(2, n)`` count slab to tally into, of
+        :func:`~repro.core.walk_engine.count_dtype` cells; the fast path
+        passes the node's view into the counting engine's tensor.
+        Allocated here when omitted.
         """
         if walk_budget < 1:
             raise ProtocolError("walk_budget must be >= 1")
@@ -120,7 +122,9 @@ class WalkManager:
         # xi_v^s of Algorithm 1, indexed by source id (labels are 0..n-1);
         # in split mode, one row per half (A = 0, B = 1).
         if half_counts is None:
-            half_counts = np.zeros((2, n), dtype=np.int64)
+            half_counts = np.zeros(
+                (2, n), dtype=count_dtype(walks_per_source, length)
+            )
         self.half_counts = half_counts
         self._deaths = 0
         # The one-node slice of the engine's arrays: this node is node
@@ -150,8 +154,11 @@ class WalkManager:
 
     @property
     def counts(self) -> np.ndarray:
-        """Total visit counts (both halves combined)."""
-        return self.half_counts.sum(axis=0)
+        """Total visit counts (both halves combined).  Outside split
+        mode half 1 is never written, and this is a view of half 0."""
+        if self.split_sampling:
+            return np.add(self.half_counts[0], self.half_counts[1])
+        return self.half_counts[0]
 
     @cached_property
     def _streams(self) -> PortStreams:
@@ -183,7 +190,9 @@ class WalkManager:
         )
         if self.count_initial:
             # The halves are distinct: no np.add.at needed.
-            self.half_counts[halves, self.node_id] += group_counts
+            self.half_counts[halves, self.node_id] += group_counts.astype(
+                self.half_counts.dtype
+            )
         groups = len(halves)
         entries, self._seq = route_entries(
             np.zeros(groups, dtype=np.int64),

@@ -40,6 +40,7 @@ REGISTRY: dict[str, tuple[str, str]] = {
     "E19": ("test_bench_count_initial.py", "collect_rows"),
     "E20": ("test_bench_batched_engine.py", "collect_rows"),
     "E21": ("test_bench_reliable_engine.py", "collect_rows"),
+    "E24": ("test_bench_memory_ladder.py", "collect_rows"),
 }
 
 

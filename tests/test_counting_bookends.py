@@ -173,7 +173,11 @@ class TestEngineOwnsTheBookends:
         result = _simulate(GRAPHS["k34"], config, vectorized=True)
         engine = result.program(0)._engine
         for program in result.programs.values():
-            assert program._walks.half_counts.base is engine.counts
+            assert np.shares_memory(program._walks.half_counts, engine.counts)
+            # Outside split mode the node's counts are a view, not a
+            # copy, and nothing writes half 1.
+            assert np.shares_memory(program.counts, engine.counts)
+        assert not engine.counts[:, 1].any()
 
 
 class TestReportRule:

@@ -22,7 +22,7 @@ from repro.congest.message import Message
 from repro.obs.spans import NULL_PROFILER
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.congest.transport import BulkInbox, BulkOutbox, RoundOutbox
+    from repro.congest.transport import BulkOutbox, RoundOutbox
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,13 @@ class RoundContext:
     """Per-round capability handle passed to :meth:`NodeProgram.on_round`.
 
     Provides message sending (checked against the CONGEST limits by the
-    transport) and the current round number.
+    transport) and the current round number.  ``shared`` is the run's
+    :class:`SharedFastPathState` on the scheduler's fast path and
+    ``None`` on the per-message loop and the asynchronous executor;
+    either way a node program receives only control messages.
     """
 
-    __slots__ = ("_node_id", "_neighbors", "_outbox", "round_number")
+    __slots__ = ("_node_id", "_neighbors", "_outbox", "round_number", "shared")
 
     def __init__(
         self,
@@ -64,11 +67,13 @@ class RoundContext:
         neighbors: tuple[int, ...],
         outbox: "RoundOutbox",
         round_number: int,
+        shared: "SharedFastPathState | None" = None,
     ) -> None:
         self._node_id = node_id
         self._neighbors = frozenset(neighbors)
         self._outbox = outbox
         self.round_number = round_number
+        self.shared = shared
 
     def send(self, neighbor: int, kind: str, *fields: int) -> None:
         """Queue a message to ``neighbor`` for delivery next round.
@@ -146,14 +151,18 @@ class SharedFastPathState:
     """Per-run coordination space for cooperating fast-path programs.
 
     The scheduler creates one instance per vectorized run and exposes it
-    as ``ctx.shared`` on every :class:`BulkRoundContext`.  Programs that
-    want to batch work *across* nodes store a common engine object in
-    :attr:`slots` and register it as a *driver*:
+    as ``ctx.shared`` on every node's :class:`RoundContext`.  Programs
+    that want to batch work *across* nodes store a common engine object
+    in :attr:`slots` and register it as a *driver*.  Bulk traffic goes
+    from driver to driver only: drivers push rows into
+    :attr:`bulk_outbox`, node programs never do, and no node inbox ever
+    holds a bulk row.
 
-    * a driver may declare ``claimed_kinds`` (a set of message-kind
-      tags); the scheduler diverts in-flight bulk traffic of those kinds
-      away from per-node inboxes and hands it to the driver whole - one
-      set of arrays for the entire network per round;
+    * a driver declares ``claimed_kinds`` (a set of message-kind tags);
+      the scheduler hands in-flight bulk traffic of those kinds to the
+      driver whole - one set of arrays for the entire network per
+      round - and raises :class:`~repro.congest.errors.ProtocolError`
+      for a bulk kind that no driver claims;
     * after all per-node calls of a round, the scheduler invokes
       ``driver.end_round(round_number, claimed, outbox, bulk_outbox)``
       exactly once, where ``claimed`` maps each claimed kind to its
@@ -164,12 +173,17 @@ class SharedFastPathState:
     (the walk engine's equivalence is pinned by tests).
     """
 
-    def __init__(self, edges: EdgeIndex) -> None:
+    def __init__(self, edges: EdgeIndex, bulk_outbox: "BulkOutbox") -> None:
         self.slots: dict[str, object] = {}
         self.drivers: list[object] = []
         # The run's directed edges (see EdgeIndex); every driver that
         # ships or reads whole-network per-edge arrays uses this one.
         self.edges = edges
+        # The run's aggregate outbox, the one the scheduler hands every
+        # driver's ``end_round``; a driver that ships rows before its
+        # first ``end_round`` (the setup engine, in round 0) reads it
+        # here.
+        self.bulk_outbox = bulk_outbox
         # The run's FaultRuntime (None on fault-free runs).  Drivers
         # consult it for the crashed-node set so they can suppress a
         # down node's emissions exactly as the per-node loop does by
@@ -198,71 +212,6 @@ class SharedFastPathState:
         """Ask the scheduler to step ``node`` at ``round_number`` even
         if no mail arrives for it (see :meth:`VectorizedProgram.next_wake`)."""
         self.wake_requests.append((node, round_number))
-
-
-class BulkRoundContext(RoundContext):
-    """Round context of the scheduler's vectorized fast path.
-
-    Adds :meth:`send_bulk` on top of the ordinary per-message ``send``:
-    a program can ship one *array* of counted, same-kind messages to many
-    neighbors at once, and the transport accounts for them in aggregate
-    (same message counts and bit charges, no per-message Python
-    objects).  The ``bulk`` attribute is the capability marker helpers
-    test for (``getattr(ctx, "bulk", None)``), so shared program logic
-    runs unchanged on both paths.  ``shared`` is the run-wide
-    :class:`SharedFastPathState` cooperating programs coordinate
-    through.
-    """
-
-    __slots__ = ("bulk", "shared", "_neighbor_array")
-
-    def __init__(
-        self,
-        node_id: int,
-        neighbors: tuple[int, ...],
-        outbox: "RoundOutbox",
-        round_number: int,
-        bulk_outbox: "BulkOutbox",
-        neighbor_array: np.ndarray,
-        shared: SharedFastPathState | None = None,
-    ) -> None:
-        super().__init__(node_id, neighbors, outbox, round_number)
-        self.bulk = bulk_outbox
-        self.shared = shared
-        self._neighbor_array = neighbor_array  # sorted, for validation
-
-    def send_bulk(
-        self,
-        kind: str,
-        receivers: np.ndarray,
-        fields: np.ndarray,
-        multiplicity: np.ndarray | None = None,
-    ) -> None:
-        """Queue ``len(receivers)`` aggregate messages for next round.
-
-        ``fields`` is an ``(len(receivers), f)`` integer matrix - row
-        ``i`` is the payload of the message(s) to ``receivers[i]``.
-        ``multiplicity[i]`` identical copies are charged (default 1
-        each); this is how per-token walk traffic under the QUEUE policy
-        keeps its exact per-edge message count without materializing the
-        tokens.
-        """
-        if len(receivers) == 0:
-            return
-        positions = np.searchsorted(self._neighbor_array, receivers)
-        valid = (positions < len(self._neighbor_array)) & (
-            self._neighbor_array[
-                np.minimum(positions, len(self._neighbor_array) - 1)
-            ]
-            == receivers
-        )
-        if not valid.all():
-            bad = receivers[~valid][0]
-            raise ProtocolError(
-                f"node {self._node_id} tried to bulk-send to non-neighbor "
-                f"{int(bad)}"
-            )
-        self.bulk.push(self._node_id, kind, receivers, fields, multiplicity)
 
 
 class NodeProgram(abc.ABC):
@@ -333,35 +282,24 @@ class VectorizedProgram(NodeProgram):
     """Opt-in capability: a program the scheduler may run in aggregate.
 
     When *every* program of a simulation subclasses this (and nothing
-    forces per-message fidelity - no ``record_messages``, no tracer, no
-    drop injection), the scheduler switches to its fast path: each round
-    it calls :meth:`on_bulk_round` with the ordinary control-message
-    inbox plus a :class:`~repro.congest.transport.BulkInbox` of
-    aggregated array traffic, and the context supports
-    :meth:`BulkRoundContext.send_bulk`.  Semantics, round counts, and
-    bandwidth accounting are identical to per-message dispatch - the
-    equivalence is tested, not assumed (``tests/test_walks_batched.py``).
+    forces per-message fidelity - only ``record_messages`` does; tracers,
+    telemetry and fault plans all run on the fast path), the scheduler
+    switches to its fast path.  It calls the same :meth:`on_round` as
+    the per-message loop, with the node's control messages only, and
+    steps a node only when mail or a calendar wake calls for it.
+    Aggregate array traffic runs between cross-node drivers registered
+    through ``ctx.shared`` (:class:`SharedFastPathState`) and never
+    reaches a node.  Semantics, round counts, and bandwidth accounting
+    are identical to per-message dispatch - the equivalence is tested,
+    not assumed (``tests/test_walks_batched.py``).
 
     Contract:
 
-    * :meth:`on_round` must still implement the per-message behavior
-      (the slow path, the async executor, and replay all use it);
-    * :meth:`on_bulk_round` must consume randomness identically to
-      :meth:`on_round` for the same multiset of arrivals;
     * :attr:`bulk_idle` may return True only when a round with an empty
       inbox would be a no-op (no pending sends, no timer-driven state
-      change) - the scheduler then skips the call entirely.
+      change) - the scheduler then skips the call entirely;
+    * :meth:`next_wake` names the calendar rounds that are not no-ops.
     """
-
-    @abc.abstractmethod
-    def on_bulk_round(
-        self,
-        ctx: "BulkRoundContext",
-        inbox: list[Message],
-        bulk: "BulkInbox | None",
-    ) -> None:
-        """Fast-path round: control messages in ``inbox``, aggregate
-        traffic in ``bulk`` (None when nothing bulk arrived)."""
 
     @property
     def bulk_idle(self) -> bool:

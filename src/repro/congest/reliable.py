@@ -248,19 +248,6 @@ class ReliableChannel:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def register_sent(
-        self,
-        neighbor: int,
-        kind: str,
-        fields: tuple[int, ...],
-        round_number: int,
-    ) -> int:
-        """Sequence a message the caller ships itself *this round*
-        (fresh walk tokens, which the walk layer emits directly) and
-        remember it for retransmission.  Returns the seq to append."""
-        self._active.add(neighbor)
-        return self.out[neighbor].assign(kind, fields, round_number)
-
     def register_block(
         self,
         neighbor: int,
@@ -268,8 +255,11 @@ class ReliableChannel:
         fields_rows: list[tuple[int, ...]],
         round_number: int,
     ) -> int:
-        """Block form of :meth:`register_sent`: sequence a head-of-queue
-        run of messages on one edge; returns the first seq."""
+        """Sequence a head-of-queue run of messages the caller ships
+        itself *this round* on one edge (fresh walk tokens, which the
+        walk layer emits directly) and remember them for
+        retransmission.  Returns the first seq; the run's seqs are
+        consecutive."""
         self._active.add(neighbor)
         return self.out[neighbor].assign_block(
             kind, fields_rows, round_number

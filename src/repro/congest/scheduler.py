@@ -22,6 +22,7 @@ import numpy as np
 from repro.congest.errors import (
     ConfigError,
     FaultInjectionError,
+    ProtocolError,
     RoundLimitExceeded,
     UnrecoverableLossError,
 )
@@ -29,7 +30,6 @@ from repro.congest.faults import FaultPlan, FaultRuntime
 from repro.congest.message import Message
 from repro.congest.metrics import RunMetrics
 from repro.congest.node import (
-    BulkRoundContext,
     EdgeIndex,
     NodeInfo,
     NodeProgram,
@@ -377,19 +377,19 @@ class Simulator:
     ) -> SimulationResult:
         """The vectorized fast path.
 
-        Identical round structure to :meth:`run`, but heavy traffic
-        moves as aggregate per-edge counts (:class:`BulkOutbox`) and
-        idle nodes are skipped outright (safe by the
-        :class:`VectorizedProgram` ``bulk_idle`` contract).  Control
-        messages still travel as ordinary :class:`Message` objects, so
-        phases that need per-message semantics (the termination
-        convergecast) are untouched.  Cooperating programs may
-        additionally register cross-node *drivers* through
+        Identical round structure to :meth:`run`, and each stepped node
+        gets the same ``on_round(ctx, inbox)`` call, but idle nodes are
+        skipped outright (safe by the :class:`VectorizedProgram`
+        ``bulk_idle`` / ``next_wake`` contract).  Node programs send and
+        receive ordinary :class:`Message` objects only.  Heavy traffic
+        moves as aggregate per-edge counts (:class:`BulkOutbox`) between
+        cross-node *drivers* that cooperating programs register through
         ``ctx.shared`` (see :class:`SharedFastPathState`): a driver
         claims whole message kinds and processes them network-wide once
         per round instead of node by node, over the run's directed-edge
-        arrays (``shared.edges``).  Bandwidth limits are
-        enforced on the merged control + bulk load of every edge, and
+        arrays (``shared.edges``).  A bulk kind that no driver claims is
+        a :class:`ProtocolError`.  Bandwidth limits are enforced on the
+        merged control + bulk load of every edge, and
         :class:`RunMetrics` receives exactly the numbers the per-message
         loop would have recorded.
         """
@@ -403,7 +403,9 @@ class Simulator:
             np.array(programs[node].neighbors, dtype=np.int64)
             for node in order
         ]
-        shared = SharedFastPathState(EdgeIndex(order, neighbor_arrays))
+        shared = SharedFastPathState(
+            EdgeIndex(order, neighbor_arrays), bulk_outbox
+        )
         fault_rt = None if self.faults.is_trivial else FaultRuntime(self.faults)
         shared.fault_runtime = fault_rt
         shared.profiler = profiler
@@ -423,16 +425,10 @@ class Simulator:
         # number changes); constructing ~n of these per round would be
         # measurable overhead at scale.
         contexts = {
-            node: BulkRoundContext(
-                node,
-                programs[node].neighbors,
-                outbox,
-                0,
-                bulk_outbox,
-                neighbor_array,
-                shared,
+            node: RoundContext(
+                node, programs[node].neighbors, outbox, 0, shared
             )
-            for node, neighbor_array in zip(order, neighbor_arrays)
+            for node in order
         }
         claimed_kinds: dict[str, object] = {}  # kind -> claiming driver
         known_drivers = 0
@@ -545,7 +541,7 @@ class Simulator:
                 # message trace events the slow loop records (order is
                 # kind-major rather than delivery order; equivalence
                 # tests compare sorted streams).  Done before the
-                # claimed-kind divert so driver traffic is traced too.
+                # claim pass so driver traffic is traced too.
                 for message in in_flight:
                     self.tracer.record(
                         round_number,
@@ -555,21 +551,27 @@ class Simulator:
                         message.sender,
                     )
                 bulk_in_flight.trace_into(self.tracer, round_number)
-            # Divert driver-claimed kinds before the per-receiver split;
-            # the claiming driver gets them whole at end of round.
+            # Every bulk kind goes to the driver claiming it, whole, at
+            # end of round; node programs see control messages only.
             claimed_traffic: dict[int, dict[str, tuple]] = {}
-            if claimed_kinds and bulk_in_flight:
+            if bulk_in_flight:
                 for kind, driver in claimed_kinds.items():
                     data = bulk_in_flight.take(kind)
                     if data is not None:
                         claimed_traffic.setdefault(id(driver), {})[
                             kind
                         ] = data
+                if bulk_in_flight:
+                    raise ProtocolError(
+                        f"bulk {bulk_in_flight.kinds[0]!r} rows arrived in "
+                        f"round {round_number} but no fast-path driver "
+                        "claims the kind; bulk traffic must go driver to "
+                        "driver"
+                    )
             with profiler.span("deliver"):
                 inboxes: dict[int, list[Message]] = {}
                 for message in in_flight:
                     inboxes.setdefault(message.receiver, []).append(message)
-                bulk_inboxes = bulk_in_flight.group_by_receiver()
             with profiler.span("nodes"):
                 # Step exactly the nodes with mail plus the ones whose
                 # wake round arrived; everything else provably has
@@ -577,7 +579,6 @@ class Simulator:
                 # ``bulk_idle`` contract), so per-round cost tracks the
                 # active set instead of n.
                 step_set = set(inboxes)
-                step_set.update(bulk_inboxes)
                 for node in calendar.pop(round_number, ()):
                     if wake_round.get(node) == round_number:
                         del wake_round[node]
@@ -592,17 +593,15 @@ class Simulator:
                         continue
                     program = programs[node]
                     inbox = inboxes.get(node)
-                    bulk = bulk_inboxes.get(node)
-                    has_mail = inbox is not None or bulk is not None
                     if program.halted:
-                        if not has_mail:
+                        if inbox is None:
                             continue
                         program.unhalt()
-                    elif not has_mail and program.bulk_idle:
+                    elif inbox is None and program.bulk_idle:
                         continue
                     ctx = contexts[node]
                     ctx.round_number = round_number
-                    program.on_bulk_round(ctx, inbox or [], bulk)
+                    program.on_round(ctx, inbox or [])
                     if not program.halted:
                         wake = program.next_wake(round_number)
                         if wake is not None:

@@ -93,11 +93,6 @@ class RoundOutbox:
         self._edge_counts[edge] = used + 1
         self._messages.append(message)
 
-    def edge_load(self, sender: int, receiver: int) -> int:
-        """Messages queued on one directed edge this round (for programs
-        that self-limit their sends, e.g. the walk counting phase)."""
-        return self._edge_counts.get((sender, receiver), 0)
-
     def drain(self) -> list[Message]:
         """Remove and return all queued messages."""
         messages = self._messages
@@ -116,7 +111,8 @@ class RoundOutbox:
 
 @dataclass(frozen=True)
 class BulkKindInbox:
-    """One node's aggregated arrivals of one message kind this round."""
+    """The aggregated rows of one message kind in one round, network
+    wide; the receivers ride alongside in :class:`BulkRound`."""
 
     senders: np.ndarray
     # (groups, field_count) integer matrix; None for priced traffic
@@ -124,10 +120,6 @@ class BulkKindInbox:
     # ever takes.
     fields: np.ndarray | None
     multiplicity: np.ndarray  # identical copies per row
-
-
-#: Per-node fast-path inbox: kind -> aggregated arrivals.
-BulkInbox = dict[str, BulkKindInbox]
 
 
 @dataclass(frozen=True)
@@ -194,6 +186,11 @@ class BulkRound:
         return bool(self._kinds)
 
     @property
+    def kinds(self) -> tuple[str, ...]:
+        """The message kinds still in this round (not yet taken)."""
+        return tuple(self._kinds)
+
+    @property
     def total_messages(self) -> int:
         return sum(
             int(batch.multiplicity.sum()) for batch in self._kinds.values()
@@ -205,9 +202,9 @@ class BulkRound:
         """Remove one kind's traffic wholesale and return it as
         ``(senders, receivers, fields, multiplicity)`` arrays.
 
-        Used by fast-path drivers that claim a message kind: the claimed
-        traffic skips the per-receiver split of :meth:`group_by_receiver`
-        and is processed network-wide instead.  Accounting is unaffected
+        Every bulk kind belongs to the fast-path driver that claims it:
+        the scheduler hands each claimed kind to its driver whole, and
+        no node program ever sees a bulk row.  Accounting is unaffected
         (``traffic`` was fixed at drain time).  ``fields`` is None for
         priced traffic (:meth:`BulkOutbox.push_priced`)."""
         batch = self._kinds.pop(kind, None)
@@ -295,9 +292,11 @@ class BulkRound:
                 receivers_by_kind[kind] = receivers
                 row_bits_by_kind[kind] = row_bits
         control = control_messages + matured_messages
-        traffic = _delivered_traffic(
-            kinds, receivers_by_kind, row_bits_by_kind, control, n
-        )
+        traffic = RoundTraffic()
+        if kinds or control:
+            traffic, _, _ = _round_traffic(
+                kinds, receivers_by_kind, row_bits_by_kind, control, n
+            )
         return control, BulkRound(
             kinds, receivers_by_kind, row_bits_by_kind, traffic
         )
@@ -322,37 +321,20 @@ class BulkRound:
                         round_number, receiver, "deliver", kind, sender
                     )
 
-    def group_by_receiver(self) -> dict[int, BulkInbox]:
-        """Split the round's traffic into per-node bulk inboxes."""
-        inboxes: dict[int, BulkInbox] = {}
-        for kind, batch in self._kinds.items():
-            receivers = self._receivers[kind]
-            order = np.argsort(receivers, kind="stable")
-            sorted_receivers = receivers[order]
-            boundaries = np.nonzero(
-                sorted_receivers[1:] != sorted_receivers[:-1]
-            )[0]
-            starts = np.concatenate(([0], boundaries + 1))
-            ends = np.concatenate((boundaries + 1, [len(sorted_receivers)]))
-            for start, end in zip(starts, ends):
-                node = int(sorted_receivers[start])
-                rows = order[start:end]
-                inboxes.setdefault(node, {})[kind] = BulkKindInbox(
-                    senders=batch.senders[rows],
-                    fields=batch.fields[rows],
-                    multiplicity=batch.multiplicity[rows],
-                )
-        return inboxes
 
-
-def _delivered_traffic(
+def _round_traffic(
     kinds: dict[str, BulkKindInbox],
     receivers_by_kind: dict[str, np.ndarray],
     row_bits_by_kind: dict[str, np.ndarray],
     control_messages: list[Message],
     n: int,
-) -> RoundTraffic:
-    """Accounting of one (post-fault) delivered round, no enforcement."""
+) -> tuple[RoundTraffic, np.ndarray, np.ndarray]:
+    """One round's merged bulk + control accounting, no enforcement.
+
+    Returns the :class:`RoundTraffic` plus the directed-edge code
+    (``sender * n + receiver``) of every row and each row's index into
+    ``traffic.edge_messages``, so :meth:`BulkOutbox.drain` can name an
+    overloaded edge.  The round must carry some traffic."""
     edge_codes_parts: list[np.ndarray] = []
     edge_messages_parts: list[np.ndarray] = []
     edge_bits_parts: list[np.ndarray] = []
@@ -380,15 +362,13 @@ def _delivered_traffic(
         total_messages += len(control_messages)
         total_bits += int(bits.sum())
         max_message_bits = max(max_message_bits, int(bits.max()))
-    if not edge_codes_parts:
-        return RoundTraffic()
     codes = np.concatenate(edge_codes_parts)
     _, inverse = np.unique(codes, return_inverse=True)
     edge_messages = np.bincount(
         inverse, weights=np.concatenate(edge_messages_parts)
     )
     edge_bits = np.bincount(inverse, weights=np.concatenate(edge_bits_parts))
-    return RoundTraffic(
+    traffic = RoundTraffic(
         total_messages=total_messages,
         total_bits=total_bits,
         max_edge_messages=int(edge_messages.max()),
@@ -397,6 +377,7 @@ def _delivered_traffic(
         edge_messages=edge_messages.astype(np.int64),
         edge_bits=edge_bits.astype(np.int64),
     )
+    return traffic, codes, inverse
 
 
 _EMPTY_ROUND = BulkRound({}, {}, {}, RoundTraffic())
@@ -405,7 +386,9 @@ _EMPTY_ROUND = BulkRound({}, {}, {}, RoundTraffic())
 class BulkOutbox:
     """Fast-path counterpart of :class:`RoundOutbox`.
 
-    Programs push whole arrays of counted messages; limits are checked
+    Fast-path drivers (never node programs; the handle lives on
+    :class:`~repro.congest.node.SharedFastPathState`) push whole arrays
+    of counted messages; limits are checked
     vectorized - the per-message bit budget at push time, the per-edge
     message budget at :meth:`drain` (jointly with the round's control
     messages, since both share each edge's capacity).  The charged
@@ -416,25 +399,6 @@ class BulkOutbox:
     def __init__(self, policy: BandwidthPolicy) -> None:
         self._policy = policy
         self._batches: dict[str, _KindBatch] = {}
-
-    def push(
-        self,
-        sender: int,
-        kind: str,
-        receivers: np.ndarray,
-        fields: np.ndarray,
-        multiplicity: np.ndarray | None = None,
-    ) -> None:
-        """Queue one node's same-kind aggregate sends for this round."""
-        if len(receivers) == 0:
-            return
-        self.push_rows(
-            kind,
-            np.full(len(receivers), sender, dtype=np.int64),
-            receivers,
-            fields,
-            multiplicity,
-        )
 
     def push_rows(
         self,
@@ -530,68 +494,24 @@ class BulkOutbox:
         kinds: dict[str, BulkKindInbox] = {}
         receivers_by_kind: dict[str, np.ndarray] = {}
         row_bits_by_kind: dict[str, np.ndarray] = {}
-        edge_codes_parts: list[np.ndarray] = []
-        edge_messages_parts: list[np.ndarray] = []
-        edge_bits_parts: list[np.ndarray] = []
-        total_messages = 0
-        total_bits = 0
-        max_message_bits = 0
         for kind, batch in batches.items():
-            senders = np.concatenate(batch.senders)
-            receivers = np.concatenate(batch.receivers)
-            fields = None if batch.priced else np.concatenate(batch.fields)
-            multiplicity = np.concatenate(batch.multiplicity)
-            row_bits = np.concatenate(batch.row_bits)
             kinds[kind] = BulkKindInbox(
-                senders=senders, fields=fields, multiplicity=multiplicity
+                senders=np.concatenate(batch.senders),
+                fields=None if batch.priced else np.concatenate(batch.fields),
+                multiplicity=np.concatenate(batch.multiplicity),
             )
-            receivers_by_kind[kind] = receivers
-            row_bits_by_kind[kind] = row_bits
-            edge_codes_parts.append(senders * n + receivers)
-            edge_messages_parts.append(multiplicity)
-            edge_bits_parts.append(multiplicity * row_bits)
-            total_messages += int(multiplicity.sum())
-            total_bits += int((multiplicity * row_bits).sum())
-            max_message_bits = max(max_message_bits, int(row_bits.max()))
-        if control_messages:
-            codes = np.array(
-                [m.sender * n + m.receiver for m in control_messages],
-                dtype=np.int64,
-            )
-            bits = np.array(
-                [m.bits for m in control_messages], dtype=np.int64
-            )
-            edge_codes_parts.append(codes)
-            edge_messages_parts.append(np.ones(len(codes), dtype=np.int64))
-            edge_bits_parts.append(bits)
-            total_messages += len(control_messages)
-            total_bits += int(bits.sum())
-            max_message_bits = max(max_message_bits, int(bits.max()))
-        codes = np.concatenate(edge_codes_parts)
-        _, inverse = np.unique(codes, return_inverse=True)
-        edge_messages = np.bincount(
-            inverse, weights=np.concatenate(edge_messages_parts)
+            receivers_by_kind[kind] = np.concatenate(batch.receivers)
+            row_bits_by_kind[kind] = np.concatenate(batch.row_bits)
+        traffic, codes, inverse = _round_traffic(
+            kinds, receivers_by_kind, row_bits_by_kind, control_messages, n
         )
-        edge_bits = np.bincount(
-            inverse, weights=np.concatenate(edge_bits_parts)
-        )
-        max_edge_messages = int(edge_messages.max())
-        if max_edge_messages > self._policy.messages_per_edge:
-            over = int(codes[np.argmax(edge_messages[inverse])])
+        if traffic.max_edge_messages > self._policy.messages_per_edge:
+            over = int(codes[np.argmax(traffic.edge_messages[inverse])])
             raise CongestViolation(
                 f"edge ({over // n} -> {over % n}) carries "
-                f"{max_edge_messages} messages this round "
+                f"{traffic.max_edge_messages} messages this round "
                 f"(limit {self._policy.messages_per_edge})"
             )
-        traffic = RoundTraffic(
-            total_messages=total_messages,
-            total_bits=total_bits,
-            max_edge_messages=max_edge_messages,
-            max_edge_bits=int(edge_bits.max()),
-            max_message_bits=max_message_bits,
-            edge_messages=edge_messages.astype(np.int64),
-            edge_bits=edge_bits.astype(np.int64),
-        )
         return BulkRound(kinds, receivers_by_kind, row_bits_by_kind, traffic)
 
 

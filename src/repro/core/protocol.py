@@ -33,7 +33,6 @@ arbitrary graphs first); source ids double as count-vector indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,10 +50,6 @@ from repro.congest.primitives.flood import (
     FloodMaxState,
 )
 from repro.congest.reliable import KIND_ACK, ReliableChannel
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.congest.node import BulkRoundContext
-    from repro.congest.transport import BulkInbox
 from repro.core.flow_math import (
     betweenness_from_raw_flow,
     node_raw_flow,
@@ -217,9 +212,11 @@ class RWBCNodeProgram(VectorizedProgram):
     ``exchange_start_round`` / ``finish_round`` for the complexity
     experiments.
 
-    The program is a :class:`VectorizedProgram`: walk and exchange
-    traffic can travel as aggregate per-edge counts on the scheduler's
-    fast path.  Both paths run one counting kernel
+    The program is a :class:`VectorizedProgram`: on the scheduler's
+    fast path its setup, walk and exchange traffic travels as aggregate
+    per-edge counts between shared drivers, and the node itself sees
+    only control mail, through the same :meth:`on_round` the
+    per-message loop calls.  Both paths run one counting kernel
     (:mod:`repro.core.walk_engine`): the per-message loop through this
     node's :class:`WalkManager`, on a one-node slice, once per round
     with all of the round's arrivals; the fast path through the shared
@@ -262,7 +259,6 @@ class RWBCNodeProgram(VectorizedProgram):
         # _neighbor_slabs); the exchange driver installs views into the
         # count tensor instead, so the fault-free fast path never
         # allocates the matrix.
-        self._neighbor_index = np.array(info.neighbors, dtype=np.int64)
         self._neighbor_matrix: np.ndarray | None = None
         self._neighbor_counts: dict[int, np.ndarray] | None = None
         self._exchange_start: int | None = None
@@ -298,7 +294,7 @@ class RWBCNodeProgram(VectorizedProgram):
     # ------------------------------------------------------------------
     def on_start(self, ctx: RoundContext) -> None:
         if self._channel is None:
-            shared = getattr(ctx, "shared", None)
+            shared = ctx.shared
             if shared is not None and shared.fault_runtime is None:
                 # Fault-free fast path: hand the whole setup phase to the
                 # shared driver, which floods every node's candidate once
@@ -307,10 +303,10 @@ class RWBCNodeProgram(VectorizedProgram):
 
                 setup = shared.slots.get("setup_engine")
                 if setup is None:
-                    setup = SetupEngine(shared.edges)
+                    setup = SetupEngine(shared)
                     shared.slots["setup_engine"] = setup
                     shared.register_driver(setup)
-                setup.register(self, ctx.bulk)
+                setup.register(self)
                 self._setup_engine = setup
                 return
             self._flood.start(ctx)
@@ -323,28 +319,14 @@ class RWBCNodeProgram(VectorizedProgram):
         if self.phase == PHASE_SETUP:
             self._setup_round(ctx, inbox)
         elif self.phase == PHASE_COUNTING:
-            self._counting_round(ctx, inbox)
+            if self._engine is not None:
+                self._counting_round_engine(ctx, inbox)
+            else:
+                self._counting_round(ctx, inbox)
         elif self.phase == PHASE_EXCHANGE:
             self._exchange_round(ctx, inbox)
         else:  # PHASE_DONE: ignore stragglers (none are expected
             # fault-free; under recovery, re-ack so peers stop retrying).
-            self._done_round(ctx, inbox)
-
-    def on_bulk_round(
-        self,
-        ctx: BulkRoundContext,
-        inbox: list[Message],
-        bulk: BulkInbox | None,
-    ) -> None:
-        if self.phase == PHASE_SETUP:
-            # With the setup driver installed this is the launch round;
-            # otherwise (faults) setup traffic stays per-message.
-            self._setup_round(ctx, inbox)
-        elif self.phase == PHASE_COUNTING:
-            self._counting_round_engine(ctx, inbox)
-        elif self.phase == PHASE_EXCHANGE:
-            self._exchange_round(ctx, inbox, bulk)
-        else:
             self._done_round(ctx, inbox)
 
     def _done_round(self, ctx: RoundContext, inbox: list[Message]) -> None:
@@ -542,7 +524,7 @@ class RWBCNodeProgram(VectorizedProgram):
         round and owns the sends from then on; otherwise the node
         launches its own walks and sends this round's traffic."""
         n = self.info.n
-        shared = getattr(ctx, "shared", None)
+        shared = ctx.shared
         engine = None
         if shared is not None:
             engine = shared.slots.get("walk_engine")
@@ -606,7 +588,7 @@ class RWBCNodeProgram(VectorizedProgram):
     # Phase 2: counting (Algorithm 1)
     # ------------------------------------------------------------------
     def _counting_round_engine(
-        self, ctx: BulkRoundContext, inbox: list[Message]
+        self, ctx: RoundContext, inbox: list[Message]
     ) -> None:
         """Fast-path counting round: only control mail reaches the node
         (walk traffic is claimed by the engine), so this just folds in
@@ -769,11 +751,9 @@ class RWBCNodeProgram(VectorizedProgram):
 
     def _neighbor_slabs(self) -> dict[int, np.ndarray]:
         """One ``(2, n)`` half-count slab per neighbor, allocated on
-        first use: a single ``(degree, 2, n)`` matrix, so the fast path
-        can scatter a whole round's exchange arrivals in one vectorized
-        store, with the dict values as views into it.  The exchange
-        driver installs views into the count tensor instead, and then
-        nothing is allocated."""
+        first use as views into a single ``(degree, 2, n)`` matrix.
+        The exchange driver installs views into the count tensor
+        instead, and then nothing is allocated."""
         if self._neighbor_counts is None:
             self._neighbor_matrix = np.zeros(
                 (self.degree, 2, self.info.n),
@@ -821,7 +801,7 @@ class RWBCNodeProgram(VectorizedProgram):
                 ctx.send(child, KIND_DONE, done_round)
         self.phase = PHASE_EXCHANGE
         self.exchange_start_round = done_round
-        shared = getattr(ctx, "shared", None)
+        shared = ctx.shared
         if shared is not None and self._channel is not None:
             # Reliable mode: the exchange is self-paced, one step every
             # round from the next one on.  When this transition fired
@@ -859,12 +839,7 @@ class RWBCNodeProgram(VectorizedProgram):
     # ------------------------------------------------------------------
     # Phase 3: exchange (Algorithm 2) + local computation
     # ------------------------------------------------------------------
-    def _exchange_round(
-        self,
-        ctx: RoundContext,
-        inbox: list[Message],
-        bulk: BulkInbox | None = None,
-    ) -> None:
+    def _exchange_round(self, ctx: RoundContext, inbox: list[Message]) -> None:
         if self._channel is not None:
             self._exchange_round_reliable(ctx, inbox)
             return
@@ -883,25 +858,6 @@ class RWBCNodeProgram(VectorizedProgram):
                     "walk message arrived during exchange at node "
                     f"{self.node_id}: termination detection is broken"
                 )
-        if bulk:
-            if KIND_WALK in bulk or KIND_WALK_BATCH in bulk:
-                raise ProtocolError(
-                    "walk message arrived during exchange at node "
-                    f"{self.node_id}: termination detection is broken"
-                )
-            exchange = bulk.get(KIND_EXCHANGE)
-            if exchange is not None:
-                self._neighbor_slabs()  # allocates the matrix on first use
-                rows = np.searchsorted(
-                    self._neighbor_index, exchange.senders
-                )
-                source_column = exchange.fields[:, 0]
-                self._neighbor_matrix[rows, 0, source_column] = (
-                    exchange.fields[:, 1]
-                )
-                self._neighbor_matrix[rows, 1, source_column] = (
-                    exchange.fields[:, 2]
-                )
         if self._xch_engine is not None:
             # The shared driver broadcasts this node's columns and calls
             # ``_finish``; this step only happened because of straggler
@@ -912,20 +868,7 @@ class RWBCNodeProgram(VectorizedProgram):
             source = r - start
             count_a = int(self._walks.half_counts[0, source])
             count_b = int(self._walks.half_counts[1, source])
-            bulk_outbox = getattr(ctx, "bulk", None)
-            if bulk_outbox is not None:
-                # Same broadcast, shipped as one aggregate push.  The
-                # receivers are exactly this node's neighbors, so the
-                # send_bulk adjacency check would be redundant.
-                fields = np.empty((self.degree, 3), dtype=np.int64)
-                fields[:, 0] = source
-                fields[:, 1] = count_a
-                fields[:, 2] = count_b
-                bulk_outbox.push(
-                    self.node_id, KIND_EXCHANGE, self._neighbor_index, fields
-                )
-            else:
-                ctx.broadcast(KIND_EXCHANGE, source, count_a, count_b)
+            ctx.broadcast(KIND_EXCHANGE, source, count_a, count_b)
         elif r >= start + n:
             self._finish(r)
 

@@ -65,7 +65,7 @@ from repro.congest.primitives.flood import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.congest.node import EdgeIndex
+    from repro.congest.node import SharedFastPathState
     from repro.congest.transport import BulkOutbox, RoundOutbox
     from repro.core.protocol import RWBCNodeProgram
     from repro.core.walk_engine import ClaimedKind
@@ -79,14 +79,16 @@ class SetupEngine:
     ``on_start`` in round 0.
     """
 
-    def __init__(self, edges: "EdgeIndex") -> None:
+    def __init__(self, shared: "SharedFastPathState") -> None:
         from repro.core.protocol import KIND_DEGREE
 
         self.claimed_kinds = frozenset({KIND_FLOOD, KIND_ADOPT, KIND_DEGREE})
         self._degree_kind = KIND_DEGREE
+        edges = shared.edges
         n = edges.n
         self.n = n
         self._edges = edges
+        self._shared = shared
         self._programs: dict[int, "RWBCNodeProgram"] = {}
         self._best_rank = np.zeros(n, dtype=np.int64)
         self._best_id = np.arange(n, dtype=np.int64)
@@ -94,9 +96,7 @@ class SetupEngine:
         self._parent = np.full(n, -1, dtype=np.int64)
         self._done = False
 
-    def register(
-        self, program: "RWBCNodeProgram", bulk_outbox: "BulkOutbox"
-    ) -> None:
+    def register(self, program: "RWBCNodeProgram") -> None:
         node = program.node_id
         if node in self._programs:
             raise ProtocolError(
@@ -106,7 +106,9 @@ class SetupEngine:
         self._best_rank[node] = program._flood.rank
         if len(self._programs) == self.n:
             # Round 0: every node floods its own candidate.
-            self._push_flood(bulk_outbox, np.ones(self.n, dtype=bool))
+            self._push_flood(
+                self._shared.bulk_outbox, np.ones(self.n, dtype=bool)
+            )
 
     def end_round(
         self,

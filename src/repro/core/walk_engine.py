@@ -67,7 +67,7 @@ from repro.walks.batched import aggregate_network_groups
 from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.congest.node import BulkRoundContext, EdgeIndex, NodeProgram
+    from repro.congest.node import EdgeIndex, NodeProgram, RoundContext
     from repro.congest.transport import BulkOutbox, RoundOutbox
     from repro.core.walk_manager import WalkManager
 
@@ -342,7 +342,7 @@ class CountingWalkEngine:
         self._programs: dict[int, NodeProgram] = {}
         self._managers: dict[int, WalkManager] = {}
         self._counters: dict[int, DeathCounterLogic] = {}
-        self._contexts: dict[int, BulkRoundContext] = {}
+        self._contexts: dict[int, RoundContext] = {}
         self._rngs: dict[int, np.random.Generator] = {}
         self._streams: PortStreams | None = None
         self._touched: set[int] = set()
@@ -400,7 +400,7 @@ class CountingWalkEngine:
         program: "NodeProgram",
         manager: WalkManager,
         counter: DeathCounterLogic,
-        ctx: "BulkRoundContext",
+        ctx: "RoundContext",
         channel=None,
     ) -> None:
         """Adopt one node.  The manager must tally into
@@ -426,7 +426,7 @@ class CountingWalkEngine:
         self._channels[node] = channel
         if channel is not None:
             self._reliable = True
-        shared = getattr(ctx, "shared", None)
+        shared = ctx.shared
         if shared is not None:
             if self._fault_runtime is None:
                 self._fault_runtime = shared.fault_runtime

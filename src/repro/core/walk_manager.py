@@ -336,7 +336,7 @@ class WalkManager:
         groups in aggregate instead).
 
         With a :class:`~repro.congest.reliable.ReliableChannel`, every
-        token message is sequenced through ``channel.register_sent`` and
+        token message is sequenced through ``channel.register_block`` and
         carries its seq as the last field; under QUEUE that forces one
         token per message (each needs its own seq).  ``budgets`` is
         forwarded to :meth:`emit_round`.  ``instruments`` (a

@@ -1,5 +1,6 @@
 """Tests for the scheduler, transport enforcement, and metrics."""
 
+import numpy as np
 import pytest
 
 from repro.congest.errors import (
@@ -11,7 +12,8 @@ from repro.congest.errors import (
 from repro.congest.message import Message
 from repro.congest.node import NodeProgram
 from repro.congest.scheduler import Simulator, run_program
-from repro.congest.transport import BandwidthPolicy, RoundOutbox
+from repro.congest.transport import BandwidthPolicy
+from repro.core.protocol import ProtocolConfig, RWBCNodeProgram
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.graphs.graph import Graph
 
@@ -146,6 +148,35 @@ class TestEnforcement:
         with pytest.raises(RoundLimitExceeded):
             run_program(path_graph(3), NeverHalts, max_rounds=10)
 
+    def test_unclaimed_bulk_kind(self):
+        # Bulk rows go driver to driver: a kind that no driver claims
+        # has no one to receive it, and must not slip into node inboxes.
+        class OrphanDriver:
+            claimed_kinds = frozenset()
+
+            def end_round(self, round_number, claimed, outbox, bulk_outbox):
+                if round_number == 1:
+                    bulk_outbox.push_rows(
+                        "orphan", np.array([0]), np.array([1]),
+                        np.zeros((1, 1), dtype=np.int64),
+                    )
+
+        class WithOrphanDriver(RWBCNodeProgram):
+            def on_start(self, ctx):
+                super().on_start(ctx)
+                if self.node_id == 0:
+                    ctx.shared.register_driver(OrphanDriver())
+
+        config = ProtocolConfig(length=4, walks_per_source=2)
+        simulator = Simulator(
+            path_graph(4),
+            lambda info, rng: WithOrphanDriver(info, rng, config),
+            seed=1,
+            vectorized=True,
+        )
+        with pytest.raises(ProtocolError, match="'orphan'.*round 2"):
+            simulator.run()
+
     def test_rejects_empty_graph(self):
         with pytest.raises(ConfigError):
             Simulator(Graph(), Idle)
@@ -199,17 +230,6 @@ class TestBandwidthPolicy:
             BandwidthPolicy(n=4, log_factor=0)
         with pytest.raises(ConfigError):
             BandwidthPolicy(n=4, messages_per_edge=0)
-
-    def test_outbox_edge_load(self):
-        outbox = RoundOutbox(BandwidthPolicy(n=8))
-        outbox.push(Message(0, 1, "x"))
-        outbox.push(Message(0, 1, "x"))
-        outbox.push(Message(1, 0, "x"))
-        assert outbox.edge_load(0, 1) == 2
-        assert outbox.edge_load(1, 0) == 1
-        assert outbox.edge_load(0, 2) == 0
-        assert len(outbox.drain()) == 3
-        assert outbox.edge_load(0, 1) == 0
 
 
 class TestMetrics:

@@ -134,7 +134,7 @@ class TestReliableChannel:
         a = make_channel(node_id=0, neighbors=(1,), token_budget=2)
         # 5 unacked walk tokens, all due for retransmission.
         for i in range(5):
-            seq = a.register_sent(1, "walk", (i, 9, 0), round_number=0)
+            seq = a.register_block(1, "walk", [(i, 9, 0)], round_number=0)
             assert seq == i
         # 4 queued control messages on top.
         for i in range(4):
@@ -164,7 +164,7 @@ class TestReliableChannel:
 
     def test_shared_seq_space_across_kinds(self):
         a = make_channel(node_id=0, neighbors=(1,))
-        first = a.register_sent(1, "walk", (1, 2, 3), 0)
+        first = a.register_block(1, "walk", [(1, 2, 3)], 0)
         a.queue(1, "deg", (4,))
         wire: list[Message] = []
         a.flush(0, wire.append)

@@ -72,12 +72,14 @@ class RoundOutbox:
 
     def __init__(self, policy: BandwidthPolicy) -> None:
         self._policy = policy
+        # The policy is frozen: read its derived bit limit once.
+        self._bit_limit = policy.bits_per_message
         self._messages: list[Message] = []
         self._edge_counts: dict[tuple[int, int], int] = {}
 
     def push(self, message: Message) -> None:
         """Accept a message or raise :class:`CongestViolation`."""
-        limit = self._policy.bits_per_message
+        limit = self._bit_limit
         if message.bits > limit:
             raise CongestViolation(
                 f"message {message!r} is {message.bits} bits, exceeding the "
@@ -116,8 +118,8 @@ class BulkKindInbox:
 
     senders: np.ndarray
     # (groups, field_count) integer matrix; None for priced traffic
-    # (:meth:`BulkOutbox.push_priced`), which only its claiming driver
-    # ever takes.
+    # pushed without a payload (:meth:`BulkOutbox.push_priced`), which
+    # only its claiming driver ever takes.
     fields: np.ndarray | None
     multiplicity: np.ndarray  # identical copies per row
 
@@ -155,9 +157,11 @@ class _KindBatch:
     fields: list[np.ndarray] = field(default_factory=list)
     multiplicity: list[np.ndarray] = field(default_factory=list)
     row_bits: list[np.ndarray] = field(default_factory=list)
-    # Set by :meth:`BulkOutbox.push_priced`: one payload-free message on
-    # each of a set of distinct directed edges, bits priced by the caller.
+    # Set by :meth:`BulkOutbox.push_priced`: rows whose bits the caller
+    # priced, each its own edge's only row unless ``edges`` names the
+    # rows' directed-edge ids.
     priced: bool = False
+    edges: np.ndarray | None = None
 
 
 class BulkRound:
@@ -206,7 +210,8 @@ class BulkRound:
         the scheduler hands each claimed kind to its driver whole, and
         no node program ever sees a bulk row.  Accounting is unaffected
         (``traffic`` was fixed at drain time).  ``fields`` is None for
-        priced traffic (:meth:`BulkOutbox.push_priced`)."""
+        priced traffic pushed without a payload
+        (:meth:`BulkOutbox.push_priced`)."""
         batch = self._kinds.pop(kind, None)
         if batch is None:
             return None
@@ -398,6 +403,8 @@ class BulkOutbox:
 
     def __init__(self, policy: BandwidthPolicy) -> None:
         self._policy = policy
+        # The policy is frozen: read its derived bit limit once.
+        self._bit_limit = policy.bits_per_message
         self._batches: dict[str, _KindBatch] = {}
 
     def push_rows(
@@ -440,7 +447,7 @@ class BulkOutbox:
     ) -> None:
         """Raise :class:`CongestViolation` for the costliest row when any
         row exceeds the per-message budget."""
-        limit = self._policy.bits_per_message
+        limit = self._bit_limit
         if (row_bits > limit).any():
             worst = int(np.argmax(row_bits))
             raise CongestViolation(
@@ -455,49 +462,70 @@ class BulkOutbox:
         senders: np.ndarray,
         receivers: np.ndarray,
         row_bits: np.ndarray,
+        edges: np.ndarray | None = None,
+        fields: np.ndarray | None = None,
+        multiplicity: np.ndarray | None = None,
     ) -> None:
-        """Queue one message on each of a set of *distinct* directed
-        edges (``senders[i] -> receivers[i]``) whose bit costs the
-        caller has already priced - a fast-path driver that can price a
-        whole phase at once skips building and pricing a fields matrix
-        every round.  The per-message budget is enforced here, exactly
-        as in :meth:`push_rows`.
+        """Queue rows whose bit costs the caller has already priced - a
+        fast-path driver that can price a whole phase, or look its
+        rows' costs up in tables, skips pricing a fields matrix every
+        round.  The per-message budget is enforced here, exactly as in
+        :meth:`push_rows`, and this must be the kind's only push of the
+        round.
 
-        The rows carry no payload: the pushing driver must claim
-        ``kind`` and read what it needs elsewhere, and this must be the
-        kind's only push of the round.
-        Accounting is that of materialized messages with those bit
-        costs; :meth:`drain` reads it straight off ``row_bits`` when
-        nothing else shares the round."""
+        Without ``edges`` the rows lie on *distinct* directed edges, one
+        message each.  With ``edges`` - the rows' directed-edge ids
+        (:class:`~repro.congest.node.EdgeIndex` numbering) - rows may
+        share an edge.  ``fields`` is the payload the claiming driver
+        reads next round (None: no payload; the driver reads what it
+        needs elsewhere) and ``multiplicity`` the identical copies per
+        row.  Accounting is that of materialized messages with those bit
+        costs; :meth:`drain` reads each edge's load straight off the rows
+        when only priced pushes share the round."""
         if len(receivers) == 0:
             return
         self._check_budget(kind, senders, row_bits)
+        if multiplicity is None:
+            multiplicity = np.ones(len(senders), dtype=np.int64)
         self._batches[kind] = _KindBatch(
             senders=[senders],
             receivers=[receivers],
-            multiplicity=[np.ones(len(senders), dtype=np.int64)],
+            fields=[] if fields is None else [fields],
+            multiplicity=[multiplicity],
             row_bits=[np.asarray(row_bits, dtype=np.int64)],
             priced=True,
+            edges=edges,
         )
 
     def drain(self, n: int, control_messages: list[Message]) -> BulkRound:
         """Close the round: merge accounting with the round's control
         messages, enforce the shared per-edge budget, and hand back the
-        in-flight :class:`BulkRound`."""
+        in-flight :class:`BulkRound`.
+
+        A round of priced pushes alone skips the merge: its loads reduce
+        over the rows' edge ids.  Every other round, and a priced round
+        over the per-edge budget (to name the edge), merges the rows by
+        ``(sender, receiver)``."""
         batches, self._batches = self._batches, {}
         if not batches and not control_messages:
             return _EMPTY_ROUND
-        if len(batches) == 1 and not control_messages:
-            ((kind, batch),) = batches.items()
-            if batch.priced:
-                return _priced_round(kind, batch)
+        if not control_messages and all(
+            batch.priced for batch in batches.values()
+        ):
+            priced = _priced_round(batches)
+            if (
+                priced is not None
+                and priced.traffic.max_edge_messages
+                <= self._policy.messages_per_edge
+            ):
+                return priced
         kinds: dict[str, BulkKindInbox] = {}
         receivers_by_kind: dict[str, np.ndarray] = {}
         row_bits_by_kind: dict[str, np.ndarray] = {}
         for kind, batch in batches.items():
             kinds[kind] = BulkKindInbox(
                 senders=np.concatenate(batch.senders),
-                fields=None if batch.priced else np.concatenate(batch.fields),
+                fields=np.concatenate(batch.fields) if batch.fields else None,
                 multiplicity=np.concatenate(batch.multiplicity),
             )
             receivers_by_kind[kind] = np.concatenate(batch.receivers)
@@ -515,27 +543,55 @@ class BulkOutbox:
         return BulkRound(kinds, receivers_by_kind, row_bits_by_kind, traffic)
 
 
-def _priced_round(kind: str, batch: _KindBatch) -> BulkRound:
-    """A round whose only traffic is one priced push: one message per
-    distinct edge, so each row *is* its edge's load and the merged
-    accounting reads straight off the row bits."""
-    (senders,) = batch.senders
-    (receivers,) = batch.receivers
-    (ones,) = batch.multiplicity
-    (row_bits,) = batch.row_bits
-    peak = int(row_bits.max())
+def _priced_round(batches: dict[str, _KindBatch]) -> BulkRound | None:
+    """A round of priced pushes only, accounted without merging rows:
+    a lone push on distinct edges makes each row its edge's load, and
+    pushes tagged with edge ids sum their loads by id.  None when a
+    push without edge ids shares the round."""
+    kinds: dict[str, BulkKindInbox] = {}
+    receivers_by_kind: dict[str, np.ndarray] = {}
+    row_bits_by_kind: dict[str, np.ndarray] = {}
+    for kind, batch in batches.items():
+        kinds[kind] = BulkKindInbox(
+            senders=batch.senders[0],
+            fields=batch.fields[0] if batch.fields else None,
+            multiplicity=batch.multiplicity[0],
+        )
+        receivers_by_kind[kind] = batch.receivers[0]
+        row_bits_by_kind[kind] = batch.row_bits[0]
+    untagged = [batch.edges is None for batch in batches.values()]
+    if untagged == [True]:
+        # One push on distinct edges: each row is its edge's load.
+        ((kind, row_bits),) = row_bits_by_kind.items()
+        peak = int(row_bits.max())
+        traffic = RoundTraffic(
+            total_messages=len(row_bits),
+            total_bits=int(row_bits.sum()),
+            max_edge_messages=1,
+            max_edge_bits=peak,
+            max_message_bits=peak,
+            edge_messages=kinds[kind].multiplicity,
+            edge_bits=row_bits,
+        )
+        return BulkRound(kinds, receivers_by_kind, row_bits_by_kind, traffic)
+    if any(untagged):
+        return None
+    edges = np.concatenate([batch.edges for batch in batches.values()])
+    messages = np.concatenate([inbox.multiplicity for inbox in kinds.values()])
+    row_bits = np.concatenate(list(row_bits_by_kind.values()))
+    bits = messages * row_bits
+    # Loads by edge id; every used edge carries a message.
+    edge_messages = np.bincount(edges, weights=messages)
+    used = edge_messages.nonzero()[0]
+    edge_messages = edge_messages[used].astype(np.int64)
+    edge_bits = np.bincount(edges, weights=bits)[used].astype(np.int64)
     traffic = RoundTraffic(
-        total_messages=len(row_bits),
-        total_bits=int(row_bits.sum()),
-        max_edge_messages=1,
-        max_edge_bits=peak,
-        max_message_bits=peak,
-        edge_messages=ones,
-        edge_bits=row_bits,
+        total_messages=int(edge_messages.sum()),
+        total_bits=int(edge_bits.sum()),
+        max_edge_messages=int(edge_messages.max()),
+        max_edge_bits=int(edge_bits.max()),
+        max_message_bits=int(row_bits.max()),
+        edge_messages=edge_messages,
+        edge_bits=edge_bits,
     )
-    return BulkRound(
-        {kind: BulkKindInbox(senders=senders, fields=None, multiplicity=ones)},
-        {kind: receivers},
-        {kind: row_bits},
-        traffic,
-    )
+    return BulkRound(kinds, receivers_by_kind, row_bits_by_kind, traffic)

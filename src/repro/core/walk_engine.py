@@ -21,10 +21,11 @@ module's functions, and both scheduler loops run it:
 * :func:`~repro.walks.batched.aggregate_network_groups` canonicalizes
   the arrivals, :func:`counting_round_kernel` thins or absorbs, tallies,
   expires and routes them (through :func:`route_entries`, which the
-  launch uses too, with the groups of :func:`launch_groups`), and
-  :func:`budget_takes` decides which pending tokens each edge sends.
-  The engine calls them over the whole network; each per-message
-  :class:`~repro.core.walk_manager.WalkManager` calls them on its
+  launch uses too, with the groups of :func:`launch_groups`), the routed
+  groups join the tails of per-edge FIFO queues (:class:`EdgeQueues`),
+  and :meth:`EdgeQueues.take` decides which tokens each edge sends.
+  The engine runs them over the whole network; each per-message
+  :class:`~repro.core.walk_manager.WalkManager` runs them on its
   one-node slice (node 0, its ports as edge ids, its count slab as a
   one-node tensor);
 * randomness stays attributed: each node's segment is thinned and
@@ -33,15 +34,20 @@ module's functions, and both scheduler loops run it:
   ahead (damped mode reads nothing ahead, because the binomial thinning
   shares the generator).  Per-node streams are independent, so serving
   many nodes in one pass consumes what serving them one by one would;
-* the pending-token table is ordered by (edge, arrival sequence), each
-  edge's rows in canonical group order - the per-edge FIFO order - and
-  emission takes tokens from each edge's head, so which token moves
-  when under the bandwidth budget is the same on either slice;
-* emission ships the same per-message fields through
-  :meth:`BulkOutbox.push_rows`, which charges the same bits and counts
-  the per-message path would; so do the convergecast's ``term`` rows,
-  chosen by the same :func:`~repro.core.termination.report_due` rule
-  each per-node counter applies.
+* routing emits its rows edge-major, each edge's in canonical group
+  order, and they join that edge's queue at the tail; emission reads
+  only each queue's head - at most ``budget`` rows per edge - so which
+  token moves when under the bandwidth budget is the same on either
+  slice, and a round costs the tokens it moves, not the backlog;
+* emission ships the same per-message fields the per-message path
+  sends.  On fault-free runs the engine prices them from tables built
+  once (:func:`walk_bit_tables`) and pushes them tagged with their
+  edge ids (:meth:`BulkOutbox.push_priced`), as it does the
+  convergecast's ``term`` rows, chosen by the same
+  :func:`~repro.core.termination.report_due` rule each per-node counter
+  applies; the drain then sums each edge's load by id.  Faulty and
+  reliable runs ship through :meth:`BulkOutbox.push_rows`.  Either way
+  the bits and counts charged are those of the materialized messages.
 
 What the slices do not share is how traffic moves: the per-message
 loop materializes :class:`~repro.congest.message.Message` objects (for
@@ -60,7 +66,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.congest.errors import ProtocolError
-from repro.congest.message import Message
+from repro.congest.message import TAG_BITS, Message, int_bits_array
 from repro.obs.spans import NULL_PROFILER
 from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
 from repro.walks.batched import aggregate_network_groups
@@ -135,8 +141,8 @@ def counting_round_kernel(
 
     The node-local half of the counting round: thin (damped mode) or
     absorb (absorbing mode), tally visits into ``count_tensor``, expire
-    zero-remaining tokens, and sample next hops into pending-table
-    entries.  ``rngs`` is the run's
+    zero-remaining tokens, and sample next hops into queue rows.
+    ``rngs`` is the run's
     :class:`~repro.walks.streams.PortStreams`: ``rngs[node]`` is the
     node's generator (damped thinning draws from it) and
     ``rngs.ports`` serves every node's next hops in one pass, from the
@@ -145,12 +151,13 @@ def counting_round_kernel(
 
     ``nodes`` must be sorted ascending (the canonical order from
     :func:`~repro.walks.batched.aggregate_network_groups`).  ``degrees``
-    goes unread (the streams carry the degrees they map with); it stays
-    in the parameter list because the benchmark's layer probe
-    (``bench/probes.py``) wraps this function by its exact signature.
-    Returns
-    ``(entries, death_nodes, death_counts, next_seq)``: pending-table
-    rows ``(edge id, seq, source, remaining_here, half, count)``, the
+    and ``max_degree`` go unread (the streams carry the degrees they map
+    with, and routing counts by sorting); they stay in the parameter
+    list because the benchmark's layer probe (``bench/probes.py``) wraps
+    this function by its exact signature.  Returns
+    ``(entries, death_nodes, death_counts, next_seq)``: queue rows
+    ``(edge id, seq, source, remaining_here, half, count)`` in
+    :func:`route_entries` order, the
     death deltas to fold into the convergecast (unaggregated pairs; the
     caller ``np.add.at``s them), and the advanced sequence counter.
     """
@@ -213,7 +220,7 @@ def counting_round_kernel(
     if len(nodes):
         entries, seq_start = route_entries(
             nodes, sources, remainings, halves, counts, rngs, offsets,
-            max_degree, seq_start,
+            seq_start,
         )
     else:
         entries = np.empty((0, 6), dtype=np.int64)
@@ -234,66 +241,230 @@ def route_entries(
     counts: np.ndarray,
     rngs: PortStreams,
     offsets: np.ndarray,
-    max_degree: int,
     seq_start: int,
 ) -> tuple[np.ndarray, int]:
     """Sample next hops for a non-empty node-sorted group array and
-    build its pending-table rows; returns ``(entries, next_seq)``.
+    build its queue rows; returns ``(entries, next_seq)``.
 
     Each node's tokens take the next ports of that node's own stream, in
-    segment order.  The draws, expansion, histogramming, and entry
-    building are each one batch over the whole array.  Both the counting
+    segment order.  The draws, expansion, counting, and entry building
+    are each one batch over the whole array.  The rows come out in
+    (edge, group) order: edge-major, and on each edge the groups in
+    ascending segment order, which is that edge's FIFO order, so
+    :meth:`EdgeQueues.append` takes them as they are.  Both the counting
     round's survivors and the launch route through here."""
     groups = len(nodes)
-    token_group = np.repeat(np.arange(groups, dtype=np.int64), counts)
     starts, _ = _segments(nodes)
     draws = rngs.ports(nodes[starts], np.add.reduceat(counts, starts))
-    # Histogram tokens into (group, chosen port) cells.  Ascending cell
-    # index is group-major: for any fixed edge, groups enter the pending
-    # table in ascending segment order, its FIFO order.
-    flat = np.bincount(
-        token_group * max_degree + draws, minlength=groups * max_degree
-    )
-    cells = np.nonzero(flat)[0]
-    group_of = cells // max_degree
-    port = cells - group_of * max_degree
+    # Count tokens per (edge, group) cell with one sort of the tokens'
+    # cell keys: ascending keys are edge-major, groups ascending within
+    # an edge.
+    group_base = offsets[nodes] * groups + np.arange(groups, dtype=np.int64)
+    keys = np.repeat(group_base, counts) + draws * groups
+    keys.sort()
+    starts, ends = _segments(keys)
+    cells = keys[starts]
+    edge = cells // groups
+    group_of = cells - edge * groups
     entries = np.empty((len(cells), 6), dtype=np.int64)
-    entries[:, 0] = offsets[nodes[group_of]] + port
+    entries[:, 0] = edge
     entries[:, 1] = np.arange(
         seq_start, seq_start + len(cells), dtype=np.int64
     )
     entries[:, 2] = sources[group_of]
     entries[:, 3] = remainings[group_of]
     entries[:, 4] = halves[group_of]
-    entries[:, 5] = flat[cells]
+    entries[:, 5] = ends - starts
     return entries, seq_start + len(cells)
 
 
-def budget_takes(
-    edges: np.ndarray,
-    counts: np.ndarray,
-    budget: int | np.ndarray,
-    policy: TransportPolicy,
-) -> np.ndarray:
-    """How many tokens each pending row sends this round under the
-    per-edge budget (the CONGEST constraint of Algorithm 1).
+def walk_bit_tables(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """A walk message's bit cost, split by field, for runs of ``n``
+    nodes and walk length ``length``: ``heads[half, source]`` is
+    ``TAG_BITS + bits(source) + bits(half)``, and ``hops[r]`` is
+    ``bits(r)`` for every hop count ``0 <= r <= length``.  A ``walk``
+    row ``(source, remaining - 1, half)`` costs ``heads[half, source]
+    + hops[remaining - 1]``, the :func:`~repro.congest.message.int_bits`
+    sum a materialized message charges; a ``walkb`` row adds
+    ``bits(count)``."""
+    heads = (
+        TAG_BITS
+        + int_bits_array(np.arange(2))[:, None]
+        + int_bits_array(np.arange(n))[None, :]
+    )
+    return heads, int_bits_array(np.arange(length + 1))
 
-    The rows are a pending table in (edge, seq) order, so each edge's
-    rows are its FIFO queue, head first.  ``budget`` is one slot count
-    for every edge, or one per row (equal across an edge's rows); an
-    edge with zero or fewer slots sends nothing.  QUEUE charges a slot
-    per *token* and splits the first row that does not fit, so the
-    rest of it waits at the head; BATCH charges a slot per *row* and
-    sends up to ``budget`` whole rows.  A segmented cumulative sum
-    makes every edge's head-of-queue decisions in one pass."""
-    starts, ends = _segments(edges)
-    lengths = ends - starts
-    if policy is TransportPolicy.QUEUE:
-        prior = np.cumsum(counts) - counts
-        prior_within = prior - np.repeat(prior[starts], lengths)
-        return np.minimum(np.maximum(budget - prior_within, 0), counts)
-    rank = np.arange(len(edges), dtype=np.int64) - np.repeat(starts, lengths)
-    return np.where(rank < budget, counts, 0)
+
+class EdgeQueues:
+    """Per-directed-edge FIFO queues of pending token groups.
+
+    A queued group is one row ``(edge id, seq, source, remaining_here,
+    half, count)`` of a row store, and each edge's rows form one chain
+    through a ``next`` column, head first.  Row ``e`` is edge ``e``'s
+    sentinel: its ``next`` is the edge's head, and an empty edge's tail
+    is its sentinel, so appending to any edge is one link write.  Row
+    ``num_edges`` is the null row that ends every chain; it links to
+    itself and holds no tokens, so walking past a chain's end needs no
+    mask either.
+
+    :meth:`take` reads only the first ``budget`` rows of each non-empty
+    edge, so a round costs what it sends, not the backlog.  Rows a take
+    empties stay in the store, dead, until an append finds it full:
+    then it is compacted when dead rows outnumber live ones, and grown
+    (2x) otherwise.  Rows are appended past every existing row and
+    compaction keeps their order, so along each chain the row index
+    ascends.
+
+    The engine keeps one instance over the network's directed edges;
+    each :class:`~repro.core.walk_manager.WalkManager` keeps one over
+    its ports.
+    """
+
+    def __init__(self, num_edges: int) -> None:
+        self.num_edges = num_edges
+        self._null = num_edges
+        self._base = num_edges + 1
+        capacity = self._base + 16
+        self._rows = np.zeros((capacity, 6), dtype=np.int64)
+        self._next = np.full(capacity, self._null, dtype=np.int64)
+        self._tail = np.arange(num_edges, dtype=np.int64)
+        self._lengths = np.zeros(num_edges, dtype=np.int64)
+        self._size = self._base
+        #: Live rows and the tokens they hold.
+        self.rows = 0
+        self.tokens = 0
+
+    def append(self, entries: np.ndarray) -> None:
+        """Queue rows at the tails of their edges.  The rows come
+        edge-major, each edge's in FIFO order, as :func:`route_entries`
+        builds them."""
+        if not len(entries):
+            return
+        self._reserve(len(entries))
+        lo = self._size
+        self._size = lo + len(entries)
+        self._rows[lo:self._size] = entries
+        self._link(lo, self._size)
+        self.rows += len(entries)
+        self.tokens += int(entries[:, 5].sum())
+
+    def take(
+        self, budget: int | np.ndarray, policy: TransportPolicy
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Dequeue this round's sendable tokens under the per-edge budget
+        (the CONGEST constraint of Algorithm 1).
+
+        ``budget`` is one slot count for every edge, or an array of one
+        per edge; an edge with zero or fewer slots sends nothing.  QUEUE
+        charges a slot per *token* and splits the first row that does
+        not fit, so the rest of it stays at the head; BATCH charges a
+        slot per *row* and sends up to ``budget`` whole rows.  Both read
+        at most ``budget`` rows per edge, as one ``(active edges x
+        budget)`` matrix.
+
+        Returns ``(sent, taken)``: the sending rows as they stood before
+        the take, in (edge, FIFO) order, and how many tokens each
+        sends."""
+        active = np.flatnonzero(self._lengths)
+        if isinstance(budget, np.ndarray):
+            slots = budget[active]
+            open_edges = slots > 0
+            active = active[open_edges]
+            slots = slots[open_edges]
+            width = int(slots.max()) if len(active) else 0
+        else:
+            slots = budget
+            width = budget if len(active) else 0
+        if width <= 0:
+            return self._rows[:0], _EMPTY
+        # Either policy sends at most one row per slot, and no edge more
+        # rows than it holds.
+        width = min(width, int(self._lengths[active].max()))
+        nxt = self._next
+        counts = self._rows[:, 5]
+        # Slot by slot down every active chain at once: ``chain[:, j]``
+        # is each edge's ``j``-th row (the null row past its end).
+        chain = np.empty((len(active), width + 1), dtype=np.int64)
+        take = np.empty((len(active), width), dtype=np.int64)
+        emptied = np.zeros(len(active), dtype=np.int64)
+        left = slots
+        row = nxt[active]
+        for slot in range(width):
+            chain[:, slot] = row
+            count = counts[row]
+            if policy is TransportPolicy.QUEUE:
+                sends = np.minimum(count, left)
+                left = left - sends
+            elif isinstance(slots, np.ndarray):
+                sends = np.where(slot < slots, count, 0)
+            else:
+                sends = count
+            take[:, slot] = sends
+            # The rows a take empties are a prefix of each chain.
+            emptied += (sends == count) & (count > 0)
+            row = nxt[row]
+        chain[:, width] = row
+        new_heads = chain.ravel()[
+            np.arange(0, chain.size, width + 1) + emptied
+        ]
+        nxt[active] = new_heads
+        self._lengths[active] -= emptied
+        drained = active[new_heads == self._null]
+        self._tail[drained] = drained
+        flat_take = take.ravel()
+        sending = np.flatnonzero(flat_take)
+        sent_rows = chain[:, :width].ravel()[sending]
+        taken = flat_take[sending]
+        sent = np.take(self._rows, sent_rows, axis=0)
+        counts[sent_rows] -= taken
+        self.rows -= int(emptied.sum())
+        self.tokens -= int(taken.sum())
+        return sent, taken
+
+    def _link(self, lo: int, hi: int) -> None:
+        """Chain rows ``lo:hi`` (edge-major, FIFO within an edge) onto
+        their edges' tails."""
+        edges = self._rows[lo:hi, 0]
+        firsts, ends = _segments(edges)
+        first_edges = edges[firsts]
+        firsts += lo
+        ends += lo
+        self._next[lo:hi] = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        self._next[ends - 1] = self._null
+        self._next[self._tail[first_edges]] = firsts
+        self._tail[first_edges] = ends - 1
+        self._lengths[first_edges] += ends - firsts
+
+    def _reserve(self, extra: int) -> None:
+        """Make room for ``extra`` more rows: compact when dead rows
+        outnumber live ones, grow 2x when that is not enough."""
+        capacity = len(self._next)
+        if self._size + extra <= capacity:
+            return
+        if self._size - self._base - self.rows > self.rows:
+            self._compact()
+            if self._size + extra <= capacity:
+                return
+        capacity = max(2 * capacity, self._size + extra)
+        rows = np.zeros((capacity, 6), dtype=np.int64)
+        rows[: self._size] = self._rows[: self._size]
+        nxt = np.full(capacity, self._null, dtype=np.int64)
+        nxt[: self._size] = self._next[: self._size]
+        self._rows, self._next = rows, nxt
+
+    def _compact(self) -> None:
+        """Drop the dead rows, keeping the live ones in store order, and
+        renumber every link.  A take unlinks each row it empties, so no
+        chain passes through a dead row."""
+        base = self._base
+        live = base + np.flatnonzero(self._rows[base:self._size, 5])
+        renumber = np.arange(self._size, dtype=np.int64)
+        renumber[live] = np.arange(base, base + len(live), dtype=np.int64)
+        self._size = base + len(live)
+        self._rows[base:self._size] = self._rows[live]
+        self._next[base:self._size] = renumber[self._next[live]]
+        self._next[: self.num_edges] = renumber[self._next[: self.num_edges]]
+        self._tail = renumber[self._tail]
 
 
 class CountingWalkEngine:
@@ -361,11 +532,8 @@ class CountingWalkEngine:
         # count emitted walk messages.  Never read back by the protocol.
         self._profiler = NULL_PROFILER
         self._instruments = None
-        # Pending-token table, one row per queued group:
-        # (edge id, arrival seq, source, remaining_here, half, count).
-        # Rows with equal edge id in ascending seq order ARE that
-        # directed edge's FIFO queue; ``_emit`` keeps it that way.
-        self._pending = np.empty((0, 6), dtype=np.int64)
+        # Every directed edge's FIFO queue of pending token groups.
+        self._queues = EdgeQueues(len(edges.dst))
         self._seq = 0
         self._finalized = False
         # The run's directed edges (``SharedFastPathState.edges``): edge
@@ -377,6 +545,12 @@ class CountingWalkEngine:
         self._max_degree = int(edges.degrees.max())
         self._policy: TransportPolicy = TransportPolicy.QUEUE
         self._budget = 1
+        # ``convergecast`` mode prices walk and ``term`` rows itself
+        # (:func:`walk_bit_tables`, filled at finalize) and tags them
+        # with their edge ids, so the outbox's drain reads each edge's
+        # load off the rows instead of merging them.
+        self._head_bits = self._hop_bits = _EMPTY
+        self._parent_edge = _EMPTY
         self._alpha: float | None = None
         self._absorbing_target = -1
         # Array convergecast (``convergecast`` mode): per node, the
@@ -505,7 +679,7 @@ class CountingWalkEngine:
                 retransmits = self._flush_channels(
                     round_number, outbox, crashed
                 )
-        if len(self._pending):
+        if self._queues.rows:
             with profiler.span("engine.emit"):
                 self._emit(bulk_outbox, round_number, retransmits, crashed)
 
@@ -540,6 +714,15 @@ class CountingWalkEngine:
                 else:
                     self._parent[node] = counter.parent
             self._expected_total = self._counters[0].expected_total
+            self._head_bits, self._hop_bits = walk_bit_tables(
+                self.n, first.length
+            )
+            # Each node's edge to its tree parent (the root has none).
+            uplinks = np.flatnonzero(
+                self._targets == self._parent[self._edge_src]
+            )
+            self._parent_edge = np.full(self.n, -1, dtype=np.int64)
+            self._parent_edge[self._edge_src[uplinks]] = uplinks
         else:
             # Every node launched this round, so every node's counter
             # owes its first report.
@@ -578,11 +761,10 @@ class CountingWalkEngine:
             counts,
             self._streams,
             self._offsets,
-            self._max_degree,
             0,
         )
         np.add.at(self.held, self._edge_src[entries[:, 0]], entries[:, 5])
-        self._pending = entries
+        self._queues.append(entries)
 
     def _dedup_claimed(
         self,
@@ -747,10 +929,7 @@ class CountingWalkEngine:
             np.add.at(
                 self.held, self._edge_src[entries[:, 0]], entries[:, 5]
             )
-            if len(self._pending):
-                self._pending = np.concatenate((self._pending, entries))
-            else:
-                self._pending = entries
+            self._queues.append(entries)
         return np.nonzero(deaths)[0]
 
     def _post_round(
@@ -810,7 +989,7 @@ class CountingWalkEngine:
         """:meth:`_post_round` for every node at once (``convergecast``
         mode): fold this round's ``term`` rows and deaths into the
         subtree totals, ship every due report (:func:`report_due`) as
-        one ``push_rows`` - the same fields, bits and edges as the
+        one priced push - the same fields, bits and edges as the
         per-node ``term`` messages - and let the root start the done
         wave on detection, in the same round as the per-node pass.
 
@@ -840,8 +1019,13 @@ class CountingWalkEngine:
         if len(reporters):
             totals = total[reporters]
             self._last_reported[reporters] = totals
-            bulk_outbox.push_rows(
-                KIND_TERM, reporters, self._parent[reporters], totals[:, None]
+            bulk_outbox.push_priced(
+                KIND_TERM,
+                reporters,
+                self._parent[reporters],
+                TAG_BITS + int_bits_array(totals),
+                edges=self._parent_edge[reporters],
+                fields=totals[:, None],
             )
         root = self._root
         if not self._stopped[root] and total[root] >= self._expected_total:
@@ -891,7 +1075,7 @@ class CountingWalkEngine:
         crashed: frozenset = frozenset(),
     ) -> None:
         """Dequeue every edge's sendable tokens under the per-edge
-        budget (:func:`budget_takes`, the rule
+        budget (:meth:`EdgeQueues.take`, the rule
         :meth:`WalkManager.emit_round` applies to one node's edges) and
         ship the whole round as one aggregate push.
 
@@ -902,84 +1086,62 @@ class CountingWalkEngine:
         needs its own seq, so QUEUE groups expand to one row per token
         and each row is sequenced through the sender's channel in the
         same per-edge FIFO order the per-message loop sends in."""
-        pending = self._pending
-        # The table is kept rows, already in (edge, seq) order, followed
-        # by this round's kernel rows, whose seqs exceed every kept seq
-        # on their edge and ascend within it.  So a stable sort on the
-        # edge alone yields (edge, seq) order, and the kept rows enter it
-        # as one presorted run.
-        order = np.argsort(pending[:, 0], kind="stable")
-        pending = pending[order]
-        edges = pending[:, 0]
-        counts = pending[:, 5]
         budget: int | np.ndarray = self._budget
         if retransmits or crashed:
-            edge_budget = np.full(
-                len(self._targets), self._budget, dtype=np.int64
-            )
+            budget = np.full(len(self._targets), self._budget, dtype=np.int64)
             if retransmits:
                 for edge_id, spent in retransmits.items():
-                    edge_budget[edge_id] = max(0, self._budget - spent)
+                    budget[edge_id] = max(0, self._budget - spent)
             if crashed:
-                edge_budget[
-                    np.isin(self._edge_src, np.array(sorted(crashed)))
-                ] = 0
-            budget = edge_budget[edges]
-        take = budget_takes(edges, counts, budget, self._policy)
-        sendable = take > 0
-        sent = pending[sendable]
-        taken = take[sendable]
+                budget[np.isin(self._edge_src, np.array(sorted(crashed)))] = 0
+        sent, taken = self._queues.take(budget, self._policy)
+        if not len(sent):
+            return
         edge_ids = sent[:, 0]
         senders = self._edge_src[edge_ids]
         np.subtract.at(self.held, senders, taken)
+        batch = self._policy is TransportPolicy.BATCH
         if self._instruments is not None:
             # Same message-count convention as WalkManager.send_round:
             # QUEUE ships one message per token, BATCH one per group.
-            sent_messages = (
-                int(taken.sum())
-                if self._policy is TransportPolicy.QUEUE
-                else len(sent)
+            self._instruments.bump_round(
+                "walk_sends",
+                round_number,
+                len(sent) if batch else int(taken.sum()),
             )
-            if sent_messages:
-                self._instruments.bump_round(
-                    "walk_sends", round_number, sent_messages
-                )
         if self._reliable:
             self._emit_reliable(
                 bulk_outbox, round_number, sent, taken, senders
             )
-        elif self._policy is TransportPolicy.QUEUE:
-            fields = np.empty((len(sent), 3), dtype=np.int64)
-            fields[:, 0] = sent[:, 2]
-            fields[:, 1] = sent[:, 3] - 1
-            fields[:, 2] = sent[:, 4]
-            bulk_outbox.push_rows(
-                KIND_WALK,
-                senders,
-                self._targets[edge_ids],
-                fields,
-                taken,
-            )
-        else:
-            fields = np.empty((len(sent), 4), dtype=np.int64)
-            fields[:, 0] = sent[:, 2]
-            fields[:, 1] = sent[:, 3] - 1
-            fields[:, 2] = sent[:, 4]
+            return
+        fields = np.empty((len(sent), 4 if batch else 3), dtype=np.int64)
+        fields[:, 0] = sent[:, 2]
+        fields[:, 1] = sent[:, 3] - 1
+        fields[:, 2] = sent[:, 4]
+        if batch:
             fields[:, 3] = taken
+        kind = KIND_WALK_BATCH if batch else KIND_WALK
+        multiplicity = None if batch else taken
+        if not self._convergecast:
             bulk_outbox.push_rows(
-                KIND_WALK_BATCH,
-                senders,
-                self._targets[edge_ids],
-                fields,
+                kind, senders, self._targets[edge_ids], fields, multiplicity
             )
-        left = counts - take
-        waiting = left > 0
-        if waiting.any():
-            kept = pending[waiting]
-            kept[:, 5] = left[waiting]
-            self._pending = kept
-        else:
-            self._pending = pending[:0]
+            return
+        row_bits = (
+            self._head_bits[fields[:, 2], fields[:, 0]]
+            + self._hop_bits[fields[:, 1]]
+        )
+        if batch:
+            row_bits += int_bits_array(taken)
+        bulk_outbox.push_priced(
+            kind,
+            senders,
+            self._targets[edge_ids],
+            row_bits,
+            edges=edge_ids,
+            fields=fields,
+            multiplicity=multiplicity,
+        )
 
     def _emit_reliable(
         self,
@@ -991,13 +1153,11 @@ class CountingWalkEngine:
     ) -> None:
         """Ship this round's emitted tokens with per-token sequencing.
 
-        Rows arrive sorted by (edge, arrival seq), so walking them in
+        Rows arrive in (edge, FIFO) order, so walking them in
         order assigns each directed edge the same consecutive seqs the
         per-message loop's ``send_round`` would (it also sends
         head-of-queue first).  QUEUE groups expand to multiplicity-one
         rows because each token message carries a distinct seq."""
-        if not len(sent):
-            return
         targets = self._targets[sent[:, 0]]
         channels = self._channels
         if self._policy is TransportPolicy.QUEUE:
@@ -1047,10 +1207,13 @@ class CountingWalkEngine:
 
 
 def _segments(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start/end index pairs of the equal-node runs of a sorted array."""
+    """Start/end index pairs of the equal-value runs of a non-empty
+    array (sorted, or at least with each value in one run)."""
     boundary = np.empty(len(nodes), dtype=bool)
     boundary[0] = True
     np.not_equal(nodes[1:], nodes[:-1], out=boundary[1:])
-    starts = np.nonzero(boundary)[0]
-    ends = np.append(starts[1:], len(nodes))
+    starts = boundary.nonzero()[0]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = len(nodes)
     return starts, ends

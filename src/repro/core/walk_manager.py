@@ -27,10 +27,12 @@ of the network: the node is index 0 of its own
 a one-node count tensor, and its ports are its edge ids.  Arrivals go
 through :func:`~repro.walks.batched.aggregate_network_groups` and
 :func:`~repro.core.walk_engine.counting_round_kernel`, the launch
-through :func:`~repro.core.walk_engine.route_entries`, and emission
-through :func:`~repro.core.walk_engine.budget_takes`.  The fast path
-runs the same functions over every node at once, so the two loops share
-one copy of the rule; what stays here is the per-message surface -
+through :func:`~repro.core.walk_engine.route_entries`, and the routed
+groups wait in an :class:`~repro.core.walk_engine.EdgeQueues` over the
+node's ports, whose ``take`` decides which tokens each port sends.  The
+fast path runs the same functions and the same queue class over every
+node at once, so the two loops share one copy of the rule; what stays
+here is the per-message surface -
 materializing :class:`~repro.congest.message.Message` objects for the
 message log, the CONGEST audit and the asynchronous executor.
 """
@@ -46,8 +48,8 @@ from repro.congest.node import RoundContext
 from repro.core.walk_engine import (
     KIND_WALK,
     KIND_WALK_BATCH,
+    EdgeQueues,
     TransportPolicy,
-    budget_takes,
     count_dtype,
     counting_round_kernel,
     launch_groups,
@@ -58,9 +60,6 @@ from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
 #: The one-node slice's edge offsets: node 0's port ``j`` is edge ``j``.
 _ORIGIN = np.zeros(1, dtype=np.int64)
-
-#: An empty pending-token table.
-_NO_ROWS = np.empty((0, 6), dtype=np.int64)
 
 
 class WalkManager:
@@ -131,11 +130,6 @@ class WalkManager:
         # 0, its ports are its edge ids, and its slab, seen as
         # ``half_counts[None]``, is a one-node count tensor.
         self._degrees = np.array([len(neighbors)], dtype=np.int64)
-        # Pending-token table, one row per queued group:
-        # (port, arrival seq, source, remaining_here, half, count).
-        # Rows with equal port in ascending seq order are that edge's
-        # FIFO queue.
-        self._pending = _NO_ROWS
         self._seq = 0
         # Set when a network-wide engine takes over this manager's
         # launch, queue and death bookkeeping (the half_counts array is
@@ -159,6 +153,12 @@ class WalkManager:
         if self.split_sampling:
             return np.add(self.half_counts[0], self.half_counts[1])
         return self.half_counts[0]
+
+    @cached_property
+    def _queues(self) -> EdgeQueues:
+        """Each port's FIFO queue of pending token groups, built on
+        first use (a manager whose walks the engine runs never queues)."""
+        return EdgeQueues(len(self.neighbors))
 
     @cached_property
     def _streams(self) -> PortStreams:
@@ -202,10 +202,9 @@ class WalkManager:
             group_counts,
             self._streams,
             _ORIGIN,
-            len(self.neighbors),
             self._seq,
         )
-        self._pending = np.concatenate((self._pending, entries))
+        self._queues.append(entries)
 
     def receive(
         self, source: int, remaining: int, count: int = 1, half: int = 0
@@ -273,7 +272,7 @@ class WalkManager:
             self._seq,
         )
         self._deaths += int(death_counts.sum())
-        self._pending = np.concatenate((self._pending, entries))
+        self._queues.append(entries)
 
     # ------------------------------------------------------------------
     # Sending
@@ -288,38 +287,29 @@ class WalkManager:
         stands for ``count`` individual messages (the budget counts
         tokens); under BATCH each entry is one counted message (the
         budget counts messages).  Which tokens move is decided by
-        :func:`~repro.core.walk_engine.budget_takes`, the rule the fast
-        path's emission applies to every edge of the network.
+        :meth:`~repro.core.walk_engine.EdgeQueues.take`, the rule the
+        fast path's emission applies to every edge of the network.
 
         ``budgets`` overrides the per-neighbor budget for this round:
         under lossy-link recovery, retransmitted tokens occupy edge
         slots first and fresh emission gets what remains.
         """
-        pending = self._pending
-        if not len(pending):
+        if not self._queues.rows:
             return []
-        # Kept rows are already in (port, seq) order and every new row's
-        # seq exceeds theirs, so a stable sort on the port suffices.
-        pending = pending[np.argsort(pending[:, 0], kind="stable")]
-        ports = pending[:, 0]
         budget: int | np.ndarray = self.walk_budget
         if budgets is not None:
             budget = np.array(
                 [budgets.get(neighbor, budget) for neighbor in self.neighbors],
                 dtype=np.int64,
-            )[ports]
-        take = budget_takes(ports, pending[:, 5], budget, self.policy)
+            )
+        sent, taken = self._queues.take(budget, self.policy)
         neighbors = self.neighbors
-        entries = [
+        return [
             (neighbors[port], source, remaining - 1, half, count)
             for (port, _, source, remaining, half, _), count in zip(
-                pending.tolist(), take.tolist()
+                sent.tolist(), taken.tolist()
             )
-            if count
         ]
-        pending[:, 5] -= take
-        self._pending = pending[pending[:, 5] > 0]
-        return entries
 
     def send_round(
         self,
@@ -410,7 +400,7 @@ class WalkManager:
         """Tokens currently queued at this node."""
         if self._engine is not None:
             return int(self._engine.held[self.node_id])
-        return int(self._pending[:, 5].sum())
+        return self._queues.tokens
 
     @property
     def idle(self) -> bool:

@@ -84,7 +84,10 @@ def aggregate_network_groups(
     key = (
         (nodes * source_base + sources) * remaining_base + remainings
     ) * 2 + halves
-    order = np.argsort(key, kind="stable")
+    # The key is injective over the tuple, so every index in a run of
+    # equal keys carries the same tuple and any sort yields the same
+    # groups and sums.
+    order = np.argsort(key)
     sorted_key = key[order]
     boundary = np.empty(len(sorted_key), dtype=bool)
     boundary[0] = True

@@ -2,8 +2,9 @@
 
 The per-message loop and the vectorized fast path run the same walk
 kernel (:func:`~repro.core.walk_engine.counting_round_kernel`) and the
-same budget rule (:func:`~repro.core.walk_engine.budget_takes`), one on
-a one-node slice and one network-wide.  The cross-loop equivalence
+same per-edge queues and budget rule
+(:meth:`~repro.core.walk_engine.EdgeQueues.take`), one on a one-node
+slice and one network-wide.  The cross-loop equivalence
 tests therefore cannot see a kernel change that moves both loops
 together.  These pins can: each is a SHA-256 of the run's integer
 ``(n, 2, n)`` visit counts plus its round, message and bit totals, all

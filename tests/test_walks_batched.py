@@ -3,8 +3,8 @@
 Two layers:
 
 * unit tests of the shared kernels (canonical group algebra in
-  :mod:`repro.walks.batched`, the per-edge budget rule in
-  :mod:`repro.core.walk_engine`, CSR stepping);
+  :mod:`repro.walks.batched`, the per-edge FIFO queues and their budget
+  rule in :mod:`repro.core.walk_engine`, CSR stepping);
 * seeded equivalence of the simulator's two execution paths: the
   per-message loop and the vectorized fast path (network-wide
   :class:`~repro.core.walk_engine.CountingWalkEngine`) must produce
@@ -16,6 +16,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest.errors import ConfigError
 from repro.congest.scheduler import Simulator
@@ -25,8 +27,8 @@ from repro.core.parameters import WalkParameters
 from repro.core.protocol import ProtocolConfig, make_protocol_factory
 from repro.core.walk_engine import (
     CountingWalkEngine,
+    EdgeQueues,
     TransportPolicy,
-    budget_takes,
 )
 from repro.graphs.generators import (
     barabasi_albert_graph,
@@ -91,27 +93,35 @@ class TestAggregateNetworkGroups:
 
     def test_matches_per_node_aggregation(self):
         rng = np.random.default_rng(1)
-        nodes = rng.integers(0, 6, size=80)
-        sources = rng.integers(0, 10, size=80)
-        remainings = rng.integers(0, 12, size=80)
-        halves = rng.integers(0, 2, size=80)
-        counts = rng.integers(1, 5, size=80)
-        gn, gs, gr, gh, gc = aggregate_network_groups(
-            nodes, sources, remainings, halves, counts
-        )
-        assert np.all(gn[:-1] <= gn[1:])  # sorted by node
-        for node in np.unique(nodes):
-            seg = gn == node
-            keys = list(
-                zip(gs[seg].tolist(), gr[seg].tolist(), gh[seg].tolist())
+        # The second case puts ~55 rows on each key, so the (unstable)
+        # sort mixes every run's rows.
+        for size, nodes_hi, sources_hi, remainings_hi in (
+            (80, 6, 10, 12),
+            (2000, 3, 3, 2),
+        ):
+            nodes = rng.integers(0, nodes_hi, size=size)
+            sources = rng.integers(0, sources_hi, size=size)
+            remainings = rng.integers(0, remainings_hi, size=size)
+            halves = rng.integers(0, 2, size=size)
+            counts = rng.integers(1, 5, size=size)
+            gn, gs, gr, gh, gc = aggregate_network_groups(
+                nodes, sources, remainings, halves, counts
             )
-            # Canonical order: strictly ascending, so each key once.
-            assert all(a < b for a, b in zip(keys, keys[1:]))
-            expected = Counter()
-            for i in np.nonzero(nodes == node)[0].tolist():
-                key = (int(sources[i]), int(remainings[i]), int(halves[i]))
-                expected[key] += int(counts[i])
-            assert dict(zip(keys, gc[seg].tolist())) == dict(expected)
+            assert np.all(gn[:-1] <= gn[1:])  # sorted by node
+            for node in np.unique(nodes):
+                seg = gn == node
+                keys = list(
+                    zip(gs[seg].tolist(), gr[seg].tolist(), gh[seg].tolist())
+                )
+                # Canonical order: strictly ascending, so each key once.
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                expected = Counter()
+                for i in np.nonzero(nodes == node)[0].tolist():
+                    key = (
+                        int(sources[i]), int(remainings[i]), int(halves[i])
+                    )
+                    expected[key] += int(counts[i])
+                assert dict(zip(keys, gc[seg].tolist())) == dict(expected)
 
     def test_empty(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -119,50 +129,124 @@ class TestAggregateNetworkGroups:
         assert all(len(a) == 0 for a in out)
 
 
-class TestBudgetTakes:
-    """The per-edge budget rule both emission slices call, against
-    hand-computed tables.  Rows are a pending table in (edge, seq)
-    order: each edge's rows are its FIFO queue, head first."""
+def _reference_takes(
+    edges: np.ndarray,
+    counts: np.ndarray,
+    budget: int | np.ndarray,
+    policy: TransportPolicy,
+) -> np.ndarray:
+    """The per-edge budget rule over a whole pending table in (edge,
+    seq) order, as emission applied it before per-edge queues: how many
+    tokens each row sends.  ``budget`` is a scalar or one per row."""
+    if not len(edges):
+        return np.zeros(0, dtype=np.int64)
+    boundary = np.concatenate(([True], edges[1:] != edges[:-1]))
+    starts = np.flatnonzero(boundary)
+    lengths = np.diff(np.append(starts, len(edges)))
+    if policy is TransportPolicy.QUEUE:
+        prior = np.cumsum(counts) - counts
+        prior_within = prior - np.repeat(prior[starts], lengths)
+        return np.minimum(np.maximum(budget - prior_within, 0), counts)
+    rank = np.arange(len(edges), dtype=np.int64) - np.repeat(starts, lengths)
+    return np.where(rank < budget, counts, 0)
 
-    EDGES = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
-    COUNTS = np.array([2, 2, 1, 5, 1, 1], dtype=np.int64)
+
+def _entries(edges, counts, seq_start=0) -> np.ndarray:
+    """Pending-table rows on ``edges`` (edge-major) with ``counts``
+    tokens; seqs ascend from ``seq_start`` and the source column
+    repeats the seq, so a row is recognizable after it moves."""
+    k = len(edges)
+    entries = np.zeros((k, 6), dtype=np.int64)
+    entries[:, 0] = edges
+    entries[:, 1] = np.arange(seq_start, seq_start + k)
+    entries[:, 2] = entries[:, 1]
+    entries[:, 3] = 5
+    entries[:, 4] = entries[:, 1] % 2
+    entries[:, 5] = counts
+    return entries
+
+
+def _chains(queues: EdgeQueues) -> dict[int, np.ndarray]:
+    """Every non-empty queue's live rows, head first, by walking its
+    chain - checking the tail slot and the row count on the way."""
+    chains = {}
+    for edge in range(queues.num_edges):
+        rows = []
+        row = int(queues._next[edge])
+        last = edge
+        while row != queues._null:
+            assert len(rows) < queues.rows, f"edge {edge}'s chain loops"
+            rows.append(queues._rows[row].copy())
+            last, row = row, int(queues._next[row])
+        assert int(queues._tail[edge]) == last
+        assert int(queues._lengths[edge]) == len(rows)
+        if rows:
+            chains[edge] = np.array(rows)
+    return chains
+
+
+#: A hand table: rows on edges 0, 0, 0, 1, 1, 2 holding these tokens.
+HAND_EDGES = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
+HAND_COUNTS = np.array([2, 2, 1, 5, 1, 1], dtype=np.int64)
+
+
+def _hand_queues() -> EdgeQueues:
+    queues = EdgeQueues(3)
+    queues.append(_entries(HAND_EDGES, HAND_COUNTS))
+    return queues
+
+
+class TestBudgetTakes:
+    """:meth:`EdgeQueues.take` - the per-edge budget rule both emission
+    slices call - against hand-computed tables.  The rows go in
+    edge-major, each edge's rows its FIFO queue, head first."""
 
     def test_queue_splits_the_head_and_carries_the_rest(self):
-        take = budget_takes(self.EDGES, self.COUNTS, 3, TransportPolicy.QUEUE)
+        queues = _hand_queues()
+        sent, taken = queues.take(3, TransportPolicy.QUEUE)
         # Edge 0 sends 2 + 1 of its 3 slots' worth; edge 1's first row
         # is split 3 of 5; edge 2 sends its lone token.
-        assert take.tolist() == [2, 1, 0, 3, 0, 1]
-        left = self.COUNTS - take
-        kept = left > 0
-        edges, counts = self.EDGES[kept], left[kept]
-        assert edges.tolist() == [0, 0, 1, 1]
-        assert counts.tolist() == [1, 1, 2, 1]
+        assert sent[:, 1].tolist() == [0, 1, 3, 5]
+        assert taken.tolist() == [2, 1, 3, 1]
+        # Rows leave as they stood: the counts are the pre-take ones.
+        assert sent[:, 5].tolist() == [2, 2, 5, 1]
+        chains = _chains(queues)
+        assert sorted(chains) == [0, 1]
+        assert chains[0][:, 1].tolist() == [1, 2]
+        assert chains[0][:, 5].tolist() == [1, 1]
+        assert chains[1][:, 1].tolist() == [3, 4]
+        assert chains[1][:, 5].tolist() == [2, 1]
+        assert (queues.rows, queues.tokens) == (4, 5)
         # Next round the split remainders are still at their heads.
-        take = budget_takes(edges, counts, 3, TransportPolicy.QUEUE)
-        assert take.tolist() == [1, 1, 2, 1]
+        sent, taken = queues.take(3, TransportPolicy.QUEUE)
+        assert sent[:, 1].tolist() == [1, 2, 3, 4]
+        assert taken.tolist() == [1, 1, 2, 1]
+        assert (queues.rows, queues.tokens) == (0, 0)
+        assert _chains(queues) == {}
 
     def test_batch_takes_whole_rows_up_to_budget(self):
-        take = budget_takes(self.EDGES, self.COUNTS, 2, TransportPolicy.BATCH)
-        assert take.tolist() == [2, 2, 0, 5, 1, 1]
-        take = budget_takes(self.EDGES, self.COUNTS, 1, TransportPolicy.BATCH)
-        assert take.tolist() == [2, 0, 0, 5, 0, 1]
+        sent, taken = _hand_queues().take(2, TransportPolicy.BATCH)
+        assert sent[:, 1].tolist() == [0, 1, 3, 4, 5]
+        assert taken.tolist() == [2, 2, 5, 1, 1]
+        sent, taken = _hand_queues().take(1, TransportPolicy.BATCH)
+        assert sent[:, 1].tolist() == [0, 3, 5]
+        assert taken.tolist() == [2, 5, 1]
 
     @pytest.mark.parametrize(
         "policy, expected",
-        [
-            (TransportPolicy.QUEUE, [1, 0, 0, 0, 0, 0]),
-            (TransportPolicy.BATCH, [2, 0, 0, 0, 0, 0]),
-        ],
+        [(TransportPolicy.QUEUE, [1]), (TransportPolicy.BATCH, [2])],
         ids=["queue", "batch"],
     )
-    def test_per_row_budget_with_empty_and_overdrawn_edges(
+    def test_per_edge_budget_with_empty_and_overdrawn_edges(
         self, policy, expected
     ):
         # Edge 0 keeps one slot; edge 1's sender is crashed (0 slots);
         # edge 2's retransmits already spent more than the budget.
-        budget = np.array([1, 1, 1, 0, 0, -1], dtype=np.int64)
-        take = budget_takes(self.EDGES, self.COUNTS, budget, policy)
-        assert take.tolist() == expected
+        queues = _hand_queues()
+        sent, taken = queues.take(np.array([1, 0, -1]), policy)
+        assert sent[:, 1].tolist() == [0]
+        assert taken.tolist() == expected
+        assert queues.tokens == int(HAND_COUNTS.sum()) - expected[0]
 
     @pytest.mark.parametrize(
         "policy", list(TransportPolicy), ids=lambda policy: policy.value
@@ -171,24 +255,166 @@ class TestBudgetTakes:
         rng = np.random.default_rng(9)
         edges = np.sort(rng.integers(0, 7, size=60))
         counts = rng.integers(1, 6, size=60)
-        take = budget_takes(edges, counts, 4, policy)
-        assert np.all((take >= 0) & (take <= counts))
+        queues = EdgeQueues(7)
+        queues.append(_entries(edges, counts))
+        sent, taken = queues.take(4, policy)
+        assert np.all((taken > 0) & (taken <= sent[:, 5]))
+        assert np.all(np.diff(sent[:, 0]) >= 0)
         for edge in np.unique(edges).tolist():
-            row_take = take[edges == edge].tolist()
+            mine = sent[:, 0] == edge
+            row_take = taken[mine].tolist()
             row_count = counts[edges == edge].tolist()
-            # Only the last row that sends may be partial, and no row
-            # sends while an earlier row on its edge still waits.
-            sending = [t > 0 for t in row_take]
-            last = max((i for i, s in enumerate(sending) if s), default=-1)
-            assert all(sending[: last + 1]) and not any(sending[last + 1:])
-            assert row_take[:last] == row_count[:last]
+            # The sent rows are the head of the queue, and only the
+            # last may be partial.
+            assert sent[mine, 1].tolist() == (
+                np.flatnonzero(edges == edge)[: len(row_take)].tolist()
+            )
+            assert row_take[:-1] == row_count[: len(row_take) - 1]
             if policy is TransportPolicy.QUEUE:
                 assert sum(row_take) == min(4, sum(row_count))
             else:
-                assert row_take == [
-                    count if rank < 4 else 0
-                    for rank, count in enumerate(row_count)
-                ]
+                assert row_take == row_count[:4]
+
+
+class TestEdgeQueues:
+    """Appends, long budgets, compaction and growth of the queues."""
+
+    def test_append_joins_the_tails(self):
+        queues = _hand_queues()
+        queues.take(1, TransportPolicy.BATCH)
+        queues.append(_entries(np.array([0, 2, 2]), [7, 8, 9], seq_start=6))
+        chains = _chains(queues)
+        assert chains[0][:, 1].tolist() == [1, 2, 6]
+        assert chains[1][:, 1].tolist() == [4]
+        assert chains[2][:, 1].tolist() == [7, 8]
+
+    def test_a_budget_beyond_the_backlog_drains_it(self):
+        queues = _hand_queues()
+        sent, taken = queues.take(10**9, TransportPolicy.QUEUE)
+        assert taken.tolist() == HAND_COUNTS.tolist()
+        assert queues.rows == 0
+
+    def test_compaction_and_growth_keep_fifo_order(self, monkeypatch):
+        compactions = []
+        original = EdgeQueues._compact
+
+        def spy(queues):
+            compactions.append(queues.rows)
+            return original(queues)
+
+        monkeypatch.setattr(EdgeQueues, "_compact", spy)
+        rng = np.random.default_rng(3)
+        queues = EdgeQueues(5)
+        model = _Model(5)
+        seq = 0
+        for step in range(120):
+            # Bursts of large appends grow the store; rounds of takes
+            # in between leave dead rows for compaction to drop.
+            size = 40 if step % 10 == 0 else 3
+            entries = _entries(
+                np.sort(rng.integers(0, 5, size=size)),
+                rng.integers(1, 4, size=size),
+                seq,
+            )
+            seq += size
+            queues.append(entries)
+            model.append(entries)
+            _check_take(queues, model, 2, TransportPolicy.QUEUE)
+        assert compactions
+        assert len(queues._next) > queues._base + 16
+
+
+class _Model:
+    """The reference pending table: all rows in (edge, seq) order."""
+
+    def __init__(self, num_edges: int) -> None:
+        self.num_edges = num_edges
+        self.table = np.empty((0, 6), dtype=np.int64)
+
+    def append(self, entries: np.ndarray) -> None:
+        table = np.concatenate((self.table, entries))
+        self.table = table[np.lexsort((table[:, 1], table[:, 0]))]
+
+    def take(self, budget, policy) -> tuple[np.ndarray, np.ndarray]:
+        edges = self.table[:, 0]
+        counts = self.table[:, 5]
+        row_budget = budget[edges] if isinstance(budget, np.ndarray) else budget
+        take = _reference_takes(edges, counts, row_budget, policy)
+        sending = take > 0
+        sent = self.table[sending].copy()
+        self.table[:, 5] -= take
+        self.table = self.table[self.table[:, 5] > 0]
+        return sent, take[sending]
+
+
+def _check_take(queues, model, budget, policy) -> None:
+    sent, taken = queues.take(budget, policy)
+    expected_sent, expected_taken = model.take(budget, policy)
+    assert np.array_equal(sent, expected_sent)
+    assert np.array_equal(taken, expected_taken)
+    chains = _chains(queues)
+    live = (
+        np.concatenate([chains[edge] for edge in sorted(chains)])
+        if chains
+        else np.empty((0, 6), dtype=np.int64)
+    )
+    assert np.array_equal(live, model.table)
+    assert queues.rows == len(model.table)
+    assert queues.tokens == int(model.table[:, 5].sum())
+
+
+_EDGES = 6
+
+
+@st.composite
+def _queue_ops(draw):
+    """A policy and a run of appends (edge-sorted rows) and takes (a
+    scalar budget, or one per edge, zero and overdrawn included)."""
+    policy = draw(st.sampled_from(list(TransportPolicy)))
+    ops = []
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.booleans()):
+            edges = sorted(
+                draw(st.lists(st.integers(0, _EDGES - 1), max_size=12))
+            )
+            counts = draw(
+                st.lists(
+                    st.integers(1, 6), min_size=len(edges), max_size=len(edges)
+                )
+            )
+            ops.append(("append", edges, counts))
+        elif draw(st.booleans()):
+            ops.append(("take", draw(st.integers(0, 5))))
+        else:
+            budget = draw(
+                st.lists(
+                    st.integers(-1, 5), min_size=_EDGES, max_size=_EDGES
+                )
+            )
+            ops.append(("take", np.array(budget, dtype=np.int64)))
+    return policy, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(_queue_ops())
+def test_queues_match_the_sorted_table(case):
+    """Random appends and takes under either policy, through growth and
+    compaction: every round sends exactly the rows the budget rule picks
+    from the whole (edge, seq)-sorted table, and the queues hold what
+    that table keeps."""
+    policy, ops = case
+    queues = EdgeQueues(_EDGES)
+    model = _Model(_EDGES)
+    seq = 0
+    for op in ops:
+        if op[0] == "append":
+            _, edges, counts = op
+            entries = _entries(np.array(edges, dtype=np.int64), counts, seq)
+            seq += len(edges)
+            queues.append(entries)
+            model.append(entries)
+        else:
+            _check_take(queues, model, op[1], policy)
 
 
 class TestCsrStepping:
@@ -364,23 +590,24 @@ class TestPortStreamBranches:
         assert 0 < streams.generator_calls < routed_node_rounds / 10
 
 
-def _is_edge_seq_ordered(pending: np.ndarray) -> bool:
-    order = np.lexsort((pending[:, 1], pending[:, 0]))
-    return bool(np.array_equal(order, np.arange(len(pending))))
-
-
 def test_pending_table_stays_edge_seq_ordered(monkeypatch):
-    """``_emit`` orders the pending table with a stable sort on the edge
-    alone; that equals the (edge, seq) order only while kept rows stay
-    ordered and new rows arrive with larger seqs.  Check the invariant
+    """Rows join their edge's tail and leave from its head, so each
+    chain must stay in ascending seq order, and the tokens queued on a
+    node's out-edges must be what ``held`` says it holds.  Check both
     after every round of a backlogged QUEUE tree run."""
     original = CountingWalkEngine.end_round
     backlog: list[int] = []
 
     def checked(engine, *args):
         original(engine, *args)
-        assert _is_edge_seq_ordered(engine._pending)
-        backlog.append(len(engine._pending))
+        queues = engine._queues
+        held = np.zeros(engine.n, dtype=np.int64)
+        for edge, rows in _chains(queues).items():
+            assert np.all(np.diff(rows[:, 1]) > 0)
+            assert np.all(rows[:, 0] == edge)
+            held[engine._edge_src[edge]] += int(rows[:, 5].sum())
+        assert np.array_equal(held, engine.held)
+        backlog.append(queues.rows)
 
     monkeypatch.setattr(CountingWalkEngine, "end_round", checked)
     graph = random_tree(40, seed=2)

@@ -857,13 +857,10 @@ class _WrapContext(RoundContext):
             self._state, neighbor, kind, inner.fields, self.round_number
         )
 
-    def push_message(self, message: Message) -> None:
-        if message.receiver not in self._neighbors:
-            raise ProtocolError(
-                f"node {self._node_id} tried to send to non-neighbor "
-                f"{message.receiver}"
-            )
-        self.send(message.receiver, message.kind, *message.fields)
+    def send_fields(
+        self, neighbor: int, kind: str, fields: tuple[int, ...]
+    ) -> None:
+        self.send(neighbor, kind, *fields)
 
 
 def run_async(

@@ -104,17 +104,18 @@ class RoundContext:
         for neighbor in sorted(self._neighbors):
             self.send(neighbor, kind, *fields)
 
-    def push_message(self, message: Message) -> None:
-        """Queue a pre-built :class:`Message` (the reliability layer
-        constructs its own envelopes - retransmissions and acks - and
-        ships them through here under the same neighbor and bandwidth
-        checks as :meth:`send`)."""
-        if message.receiver not in self._neighbors:
+    def send_fields(
+        self, neighbor: int, kind: str, fields: tuple[int, ...]
+    ) -> None:
+        """:meth:`send` with the payload as one tuple, under the same
+        checks: the sink the reliability layer's flush sends through
+        (:data:`~repro.congest.reliable.Sink`)."""
+        if neighbor not in self._neighbors:
             raise ProtocolError(
                 f"node {self._node_id} tried to send to non-neighbor "
-                f"{message.receiver}"
+                f"{neighbor}"
             )
-        self._outbox.push(message)
+        self._outbox.push(Message(self._node_id, neighbor, kind, fields))
 
 
 class EdgeIndex:

@@ -25,8 +25,10 @@ a pure function of the delivered-message history, so the per-message
 loop and the vectorized fast path - which feed it the same history -
 keep byte-identical channel states.  Each rule has one copy: both loops
 accept through :meth:`ReliableChannel.accept` (the fast path once per
-claimed walk row) and confirm through :meth:`OutLink.apply_ack` (the
-asynchronous executor included).
+claimed walk or exchange row), send through :meth:`ReliableChannel.flush`,
+and confirm through :meth:`OutLink.apply_ack` (the asynchronous executor
+included); the fast path's drivers settle accepts that land after a
+node's flush through :meth:`ReliableChannel.settle`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,14 @@ ACK_WINDOW = 16
 #: One network round-trip is 2 rounds; 4 gives the ack a round of slack
 #: plus headroom for ack slots lost to the fault plan itself.
 RETRANSMIT_AFTER = 4
+
+#: Where :meth:`ReliableChannel.flush` sends: ``send(receiver, kind,
+#: fields)``, the seq already the last field.  A node's handler passes
+#: :meth:`RoundContext.send_fields
+#: <repro.congest.node.RoundContext.send_fields>`, which ships each send
+#: as a :class:`Message`; the fast path's exchange driver ships ``xch``
+#: sends as bulk rows instead.
+Sink = Callable[[int, str, tuple[int, ...]], None]
 
 
 class OutLink:
@@ -199,8 +209,8 @@ class ReliableChannel:
 
     Both execution loops mutate the *same* channel objects: the
     per-message loop from inside each node's round handler, the fast
-    path from the network-wide walk engine.  All methods are
-    deterministic given the delivered-message history.
+    path from the network-wide walk and exchange drivers.  All methods
+    are deterministic given the delivered-message history.
 
     Per-edge slot discipline (``flush``): per neighbor per round, at
     most ``token_budget`` walk-token retransmissions, ``control_slots``
@@ -238,7 +248,7 @@ class ReliableChannel:
         # edge is fully settled, so quiet edges cost nothing per round.
         self._active: set[int] = set()
         self.stats = ChannelStats()
-        # Last round :meth:`flush` ran (see :meth:`ack_late`).
+        # Last round :meth:`flush` ran (see :meth:`settle`).
         self.flushed_round = -1
         # Optional repro.obs.InstrumentSet: ARQ window occupancy,
         # per-round retransmit/ack counters, and recovery latencies.
@@ -337,12 +347,9 @@ class ReliableChannel:
     # ------------------------------------------------------------------
     # Per-round flush
     # ------------------------------------------------------------------
-    def flush(
-        self,
-        round_number: int,
-        push: Callable[[Message], None],
-    ) -> dict[int, int]:
-        """Send this round's recovery traffic.
+    def flush(self, round_number: int, send: Sink) -> dict[int, int]:
+        """Send this round's recovery traffic through ``send(receiver,
+        kind, fields)`` (see :data:`Sink`).
 
         Per neighbor, in order: due walk-token retransmissions (up to
         ``token_budget``), control messages (due retransmits, then
@@ -357,7 +364,7 @@ class ReliableChannel:
         acks_this_round = 0
         active = self._active
         # Only edges with live work are visited; iteration stays in
-        # neighbor order, so the push order matches the full scan's.
+        # neighbor order, so the send order matches the full scan's.
         if not active:
             order: tuple[int, ...] | list[int] = ()
         elif len(active) == len(self.neighbors):
@@ -377,11 +384,7 @@ class ReliableChannel:
                         continue
                 elif control_sent >= self.control_slots:
                     continue
-                push(
-                    Message(
-                        self.node_id, neighbor, kind, fields + (seq,)
-                    )
-                )
+                send(neighbor, kind, fields + (seq,))
                 link.touch(seq, round_number)
                 self.stats.retransmissions += 1
                 retransmits_this_round += 1
@@ -393,18 +396,11 @@ class ReliableChannel:
             while queue and control_sent < self.control_slots:
                 kind, fields = queue.pop(0)
                 seq = link.assign(kind, fields, round_number)
-                push(
-                    Message(
-                        self.node_id, neighbor, kind, fields + (seq,)
-                    )
-                )
+                send(neighbor, kind, fields + (seq,))
                 control_sent += 1
             inlink = self.inn[neighbor]
             if inlink.ack_due:
-                cum, bitmap = inlink.ack_fields()
-                push(
-                    Message(self.node_id, neighbor, KIND_ACK, (cum, bitmap))
-                )
+                send(neighbor, KIND_ACK, inlink.ack_fields())
                 inlink.ack_due = False
                 inlink.acked_round = round_number
                 self.stats.acks_sent += 1
@@ -425,32 +421,35 @@ class ReliableChannel:
             self._instruments.observe("arq_window", self.unacked_count)
         return token_retransmits
 
-    def ack_late(
-        self,
-        neighbor: int,
-        round_number: int,
-        push: Callable[[Message], None],
+    def settle(
+        self, senders: Iterable[int], round_number: int, send: Sink
     ) -> None:
-        """Settle an accept on ``neighbor``'s link that landed *after*
-        this round's :meth:`flush` (the fast path's walk engine dedups
-        claimed token rows at end of round, after exchange/done nodes
-        have flushed).  Had the accept come first, the flush would have
-        closed that neighbor's section with one ack, so: send that ack
-        now - it is still last on its edge - unless the flush already
-        acked this link this round, whose ``(cum, bitmap)`` the late
-        duplicate cannot have changed."""
-        inlink = self.inn[neighbor]
-        if not inlink.ack_due:
+        """Owe what a receive-then-flush round handler would have sent
+        for accepts from ``senders`` that a fast-path driver ran after
+        the handler (duplicates: a fresh arrival past counting is a
+        protocol error).  Both drivers settle through here.
+
+        If this round's :meth:`flush` has not run (a halted node the
+        scheduler did not step), run it now.  Otherwise the flush would
+        have closed each sender's section with one ack, so send that
+        ack now - it is still last on its edge - unless the flush
+        already acked the link, whose ``(cum, bitmap)`` a duplicate
+        cannot have changed."""
+        if self.flushed_round != round_number:
+            self.flush(round_number, send)
             return
-        inlink.ack_due = False
-        if inlink.acked_round == round_number:
-            return
-        cum, bitmap = inlink.ack_fields()
-        push(Message(self.node_id, neighbor, KIND_ACK, (cum, bitmap)))
-        inlink.acked_round = round_number
-        self.stats.acks_sent += 1
-        if self._instruments is not None:
-            self._instruments.bump_round("acks", round_number, 1)
+        for neighbor in sorted(senders):
+            inlink = self.inn[neighbor]
+            if not inlink.ack_due:
+                continue
+            inlink.ack_due = False
+            if inlink.acked_round == round_number:
+                continue
+            send(neighbor, KIND_ACK, inlink.ack_fields())
+            inlink.acked_round = round_number
+            self.stats.acks_sent += 1
+            if self._instruments is not None:
+                self._instruments.bump_round("acks", round_number, 1)
 
     # ------------------------------------------------------------------
     # Drain / introspection

@@ -243,11 +243,11 @@ class RWBCNodeProgram(VectorizedProgram):
         # which freezes this node's tree, target and neighbor degrees;
         # the node sleeps until it joins the counting phase.
         self._setup_engine = None
-        # Fast path only: the shared exchange driver (non-reliable runs
-        # without fault injection).  When set, the whole exchange phase -
-        # column broadcasts, neighbor-count collection, and the final
-        # local computation - runs inside the driver, and this node is
-        # never woken for it.
+        # Fast path only: the shared exchange driver (fault-free runs, and
+        # every reliable run).  When set, the exchange phase - column
+        # sends, neighbor-column receipt, and the final local
+        # computation - runs inside the driver, and this node is woken
+        # only for control mail.
         self._xch_engine = None
         self._tree: FloodMaxState | None = None
         self._walks: WalkManager | None = None
@@ -257,8 +257,8 @@ class RWBCNodeProgram(VectorizedProgram):
         self._neighbor_degrees: dict[int, int] = {}
         # Neighbor half counts, allocated on first use (see
         # _neighbor_slabs); the exchange driver installs views into the
-        # count tensor instead, so the fault-free fast path never
-        # allocates the matrix.
+        # count tensor instead, so the fast path never allocates the
+        # matrix.
         self._neighbor_matrix: np.ndarray | None = None
         self._neighbor_counts: dict[int, np.ndarray] | None = None
         self._exchange_start: int | None = None
@@ -313,7 +313,7 @@ class RWBCNodeProgram(VectorizedProgram):
             return
         rctx = _ReliableCtx(self._channel, self.neighbors, ctx.round_number)
         self._flood.start(rctx)
-        self._channel.flush(ctx.round_number, ctx.push_message)
+        self._channel.flush(ctx.round_number, ctx.send_fields)
 
     def on_round(self, ctx: RoundContext, inbox: list[Message]) -> None:
         if self.phase == PHASE_SETUP:
@@ -345,7 +345,7 @@ class RWBCNodeProgram(VectorizedProgram):
                         "fresh walk token arrived after finish at node "
                         f"{self.node_id}: recovery lost a death"
                     )
-            self._channel.flush(ctx.round_number, ctx.push_message)
+            self._channel.flush(ctx.round_number, ctx.send_fields)
         self.halt()
 
     @property
@@ -372,13 +372,15 @@ class RWBCNodeProgram(VectorizedProgram):
         the milestones' work, so the node sleeps straight through to
         its launch at ``n + 2``, where it only builds its manager and
         counter and registers them: the engine launches the walks.
-        Reliable mode is timer-driven (ARQ retransmits), so it keeps the
+        Reliable setup is timer-driven (ARQ retransmits), so it keeps the
         historical every-round stepping.  Counting is mail-only (the
         engine does the work; with the array convergecast only the done
-        wave wakes a node).  Exchange is
-        calendar-driven from ``_exchange_start`` unless the shared
-        exchange driver owns it, in which case the node sleeps forever
-        and the driver finishes it."""
+        wave wakes a node).  Exchange is calendar-driven from
+        ``_exchange_start`` unless the shared exchange driver owns it -
+        always, on fault-free and reliable runs.  Then the driver sends
+        the columns, flushes the ARQ and finishes the node, and the node
+        wakes only for control mail (acks, degrees, done and term
+        retransmits)."""
         if self.phase == PHASE_SETUP:
             if self._channel is not None:
                 return round_number + 1
@@ -391,8 +393,6 @@ class RWBCNodeProgram(VectorizedProgram):
         if self.phase == PHASE_EXCHANGE:
             if self._xch_engine is not None:
                 return None
-            if self._channel is not None:
-                return round_number + 1
             start = self._exchange_start
             return start if round_number < start else round_number + 1
         return None  # PHASE_DONE: only late mail matters
@@ -514,7 +514,7 @@ class RWBCNodeProgram(VectorizedProgram):
             self.target = self._tree.leader_id
             self._launch_counting(ctx, r)
             return
-        self._channel.flush(r, ctx.push_message)
+        self._channel.flush(ctx.round_number, ctx.send_fields)
 
     def _launch_counting(self, ctx: RoundContext, r: int) -> None:
         """Build the walk manager and death counter and start counting.
@@ -529,8 +529,8 @@ class RWBCNodeProgram(VectorizedProgram):
         if shared is not None:
             engine = shared.slots.get("walk_engine")
             if engine is None:
-                # The convergecast runs as arrays where the setup and
-                # exchange drivers run: fault-free and not reliable.
+                # The convergecast runs as arrays where the setup driver
+                # runs: fault-free and not reliable.
                 convergecast = (
                     self._channel is None and shared.fault_runtime is None
                 )
@@ -541,6 +541,22 @@ class RWBCNodeProgram(VectorizedProgram):
                     self.config.length,
                 )
                 shared.slots["walk_engine"] = engine
+                if convergecast or self._channel is not None:
+                    from repro.core.exchange_engine import ExchangeEngine
+
+                    # Registered first, so each round it accepts the
+                    # exchange columns before the walk engine flushes
+                    # the counting nodes they reach.
+                    xch = ExchangeEngine(
+                        None,
+                        engine,
+                        shared.edges,
+                        reliable=self._channel is not None,
+                        fault_runtime=shared.fault_runtime,
+                        profiler=shared.profiler,
+                    )
+                    shared.slots["exchange_engine"] = xch
+                    shared.register_driver(xch)
                 shared.register_driver(engine)
         self._walks = WalkManager(
             node_id=self.node_id,
@@ -603,7 +619,8 @@ class RWBCNodeProgram(VectorizedProgram):
         engine's control-arrival buffer so they join the same
         canonical grouped receive as the claimed bulk traffic.  The
         engine owns this node's flush while it is counting, so none
-        happens here."""
+        happens here, and the exchange driver takes the columns early
+        neighbors send."""
         done_round: int | None = None
         if self._channel is not None:
             for message in inbox:
@@ -624,8 +641,6 @@ class RWBCNodeProgram(VectorizedProgram):
                     )
                 elif kind == KIND_DONE:
                     done_round = payload[0]
-                elif kind == KIND_EXCHANGE:
-                    self._store_exchange(message.sender, payload)
                 elif kind == KIND_DEGREE:
                     self._neighbor_degrees[message.sender] = payload[0]
         else:
@@ -636,7 +651,7 @@ class RWBCNodeProgram(VectorizedProgram):
                 elif message.kind == KIND_DONE:
                     (done_round,) = message.fields
         if done_round is not None:
-            self._begin_done_wave(ctx, done_round)
+            self._begin_done_wave(ctx, done_round, ctx.round_number)
             return
         self._engine.touch(self.node_id)
 
@@ -715,11 +730,11 @@ class RWBCNodeProgram(VectorizedProgram):
             # Root: schedule the common phase switch and start the wave.
             done_round = ctx.round_number + self.info.n + 2
         if done_round is not None:
-            self._begin_done_wave(ctx, done_round)
+            self._begin_done_wave(ctx, done_round, ctx.round_number)
             if self._channel is not None:
                 # Ship the queued done wave (and any owed acks) now;
                 # from next round the exchange handler flushes.
-                self._channel.flush(ctx.round_number, ctx.push_message)
+                self._channel.flush(ctx.round_number, ctx.send_fields)
             return
         if self._channel is not None:
             self._reliable_counting_sends(ctx)
@@ -739,7 +754,7 @@ class RWBCNodeProgram(VectorizedProgram):
             self._channel.queue_latest(
                 self._death_counter.parent, KIND_TERM, (total,)
             )
-        retransmits = self._channel.flush(ctx.round_number, ctx.push_message)
+        retransmits = self._channel.flush(ctx.round_number, ctx.send_fields)
         budgets = {
             neighbor: self.config.walk_budget - retransmits.get(neighbor, 0)
             for neighbor in self.neighbors
@@ -769,14 +784,21 @@ class RWBCNodeProgram(VectorizedProgram):
 
     def _store_exchange(self, sender: int, payload: tuple[int, ...]) -> None:
         """Fold one fresh (deduplicated) exchange column from a
-        neighbor; reliable mode only."""
+        neighbor; the per-message loop's reliable mode only (the
+        exchange driver counts the rows and stores nothing)."""
         source, count_a, count_b = payload
         slab = self._neighbor_slabs()[sender]
         slab[0, source] = count_a
         slab[1, source] = count_b
         self._xch_received[sender] += 1
 
-    def _begin_done_wave(self, ctx: RoundContext, done_round: int) -> None:
+    def _begin_done_wave(
+        self, ctx: RoundContext, done_round: int, round_number: int
+    ) -> None:
+        """Switch to the exchange phase in ``round_number``, relaying
+        ``done(done_round)``.  The fault-free exchange runs on the
+        calendar from ``done_round``; the reliable one is self-paced
+        from the next round on, so its phase marker is this round."""
         self._exchange_start = done_round
         self._death_counter.stop()
         if self._engine is not None:
@@ -796,45 +818,32 @@ class RWBCNodeProgram(VectorizedProgram):
                 # The engine owns this node's flush for the transition
                 # round (its per-node call already happened).
                 self._engine.note_transition(self.node_id)
+            self.exchange_start_round = round_number
         else:
             for child in self._tree.children:
                 ctx.send(child, KIND_DONE, done_round)
+            self.exchange_start_round = done_round
         self.phase = PHASE_EXCHANGE
-        self.exchange_start_round = done_round
         shared = ctx.shared
-        if shared is not None and self._channel is not None:
-            # Reliable mode: the exchange is self-paced, one step every
-            # round from the next one on.  When this transition fired
-            # inside the engine's end-of-round pass (the root's
-            # detection) the scheduler saw no step to query, so file an
-            # ASAP wake (target 0 clamps to the next round).  Redundant
-            # after a normal mail-driven step; the scheduler dedups.
-            shared.request_wake(self.node_id, 0)
-        elif shared is not None:
-            if self._engine is not None and shared.fault_runtime is None:
-                # Fault-free fast path: hand the whole exchange phase to
-                # the shared driver.  It broadcasts every node's columns
-                # as one aggregate push per round (byte-identical
-                # traffic) and runs the final local computation directly
-                # on the engine's count tensor.
-                from repro.core.exchange_engine import ExchangeEngine
-
-                xch = shared.slots.get("exchange_engine")
-                if xch is None:
-                    xch = ExchangeEngine(done_round, self._engine, shared.edges)
-                    shared.slots["exchange_engine"] = xch
-                    shared.register_driver(xch)
-                xch.register(self)
-                self._xch_engine = xch
-            else:
-                # No driver: this transition may have happened inside
-                # the engine's end-of-round pass (the root's detection),
-                # where the scheduler cannot observe the phase change -
-                # file the calendar wake for the first exchange round
-                # explicitly.  Redundant with the post-step next_wake
-                # query when the transition happened in a normal step;
-                # the scheduler dedups.
-                shared.request_wake(self.node_id, done_round)
+        if shared is None:
+            return
+        xch = shared.slots.get("exchange_engine")
+        if xch is not None:
+            # The shared driver runs this node's exchange: the columns
+            # travel as bulk rows (one priced push per round fault-free,
+            # ARQ-sequenced rows under recovery), and it calls
+            # ``_finish`` on views into the engine's count tensor.
+            xch.register(self)
+            self._xch_engine = xch
+        else:
+            # No driver (faults without recovery): this transition may
+            # have happened inside the engine's end-of-round pass (the
+            # root's detection), where the scheduler cannot observe the
+            # phase change - file the calendar wake for the first
+            # exchange round explicitly.  Redundant with the post-step
+            # next_wake query when the transition happened in a normal
+            # step; the scheduler dedups.
+            shared.request_wake(self.node_id, done_round)
 
     # ------------------------------------------------------------------
     # Phase 3: exchange (Algorithm 2) + local computation
@@ -875,19 +884,11 @@ class RWBCNodeProgram(VectorizedProgram):
     def _exchange_round_reliable(
         self, ctx: RoundContext, inbox: list[Message]
     ) -> None:
-        """Self-paced exchange under recovery (Algorithm 2, lossy form).
-
-        The fault-free protocol synchronizes subrounds by the calendar
-        (column ``i`` travels in round ``R_end + i``); loss breaks any
-        fixed schedule, so instead each node ships its next unsent
-        count column every round through the ARQ and finishes when all
-        ``n`` columns are sent *and acked*, all ``n`` columns have
-        arrived from every neighbor, every neighbor degree is known,
-        and the channel is drained.  Fault-free this sends exactly the
-        same n columns in the same n rounds as the calendar schedule.
+        """Self-paced exchange under recovery (Algorithm 2, lossy form):
+        take in this round's mail, then run :meth:`_exchange_step` -
+        unless the shared exchange driver owns this node, in which case
+        the driver takes the columns and runs the step at end of round.
         """
-        n = self.info.n
-        r = ctx.round_number
         for message in inbox:
             kind = message.kind
             if kind == KIND_ACK:
@@ -911,23 +912,44 @@ class RWBCNodeProgram(VectorizedProgram):
                     "fresh walk token arrived during exchange at node "
                     f"{self.node_id}: recovery lost a death"
                 )
+        r = ctx.round_number
+        if self._xch_engine is None and self._exchange_step(
+            r, ctx.send_fields
+        ):
+            self._finish(r)
+
+    def _exchange_step(self, round_number: int, send) -> bool:
+        """One self-paced exchange round after the node's receipts:
+        queue the next unsent count column to every neighbor, flush the
+        ARQ through ``send`` (a :data:`~repro.congest.reliable.Sink`),
+        and report whether the node is complete - all ``n`` columns
+        sent *and acked*, all ``n`` received from every neighbor, every
+        neighbor degree known, and the channel drained.
+
+        The fault-free protocol synchronizes subrounds by the calendar
+        (column ``i`` travels in round ``R_end + i``); loss breaks any
+        fixed schedule, so each node paces itself instead.  Fault-free
+        this sends the same ``n`` columns in ``n`` rounds.  The
+        per-message loop calls this from the node's handler, the
+        exchange driver for every node it owns."""
+        n = self.info.n
         if self._next_column < n:
             source = self._next_column
-            count_a = int(self._walks.half_counts[0, source])
-            count_b = int(self._walks.half_counts[1, source])
+            fields = (
+                source,
+                int(self._walks.half_counts[0, source]),
+                int(self._walks.half_counts[1, source]),
+            )
             for neighbor in self.neighbors:
-                self._channel.queue(
-                    neighbor, KIND_EXCHANGE, (source, count_a, count_b)
-                )
+                self._channel.queue(neighbor, KIND_EXCHANGE, fields)
             self._next_column += 1
-        self._channel.flush(r, ctx.push_message)
-        if (
+        self._channel.flush(round_number, send)
+        return (
             self._next_column >= n
             and len(self._neighbor_degrees) == self.degree
             and all(self._xch_received[v] >= n for v in self.neighbors)
             and self._channel.drained
-        ):
-            self._finish(r)
+        )
 
     def _finish(self, round_number: int) -> None:
         n = self.info.n

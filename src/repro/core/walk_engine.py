@@ -634,7 +634,7 @@ class CountingWalkEngine:
     def note_transition(self, node: int) -> None:
         """A counting node switched to the exchange phase during this
         round's calls; the engine still owes its channel this round's
-        flush (from next round the node flushes inline)."""
+        flush (from next round the exchange driver flushes it)."""
         self._transitioned.add(node)
 
     # ------------------------------------------------------------------
@@ -659,7 +659,7 @@ class CountingWalkEngine:
         )
         if self._reliable and claimed:
             with profiler.span("engine.dedup"):
-                claimed = self._dedup_claimed(claimed, round_number, outbox)
+                claimed = self._dedup_claimed(claimed, round_number)
         if claimed or self._control_arrivals:
             dead = self._process_arrivals(claimed)
         else:
@@ -676,9 +676,7 @@ class CountingWalkEngine:
         retransmits = None
         if self._reliable:
             with profiler.span("engine.arq_flush"):
-                retransmits = self._flush_channels(
-                    round_number, outbox, crashed
-                )
+                retransmits = self._flush_channels(round_number, crashed)
         if self._queues.rows:
             with profiler.span("engine.emit"):
                 self._emit(bulk_outbox, round_number, retransmits, crashed)
@@ -767,10 +765,7 @@ class CountingWalkEngine:
         self._queues.append(entries)
 
     def _dedup_claimed(
-        self,
-        claimed: dict[str, ClaimedKind],
-        round_number: int,
-        outbox: "RoundOutbox",
+        self, claimed: dict[str, ClaimedKind], round_number: int
     ) -> dict[str, ClaimedKind]:
         """Reliable mode: run every claimed walk row through the
         receiver's ARQ before counting.
@@ -786,9 +781,11 @@ class CountingWalkEngine:
         receive windows do not depend on arrival order, so the slow
         path's arrival order and this row order agree byte for byte.
 
-        A receiver past counting flushes in its own round handler,
-        which ran before this pass; its accepts here are settled by
-        :meth:`_settle_late_accepts` instead."""
+        A receiver past counting was flushed before this pass (by the
+        exchange driver, or by its own handler once done), or nobody
+        steps it; its accepts here are settled through
+        :meth:`ReliableChannel.settle
+        <repro.congest.reliable.ReliableChannel.settle>` instead."""
         out: dict[str, ClaimedKind] = {}
         channels = self._channels
         transitioned = self._transitioned
@@ -830,32 +827,11 @@ class CountingWalkEngine:
                     fields[keep],
                     np.ones(int(keep.sum()), dtype=np.int64),
                 )
-        if late:
-            self._settle_late_accepts(late, round_number, outbox)
-        return out
-
-    def _settle_late_accepts(
-        self,
-        late: dict[int, set[int]],
-        round_number: int,
-        outbox: "RoundOutbox",
-    ) -> None:
-        """Owe what the per-message loop's handler would have sent for
-        token rows that reached exchange/done receivers (necessarily
-        duplicates: a fresh one raised above).  There the receiver runs
-        the rows through its channel and then flushes, so every touched
-        link ends the round acked.  A receiver that already flushed
-        this round gets just those acks; a halted one the scheduler did
-        not step (it had no control mail) gets the flush its woken
-        handler would have run."""
-        channels = self._channels
         for node in sorted(late):
-            channel = channels[node]
-            if channel.flushed_round == round_number:
-                for sender in sorted(late[node]):
-                    channel.ack_late(sender, round_number, outbox.push)
-            else:
-                channel.flush(round_number, outbox.push)
+            channels[node].settle(
+                late[node], round_number, self._contexts[node].send_fields
+            )
+        return out
 
     def _process_arrivals(
         self, claimed: dict[str, ClaimedKind]
@@ -957,7 +933,7 @@ class CountingWalkEngine:
                 if counter.root_detects_completion:
                     done_round = round_number + self.n + 2
                     self._programs[node]._begin_done_wave(
-                        self._contexts[node], done_round
+                        self._contexts[node], done_round, round_number
                     )
             else:
                 total = counter.pop_report()
@@ -1030,22 +1006,19 @@ class CountingWalkEngine:
         root = self._root
         if not self._stopped[root] and total[root] >= self._expected_total:
             self._programs[root]._begin_done_wave(
-                self._contexts[root], round_number + self.n + 2
+                self._contexts[root], round_number + self.n + 2, round_number
             )
 
     def _flush_channels(
-        self,
-        round_number: int,
-        outbox: "RoundOutbox",
-        crashed: frozenset,
+        self, round_number: int, crashed: frozenset
     ) -> dict[int, int]:
         """Run the per-round ARQ flush for every node the engine owns
         this round: counting nodes plus the ones that left counting
-        during this round's calls.  (Setup/exchange/done nodes flush
-        inline in their own handlers; a crashed node flushes nothing,
-        same as the per-message loop skipping it.)  Returns the fresh
-        token budget debits as an edge-id -> retransmit-count map for
-        :meth:`_emit`."""
+        during this round's calls.  (Setup and done nodes flush in their
+        own handlers, exchange nodes in the exchange driver; a crashed
+        node flushes nothing, same as the per-message loop skipping
+        it.)  Returns the fresh token budget debits as an edge-id ->
+        retransmit-count map for :meth:`_emit`."""
         retransmits: dict[int, int] = {}
         offsets = self._offsets
         for node in sorted(self._channels):
@@ -1057,7 +1030,9 @@ class CountingWalkEngine:
             ):
                 continue
             channel = self._channels[node]
-            sent = channel.flush(round_number, outbox.push)
+            sent = channel.flush(
+                round_number, self._contexts[node].send_fields
+            )
             if sent:
                 neighbors = self._managers[node].neighbors
                 for neighbor, count in sent.items():

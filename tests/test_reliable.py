@@ -17,6 +17,15 @@ TOKENS = frozenset({"walk"})
 LATEST = frozenset({"term"})
 
 
+def sink(channel, wire):
+    """A flush sink recording each send as a :class:`Message`."""
+
+    def send(receiver, kind, fields):
+        wire.append(Message(channel.node_id, receiver, kind, fields))
+
+    return send
+
+
 def make_channel(node_id=0, neighbors=(1,), token_budget=2):
     return ReliableChannel(
         node_id=node_id,
@@ -98,7 +107,7 @@ class TestReliableChannel:
         b = make_channel(node_id=1, neighbors=(0,))
         a.queue(1, "deg", (3,))
         wire: list[Message] = []
-        a.flush(1, wire.append)
+        a.flush(1, sink(a, wire))
         (message,) = wire
         assert message.kind == "deg"
         assert message.fields == (3, 0)  # payload + seq
@@ -108,14 +117,14 @@ class TestReliableChannel:
         assert b.stats.duplicates_rejected == 1
 
         wire.clear()
-        b.flush(1, wire.append)
+        b.flush(1, sink(b, wire))
         (ack,) = wire
         assert ack.kind == KIND_ACK
         assert a.unacked_count == 1
         a.receive(ack)
         assert a.unacked_count == 0
         wire.clear()
-        a.flush(2, wire.append)
+        a.flush(2, sink(a, wire))
         assert wire == []  # nothing due, nothing queued, no ack owed
         assert a.drained
 
@@ -123,9 +132,9 @@ class TestReliableChannel:
         a = make_channel(node_id=0, neighbors=(1,))
         a.queue(1, "deg", (3,))
         wire: list[Message] = []
-        a.flush(1, wire.append)  # original send, seq 0
+        a.flush(1, sink(a, wire))  # original send, seq 0
         for round_number in range(2, 2 + 3 * RETRANSMIT_AFTER):
-            a.flush(round_number, wire.append)
+            a.flush(round_number, sink(a, wire))
         retransmits = [m for m in wire if m.fields == (3, 0)]
         assert len(retransmits) == 1 + 3  # original + one per timeout
         assert a.stats.retransmissions == 3
@@ -140,7 +149,7 @@ class TestReliableChannel:
         for i in range(4):
             a.queue(1, "xch", (i, 0))
         wire: list[Message] = []
-        sent_tokens = a.flush(0 + RETRANSMIT_AFTER, wire.append)
+        sent_tokens = a.flush(0 + RETRANSMIT_AFTER, sink(a, wire))
         walk = [m for m in wire if m.kind == "walk"]
         control = [m for m in wire if m.kind == "xch"]
         assert len(walk) == 2  # token_budget
@@ -154,12 +163,12 @@ class TestReliableChannel:
         a.queue_latest(1, "term", (8,))
         assert a.queued_count == 1
         wire: list[Message] = []
-        a.flush(1, wire.append)
+        a.flush(1, sink(a, wire))
         assert wire[0].fields == (8, 0)  # only the newest value flew
         # Once sequenced, a newer value gets its own seq.
         a.queue_latest(1, "term", (9,))
         wire.clear()
-        a.flush(2, wire.append)
+        a.flush(2, sink(a, wire))
         assert wire[0].fields == (9, 1)
 
     def test_shared_seq_space_across_kinds(self):
@@ -167,7 +176,7 @@ class TestReliableChannel:
         first = a.register_block(1, "walk", [(1, 2, 3)], 0)
         a.queue(1, "deg", (4,))
         wire: list[Message] = []
-        a.flush(0, wire.append)
+        a.flush(0, sink(a, wire))
         assert first == 0
         assert wire[0].fields[-1] == 1  # control continues the edge seq
 
@@ -183,7 +192,7 @@ class TestReliableChannel:
         a.queue(1, "deg", (10,))
         a.queue(1, "xch", (20, 0))
         wire: list[Message] = []
-        a.flush(1, wire.append)
+        a.flush(1, sink(a, wire))
         second, first = wire[1], wire[0]
         assert b.receive(second) == (20, 0)  # seq 1 lands before seq 0
         assert b.receive(first) == (10,)

@@ -1,8 +1,9 @@
 """Cross-loop equivalence of the *vectorized* reliable path.
 
 The fast path's reliable machinery (per-row ARQ acceptance through
-``ReliableChannel.accept`` in ``walk_engine._dedup_claimed``, block seq
-assignment in ``_emit_reliable``, and ``FaultRuntime.filter_bulk`` over
+``ReliableChannel.accept`` in ``walk_engine._dedup_claimed`` and in the
+exchange driver, block seq assignment in ``_emit_reliable``, the
+exchange driver's column rows, and ``FaultRuntime.filter_bulk`` over
 aggregate rows, which shares its fate core with ``filter_messages``)
 must reproduce the per-message loop byte for byte.  The fixed-seed
 checks in ``test_failure_injection.py`` pin a handful of schedules;
@@ -11,16 +12,19 @@ hypothesis sweep over random small plans that hunts edge-grouping
 regressions.
 """
 
+import collections
 import os
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.congest.faults import CrashWindow, FaultPlan
-from repro.congest.reliable import InLink
+from repro.congest.reliable import InLink, ReliableChannel
+from repro.congest.transport import RoundOutbox
 from repro.core.estimator import estimate_rwbc_distributed
+from repro.core.exchange_engine import ExchangeEngine
 from repro.core.parameters import WalkParameters
-from repro.core.protocol import ProtocolConfig
+from repro.core.protocol import KIND_EXCHANGE, ProtocolConfig, RWBCNodeProgram
 from repro.graphs.generators import cycle_graph, erdos_renyi_graph
 
 PARAMS = WalkParameters(length=20, walks_per_source=6)
@@ -149,6 +153,141 @@ class TestBoundaryEquivalence:
         )
         slow, fast = _run_both_loops(graph, plan)
         _assert_identical(slow, fast)
+
+
+class TestExchangeDriver:
+    """The reliable exchange on the fast path runs in the exchange
+    driver: columns travel as ARQ-sequenced bulk rows, and exchange
+    nodes are stepped only for control mail."""
+
+    def test_phase_markers_span_the_exchange(self):
+        """The exchange phase starts in the round a node switches to it,
+        so it lasts at least the ``n`` rounds its columns take."""
+        n = 10
+        graph = erdos_renyi_graph(n, 0.45, seed=n, ensure_connected=True)
+        slow, fast = _run_both_loops(graph, FaultPlan(seed=21, drop_rate=0.08))
+        _assert_identical(slow, fast)
+        assert fast.phase_rounds["exchange"] >= n
+
+    def test_crash_inside_exchange(self):
+        """A crash window placed inside node 0's exchange, from a first
+        run's phase markers: the run is the same up to the window, so
+        node 0 is exchanging when it goes down.  The driver skips the
+        crashed node's step, as the per-message loop skips its round."""
+        n = 10
+        graph = erdos_renyi_graph(n, 0.45, seed=n, ensure_connected=True)
+        first = estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=FaultPlan(seed=21, drop_rate=0.08)
+        )
+        switch = first.phase_rounds["setup"] + first.phase_rounds["counting"]
+        plan = FaultPlan(
+            seed=21,
+            drop_rate=0.08,
+            crashes=(CrashWindow(node=0, start=switch + 2, end=switch + 8),),
+        )
+        slow, fast = _run_both_loops(graph, plan)
+        _assert_identical(slow, fast)
+        assert slow.metrics.faults["crash_node_rounds"] == 6
+        assert fast.phase_rounds["setup"] + fast.phase_rounds["counting"] == (
+            switch
+        )
+
+    def test_delay_slips_land_after_finish(self, monkeypatch):
+        """Delayed column rows reach nodes that have already finished:
+        the driver must accept them as duplicates and owe the acks."""
+        graph = erdos_renyi_graph(9, 0.5, seed=2, ensure_connected=True)
+        plan = FaultPlan(seed=3, delay_rate=0.2, max_delay=6, drop_rate=0.05)
+        slow = estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=plan, vectorized=False
+        )
+        late_rounds = []
+        accept = ExchangeEngine._accept
+
+        def spy(driver, rows):
+            late = accept(driver, rows)
+            if late:
+                late_rounds.append(late)
+            return late
+
+        monkeypatch.setattr(ExchangeEngine, "_accept", spy)
+        fast = estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=plan, vectorized=True
+        )
+        assert late_rounds
+        _assert_identical(slow, fast)
+
+    def test_both_drivers_settle_one_halted_node(self, monkeypatch):
+        """A duplicate column row and a duplicate walk row reach a
+        halted node in the same round: each driver settles it through
+        the one ``ReliableChannel.settle`` rule - the first runs the
+        flush the node's woken handler would have run, the second owes
+        only the acks that flush did not send."""
+        graph = erdos_renyi_graph(6, 0.5, seed=2, ensure_connected=True)
+        plan = FaultPlan(
+            seed=12, duplicate_rate=0.3, delay_rate=0.3, max_delay=30
+        )
+        slow = estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=plan, vectorized=False
+        )
+        settled = collections.Counter()
+        settle = ReliableChannel.settle
+
+        def spy(channel, senders, round_number, send):
+            settled[channel.node_id, round_number] += 1
+            settle(channel, senders, round_number, send)
+
+        monkeypatch.setattr(ReliableChannel, "settle", spy)
+        fast = estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=plan, vectorized=True
+        )
+        assert max(settled.values()) == 2
+        _assert_identical(slow, fast)
+
+    def test_columns_are_never_messages_on_the_fast_path(self, monkeypatch):
+        graph = erdos_renyi_graph(10, 0.45, seed=10, ensure_connected=True)
+        plan = FaultPlan(seed=7, drop_rate=0.1)
+        built = collections.Counter()
+        push = RoundOutbox.push
+
+        def spy(outbox, message):
+            built[message.kind] += 1
+            push(outbox, message)
+
+        monkeypatch.setattr(RoundOutbox, "push", spy)
+        estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=plan, vectorized=True
+        )
+        assert built[KIND_EXCHANGE] == 0
+        assert built["ack"] > 0
+        built.clear()
+        estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=plan, vectorized=False
+        )
+        assert built[KIND_EXCHANGE] > 0
+
+    def test_no_neighbor_matrices_on_the_fast_path(self, monkeypatch):
+        """The driver finishes nodes on views into the count tensor, so
+        no program allocates its ``(degree, 2, n)`` neighbor matrix;
+        the per-message loop stores the columns it receives in one."""
+        n = 10
+        graph = erdos_renyi_graph(n, 0.45, seed=n, ensure_connected=True)
+        plan = FaultPlan(seed=7, drop_rate=0.1)
+        finished = []
+        finish = RWBCNodeProgram._finish
+
+        def spy(program, round_number):
+            finish(program, round_number)
+            finished.append(program)
+
+        monkeypatch.setattr(RWBCNodeProgram, "_finish", spy)
+        for vectorized in (True, False):
+            finished.clear()
+            estimate_rwbc_distributed(
+                graph, PARAMS, seed=3, faults=plan, vectorized=vectorized
+            )
+            assert len(finished) == n
+            matrices = [p._neighbor_matrix is None for p in finished]
+            assert all(matrices) if vectorized else not any(matrices)
 
 
 @st.composite

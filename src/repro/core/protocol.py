@@ -32,6 +32,7 @@ arbitrary graphs first); source ids double as count-vector indices.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ from repro.congest.primitives.flood import (
     FloodMaxBFS,
     FloodMaxState,
 )
-from repro.congest.reliable import KIND_ACK, ReliableChannel
+from repro.congest.reliable import ReliableChannel
 from repro.core.flow_math import (
     betweenness_from_raw_flow,
     node_raw_flow,
@@ -57,11 +58,11 @@ from repro.core.flow_math import (
 )
 from repro.core.termination import KIND_DONE, KIND_TERM, DeathCounterLogic
 from repro.core.walk_engine import (
-    KIND_WALK,
-    KIND_WALK_BATCH,
+    WALK_KINDS,
     CountingWalkEngine,
     TransportPolicy,
     count_dtype,
+    walk_groups,
 )
 from repro.core.walk_manager import WalkManager
 
@@ -274,7 +275,7 @@ class RWBCNodeProgram(VectorizedProgram):
                 node_id=info.node_id,
                 neighbors=info.neighbors,
                 token_budget=config.walk_budget,
-                token_kinds=frozenset({KIND_WALK, KIND_WALK_BATCH}),
+                token_kinds=WALK_KINDS,
                 latest_kinds=frozenset({KIND_FLOOD, KIND_TERM, KIND_DONE}),
                 instruments=config.instruments,
             )
@@ -335,18 +336,33 @@ class RWBCNodeProgram(VectorizedProgram):
         them through the channel re-marks the acks due, and the flush
         sends them so the peers can drain and halt too."""
         if self._channel is not None and inbox:
-            for message in inbox:
-                payload = self._channel.receive(message)
-                if payload is not None and message.kind in (
-                    KIND_WALK,
-                    KIND_WALK_BATCH,
-                ):
+            for message, _ in self._mail(inbox):
+                if message.kind in WALK_KINDS:
                     raise ProtocolError(
                         "fresh walk token arrived after finish at node "
                         f"{self.node_id}: recovery lost a death"
                     )
             self._channel.flush(ctx.round_number, ctx.send_fields)
         self.halt()
+
+    def _mail(
+        self, inbox: Iterable[Message]
+    ) -> Iterator[tuple[Message, tuple[int, ...]]]:
+        """This round's fresh mail, as ``(message, payload)`` pairs.
+
+        Without recovery every message is fresh and its payload is its
+        fields.  Under recovery each message goes through
+        :meth:`ReliableChannel.receive`, which absorbs acks and
+        duplicates and strips the seq off the payload of the rest."""
+        channel = self._channel
+        if channel is None:
+            for message in inbox:
+                yield message, message.fields
+            return
+        for message in inbox:
+            payload = channel.receive(message)
+            if payload is not None:
+                yield message, payload
 
     @property
     def bulk_idle(self) -> bool:
@@ -355,8 +371,9 @@ class RWBCNodeProgram(VectorizedProgram):
         :class:`CountingWalkEngine`, so a node only needs a round of its
         own when control mail arrives - the done wave, plus term reports
         and ARQ traffic where the engine leaves the convergecast to the
-        nodes.  Setup and exchange rounds are round-number driven, so
-        the node must run every one of them."""
+        nodes.  Setup and exchange wakes come from :meth:`next_wake`
+        instead: its calendar, or no wake at all where the shared setup
+        and exchange drivers own those phases."""
         return self.phase == PHASE_COUNTING
 
     def next_wake(self, round_number: int) -> int | None:
@@ -450,19 +467,12 @@ class RWBCNodeProgram(VectorizedProgram):
         announce = self.config.setup_slack * n
         launch = 2 * announce
         flood_mail: list[Message] = []
-        for message in inbox:
+        # Walk tokens stay unaccepted: the node has not launched, so it
+        # leaves them unacked and the sender keeps retransmitting; they
+        # land once this node reaches the counting phase.
+        control = (m for m in inbox if m.kind not in WALK_KINDS)
+        for message, payload in self._mail(control):
             kind = message.kind
-            if kind == KIND_ACK:
-                self._channel.receive(message)
-                continue
-            if kind in (KIND_WALK, KIND_WALK_BATCH):
-                # Not launched yet: leave the token unacked so the
-                # sender keeps retransmitting; it lands once this node
-                # reaches the counting phase.
-                continue
-            payload = self._channel.receive(message)
-            if payload is None:
-                continue
             if kind == KIND_FLOOD:
                 flood_mail.append(
                     Message(message.sender, self.node_id, KIND_FLOOD, payload)
@@ -603,6 +613,31 @@ class RWBCNodeProgram(VectorizedProgram):
     # ------------------------------------------------------------------
     # Phase 2: counting (Algorithm 1)
     # ------------------------------------------------------------------
+    def _counting_mail(
+        self, inbox: list[Message]
+    ) -> tuple[dict[str, list[tuple[int, ...]]], int | None]:
+        """Fold one counting round's control mail into the node: term
+        reports, degrees and (under recovery) exchange columns early
+        neighbors sent.  Returns the fresh walk payloads, listed per
+        kind, and the done round if the wave arrived."""
+        walk_mail: dict[str, list[tuple[int, ...]]] = {}
+        done_round: int | None = None
+        for message, payload in self._mail(inbox):
+            kind = message.kind
+            if kind in WALK_KINDS:
+                walk_mail.setdefault(kind, []).append(payload)
+            elif kind == KIND_TERM:
+                self._death_counter.receive_report(message.sender, payload[0])
+            elif kind == KIND_DONE:
+                done_round = payload[0]
+            elif kind == KIND_EXCHANGE:
+                # A neighbor reached the exchange phase before this
+                # node's done arrival; its columns are valid now.
+                self._store_exchange(message.sender, payload)
+            elif kind == KIND_DEGREE:
+                self._neighbor_degrees[message.sender] = payload[0]
+        return walk_mail, done_round
+
     def _counting_round_engine(
         self, ctx: RoundContext, inbox: list[Message]
     ) -> None:
@@ -621,35 +656,11 @@ class RWBCNodeProgram(VectorizedProgram):
         engine owns this node's flush while it is counting, so none
         happens here, and the exchange driver takes the columns early
         neighbors send."""
-        done_round: int | None = None
-        if self._channel is not None:
-            for message in inbox:
-                kind = message.kind
-                if kind == KIND_ACK:
-                    self._channel.receive(message)
-                    continue
-                payload = self._channel.receive(message)
-                if payload is None:
-                    continue
-                if kind in (KIND_WALK, KIND_WALK_BATCH):
-                    self._engine.deliver_control_walk(
-                        self.node_id, kind, payload
-                    )
-                elif kind == KIND_TERM:
-                    self._death_counter.receive_report(
-                        message.sender, payload[0]
-                    )
-                elif kind == KIND_DONE:
-                    done_round = payload[0]
-                elif kind == KIND_DEGREE:
-                    self._neighbor_degrees[message.sender] = payload[0]
-        else:
-            for message in inbox:
-                if message.kind == KIND_TERM:
-                    (total,) = message.fields
-                    self._death_counter.receive_report(message.sender, total)
-                elif message.kind == KIND_DONE:
-                    (done_round,) = message.fields
+        walk_mail, done_round = self._counting_mail(inbox)
+        if walk_mail:
+            self._engine.deliver_control_walk(
+                self.node_id, *_walk_arrivals(walk_mail)
+            )
         if done_round is not None:
             self._begin_done_wave(ctx, done_round, ctx.round_number)
             return
@@ -660,70 +671,11 @@ class RWBCNodeProgram(VectorizedProgram):
     ) -> None:
         walks = self._walks
         deaths_before = walks.deaths
-        done_round: int | None = None
-        sources: list[int] = []
-        remainings: list[int] = []
-        halves: list[int] = []
-        counts: list[int] = []
-        if self._channel is not None:
-            for message in inbox:
-                kind = message.kind
-                if kind == KIND_ACK:
-                    self._channel.receive(message)
-                    continue
-                payload = self._channel.receive(message)
-                if payload is None:
-                    continue
-                if kind == KIND_WALK:
-                    sources.append(payload[0])
-                    remainings.append(payload[1])
-                    halves.append(payload[2])
-                    counts.append(1)
-                elif kind == KIND_WALK_BATCH:
-                    sources.append(payload[0])
-                    remainings.append(payload[1])
-                    halves.append(payload[2])
-                    counts.append(payload[3])
-                elif kind == KIND_TERM:
-                    self._death_counter.receive_report(
-                        message.sender, payload[0]
-                    )
-                elif kind == KIND_DONE:
-                    done_round = payload[0]
-                elif kind == KIND_EXCHANGE:
-                    # A neighbor reached the exchange phase before this
-                    # node's done arrival; its columns are valid now.
-                    self._store_exchange(message.sender, payload)
-                elif kind == KIND_DEGREE:
-                    self._neighbor_degrees[message.sender] = payload[0]
-        else:
-            for message in inbox:
-                if message.kind == KIND_WALK:
-                    source, remaining, half = message.fields
-                    sources.append(source)
-                    remainings.append(remaining)
-                    halves.append(half)
-                    counts.append(1)
-                elif message.kind == KIND_WALK_BATCH:
-                    source, remaining, half, count = message.fields
-                    sources.append(source)
-                    remainings.append(remaining)
-                    halves.append(half)
-                    counts.append(count)
-                elif message.kind == KIND_TERM:
-                    (total,) = message.fields
-                    self._death_counter.receive_report(message.sender, total)
-                elif message.kind == KIND_DONE:
-                    (done_round,) = message.fields
-        if sources:
+        walk_mail, done_round = self._counting_mail(inbox)
+        if walk_mail:
             # One grouped call per round: the randomness consumed depends
             # only on the multiset of arrivals, never on message order.
-            walks.receive_group_arrays(
-                np.array(sources, dtype=np.int64),
-                np.array(remainings, dtype=np.int64),
-                np.array(halves, dtype=np.int64),
-                np.array(counts, dtype=np.int64),
-            )
+            walks.receive_group_arrays(*_walk_arrivals(walk_mail))
         self._death_counter.record_deaths(walks.deaths - deaths_before)
 
         if done_round is None and self._death_counter.root_detects_completion:
@@ -862,7 +814,7 @@ class RWBCNodeProgram(VectorizedProgram):
                 slab[1, source] = count_b
             elif message.kind in (KIND_TERM, KIND_DONE):
                 continue  # stragglers from the counting phase
-            elif message.kind in (KIND_WALK, KIND_WALK_BATCH):
+            elif message.kind in WALK_KINDS:
                 raise ProtocolError(
                     "walk message arrived during exchange at node "
                     f"{self.node_id}: termination detection is broken"
@@ -889,14 +841,8 @@ class RWBCNodeProgram(VectorizedProgram):
         unless the shared exchange driver owns this node, in which case
         the driver takes the columns and runs the step at end of round.
         """
-        for message in inbox:
+        for message, payload in self._mail(inbox):
             kind = message.kind
-            if kind == KIND_ACK:
-                self._channel.receive(message)
-                continue
-            payload = self._channel.receive(message)
-            if payload is None:
-                continue
             if kind == KIND_EXCHANGE:
                 self._store_exchange(message.sender, payload)
             elif kind == KIND_TERM:
@@ -907,7 +853,7 @@ class RWBCNodeProgram(VectorizedProgram):
                 pass  # the done wave floods every edge; we already know
             elif kind == KIND_DEGREE:
                 self._neighbor_degrees[message.sender] = payload[0]
-            elif kind in (KIND_WALK, KIND_WALK_BATCH):
+            elif kind in WALK_KINDS:
                 raise ProtocolError(
                     "fresh walk token arrived during exchange at node "
                     f"{self.node_id}: recovery lost a death"
@@ -1028,6 +974,25 @@ class RWBCNodeProgram(VectorizedProgram):
             floor /= pairs
         self.noise_floor = floor
         self.betweenness_debiased = self.betweenness - floor
+
+
+def _walk_arrivals(
+    walk_mail: dict[str, list[tuple[int, ...]]],
+) -> tuple[np.ndarray, ...]:
+    """One round's fresh walk messages as token groups ``(sources,
+    remainings, halves, counts)``: each kind's payloads stacked into one
+    fields matrix and decoded by :func:`walk_groups`."""
+    parts = [
+        walk_groups(
+            kind,
+            np.array(payloads, dtype=np.int64),
+            np.ones(len(payloads), dtype=np.int64),
+        )
+        for kind, payloads in walk_mail.items()
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def make_protocol_factory(config: ProtocolConfig):

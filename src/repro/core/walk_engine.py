@@ -39,20 +39,25 @@ module's functions, and both scheduler loops run it:
   only each queue's head - at most ``budget`` rows per edge - so which
   token moves when under the bandwidth budget is the same on either
   slice, and a round costs the tokens it moves, not the backlog;
-* emission ships the same per-message fields the per-message path
-  sends.  On fault-free runs the engine prices them from tables built
-  once (:func:`walk_bit_tables`) and pushes them tagged with their
-  edge ids (:meth:`BulkOutbox.push_priced`), as it does the
-  convergecast's ``term`` rows, chosen by the same
-  :func:`~repro.core.termination.report_due` rule each per-node counter
-  applies; the drain then sums each edge's load by id.  Faulty and
-  reliable runs ship through :meth:`BulkOutbox.push_rows`.  Either way
-  the bits and counts charged are those of the materialized messages.
+* the walk message format lives here once: :func:`walk_rows` encodes
+  what :meth:`EdgeQueues.take` dequeues as message rows (kind, edge id,
+  fields, copies), :func:`sequence_walk_rows` gives each row its ARQ
+  seq in reliable mode, and :func:`walk_groups` decodes arriving rows -
+  claimed bulk rows and stacked per-message payloads alike - back into
+  token groups.
 
-What the slices do not share is how traffic moves: the per-message
-loop materializes :class:`~repro.congest.message.Message` objects (for
-the message log, the CONGEST audit and the asynchronous executor), and
-the engine ships aggregate rows.  The tested guarantee
+What the slices do not share is how a round's rows travel.  The
+per-message loop sends each row as ``copies``
+:class:`~repro.congest.message.Message` objects (for the message log,
+the CONGEST audit and the asynchronous executor).  The engine pushes
+every row of the round at once: on fault-free runs priced from tables
+built once (:func:`walk_bit_tables`) and tagged with their edge ids
+(:meth:`BulkOutbox.push_priced`), as it does the convergecast's
+``term`` rows, chosen by the same
+:func:`~repro.core.termination.report_due` rule each per-node counter
+applies; on faulty and reliable runs through
+:meth:`BulkOutbox.push_rows`.  Either way the bits and counts charged
+are those of the materialized messages.  The tested guarantee
 (``tests/test_walks_batched.py``, ``tests/test_counting_bookends.py``):
 same seed in, identical tallies, estimates, round counts, and traffic
 accounting out.
@@ -79,6 +84,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 KIND_WALK = "walk"
 KIND_WALK_BATCH = "walkb"
+WALK_KINDS = frozenset({KIND_WALK, KIND_WALK_BATCH})
 
 #: Claimed traffic of one kind: (senders, receivers, fields, multiplicity).
 ClaimedKind = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -295,6 +301,77 @@ def walk_bit_tables(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return heads, int_bits_array(np.arange(length + 1))
 
 
+def walk_rows(
+    sent: np.ndarray,
+    taken: np.ndarray,
+    policy: TransportPolicy,
+    sequenced: bool,
+) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+    """Encode one round's dequeued tokens (:meth:`EdgeQueues.take`'s
+    ``(sent, taken)``) as walk message rows.
+
+    Returns ``(kind, edges, fields, copies)``: row ``i`` travels on edge
+    ``edges[i]`` as ``copies[i]`` identical messages with payload
+    ``fields[i]`` = ``(source, remaining - 1, half[, count][, seq])``.
+    A ``walk`` message carries one token and a ``walkb`` message
+    ``count`` of them.  ``sequenced`` rows (reliable mode) end in a seq
+    column, left for :func:`sequence_walk_rows` to fill; since every
+    message then needs a seq of its own, a QUEUE row of ``k`` tokens
+    expands into ``k`` rows.  Rows keep the take's (edge, FIFO) order,
+    and ``copies.sum()`` is the number of messages sent."""
+    batch = policy is TransportPolicy.BATCH
+    if batch or sequenced:
+        if not batch:
+            sent = np.repeat(sent, taken, axis=0)
+        copies = np.ones(len(sent), dtype=np.int64)
+    else:
+        copies = taken
+    fields = np.empty((len(sent), 3 + batch + sequenced), dtype=np.int64)
+    fields[:, :3] = sent[:, 2:5]
+    fields[:, 1] -= 1
+    if batch:
+        fields[:, 3] = taken
+    kind = KIND_WALK_BATCH if batch else KIND_WALK
+    return kind, sent[:, 0], fields, copies
+
+
+def sequence_walk_rows(
+    kind: str,
+    edges: np.ndarray,
+    fields: np.ndarray,
+    round_number: int,
+    link,
+) -> None:
+    """Fill the seq column of sequenced :func:`walk_rows` output in
+    place: one :meth:`ReliableChannel.register_block
+    <repro.congest.reliable.ReliableChannel.register_block>` per run of
+    rows on one edge, so each edge's rows take consecutive seqs in FIFO
+    order.  ``link(edge)`` names the edge's sending channel and its
+    receiving neighbour, as ``(channel, neighbour)``."""
+    payloads = list(map(tuple, fields[:, :-1].tolist()))
+    seqs = fields[:, -1]
+    starts, ends = _segments(edges)
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        channel, neighbour = link(int(edges[lo]))
+        first = channel.register_block(
+            neighbour, kind, payloads[lo:hi], round_number
+        )
+        seqs[lo:hi] = np.arange(first, first + (hi - lo))
+
+
+def walk_groups(
+    kind: str, fields: np.ndarray, copies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decode walk message rows of one kind into token groups
+    ``(sources, remainings, halves, counts)``: row ``i`` stands for
+    ``copies[i]`` identical messages, and a trailing seq column, if
+    any, is ignored.  The inverse of :func:`walk_rows`."""
+    counts = copies
+    if kind == KIND_WALK_BATCH:
+        counts = fields[:, 3] * copies
+    return fields[:, 0], fields[:, 1], fields[:, 2], counts
+
+
 class EdgeQueues:
     """Per-directed-edge FIFO queues of pending token groups.
 
@@ -493,9 +570,8 @@ class CountingWalkEngine:
     ) -> None:
         n = edges.n
         self.n = n
-        self.claimed_kinds = frozenset(
-            {KIND_WALK, KIND_WALK_BATCH}
-            | ({KIND_TERM} if convergecast else set())
+        self.claimed_kinds = WALK_KINDS | (
+            {KIND_TERM} if convergecast else set()
         )
         self._convergecast = convergecast
         # xi tensors and per-node aggregates; managers hold views into
@@ -524,7 +600,7 @@ class CountingWalkEngine:
         # set.  All stay empty/None on fault-free runs.
         self._channels: dict[int, object] = {}
         self._reliable = False
-        self._control_arrivals: list[tuple[int, int, int, int, int]] = []
+        self._control_arrivals: list[tuple[np.ndarray, ...]] = []
         self._transitioned: set[int] = set()
         self._fault_runtime = None
         # Telemetry (observation-only; installed from ctx.shared at
@@ -617,19 +693,23 @@ class CountingWalkEngine:
         self._stopped[node] = True
 
     def deliver_control_walk(
-        self, node: int, kind: str, payload: tuple[int, ...]
+        self,
+        node: int,
+        sources: np.ndarray,
+        remainings: np.ndarray,
+        halves: np.ndarray,
+        counts: np.ndarray,
     ) -> None:
-        """Buffer a fresh walk token that arrived as an ordinary control
-        message (an ARQ retransmission - fresh emission always travels
-        in bulk).  The node's round handler already ran it through the
-        channel; the engine folds it into this round's canonical
-        grouped receive alongside the claimed bulk arrivals."""
-        if kind == KIND_WALK:
-            source, remaining, half = payload
-            count = 1
-        else:
-            source, remaining, half, count = payload
-        self._control_arrivals.append((node, source, remaining, half, count))
+        """Buffer fresh walk tokens that arrived at ``node`` as ordinary
+        control messages (ARQ retransmissions - fresh emission always
+        travels in bulk), as :func:`walk_groups` decoded them.  The
+        node's round handler already ran them through the channel; the
+        engine folds them into this round's canonical grouped receive
+        alongside the claimed bulk arrivals."""
+        self._control_arrivals.append(
+            (np.full(len(sources), node, dtype=np.int64),
+             sources, remainings, halves, counts)
+        )
 
     def note_transition(self, node: int) -> None:
         """A counting node switched to the exchange phase during this
@@ -839,31 +919,15 @@ class CountingWalkEngine:
         """One round of Algorithm 1 lines 7-15 for the whole network.
 
         Returns the nodes whose death count changed this round."""
-        parts: list[tuple[np.ndarray, ...]] = []
-        walk = claimed.get(KIND_WALK)
-        if walk is not None:
-            _, receivers, fields, multiplicity = walk
-            parts.append(
-                (receivers, fields[:, 0], fields[:, 1], fields[:, 2],
-                 multiplicity)
-            )
-        batch = claimed.get(KIND_WALK_BATCH)
-        if batch is not None:
-            _, receivers, fields, multiplicity = batch
-            parts.append(
-                (receivers, fields[:, 0], fields[:, 1], fields[:, 2],
-                 fields[:, 3] * multiplicity)
-            )
-        if self._control_arrivals:
-            # Retransmitted tokens delivered as control mail this round;
-            # they join the same canonical grouping, so where a token
-            # arrived from is invisible to the random stream.
-            control = np.array(self._control_arrivals, dtype=np.int64)
-            self._control_arrivals = []
-            parts.append(
-                (control[:, 0], control[:, 1], control[:, 2],
-                 control[:, 3], control[:, 4])
-            )
+        parts: list[tuple[np.ndarray, ...]] = [
+            (receivers, *walk_groups(kind, fields, multiplicity))
+            for kind, (_, receivers, fields, multiplicity) in claimed.items()
+        ]
+        # Retransmitted tokens delivered as control mail this round join
+        # the same canonical grouping, so where a token arrived from is
+        # invisible to the random stream.
+        parts += self._control_arrivals
+        self._control_arrivals = []
         if not parts:
             return self._round_deaths[:0]
         if len(parts) == 1:
@@ -1045,22 +1109,21 @@ class CountingWalkEngine:
     def _emit(
         self,
         bulk_outbox: "BulkOutbox",
-        round_number: int = 0,
-        retransmits: dict[int, int] | None = None,
-        crashed: frozenset = frozenset(),
+        round_number: int,
+        retransmits: dict[int, int] | None,
+        crashed: frozenset,
     ) -> None:
         """Dequeue every edge's sendable tokens under the per-edge
-        budget (:meth:`EdgeQueues.take`, the rule
-        :meth:`WalkManager.emit_round` applies to one node's edges) and
-        ship the whole round as one aggregate push.
+        budget (:meth:`EdgeQueues.take`, the rule each
+        :class:`~repro.core.walk_manager.WalkManager` applies to its own
+        ports), encode them with :func:`walk_rows` - sequenced through
+        the senders' channels by :func:`sequence_walk_rows` in reliable
+        mode - and ship the whole round as one aggregate push.
 
         Under faults the budget becomes per edge: ``retransmits`` debits
         slots the ARQ flush already spent, and edges out of a crashed
         node get zero (the per-message loop skips the node outright, so
-        its queues just wait).  In reliable mode every shipped token
-        needs its own seq, so QUEUE groups expand to one row per token
-        and each row is sequenced through the sender's channel in the
-        same per-edge FIFO order the per-message loop sends in."""
+        its queues just wait)."""
         budget: int | np.ndarray = self._budget
         if retransmits or crashed:
             budget = np.full(len(self._targets), self._budget, dtype=np.int64)
@@ -1072,113 +1135,47 @@ class CountingWalkEngine:
         sent, taken = self._queues.take(budget, self._policy)
         if not len(sent):
             return
-        edge_ids = sent[:, 0]
-        senders = self._edge_src[edge_ids]
+        senders = self._edge_src[sent[:, 0]]
         np.subtract.at(self.held, senders, taken)
-        batch = self._policy is TransportPolicy.BATCH
+        kind, edges, fields, copies = walk_rows(
+            sent, taken, self._policy, self._reliable
+        )
         if self._instruments is not None:
-            # Same message-count convention as WalkManager.send_round:
-            # QUEUE ships one message per token, BATCH one per group.
             self._instruments.bump_round(
-                "walk_sends",
-                round_number,
-                len(sent) if batch else int(taken.sum()),
+                "walk_sends", round_number, int(copies.sum())
             )
+        receivers = self._targets[edges]
         if self._reliable:
-            self._emit_reliable(
-                bulk_outbox, round_number, sent, taken, senders
+            # Sequenced QUEUE rows are one per token: re-read the senders.
+            edge_src, targets, channels = (
+                self._edge_src, self._targets, self._channels
             )
-            return
-        fields = np.empty((len(sent), 4 if batch else 3), dtype=np.int64)
-        fields[:, 0] = sent[:, 2]
-        fields[:, 1] = sent[:, 3] - 1
-        fields[:, 2] = sent[:, 4]
-        if batch:
-            fields[:, 3] = taken
-        kind = KIND_WALK_BATCH if batch else KIND_WALK
-        multiplicity = None if batch else taken
+            senders = edge_src[edges]
+            sequence_walk_rows(
+                kind,
+                edges,
+                fields,
+                round_number,
+                lambda edge: (channels[int(edge_src[edge])], int(targets[edge])),
+            )
         if not self._convergecast:
-            bulk_outbox.push_rows(
-                kind, senders, self._targets[edge_ids], fields, multiplicity
-            )
+            bulk_outbox.push_rows(kind, senders, receivers, fields, copies)
             return
         row_bits = (
             self._head_bits[fields[:, 2], fields[:, 0]]
             + self._hop_bits[fields[:, 1]]
         )
-        if batch:
-            row_bits += int_bits_array(taken)
+        if kind == KIND_WALK_BATCH:
+            row_bits += int_bits_array(fields[:, 3])
         bulk_outbox.push_priced(
             kind,
             senders,
-            self._targets[edge_ids],
+            receivers,
             row_bits,
-            edges=edge_ids,
+            edges=edges,
             fields=fields,
-            multiplicity=multiplicity,
+            multiplicity=copies,
         )
-
-    def _emit_reliable(
-        self,
-        bulk_outbox: "BulkOutbox",
-        round_number: int,
-        sent: np.ndarray,
-        taken: np.ndarray,
-        senders: np.ndarray,
-    ) -> None:
-        """Ship this round's emitted tokens with per-token sequencing.
-
-        Rows arrive in (edge, FIFO) order, so walking them in
-        order assigns each directed edge the same consecutive seqs the
-        per-message loop's ``send_round`` would (it also sends
-        head-of-queue first).  QUEUE groups expand to multiplicity-one
-        rows because each token message carries a distinct seq."""
-        targets = self._targets[sent[:, 0]]
-        channels = self._channels
-        if self._policy is TransportPolicy.QUEUE:
-            row_senders = np.repeat(senders, taken)
-            row_targets = np.repeat(targets, taken)
-            row_edges = np.repeat(sent[:, 0], taken)
-            fields = np.empty((len(row_senders), 4), dtype=np.int64)
-            fields[:, 0] = np.repeat(sent[:, 2], taken)
-            fields[:, 1] = np.repeat(sent[:, 3] - 1, taken)
-            fields[:, 2] = np.repeat(sent[:, 4], taken)
-            rows_t = list(map(tuple, fields[:, :3].tolist()))
-            starts, ends = _segments(row_edges)
-            seq_col = fields[:, 3]
-            for lo, hi in zip(starts.tolist(), ends.tolist()):
-                start_seq = channels[int(row_senders[lo])].register_block(
-                    int(row_targets[lo]),
-                    KIND_WALK,
-                    rows_t[lo:hi],
-                    round_number,
-                )
-                seq_col[lo:hi] = np.arange(
-                    start_seq, start_seq + (hi - lo)
-                )
-            bulk_outbox.push_rows(KIND_WALK, row_senders, row_targets, fields)
-        else:
-            fields = np.empty((len(sent), 5), dtype=np.int64)
-            fields[:, 0] = sent[:, 2]
-            fields[:, 1] = sent[:, 3] - 1
-            fields[:, 2] = sent[:, 4]
-            fields[:, 3] = taken
-            rows_t = list(map(tuple, fields[:, :4].tolist()))
-            starts, ends = _segments(sent[:, 0])
-            seq_col = fields[:, 4]
-            for lo, hi in zip(starts.tolist(), ends.tolist()):
-                start_seq = channels[int(senders[lo])].register_block(
-                    int(targets[lo]),
-                    KIND_WALK_BATCH,
-                    rows_t[lo:hi],
-                    round_number,
-                )
-                seq_col[lo:hi] = np.arange(
-                    start_seq, start_seq + (hi - lo)
-                )
-            bulk_outbox.push_rows(
-                KIND_WALK_BATCH, senders, targets, fields
-            )
 
 
 def _segments(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

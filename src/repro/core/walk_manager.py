@@ -29,12 +29,15 @@ through :func:`~repro.walks.batched.aggregate_network_groups` and
 :func:`~repro.core.walk_engine.counting_round_kernel`, the launch
 through :func:`~repro.core.walk_engine.route_entries`, and the routed
 groups wait in an :class:`~repro.core.walk_engine.EdgeQueues` over the
-node's ports, whose ``take`` decides which tokens each port sends.  The
-fast path runs the same functions and the same queue class over every
-node at once, so the two loops share one copy of the rule; what stays
-here is the per-message surface -
-materializing :class:`~repro.congest.message.Message` objects for the
-message log, the CONGEST audit and the asynchronous executor.
+node's ports, whose ``take`` decides which tokens each port sends;
+:func:`~repro.core.walk_engine.walk_rows` (and, under recovery,
+:func:`~repro.core.walk_engine.sequence_walk_rows`) turn them into
+message rows.  The fast path runs the same functions and the same queue
+class over every node at once, so the two loops share one copy of the
+rule and of the wire format; what stays here is the per-message
+surface - sending each row as
+:class:`~repro.congest.message.Message` objects for the message log,
+the CONGEST audit and the asynchronous executor.
 """
 
 from __future__ import annotations
@@ -46,14 +49,14 @@ import numpy as np
 from repro.congest.errors import ProtocolError
 from repro.congest.node import RoundContext
 from repro.core.walk_engine import (
-    KIND_WALK,
-    KIND_WALK_BATCH,
     EdgeQueues,
     TransportPolicy,
     count_dtype,
     counting_round_kernel,
     launch_groups,
     route_entries,
+    sequence_walk_rows,
+    walk_rows,
 )
 from repro.walks.batched import aggregate_network_groups
 from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
@@ -277,40 +280,6 @@ class WalkManager:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def emit_round(
-        self, budgets: dict[int, int] | None = None
-    ) -> list[tuple[int, int, int, int, int]]:
-        """Dequeue this round's sendable tokens under the per-edge budget.
-
-        Returns ``(neighbor, source, remaining_after_hop, half, count)``
-        entries, each edge's in FIFO order.  Under QUEUE each entry
-        stands for ``count`` individual messages (the budget counts
-        tokens); under BATCH each entry is one counted message (the
-        budget counts messages).  Which tokens move is decided by
-        :meth:`~repro.core.walk_engine.EdgeQueues.take`, the rule the
-        fast path's emission applies to every edge of the network.
-
-        ``budgets`` overrides the per-neighbor budget for this round:
-        under lossy-link recovery, retransmitted tokens occupy edge
-        slots first and fresh emission gets what remains.
-        """
-        if not self._queues.rows:
-            return []
-        budget: int | np.ndarray = self.walk_budget
-        if budgets is not None:
-            budget = np.array(
-                [budgets.get(neighbor, budget) for neighbor in self.neighbors],
-                dtype=np.int64,
-            )
-        sent, taken = self._queues.take(budget, self.policy)
-        neighbors = self.neighbors
-        return [
-            (neighbors[port], source, remaining - 1, half, count)
-            for (port, _, source, remaining, half, _), count in zip(
-                sent.tolist(), taken.tolist()
-            )
-        ]
-
     def send_round(
         self,
         ctx: RoundContext,
@@ -320,70 +289,56 @@ class WalkManager:
     ) -> int:
         """Emit this round's walk messages; return how many were sent.
 
-        Materializes each emitted group into individual ``walk`` /
-        ``walkb`` messages (the per-message simulation path; on the
-        scheduler's fast path the network-wide engine ships every node's
-        groups in aggregate instead).
+        :meth:`~repro.core.walk_engine.EdgeQueues.take` decides which
+        tokens each port sends under the per-edge budget, and
+        :func:`~repro.core.walk_engine.walk_rows` encodes them - the
+        rule and the format the fast path's emission applies to every
+        edge of the network.  Each row goes out as its ``copies``
+        messages: under QUEUE one per token (the budget counts tokens),
+        under BATCH one counted message (the budget counts messages).
 
-        With a :class:`~repro.congest.reliable.ReliableChannel`, every
-        token message is sequenced through ``channel.register_block`` and
-        carries its seq as the last field; under QUEUE that forces one
-        token per message (each needs its own seq).  ``budgets`` is
-        forwarded to :meth:`emit_round`.  ``instruments`` (a
+        With a :class:`~repro.congest.reliable.ReliableChannel`, the
+        rows are sequenced through it
+        (:func:`~repro.core.walk_engine.sequence_walk_rows`) and every
+        message carries its seq as the last field.  ``budgets``
+        overrides the per-neighbor budget for this round: under
+        lossy-link recovery, retransmitted tokens occupy edge slots
+        first and fresh emission gets what remains.  ``instruments`` (a
         ``repro.obs.InstrumentSet``) receives the sent count in its
         ``walk_sends`` round counter - observation only.
         """
-        entries = self.emit_round(budgets)
-        if not entries:
+        if not self._queues.rows:
             return 0
-        sent = 0
-        for neighbor, source, remaining, half, count in entries:
-            if self.policy is TransportPolicy.QUEUE:
-                if channel is not None:
-                    start = channel.register_block(
-                        neighbor,
-                        KIND_WALK,
-                        [(source, remaining, half)] * count,
-                        ctx.round_number,
-                    )
-                    for seq in range(start, start + count):
-                        ctx.send(
-                            neighbor, KIND_WALK, source, remaining, half, seq
-                        )
-                else:
-                    for _ in range(count):
-                        ctx.send(neighbor, KIND_WALK, source, remaining, half)
-                sent += count
-            else:
-                if channel is not None:
-                    seq = channel.register_block(
-                        neighbor,
-                        KIND_WALK_BATCH,
-                        [(source, remaining, half, count)],
-                        ctx.round_number,
-                    )
-                    ctx.send(
-                        neighbor,
-                        KIND_WALK_BATCH,
-                        source,
-                        remaining,
-                        half,
-                        count,
-                        seq,
-                    )
-                else:
-                    ctx.send(
-                        neighbor,
-                        KIND_WALK_BATCH,
-                        source,
-                        remaining,
-                        half,
-                        count,
-                    )
-                sent += 1
-        if instruments is not None and sent:
-            instruments.bump_round("walk_sends", ctx.round_number, sent)
-        return sent
+        neighbors = self.neighbors
+        budget: int | np.ndarray = self.walk_budget
+        if budgets is not None:
+            budget = np.array(
+                [budgets.get(neighbor, budget) for neighbor in neighbors],
+                dtype=np.int64,
+            )
+        sent, taken = self._queues.take(budget, self.policy)
+        if not len(sent):
+            return 0
+        kind, ports, fields, copies = walk_rows(
+            sent, taken, self.policy, channel is not None
+        )
+        if channel is not None:
+            sequence_walk_rows(
+                kind,
+                ports,
+                fields,
+                ctx.round_number,
+                lambda port: (channel, neighbors[port]),
+            )
+        for port, row, count in zip(
+            ports.tolist(), map(tuple, fields.tolist()), copies.tolist()
+        ):
+            for _ in range(count):
+                ctx.send_fields(neighbors[port], kind, row)
+        sent_messages = int(copies.sum())
+        if instruments is not None:
+            instruments.bump_round("walk_sends", ctx.round_number, sent_messages)
+        return sent_messages
 
     # ------------------------------------------------------------------
     # State queries

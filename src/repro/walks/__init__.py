@@ -4,8 +4,9 @@
 exactly (transition matrix ``M_t``, expected visits, the grounded inverse
 ``T``); ``spectral`` measures the truncation decay that Theorem 1 bounds;
 ``simulate`` is a fast vectorized Monte-Carlo engine with the same
-sampling semantics as the distributed counting phase; ``token`` defines
-the walk token the CONGEST protocol ships around.
+sampling semantics as the distributed counting phase.  The walk token's
+wire format lives with the protocol's counting engine
+(:mod:`repro.core.walk_engine`).
 """
 
 from repro.walks.absorbing import (
@@ -28,7 +29,6 @@ from repro.walks.resistance import (
     laplacian_pseudoinverse,
     resistance_matrix,
 )
-from repro.walks.token import WalkToken
 from repro.walks.variance import (
     relative_visit_dispersion,
     visit_count_variance,
@@ -36,7 +36,6 @@ from repro.walks.variance import (
 
 __all__ = [
     "WalkCounts",
-    "WalkToken",
     "absorption_probability_by_round",
     "commute_time",
     "decay_rate",

@@ -35,6 +35,7 @@ from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
 from repro.core.walk_manager import TransportPolicy, WalkManager
 from repro.graphs.generators import (
     complete_bipartite_graph,
+    erdos_renyi_graph,
     grid_graph,
     path_graph,
     star_graph,
@@ -60,13 +61,33 @@ MODES = {
     "budget3": {"walk_budget": 3},
 }
 
+# Reliable-mode shapes: lossy, duplicating and delaying links.
+RELIABLE_PARAMS = WalkParameters(length=12, walks_per_source=4)
 
-def _run(graph, vectorized, seed=7, **kwargs):
+RELIABLE_GRAPHS = {
+    "er": erdos_renyi_graph(14, 0.3, seed=3, ensure_connected=True),
+    "star": star_graph(9),
+    "grid": grid_graph(3, 4),
+}
+
+RELIABLE_MODES = {
+    "batch": {"policy": TransportPolicy.BATCH},
+    "split": {"split_sampling": True},
+    "damped": {"survival_alpha": 0.7},
+    "batch-split-damped": {
+        "policy": TransportPolicy.BATCH,
+        "split_sampling": True,
+        "survival_alpha": 0.7,
+    },
+}
+
+
+def _run(graph, vectorized, seed=7, params=PARAMS, **kwargs):
     tracer = Tracer()
     telemetry = Telemetry()
     result = estimate_rwbc_distributed(
         graph,
-        PARAMS,
+        params,
         seed=seed,
         vectorized=vectorized,
         tracer=tracer,
@@ -120,6 +141,31 @@ class TestLoopsAgree:
         _assert_identical(
             _run(graph, vectorized=False, faults=plan),
             _run(graph, vectorized=True, faults=plan),
+        )
+
+    @pytest.mark.parametrize(
+        "mode", RELIABLE_MODES.values(), ids=RELIABLE_MODES
+    )
+    @pytest.mark.parametrize(
+        "graph", RELIABLE_GRAPHS.values(), ids=RELIABLE_GRAPHS
+    )
+    def test_lossy_reliable_shapes(self, graph, mode):
+        # Every shape of reliable emission: BATCH rows carry a count and
+        # a seq each, split rows a half bit, and damped thinning shares
+        # the generator with routing.  Drops, duplicates and delays all
+        # reach the ARQ.
+        plan = FaultPlan(
+            seed=5,
+            drop_rate=0.1,
+            duplicate_rate=0.05,
+            delay_rate=0.05,
+            max_delay=3,
+        )
+        _assert_identical(
+            _run(graph, vectorized=False, params=RELIABLE_PARAMS,
+                 faults=plan, **mode),
+            _run(graph, vectorized=True, params=RELIABLE_PARAMS,
+                 faults=plan, **mode),
         )
 
 

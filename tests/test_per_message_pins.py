@@ -53,6 +53,17 @@ PINS = {
         "ffcda2a48f7516a08b32c26d7c48a16659480e47722326624aed6fe414ea5158",
         260, 3933, 82456,
     ),
+    # Recorded before both loops shared one walk encoder: reliable BATCH
+    # rows carry a count and a seq, and damped thinning draws from the
+    # routing generator.
+    "lossy-batch": (
+        "7686fc1ab6fa490664e308cc61d82bb72e433f80a2192dafa1ee36af367c1882",
+        247, 3759, 80748,
+    ),
+    "lossy-damped": (
+        "592a337c9eda6cf0bd77b5ef38ecc00c084f765fc97136e2f86344a2a118219c",
+        237, 2514, 49406,
+    ),
     "async": (
         "36e8e3c84e7f715b2eb72e0f5bf54e2894ce3bfe7a0480ba9d50cc63bc6ceb31",
         81, 7956, 164163,
@@ -68,13 +79,15 @@ def _pin(mode: str) -> tuple[str, int, int, int]:
         "damped": {"survival_alpha": 0.8},
         "split": {"split_sampling": True},
         "lossy": {"reliable": True},
+        "lossy-batch": {"reliable": True, "policy": TransportPolicy.BATCH},
+        "lossy-damped": {"reliable": True, "survival_alpha": 0.8},
         "async": {},
     }[mode]
     config = ProtocolConfig(**BASE, **overrides)
     factory = make_protocol_factory(config)
     if mode == "async":
         result = AsyncSimulator(GRAPH, factory, seed=SEED).run()
-    elif mode == "lossy":
+    elif mode.startswith("lossy"):
         result = Simulator(
             GRAPH,
             factory,

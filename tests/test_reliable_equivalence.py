@@ -2,7 +2,7 @@
 
 The fast path's reliable machinery (per-row ARQ acceptance through
 ``ReliableChannel.accept`` in ``walk_engine._dedup_claimed`` and in the
-exchange driver, block seq assignment in ``_emit_reliable``, the
+exchange driver, block seq assignment in ``sequence_walk_rows``, the
 exchange driver's column rows, and ``FaultRuntime.filter_bulk`` over
 aggregate rows, which shares its fate core with ``filter_messages``)
 must reproduce the per-message loop byte for byte.  The fixed-seed

@@ -15,34 +15,6 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph, GraphError
 from repro.walks.absorbing import visit_counts_truncated
 from repro.walks.simulate import simulate_walk_counts
-from repro.walks.token import WalkToken
-from repro.congest.errors import ProtocolError
-
-
-class TestWalkToken:
-    def test_hop_decrements(self):
-        token = WalkToken(source=3, remaining=5)
-        assert token.hop() == WalkToken(3, 4)
-
-    def test_expired(self):
-        assert WalkToken(0, 0).expired
-        assert not WalkToken(0, 1).expired
-
-    def test_hop_expired_raises(self):
-        with pytest.raises(ProtocolError):
-            WalkToken(0, 0).hop()
-
-    def test_negative_remaining_rejected(self):
-        with pytest.raises(ProtocolError):
-            WalkToken(0, -1)
-
-    def test_fields_roundtrip(self):
-        token = WalkToken(7, 9)
-        assert WalkToken.from_fields(token.as_fields()) == token
-
-    def test_from_bad_fields(self):
-        with pytest.raises(ProtocolError):
-            WalkToken.from_fields((1, 2, 3))
 
 
 class TestSimulateBasics:

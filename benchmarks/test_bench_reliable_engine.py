@@ -34,12 +34,13 @@ from repro.graphs.generators import erdos_renyi_graph
 N = 100
 DROP_RATE = 0.10
 #: Heavier than the paper schedule's (300, 27) at n = 100 on purpose:
-#: both loops share a fixed floor (the stretched reliable setup, which
-#: steps every node every round on both), so a longer counting phase
-#: makes the measured ratio reflect the vectorized hot path, not the
-#: floor.  The exchange phase is no longer part of that floor: on the
-#: fast loop its columns travel as bulk rows through the exchange
-#: driver.
+#: a longer counting phase makes the measured ratio reflect the
+#: vectorized hot path.  The stretched reliable setup is no shared
+#: floor any more: the per-message loop steps every node in each of
+#: its rounds, while the fast loop steps a setup node only for mail, a
+#: due retransmission or a milestone, and takes acks as bulk rows
+#: without a step.  On the fast loop the exchange columns also travel
+#: as bulk rows, through the exchange driver.
 LENGTH, WALKS = 600, 54
 #: The gate: fast loop must beat the per-message loop by this factor.
 MIN_SPEEDUP = 2.0

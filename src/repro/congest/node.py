@@ -167,7 +167,13 @@ class SharedFastPathState:
     * after all per-node calls of a round, the scheduler invokes
       ``driver.end_round(round_number, claimed, outbox, bulk_outbox)``
       exactly once, where ``claimed`` maps each claimed kind to its
-      ``(senders, receivers, fields, multiplicity)`` arrays.
+      ``(senders, receivers, fields, multiplicity)`` arrays;
+    * a driver that defines ``receive_rows(round_number, claimed)``
+      gets its claimed traffic there instead, right after the claim
+      pass and before any node or driver runs (its ``end_round`` then
+      sees an empty map).  The ARQ's ack transport
+      (:class:`~repro.congest.reliable.AckRows`) applies acks this way,
+      so no node is stepped for one.
 
     This is purely a performance transformation: a driver must produce
     byte-identical traffic and randomness to its per-node counterpart
@@ -177,6 +183,8 @@ class SharedFastPathState:
     def __init__(self, edges: EdgeIndex, bulk_outbox: "BulkOutbox") -> None:
         self.slots: dict[str, object] = {}
         self.drivers: list[object] = []
+        # How many drivers at the end of ``drivers`` registered ``last``.
+        self._trailing = 0
         # The run's directed edges (see EdgeIndex); every driver that
         # ships or reads whole-network per-edge arrays uses this one.
         self.edges = edges
@@ -204,10 +212,16 @@ class SharedFastPathState:
         # the node's next calendar round here instead.
         self.wake_requests: list[tuple[int, int]] = []
 
-    def register_driver(self, driver: object) -> None:
+    def register_driver(self, driver: object, last: bool = False) -> None:
         """Register a cross-node driver; drivers run in registration
-        order after each round's per-node calls."""
-        self.drivers.append(driver)
+        order after each round's per-node calls, except that ``last``
+        drivers run after all others - a transport that ships what the
+        other drivers send (the ARQ's ack rows) registers that way."""
+        if last:
+            self.drivers.append(driver)
+            self._trailing += 1
+        else:
+            self.drivers.insert(len(self.drivers) - self._trailing, driver)
 
     def request_wake(self, node: int, round_number: int) -> None:
         """Ask the scheduler to step ``node`` at ``round_number`` even
@@ -300,6 +314,9 @@ class VectorizedProgram(NodeProgram):
       inbox would be a no-op (no pending sends, no timer-driven state
       change) - the scheduler then skips the call entirely;
     * :meth:`next_wake` names the calendar rounds that are not no-ops.
+      A wake may come early (the step is then a no-op), never late;
+      what a driver applies without stepping the node (ack rows, see
+      :class:`SharedFastPathState`) may only postpone the node's work.
     """
 
     @property

@@ -26,17 +26,27 @@ loop and the vectorized fast path - which feed it the same history -
 keep byte-identical channel states.  Each rule has one copy: both loops
 accept through :meth:`ReliableChannel.accept` (the fast path once per
 claimed walk or exchange row), send through :meth:`ReliableChannel.flush`,
-and confirm through :meth:`OutLink.apply_ack` (the asynchronous executor
-included); the fast path's drivers settle accepts that land after a
-node's flush through :meth:`ReliableChannel.settle`.
+and confirm through :meth:`ReliableChannel.apply_ack` (the fast path
+once per claimed ack row, the asynchronous executor through
+:meth:`OutLink.apply_ack`); the fast path's drivers settle accepts that
+land after a node's flush through :meth:`ReliableChannel.settle`.
+
+On the fast path acks travel as bulk rows in every phase
+(:class:`AckRows`), and a node whose channel has nothing to send sleeps
+until :meth:`ReliableChannel.wake_round`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
+
+import numpy as np
 
 from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.congest.transport import BulkOutbox, RoundOutbox
 
 #: Kind tag of ack messages (unreliable; a newer ack supersedes).
 KIND_ACK = "ack"
@@ -59,6 +69,11 @@ RETRANSMIT_AFTER = 4
 #: as a :class:`Message`; the fast path's exchange driver ships ``xch``
 #: sends as bulk rows instead.
 Sink = Callable[[int, str, tuple[int, ...]], None]
+
+#: Where a channel with an ack sink sends its acks instead of its flush's
+#: :data:`Sink`: one ``(sender, receiver, cum, bitmap)`` row per ack
+#: (see :class:`AckRows`).
+AckSink = Callable[[tuple[int, int, int, int]], None]
 
 
 class OutLink:
@@ -250,6 +265,9 @@ class ReliableChannel:
         self.stats = ChannelStats()
         # Last round :meth:`flush` ran (see :meth:`settle`).
         self.flushed_round = -1
+        # Fast path only (see AckRows): where acks go instead of the
+        # flush's sink.
+        self.ack_sink: AckSink | None = None
         # Optional repro.obs.InstrumentSet: ARQ window occupancy,
         # per-round retransmit/ack counters, and recovery latencies.
         # Strictly observational - the channel never reads it back.
@@ -308,26 +326,37 @@ class ReliableChannel:
         (both fully handled internally).
         """
         sender = message.sender
-        if sender not in self.out:
+        if message.kind == KIND_ACK:
+            self.apply_ack(sender, *message.fields)
+            return None
+        self._check_neighbor(sender)
+        if self.accept(sender, message.fields[-1]):
+            return message.fields[:-1]
+        return None
+
+    def apply_ack(self, sender: int, cum: int, bitmap: int) -> None:
+        """Confirm what one ``(cum, bitmap)`` ack from ``sender`` covers.
+        :meth:`receive` calls this for an ack message, :class:`AckRows`
+        for an ack row; with instruments attached, each confirmed seq's
+        retransmission latency is observed."""
+        link = self._check_neighbor(sender)
+        if self._instruments is None:
+            link.apply_ack(cum, bitmap)
+            return
+        latencies: list[int] = []
+        link.apply_ack(cum, bitmap, latencies)
+        for latency in latencies:
+            self._instruments.observe("recovery_latency_rounds", latency)
+
+    def _check_neighbor(self, sender: int) -> OutLink:
+        """``sender``'s out-link; a non-neighbor is a protocol error."""
+        link = self.out.get(sender)
+        if link is None:
             raise ProtocolError(
                 f"node {self.node_id} got reliable traffic from non-"
                 f"neighbor {sender}"
             )
-        if message.kind == KIND_ACK:
-            cum, bitmap = message.fields
-            if self._instruments is not None:
-                latencies: list[int] = []
-                self.out[sender].apply_ack(cum, bitmap, latencies)
-                for latency in latencies:
-                    self._instruments.observe(
-                        "recovery_latency_rounds", latency
-                    )
-            else:
-                self.out[sender].apply_ack(cum, bitmap)
-            return None
-        if self.accept(sender, message.fields[-1]):
-            return message.fields[:-1]
-        return None
+        return link
 
     def accept(self, sender: int, seq: int, copies: int = 1) -> bool:
         """Run ``copies`` identical arrivals of ``seq`` from ``sender``
@@ -400,10 +429,7 @@ class ReliableChannel:
                 control_sent += 1
             inlink = self.inn[neighbor]
             if inlink.ack_due:
-                send(neighbor, KIND_ACK, inlink.ack_fields())
-                inlink.ack_due = False
-                inlink.acked_round = round_number
-                self.stats.acks_sent += 1
+                self._ack(neighbor, inlink, round_number, send)
                 acks_this_round += 1
             if tokens_sent:
                 token_retransmits[neighbor] = tokens_sent
@@ -432,9 +458,9 @@ class ReliableChannel:
         If this round's :meth:`flush` has not run (a halted node the
         scheduler did not step), run it now.  Otherwise the flush would
         have closed each sender's section with one ack, so send that
-        ack now - it is still last on its edge - unless the flush
-        already acked the link, whose ``(cum, bitmap)`` a duplicate
-        cannot have changed."""
+        ack now - still the edge's only ack this round, so it draws the
+        same fault fate - unless the flush already acked the link,
+        whose ``(cum, bitmap)`` a duplicate cannot have changed."""
         if self.flushed_round != round_number:
             self.flush(round_number, send)
             return
@@ -442,14 +468,47 @@ class ReliableChannel:
             inlink = self.inn[neighbor]
             if not inlink.ack_due:
                 continue
-            inlink.ack_due = False
             if inlink.acked_round == round_number:
+                inlink.ack_due = False
                 continue
-            send(neighbor, KIND_ACK, inlink.ack_fields())
-            inlink.acked_round = round_number
-            self.stats.acks_sent += 1
+            self._ack(neighbor, inlink, round_number, send)
             if self._instruments is not None:
                 self._instruments.bump_round("acks", round_number, 1)
+
+    def _ack(
+        self, neighbor: int, inlink: InLink, round_number: int, send: Sink
+    ) -> None:
+        """Send ``neighbor`` the link's current ack, through the ack
+        sink when one is set and through ``send`` otherwise."""
+        cum, bitmap = inlink.ack_fields()
+        if self.ack_sink is None:
+            send(neighbor, KIND_ACK, (cum, bitmap))
+        else:
+            self.ack_sink((self.node_id, neighbor, cum, bitmap))
+        inlink.ack_due = False
+        inlink.acked_round = round_number
+        self.stats.acks_sent += 1
+
+    def wake_round(self, round_number: int) -> int | None:
+        """The earliest round after ``round_number`` whose :meth:`flush`
+        can send anything: the next round while control mail is queued
+        or an ack is owed; else the round the oldest unacked send comes
+        due (``last_sent + RETRANSMIT_AFTER``, or the next round if the
+        slot caps held it back); else None.  Until then a flush sends
+        nothing, and acks that arrive meanwhile only move the answer
+        later."""
+        soonest = None
+        for neighbor in self._active:
+            if self._queues[neighbor] or self.inn[neighbor].ack_due:
+                return round_number + 1
+            unacked = self.out[neighbor].unacked
+            if unacked:
+                due = min(entry[2] for entry in unacked.values())
+                if soonest is None or due < soonest:
+                    soonest = due
+        if soonest is None:
+            return None
+        return max(soonest + RETRANSMIT_AFTER, round_number + 1)
 
     # ------------------------------------------------------------------
     # Drain / introspection
@@ -469,3 +528,60 @@ class ReliableChannel:
             return False
         return not any(link.ack_due for link in self.inn.values())
 
+
+
+class AckRows:
+    """Fast-path driver that carries every channel's acks as bulk rows.
+
+    Each channel :meth:`attach`-ed here sends its acks to this driver
+    instead of its flush's sink, so the flush and settle callers - the
+    node handlers and the walk and exchange drivers - stay as they are.
+    The driver registers to end each round after every other driver and
+    ships the round's ack rows, in send order, as one push.  Arriving
+    rows go through :meth:`ReliableChannel.apply_ack` in
+    :meth:`receive_rows`, before any node or driver runs, so no node is
+    stepped for an ack and the receiver's phase does not matter.
+
+    An ack only confirms: applied before the round's handlers instead
+    of inside them, it leaves every later decision the same, and
+    applying a duplicated row once equals applying it twice.  Fault
+    fates hash per edge and kind, and an edge carries at most one ack
+    per round, so rows and messages draw the same fates.
+    """
+
+    claimed_kinds = frozenset({KIND_ACK})
+
+    def __init__(self) -> None:
+        self._channels: dict[int, ReliableChannel] = {}
+        self._rows: list[tuple[int, int, int, int]] = []
+
+    def attach(self, channel: ReliableChannel) -> None:
+        """Route ``channel``'s acks through this driver."""
+        self._channels[channel.node_id] = channel
+        channel.ack_sink = self._rows.append
+
+    def receive_rows(self, round_number: int, claimed: dict) -> None:
+        """Apply this round's arriving ack rows."""
+        senders, receivers, fields, _ = claimed[KIND_ACK]
+        channels = self._channels
+        for sender, receiver, (cum, bitmap) in zip(
+            senders.tolist(), receivers.tolist(), fields.tolist()
+        ):
+            channels[receiver].apply_ack(sender, cum, bitmap)
+
+    def end_round(
+        self,
+        round_number: int,
+        claimed: dict,
+        outbox: "RoundOutbox",
+        bulk_outbox: "BulkOutbox",
+    ) -> None:
+        rows = self._rows
+        if rows:
+            table = np.array(rows, dtype=np.int64)
+            # In place: every attached channel's sink is this list's
+            # ``append``.
+            rows.clear()
+            bulk_outbox.push_rows(
+                KIND_ACK, table[:, 0], table[:, 1], table[:, 2:]
+            )

@@ -431,11 +431,14 @@ class Simulator:
             for node in order
         }
         claimed_kinds: dict[str, object] = {}  # kind -> claiming driver
+        # Drivers that take their claimed rows before the node pass.
+        early_drivers: list[object] = []
         known_drivers = 0
 
         def refresh_claims() -> None:
             nonlocal known_drivers
-            for driver in shared.drivers[known_drivers:]:
+            claimed_kinds.clear()
+            for driver in shared.drivers:
                 for kind in getattr(driver, "claimed_kinds", ()):
                     if kind in claimed_kinds:
                         raise ConfigError(
@@ -443,6 +446,11 @@ class Simulator:
                             f"{kind!r}"
                         )
                     claimed_kinds[kind] = driver
+            early_drivers[:] = [
+                driver
+                for driver in shared.drivers
+                if hasattr(driver, "receive_rows")
+            ]
             known_drivers = len(shared.drivers)
 
         # Wake calendar: ``calendar[r]`` lists nodes that asked (via
@@ -551,8 +559,9 @@ class Simulator:
                         message.sender,
                     )
                 bulk_in_flight.trace_into(self.tracer, round_number)
-            # Every bulk kind goes to the driver claiming it, whole, at
-            # end of round; node programs see control messages only.
+            # Every bulk kind goes to the driver claiming it, whole: at
+            # end of round, or before the node pass to a driver with
+            # ``receive_rows``.  Node programs see control messages only.
             claimed_traffic: dict[int, dict[str, tuple]] = {}
             if bulk_in_flight:
                 for kind, driver in claimed_kinds.items():
@@ -569,6 +578,10 @@ class Simulator:
                         "driver"
                     )
             with profiler.span("deliver"):
+                for driver in early_drivers:
+                    rows = claimed_traffic.pop(id(driver), None)
+                    if rows:
+                        driver.receive_rows(round_number, rows)
                 inboxes: dict[int, list[Message]] = {}
                 for message in in_flight:
                     inboxes.setdefault(message.receiver, []).append(message)

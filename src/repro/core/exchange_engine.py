@@ -27,7 +27,10 @@ every node it owns that is not crashed, from the round after the node's
 done-wave transition.  The flush's sink ships ``xch`` sends, fresh or
 retransmitted with the seq last, as one ``push_rows`` per round, in
 each edge's flush order - the order that fixes their fault-fate
-indices - and everything else as control messages.  Duplicates that
+indices - and everything else as control messages, except acks: the
+channel hands those to its ack sink
+(:class:`~repro.congest.reliable.AckRows`), which ships them as rows
+too.  Duplicates that
 reach finished nodes are settled through :meth:`ReliableChannel.settle
 <repro.congest.reliable.ReliableChannel.settle>`.  The driver registers
 before the walk engine, so a column reaching a counting node is

@@ -50,7 +50,7 @@ from repro.congest.primitives.flood import (
     FloodMaxBFS,
     FloodMaxState,
 )
-from repro.congest.reliable import ReliableChannel
+from repro.congest.reliable import AckRows, ReliableChannel
 from repro.core.flow_math import (
     betweenness_from_raw_flow,
     node_raw_flow,
@@ -312,6 +312,15 @@ class RWBCNodeProgram(VectorizedProgram):
                 return
             self._flood.start(ctx)
             return
+        shared = ctx.shared
+        if shared is not None:
+            # Fast path: acks travel as bulk rows in every phase.
+            acks = shared.slots.get("ack_rows")
+            if acks is None:
+                acks = AckRows()
+                shared.slots["ack_rows"] = acks
+                shared.register_driver(acks, last=True)
+            acks.attach(self._channel)
         rctx = _ReliableCtx(self._channel, self.neighbors, ctx.round_number)
         self._flood.start(rctx)
         self._channel.flush(ctx.round_number, ctx.send_fields)
@@ -370,8 +379,9 @@ class RWBCNodeProgram(VectorizedProgram):
         movement and termination reporting runs inside the shared
         :class:`CountingWalkEngine`, so a node only needs a round of its
         own when control mail arrives - the done wave, plus term reports
-        and ARQ traffic where the engine leaves the convergecast to the
-        nodes.  Setup and exchange wakes come from :meth:`next_wake`
+        and retransmitted control where the engine leaves the
+        convergecast to the nodes (acks are rows, applied without a
+        step).  Setup and exchange wakes come from :meth:`next_wake`
         instead: its calendar, or no wake at all where the shared setup
         and exchange drivers own those phases."""
         return self.phase == PHASE_COUNTING
@@ -389,18 +399,27 @@ class RWBCNodeProgram(VectorizedProgram):
         the milestones' work, so the node sleeps straight through to
         its launch at ``n + 2``, where it only builds its manager and
         counter and registers them: the engine launches the walks.
-        Reliable setup is timer-driven (ARQ retransmits), so it keeps the
-        historical every-round stepping.  Counting is mail-only (the
-        engine does the work; with the array convergecast only the done
-        wave wakes a node).  Exchange is calendar-driven from
-        ``_exchange_start`` unless the shared exchange driver owns it -
-        always, on fault-free and reliable runs.  Then the driver sends
-        the columns, flushes the ARQ and finishes the node, and the node
-        wakes only for control mail (acks, degrees, done and term
-        retransmits)."""
+        Reliable setup is timer-driven: with empty mail its step only
+        flushes the ARQ and checks the milestones, so the node sleeps
+        until the sooner of its channel's
+        :meth:`~repro.congest.reliable.ReliableChannel.wake_round` and
+        its next milestone (``setup_slack * n`` until it has announced,
+        then the launch at twice that).  Acks arrive as
+        rows without a step and only postpone the channel's answer, so
+        a wake filed before them is at worst early.  Counting is
+        mail-only (the engine does the work; with the array
+        convergecast only the done wave wakes a node).  Exchange is
+        calendar-driven from ``_exchange_start`` unless the shared
+        exchange driver owns it - always, on fault-free and reliable
+        runs.  Then the driver sends the columns, flushes the ARQ and
+        finishes the node, and the node wakes only for control mail
+        (degrees, done and term retransmits)."""
         if self.phase == PHASE_SETUP:
             if self._channel is not None:
-                return round_number + 1
+                announce = self.config.setup_slack * self.info.n
+                milestone = 2 * announce if self._announced else announce
+                wake = self._channel.wake_round(round_number)
+                return milestone if wake is None else min(wake, milestone)
             n = self.info.n
             if self._setup_engine is not None:
                 return n + 2
@@ -649,8 +668,9 @@ class RWBCNodeProgram(VectorizedProgram):
         arrays it claims the term rows too, and the done wave is the
         only mail that steps a counting node.
 
-        In reliable mode the control mail additionally includes acks
-        and retransmitted walk tokens; fresh tokens are handed to the
+        In reliable mode the control mail additionally includes
+        retransmitted walk tokens (acks are rows the ack transport
+        applies before the node pass); fresh tokens are handed to the
         engine's control-arrival buffer so they join the same
         canonical grouped receive as the claimed bulk traffic.  The
         engine owns this node's flush while it is counting, so none

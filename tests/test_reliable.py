@@ -12,6 +12,7 @@ from repro.congest.reliable import (
     OutLink,
     ReliableChannel,
 )
+from repro.obs.instruments import InstrumentSet
 
 TOKENS = frozenset({"walk"})
 LATEST = frozenset({"term"})
@@ -26,13 +27,16 @@ def sink(channel, wire):
     return send
 
 
-def make_channel(node_id=0, neighbors=(1,), token_budget=2):
+def make_channel(
+    node_id=0, neighbors=(1,), token_budget=2, instruments=None
+):
     return ReliableChannel(
         node_id=node_id,
         neighbors=neighbors,
         token_budget=token_budget,
         token_kinds=TOKENS,
         latest_kinds=LATEST,
+        instruments=instruments,
     )
 
 
@@ -198,3 +202,77 @@ class TestReliableChannel:
         assert b.receive(first) == (10,)
         cum, bitmap = b.inn[0].ack_fields()
         assert (cum, bitmap) == (1, 0)
+
+
+class TestWakeRound:
+    """``wake_round``: the earliest round whose flush sends anything."""
+
+    def test_queued_mail_wakes_next_round(self):
+        a = make_channel()
+        a.queue(1, "deg", (3,))
+        assert a.wake_round(7) == 8
+
+    def test_owed_ack_wakes_next_round(self):
+        a = make_channel()
+        a.accept(1, 0)
+        assert a.wake_round(7) == 8
+
+    def test_unacked_sends_wake_when_the_oldest_comes_due(self):
+        a = make_channel(neighbors=(1, 2))
+        a.register_block(1, "walk", [(1, 2, 3)], round_number=5)
+        a.register_block(2, "walk", [(1, 2, 3)], round_number=3)
+        assert a.wake_round(5) == 3 + RETRANSMIT_AFTER
+        wire: list[Message] = []
+        # Flushes before the due round send nothing.
+        for round_number in range(6, 3 + RETRANSMIT_AFTER):
+            a.flush(round_number, sink(a, wire))
+        assert wire == []
+        a.flush(3 + RETRANSMIT_AFTER, sink(a, wire))
+        assert [m.receiver for m in wire] == [2]
+
+    def test_sends_held_back_by_slot_caps_wake_next_round(self):
+        a = make_channel(token_budget=1)
+        a.register_block(1, "walk", [(1, 2, 3), (4, 5, 6)], round_number=0)
+        a.flush(RETRANSMIT_AFTER, sink(a, []))  # one slot: seq 1 waits
+        assert a.wake_round(RETRANSMIT_AFTER) == RETRANSMIT_AFTER + 1
+
+    def test_idle_channel_never_wakes(self):
+        assert make_channel().wake_round(7) is None
+
+    def test_ack_emptying_the_window_stops_the_wake(self):
+        a = make_channel()
+        a.queue(1, "deg", (3,))
+        a.flush(1, sink(a, []))
+        assert a.wake_round(1) == 1 + RETRANSMIT_AFTER
+        a.apply_ack(1, 0, 0)
+        assert a.wake_round(2) is None
+
+
+class TestApplyAck:
+    """``apply_ack``: the one rule for ack messages and ack rows."""
+
+    def test_non_neighbor_ack_rejected(self):
+        a = make_channel(neighbors=(1,))
+        with pytest.raises(ProtocolError):
+            a.apply_ack(5, 0, 0)
+
+    def test_same_latencies_as_receive(self):
+        observed = []
+        for deliver in ("message", "row"):
+            instruments = InstrumentSet()
+            a = make_channel(instruments=instruments)
+            a.queue(1, "deg", (3,))
+            a.queue(1, "deg", (4,))
+            a.flush(1, sink(a, []))
+            a.flush(1 + RETRANSMIT_AFTER, sink(a, []))  # both resent
+            a.queue(1, "deg", (5,))
+            a.flush(2 + RETRANSMIT_AFTER, sink(a, []))
+            if deliver == "message":
+                a.receive(Message(1, 0, KIND_ACK, (2, 0)))
+            else:
+                a.apply_ack(1, 2, 0)
+            assert a.unacked_count == 0
+            histogram = instruments.hist("recovery_latency_rounds")
+            observed.append((histogram.count, list(histogram.buckets)))
+        assert observed[0] == observed[1]
+        assert observed[0][0] == 3

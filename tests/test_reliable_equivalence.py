@@ -15,17 +15,28 @@ regressions.
 import collections
 import os
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.congest.errors import ProtocolError
 from repro.congest.faults import CrashWindow, FaultPlan
-from repro.congest.reliable import InLink, ReliableChannel
-from repro.congest.transport import RoundOutbox
+from repro.congest.reliable import KIND_ACK, AckRows, InLink, ReliableChannel
+from repro.congest.scheduler import Simulator
+from repro.congest.transport import BandwidthPolicy, RoundOutbox
 from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.exchange_engine import ExchangeEngine
 from repro.core.parameters import WalkParameters
-from repro.core.protocol import KIND_EXCHANGE, ProtocolConfig, RWBCNodeProgram
-from repro.graphs.generators import cycle_graph, erdos_renyi_graph
+from repro.core.protocol import (
+    KIND_EXCHANGE,
+    PHASE_DONE,
+    PHASE_SETUP,
+    ProtocolConfig,
+    RWBCNodeProgram,
+    make_protocol_factory,
+)
+from repro.core.termination import KIND_TERM
+from repro.graphs.generators import cycle_graph, erdos_renyi_graph, path_graph
 
 PARAMS = WalkParameters(length=20, walks_per_source=6)
 #: Walk launch round of the stretched reliable setup; crash windows
@@ -54,6 +65,9 @@ def _assert_identical(slow, fast):
     assert slow.total_rounds == fast.total_rounds
     assert slow.phase_rounds == fast.phase_rounds
     assert slow.metrics.total_messages == fast.metrics.total_messages
+    assert slow.metrics.total_bits == fast.metrics.total_bits
+    # Per-round bits pin when each message went out, not only how many.
+    assert slow.metrics.bits_per_round == fast.metrics.bits_per_round
     assert slow.metrics.faults == fast.metrics.faults
     assert slow.recovery == fast.recovery
     for node in slow.counts:
@@ -155,6 +169,170 @@ class TestBoundaryEquivalence:
         _assert_identical(slow, fast)
 
 
+class TestTimerWakesAndAckRows:
+    """On the fast path a reliable setup node sleeps until its channel
+    or its next milestone needs it, and acks are bulk rows applied
+    before the node pass; both must leave the run byte-identical."""
+
+    def test_crash_through_the_announcement_round(self):
+        """A node down across round ``setup_slack * n`` wakes after it
+        and announces late, as in the per-message loop."""
+        n = 8
+        announce = SETUP_SLACK * n
+        plan = FaultPlan(
+            seed=5,
+            drop_rate=0.05,
+            crashes=(
+                CrashWindow(node=3, start=announce - 4, end=announce + 9),
+            ),
+        )
+        slow, fast = _run_both_loops(cycle_graph(n), plan)
+        _assert_identical(slow, fast)
+        assert slow.metrics.faults["crash_node_rounds"] == 13
+
+    @pytest.mark.parametrize("overlap", [0, 1], ids=["ends-on", "covers"])
+    def test_crash_ending_on_a_retransmit_due_round(
+        self, monkeypatch, overlap
+    ):
+        """A first run finds a setup node sleeping from round ``r`` to
+        its channel's retransmit round ``due``; a crash from ``r + 1``
+        then ends on ``due`` (the node is back exactly when its wake
+        fires) or covers it (the scheduler re-arms the wake until the
+        node is back)."""
+        n = 8
+        graph = cycle_graph(n)
+        lossy = FaultPlan(seed=5, drop_rate=0.1)
+        sleeps = []
+        next_wake = RWBCNodeProgram.next_wake
+
+        def spy(program, round_number):
+            wake = next_wake(program, round_number)
+            if (
+                program.phase == PHASE_SETUP
+                and wake is not None
+                and wake > round_number + 2
+                and wake == program._channel.wake_round(round_number)
+            ):
+                sleeps.append((program.node_id, round_number, wake))
+            return wake
+
+        monkeypatch.setattr(RWBCNodeProgram, "next_wake", spy)
+        estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=lossy, vectorized=True
+        )
+        monkeypatch.undo()
+        node, slept, due = sleeps[0]
+        plan = FaultPlan(
+            seed=5,
+            drop_rate=0.1,
+            crashes=(
+                CrashWindow(node=node, start=slept + 1, end=due + overlap),
+            ),
+        )
+        slow, fast = _run_both_loops(graph, plan)
+        _assert_identical(slow, fast)
+
+    def test_delayed_and_duplicated_acks_reach_a_halted_node(
+        self, monkeypatch
+    ):
+        """Acks delayed and duplicated past their receiver's finish
+        land on a halted node: the per-message loop wakes it to take
+        them in, the fast path applies the rows without a step."""
+        graph = erdos_renyi_graph(6, 0.5, seed=2, ensure_connected=True)
+        plan = FaultPlan(
+            seed=12, duplicate_rate=0.3, delay_rate=0.3, max_delay=30
+        )
+        slow = estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=plan, vectorized=False
+        )
+        channels = {}
+        attach = AckRows.attach
+        receive_rows = AckRows.receive_rows
+        finished = {}
+        finish = RWBCNodeProgram._finish
+        late = collections.Counter()
+
+        def attach_spy(driver, channel):
+            channels[channel.node_id] = channel
+            attach(driver, channel)
+
+        def finish_spy(program, round_number):
+            finish(program, round_number)
+            finished[program.node_id] = program
+
+        def receive_spy(driver, round_number, claimed):
+            _, receivers, _, multiplicity = claimed[KIND_ACK]
+            for node, copies in zip(receivers.tolist(), multiplicity.tolist()):
+                program = finished.get(node)
+                if program is not None and program.phase == PHASE_DONE:
+                    late[copies] += 1
+            receive_rows(driver, round_number, claimed)
+
+        monkeypatch.setattr(AckRows, "attach", attach_spy)
+        monkeypatch.setattr(AckRows, "receive_rows", receive_spy)
+        monkeypatch.setattr(RWBCNodeProgram, "_finish", finish_spy)
+        fast = estimate_rwbc_distributed(
+            graph, PARAMS, seed=3, faults=plan, vectorized=True
+        )
+        assert late[1] and late[2]
+        assert slow.metrics.faults["delayed"] > 0
+        _assert_identical(slow, fast)
+
+    def test_late_launch_replays_early_terms(self, monkeypatch):
+        """A node down through the launch round launches on recovery,
+        after its tree children: their term reports reach it while it
+        is still in setup, and its late launch replays them and reports
+        the subtree total to its parent in that same round.  Only the
+        per-message loop supports a late launch (the estimator rejects
+        such plans): the fast path's engine launches every node at once
+        and refuses the plan with a structured error instead."""
+        n = 8
+        config = ProtocolConfig(
+            length=PARAMS.length,
+            walks_per_source=PARAMS.walks_per_source,
+            reliable=True,
+        )
+        launch = 2 * config.setup_slack * n
+        plan = FaultPlan(
+            seed=5,
+            drop_rate=0.05,
+            crashes=(CrashWindow(node=3, start=launch - 3, end=launch + 41),),
+        )
+        replays = []
+        launch_counting = RWBCNodeProgram._launch_counting
+
+        def spy(program, ctx, round_number):
+            early = list(program._early_terms)
+            launch_counting(program, ctx, round_number)
+            if early:
+                parent = program._tree.parent
+                reported = [
+                    entry[3]
+                    for entry in program._channel.out[parent].unacked.values()
+                    if entry[0] == KIND_TERM
+                ]
+                replays.append((program.node_id, round_number, reported))
+
+        def simulate(vectorized):
+            return Simulator(
+                path_graph(n),
+                make_protocol_factory(config),
+                policy=BandwidthPolicy(n=n, messages_per_edge=6),
+                seed=3,
+                faults=plan,
+                vectorized=vectorized,
+                max_rounds=20_000,
+            ).run()
+
+        monkeypatch.setattr(RWBCNodeProgram, "_launch_counting", spy)
+        simulate(vectorized=False)
+        ((node, launched, reported),) = replays
+        assert node == 3 and launched > launch
+        assert reported == [launched]
+        with pytest.raises(ProtocolError, match="7/8 nodes registered"):
+            simulate(vectorized=True)
+
+
 class TestExchangeDriver:
     """The reliable exchange on the fast path runs in the exchange
     driver: columns travel as ARQ-sequenced bulk rows, and exchange
@@ -244,6 +422,8 @@ class TestExchangeDriver:
         _assert_identical(slow, fast)
 
     def test_columns_are_never_messages_on_the_fast_path(self, monkeypatch):
+        """On the fast path exchange columns and acks travel as bulk
+        rows; the per-message loop builds a message for each."""
         graph = erdos_renyi_graph(10, 0.45, seed=10, ensure_connected=True)
         plan = FaultPlan(seed=7, drop_rate=0.1)
         built = collections.Counter()
@@ -258,12 +438,13 @@ class TestExchangeDriver:
             graph, PARAMS, seed=3, faults=plan, vectorized=True
         )
         assert built[KIND_EXCHANGE] == 0
-        assert built["ack"] > 0
+        assert built[KIND_ACK] == 0
         built.clear()
         estimate_rwbc_distributed(
             graph, PARAMS, seed=3, faults=plan, vectorized=False
         )
         assert built[KIND_EXCHANGE] > 0
+        assert built[KIND_ACK] > 0
 
     def test_no_neighbor_matrices_on_the_fast_path(self, monkeypatch):
         """The driver finishes nodes on views into the count tensor, so

@@ -6,8 +6,7 @@ walks are.  This bench measures that constant the way a complexity
 claim should be checked: peak RSS of one fast-path run on a ladder of
 sizes.  The workload is a random tree with ``l = 10``, ``K = 1`` (the
 ``tree-wide`` benchmark workload and the full suite's ``tree10k-sync``
-row): the walks are short, so the count tensor and the exchange
-phase's bit table set the memory.
+row): the walks are short, so the count tensor sets the memory.
 
 Each rung runs in a fresh subprocess that reports its own ``VmHWM``
 (Linux's per-process peak resident set), so no rung inherits another's
@@ -15,10 +14,13 @@ heap.  The ladder asserts:
 
 * peak RSS at n = 5000 at most :data:`MAX_PEAK_MB`;
 * the per-cell slope ``(peak_5000 - peak_2000) / (5000^2 - 2000^2)``
-  at most :data:`MAX_BYTES_PER_CELL` bytes - the ``uint32`` count
-  cells plus the ``uint8`` bit table, with half 1 of the tensor never
-  made resident outside split mode (int64 cells with both halves
-  resident and a per-node copy measured about 24).
+  at most :data:`MAX_BYTES_PER_CELL` bytes.  ``K * (l + 1)`` = 11, so
+  the cells are ``uint8`` (:func:`~repro.core.walk_engine.count_dtype`),
+  half 1 of the tensor is never made resident outside split mode, and
+  the exchange prices each column as it is sent, with no ``n x n`` bit
+  table.  Measured: 2.1-2.2 bytes per cell; ``uint32`` cells plus an
+  ``n x n`` bit table measured about 6, and int64 cells with both halves
+  resident and a per-node copy about 24.
 
 The n = 10k rung is its own test, run by node id in the nightly CI
 sweep.
@@ -36,8 +38,8 @@ from repro.experiments.report import render_records
 LENGTH, WALKS = 10, 1
 LADDER = (2000, 5000)
 #: Peak RSS bounds, MiB, by n.
-MAX_PEAK_MB = {5000: 250, 10000: 800}
-MAX_BYTES_PER_CELL = 7.0
+MAX_PEAK_MB = {5000: 150, 10000: 320}
+MAX_BYTES_PER_CELL = 3.0
 
 #: One rung: build the tree, run the estimator on the fast path, and
 #: print the process's peak RSS (MiB) and the run's wall time and rounds.

@@ -7,9 +7,10 @@ columns travel as bulk rows and no node is stepped for them.  It runs on
 fault-free runs and on reliable runs.
 
 **Fault-free.**  In round ``start + i`` every node broadcasts column
-``i``.  When the phase starts the driver prices every node's column
-message once (:func:`column_bits`), and each round hands that table's
-row over the directed edges to
+``i``.  The driver prices each node's column-``i`` message in that
+round, through a ``uint8`` table of field costs over ``0..max cell``
+built when the phase starts (cells are small integers, at most
+``K * (l + 1)``), and hands the prices over the directed edges to
 :meth:`~repro.congest.transport.BulkOutbox.push_priced`.  The run's
 :class:`~repro.congest.node.EdgeIndex` ascends node-major with ports in
 ``info.neighbors`` order, so the rows are the per-node loop's messages,
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.congest.errors import ProtocolError
-from repro.congest.message import TAG_BITS, Message, int_bits_array
+from repro.congest.message import TAG_BITS, Message, int_bits, int_bits_array
 from repro.obs.spans import NULL_PROFILER
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,33 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.congest.transport import BulkOutbox, RoundOutbox
     from repro.core.protocol import RWBCNodeProgram
     from repro.core.walk_engine import ClaimedKind, CountingWalkEngine
-
-#: Count-tensor entries priced per pass when building the bit table.
-#: Keeps each pass's int64/float64 temporaries (512 KB) cache-sized;
-#: on a 2-vCPU x86-64 VM pricing an n=2000 tensor took 0.065 s this way
-#: and 0.18 s in 8 MB passes.
-PRICE_CHUNK = 1 << 16
-
-
-def column_bits(counts: np.ndarray) -> np.ndarray:
-    """Bit cost of every node's exchange message, source-major.
-
-    ``counts`` is the frozen count tensor's ``(n, 2, n)`` view
-    ``[node, half, source]`` (stored half-first, in
-    :func:`~repro.core.walk_engine.count_dtype` cells); entry ``[s, v]``
-    of the result is what node ``v``'s column-``s`` message ``(s,
-    c_a[v, s], c_b[v, s])`` costs.  Every entry is at most ``TAG_BITS +
-    3 * 65`` bits, so ``uint8`` holds it."""
-    n = counts.shape[0]
-    table = np.empty((n, n), dtype=np.uint8)
-    source_bits = TAG_BITS + int_bits_array(np.arange(n))
-    step = max(1, PRICE_CHUNK // (2 * n))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        node_bits = int_bits_array(counts[lo:hi]).sum(axis=1)
-        table[:, lo:hi] = (node_bits + source_bits).T
-    return table
-
 
 class ExchangeEngine:
     """Network-wide exchange phase over the shared count tensor.
@@ -129,7 +103,9 @@ class ExchangeEngine:
         # nodes not yet finished.
         self._programs: dict[int, "RWBCNodeProgram"] = {}
         self._done = False
-        self._bits: np.ndarray | None = None  # (n, n) uint8, see column_bits
+        # Fault-free: bit cost of every count value up to the frozen
+        # tensor's largest cell, built at the first broadcast round.
+        self._field_bits: np.ndarray | None = None
 
     def register(self, program: "RWBCNodeProgram") -> None:
         node = program.node_id
@@ -169,16 +145,31 @@ class ExchangeEngine:
         if round_number < self.start + n:
             # Round start + i: every node broadcasts count column i.
             source = round_number - self.start
-            if self._bits is None:
-                self._bits = column_bits(self._engine.counts)
+            counts = self._engine.counts
+            if self._field_bits is None:
+                # Sized by the largest cell, not by the cell type's
+                # max: pricing all 65 536 uint16 values up front would
+                # cost megabytes of temporaries for a table of bytes.
+                self._field_bits = int_bits_array(
+                    np.arange(int(counts.max()) + 1)
+                ).astype(np.uint8)
+            field_bits = self._field_bits
+            # Node v's message (source, c_a[v], c_b[v]): at most
+            # TAG_BITS + 3 * 65 bits, so the uint8 sum cannot wrap.
+            node_bits = (
+                TAG_BITS
+                + int_bits(source)
+                + field_bits[counts[:, 0, source]]
+                + field_bits[counts[:, 1, source]]
+            )
             edges = self._edges
             bulk_outbox.push_priced(
-                self._kind, edges.src, edges.dst, self._bits[source][edges.src]
+                self._kind, edges.src, edges.dst, node_bits[edges.src]
             )
             return
         # Round start + n: all columns have (virtually) arrived; run
         # every node's local computation in ascending node order.
-        self._bits = None
+        self._field_bits = None
         for node in sorted(self._programs):
             self._finish(self._programs[node], round_number)
         self._done = True

@@ -568,6 +568,7 @@ class RWBCNodeProgram(VectorizedProgram):
                     convergecast,
                     self.config.walks_per_source,
                     self.config.length,
+                    self.config.split_sampling,
                 )
                 shared.slots["walk_engine"] = engine
                 if convergecast or self._channel is not None:

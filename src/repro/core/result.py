@@ -30,11 +30,12 @@ class DistributedRWBCResult:
         Lemma 2 / Lemma 3 / Theorem 5 experiments.
     counts:
         Node label -> its raw ``xi`` count vector (by source id in the
-        relabeled 0..n-1 space).  The cells are ``uint32`` (``int64``
-        when ``K * (l + 1)`` reaches ``2**32``; see
-        :func:`~repro.core.walk_engine.count_dtype`), and outside split
-        mode each vector is a view into the run's one count tensor,
-        not a copy.
+        relabeled 0..n-1 space).  The cells are the narrowest unsigned
+        type that holds ``K * (l + 1)`` - ``uint8``, ``uint16`` or
+        ``uint32``, and ``int64`` from ``2**32`` (see
+        :func:`~repro.core.walk_engine.count_dtype`) - so convert before
+        signed or summing arithmetic.  Outside split mode each vector
+        is a view into the run's one count tensor, not a copy.
     betweenness_debiased, noise_floor:
         Present only for split-sampling runs: the noise-floor-corrected
         estimates and the measured floor itself (see repro.core.bias).

@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.congest.errors import ProtocolError
+from repro.congest.errors import ConfigError, ProtocolError
 from repro.congest.message import TAG_BITS, Message, int_bits_array
 from repro.obs.spans import NULL_PROFILER
 from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
@@ -93,13 +93,54 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def count_dtype(walks_per_source: int, length: int) -> type[np.integer]:
-    """The visit counters' cell type.  A walk makes at most ``l + 1``
-    visits, so no cell ``xi_v[s]`` (one half, or both summed) exceeds
-    ``K * (l + 1)``: ``uint32`` holds it below ``2**32``, ``int64``
-    past that."""
-    if walks_per_source * (length + 1) < 1 << 32:
-        return np.uint32
+    """The visit counters' cell type: the narrowest unsigned type that
+    holds ``K * (l + 1)``.  A walk makes at most ``l + 1`` visits, so no
+    cell ``xi_v[s]`` (one half, or both summed) exceeds that bound:
+    ``uint8`` holds it up to 255, ``uint16`` up to 65535, ``uint32``
+    below ``2**32``, and ``int64`` past that."""
+    bound = walks_per_source * (length + 1)
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
     return np.int64
+
+
+#: Where :func:`available_memory` reads the host's ``MemAvailable``.
+MEMINFO = "/proc/meminfo"
+
+
+def available_memory() -> int | None:
+    """The host's ``MemAvailable`` in bytes, or None when
+    :data:`MEMINFO` cannot be read or does not report it."""
+    try:
+        with open(MEMINFO) as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+def check_tensor_fits(n: int, dtype: type[np.integer], halves: int) -> None:
+    """Refuse a count tensor the host cannot hold.  ``halves`` of its
+    ``(n, n)`` halves become resident (half 1 only in split mode); if
+    their bytes exceed :func:`available_memory`, raise
+    :class:`ConfigError` instead of letting the allocation be killed."""
+    cell = np.dtype(dtype)
+    estimate = halves * n * n * cell.itemsize
+    limit = available_memory()
+    if limit is not None and estimate > limit:
+        raise ConfigError(
+            f"the count tensor for n={n} needs about {estimate} bytes of "
+            f"{cell.name} cells, more than the {limit} bytes available",
+            context={
+                "n": n,
+                "cell_type": cell.name,
+                "estimate_bytes": estimate,
+                "limit_bytes": limit,
+            },
+        )
 
 
 class TransportPolicy(enum.Enum):
@@ -558,7 +599,9 @@ class CountingWalkEngine:
     ``convergecast``: run the termination convergecast as arrays and
     claim its ``term`` rows (fault-free, non-reliable runs).  Otherwise
     each node's :class:`DeathCounterLogic` reports, and ``term`` travels
-    as control mail the node folds in itself.
+    as control mail the node folds in itself.  ``split_sampling``: both
+    halves of the count tensor will be written, which
+    :func:`check_tensor_fits` counts before it is allocated.
     """
 
     def __init__(
@@ -567,6 +610,7 @@ class CountingWalkEngine:
         convergecast: bool,
         walks_per_source: int,
         length: int,
+        split_sampling: bool,
     ) -> None:
         n = edges.n
         self.n = n
@@ -580,9 +624,9 @@ class CountingWalkEngine:
         # ``counts`` is the ``(n, 2, n)`` view ``[node, half, source]``:
         # outside split mode nothing writes half 1, so its pages are
         # never made resident.
-        self.counts = np.zeros(
-            (2, n, n), dtype=count_dtype(walks_per_source, length)
-        ).transpose(1, 0, 2)
+        dtype = count_dtype(walks_per_source, length)
+        check_tensor_fits(n, dtype, 2 if split_sampling else 1)
+        self.counts = np.zeros((2, n, n), dtype=dtype).transpose(1, 0, 2)
         self.held = np.zeros(n, dtype=np.int64)
         self.deaths = np.zeros(n, dtype=np.int64)
         self._round_deaths = np.zeros(n, dtype=np.int64)

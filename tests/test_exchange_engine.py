@@ -1,11 +1,12 @@
 """Unit tests for the fast-path exchange driver's accounting.
 
-:class:`~repro.core.exchange_engine.ExchangeEngine` prices every
-node's column messages once, from the frozen count tensor, and ships
-each round as priced traffic (:meth:`BulkOutbox.push_priced`).  These
-tests drive it over a fabricated tensor and check every round against
-the reference: the same rows pushed as a fields matrix through
-:meth:`BulkOutbox.push_rows` and drained.
+:class:`~repro.core.exchange_engine.ExchangeEngine` prices each
+round's column messages from the frozen count tensor as it sends them,
+and ships the round as priced traffic (:meth:`BulkOutbox.push_priced`).
+These tests drive it over a fabricated tensor and check every round
+against the references: each pushed row priced as its
+:class:`~repro.congest.message.Message`, and the same rows pushed as a
+fields matrix through :meth:`BulkOutbox.push_rows` and drained.
 """
 
 import re
@@ -18,7 +19,7 @@ from repro.congest.errors import CongestViolation
 from repro.congest.message import Message
 from repro.congest.node import EdgeIndex
 from repro.congest.transport import BandwidthPolicy, BulkOutbox
-from repro.core.exchange_engine import ExchangeEngine, column_bits
+from repro.core.exchange_engine import ExchangeEngine
 from repro.core.protocol import KIND_EXCHANGE
 
 #: A small connected graph (adjacency in ascending neighbor order).
@@ -114,15 +115,32 @@ class TestPricedRounds:
             assert (receivers == engine.dst).all()
             assert (multiplicity == 1).all()
 
-    def test_bit_width_boundaries_are_priced(self):
-        counts = _fabricated_counts()
-        table = column_bits(counts)
-        # Node 0, column 1: (1, 255, 256) -> 8 + 2 + 9 + 10 bits.
-        assert table[1, 0] == 8 + 2 + 9 + 10
-        # Node 0, column 0: (0, 0, 0) -> every field floors to 2 bits.
-        assert table[0, 0] == 8 + 2 + 2 + 2
-        # Node 3, column 3: (3, 1023, 1024) -> 8 + 3 + 11 + 12 bits.
-        assert table[3, 3] == 8 + 3 + 11 + 12
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint8])
+    def test_rows_are_priced_as_messages(self, dtype):
+        """Every pushed row costs what node ``v``'s column-``s`` message
+        to ``u`` costs, for each cell type the tensor can have (uint8
+        cells saturate the fabricated 256 and 1024 at 255)."""
+        counts = np.minimum(_fabricated_counts(), np.iinfo(dtype).max)
+        counts = counts.astype(dtype)
+        driver, _ = _driver(counts)
+        pushed = []
+        recorder = SimpleNamespace(
+            push_priced=lambda kind, *rows: pushed.append((kind, *rows))
+        )
+        for source in range(N):
+            driver.end_round(START + source, {}, None, recorder)
+            kind, senders, receivers, row_bits = pushed[-1]
+            assert kind == KIND_EXCHANGE
+            expected = [
+                Message(
+                    v,
+                    u,
+                    KIND_EXCHANGE,
+                    (source, int(counts[v, 0, source]), int(counts[v, 1, source])),
+                ).bits
+                for v, u in zip(senders.tolist(), receivers.tolist())
+            ]
+            assert row_bits.tolist() == expected
 
     def test_shared_round_runs_the_merge(self):
         """Control traffic on the same edges: the merged accounting

@@ -26,6 +26,7 @@ import argparse
 import os
 import sys
 
+from repro.congest.errors import SimulatorError
 from repro.graphs.graph import Graph, GraphError
 from repro.obs.export import SchemaError
 
@@ -765,7 +766,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     try:
         return args.handler(args)
-    except (GraphError, SchemaError, OSError) as error:
+    except (GraphError, SchemaError, SimulatorError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -159,9 +159,11 @@ class _KindBatch:
     row_bits: list[np.ndarray] = field(default_factory=list)
     # Set by :meth:`BulkOutbox.push_priced`: rows whose bits the caller
     # priced, each its own edge's only row unless ``edges`` names the
-    # rows' directed-edge ids.
+    # rows' directed-edge ids, and the costliest row's bits, taken once
+    # by the budget check.
     priced: bool = False
     edges: np.ndarray | None = None
+    peak: int = 0
 
 
 class BulkRound:
@@ -444,17 +446,20 @@ class BulkOutbox:
 
     def _check_budget(
         self, kind: str, senders: np.ndarray, row_bits: np.ndarray
-    ) -> None:
-        """Raise :class:`CongestViolation` for the costliest row when any
-        row exceeds the per-message budget."""
+    ) -> int:
+        """Return the costliest row's bits; raise
+        :class:`CongestViolation` for that row when it exceeds the
+        per-message budget."""
+        peak = int(row_bits.max())
         limit = self._bit_limit
-        if (row_bits > limit).any():
+        if peak > limit:
             worst = int(np.argmax(row_bits))
             raise CongestViolation(
                 f"bulk {kind!r} message from node {int(senders[worst])} is "
-                f"{int(row_bits[worst])} bits, exceeding the per-message "
-                f"budget of {limit} bits"
+                f"{peak} bits, exceeding the per-message budget of "
+                f"{limit} bits"
             )
+        return peak
 
     def push_priced(
         self,
@@ -484,7 +489,7 @@ class BulkOutbox:
         when only priced pushes share the round."""
         if len(receivers) == 0:
             return
-        self._check_budget(kind, senders, row_bits)
+        peak = self._check_budget(kind, senders, row_bits)
         if multiplicity is None:
             multiplicity = np.ones(len(senders), dtype=np.int64)
         self._batches[kind] = _KindBatch(
@@ -495,6 +500,7 @@ class BulkOutbox:
             row_bits=[np.asarray(row_bits, dtype=np.int64)],
             priced=True,
             edges=edges,
+            peak=peak,
         )
 
     def drain(self, n: int, control_messages: list[Message]) -> BulkRound:
@@ -559,11 +565,11 @@ def _priced_round(batches: dict[str, _KindBatch]) -> BulkRound | None:
         )
         receivers_by_kind[kind] = batch.receivers[0]
         row_bits_by_kind[kind] = batch.row_bits[0]
+    peak = max(batch.peak for batch in batches.values())
     untagged = [batch.edges is None for batch in batches.values()]
     if untagged == [True]:
         # One push on distinct edges: each row is its edge's load.
         ((kind, row_bits),) = row_bits_by_kind.items()
-        peak = int(row_bits.max())
         traffic = RoundTraffic(
             total_messages=len(row_bits),
             total_bits=int(row_bits.sum()),
@@ -590,7 +596,7 @@ def _priced_round(batches: dict[str, _KindBatch]) -> BulkRound | None:
         total_bits=int(edge_bits.sum()),
         max_edge_messages=int(edge_messages.max()),
         max_edge_bits=int(edge_bits.max()),
-        max_message_bits=int(row_bits.max()),
+        max_message_bits=peak,
         edge_messages=edge_messages,
         edge_bits=edge_bits,
     )

@@ -223,7 +223,7 @@ def estimate_rwbc_distributed(
 
     programs = result.programs
     any_program = programs[0]
-    phase_rounds = _phase_breakdown(any_program, result.metrics.rounds)
+    phase_rounds = _phase_breakdown(programs, result.metrics.rounds)
     betweenness = {
         inverse[index]: programs[index].betweenness for index in range(n)
     }
@@ -348,16 +348,23 @@ def estimate_alpha_cfbc_distributed(
     )
 
 
-def _phase_breakdown(program, total_rounds: int) -> dict[str, int]:
-    """Split the run into setup / counting / exchange round counts."""
-    counting_start = program.counting_start_round
-    exchange_start = program.exchange_start_round
-    finish = program.finish_round
-    if None in (counting_start, exchange_start, finish):
+def _phase_breakdown(programs, total_rounds: int) -> dict[str, int]:
+    """Split the run into setup / counting / exchange round counts,
+    read network-wide: setup ends at the launch round, counting at the
+    root's detection (the first round any node relays ``done``), and
+    the exchange at the last node's finish.  Fault-free the three sum
+    to ``total_rounds``; reliable runs add trailing drain rounds."""
+    markers = [
+        (p.counting_start_round, p.exchange_start_round, p.finish_round)
+        for p in programs.values()
+    ]
+    if any(None in marks for marks in markers):
         raise GraphError("protocol finished without phase markers")
+    launches, detections, finishes = zip(*markers)
+    launch, detection = min(launches), min(detections)
     return {
-        "setup": counting_start,
-        "counting": exchange_start - counting_start,
-        "exchange": finish - exchange_start,
+        "setup": launch,
+        "counting": detection - launch,
+        "exchange": max(finishes) - detection,
         "total": total_rounds,
     }

@@ -15,15 +15,19 @@ n + 1              tree finalized; nodes exchange degrees with neighbors
                    *neighbor* degrees).
 n + 2              COUNTING starts: launch ``K`` walks per node
                    (Algorithm 1 line 3) and begin walk forwarding.
-n + 2 .. R_end     COUNTING (Algorithm 1 lines 4-17): walk messages under
+n + 2 .. R         COUNTING (Algorithm 1 lines 4-17): walk messages under
                    the transport policy, plus the monotone death-counter
-                   convergecast.  When the root's counter reaches
-                   ``(n - 1) K`` it floods ``done(R_end)`` with
-                   ``R_end = detection + n + 2``, a common round safely
-                   after the wave reaches everyone.
-R_end .. R_end+n   EXCHANGE (Algorithm 2 line 2): in subround ``i`` every
-                   node sends its count for source ``i`` to all neighbors.
-R_end + n          local computation (Algorithm 2 lines 3-4) and halt.
+                   convergecast.  In the round ``R`` its counter reaches
+                   ``(n - 1) K`` the root sends ``done`` down the tree;
+                   a node at depth ``d`` relays it in round ``R + d``.
+s .. s + n - 1     EXCHANGE (Algorithm 2 line 2), paced per node by the
+                   done wave: a node that relays ``done`` in round ``r``
+                   has ``s = r + 1`` and sends its count for source ``i``
+                   to all neighbors in round ``s + i``.
+s + n + 1          local computation (Algorithm 2 lines 3-4) and halt.
+                   Tree neighbors' depths differ by at most one, so a
+                   neighbor starts at most one round later and its last
+                   column has arrived by then.
 =================  ========================================================
 
 Node labels must be exactly ``0 .. n-1`` (the estimator relabels
@@ -209,9 +213,9 @@ class RWBCNodeProgram(VectorizedProgram):
     Outputs after the run: ``betweenness`` (this node's estimate),
     ``counts`` (its ``xi`` vector; outside split mode a view of its
     count slab, not a copy), ``target`` (the elected absorbing node),
-    and the phase-boundary rounds ``counting_start_round`` /
-    ``exchange_start_round`` / ``finish_round`` for the complexity
-    experiments.
+    and the phase-boundary rounds ``counting_start_round`` (launch),
+    ``exchange_start_round`` (the round the node relays ``done``) and
+    ``finish_round`` for the complexity experiments.
 
     The program is a :class:`VectorizedProgram`: on the scheduler's
     fast path its setup, walk and exchange traffic travels as aggregate
@@ -262,7 +266,6 @@ class RWBCNodeProgram(VectorizedProgram):
         # matrix.
         self._neighbor_matrix: np.ndarray | None = None
         self._neighbor_counts: dict[int, np.ndarray] | None = None
-        self._exchange_start: int | None = None
         # Reliable-mode state (all inert when config.reliable is False).
         self._channel: ReliableChannel | None = None
         self._adopters: set[int] = set()
@@ -408,12 +411,13 @@ class RWBCNodeProgram(VectorizedProgram):
         rows without a step and only postpone the channel's answer, so
         a wake filed before them is at worst early.  Counting is
         mail-only (the engine does the work; with the array
-        convergecast only the done wave wakes a node).  Exchange is
-        calendar-driven from ``_exchange_start`` unless the shared
-        exchange driver owns it - always, on fault-free and reliable
-        runs.  Then the driver sends the columns, flushes the ARQ and
-        finishes the node, and the node wakes only for control mail
-        (degrees, done and term retransmits)."""
+        convergecast only the done wave wakes a node).  Exchange runs
+        every round from the node's first column, the round after it
+        relayed ``done``, to its finish, unless the shared exchange
+        driver owns it - always, on fault-free and reliable runs.  Then
+        the driver sends the columns, flushes the ARQ and finishes the
+        node, and the node wakes only for control mail (degrees, done
+        and term retransmits)."""
         if self.phase == PHASE_SETUP:
             if self._channel is not None:
                 announce = self.config.setup_slack * self.info.n
@@ -429,8 +433,7 @@ class RWBCNodeProgram(VectorizedProgram):
         if self.phase == PHASE_EXCHANGE:
             if self._xch_engine is not None:
                 return None
-            start = self._exchange_start
-            return start if round_number < start else round_number + 1
+            return round_number + 1
         return None  # PHASE_DONE: only late mail matters
 
     # ------------------------------------------------------------------
@@ -578,7 +581,6 @@ class RWBCNodeProgram(VectorizedProgram):
                     # exchange columns before the walk engine flushes
                     # the counting nodes they reach.
                     xch = ExchangeEngine(
-                        None,
                         engine,
                         shared.edges,
                         reliable=self._channel is not None,
@@ -635,13 +637,13 @@ class RWBCNodeProgram(VectorizedProgram):
     # ------------------------------------------------------------------
     def _counting_mail(
         self, inbox: list[Message]
-    ) -> tuple[dict[str, list[tuple[int, ...]]], int | None]:
+    ) -> tuple[dict[str, list[tuple[int, ...]]], bool]:
         """Fold one counting round's control mail into the node: term
         reports, degrees and (under recovery) exchange columns early
         neighbors sent.  Returns the fresh walk payloads, listed per
-        kind, and the done round if the wave arrived."""
+        kind, and whether the done wave arrived."""
         walk_mail: dict[str, list[tuple[int, ...]]] = {}
-        done_round: int | None = None
+        done = False
         for message, payload in self._mail(inbox):
             kind = message.kind
             if kind in WALK_KINDS:
@@ -649,14 +651,14 @@ class RWBCNodeProgram(VectorizedProgram):
             elif kind == KIND_TERM:
                 self._death_counter.receive_report(message.sender, payload[0])
             elif kind == KIND_DONE:
-                done_round = payload[0]
+                done = True
             elif kind == KIND_EXCHANGE:
                 # A neighbor reached the exchange phase before this
                 # node's done arrival; its columns are valid now.
                 self._store_exchange(message.sender, payload)
             elif kind == KIND_DEGREE:
                 self._neighbor_degrees[message.sender] = payload[0]
-        return walk_mail, done_round
+        return walk_mail, done
 
     def _counting_round_engine(
         self, ctx: RoundContext, inbox: list[Message]
@@ -677,13 +679,13 @@ class RWBCNodeProgram(VectorizedProgram):
         engine owns this node's flush while it is counting, so none
         happens here, and the exchange driver takes the columns early
         neighbors send."""
-        walk_mail, done_round = self._counting_mail(inbox)
+        walk_mail, done = self._counting_mail(inbox)
         if walk_mail:
             self._engine.deliver_control_walk(
                 self.node_id, *_walk_arrivals(walk_mail)
             )
-        if done_round is not None:
-            self._begin_done_wave(ctx, done_round, ctx.round_number)
+        if done:
+            self._begin_done_wave(ctx, ctx.round_number)
             return
         self._engine.touch(self.node_id)
 
@@ -692,18 +694,16 @@ class RWBCNodeProgram(VectorizedProgram):
     ) -> None:
         walks = self._walks
         deaths_before = walks.deaths
-        walk_mail, done_round = self._counting_mail(inbox)
+        walk_mail, done = self._counting_mail(inbox)
         if walk_mail:
             # One grouped call per round: the randomness consumed depends
             # only on the multiset of arrivals, never on message order.
             walks.receive_group_arrays(*_walk_arrivals(walk_mail))
         self._death_counter.record_deaths(walks.deaths - deaths_before)
 
-        if done_round is None and self._death_counter.root_detects_completion:
-            # Root: schedule the common phase switch and start the wave.
-            done_round = ctx.round_number + self.info.n + 2
-        if done_round is not None:
-            self._begin_done_wave(ctx, done_round, ctx.round_number)
+        # The root starts the wave in the round it detects completion.
+        if done or self._death_counter.root_detects_completion:
+            self._begin_done_wave(ctx, ctx.round_number)
             if self._channel is not None:
                 # Ship the queued done wave (and any owed acks) now;
                 # from next round the exchange handler flushes.
@@ -765,14 +765,14 @@ class RWBCNodeProgram(VectorizedProgram):
         slab[1, source] = count_b
         self._xch_received[sender] += 1
 
-    def _begin_done_wave(
-        self, ctx: RoundContext, done_round: int, round_number: int
-    ) -> None:
+    def _begin_done_wave(self, ctx: RoundContext, round_number: int) -> None:
         """Switch to the exchange phase in ``round_number``, relaying
-        ``done(done_round)``.  The fault-free exchange runs on the
-        calendar from ``done_round``; the reliable one is self-paced
-        from the next round on, so its phase marker is this round."""
-        self._exchange_start = done_round
+        ``done``, which carries no fields.  The exchange starts from
+        the next round in both modes: fault-free, column ``i`` goes out
+        in round ``round_number + 1 + i`` and the node finishes at
+        ``round_number + n + 2``; under recovery the node paces itself
+        through its ARQ.  So ``done`` and a column never share an edge
+        in one round, and ``exchange_start_round`` is this round."""
         self._death_counter.stop()
         if self._engine is not None:
             self._engine.stop_reporting(self.node_id)
@@ -786,16 +786,15 @@ class RWBCNodeProgram(VectorizedProgram):
             # adopt may still be in flight), so the done wave floods
             # over every edge; duplicates are cheap and dedup is free.
             for neighbor in self.neighbors:
-                self._channel.queue_latest(neighbor, KIND_DONE, (done_round,))
+                self._channel.queue_latest(neighbor, KIND_DONE, ())
             if self._engine is not None:
                 # The engine owns this node's flush for the transition
                 # round (its per-node call already happened).
                 self._engine.note_transition(self.node_id)
-            self.exchange_start_round = round_number
         else:
             for child in self._tree.children:
-                ctx.send(child, KIND_DONE, done_round)
-            self.exchange_start_round = done_round
+                ctx.send(child, KIND_DONE)
+        self.exchange_start_round = round_number
         self.phase = PHASE_EXCHANGE
         shared = ctx.shared
         if shared is None:
@@ -812,11 +811,11 @@ class RWBCNodeProgram(VectorizedProgram):
             # No driver (faults without recovery): this transition may
             # have happened inside the engine's end-of-round pass (the
             # root's detection), where the scheduler cannot observe the
-            # phase change - file the calendar wake for the first
-            # exchange round explicitly.  Redundant with the post-step
-            # next_wake query when the transition happened in a normal
-            # step; the scheduler dedups.
-            shared.request_wake(self.node_id, done_round)
+            # phase change - file the wake for the first exchange round
+            # explicitly.  Redundant with the post-step next_wake query
+            # when the transition happened in a normal step; the
+            # scheduler dedups.
+            shared.request_wake(self.node_id, round_number + 1)
 
     # ------------------------------------------------------------------
     # Phase 3: exchange (Algorithm 2) + local computation
@@ -845,13 +844,14 @@ class RWBCNodeProgram(VectorizedProgram):
             # ``_finish``; this step only happened because of straggler
             # control mail, and sending here would double the traffic.
             return
-        start = self._exchange_start
-        if start <= r < start + n:
-            source = r - start
+        source = r - self.exchange_start_round - 1
+        if source < n:
             count_a = int(self._walks.half_counts[0, source])
             count_b = int(self._walks.half_counts[1, source])
             ctx.broadcast(KIND_EXCHANGE, source, count_a, count_b)
-        elif r >= start + n:
+        elif source > n:
+            # A neighbor relayed done at most one round later, so its
+            # last column arrived this round.
             self._finish(r)
 
     def _exchange_round_reliable(
@@ -893,10 +893,12 @@ class RWBCNodeProgram(VectorizedProgram):
         sent *and acked*, all ``n`` received from every neighbor, every
         neighbor degree known, and the channel drained.
 
-        The fault-free protocol synchronizes subrounds by the calendar
-        (column ``i`` travels in round ``R_end + i``); loss breaks any
-        fixed schedule, so each node paces itself instead.  Fault-free
-        this sends the same ``n`` columns in ``n`` rounds.  The
+        The fault-free protocol paces subrounds by the done wave
+        (column ``i`` travels in round ``exchange_start_round + 1 + i``
+        and the node finishes ``n + 2`` rounds after its relay); loss
+        breaks any fixed schedule, so each node paces itself on its
+        acks and receipts instead.  Fault-free this sends the same
+        ``n`` columns in ``n`` rounds.  The
         per-message loop calls this from the node's handler, the
         exchange driver for every node it owns."""
         n = self.info.n

@@ -15,8 +15,10 @@ root can detect termination by aggregating a *monotone* counter:
   ``(n - 1) * K`` certifies that every walk is dead *and* every count
   message has drained.
 
-The root then floods a ``done`` message carrying a common future round
-number at which all nodes switch to the exchange phase in lockstep.
+The root then sends a field-less ``done`` down the tree, and each node
+switches to the exchange phase in the round the wave reaches it; the
+exchange is paced per node from that round
+(:mod:`repro.core.protocol`).
 
 When to report is one rule, :func:`report_due`.  Per node it runs inside
 :meth:`DeathCounterLogic.pop_report`; on the fault-free fast path the

@@ -1039,9 +1039,8 @@ class CountingWalkEngine:
                 continue
             if counter.parent is None:
                 if counter.root_detects_completion:
-                    done_round = round_number + self.n + 2
                     self._programs[node]._begin_done_wave(
-                        self._contexts[node], done_round, round_number
+                        self._contexts[node], round_number
                     )
             else:
                 total = counter.pop_report()
@@ -1114,7 +1113,7 @@ class CountingWalkEngine:
         root = self._root
         if not self._stopped[root] and total[root] >= self._expected_total:
             self._programs[root]._begin_done_wave(
-                self._contexts[root], round_number + self.n + 2, round_number
+                self._contexts[root], round_number
             )
 
     def _flush_channels(

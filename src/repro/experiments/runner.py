@@ -19,6 +19,7 @@ from repro.core.montecarlo import estimate_rwbc_montecarlo
 from repro.core.parameters import WalkParameters
 from repro.core.walk_engine import TransportPolicy
 from repro.graphs.graph import Graph
+from repro.graphs.properties import bfs_distances
 
 
 def accuracy_row(
@@ -73,6 +74,8 @@ def distributed_run_row(
         "rounds_setup": result.phase_rounds["setup"],
         "rounds_counting": result.phase_rounds["counting"],
         "rounds_exchange": result.phase_rounds["exchange"],
+        # Depth of the done wave: the exchange's rounds past n + 2.
+        "leader_ecc": max(bfs_distances(graph, result.target).values()),
         "max_msgs_edge": summary["max_messages_per_edge_round"],
         "max_bits_edge": summary["max_bits_per_edge_round"],
         "max_msg_bits": summary["max_message_bits"],

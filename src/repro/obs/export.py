@@ -89,7 +89,7 @@ def phase_windows(phase_rounds: dict) -> list[tuple[str, int, int]]:
     """Inclusive 1-based round windows ``(name, first, last)`` per phase.
 
     Derived from the estimator's ``phase_rounds`` breakdown
-    (setup/counting/exchange/total); rounds after the first node's
+    (setup/counting/exchange/total); rounds after the last node's
     finish - reliable-mode stragglers draining their channels - land in
     a synthetic ``drain`` phase.  Empty windows are omitted.
     """

@@ -409,6 +409,21 @@ class TestErrors:
     def test_unknown_family(self, capsys):
         assert main(["exact", "--family", "nope"]) == 2
 
+    def test_simulator_error_is_one_line(self, capsys):
+        """A crash window from round 0 is a FaultInjectionError: one
+        ``error:`` line and exit 2, not a traceback."""
+        code = main(
+            [
+                "chaos", "--family", "cycle", "--n", "10", "--drop", "0.15",
+                "--crash", "3", "--crash-start", "0", "--crash-span", "8",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: crash windows start at round >= 1")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])

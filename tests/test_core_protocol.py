@@ -24,6 +24,7 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.graphs.graph import Graph, GraphError
+from repro.graphs.properties import bfs_distances
 
 PARAMS = WalkParameters(length=150, walks_per_source=40)
 
@@ -154,13 +155,19 @@ class TestCongestCompliance:
         assert result.metrics.max_messages_per_edge_round <= 4
 
     def test_phase_round_accounting(self, er_run):
+        """The exchange runs from the root's detection to the deepest
+        node's finish: the done wave takes ``ecc(leader)`` rounds to
+        reach it, and it finishes ``n + 2`` rounds after its relay."""
         graph, result = er_run
         phases = result.phase_rounds
         n = graph.num_nodes
+        ecc = max(bfs_distances(graph, result.target).values())
         assert phases["setup"] == n + 2
-        assert phases["exchange"] == n
+        assert phases["exchange"] == ecc + n + 2
         assert phases["counting"] >= 1
-        assert phases["total"] >= phases["setup"] + phases["counting"]
+        assert phases["total"] == (
+            phases["setup"] + phases["counting"] + phases["exchange"]
+        )
 
 
 class TestRoundComplexity:

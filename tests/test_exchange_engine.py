@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.congest.errors import CongestViolation
+from repro.congest.errors import CongestViolation, ProtocolError
 from repro.congest.message import Message
 from repro.congest.node import EdgeIndex
 from repro.congest.transport import BandwidthPolicy, BulkOutbox
@@ -43,26 +43,35 @@ def _fabricated_counts() -> np.ndarray:
 
 
 class _Program:
-    """Just enough of an RWBCNodeProgram for the driver."""
+    """Just enough of an RWBCNodeProgram for the driver: by default it
+    relayed ``done`` the round before ``START``."""
 
-    def __init__(self, node: int) -> None:
+    def __init__(self, node: int, relay: int = START - 1) -> None:
         self.node_id = node
         self.neighbors = NEIGHBORS[node]
+        self.exchange_start_round = relay
         self.finished_at = None
 
     def _finish(self, round_number: int) -> None:
         self.finished_at = round_number
 
 
-def _driver(counts: np.ndarray) -> tuple[ExchangeEngine, SimpleNamespace]:
-    edges = EdgeIndex(
+def _edges() -> EdgeIndex:
+    return EdgeIndex(
         tuple(range(N)),
         [np.array(NEIGHBORS[v], dtype=np.int64) for v in range(N)],
     )
-    driver = ExchangeEngine(START, SimpleNamespace(counts=counts), edges)
-    for node in range(N):
-        driver.register(_Program(node))
-    engine = SimpleNamespace(counts=counts, src=edges.src, dst=edges.dst)
+
+
+def _driver(counts: np.ndarray) -> tuple[ExchangeEngine, SimpleNamespace]:
+    edges = _edges()
+    driver = ExchangeEngine(SimpleNamespace(counts=counts), edges)
+    programs = [_Program(node) for node in range(N)]
+    for program in programs:
+        driver.register(program)
+    engine = SimpleNamespace(
+        counts=counts, src=edges.src, dst=edges.dst, programs=programs
+    )
     return driver, engine
 
 
@@ -159,18 +168,108 @@ class TestPricedRounds:
             ).all()
 
     def test_finish_round_calls_every_program(self):
+        """The round after the last column sends nothing, and the round
+        after that, ``start + n + 1``, finishes every node."""
         driver, engine = _driver(_fabricated_counts())
         outbox = BulkOutbox(POLICY)
         for source in range(N):
             driver.end_round(START + source, {}, None, outbox)
             outbox.drain(N, [])
         driver.end_round(START + N, {}, None, outbox)
-        for node, program in driver._programs.items():
-            assert program.finished_at == START + N
+        assert not outbox.drain(N, [])
+        assert all(p.finished_at is None for p in engine.programs)
+        driver.end_round(START + N + 1, {}, None, outbox)
+        for program in engine.programs:
+            assert program.finished_at == START + N + 1
             for neighbor, slab in program._neighbor_counts.items():
                 assert np.shares_memory(slab, engine.counts)
                 assert (slab == engine.counts[neighbor]).all()
+        assert not driver._programs
         assert not outbox.drain(N, [])
+
+
+class TestStaggeredStarts:
+    """Each node's columns are paced from the round it relayed
+    ``done``: depth 0 at round ``START - 1``, depth ``d`` ``d`` rounds
+    later, as the wave reaches it down the tree rooted at node 0."""
+
+    DEPTH = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}
+
+    def _staggered(self):
+        counts = _fabricated_counts()
+        driver = ExchangeEngine(SimpleNamespace(counts=counts), _edges())
+        programs = {
+            v: _Program(v, START - 1 + d) for v, d in self.DEPTH.items()
+        }
+        return driver, programs, counts
+
+    def test_each_node_sends_its_own_column(self):
+        driver, programs, counts = self._staggered()
+        pushed = []
+        recorder = SimpleNamespace(
+            push_priced=lambda kind, *rows: pushed.append(rows)
+        )
+        for round_number in range(START - 1, START + N + 4):
+            for v, program in programs.items():
+                if program.exchange_start_round == round_number:
+                    driver.register(program)
+            pushed.clear()
+            driver.end_round(round_number, {}, None, recorder)
+            expected = []
+            for v in range(N):
+                column = round_number - (START + self.DEPTH[v])
+                if 0 <= column < N:
+                    for u in NEIGHBORS[v]:
+                        message = Message(
+                            v,
+                            u,
+                            KIND_EXCHANGE,
+                            (
+                                column,
+                                int(counts[v, 0, column]),
+                                int(counts[v, 1, column]),
+                            ),
+                        )
+                        expected.append((v, u, message.bits))
+            got = []
+            if pushed:
+                ((senders, receivers, row_bits),) = pushed
+                got = list(
+                    zip(senders.tolist(), receivers.tolist(), row_bits.tolist())
+                )
+            assert got == expected
+        for v, program in programs.items():
+            assert program.finished_at == START + self.DEPTH[v] + N + 1
+
+    def test_missing_neighbor_is_a_protocol_error(self):
+        """Node 4 never hears ``done``: its neighbor 2 cannot finish,
+        and the driver says which neighbor is missing."""
+        driver, programs, _ = self._staggered()
+        outbox = BulkOutbox(POLICY)
+        for round_number in range(START - 1, START + N + 2):
+            for v, program in programs.items():
+                if v != 4 and program.exchange_start_round == round_number:
+                    driver.register(program)
+            driver.end_round(round_number, {}, None, outbox)
+            outbox.drain(N, [])
+        assert programs[0].finished_at == START + N + 1
+        with pytest.raises(ProtocolError, match="neighbor 4"):
+            driver.end_round(START + N + 2, {}, None, outbox)
+        assert programs[1].finished_at == START + N + 2
+
+    def test_late_neighbor_is_a_protocol_error(self):
+        """A neighbor two rounds behind has not sent its last column by
+        the finish round: the wave is broken, not just slow."""
+        counts = _fabricated_counts()
+        driver = ExchangeEngine(SimpleNamespace(counts=counts), _edges())
+        driver.register(_Program(3))
+        driver.register(_Program(1, START + 1))
+        outbox = BulkOutbox(POLICY)
+        for round_number in range(START, START + N + 1):
+            driver.end_round(round_number, {}, None, outbox)
+            outbox.drain(N, [])
+        with pytest.raises(ProtocolError, match="neighbor 1"):
+            driver.end_round(START + N + 1, {}, None, outbox)
 
 
 class TestBudget:

@@ -31,42 +31,45 @@ SEED = 7
 #: mode -> (counts digest, rounds, messages, bits).  Recorded while the
 #: per-message loop still ran its own copy of the walk rule; a kernel
 #: change that moves one changes the protocol's output, so update the
-#: pin only on purpose.
+#: pin only on purpose.  The rounds, messages and bits were re-recorded
+#: (digests unchanged) when the exchange became paced by the done wave
+#: and ``done`` lost its round field: fault-free runs end ``n - ecc``
+#: rounds sooner, and every run sends fewer bits.
 PINS = {
     "queue": (
         "36e8e3c84e7f715b2eb72e0f5bf54e2894ce3bfe7a0480ba9d50cc63bc6ceb31",
-        80, 2132, 40077,
+        70, 2132, 39973,
     ),
     "batch": (
         "3395ed9d31f99c0785426ba4f9700864d2b0efab0861dc75ecc08f5624b2da96",
-        80, 2037, 40562,
+        70, 2037, 40458,
     ),
     "damped": (
         "39331721c53c70c19b47e32dcb2ba23f2911e5741a57388d55cc549af7d231cb",
-        71, 1353, 24406,
+        61, 1353, 24315,
     ),
     "split": (
         "28ce2b34428b0cbf985a885e862bcea0a29f62842a68c929b4db94acc3433cdf",
-        80, 2132, 40387,
+        70, 2132, 40283,
     ),
     "lossy": (
         "ffcda2a48f7516a08b32c26d7c48a16659480e47722326624aed6fe414ea5158",
-        260, 3933, 82456,
+        260, 3933, 82042,
     ),
     # Recorded before both loops shared one walk encoder: reliable BATCH
     # rows carry a count and a seq, and damped thinning draws from the
     # routing generator.
     "lossy-batch": (
         "7686fc1ab6fa490664e308cc61d82bb72e433f80a2192dafa1ee36af367c1882",
-        247, 3759, 80748,
+        247, 3759, 80334,
     ),
     "lossy-damped": (
         "592a337c9eda6cf0bd77b5ef38ecc00c084f765fc97136e2f86344a2a118219c",
-        237, 2514, 49406,
+        237, 2514, 48992,
     ),
     "async": (
         "36e8e3c84e7f715b2eb72e0f5bf54e2894ce3bfe7a0480ba9d50cc63bc6ceb31",
-        81, 7956, 164163,
+        71, 7535, 156812,
     ),
 }
 

@@ -14,6 +14,7 @@ from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.parameters import WalkParameters
 from repro.core.walk_manager import TransportPolicy
 from repro.graphs.generators import erdos_renyi_graph, random_tree
+from repro.graphs.properties import bfs_distances
 
 
 def random_connected_graph(n, seed):
@@ -67,11 +68,14 @@ def test_protocol_invariants(n, seed, k, policy):
         if source != target:
             assert totals[source] >= k
 
-    # 4. Phase accounting is exact: setup n+2, exchange n, and the
-    #    pieces sum to the scheduler's round count.
+    # 4. Phase accounting is exact: setup n+2, exchange from the root's
+    #    detection to the deepest node's finish (the done wave's
+    #    ecc(leader) rounds plus each node's n + 2), and the pieces sum
+    #    to the scheduler's round count.
     phases = result.phase_rounds
+    ecc = max(bfs_distances(graph, result.target).values())
     assert phases["setup"] == n + 2
-    assert phases["exchange"] == n
+    assert phases["exchange"] == ecc + n + 2
     assert (
         phases["setup"] + phases["counting"] + phases["exchange"]
         == result.total_rounds

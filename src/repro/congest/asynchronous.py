@@ -53,6 +53,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -67,12 +68,14 @@ from repro.congest.errors import (
 from repro.congest.faults import FaultPlan, FaultRuntime
 from repro.congest.message import Message
 from repro.congest.node import NodeInfo, NodeProgram, RoundContext
-from repro.congest.reliable import InLink, OutLink
 from repro.congest.scheduler import ProgramFactory
 from repro.congest.transport import BandwidthPolicy
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_connected
 from repro.obs.spans import NULL_PROFILER
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.congest.reliable import InLink, OutLink
 
 KIND_PAYLOAD = "sync.payload"
 KIND_ACK = "sync.ack"
@@ -326,6 +329,10 @@ class AsyncSimulator:
         # scheduler's exactly (same seed => same protocol randomness).
         children = master.spawn(len(order) + 1)
         self._delay_rng = children[-1]
+
+        # Imported here, so synchronous runs without recovery never load
+        # the ARQ module.
+        from repro.congest.reliable import InLink, OutLink
 
         self._nodes: dict[int, _SynchronizerNode] = {}
         for rank, (node, rng) in enumerate(zip(order, children)):

@@ -349,9 +349,10 @@ class FaultRuntime:
                 for rates in plan.edge_overrides.values()
             )
         )
-        # This round's next fate index per (sender, receiver, kind
-        # code); see _decide_rows.
-        self._indices: dict[tuple[int, int, int], int] = {}
+        # This round's next fate index per (sender, receiver) key, per
+        # kind code, as (senders, receivers, next indices); see
+        # _claim_indices.
+        self._indices: dict[int, tuple[np.ndarray, ...]] = {}
         # Asynchronous-executor fate counters: one running index per
         # (round, sender, receiver, kind) across the whole run (the
         # event loop has no per-round reset point; see async_fate).
@@ -532,19 +533,9 @@ class FaultRuntime:
         row_senders = senders[rows]
         row_receivers = receivers[rows]
         row_codes = codes[rows]
-        send_list = row_senders.tolist()
-        recv_list = row_receivers.tolist()
-        # Each row takes the next indices of its (edge, kind), in row
-        # order, continuing this round's counters.
-        edge_counters = self._indices
-        starts = []
-        for key, count in zip(
-            zip(send_list, recv_list, row_codes.tolist()),
-            row_counts.tolist(),
-        ):
-            start = edge_counters.get(key, 0)
-            edge_counters[key] = start + count
-            starts.append(start)
+        starts = self._claim_indices(
+            row_senders, row_receivers, row_codes, row_counts
+        )
         if self._uniform_rates:
             drop = self.plan.drop_rate
             dup = self.plan.duplicate_rate
@@ -554,7 +545,9 @@ class FaultRuntime:
             row_rates = np.array(
                 [
                     self.plan.rates_for(s, r)
-                    for s, r in zip(send_list, recv_list)
+                    for s, r in zip(
+                        row_senders.tolist(), row_receivers.tolist()
+                    )
                 ],
                 dtype=np.float64,
             )
@@ -565,7 +558,7 @@ class FaultRuntime:
         # bounds[j + 1] - 1``, at consecutive indices from its start.
         bounds = np.cumsum(row_counts) - row_counts
         message_index = np.arange(int(row_counts.sum())) + np.repeat(
-            np.array(starts, dtype=np.int64) - bounds, row_counts
+            starts - bounds, row_counts
         )
         bases = np.repeat(
             _edge_base_array(
@@ -602,6 +595,62 @@ class FaultRuntime:
             for pair, count in zip(pairs.tolist(), pair_counts.tolist())
         ]
         return copies, delayed
+
+    def _claim_indices(
+        self,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        codes: np.ndarray,
+        counts: np.ndarray,
+    ) -> np.ndarray:
+        """Each row's first fate index: rows take the next ``counts[i]``
+        indices of their ``(sender, receiver, code)`` key in row order,
+        continuing this round's counters.  One stable sort groups the
+        rows by key and a segmented cumsum numbers them inside each
+        group; the counters are kept per code as the keys' arrays, and
+        a code seen earlier in the round is looked up once per key."""
+        order = np.lexsort((receivers, senders, codes))
+        keys = (codes[order], senders[order], receivers[order])
+        first = np.zeros(len(order), dtype=bool)
+        for column in keys:
+            first[1:] |= column[1:] != column[:-1]
+        first[0] = True
+        firsts = np.flatnonzero(first)
+        ordered = counts[order]
+        before = np.cumsum(ordered) - ordered
+        group_codes, group_senders, group_receivers = (
+            column[firsts] for column in keys
+        )
+        ends = np.add.reduceat(ordered, firsts)
+        bases = np.zeros(len(firsts), dtype=np.int64)
+        code_starts = np.flatnonzero(
+            np.append(True, group_codes[1:] != group_codes[:-1])
+        )
+        for lo, hi in zip(code_starts, [*code_starts[1:], len(firsts)]):
+            code, mine = int(group_codes[lo]), slice(lo, hi)
+            held = self._indices.get(code)
+            pairs = (group_senders[mine], group_receivers[mine])
+            if held is not None:
+                # The code came earlier this round: carry its counters.
+                counters = dict(
+                    zip(zip(*(c.tolist() for c in held[:2])), held[2].tolist())
+                )
+                edges = list(zip(*(c.tolist() for c in pairs)))
+                bases[mine] = [counters.get(edge, 0) for edge in edges]
+                ends[mine] += bases[mine]
+                counters.update(zip(edges, ends[mine].tolist()))
+                held = tuple(
+                    np.array(column)
+                    for column in zip(
+                        *((*edge, end) for edge, end in counters.items())
+                    )
+                )
+            else:
+                held = (*pairs, ends[mine])
+            self._indices[code] = held
+        starts = np.empty(len(order), dtype=np.int64)
+        starts[order] = (bases - before[firsts])[np.cumsum(first) - 1] + before
+        return starts
 
     def filter_messages(
         self, round_number: int, messages: list[Message]

@@ -173,7 +173,12 @@ class SharedFastPathState:
       pass and before any node or driver runs (its ``end_round`` then
       sees an empty map).  The ARQ's ack transport
       (:class:`~repro.congest.reliable.AckRows`) applies acks this way,
-      so no node is stepped for one.
+      so no node is stepped for one;
+    * a driver that defines ``after_nodes(round_number, outbox)`` runs
+      it right after the node pass, before the stepped nodes'
+      ``next_wake`` queries and before any ``end_round``.  The ARQ's
+      driver runs the flushes the round's node handlers asked for
+      there, as one batch.
 
     This is purely a performance transformation: a driver must produce
     byte-identical traffic and randomness to its per-node counterpart

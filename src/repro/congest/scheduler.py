@@ -431,8 +431,10 @@ class Simulator:
             for node in order
         }
         claimed_kinds: dict[str, object] = {}  # kind -> claiming driver
-        # Drivers that take their claimed rows before the node pass.
+        # Drivers that take their claimed rows before the node pass, and
+        # drivers with work right after it.
         early_drivers: list[object] = []
+        pass_drivers: list[object] = []
         known_drivers = 0
 
         def refresh_claims() -> None:
@@ -451,7 +453,26 @@ class Simulator:
                 for driver in shared.drivers
                 if hasattr(driver, "receive_rows")
             ]
+            pass_drivers[:] = [
+                driver
+                for driver in shared.drivers
+                if hasattr(driver, "after_nodes")
+            ]
             known_drivers = len(shared.drivers)
+
+        def finish_node_pass(round_number: int, stepped: list[int]) -> None:
+            """Run the drivers' ``after_nodes`` hooks, then file the
+            stepped nodes' calendar wakes."""
+            if known_drivers != len(shared.drivers):
+                refresh_claims()
+            for driver in pass_drivers:
+                driver.after_nodes(round_number, outbox)
+            for node in stepped:
+                program = programs[node]
+                if not program.halted:
+                    wake = program.next_wake(round_number)
+                    if wake is not None:
+                        schedule_wake(node, wake)
 
         # Wake calendar: ``calendar[r]`` lists nodes that asked (via
         # ``next_wake``) to be stepped in round ``r`` even without mail;
@@ -470,11 +491,7 @@ class Simulator:
         # Round 0: on_start, no deliveries.
         for node in order:
             programs[node].on_start(contexts[node])
-            if not programs[node].halted:
-                wake = programs[node].next_wake(0)
-                if wake is not None:
-                    schedule_wake(node, wake)
-        refresh_claims()
+        finish_node_pass(0, list(order))
         in_flight = outbox.drain()
         bulk_in_flight = bulk_outbox.drain(n, in_flight)
 
@@ -596,6 +613,7 @@ class Simulator:
                     if wake_round.get(node) == round_number:
                         del wake_round[node]
                         step_set.add(node)
+                stepped: list[int] = []
                 for node in sorted(step_set):
                     if node in crashed_now:
                         # Down: executes nothing, sends nothing, loses
@@ -615,12 +633,8 @@ class Simulator:
                     ctx = contexts[node]
                     ctx.round_number = round_number
                     program.on_round(ctx, inbox or [])
-                    if not program.halted:
-                        wake = program.next_wake(round_number)
-                        if wake is not None:
-                            schedule_wake(node, wake)
-            if known_drivers != len(shared.drivers):
-                refresh_claims()
+                    stepped.append(node)
+                finish_node_pass(round_number, stepped)
             with profiler.span("drivers"):
                 for driver in shared.drivers:
                     driver.end_round(

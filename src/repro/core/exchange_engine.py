@@ -25,24 +25,24 @@ round.  In round ``start[v] + n + 1`` it finishes node ``v``: over the
 BFS tree two neighbors relay ``done`` at most one round apart, so every
 neighbor's last column has arrived by then.
 
-**Reliable.**  Each node paces itself through its ARQ with
-:meth:`RWBCNodeProgram._exchange_step`, the step the per-message loop
-runs in the node's handler.  Each round the driver runs every claimed
-row through :meth:`ReliableChannel.accept
-<repro.congest.reliable.ReliableChannel.accept>`, one call per row, and
-counts fresh arrivals per directed edge; then it runs the step for
-every node it owns that is not crashed, from the round after the node's
-done-wave transition.  The flush's sink ships ``xch`` sends, fresh or
-retransmitted with the seq last, as one ``push_rows`` per round, in
-each edge's flush order - the order that fixes their fault-fate
-indices - and everything else as control messages, except acks: the
-channel hands those to its ack sink
-(:class:`~repro.congest.reliable.AckRows`), which ships them as rows
-too.  Duplicates that
-reach finished nodes are settled through :meth:`ReliableChannel.settle
-<repro.congest.reliable.ReliableChannel.settle>`.  The driver registers
-before the walk engine, so a column reaching a counting node is
-accepted before the walk engine flushes that node.
+**Reliable.**  Each node paces itself through its ARQ with the steps
+of :meth:`RWBCNodeProgram._exchange_step`, which the per-message loop
+runs in the node's handler.  Each round the driver runs all claimed
+rows through :meth:`LinkTable.accept_rows
+<repro.congest.reliable.LinkTable.accept_rows>` at once and counts the
+fresh ones per directed edge; then, for every node it owns that is not
+crashed, from the round after the node's done-wave transition, it
+queues the node's next column to all its neighbors and runs one
+:meth:`LinkTable.flush <repro.congest.reliable.LinkTable.flush>` over
+all of them.  ``xch`` sends, fresh or retransmitted with the seq last,
+and walk tokens the node still retransmits travel as ``push_rows`` rows
+in (edge, seq) order - the order that fixes their fault-fate indices -
+and everything else as control messages, except acks, which the table
+keeps for :class:`~repro.congest.reliable.AckRows` to ship as rows.
+Duplicates that reach finished nodes are settled through
+:meth:`LinkTable.settle <repro.congest.reliable.LinkTable.settle>`.
+The driver registers before the walk engine, so a column reaching a
+counting node is accepted before the walk engine flushes that node.
 
 Either way the count tensor is frozen once counting stops, so the
 ``(2, n)`` slab a neighbor sends is ``engine.counts[neighbor]``: the
@@ -59,13 +59,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.congest.errors import ProtocolError
-from repro.congest.message import TAG_BITS, Message, int_bits_array
+from repro.congest.message import TAG_BITS, int_bits_array
 from repro.obs.spans import NULL_PROFILER
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.congest.faults import FaultRuntime
     from repro.congest.node import EdgeIndex
-    from repro.congest.reliable import Sink
+    from repro.congest.reliable import LinkTable
     from repro.congest.transport import BulkOutbox, RoundOutbox
     from repro.core.protocol import RWBCNodeProgram
     from repro.core.walk_engine import ClaimedKind, CountingWalkEngine
@@ -79,8 +79,9 @@ class ExchangeEngine:
 
     Created with the counting engine, at the first launch, and shared
     through ``SharedFastPathState.slots``; every node registers as its
-    own done-wave handler fires.  ``reliable`` picks the mode;
-    ``fault_runtime`` names the crashed nodes, and ``profiler`` times
+    own done-wave handler fires.  ``table``, the run's shared ARQ
+    table, picks the reliable mode; ``fault_runtime`` names the crashed
+    nodes, and ``profiler`` times
     the reliable accepts and flushes.  Fault-free, a node finishing in
     round ``start[v] + n + 1`` needs every neighbor to have started by
     ``start[v] + 1``; a neighbor that has not registered by then means
@@ -92,14 +93,18 @@ class ExchangeEngine:
         self,
         engine: "CountingWalkEngine",
         edges: "EdgeIndex",
-        reliable: bool = False,
+        table: "LinkTable | None" = None,
         fault_runtime: "FaultRuntime | None" = None,
         profiler=NULL_PROFILER,
     ) -> None:
         from repro.core.protocol import KIND_EXCHANGE
+        from repro.core.walk_engine import KIND_WALK, KIND_WALK_BATCH
 
         self.claimed_kinds = frozenset({KIND_EXCHANGE})
         self._kind = KIND_EXCHANGE
+        # Reliable: the sends that travel as rows - columns, and the
+        # walk tokens a node that left counting still retransmits.
+        self._row_kinds = (KIND_EXCHANGE, KIND_WALK, KIND_WALK_BATCH)
         self.n = edges.n
         # Fault-free: each node's first broadcast round, _UNREGISTERED
         # until it registers, and the first and last of those starts.
@@ -107,7 +112,10 @@ class ExchangeEngine:
         self._first_start, self._last_start = _UNREGISTERED, -1
         self._engine = engine
         self._edges = edges
-        self._reliable = reliable
+        # Reliable: the shared ARQ table, and per directed edge (the
+        # receiver's slot) the fresh columns that arrived on it.
+        self._table = table
+        self._received = np.zeros(len(edges.dst), dtype=np.int64)
         self._fault_runtime = fault_runtime
         self._profiler = profiler
         # The registered nodes not yet finished.
@@ -142,7 +150,7 @@ class ExchangeEngine:
         outbox: "RoundOutbox",
         bulk_outbox: "BulkOutbox",
     ) -> None:
-        if self._reliable:
+        if self._table is not None:
             self._reliable_round(
                 round_number, claimed.get(self._kind), outbox, bulk_outbox
             )
@@ -248,71 +256,97 @@ class ExchangeEngine:
         settle duplicates at finished nodes, then step every owned node
         and ship the round's ``xch`` sends as one bulk push."""
         profiler = self._profiler
-        kind = self._kind
-        push = outbox.push
-        sent: list[tuple[int, ...]] = []
-
-        def sink(node: int) -> "Sink":
-            def send(receiver: int, message_kind: str, fields) -> None:
-                if message_kind == kind:
-                    sent.append((node, receiver) + fields)
-                else:
-                    push(Message(node, receiver, message_kind, fields))
-
-            return send
-
+        table = self._table
+        sends = []
         if rows is not None:
             with profiler.span("engine.dedup"):
                 late = self._accept(rows)
-                programs = self._engine._programs
-                for node in sorted(late):
-                    programs[node]._channel.settle(
-                        late[node], round_number, sink(node)
-                    )
+                if len(late):
+                    sends.append(table.settle(late, round_number))
         if self._programs:
             crashed = (
                 self._fault_runtime.crashed(round_number)
                 if self._fault_runtime is not None
                 else frozenset()
             )
-            with profiler.span("engine.arq_flush"):
-                for node in sorted(self._programs):
-                    program = self._programs[node]
-                    # A node crashed this round does nothing; one that
-                    # switched phase this round got the walk engine's
-                    # flush and sends its first column next round.
-                    if (
-                        node in crashed
-                        or program.exchange_start_round == round_number
-                    ):
-                        continue
-                    if program._exchange_step(round_number, sink(node)):
-                        self._finish(program, round_number)
-                        del self._programs[node]
-        if sent:
-            table = np.array(sent, dtype=np.int64)
-            bulk_outbox.push_rows(kind, table[:, 0], table[:, 1], table[:, 2:])
+            # A node crashed this round does nothing; one that switched
+            # phase this round got the walk engine's flush and sends its
+            # first column next round.
+            steps = [
+                self._programs[node]
+                for node in sorted(self._programs)
+                if node not in crashed
+                and self._programs[node].exchange_start_round != round_number
+            ]
+            if steps:
+                with profiler.span("engine.arq_flush"):
+                    sends.append(self._step(steps, round_number))
+        if sends:
+            table.ship(
+                np.concatenate(sends), outbox, bulk_outbox, self._row_kinds
+            )
 
-    def _accept(self, rows: "ClaimedKind") -> dict[int, set[int]]:
+    def _step(
+        self, programs: list["RWBCNodeProgram"], round_number: int
+    ) -> np.ndarray:
+        """:meth:`RWBCNodeProgram._exchange_step` for many nodes at once:
+        queue each node's next column to all its neighbors, flush them
+        all, and finish the nodes that are complete.  Returns the
+        flush's sends."""
+        n = self.n
+        table = self._table
+        offsets = table.offsets
+        nodes = np.array([program.node_id for program in programs])
+        sending = [program for program in programs if program._next_column < n]
+        if sending:
+            senders = np.array([program.node_id for program in sending])
+            sources = np.array([program._next_column for program in sending])
+            counts = self._engine.counts
+            columns = np.stack(
+                [
+                    sources,
+                    counts[senders, 0, sources],
+                    counts[senders, 1, sources],
+                ],
+                axis=1,
+            ).astype(np.int64)
+            # Each sender's column to every neighbor, node-major.
+            picked = np.zeros(n, dtype=bool)
+            picked[senders] = True
+            table.queue_rows(
+                np.flatnonzero(picked[table.owners]),
+                self._kind,
+                np.repeat(columns, np.diff(offsets)[senders], axis=0),
+            )
+            for program in sending:
+                program._next_column += 1
+        _, sends, _ = table.flush(nodes, round_number)
+        columns_in = np.minimum.reduceat(self._received, offsets[:-1]) >= n
+        drained = table.drained_nodes()
+        for program in programs:
+            node = program.node_id
+            if program._exchange_complete(
+                bool(columns_in[node]), bool(drained[node])
+            ):
+                self._finish(program, round_number)
+                del self._programs[node]
+        return sends
+
+    def _accept(self, rows: "ClaimedKind") -> np.ndarray:
         """Run every claimed column row through its receiver's ARQ, as
         the walk engine does its walk rows, and count the fresh ones
-        per directed edge.  Returns the finished receivers' senders
-        (necessarily duplicates), whose acks are owed late."""
+        per directed edge.  Returns the slots of the finished receivers'
+        rows (necessarily duplicates), whose acks are owed late."""
         senders, receivers, fields, multiplicity = rows
+        table = self._table
+        slots = table.slots(receivers, senders)
+        fresh = table.accept_rows(slots, fields[:, -1], multiplicity)
+        np.add.at(self._received, slots[fresh], 1)
         programs = self._engine._programs
-        late: dict[int, set[int]] = {}
-        for sender, node, seq, copies in zip(
-            senders.tolist(),
-            receivers.tolist(),
-            fields[:, -1].tolist(),
-            multiplicity.tolist(),
-        ):
-            program = programs[node]
-            if program._channel.accept(sender, seq, copies):
-                program._xch_received[sender] += 1
-            elif program.phase == "done":
-                late.setdefault(node, set()).add(sender)
-        return late
+        done = np.zeros(self.n, dtype=bool)
+        nodes = np.flatnonzero(np.bincount(receivers[~fresh]))
+        done[nodes] = [programs[v].phase == "done" for v in nodes.tolist()]
+        return slots[~fresh & done[receivers]]
 
     def _finish(self, program: "RWBCNodeProgram", round_number: int) -> None:
         """Finish one node on views into the frozen count tensor."""

@@ -36,8 +36,9 @@ arbitrary graphs first); source ids double as count-vector indices.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from repro.congest.primitives.flood import (
     FloodMaxBFS,
     FloodMaxState,
 )
-from repro.congest.reliable import AckRows, ReliableChannel
 from repro.core.flow_math import (
     betweenness_from_raw_flow,
     node_raw_flow,
@@ -69,6 +69,9 @@ from repro.core.walk_engine import (
     walk_groups,
 )
 from repro.core.walk_manager import WalkManager
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.congest.reliable import ReliableChannel
 
 KIND_DEGREE = "deg"
 KIND_EXCHANGE = "xch"
@@ -180,31 +183,23 @@ class _ReliableCtx:
     The flood/BFS logic is written against the plain ``ctx.send`` /
     ``ctx.broadcast`` surface; in reliable mode its messages must be
     sequenced and retransmitted instead of shipped raw.  Kinds in the
-    channel's ``latest_kinds`` (flood waves, monotone counters) use
-    ``queue_latest`` so a superseded value never wastes a slot.
+    channel's ``latest_kinds`` (flood waves, monotone counters) are
+    queued as ``latest``, so a superseded value never wastes a slot.
     """
 
-    __slots__ = ("_channel", "_neighbors", "round_number")
+    __slots__ = ("_channel", "round_number")
 
-    def __init__(
-        self,
-        channel: ReliableChannel,
-        neighbors: tuple[int, ...],
-        round_number: int,
-    ) -> None:
+    def __init__(self, channel: ReliableChannel, round_number: int) -> None:
         self._channel = channel
-        self._neighbors = neighbors
         self.round_number = round_number
 
     def send(self, neighbor: int, kind: str, *fields: int) -> None:
-        if kind in self._channel.latest_kinds:
-            self._channel.queue_latest(neighbor, kind, tuple(fields))
-        else:
-            self._channel.queue(neighbor, kind, tuple(fields))
+        channel = self._channel
+        channel.queue(neighbor, kind, fields, kind in channel.latest_kinds)
 
     def broadcast(self, kind: str, *fields: int) -> None:
-        for neighbor in self._neighbors:
-            self.send(neighbor, kind, *fields)
+        channel = self._channel
+        channel.queue_all(kind, fields, kind in channel.latest_kinds)
 
 
 class RWBCNodeProgram(VectorizedProgram):
@@ -273,15 +268,6 @@ class RWBCNodeProgram(VectorizedProgram):
         self._announced = False
         self._next_column = 0
         self._xch_received: dict[int, int] = dict.fromkeys(info.neighbors, 0)
-        if config.reliable:
-            self._channel = ReliableChannel(
-                node_id=info.node_id,
-                neighbors=info.neighbors,
-                token_budget=config.walk_budget,
-                token_kinds=WALK_KINDS,
-                latest_kinds=frozenset({KIND_FLOOD, KIND_TERM, KIND_DONE}),
-                instruments=config.instruments,
-            )
         # Outputs.
         self.betweenness: float | None = None
         self.betweenness_debiased: float | None = None
@@ -297,8 +283,8 @@ class RWBCNodeProgram(VectorizedProgram):
     # Round dispatch
     # ------------------------------------------------------------------
     def on_start(self, ctx: RoundContext) -> None:
-        if self._channel is None:
-            shared = ctx.shared
+        shared = ctx.shared
+        if not self.config.reliable:
             if shared is not None and shared.fault_runtime is None:
                 # Fault-free fast path: hand the whole setup phase to the
                 # shared driver, which floods every node's candidate once
@@ -315,16 +301,36 @@ class RWBCNodeProgram(VectorizedProgram):
                 return
             self._flood.start(ctx)
             return
-        shared = ctx.shared
+        # Imported here, so runs without recovery never load the ARQ.
+        from repro.congest.reliable import AckRows, LinkTable, ReliableChannel
+
+        config = self.config
+        table = None
         if shared is not None:
-            # Fast path: acks travel as bulk rows in every phase.
-            acks = shared.slots.get("ack_rows")
-            if acks is None:
-                acks = AckRows()
-                shared.slots["ack_rows"] = acks
-                shared.register_driver(acks, last=True)
-            acks.attach(self._channel)
-        rctx = _ReliableCtx(self._channel, self.neighbors, ctx.round_number)
+            # Fast path: the channels are views of one table over the
+            # run's edges, whose acks travel as bulk rows in every phase.
+            table = shared.slots.get("link_table")
+            if table is None:
+                table = LinkTable(
+                    shared.edges.offsets,
+                    shared.edges.dst,
+                    config.walk_budget,
+                    WALK_KINDS,
+                    instruments=config.instruments,
+                    ack_rows=True,
+                )
+                shared.slots["link_table"] = table
+                shared.register_driver(AckRows(table), last=True)
+        self._channel = ReliableChannel(
+            node_id=self.node_id,
+            neighbors=self.neighbors,
+            token_budget=config.walk_budget,
+            token_kinds=WALK_KINDS,
+            latest_kinds=frozenset({KIND_FLOOD, KIND_TERM, KIND_DONE}),
+            instruments=config.instruments,
+            table=table,
+        )
+        rctx = _ReliableCtx(self._channel, ctx.round_number)
         self._flood.start(rctx)
         self._channel.flush(ctx.round_number, ctx.send_fields)
 
@@ -359,22 +365,17 @@ class RWBCNodeProgram(VectorizedProgram):
 
     def _mail(
         self, inbox: Iterable[Message]
-    ) -> Iterator[tuple[Message, tuple[int, ...]]]:
+    ) -> list[tuple[Message, tuple[int, ...]]]:
         """This round's fresh mail, as ``(message, payload)`` pairs.
 
         Without recovery every message is fresh and its payload is its
-        fields.  Under recovery each message goes through
+        fields.  Under recovery the round's messages go through
         :meth:`ReliableChannel.receive`, which absorbs acks and
         duplicates and strips the seq off the payload of the rest."""
         channel = self._channel
         if channel is None:
-            for message in inbox:
-                yield message, message.fields
-            return
-        for message in inbox:
-            payload = channel.receive(message)
-            if payload is not None:
-                yield message, payload
+            return [(message, message.fields) for message in inbox]
+        return channel.receive(inbox)
 
     @property
     def bulk_idle(self) -> bool:
@@ -512,7 +513,7 @@ class RWBCNodeProgram(VectorizedProgram):
             # done/xch cannot arrive while this node is in setup: the
             # done wave needs every launched walk dead, which cannot
             # happen before this node launches its own.
-        rctx = _ReliableCtx(self._channel, self.neighbors, r)
+        rctx = _ReliableCtx(self._channel, r)
         # The flood keeps running until launch, not just until the
         # announcement: a node crashed through the flood's last waves
         # (or through the announcement itself) catches up on recovery
@@ -524,8 +525,7 @@ class RWBCNodeProgram(VectorizedProgram):
             # Normally exactly round ``announce``; later only when this
             # node was crashed through it.
             self._flood.announce_parent(rctx)
-            for neighbor in self.neighbors:
-                self._channel.queue(neighbor, KIND_DEGREE, (self.degree,))
+            self._channel.queue_all(KIND_DEGREE, (self.degree,))
             self._announced = True
         if r >= launch:
             # Freeze the tree from the flood state at launch.  Adopters
@@ -583,7 +583,7 @@ class RWBCNodeProgram(VectorizedProgram):
                     xch = ExchangeEngine(
                         engine,
                         shared.edges,
-                        reliable=self._channel is not None,
+                        table=shared.slots.get("link_table"),
                         fault_runtime=shared.fault_runtime,
                         profiler=shared.profiler,
                     )
@@ -671,18 +671,16 @@ class RWBCNodeProgram(VectorizedProgram):
         arrays it claims the term rows too, and the done wave is the
         only mail that steps a counting node.
 
-        In reliable mode the control mail additionally includes
-        retransmitted walk tokens (acks are rows the ack transport
-        applies before the node pass); fresh tokens are handed to the
-        engine's control-arrival buffer so they join the same
-        canonical grouped receive as the claimed bulk traffic.  The
-        engine owns this node's flush while it is counting, so none
+        In reliable mode walk retransmissions are claimed rows too, and
+        acks are rows the ack transport applies before the node pass.
+        The engine owns this node's flush while it is counting, so none
         happens here, and the exchange driver takes the columns early
         neighbors send."""
         walk_mail, done = self._counting_mail(inbox)
         if walk_mail:
-            self._engine.deliver_control_walk(
-                self.node_id, *_walk_arrivals(walk_mail)
+            raise ProtocolError(
+                f"walk tokens reached node {self.node_id} as control mail "
+                "on the fast path"
             )
         if done:
             self._begin_done_wave(ctx, ctx.round_number)
@@ -724,8 +722,8 @@ class RWBCNodeProgram(VectorizedProgram):
         first), then emit fresh walk tokens into what remains."""
         total = self._death_counter.pop_report()
         if total is not None:
-            self._channel.queue_latest(
-                self._death_counter.parent, KIND_TERM, (total,)
+            self._channel.queue(
+                self._death_counter.parent, KIND_TERM, (total,), latest=True
             )
         retransmits = self._channel.flush(ctx.round_number, ctx.send_fields)
         budgets = {
@@ -785,8 +783,7 @@ class RWBCNodeProgram(VectorizedProgram):
             # Under loss the tree is not a safe broadcast overlay (an
             # adopt may still be in flight), so the done wave floods
             # over every edge; duplicates are cheap and dedup is free.
-            for neighbor in self.neighbors:
-                self._channel.queue_latest(neighbor, KIND_DONE, ())
+            self._channel.queue_all(KIND_DONE, (), latest=True)
             if self._engine is not None:
                 # The engine owns this node's flush for the transition
                 # round (its per-node call already happened).
@@ -889,35 +886,45 @@ class RWBCNodeProgram(VectorizedProgram):
         """One self-paced exchange round after the node's receipts:
         queue the next unsent count column to every neighbor, flush the
         ARQ through ``send`` (a :data:`~repro.congest.reliable.Sink`),
-        and report whether the node is complete - all ``n`` columns
-        sent *and acked*, all ``n`` received from every neighbor, every
-        neighbor degree known, and the channel drained.
+        and report whether the node is complete
+        (:meth:`_exchange_complete`).
 
         The fault-free protocol paces subrounds by the done wave
         (column ``i`` travels in round ``exchange_start_round + 1 + i``
         and the node finishes ``n + 2`` rounds after its relay); loss
         breaks any fixed schedule, so each node paces itself on its
         acks and receipts instead.  Fault-free this sends the same
-        ``n`` columns in ``n`` rounds.  The
-        per-message loop calls this from the node's handler, the
-        exchange driver for every node it owns."""
+        ``n`` columns in ``n`` rounds.  The per-message loop calls this
+        from the node's handler; the exchange driver runs the same
+        steps for every node it owns at once, over the shared table."""
         n = self.info.n
         if self._next_column < n:
             source = self._next_column
-            fields = (
-                source,
-                int(self._walks.half_counts[0, source]),
-                int(self._walks.half_counts[1, source]),
+            self._channel.queue_all(
+                KIND_EXCHANGE,
+                (
+                    source,
+                    int(self._walks.half_counts[0, source]),
+                    int(self._walks.half_counts[1, source]),
+                ),
             )
-            for neighbor in self.neighbors:
-                self._channel.queue(neighbor, KIND_EXCHANGE, fields)
             self._next_column += 1
         self._channel.flush(round_number, send)
+        return self._exchange_complete(
+            all(self._xch_received[v] >= n for v in self.neighbors),
+            self._channel.drained,
+        )
+
+    def _exchange_complete(self, columns_in: bool, drained: bool) -> bool:
+        """Whether a self-paced exchange is over: all ``n`` columns sent,
+        every neighbor's ``n`` received (``columns_in``), every neighbor
+        degree known, and the channel ``drained`` - so every sent
+        column is acked."""
         return (
-            self._next_column >= n
+            self._next_column >= self.info.n
             and len(self._neighbor_degrees) == self.degree
-            and all(self._xch_received[v] >= n for v in self.neighbors)
-            and self._channel.drained
+            and columns_in
+            and drained
         )
 
     def _finish(self, round_number: int) -> None:

@@ -85,6 +85,8 @@ if TYPE_CHECKING:  # pragma: no cover
 KIND_WALK = "walk"
 KIND_WALK_BATCH = "walkb"
 WALK_KINDS = frozenset({KIND_WALK, KIND_WALK_BATCH})
+# The walk kinds in a fixed order, for shipping ARQ sends as rows.
+_WALK_ROWS = (KIND_WALK, KIND_WALK_BATCH)
 
 #: Claimed traffic of one kind: (senders, receivers, fields, multiplicity).
 ClaimedKind = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -381,23 +383,16 @@ def sequence_walk_rows(
     edges: np.ndarray,
     fields: np.ndarray,
     round_number: int,
-    link,
+    table,
 ) -> None:
     """Fill the seq column of sequenced :func:`walk_rows` output in
-    place: one :meth:`ReliableChannel.register_block
-    <repro.congest.reliable.ReliableChannel.register_block>` per run of
-    rows on one edge, so each edge's rows take consecutive seqs in FIFO
-    order.  ``link(edge)`` names the edge's sending channel and its
-    receiving neighbour, as ``(channel, neighbour)``."""
-    payloads = list(map(tuple, fields[:, :-1].tolist()))
-    seqs = fields[:, -1]
-    starts, ends = _segments(edges)
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        channel, neighbour = link(int(edges[lo]))
-        first = channel.register_block(
-            neighbour, kind, payloads[lo:hi], round_number
-        )
-        seqs[lo:hi] = np.arange(first, first + (hi - lo))
+    place through :meth:`LinkTable.register_rows
+    <repro.congest.reliable.LinkTable.register_rows>`, so each edge's
+    rows take consecutive seqs in FIFO order.  ``edges`` are the
+    sending slots of ``table``."""
+    fields[:, -1] = table.register_rows(
+        edges, kind, fields[:, :-1], round_number
+    )
 
 
 def walk_groups(
@@ -637,14 +632,14 @@ class CountingWalkEngine:
         self._rngs: dict[int, np.random.Generator] = {}
         self._streams: PortStreams | None = None
         self._touched: set[int] = set()
-        # Reliable-mode state: per-node ARQ channels, fresh walk tokens
-        # that arrived as control retransmissions this round, nodes
-        # that left the counting phase this round (the engine owes them
-        # one last flush), and the run's FaultRuntime for the crashed
-        # set.  All stay empty/None on fault-free runs.
+        # Reliable-mode state: the run's shared ARQ table (a
+        # repro.congest.reliable.LinkTable), per-node channel views,
+        # nodes that left the counting phase this round (the engine owes
+        # them one last flush), and the run's FaultRuntime for the
+        # crashed set.  All stay empty/None on fault-free runs.
+        self._table = None
         self._channels: dict[int, object] = {}
         self._reliable = False
-        self._control_arrivals: list[tuple[np.ndarray, ...]] = []
         self._transitioned: set[int] = set()
         self._fault_runtime = None
         # Telemetry (observation-only; installed from ctx.shared at
@@ -705,7 +700,8 @@ class CountingWalkEngine:
         :class:`~repro.congest.reliable.ReliableChannel` when the
         protocol runs in reliable mode; the engine then performs the
         node's walk-token dedup, acking, flushing, and
-        retransmission-aware emission while the node is counting."""
+        retransmission-aware emission while the node is counting, on
+        the channels' shared table."""
         node = manager.node_id
         if node in self._managers:
             raise ProtocolError(
@@ -720,6 +716,7 @@ class CountingWalkEngine:
         self._channels[node] = channel
         if channel is not None:
             self._reliable = True
+            self._table = channel.table
         shared = ctx.shared
         if shared is not None:
             if self._fault_runtime is None:
@@ -735,25 +732,6 @@ class CountingWalkEngine:
     def stop_reporting(self, node: int) -> None:
         """The done wave reached ``node``: its counter stops reporting."""
         self._stopped[node] = True
-
-    def deliver_control_walk(
-        self,
-        node: int,
-        sources: np.ndarray,
-        remainings: np.ndarray,
-        halves: np.ndarray,
-        counts: np.ndarray,
-    ) -> None:
-        """Buffer fresh walk tokens that arrived at ``node`` as ordinary
-        control messages (ARQ retransmissions - fresh emission always
-        travels in bulk), as :func:`walk_groups` decoded them.  The
-        node's round handler already ran them through the channel; the
-        engine folds them into this round's canonical grouped receive
-        alongside the claimed bulk arrivals."""
-        self._control_arrivals.append(
-            (np.full(len(sources), node, dtype=np.int64),
-             sources, remainings, halves, counts)
-        )
 
     def note_transition(self, node: int) -> None:
         """A counting node switched to the exchange phase during this
@@ -783,8 +761,10 @@ class CountingWalkEngine:
         )
         if self._reliable and claimed:
             with profiler.span("engine.dedup"):
-                claimed = self._dedup_claimed(claimed, round_number)
-        if claimed or self._control_arrivals:
+                claimed = self._dedup_claimed(
+                    claimed, round_number, outbox, bulk_outbox
+                )
+        if claimed:
             dead = self._process_arrivals(claimed)
         else:
             dead = ()
@@ -800,7 +780,9 @@ class CountingWalkEngine:
         retransmits = None
         if self._reliable:
             with profiler.span("engine.arq_flush"):
-                retransmits = self._flush_channels(round_number, crashed)
+                retransmits = self._flush_channels(
+                    round_number, crashed, outbox, bulk_outbox
+                )
         if self._queues.rows:
             with profiler.span("engine.emit"):
                 self._emit(bulk_outbox, round_number, retransmits, crashed)
@@ -889,15 +871,19 @@ class CountingWalkEngine:
         self._queues.append(entries)
 
     def _dedup_claimed(
-        self, claimed: dict[str, ClaimedKind], round_number: int
+        self,
+        claimed: dict[str, ClaimedKind],
+        round_number: int,
+        outbox: "RoundOutbox",
+        bulk_outbox: "BulkOutbox",
     ) -> dict[str, ClaimedKind]:
         """Reliable mode: run every claimed walk row through the
         receiver's ARQ before counting.
 
-        Each row goes through :meth:`ReliableChannel.accept
-        <repro.congest.reliable.ReliableChannel.accept>`, the call the
-        per-message loop makes for each token message: a first-seen seq
-        is fresh (kept, multiplicity one - fault duplication cannot
+        Each kind's rows go through :meth:`LinkTable.accept_rows
+        <repro.congest.reliable.LinkTable.accept_rows>`, the rule the
+        per-message loop applies to each token message: a first-seen
+        seq is fresh (kept, multiplicity one - fault duplication cannot
         double a token), a repeat is rejected, and every copy past the
         fresh one counts as a rejected duplicate.  A receiver still in
         setup leaves the row unaccepted and unacked, so the sender
@@ -908,53 +894,49 @@ class CountingWalkEngine:
         A receiver past counting was flushed before this pass (by the
         exchange driver, or by its own handler once done), or nobody
         steps it; its accepts here are settled through
-        :meth:`ReliableChannel.settle
-        <repro.congest.reliable.ReliableChannel.settle>` instead."""
+        :meth:`LinkTable.settle
+        <repro.congest.reliable.LinkTable.settle>` instead."""
         out: dict[str, ClaimedKind] = {}
-        channels = self._channels
-        transitioned = self._transitioned
-        late: dict[int, set[int]] = {}
+        table = self._table
+        programs = self._programs
+        transitioned = np.zeros(self.n, dtype=bool)
+        transitioned[list(self._transitioned)] = True
+        late: list[np.ndarray] = []
         for kind, (senders, receivers, fields, multiplicity) in (
             claimed.items()
         ):
-            recv_list = receivers.tolist()
-            phase_of = {
-                node: self._programs[node].phase for node in set(recv_list)
-            }
-            keep = np.zeros(len(recv_list), dtype=bool)
-            for row, (sender, node, seq, copies) in enumerate(
-                zip(
-                    senders.tolist(),
-                    recv_list,
-                    fields[:, -1].tolist(),
-                    multiplicity.tolist(),
+            nodes = np.flatnonzero(np.bincount(receivers))
+            phase = np.empty(self.n, dtype=object)
+            phase[nodes] = [programs[node].phase for node in nodes.tolist()]
+            phase = phase[receivers]
+            # Crashed through the launch round: no accept, no ack; the
+            # sender retries later.
+            rows = np.flatnonzero(phase != "setup")
+            slots = table.slots(receivers[rows], senders[rows])
+            fresh = table.accept_rows(
+                slots, fields[rows, -1], multiplicity[rows]
+            )
+            past = phase[rows] != "counting"
+            lost = np.flatnonzero(fresh & past)
+            if len(lost):
+                row = rows[lost[0]]
+                raise ProtocolError(
+                    f"fresh walk token arrived during {phase[row]} at node "
+                    f"{int(receivers[row])}: recovery lost a death"
                 )
-            ):
-                phase = phase_of[node]
-                if phase == "setup":
-                    # Crashed through the launch round: no accept, no
-                    # ack; the sender retries later.
-                    continue
-                if channels[node].accept(sender, seq, copies):
-                    if phase != "counting":
-                        raise ProtocolError(
-                            f"fresh walk token arrived during {phase} at "
-                            f"node {node}: recovery lost a death"
-                        )
-                    keep[row] = True
-                elif phase != "counting" and node not in transitioned:
-                    late.setdefault(node, set()).add(sender)
-            if keep.any():
+            late.append(slots[past & ~transitioned[receivers[rows]]])
+            keep = rows[fresh]
+            if len(keep):
                 out[kind] = (
                     senders[keep],
                     receivers[keep],
                     fields[keep],
-                    np.ones(int(keep.sum()), dtype=np.int64),
+                    np.ones(len(keep), dtype=np.int64),
                 )
-        for node in sorted(late):
-            channels[node].settle(
-                late[node], round_number, self._contexts[node].send_fields
-            )
+        late_slots = np.concatenate(late) if late else _EMPTY
+        if len(late_slots):
+            sends = table.settle(late_slots, round_number)
+            table.ship(sends, outbox, bulk_outbox, _WALK_ROWS)
         return out
 
     def _process_arrivals(
@@ -967,13 +949,6 @@ class CountingWalkEngine:
             (receivers, *walk_groups(kind, fields, multiplicity))
             for kind, (_, receivers, fields, multiplicity) in claimed.items()
         ]
-        # Retransmitted tokens delivered as control mail this round join
-        # the same canonical grouping, so where a token arrived from is
-        # invisible to the random stream.
-        parts += self._control_arrivals
-        self._control_arrivals = []
-        if not parts:
-            return self._round_deaths[:0]
         if len(parts) == 1:
             raw = parts[0]
         else:
@@ -1048,8 +1023,8 @@ class CountingWalkEngine:
                     if self._reliable:
                         # Sequenced and shipped by this round's flush,
                         # exactly like the slow path's queue-then-flush.
-                        self._channels[node].queue_latest(
-                            counter.parent, KIND_TERM, (total,)
+                        self._channels[node].queue(
+                            counter.parent, KIND_TERM, (total,), latest=True
                         )
                     else:
                         outbox.push(
@@ -1117,50 +1092,50 @@ class CountingWalkEngine:
             )
 
     def _flush_channels(
-        self, round_number: int, crashed: frozenset
-    ) -> dict[int, int]:
-        """Run the per-round ARQ flush for every node the engine owns
-        this round: counting nodes plus the ones that left counting
-        during this round's calls.  (Setup and done nodes flush in their
-        own handlers, exchange nodes in the exchange driver; a crashed
-        node flushes nothing, same as the per-message loop skipping
-        it.)  Returns the fresh token budget debits as an edge-id ->
-        retransmit-count map for :meth:`_emit`."""
-        retransmits: dict[int, int] = {}
-        offsets = self._offsets
-        for node in sorted(self._channels):
-            if node in crashed:
-                continue
-            if (
-                self._programs[node].phase != "counting"
-                and node not in self._transitioned
-            ):
-                continue
-            channel = self._channels[node]
-            sent = channel.flush(
-                round_number, self._contexts[node].send_fields
+        self,
+        round_number: int,
+        crashed: frozenset,
+        outbox: "RoundOutbox",
+        bulk_outbox: "BulkOutbox",
+    ) -> np.ndarray | None:
+        """Run the per-round ARQ flush (:meth:`LinkTable.flush
+        <repro.congest.reliable.LinkTable.flush>`) for every node the
+        engine owns this round: counting nodes plus the ones that left
+        counting during this round's calls.  (Setup and done nodes flush
+        in their own handlers, exchange nodes in the exchange driver; a
+        crashed node flushes nothing, same as the per-message loop
+        skipping it.)  Returns the token retransmissions per edge, the
+        fresh budget debits for :meth:`_emit`, or None if there were
+        none."""
+        programs = self._programs
+        nodes = [
+            node
+            for node in range(self.n)
+            if node not in crashed
+            and (
+                programs[node].phase == "counting"
+                or node in self._transitioned
             )
-            if sent:
-                neighbors = self._managers[node].neighbors
-                for neighbor, count in sent.items():
-                    retransmits[offsets[node] + neighbors.index(neighbor)] = (
-                        count
-                    )
+        ]
         self._transitioned = set()
-        return retransmits
+        if not nodes:
+            return None
+        debits, sends, _ = self._table.flush(np.array(nodes), round_number)
+        self._table.ship(sends, outbox, bulk_outbox, _WALK_ROWS)
+        return debits
 
     def _emit(
         self,
         bulk_outbox: "BulkOutbox",
         round_number: int,
-        retransmits: dict[int, int] | None,
+        retransmits: np.ndarray | None,
         crashed: frozenset,
     ) -> None:
         """Dequeue every edge's sendable tokens under the per-edge
         budget (:meth:`EdgeQueues.take`, the rule each
         :class:`~repro.core.walk_manager.WalkManager` applies to its own
         ports), encode them with :func:`walk_rows` - sequenced through
-        the senders' channels by :func:`sequence_walk_rows` in reliable
+        the shared ARQ table by :func:`sequence_walk_rows` in reliable
         mode - and ship the whole round as one aggregate push.
 
         Under faults the budget becomes per edge: ``retransmits`` debits
@@ -1168,11 +1143,10 @@ class CountingWalkEngine:
         node get zero (the per-message loop skips the node outright, so
         its queues just wait)."""
         budget: int | np.ndarray = self._budget
-        if retransmits or crashed:
+        if retransmits is not None or crashed:
             budget = np.full(len(self._targets), self._budget, dtype=np.int64)
-            if retransmits:
-                for edge_id, spent in retransmits.items():
-                    budget[edge_id] = max(0, self._budget - spent)
+            if retransmits is not None:
+                budget = np.maximum(budget - retransmits, 0)
             if crashed:
                 budget[np.isin(self._edge_src, np.array(sorted(crashed)))] = 0
         sent, taken = self._queues.take(budget, self._policy)
@@ -1190,17 +1164,8 @@ class CountingWalkEngine:
         receivers = self._targets[edges]
         if self._reliable:
             # Sequenced QUEUE rows are one per token: re-read the senders.
-            edge_src, targets, channels = (
-                self._edge_src, self._targets, self._channels
-            )
-            senders = edge_src[edges]
-            sequence_walk_rows(
-                kind,
-                edges,
-                fields,
-                round_number,
-                lambda edge: (channels[int(edge_src[edge])], int(targets[edge])),
-            )
+            senders = self._edge_src[edges]
+            sequence_walk_rows(kind, edges, fields, round_number, self._table)
         if not self._convergecast:
             bulk_outbox.push_rows(kind, senders, receivers, fields, copies)
             return

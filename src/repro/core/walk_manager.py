@@ -325,10 +325,10 @@ class WalkManager:
         if channel is not None:
             sequence_walk_rows(
                 kind,
-                ports,
+                ports + channel.first_slot,
                 fields,
                 ctx.round_number,
-                lambda port: (channel, neighbors[port]),
+                channel.table,
             )
         for port, row, count in zip(
             ports.tolist(), map(tuple, fields.tolist()), copies.tolist()

@@ -184,6 +184,46 @@ class TestDeterminism:
         )
 
 
+    def test_index_counters_carry_per_edge_and_kind(self):
+        """Per-(edge, kind) counters carry across the calls of a round
+        for every key at once: control messages on some edges and kinds,
+        then two bulk calls of one kind over overlapping and new edges,
+        take the indices one call over all of it in the same order
+        would."""
+        plan = FaultPlan(seed=5, drop_rate=0.35, duplicate_rate=0.2)
+        edges = [(0, 1), (1, 0), (2, 1), (0, 3), (3, 2)]
+        control = [
+            _msg(s, r, kind) for s, r in edges[:3] for kind in ("walk", "deg")
+        ] * 2
+        bulk = [(edges[i % 5], 1 + i % 3) for i in range(12)]
+        whole = FaultRuntime(plan)
+        whole.begin_round(4)
+        flat = control + [
+            _msg(s, r, "walk", fields=(i,))
+            for i, ((s, r), copies) in enumerate(bulk)
+            for _ in range(copies)
+        ]
+        delivered = whole.filter_messages(4, flat)
+
+        composed = FaultRuntime(plan)
+        composed.begin_round(4)
+        first = composed.filter_messages(4, control)
+        assert first == delivered[: len(first)]
+        copies = []
+        for part in (bulk[:7], bulk[7:]):
+            copies += composed.filter_bulk(
+                4,
+                "walk",
+                senders=np.array([s for (s, _), _ in part]),
+                receivers=np.array([r for (_, r), _ in part]),
+                fields=np.zeros((len(part), 1), dtype=np.int64),
+                multiplicity=np.array([c for _, c in part]),
+            ).tolist()
+        arrived = [m.fields[0] for m in delivered[len(first):]]
+        assert copies == [arrived.count(i) for i in range(len(bulk))]
+        assert whole.counters.summary() == composed.counters.summary()
+
+
 class TestAsyncFateTwin:
     """``async_fate`` keeps its own pure-int hash and its own copy of
     the drop > delay > duplicate priority; it must decide, message by

@@ -1,6 +1,9 @@
 """Unit tests for the per-edge ARQ layer (congest.reliable)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
@@ -9,6 +12,7 @@ from repro.congest.reliable import (
     KIND_ACK,
     RETRANSMIT_AFTER,
     InLink,
+    LinkTable,
     OutLink,
     ReliableChannel,
 )
@@ -25,6 +29,16 @@ def sink(channel, wire):
         wire.append(Message(channel.node_id, receiver, kind, fields))
 
     return send
+
+
+def register(channel, neighbor, kind, rows, round_number):
+    """Sequence fresh walk rows on one edge, as the walk layer does;
+    returns the first seq."""
+    slot = channel.first_slot + channel.neighbors.index(neighbor)
+    seqs = channel.table.register_rows(
+        np.full(len(rows), slot), kind, np.array(rows), round_number
+    )
+    return int(seqs[0])
 
 
 def make_channel(
@@ -62,13 +76,19 @@ class TestOutLink:
         assert set(link.unacked) == {2, 4}
 
     def test_due_after_timeout(self):
-        link = OutLink()
-        link.assign("walk", (0,), round_number=1)
-        assert link.due(1 + RETRANSMIT_AFTER - 1) == []
-        assert link.due(1 + RETRANSMIT_AFTER) == [0]
-        link.touch(0, 10)
-        assert link.due(10 + RETRANSMIT_AFTER - 1) == []
-        assert link.due(10 + RETRANSMIT_AFTER) == [0]
+        """The synchronous loops keep the sender half in a table: a send
+        is due again ``RETRANSMIT_AFTER`` rounds after its last copy."""
+        a = make_channel()
+        register(a, 1, "walk", [(0, 9, 0)], round_number=1)
+        wire: list[Message] = []
+        a.flush(1 + RETRANSMIT_AFTER - 1, sink(a, wire))
+        assert wire == []
+        a.flush(1 + RETRANSMIT_AFTER, sink(a, wire))
+        assert [m.fields for m in wire] == [(0, 9, 0, 0)]
+        a.flush(1 + 2 * RETRANSMIT_AFTER - 1, sink(a, wire))
+        assert len(wire) == 1
+        a.flush(1 + 2 * RETRANSMIT_AFTER, sink(a, wire))
+        assert len(wire) == 2
 
 
 class TestInLink:
@@ -116,8 +136,8 @@ class TestReliableChannel:
         assert message.kind == "deg"
         assert message.fields == (3, 0)  # payload + seq
 
-        assert b.receive(message) == (3,)
-        assert b.receive(message) is None  # duplicate of the same seq
+        assert b.receive([message]) == [(message, (3,))]
+        assert b.receive([message]) == []  # duplicate of the same seq
         assert b.stats.duplicates_rejected == 1
 
         wire.clear()
@@ -125,7 +145,7 @@ class TestReliableChannel:
         (ack,) = wire
         assert ack.kind == KIND_ACK
         assert a.unacked_count == 1
-        a.receive(ack)
+        assert a.receive([ack]) == []
         assert a.unacked_count == 0
         wire.clear()
         a.flush(2, sink(a, wire))
@@ -147,8 +167,7 @@ class TestReliableChannel:
         a = make_channel(node_id=0, neighbors=(1,), token_budget=2)
         # 5 unacked walk tokens, all due for retransmission.
         for i in range(5):
-            seq = a.register_block(1, "walk", [(i, 9, 0)], round_number=0)
-            assert seq == i
+            assert register(a, 1, "walk", [(i, 9, 0)], round_number=0) == i
         # 4 queued control messages on top.
         for i in range(4):
             a.queue(1, "xch", (i, 0))
@@ -163,21 +182,21 @@ class TestReliableChannel:
 
     def test_queue_latest_supersedes_only_unsequenced(self):
         a = make_channel(node_id=0, neighbors=(1,))
-        a.queue_latest(1, "term", (5,))
-        a.queue_latest(1, "term", (8,))
+        a.queue(1, "term", (5,), latest=True)
+        a.queue(1, "term", (8,), latest=True)
         assert a.queued_count == 1
         wire: list[Message] = []
         a.flush(1, sink(a, wire))
         assert wire[0].fields == (8, 0)  # only the newest value flew
         # Once sequenced, a newer value gets its own seq.
-        a.queue_latest(1, "term", (9,))
+        a.queue(1, "term", (9,), latest=True)
         wire.clear()
         a.flush(2, sink(a, wire))
         assert wire[0].fields == (9, 1)
 
     def test_shared_seq_space_across_kinds(self):
         a = make_channel(node_id=0, neighbors=(1,))
-        first = a.register_block(1, "walk", [(1, 2, 3)], 0)
+        first = register(a, 1, "walk", [(1, 2, 3)], 0)
         a.queue(1, "deg", (4,))
         wire: list[Message] = []
         a.flush(0, sink(a, wire))
@@ -188,7 +207,7 @@ class TestReliableChannel:
         a = make_channel(node_id=0, neighbors=(1,))
         stranger = Message(sender=5, receiver=0, kind="deg", fields=(1, 0))
         with pytest.raises(ProtocolError):
-            a.receive(stranger)
+            a.receive([stranger])
 
     def test_out_of_order_arrivals_both_fresh(self):
         a = make_channel(node_id=0, neighbors=(1,))
@@ -198,10 +217,9 @@ class TestReliableChannel:
         wire: list[Message] = []
         a.flush(1, sink(a, wire))
         second, first = wire[1], wire[0]
-        assert b.receive(second) == (20, 0)  # seq 1 lands before seq 0
-        assert b.receive(first) == (10,)
-        cum, bitmap = b.inn[0].ack_fields()
-        assert (cum, bitmap) == (1, 0)
+        assert b.receive([second]) == [(second, (20, 0))]  # seq 1 first
+        assert b.receive([first]) == [(first, (10,))]
+        assert (b.table.cum[0], b.table.mask[0]) == (1, 0)
 
 
 class TestWakeRound:
@@ -214,13 +232,13 @@ class TestWakeRound:
 
     def test_owed_ack_wakes_next_round(self):
         a = make_channel()
-        a.accept(1, 0)
+        a.receive([Message(1, 0, "deg", (3, 0))])
         assert a.wake_round(7) == 8
 
     def test_unacked_sends_wake_when_the_oldest_comes_due(self):
         a = make_channel(neighbors=(1, 2))
-        a.register_block(1, "walk", [(1, 2, 3)], round_number=5)
-        a.register_block(2, "walk", [(1, 2, 3)], round_number=3)
+        register(a, 1, "walk", [(1, 2, 3)], round_number=5)
+        register(a, 2, "walk", [(1, 2, 3)], round_number=3)
         assert a.wake_round(5) == 3 + RETRANSMIT_AFTER
         wire: list[Message] = []
         # Flushes before the due round send nothing.
@@ -232,7 +250,7 @@ class TestWakeRound:
 
     def test_sends_held_back_by_slot_caps_wake_next_round(self):
         a = make_channel(token_budget=1)
-        a.register_block(1, "walk", [(1, 2, 3), (4, 5, 6)], round_number=0)
+        register(a, 1, "walk", [(1, 2, 3), (4, 5, 6)], round_number=0)
         a.flush(RETRANSMIT_AFTER, sink(a, []))  # one slot: seq 1 waits
         assert a.wake_round(RETRANSMIT_AFTER) == RETRANSMIT_AFTER + 1
 
@@ -244,17 +262,23 @@ class TestWakeRound:
         a.queue(1, "deg", (3,))
         a.flush(1, sink(a, []))
         assert a.wake_round(1) == 1 + RETRANSMIT_AFTER
-        a.apply_ack(1, 0, 0)
+        a.receive([Message(1, 0, KIND_ACK, (0, 0))])
         assert a.wake_round(2) is None
 
 
 class TestApplyAck:
-    """``apply_ack``: the one rule for ack messages and ack rows."""
+    """``LinkTable.apply_acks``: the one rule for ack messages and ack
+    rows."""
 
     def test_non_neighbor_ack_rejected(self):
         a = make_channel(neighbors=(1,))
         with pytest.raises(ProtocolError):
-            a.apply_ack(5, 0, 0)
+            a.receive([Message(5, 0, KIND_ACK, (0, 0))])
+        table = LinkTable(
+            np.array([0, 1, 2]), np.array([1, 0]), 1, TOKENS, ack_rows=True
+        )
+        with pytest.raises(ProtocolError):
+            table.slots(np.array([0]), np.array([2]))
 
     def test_same_latencies_as_receive(self):
         observed = []
@@ -268,11 +292,157 @@ class TestApplyAck:
             a.queue(1, "deg", (5,))
             a.flush(2 + RETRANSMIT_AFTER, sink(a, []))
             if deliver == "message":
-                a.receive(Message(1, 0, KIND_ACK, (2, 0)))
+                a.receive([Message(1, 0, KIND_ACK, (2, 0))])
             else:
-                a.apply_ack(1, 2, 0)
+                a.table.apply_acks(np.array([0]), np.array([2]), np.array([0]))
             assert a.unacked_count == 0
             histogram = instruments.hist("recovery_latency_rounds")
             observed.append((histogram.count, list(histogram.buckets)))
         assert observed[0] == observed[1]
         assert observed[0][0] == 3
+
+
+# ----------------------------------------------------------------------
+# The table against the asynchronous executor's scalar pair
+# ----------------------------------------------------------------------
+@st.composite
+def receive_histories(draw):
+    """Rounds of ``(edge, seq, copies)`` arrivals on up to 3 edges; seqs
+    reach far enough past the window to need the wide-mask path, and
+    rounds are long enough for the array path as well as the scalar
+    one."""
+    edges = draw(st.integers(1, 3))
+    arrival = st.tuples(
+        st.integers(0, edges - 1), st.integers(0, 90), st.integers(1, 3)
+    )
+    # Short rounds take the scalar path, long ones the array path.
+    round_ = st.one_of(
+        st.lists(arrival, max_size=8),
+        st.lists(arrival, min_size=17, max_size=40),
+    )
+    rounds = draw(st.lists(round_, max_size=8))
+    return edges, rounds
+
+
+@st.composite
+def ack_histories(draw):
+    """Sends per edge on 2 edges, then rounds of ``(edge, cum,
+    bitmap)`` acks."""
+    sends = draw(st.tuples(st.integers(0, 30), st.integers(0, 30)))
+    ack = st.tuples(
+        st.integers(0, 1),
+        st.integers(-1, 32),
+        st.integers(0, (1 << ACK_WINDOW) - 1),
+    )
+    rounds = draw(st.lists(st.lists(ack, max_size=4), max_size=6))
+    return sends, rounds
+
+
+def receive_table(edges):
+    """A one-node table over ``edges`` neighbours."""
+    return LinkTable(np.array([0, edges]), np.arange(1, edges + 1), 1, TOKENS)
+
+
+class TestTableTwins:
+    """``LinkTable.accept_rows`` / ``apply_acks`` take a round at once;
+    ``InLink.accept`` / ``OutLink.apply_ack`` take one arrival or ack at
+    a time.  Run through the same histories they must agree."""
+
+    @given(receive_histories())
+    @settings(max_examples=80, deadline=None)
+    def test_accept_rows_matches_inlink(self, case):
+        edges, rounds = case
+        table = receive_table(edges)
+        links = [InLink() for _ in range(edges)]
+        copies_total = fresh_total = 0
+        for arrivals in rounds:
+            if not arrivals:
+                continue
+            slots, seqs, copies = (np.array(c) for c in zip(*arrivals))
+            fresh = table.accept_rows(slots, seqs, copies)
+            assert fresh.tolist() == [
+                links[edge].accept(seq) for edge, seq, _ in arrivals
+            ]
+            for edge, link in enumerate(links):
+                assert table.cum[edge] == link.cum
+                assert table.mask[edge] == link.mask & ((1 << 63) - 1)
+                assert table.ack_due[edge] == link.ack_due
+            copies_total += int(copies.sum())
+            fresh_total += int(fresh.sum())
+        assert table.duplicates.sum() == copies_total - fresh_total
+
+    @given(ack_histories())
+    @settings(max_examples=80, deadline=None)
+    def test_apply_acks_matches_outlink(self, case):
+        sends, rounds = case
+        table = LinkTable(np.array([0, 2]), np.array([1, 2]), 1, TOKENS)
+        links = [OutLink(), OutLink()]
+        for edge, count in enumerate(sends):
+            for seq in range(count):
+                links[edge].assign("deg", (seq,), 0)
+            if count:
+                table.register_rows(
+                    np.full(count, edge), "deg", np.arange(count)[:, None], 0
+                )
+        for acks in rounds:
+            if not acks:
+                continue
+            slots, cums, bitmaps = (np.array(c) for c in zip(*acks))
+            table.apply_acks(slots, cums, bitmaps)
+            for edge, cum, bitmap in acks:
+                links[edge].apply_ack(cum, bitmap)
+            for edge, link in enumerate(links):
+                rows = table.unacked_rows(edge)
+                left = [fields[0] for _, fields, _, _ in rows]
+                assert left == sorted(link.unacked)
+                assert table.unacked[edge] == len(link.unacked)
+
+    def test_window_wider_than_63_seqs(self):
+        """More than 63 out-of-order seqs on one edge: the slot's window
+        moves to an exact InLink, and back to the arrays once the hole
+        fills."""
+        table = receive_table(1)
+        link = InLink()
+        late = np.arange(80, 0, -1)
+        fresh = table.accept_rows(np.zeros(80, dtype=int), late, np.ones(80))
+        assert fresh.all()
+        assert [link.accept(int(seq)) for seq in late] == [True] * 80
+        assert table.cum[0] == link.cum == -1
+        assert table.mask[0] == link.mask & ((1 << 63) - 1)
+        assert 0 in table._wide
+        again = table.accept_rows(
+            np.array([0, 0]), np.array([75, 0]), np.ones(2)
+        )
+        assert again.tolist() == [False, True]
+        assert table.cum[0] == 80 and table.mask[0] == 0
+        assert not table._wide
+
+    def test_duplicate_rows_then_late_settle(self):
+        """Duplicate rows in one round: the first copy is fresh, the
+        rest count as duplicates.  A duplicate accepted after its node
+        flushed is settled with one ack, and only one per round."""
+        table = LinkTable(
+            np.array([0, 1, 2]), np.array([1, 0]), 1, TOKENS, ack_rows=True
+        )
+        seqs = table.register_rows(
+            np.array([0]), "walk", np.array([[1, 2, 3]]), 5
+        )
+        slot = table.slots(np.array([1]), np.array([0]))
+        fresh = table.accept_rows(
+            np.repeat(slot, 2), np.repeat(seqs, 2), np.array([1, 2])
+        )
+        assert fresh.tolist() == [True, False]
+        assert table.duplicates[slot[0]] == 2
+        table.flush(np.array([1]), 6)
+        assert table.take_ack_rows()[1].tolist() == [0]
+        # A duplicate after the flush: the flush already acked the slot.
+        table.accept_rows(slot, seqs, np.array([1]))
+        sends = table.settle(slot, 6)
+        assert not len(sends) and table.take_ack_rows() is None
+        assert not table.ack_due[slot[0]]
+        # Node 1 has not flushed in round 7: settling runs its flush.
+        table.accept_rows(slot, seqs, np.array([1]))
+        table.settle(slot, 7)
+        assert table.flushed_round[1] == 7
+        assert table.take_ack_rows()[0].tolist() == [slot[0]]
+        assert table.acks_sent[slot[0]] == 2

@@ -1,10 +1,11 @@
 """Cross-loop equivalence of the *vectorized* reliable path.
 
-The fast path's reliable machinery (per-row ARQ acceptance through
-``ReliableChannel.accept`` in ``walk_engine._dedup_claimed`` and in the
+The fast path's reliable machinery (array ARQ acceptance through
+``LinkTable.accept_rows`` in ``walk_engine._dedup_claimed`` and in the
 exchange driver, block seq assignment in ``sequence_walk_rows``, the
-exchange driver's column rows, and ``FaultRuntime.filter_bulk`` over
-aggregate rows, which shares its fate core with ``filter_messages``)
+table-wide flushes, the exchange driver's column rows, and
+``FaultRuntime.filter_bulk`` over aggregate rows, which shares its fate
+core with ``filter_messages``)
 must reproduce the per-message loop byte for byte.  The fixed-seed
 checks in ``test_failure_injection.py`` pin a handful of schedules;
 this file adds the boundary cases those seeds happen to miss, plus a
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.congest.errors import ProtocolError
 from repro.congest.faults import CrashWindow, FaultPlan
-from repro.congest.reliable import KIND_ACK, AckRows, InLink, ReliableChannel
+from repro.congest.reliable import KIND_ACK, AckRows, InLink, LinkTable
 from repro.congest.scheduler import Simulator
 from repro.congest.transport import BandwidthPolicy, RoundOutbox
 from repro.core.estimator import estimate_rwbc_distributed
@@ -245,16 +246,10 @@ class TestTimerWakesAndAckRows:
         slow = estimate_rwbc_distributed(
             graph, PARAMS, seed=3, faults=plan, vectorized=False
         )
-        channels = {}
-        attach = AckRows.attach
         receive_rows = AckRows.receive_rows
         finished = {}
         finish = RWBCNodeProgram._finish
         late = collections.Counter()
-
-        def attach_spy(driver, channel):
-            channels[channel.node_id] = channel
-            attach(driver, channel)
 
         def finish_spy(program, round_number):
             finish(program, round_number)
@@ -268,7 +263,6 @@ class TestTimerWakesAndAckRows:
                     late[copies] += 1
             receive_rows(driver, round_number, claimed)
 
-        monkeypatch.setattr(AckRows, "attach", attach_spy)
         monkeypatch.setattr(AckRows, "receive_rows", receive_spy)
         monkeypatch.setattr(RWBCNodeProgram, "_finish", finish_spy)
         fast = estimate_rwbc_distributed(
@@ -306,10 +300,14 @@ class TestTimerWakesAndAckRows:
             launch_counting(program, ctx, round_number)
             if early:
                 parent = program._tree.parent
+                channel = program._channel
+                slot = channel.first_slot + channel.neighbors.index(parent)
                 reported = [
-                    entry[3]
-                    for entry in program._channel.out[parent].unacked.values()
-                    if entry[0] == KIND_TERM
+                    first_sent
+                    for kind, _, _, first_sent in channel.table.unacked_rows(
+                        slot
+                    )
+                    if kind == KIND_TERM
                 ]
                 replays.append((program.node_id, round_number, reported))
 
@@ -383,7 +381,7 @@ class TestExchangeDriver:
 
         def spy(driver, rows):
             late = accept(driver, rows)
-            if late:
+            if len(late):
                 late_rounds.append(late)
             return late
 
@@ -397,9 +395,9 @@ class TestExchangeDriver:
     def test_both_drivers_settle_one_halted_node(self, monkeypatch):
         """A duplicate column row and a duplicate walk row reach a
         halted node in the same round: each driver settles it through
-        the one ``ReliableChannel.settle`` rule - the first runs the
-        flush the node's woken handler would have run, the second owes
-        only the acks that flush did not send."""
+        the one ``LinkTable.settle`` rule - the first runs the flush the
+        node's woken handler would have run, the second owes only the
+        acks that flush did not send."""
         graph = erdos_renyi_graph(6, 0.5, seed=2, ensure_connected=True)
         plan = FaultPlan(
             seed=12, duplicate_rate=0.3, delay_rate=0.3, max_delay=30
@@ -408,13 +406,14 @@ class TestExchangeDriver:
             graph, PARAMS, seed=3, faults=plan, vectorized=False
         )
         settled = collections.Counter()
-        settle = ReliableChannel.settle
+        settle = LinkTable.settle
 
-        def spy(channel, senders, round_number, send):
-            settled[channel.node_id, round_number] += 1
-            settle(channel, senders, round_number, send)
+        def spy(table, slots, round_number):
+            for node in set(table.owners[slots].tolist()):
+                settled[node, round_number] += 1
+            return settle(table, slots, round_number)
 
-        monkeypatch.setattr(ReliableChannel, "settle", spy)
+        monkeypatch.setattr(LinkTable, "settle", spy)
         fast = estimate_rwbc_distributed(
             graph, PARAMS, seed=3, faults=plan, vectorized=True
         )

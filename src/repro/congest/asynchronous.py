@@ -55,8 +55,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.congest.errors import (
     CongestViolation,
     ConfigError,
@@ -67,7 +65,13 @@ from repro.congest.errors import (
 )
 from repro.congest.faults import FaultPlan, FaultRuntime
 from repro.congest.message import Message
-from repro.congest.node import NodeInfo, NodeProgram, RoundContext
+from repro.congest.node import (
+    LazyGenerator,
+    NodeInfo,
+    NodeProgram,
+    RoundContext,
+    seed_entropy,
+)
 from repro.congest.scheduler import ProgramFactory
 from repro.congest.transport import BandwidthPolicy
 from repro.graphs.graph import Graph
@@ -322,26 +326,26 @@ class AsyncSimulator:
 
     # ------------------------------------------------------------------
     def run(self) -> AsyncResult:
-        master = np.random.default_rng(self._seed)
+        entropy = seed_entropy(self._seed)
         order = self.graph.canonical_order()
-        # One spare child for delay draws: the first len(order) children
-        # are prefix-stable, so node rngs match the synchronous
-        # scheduler's exactly (same seed => same protocol randomness).
-        children = master.spawn(len(order) + 1)
-        self._delay_rng = children[-1]
+        # Node i gets spawn child i, as in the synchronous scheduler
+        # (same seed => same protocol randomness); child n draws the
+        # delays.
+        self._delay_rng = LazyGenerator(entropy, len(order)).generator
 
         # Imported here, so synchronous runs without recovery never load
         # the ARQ module.
         from repro.congest.reliable import InLink, OutLink
 
         self._nodes: dict[int, _SynchronizerNode] = {}
-        for rank, (node, rng) in enumerate(zip(order, children)):
+        for rank, node in enumerate(order):
             info = NodeInfo(
                 node_id=node,
                 neighbors=tuple(sorted(self.graph.neighbors(node))),
                 n=self.graph.num_nodes,
             )
-            state = _SynchronizerNode(self._factory(info, rng), rank)
+            program = self._factory(info, LazyGenerator(entropy, rank))
+            state = _SynchronizerNode(program, rank)
             for neighbor in info.neighbors:
                 state.out[neighbor] = OutLink()
                 state.inn[neighbor] = InLink()

@@ -12,6 +12,7 @@ auditable.
 from __future__ import annotations
 
 import abc
+import secrets
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,6 +48,54 @@ class NodeInfo:
     @property
     def degree(self) -> int:
         return len(self.neighbors)
+
+
+def seed_entropy(seed) -> int:
+    """The entropy ``np.random.SeedSequence(seed)`` would hold, without
+    building one for the common cases: a non-negative int is its own
+    entropy, and ``None`` draws 128 fresh bits from the OS, as
+    ``SeedSequence()`` does."""
+    if seed is None:
+        return secrets.randbits(128)
+    if isinstance(seed, int) and seed >= 0:
+        return seed
+    return int(np.random.SeedSequence(seed).entropy)
+
+
+class LazyGenerator:
+    """A node's private generator, built on first use.
+
+    It is ``Generator(PCG64(SeedSequence(entropy, spawn_key=(index,))))``,
+    the same generator as ``default_rng(seed).spawn(n)[index]``, and it
+    stands in for one: any generator attribute read through this object
+    builds it once and forwards.  A program that draws nothing (the
+    RWBC protocol hashes its walks and ranks from :attr:`entropy`
+    instead) never pays for a ``SeedSequence`` or a ``Generator``.
+    """
+
+    __slots__ = ("entropy", "index", "_generator")
+
+    def __init__(self, entropy: int, index: int) -> None:
+        self.entropy = entropy
+        self.index = index
+        self._generator: np.random.Generator | None = None
+
+    @property
+    def generator(self) -> np.random.Generator:
+        if self._generator is None:
+            self._generator = np.random.Generator(
+                np.random.PCG64(
+                    np.random.SeedSequence(
+                        self.entropy, spawn_key=(self.index,)
+                    )
+                )
+            )
+        return self._generator
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.generator, name)
 
 
 class RoundContext:
@@ -251,6 +300,8 @@ class NodeProgram(abc.ABC):
     """
 
     def __init__(self, info: NodeInfo, rng: np.random.Generator) -> None:
+        # The simulators pass a LazyGenerator: the node's own generator,
+        # built the first time the program draws from it.
         self.info = info
         self.rng = rng
         self._halted = False

@@ -31,11 +31,13 @@ from repro.congest.message import Message
 from repro.congest.metrics import RunMetrics
 from repro.congest.node import (
     EdgeIndex,
+    LazyGenerator,
     NodeInfo,
     NodeProgram,
     RoundContext,
     SharedFastPathState,
     VectorizedProgram,
+    seed_entropy,
 )
 from repro.congest.trace import NullTracer, Tracer
 from repro.congest.transport import BandwidthPolicy, BulkOutbox, RoundOutbox
@@ -43,7 +45,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.properties import is_connected
 from repro.obs.spans import NULL_PROFILER
 
-ProgramFactory = Callable[[NodeInfo, np.random.Generator], NodeProgram]
+ProgramFactory = Callable[[NodeInfo, LazyGenerator], NodeProgram]
 
 
 @dataclass
@@ -80,9 +82,10 @@ class Simulator:
     policy:
         Bandwidth constants; defaults to ``BandwidthPolicy(n=graph.n)``.
     seed:
-        Master seed; each node gets an independent child generator, so
-        runs are reproducible and node randomness is private (public
-        randomness would change the lower-bound setting).
+        Master seed; each node gets an independent child generator
+        (:class:`~repro.congest.node.LazyGenerator`, built on first
+        use), so runs are reproducible and node randomness is private
+        (public randomness would change the lower-bound setting).
     max_rounds:
         Safety limit; exceeding it raises :class:`RoundLimitExceeded`.
     record_messages:
@@ -202,19 +205,18 @@ class Simulator:
         )
 
     def _build_programs(self) -> dict[int, NodeProgram]:
-        master = np.random.default_rng(self._seed)
         # One child generator per node, in canonical order, so results do
-        # not depend on Python dict iteration order.
-        order = self.graph.canonical_order()
-        children = master.spawn(len(order))
+        # not depend on Python dict iteration order; each is built only
+        # if its program draws from it.
+        entropy = seed_entropy(self._seed)
         programs: dict[int, NodeProgram] = {}
-        for node, rng in zip(order, children):
+        for index, node in enumerate(self.graph.canonical_order()):
             info = NodeInfo(
                 node_id=node,
                 neighbors=tuple(sorted(self.graph.neighbors(node))),
                 n=self.graph.num_nodes,
             )
-            programs[node] = self._factory(info, rng)
+            programs[node] = self._factory(info, LazyGenerator(entropy, index))
         return programs
 
     def _bulk_reasons_against(self, programs: dict[int, NodeProgram]):

@@ -16,7 +16,7 @@ from repro.congest.transport import BandwidthPolicy
 from repro.core.montecarlo import estimate_rwbc_montecarlo
 from repro.core.exact import rwbc_exact
 from repro.core.parameters import WalkParameters, default_parameters
-from repro.core.protocol import ProtocolConfig, make_protocol_factory
+from repro.core.protocol import SETUP_SLACK, ProtocolConfig, make_protocol_factory
 from repro.core.result import DistributedRWBCResult
 from repro.core.walk_engine import TransportPolicy
 from repro.graphs.graph import Graph, GraphError
@@ -34,19 +34,18 @@ def default_max_rounds(
     n: int,
     parameters: WalkParameters,
     reliable: bool = False,
-    setup_slack: int = 6,
 ) -> int:
     """A generous round limit: setup + congestion-inflated counting +
     exchange, with slack.  Exceeding it indicates a protocol bug, not a
     slow run.  Reliable (fault-tolerant) runs get a stretched setup
-    (``2 * setup_slack * n`` rounds before launch) and an extra latency
+    (``2 * SETUP_SLACK * n`` rounds before launch) and an extra latency
     factor for retransmission round-trips."""
     counting_bound = 40 * (
         parameters.walks_per_source * n + parameters.length
     )
     base = 1000 + 4 * n + counting_bound
     if reliable:
-        return 8 * base + 16 * setup_slack * n
+        return 8 * base + 16 * SETUP_SLACK * n
     return base
 
 
@@ -108,7 +107,7 @@ def estimate_rwbc_distributed(
         the injected drops, duplicates, delays, and crash-recover
         windows.  Crash windows must end (no crash-stop: a node that
         never returns can never launch or certify its walks) and must
-        not cover the launch round ``2 * setup_slack * n``.
+        not cover the launch round ``2 * SETUP_SLACK * n``.
     executor:
         ``"sync"`` (default) runs the lock-step round scheduler;
         ``"async"`` runs the same protocol on the event-driven
@@ -186,7 +185,7 @@ def estimate_rwbc_distributed(
         ),
     )
     if reliable:
-        _validate_crash_windows(faults, n, config.setup_slack)
+        _validate_crash_windows(faults, n)
     if bandwidth is None:
         # Reliable mode needs two extra per-edge slots: one for the ack
         # and one so token retransmissions plus control retransmissions
@@ -201,7 +200,7 @@ def estimate_rwbc_distributed(
             seed=seed,
             max_delay=max_delay,
             max_rounds=max_rounds
-            or default_max_rounds(n, parameters, lossy, config.setup_slack),
+            or default_max_rounds(n, parameters, lossy),
             faults=faults,
             telemetry=telemetry,
         )
@@ -212,7 +211,7 @@ def estimate_rwbc_distributed(
             policy=bandwidth,
             seed=seed,
             max_rounds=max_rounds
-            or default_max_rounds(n, parameters, reliable, config.setup_slack),
+            or default_max_rounds(n, parameters, reliable),
             record_messages=record_messages,
             vectorized=vectorized,
             faults=faults,
@@ -282,12 +281,10 @@ def estimate_rwbc_distributed(
     )
 
 
-def _validate_crash_windows(
-    plan: FaultPlan, n: int, setup_slack: int
-) -> None:
+def _validate_crash_windows(plan: FaultPlan, n: int) -> None:
     """Reject crash schedules the protocol cannot survive.
 
-    The counting phase launches globally at round ``2 * setup_slack * n``
+    The counting phase launches globally at round ``2 * SETUP_SLACK * n``
     from the frozen flood tree.  A node crashed *through* that round
     launches late on recovery (the per-message path supports this), but
     the vectorized engine requires all ``n`` nodes at its one-shot
@@ -296,7 +293,7 @@ def _validate_crash_windows(
     then unreachable.  Both shapes are configuration errors, caught here
     rather than as a round-limit timeout deep into the run.
     """
-    launch_round = 2 * setup_slack * n
+    launch_round = 2 * SETUP_SLACK * n
     for window in plan.crashes:
         if window.end is None:
             raise FaultInjectionError(
@@ -308,7 +305,7 @@ def _validate_crash_windows(
             raise FaultInjectionError(
                 f"crash window [{window.start}, {window.end}) on node "
                 f"{window.node} covers the counting launch round "
-                f"{launch_round}; shift the window or adjust setup_slack"
+                f"{launch_round}; shift the window"
             )
 
 

@@ -45,6 +45,7 @@ import numpy as np
 from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
 from repro.congest.node import (
+    LazyGenerator,
     NodeInfo,
     RoundContext,
     VectorizedProgram,
@@ -61,12 +62,14 @@ from repro.core.flow_math import (
     pair_sum_all,
 )
 from repro.core.termination import KIND_DONE, KIND_TERM, DeathCounterLogic
+from repro.congest.splitmix import stream_key
 from repro.core.walk_engine import (
     WALK_KINDS,
     CountingWalkEngine,
     TransportPolicy,
     count_dtype,
     walk_groups,
+    walk_key,
 )
 from repro.core.walk_manager import WalkManager
 
@@ -80,6 +83,24 @@ PHASE_SETUP = "setup"
 PHASE_COUNTING = "counting"
 PHASE_EXCHANGE = "exchange"
 PHASE_DONE = "done"
+
+#: Reliable mode's setup calendar: parents and degrees are announced at
+#: round ``SETUP_SLACK * n`` and walks launch at ``2 * SETUP_SLACK * n``,
+#: giving the flood and adopt waves time to win against message loss (a
+#: dropped control message retries every
+#: :data:`~repro.congest.reliable.RETRANSMIT_AFTER` rounds).
+SETUP_SLACK = 6
+
+#: Domain tag of the leader-election ranks' keys (ASCII ``RANK``).
+RANK_STREAM = 0x52414E4B
+
+
+def leader_rank(entropy: int, node: int, n: int) -> int:
+    """``node``'s flood-max candidate rank in a run seeded with
+    ``entropy``: a hash of the node's rank key, scaled to ``[0,
+    max(2, n)**3)``, so ranks are uniform and ties (which the flood
+    breaks by id) have probability below ``1 / n``."""
+    return (stream_key(entropy, RANK_STREAM, node) * max(2, n) ** 3) >> 64
 
 
 @dataclass(frozen=True)
@@ -117,7 +138,7 @@ class ProtocolConfig:
         Run the loss-tolerant variant of the protocol: every control and
         walk message travels through a per-edge ARQ
         (:mod:`repro.congest.reliable`), the setup timeline stretches by
-        ``setup_slack`` to absorb retransmission latency, the done wave
+        :data:`SETUP_SLACK` to absorb retransmission latency, the done wave
         floods over all edges instead of only tree edges, and the
         exchange phase becomes self-paced (each node ships its next
         unsent count column each round and finishes when everything is
@@ -128,12 +149,6 @@ class ProtocolConfig:
         :class:`~repro.congest.faults.FaultPlan` with drops, duplicates,
         delays, or crash-recover windows, the reliable protocol still
         terminates with exact counting (exactly-once token delivery).
-    setup_slack:
-        Reliable mode only: parents/degrees are announced at round
-        ``setup_slack * n`` and walks launch at ``2 * setup_slack * n``,
-        giving the flood and adopt waves time to win against message
-        loss (a dropped control message retries every
-        :data:`~repro.congest.reliable.RETRANSMIT_AFTER` rounds).
     instruments:
         Optional ``repro.obs.InstrumentSet`` shared by every node:
         walk-send counters and the ARQ's window/retransmit/latency
@@ -152,7 +167,6 @@ class ProtocolConfig:
     survival_alpha: float | None = None
     split_sampling: bool = False
     reliable: bool = False
-    setup_slack: int = 6
     instruments: object | None = field(
         default=None, repr=False, compare=False
     )
@@ -164,8 +178,6 @@ class ProtocolConfig:
             raise ProtocolError("walks_per_source must be >= 1")
         if self.walk_budget < 1:
             raise ProtocolError("walk_budget must be >= 1")
-        if self.setup_slack < 2:
-            raise ProtocolError("setup_slack must be >= 2")
         if self.survival_alpha is not None and not (
             0.0 < self.survival_alpha < 1.0
         ):
@@ -226,7 +238,7 @@ class RWBCNodeProgram(VectorizedProgram):
     """
 
     def __init__(
-        self, info: NodeInfo, rng: np.random.Generator, config: ProtocolConfig
+        self, info: NodeInfo, rng: LazyGenerator, config: ProtocolConfig
     ) -> None:
         super().__init__(info, rng)
         if not 0 <= info.node_id < info.n:
@@ -235,8 +247,9 @@ class RWBCNodeProgram(VectorizedProgram):
             )
         self.config = config
         self.phase = PHASE_SETUP
-        rank = int(rng.integers(0, max(2, info.n) ** 3))
-        self._flood = FloodMaxBFS(info.node_id, rank)
+        self._flood = FloodMaxBFS(
+            info.node_id, leader_rank(rng.entropy, info.node_id, info.n)
+        )
         # Fast path only: the shared setup driver (non-reliable runs
         # without fault injection).  When set, the flood, the parent
         # announcements and the degree exchange run inside the driver,
@@ -407,7 +420,7 @@ class RWBCNodeProgram(VectorizedProgram):
         flushes the ARQ and checks the milestones, so the node sleeps
         until the sooner of its channel's
         :meth:`~repro.congest.reliable.ReliableChannel.wake_round` and
-        its next milestone (``setup_slack * n`` until it has announced,
+        its next milestone (``SETUP_SLACK * n`` until it has announced,
         then the launch at twice that).  Acks arrive as
         rows without a step and only postpone the channel's answer, so
         a wake filed before them is at worst early.  Counting is
@@ -421,7 +434,7 @@ class RWBCNodeProgram(VectorizedProgram):
         and term retransmits)."""
         if self.phase == PHASE_SETUP:
             if self._channel is not None:
-                announce = self.config.setup_slack * self.info.n
+                announce = SETUP_SLACK * self.info.n
                 milestone = 2 * announce if self._announced else announce
                 wake = self._channel.wake_round(round_number)
                 return milestone if wake is None else min(wake, milestone)
@@ -478,8 +491,8 @@ class RWBCNodeProgram(VectorizedProgram):
     ) -> None:
         """Loss-tolerant setup: same flood/adopt/degree dance, but every
         control message rides the ARQ and the timeline is stretched -
-        parents and degrees go out at ``setup_slack * n`` and walks
-        launch at ``2 * setup_slack * n``, leaving every wave
+        parents and degrees go out at ``SETUP_SLACK * n`` and walks
+        launch at ``2 * SETUP_SLACK * n``, leaving every wave
         ``RETRANSMIT_AFTER``-round retries worth of slack.  A node that
         was crashed through one of the milestone rounds performs the
         missed step on its first live round after it (its own control
@@ -487,7 +500,7 @@ class RWBCNodeProgram(VectorizedProgram):
         unacked by the ARQ until delivered)."""
         n = self.info.n
         r = ctx.round_number
-        announce = self.config.setup_slack * n
+        announce = SETUP_SLACK * n
         launch = 2 * announce
         flood_mail: list[Message] = []
         # Walk tokens stay unaccepted: the node has not launched, so it
@@ -597,7 +610,7 @@ class RWBCNodeProgram(VectorizedProgram):
             target=self.target,
             walks_per_source=self.config.walks_per_source,
             length=self.config.length,
-            rng=self.rng,
+            walk_key=walk_key(self.rng.entropy, self.node_id),
             policy=self.config.policy,
             walk_budget=self.config.walk_budget,
             count_initial=self.config.count_initial,
@@ -1028,7 +1041,7 @@ def _walk_arrivals(
 def make_protocol_factory(config: ProtocolConfig):
     """Program factory binding one :class:`ProtocolConfig`."""
 
-    def factory(info: NodeInfo, rng: np.random.Generator) -> RWBCNodeProgram:
+    def factory(info: NodeInfo, rng: LazyGenerator) -> RWBCNodeProgram:
         return RWBCNodeProgram(info, rng, config)
 
     return factory

@@ -41,7 +41,7 @@ Byte-identity with the per-node path is structural:
 * **Ties.**  Each receiver's flood arrivals reach ``relax_flood`` in
   ascending sender order - the per-message inbox order - so an
   equal-distance tie goes to the same (smallest) sender.
-* **Random streams.**  Ranks are drawn in each program's constructor on
+* **Random streams.**  Ranks are hashed in each program's constructor on
   every path; the driver draws nothing.
 
 Installed exactly where :class:`~repro.core.exchange_engine.ExchangeEngine`

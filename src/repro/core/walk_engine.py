@@ -28,12 +28,19 @@ module's functions, and both scheduler loops run it:
   :class:`~repro.core.walk_manager.WalkManager` runs them on its
   one-node slice (node 0, its ports as edge ids, its count slab as a
   one-node tensor);
-* randomness stays attributed: each node's segment is thinned and
-  routed from *that node's own generator*, through a
-  :class:`~repro.walks.streams.PortStreams` that reads each stream
-  ahead (damped mode reads nothing ahead, because the binomial thinning
-  shares the generator).  Per-node streams are independent, so serving
-  many nodes in one pass consumes what serving them one by one would;
+* randomness stays attributed, as counter-based streams: node ``v``
+  holds a 64-bit key, :func:`walk_key` of the run's seed entropy, the
+  node and the walk domain tag :data:`WALK_STREAM` (so no node reads
+  another's bits, and the fault filter's hash, keyed by the fault
+  plan's seed, never meets them), plus one int64 counter.  Its ``j``-th
+  draw is ``_mix64(key_v + j * GOLDEN)``
+  (:mod:`repro.congest.splitmix`).  Damped thinning takes one draw per
+  token (:func:`thin_groups`), then routing one per token at nodes of
+  degree two or more (:func:`walk_ports`, Lemire's rule on the high 32
+  bits; a rejected draw is skipped for the next counter value), each
+  node's tokens in canonical group order.  A draw is a function of its
+  key and counter only, so serving many nodes in one pass gives what
+  serving them one by one would;
 * routing emits its rows edge-major, each edge's in canonical group
   order, and they join that edge's queue at the tail; emission reads
   only each queue's head - at most ``budget`` rows per edge - so which
@@ -72,10 +79,16 @@ import numpy as np
 
 from repro.congest.errors import ConfigError, ProtocolError
 from repro.congest.message import TAG_BITS, Message, int_bits_array
+from repro.congest.splitmix import (
+    GOLDEN,
+    MASK64,
+    _mix64_array,
+    _mix64_int,
+    stream_key,
+)
 from repro.obs.spans import NULL_PROFILER
 from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
 from repro.walks.batched import aggregate_network_groups
-from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.congest.node import EdgeIndex, NodeProgram, RoundContext
@@ -92,6 +105,17 @@ _WALK_ROWS = (KIND_WALK, KIND_WALK_BATCH)
 ClaimedKind = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+#: Domain tag of the walk streams' keys (ASCII ``WALK``).
+WALK_STREAM = 0x57414C4B
+
+#: A run's walk streams: every node's key (uint64) and its next counter
+#: value (int64, advanced in place as the node draws).
+WalkStreams = tuple[np.ndarray, np.ndarray]
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_STEP = np.uint64(GOLDEN)
 
 
 def count_dtype(walks_per_source: int, length: int) -> type[np.integer]:
@@ -171,13 +195,132 @@ def launch_groups(
     return halves, counts
 
 
+def walk_key(entropy: int, node: int) -> int:
+    """``node``'s walk-stream key in a run seeded with ``entropy``."""
+    return stream_key(entropy, WALK_STREAM, node)
+
+
+def _draw(
+    streams: WalkStreams, nodes: np.ndarray, needs: np.ndarray
+) -> np.ndarray:
+    """The next ``needs[i]`` hashes of each distinct node ``nodes[i]``'s
+    stream, concatenated in that order, and advance the counters: draw
+    ``j`` of the stream keyed ``k`` is ``_mix64(k + j * GOLDEN)``."""
+    keys, counters = streams
+    first = counters[nodes]
+    counters[nodes] = first + needs
+    # Each token's counter, mod 2**64: its node's first counter, less
+    # the node's offset in the concatenation, plus the token's position.
+    ends = np.cumsum(needs)
+    steps = np.arange(int(needs.sum()), dtype=np.uint64) + np.repeat(
+        (first - (ends - needs)).astype(np.uint64), needs
+    )
+    return _mix64_array(np.repeat(keys[nodes], needs) + steps * _STEP)
+
+
+def walk_ports(
+    streams: WalkStreams,
+    degrees: np.ndarray,
+    nodes: np.ndarray,
+    needs: np.ndarray,
+) -> np.ndarray:
+    """Next hops for ``needs[i]`` tokens at the distinct ``nodes[i]``,
+    concatenated in that order.
+
+    A draw's high 32 bits ``u`` map to the port ``(u * d) >> 32`` of a
+    degree-``d`` node (Lemire's rule), rejected when ``(u * d) mod
+    2**32 < (2**32 - d) mod d``; a rejected draw is skipped and the
+    token takes the next counter value, so the ports are exactly
+    uniform.  A degree-1 node has one port and draws nothing.  Degrees
+    must be below ``2**32``."""
+    node_degrees = degrees[nodes]
+    routed = node_degrees > 1
+    if not routed.all():
+        ports = np.zeros(int(needs.sum()), dtype=np.int64)
+        if routed.any():
+            ports[np.repeat(routed, needs)] = walk_ports(
+                streams, degrees, nodes[routed], needs[routed]
+            )
+        return ports
+    d = np.repeat(node_degrees.astype(np.uint64), needs)
+    m = (_draw(streams, nodes, needs) >> _SHIFT32) * d
+    ports = (m >> _SHIFT32).astype(np.int64)
+    # The threshold is below d, so only a low word below d can reject.
+    low = m & _LOW32
+    suspects = np.flatnonzero(low < d)
+    if len(suspects):
+        du = d[suspects]
+        rejected = suspects[low[suspects] < (np.uint64(1 << 32) - du) % du]
+        if len(rejected):
+            _redraw(streams, nodes, needs, ports, rejected, node_degrees)
+    return ports
+
+
+def _port_one(key: int, counter: int, degree: int) -> int | None:
+    """One draw of :func:`walk_ports` in Python ints: the port that draw
+    ``counter`` of the stream keyed ``key`` gives at ``degree``, or
+    None when Lemire's rule rejects it."""
+    m = (_mix64_int((key + counter * GOLDEN) & MASK64) >> 32) * degree
+    if m & 0xFFFFFFFF < ((1 << 32) - degree) % degree:
+        return None
+    return m >> 32
+
+
+def _redraw(
+    streams: WalkStreams,
+    nodes: np.ndarray,
+    needs: np.ndarray,
+    ports: np.ndarray,
+    rejected: np.ndarray,
+    degrees: np.ndarray,
+) -> None:
+    """Refill each segment that holds a rejected draw: keep its
+    accepted ports in order and draw the shortfall from the node's next
+    counter values, one at a time (rejections are rare: at most ``d``
+    in ``2**32`` draws)."""
+    keys, counters = streams
+    ends = np.cumsum(needs)
+    keep = np.ones(len(ports), dtype=bool)
+    keep[rejected] = False
+    owners = np.searchsorted(ends, rejected, side="right")
+    for i in np.unique(owners).tolist():
+        lo, hi = int(ends[i] - needs[i]), int(ends[i])
+        kept = ports[lo:hi][keep[lo:hi]].tolist()
+        node, degree = int(nodes[i]), int(degrees[i])
+        key, counter = int(keys[node]), int(counters[node])
+        while len(kept) < hi - lo:
+            port = _port_one(key, counter, degree)
+            counter += 1
+            if port is not None:
+                kept.append(port)
+        counters[node] = counter
+        ports[lo:hi] = kept
+
+
+def thin_groups(
+    streams: WalkStreams,
+    nodes: np.ndarray,
+    counts: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """Damped mode: how many of each node-sorted group's ``counts``
+    tokens survive their hop.  Each token survives with probability
+    ``alpha``, on one draw of its node's stream: ``u < alpha``, with
+    ``u`` the draw's top 53 bits as a float in ``[0, 1)``.  A node's
+    tokens draw in group order."""
+    starts, _ = _segments(nodes)
+    draws = _draw(streams, nodes[starts], np.add.reduceat(counts, starts))
+    alive = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53 < alpha
+    return np.add.reduceat(alive, np.cumsum(counts) - counts, dtype=np.int64)
+
+
 def counting_round_kernel(
     nodes: np.ndarray,
     sources: np.ndarray,
     remainings: np.ndarray,
     halves: np.ndarray,
     counts: np.ndarray,
-    rngs,
+    rngs: WalkStreams,
     alpha: float | None,
     absorbing_target: int,
     count_tensor: np.ndarray,
@@ -191,37 +334,27 @@ def counting_round_kernel(
     The node-local half of the counting round: thin (damped mode) or
     absorb (absorbing mode), tally visits into ``count_tensor``, expire
     zero-remaining tokens, and sample next hops into queue rows.
-    ``rngs`` is the run's
-    :class:`~repro.walks.streams.PortStreams`: ``rngs[node]`` is the
-    node's generator (damped thinning draws from it) and
-    ``rngs.ports`` serves every node's next hops in one pass, from the
-    same raw per-node streams, read ahead.  The kernel is a pure
-    function of its inputs plus those per-node streams.
+    ``rngs`` is the run's walk streams (:data:`WalkStreams`): damped
+    thinning (:func:`thin_groups`) and routing (:func:`walk_ports`, at
+    ``degrees``) both draw from each node's own stream, and advance its
+    counter.  The kernel is a pure function of its inputs plus those
+    counters.
 
     ``nodes`` must be sorted ascending (the canonical order from
-    :func:`~repro.walks.batched.aggregate_network_groups`).  ``degrees``
-    and ``max_degree`` go unread (the streams carry the degrees they map
-    with, and routing counts by sorting); they stay in the parameter
-    list because the benchmark's layer probe (``bench/probes.py``) wraps
-    this function by its exact signature.  Returns
-    ``(entries, death_nodes, death_counts, next_seq)``: queue rows
-    ``(edge id, seq, source, remaining_here, half, count)`` in
-    :func:`route_entries` order, the
+    :func:`~repro.walks.batched.aggregate_network_groups`).
+    ``max_degree`` goes unread (routing counts by sorting); it stays in
+    the parameter list, as does the name ``rngs``, because the
+    benchmark's layer probe (``bench/probes.py``) wraps this function by
+    its exact signature.  Returns ``(entries, death_nodes,
+    death_counts, next_seq)``: queue rows ``(edge id, seq, source,
+    remaining_here, half, count)`` in :func:`route_entries` order, the
     death deltas to fold into the convergecast (unaggregated pairs; the
     caller ``np.add.at``s them), and the advanced sequence counter.
     """
     death_node_parts: list[np.ndarray] = []
     death_count_parts: list[np.ndarray] = []
     if alpha is not None:
-        # Damped mode: per node, one binomial over its canonical
-        # segment, drawn from the node's own generator.
-        starts, ends = _segments(nodes)
-        survivors = np.empty_like(counts)
-        for i in range(len(starts)):
-            a, b = starts[i], ends[i]
-            survivors[a:b] = rngs[int(nodes[a])].binomial(
-                counts[a:b], alpha
-            )
+        survivors = thin_groups(rngs, nodes, counts, alpha)
         death_node_parts.append(nodes)
         death_count_parts.append(counts - survivors)
         alive = survivors > 0
@@ -268,8 +401,8 @@ def counting_round_kernel(
             counts = counts[live]
     if len(nodes):
         entries, seq_start = route_entries(
-            nodes, sources, remainings, halves, counts, rngs, offsets,
-            seq_start,
+            nodes, sources, remainings, halves, counts, rngs, degrees,
+            offsets, seq_start,
         )
     else:
         entries = np.empty((0, 6), dtype=np.int64)
@@ -288,23 +421,27 @@ def route_entries(
     remainings: np.ndarray,
     halves: np.ndarray,
     counts: np.ndarray,
-    rngs: PortStreams,
+    streams: WalkStreams,
+    degrees: np.ndarray,
     offsets: np.ndarray,
     seq_start: int,
 ) -> tuple[np.ndarray, int]:
     """Sample next hops for a non-empty node-sorted group array and
     build its queue rows; returns ``(entries, next_seq)``.
 
-    Each node's tokens take the next ports of that node's own stream, in
-    segment order.  The draws, expansion, counting, and entry building
-    are each one batch over the whole array.  The rows come out in
-    (edge, group) order: edge-major, and on each edge the groups in
-    ascending segment order, which is that edge's FIFO order, so
-    :meth:`EdgeQueues.append` takes them as they are.  Both the counting
-    round's survivors and the launch route through here."""
+    Each node's tokens take the next ports of that node's own stream
+    (:func:`walk_ports`), in segment order.  The draws, expansion,
+    counting, and entry building are each one batch over the whole
+    array.  The rows come out in (edge, group) order: edge-major, and on
+    each edge the groups in ascending segment order, which is that
+    edge's FIFO order, so :meth:`EdgeQueues.append` takes them as they
+    are.  Both the counting round's survivors and the launch route
+    through here."""
     groups = len(nodes)
     starts, _ = _segments(nodes)
-    draws = rngs.ports(nodes[starts], np.add.reduceat(counts, starts))
+    draws = walk_ports(
+        streams, degrees, nodes[starts], np.add.reduceat(counts, starts)
+    )
     # Count tokens per (edge, group) cell with one sort of the tokens'
     # cell keys: ascending keys are edge-major, groups ascending within
     # an edge.
@@ -629,8 +766,12 @@ class CountingWalkEngine:
         self._managers: dict[int, WalkManager] = {}
         self._counters: dict[int, DeathCounterLogic] = {}
         self._contexts: dict[int, RoundContext] = {}
-        self._rngs: dict[int, np.random.Generator] = {}
-        self._streams: PortStreams | None = None
+        # Every node's walk stream: its key (filled at register) and
+        # its next counter value.
+        self._streams: WalkStreams = (
+            np.zeros(n, dtype=np.uint64),
+            np.zeros(n, dtype=np.int64),
+        )
         self._touched: set[int] = set()
         # Reliable-mode state: the run's shared ARQ table (a
         # repro.congest.reliable.LinkTable), per-node channel views,
@@ -712,7 +853,7 @@ class CountingWalkEngine:
         self._managers[node] = manager
         self._counters[node] = counter
         self._contexts[node] = ctx
-        self._rngs[node] = manager.rng
+        self._streams[0][node] = manager.walk_key
         self._channels[node] = channel
         if channel is not None:
             self._reliable = True
@@ -803,13 +944,6 @@ class CountingWalkEngine:
         self._budget = first.walk_budget
         self._alpha = first.survival_alpha
         self._absorbing_target = first.target
-        # Damped thinning draws from the same generators between
-        # routing calls, so that mode may not read ahead.
-        self._streams = PortStreams(
-            self._rngs,
-            self._degrees,
-            DEFAULT_READ_AHEAD if self._alpha is None else 0,
-        )
         self._launch(first)
         if self._convergecast:
             for node, counter in self._counters.items():
@@ -864,6 +998,7 @@ class CountingWalkEngine:
             halves,
             counts,
             self._streams,
+            self._degrees,
             self._offsets,
             0,
         )

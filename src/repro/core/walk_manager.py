@@ -22,9 +22,11 @@ these readings; both are implemented and compared in experiment E12.
 
 The manager holds no walk semantics of its own.  It runs the counting
 engine's array code (:mod:`repro.core.walk_engine`) on a one-node slice
-of the network: the node is index 0 of its own
-:class:`~repro.walks.streams.PortStreams`, its ``(2, n)`` count slab is
-a one-node count tensor, and its ports are its edge ids.  Arrivals go
+of the network: the node is index 0 of a one-node
+:data:`~repro.core.walk_engine.WalkStreams` (its walk key and its draw
+counter - the stream contract is in :mod:`repro.core.walk_engine`), its
+``(2, n)`` count slab is a one-node count tensor, and its ports are its
+edge ids.  Arrivals go
 through :func:`~repro.walks.batched.aggregate_network_groups` and
 :func:`~repro.core.walk_engine.counting_round_kernel`, the launch
 through :func:`~repro.core.walk_engine.route_entries`, and the routed
@@ -51,6 +53,7 @@ from repro.congest.node import RoundContext
 from repro.core.walk_engine import (
     EdgeQueues,
     TransportPolicy,
+    WalkStreams,
     count_dtype,
     counting_round_kernel,
     launch_groups,
@@ -59,7 +62,6 @@ from repro.core.walk_engine import (
     walk_rows,
 )
 from repro.walks.batched import aggregate_network_groups
-from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
 #: The one-node slice's edge offsets: node 0's port ``j`` is edge ``j``.
 _ORIGIN = np.zeros(1, dtype=np.int64)
@@ -76,7 +78,7 @@ class WalkManager:
         target: int,
         walks_per_source: int,
         length: int,
-        rng: np.random.Generator,
+        walk_key: int,
         policy: TransportPolicy = TransportPolicy.QUEUE,
         walk_budget: int = 2,
         count_initial: bool = True,
@@ -84,7 +86,11 @@ class WalkManager:
         split_sampling: bool = False,
         half_counts: np.ndarray | None = None,
     ) -> None:
-        """``survival_alpha``: when set, walks are *damped* instead of
+        """``walk_key``: this node's walk-stream key
+        (:func:`~repro.core.walk_engine.walk_key`); the node's next hops
+        and damped thinning draw from it.
+
+        ``survival_alpha``: when set, walks are *damped* instead of
         absorbed - every hop succeeds only with probability alpha (the
         alpha-current-flow semantics of section II-C), every node
         (including the nominal target) launches walks, and arrivals at
@@ -111,7 +117,7 @@ class WalkManager:
         self.target = target
         self.walks_per_source = walks_per_source
         self.length = length
-        self.rng = rng
+        self.walk_key = walk_key
         self.policy = policy
         self.walk_budget = walk_budget
         self.count_initial = count_initial
@@ -164,15 +170,12 @@ class WalkManager:
         return EdgeQueues(len(self.neighbors))
 
     @cached_property
-    def _streams(self) -> PortStreams:
-        """This node's generator as a one-node stream set, built on first
-        use (a manager whose walks the engine runs never routes).  Damped
-        thinning draws from the same generator between routing calls,
-        so that mode may not read ahead."""
-        return PortStreams(
-            {0: self.rng},
-            self._degrees,
-            DEFAULT_READ_AHEAD if self.survival_alpha is None else 0,
+    def _streams(self) -> WalkStreams:
+        """This node's walk stream as a one-node stream set: its key and
+        its draw counter."""
+        return (
+            np.array([self.walk_key], dtype=np.uint64),
+            np.zeros(1, dtype=np.int64),
         )
 
     # ------------------------------------------------------------------
@@ -204,6 +207,7 @@ class WalkManager:
             halves,
             group_counts,
             self._streams,
+            self._degrees,
             _ORIGIN,
             self._seq,
         )

@@ -48,7 +48,7 @@ __all__ = [
 
 #: Named fault profiles, as plain dicts so they serialize into sweep
 #: rows and trajectory entries unchanged.  ``crash`` windows are in
-#: rounds; profiles must keep the launch round (``2 * setup_slack * n``)
+#: rounds; profiles must keep the launch round (``2 * SETUP_SLACK * n``)
 #: outside every window, so the smoke profiles only crash early.
 FAULT_PROFILES: dict[str, dict] = {
     "none": {},

@@ -43,7 +43,7 @@ class TestDampedWalkManager:
             target=3,
             walks_per_source=100,
             length=10,
-            rng=np.random.default_rng(0),
+            walk_key=0,
             survival_alpha=alpha,
         )
 
@@ -55,7 +55,7 @@ class TestDampedWalkManager:
             target=3,
             walks_per_source=5,
             length=10,
-            rng=np.random.default_rng(0),
+            walk_key=0,
             survival_alpha=0.5,
         )
         manager.launch()
@@ -75,7 +75,7 @@ class TestDampedWalkManager:
             target=3,
             walks_per_source=1,
             length=10,
-            rng=np.random.default_rng(1),
+            walk_key=1,
             survival_alpha=0.99,
         )
         manager.receive(source=0, remaining=5, count=100)

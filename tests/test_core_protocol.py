@@ -60,13 +60,22 @@ class TestEndToEnd:
             )
 
     def test_estimates_er(self, er_run):
-        graph, result = er_run
+        """Median over nine seeds of the mean relative error: one run's
+        error exceeds the bound for about one seed in eight."""
+        graph, _ = er_run
         exact = rwbc_exact(graph)
-        errors = [
-            abs(result.betweenness[v] - exact[v]) / exact[v]
-            for v in graph.nodes()
-        ]
-        assert np.mean(errors) < 0.25
+        panel = []
+        for seed in range(1, 10):
+            result = estimate_rwbc_distributed(graph, PARAMS, seed=seed)
+            panel.append(
+                np.mean(
+                    [
+                        abs(result.betweenness[v] - exact[v]) / exact[v]
+                        for v in graph.nodes()
+                    ]
+                )
+            )
+        assert np.median(panel) < 0.25
 
     def test_counts_match_algorithm2_arithmetic(self, er_run):
         """The distributed result equals betweenness_from_counts applied to

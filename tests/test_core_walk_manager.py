@@ -1,6 +1,5 @@
 """Unit tests for the per-node walk manager and termination logic."""
 
-import numpy as np
 import pytest
 
 from repro.congest.errors import ProtocolError
@@ -24,7 +23,7 @@ def make_manager(**overrides):
         target=3,
         walks_per_source=5,
         length=10,
-        rng=np.random.default_rng(0),
+        walk_key=0,
         policy=TransportPolicy.QUEUE,
         walk_budget=2,
     )
@@ -75,15 +74,12 @@ class TestReceive:
         assert manager.held_walks == 0
 
     def test_dead_tokens_consume_no_randomness(self):
-        manager = make_manager(rng=np.random.default_rng(3))
+        manager = make_manager(walk_key=3)
         manager.receive(source=2, remaining=0, count=4)  # all expire
-        absorbing = make_manager(
-            node_id=3, neighbors=(0,), rng=np.random.default_rng(3)
-        )
+        absorbing = make_manager(node_id=3, neighbors=(0,), walk_key=3)
         absorbing.receive(source=1, remaining=7, count=4)  # all absorbed
-        fresh = np.random.default_rng(3).integers(0, 1 << 30)
-        assert manager.rng.integers(0, 1 << 30) == fresh
-        assert absorbing.rng.integers(0, 1 << 30) == fresh
+        assert manager._streams[1].tolist() == [0]
+        assert absorbing._streams[1].tolist() == [0]
 
     def test_bulk_receive(self):
         manager = make_manager()
@@ -221,9 +217,8 @@ class TestWalkConservation:
     by absorption/expiry."""
 
     def test_conservation_over_rounds(self):
-        rng = np.random.default_rng(42)
         manager = make_manager(
-            walks_per_source=50, length=3, walk_budget=1, rng=rng
+            walks_per_source=50, length=3, walk_budget=1, walk_key=42
         )
         manager.launch()
         for _ in range(300):

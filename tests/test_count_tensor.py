@@ -143,7 +143,7 @@ def test_narrow_cells_match_int64_cells(monkeypatch, mode, vectorized):
 
     def run():
         return estimate_rwbc_distributed(
-            graph, params, seed=3, vectorized=vectorized, **options
+            graph, params, seed=9, vectorized=vectorized, **options
         )
 
     narrow = run()

@@ -158,7 +158,7 @@ class TestReliableProtocol:
     def test_crash_recover_both_loops_identical(self):
         graph = erdos_renyi_graph(10, 0.4, seed=1, ensure_connected=True)
         # One crash in setup, one during counting; the launch round
-        # (2 * setup_slack * n = 120) stays uncovered.
+        # (2 * SETUP_SLACK * n = 120) stays uncovered.
         plan = FaultPlan(
             seed=11,
             drop_rate=0.1,

@@ -32,6 +32,7 @@ from repro.core.protocol import (
     KIND_EXCHANGE,
     PHASE_DONE,
     PHASE_SETUP,
+    SETUP_SLACK,
     ProtocolConfig,
     RWBCNodeProgram,
     make_protocol_factory,
@@ -40,11 +41,6 @@ from repro.core.termination import KIND_TERM
 from repro.graphs.generators import cycle_graph, erdos_renyi_graph, path_graph
 
 PARAMS = WalkParameters(length=20, walks_per_source=6)
-#: Walk launch round of the stretched reliable setup; crash windows
-#: must end at or before it (estimator enforces this).
-SETUP_SLACK = ProtocolConfig(
-    length=PARAMS.length, walks_per_source=PARAMS.walks_per_source
-).setup_slack
 
 
 def _launch_round(n):
@@ -176,7 +172,7 @@ class TestTimerWakesAndAckRows:
     before the node pass; both must leave the run byte-identical."""
 
     def test_crash_through_the_announcement_round(self):
-        """A node down across round ``setup_slack * n`` wakes after it
+        """A node down across round ``SETUP_SLACK * n`` wakes after it
         and announces late, as in the per-message loop."""
         n = 8
         announce = SETUP_SLACK * n
@@ -286,7 +282,7 @@ class TestTimerWakesAndAckRows:
             walks_per_source=PARAMS.walks_per_source,
             reliable=True,
         )
-        launch = 2 * config.setup_slack * n
+        launch = 2 * SETUP_SLACK * n
         plan = FaultPlan(
             seed=5,
             drop_rate=0.05,
@@ -400,7 +396,7 @@ class TestExchangeDriver:
         acks that flush did not send."""
         graph = erdos_renyi_graph(6, 0.5, seed=2, ensure_connected=True)
         plan = FaultPlan(
-            seed=12, duplicate_rate=0.3, delay_rate=0.3, max_delay=30
+            seed=6, duplicate_rate=0.3, delay_rate=0.3, max_delay=30
         )
         slow = estimate_rwbc_distributed(
             graph, PARAMS, seed=3, faults=plan, vectorized=False

@@ -25,6 +25,7 @@ from repro.congest.trace import Tracer
 from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.parameters import WalkParameters
 from repro.core.protocol import ProtocolConfig, make_protocol_factory
+from repro.core import walk_engine
 from repro.core.walk_engine import (
     CountingWalkEngine,
     EdgeQueues,
@@ -42,7 +43,6 @@ from repro.walks.batched import (
     csr_arrays,
     step_tokens,
 )
-from repro.walks.streams import DEFAULT_READ_AHEAD, PortStreams
 
 
 # ---------------------------------------------------------------------------
@@ -533,35 +533,43 @@ class TestPathEquivalence:
 
 class TestPortStreamBranches:
     """Fast path vs per-message identity where the port sampler
-    branches: degree-1 leaves draw nothing (star), and a hub whose
-    per-round need exceeds the read-ahead block draws directly (BA hub
-    of degree 67; BATCH groups let it receive hundreds of tokens a
-    round).  Each case also checks that the branch really ran."""
+    branches: degree-1 leaves draw nothing (star), and a hub routes
+    hundreds of tokens a round (BA hub of degree 67; BATCH groups let it
+    receive that many).  Each case also checks that the branch really
+    ran."""
 
     @pytest.fixture
-    def needs_seen(self, monkeypatch):
-        seen: list[tuple[np.ndarray, np.ndarray, int]] = []
-        original = PortStreams.ports
+    def port_calls(self, monkeypatch):
+        """Each :func:`walk_ports` call's node degrees, needs, and how
+        far it moved each of those nodes' counters."""
+        seen: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        original = walk_engine.walk_ports
 
-        def spy(streams, nodes, needs):
+        def spy(streams, degrees, nodes, needs):
+            before = streams[1][nodes]
+            ports = original(streams, degrees, nodes, needs)
             seen.append(
-                (streams._degrees[nodes], needs.copy(), streams.read_ahead)
+                (degrees[nodes], needs.copy(), streams[1][nodes] - before)
             )
-            return original(streams, nodes, needs)
+            return ports
 
-        monkeypatch.setattr(PortStreams, "ports", spy)
+        monkeypatch.setattr(walk_engine, "walk_ports", spy)
         return seen
 
     @pytest.mark.parametrize("alpha", [None, 0.85], ids=["absorbing", "damped"])
-    def test_star_leaves_draw_nothing(self, alpha, needs_seen):
+    def test_star_leaves_draw_nothing(self, alpha, port_calls):
         graph = star_graph(12)
         _assert_identical(
             graph, ProtocolConfig(**BASE, survival_alpha=alpha)
         )
-        assert any((degrees == 1).any() for degrees, _, _ in needs_seen)
+        leaves = [degrees == 1 for degrees, _, _ in port_calls]
+        assert any(leaf.any() for leaf in leaves)
+        for leaf, (_, needs, moved) in zip(leaves, port_calls):
+            assert not moved[leaf].any()
+            assert np.array_equal(moved[~leaf], needs[~leaf])
 
     @pytest.mark.parametrize("alpha", [None, 0.85], ids=["absorbing", "damped"])
-    def test_hub_need_exceeds_the_block(self, alpha, needs_seen):
+    def test_hub_routes_hundreds_of_tokens_a_round(self, alpha, port_calls):
         graph = barabasi_albert_graph(300, 2, seed=5)
         assert max(graph.degree(node) for node in graph.nodes()) >= 60
         config = ProtocolConfig(
@@ -571,23 +579,7 @@ class TestPortStreamBranches:
             survival_alpha=alpha,
         )
         _assert_identical(graph, config, seed=3)
-        expected_block = DEFAULT_READ_AHEAD if alpha is None else 0
-        assert {block for _, _, block in needs_seen} == {expected_block}
-        assert max(int(needs.max()) for _, needs, _ in needs_seen) > (
-            DEFAULT_READ_AHEAD
-        )
-
-    def test_generator_calls_follow_refills(self, needs_seen):
-        """Absorbing mode calls each generator once per refill, not once
-        per node per round as per-node ``integers`` calls would."""
-        graph = random_tree(40, seed=2)
-        fast = _run(graph, ProtocolConfig(**BASE), vectorized=True)
-        streams = fast.program(0)._engine._streams
-        routed_node_rounds = sum(
-            int((degrees > 1).sum()) for degrees, _, _ in needs_seen
-        )
-        assert routed_node_rounds > 1000
-        assert 0 < streams.generator_calls < routed_node_rounds / 10
+        assert max(int(needs.max()) for _, needs, _ in port_calls) > 256
 
 
 def test_pending_table_stays_edge_seq_ordered(monkeypatch):

@@ -11,9 +11,9 @@ call reach the same values.
 
 :func:`_mix64_array` is the array form; :func:`_mix64_int` its pure-int
 twin, for callers that hash one value at a time (the asynchronous
-executor's fault fates, key derivation, the rare rejected port draw),
-where a one-element numpy round trip would dominate.  The twins are
-pinned to each other by tests.
+executor's fault fates, the per-node stream keys), where a one-element
+numpy round trip would dominate.  The twins are pinned to each other by
+tests.
 """
 
 from __future__ import annotations

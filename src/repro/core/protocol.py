@@ -56,13 +56,13 @@ from repro.congest.primitives.flood import (
     FloodMaxBFS,
     FloodMaxState,
 )
+from repro.congest.splitmix import stream_key
 from repro.core.flow_math import (
     betweenness_from_raw_flow,
     node_raw_flow,
     pair_sum_all,
 )
 from repro.core.termination import KIND_DONE, KIND_TERM, DeathCounterLogic
-from repro.congest.splitmix import stream_key
 from repro.core.walk_engine import (
     WALK_KINDS,
     CountingWalkEngine,

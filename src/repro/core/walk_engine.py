@@ -79,13 +79,7 @@ import numpy as np
 
 from repro.congest.errors import ConfigError, ProtocolError
 from repro.congest.message import TAG_BITS, Message, int_bits_array
-from repro.congest.splitmix import (
-    GOLDEN,
-    MASK64,
-    _mix64_array,
-    _mix64_int,
-    stream_key,
-)
+from repro.congest.splitmix import GOLDEN, _mix64_array, stream_key
 from repro.obs.spans import NULL_PROFILER
 from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
 from repro.walks.batched import aggregate_network_groups
@@ -242,59 +236,29 @@ def walk_ports(
                 streams, degrees, nodes[routed], needs[routed]
             )
         return ports
-    d = np.repeat(node_degrees.astype(np.uint64), needs)
-    m = (_draw(streams, nodes, needs) >> _SHIFT32) * d
+    node_degrees = node_degrees.astype(np.uint64)
+    m = (_draw(streams, nodes, needs) >> _SHIFT32) * np.repeat(
+        node_degrees, needs
+    )
     ports = (m >> _SHIFT32).astype(np.int64)
-    # The threshold is below d, so only a low word below d can reject.
-    low = m & _LOW32
-    suspects = np.flatnonzero(low < d)
-    if len(suspects):
-        du = d[suspects]
-        rejected = suspects[low[suspects] < (np.uint64(1 << 32) - du) % du]
-        if len(rejected):
-            _redraw(streams, nodes, needs, ports, rejected, node_degrees)
+    thresholds = (np.uint64(1 << 32) - node_degrees) % node_degrees
+    rejected = np.flatnonzero((m & _LOW32) < np.repeat(thresholds, needs))
+    if len(rejected):
+        # Each segment keeps its accepted ports in order, then takes
+        # its shortfall from the node's next counter values.
+        segment = np.repeat(np.arange(len(nodes)), needs)
+        keep = np.ones(len(ports), dtype=bool)
+        keep[rejected] = False
+        short = np.bincount(segment[rejected], minlength=len(nodes))
+        refill = np.flatnonzero(short)
+        more = walk_ports(streams, degrees, nodes[refill], short[refill])
+        owner = np.concatenate(
+            (segment[keep], np.repeat(refill, short[refill]))
+        )
+        ports = np.concatenate((ports[keep], more))[
+            np.argsort(owner, kind="stable")
+        ]
     return ports
-
-
-def _port_one(key: int, counter: int, degree: int) -> int | None:
-    """One draw of :func:`walk_ports` in Python ints: the port that draw
-    ``counter`` of the stream keyed ``key`` gives at ``degree``, or
-    None when Lemire's rule rejects it."""
-    m = (_mix64_int((key + counter * GOLDEN) & MASK64) >> 32) * degree
-    if m & 0xFFFFFFFF < ((1 << 32) - degree) % degree:
-        return None
-    return m >> 32
-
-
-def _redraw(
-    streams: WalkStreams,
-    nodes: np.ndarray,
-    needs: np.ndarray,
-    ports: np.ndarray,
-    rejected: np.ndarray,
-    degrees: np.ndarray,
-) -> None:
-    """Refill each segment that holds a rejected draw: keep its
-    accepted ports in order and draw the shortfall from the node's next
-    counter values, one at a time (rejections are rare: at most ``d``
-    in ``2**32`` draws)."""
-    keys, counters = streams
-    ends = np.cumsum(needs)
-    keep = np.ones(len(ports), dtype=bool)
-    keep[rejected] = False
-    owners = np.searchsorted(ends, rejected, side="right")
-    for i in np.unique(owners).tolist():
-        lo, hi = int(ends[i] - needs[i]), int(ends[i])
-        kept = ports[lo:hi][keep[lo:hi]].tolist()
-        node, degree = int(nodes[i]), int(degrees[i])
-        key, counter = int(keys[node]), int(counters[node])
-        while len(kept) < hi - lo:
-            port = _port_one(key, counter, degree)
-            counter += 1
-            if port is not None:
-                kept.append(port)
-        counters[node] = counter
-        ports[lo:hi] = kept
 
 
 def thin_groups(

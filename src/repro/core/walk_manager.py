@@ -23,10 +23,15 @@ these readings; both are implemented and compared in experiment E12.
 The manager holds no walk semantics of its own.  It runs the counting
 engine's array code (:mod:`repro.core.walk_engine`) on a one-node slice
 of the network: the node is index 0 of a one-node
-:data:`~repro.core.walk_engine.WalkStreams` (its walk key and its draw
-counter - the stream contract is in :mod:`repro.core.walk_engine`), its
-``(2, n)`` count slab is a one-node count tensor, and its ports are its
-edge ids.  Arrivals go
+:data:`~repro.core.walk_engine.WalkStreams`, its ``(2, n)`` count slab
+is a one-node count tensor, and its ports are its edge ids.  Its stream
+is the one the fast path gives it: the key
+:func:`~repro.core.walk_engine.walk_key` derives from the run's seed
+entropy, the node id and the walk domain tag, and one draw counter;
+draw ``j`` is ``_mix64(key + j * GOLDEN)``, thinning takes one draw per
+token, routing one per token (Lemire's rule, a rejected draw skipped
+for the next counter), and a degree-1 node routes without drawing (the
+contract is in :mod:`repro.core.walk_engine`).  Arrivals go
 through :func:`~repro.walks.batched.aggregate_network_groups` and
 :func:`~repro.core.walk_engine.counting_round_kernel`, the launch
 through :func:`~repro.core.walk_engine.route_entries`, and the routed

@@ -15,12 +15,12 @@ from repro.congest.faults import FaultPlan
 from repro.congest.node import LazyGenerator, seed_entropy
 from repro.congest.primitives.leader import LeaderElectionProgram
 from repro.congest.scheduler import Simulator
-from repro.congest.splitmix import GOLDEN, MASK64, _mix64_array, _mix64_int
+from repro.congest.splitmix import GOLDEN, MASK64, _mix64_int
 from repro.congest.transport import BandwidthPolicy
 from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.parameters import WalkParameters
 from repro.core.protocol import ProtocolConfig, leader_rank, make_protocol_factory
-from repro.core.walk_engine import _port_one, thin_groups, walk_key, walk_ports
+from repro.core.walk_engine import thin_groups, walk_key, walk_ports
 from repro.graphs.generators import erdos_renyi_graph, star_graph
 
 #: 2**31 + 1 has threshold 2**31 - 1: about half of all draws are
@@ -114,8 +114,12 @@ def test_degree_one_consumes_nothing():
 def test_forced_rejection_rehashes_at_next_counter():
     degree = 2**31 + 1
     streams, degrees = _streams([degree])
-    key = int(streams[0][0])
-    verdicts = [_port_one(key, counter, degree) for counter in range(64)]
+    reference = _Reference(*_streams([degree]))
+    verdicts = []
+    for _ in range(64):
+        m = (reference.draw(0) >> 32) * degree
+        rejected = m % 2**32 < (2**32 - degree) % degree
+        verdicts.append(None if rejected else m >> 32)
     first = verdicts.index(None)
     # The draws before the first rejection, then the rejected counter's
     # successor: the rejected draw is skipped, not re-drawn elsewhere.
@@ -128,35 +132,15 @@ def test_forced_rejection_rehashes_at_next_counter():
     assert verdicts[consumed - 1] is not None
 
 
-class TestPortTwin:
-    """:func:`_port_one` (the Python-int draw the rejection path uses)
-    against :func:`walk_ports`' array mapping, draw by draw."""
-
-    @pytest.mark.parametrize("degree", [2, 3, 64, 2**31 + 1, 2**32 - 1])
-    def test_port_one_matches_array(self, degree):
-        key = walk_key(1001, 5)
-        counters = np.arange(512, dtype=np.uint64)
-        draws = _mix64_array(
-            np.uint64(key) + counters * np.uint64(GOLDEN)
-        )
-        m = (draws >> np.uint64(32)) * np.uint64(degree)
-        ports = (m >> np.uint64(32)).tolist()
-        rejected = (
-            (m & np.uint64(0xFFFFFFFF)) < np.uint64((2**32 - degree) % degree)
-        ).tolist()
-        for counter in range(512):
-            expected = None if rejected[counter] else ports[counter]
-            assert _port_one(key, counter, degree) == expected
-
-    def test_keys_are_pinned(self):
-        """The stream keys and first ports of a fixed seed: a change to
-        the key derivation or the draw changes every run's output."""
-        assert walk_key(1001, 0) == 0x8ED5D346D82B355B
-        assert walk_key(1001, 1) == 0x6A04218344A8CCCC
-        assert leader_rank(1001, 0, 10) == 446
-        streams, degrees = _streams([5, 9], seed=1001)
-        ports = walk_ports(streams, degrees, np.array([0, 1]), np.array([6, 6]))
-        assert ports.tolist() == [3, 4, 2, 3, 0, 3, 0, 1, 3, 0, 4, 5]
+def test_streams_are_pinned():
+    """The stream keys and first ports of a fixed seed: a change to the
+    key derivation or the draw changes every run's output."""
+    assert walk_key(1001, 0) == 0x8ED5D346D82B355B
+    assert walk_key(1001, 1) == 0x6A04218344A8CCCC
+    assert leader_rank(1001, 0, 10) == 446
+    streams, degrees = _streams([5, 9], seed=1001)
+    ports = walk_ports(streams, degrees, np.array([0, 1]), np.array([6, 6]))
+    assert ports.tolist() == [3, 4, 2, 3, 0, 3, 0, 1, 3, 0, 4, 5]
 
 
 @pytest.mark.parametrize("degree", [2, 3, 7, 64, 1000])

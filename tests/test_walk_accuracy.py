@@ -44,7 +44,7 @@ def _ba_hubs_graph():
     return generators.barabasi_albert_graph(400, 3, seed=0)
 
 
-#: panel -> (graph builder, (l, K), (rho q1, median, q3), (err q1, median, q3))
+#: panel -> (graph constructor, (l, K), (rho q1, median, q3), (err q1, median, q3))
 PANELS = {
     "er-lossy": (
         _er_lossy_graph, (30, 24),

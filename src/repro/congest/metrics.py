@@ -28,7 +28,6 @@ class RunMetrics:
     max_message_bits: int = 0
     messages_per_round: list[int] = field(default_factory=list)
     bits_per_round: list[int] = field(default_factory=list)
-    phase_rounds: dict[str, int] = field(default_factory=dict)
     # Injected-fault accounting (dropped / duplicated / delayed /
     # crash_dropped / crash_node_rounds); empty when the run had no
     # FaultPlan.  Message/bit counters above always reflect *delivered*
@@ -39,48 +38,13 @@ class RunMetrics:
     # bits_per_edge_round / messages_per_edge_round histograms.
     # Observation only - never read back by protocol code.
     instruments: object | None = field(default=None, repr=False, compare=False)
-    # Rounds already attributed to some phase by mark_phase.
-    _attributed_rounds: int = field(default=0, repr=False, compare=False)
-
-    def record_round(self, messages: list[Message]) -> None:
-        """Fold one round's delivered messages into the totals."""
-        self.rounds += 1
-        round_bits = 0
-        edge_messages: dict[tuple[int, int], int] = {}
-        edge_bits: dict[tuple[int, int], int] = {}
-        for message in messages:
-            edge = (message.sender, message.receiver)
-            edge_messages[edge] = edge_messages.get(edge, 0) + 1
-            edge_bits[edge] = edge_bits.get(edge, 0) + message.bits
-            round_bits += message.bits
-            if message.bits > self.max_message_bits:
-                self.max_message_bits = message.bits
-        if edge_messages:
-            self.max_messages_per_edge_round = max(
-                self.max_messages_per_edge_round, max(edge_messages.values())
-            )
-            self.max_bits_per_edge_round = max(
-                self.max_bits_per_edge_round, max(edge_bits.values())
-            )
-        self.total_messages += len(messages)
-        self.total_bits += round_bits
-        self.messages_per_round.append(len(messages))
-        self.bits_per_round.append(round_bits)
-        if self.instruments is not None and edge_messages:
-            self.instruments.observe_values(
-                "messages_per_edge_round", edge_messages.values()
-            )
-            self.instruments.observe_values(
-                "bits_per_edge_round", edge_bits.values()
-            )
 
     def record_round_aggregate(self, traffic) -> None:
-        """Fold one fast-path round into the totals.
+        """Fold one delivered round into the totals.
 
-        ``traffic`` is a :class:`~repro.congest.transport.RoundTraffic`
-        with the round's merged (bulk + control) numbers; the resulting
-        counters are identical to what :meth:`record_round` computes from
-        the materialized messages of the equivalent slow-path round.
+        ``traffic`` is the round's merged (bulk + control)
+        :class:`~repro.congest.transport.RoundTraffic`, as the scheduler
+        computes it in either dispatch mode.
         """
         self.rounds += 1
         self.total_messages += traffic.total_messages
@@ -105,19 +69,6 @@ class RunMetrics:
                 self.instruments.observe_array(
                     "bits_per_edge_round", traffic.edge_bits
                 )
-
-    def mark_phase(self, name: str) -> None:
-        """Attribute all rounds since the previous mark to phase ``name``.
-
-        Re-entrant: marking the same name again *adds* the new rounds to
-        that phase, and interleaved marks (A, B, A, ...) attribute each
-        stretch to the phase named at its end.  (The old implementation
-        assumed strictly sequential one-shot marks - re-marking a name
-        silently corrupted every other phase's count.)
-        """
-        delta = self.rounds - self._attributed_rounds
-        self.phase_rounds[name] = self.phase_rounds.get(name, 0) + delta
-        self._attributed_rounds = self.rounds
 
     def bits_crossing_cut(
         self, messages_log: list[list[Message]], cut_nodes: set[int]

@@ -104,7 +104,7 @@ class RoundContext:
     Provides message sending (checked against the CONGEST limits by the
     transport) and the current round number.  ``shared`` is the run's
     :class:`SharedFastPathState` on the scheduler's fast path and
-    ``None`` on the per-message loop and the asynchronous executor;
+    ``None`` in per-message dispatch and on the asynchronous executor;
     either way a node program receives only control messages.
     """
 
@@ -306,8 +306,8 @@ class NodeProgram(abc.ABC):
         self.rng = rng
         self._halted = False
         # Optional observer called with +1/-1 on halt/unhalt transitions;
-        # the fast-path scheduler installs one so global termination is
-        # an O(1) counter check instead of an O(n) scan per round.
+        # the synchronous scheduler installs one so global termination
+        # is an O(1) counter check instead of an O(n) scan per round.
         self._halt_sink = None
 
     # -- framework hooks -------------------------------------------------
@@ -354,10 +354,14 @@ class VectorizedProgram(NodeProgram):
 
     When *every* program of a simulation subclasses this (and nothing
     forces per-message fidelity - only ``record_messages`` does; tracers,
-    telemetry and fault plans all run on the fast path), the scheduler
-    switches to its fast path.  It calls the same :meth:`on_round` as
-    the per-message loop, with the node's control messages only, and
-    steps a node only when mail or a calendar wake calls for it.
+    telemetry and fault plans all run on the fast path), the scheduler's
+    round loop runs in its fast-path mode.  It calls the same
+    :meth:`on_round` as per-message dispatch, with the node's control
+    messages only, and steps a node only when mail or a calendar wake
+    calls for it.  Per-message dispatch (``vectorized=False`` or
+    ``record_messages``) ignores :attr:`bulk_idle` and
+    :meth:`next_wake` and steps every live node every round, so a
+    program must behave the same when stepped through its idle rounds.
     Aggregate array traffic runs between cross-node drivers registered
     through ``ctx.shared`` (:class:`SharedFastPathState`) and never
     reaches a node.  Semantics, round counts, and bandwidth accounting

@@ -9,7 +9,10 @@ Execution model (section III-A of the paper):
   messages of ``O(log n)`` bits each (enforced by the transport).
 
 The simulation ends when every node program has halted and no messages
-are in flight, or fails with :class:`RoundLimitExceeded`.
+are in flight, or fails with :class:`RoundLimitExceeded`.  One round
+loop implements this for every synchronous run; per-message dispatch
+and the vectorized fast path are its two modes (see
+:meth:`Simulator._run_rounds`).
 """
 
 from __future__ import annotations
@@ -55,13 +58,15 @@ class SimulationResult:
     programs: Mapping[int, NodeProgram]
     metrics: RunMetrics
     tracer: Tracer | NullTracer
+    # Each round's delivered messages, kept by per-message dispatch
+    # when ``record_messages`` is set; empty otherwise.
     message_log: list[list[Message]] = field(default_factory=list)
-    # True when the run used the vectorized fast path (aggregate per-edge
-    # exchange instead of per-message dispatch).
+    # True when the round loop ran in fast-path mode (drivers and
+    # aggregate per-edge traffic) rather than per-message dispatch.
     fast_path: bool = False
     # Why the fast path was not used (empty on fast-path runs): the
     # human-readable reasons from eligibility selection, so callers can
-    # tell an intentional slow-path run from a silent degradation.
+    # tell an intentional per-message run from a silent degradation.
     fallback_reasons: tuple[str, ...] = ()
 
     def program(self, node_id: int) -> NodeProgram:
@@ -92,11 +97,11 @@ class Simulator:
         Keep the full per-round message log (needed for cut-bit counting
         in the lower-bound experiments; memory-heavy otherwise).
     tracer:
-        Optional :class:`Tracer` for debugging.  Both execution loops
+        Optional :class:`Tracer` for debugging.  Both dispatch modes
         emit the same ``deliver`` events (the fast path expands its
         aggregate rows into per-message events at delivery time), so a
-        tracer no longer forces per-message dispatch; event *order*
-        within a round may differ between loops.
+        tracer does not force per-message dispatch; event *order*
+        within a round may differ between the modes.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  When set, the run
         records phase/kernel wall-clock spans, a per-round wall series,
@@ -121,23 +126,22 @@ class Simulator:
     faults:
         A full :class:`~repro.congest.faults.FaultPlan` - seeded
         per-edge drop/duplicate/delay schedules and per-node crash
-        windows.  Applied identically by both execution loops at
-        delivery time; injected-fault counts land in
+        windows.  Applied by the round loop at delivery time, in
+        either dispatch mode; injected-fault counts land in
         ``metrics.faults``.  Mutually exclusive with ``drop_rate``.
     vectorized:
-        Fast-path selection.  ``None`` (default) auto-selects: the
-        vectorized loop runs when every program is a
-        :class:`VectorizedProgram` and nothing demands per-message
-        fidelity (``record_messages`` forces the per-message loop;
-        tracers, telemetry, and fault injection do *not* - the fast
-        path emits the same trace events and applies the same seeded
-        fault schedule on its aggregate arrays).
-        ``False`` always runs the per-message loop; ``True`` requires
-        the fast path and raises :class:`ConfigError` when it is
-        unavailable.  Both loops produce identical results for the same
-        seed and fault plan (tested equivalence, see
-        ``tests/test_walks_batched.py`` and
-        ``tests/test_failure_injection.py``).
+        Dispatch-mode selection for the one round loop.  ``None``
+        (default) auto-selects: the fast path runs when every program
+        is a :class:`VectorizedProgram` and nothing demands
+        per-message fidelity (``record_messages`` forces per-message
+        dispatch; tracers, telemetry, and fault injection do *not* -
+        the fast path emits the same trace events and applies the same
+        seeded fault schedule on its aggregate arrays).  ``False``
+        always dispatches per message; ``True`` requires the fast path
+        and raises :class:`ConfigError` when it is unavailable.  Both
+        modes produce identical results for the same seed and fault
+        plan (tested equivalence, see ``tests/test_walks_batched.py``
+        and ``tests/test_failure_injection.py``).
     """
 
     def __init__(
@@ -186,7 +190,6 @@ class Simulator:
                     "in the graph"
                 )
         self.faults = faults
-        self.drop_rate = drop_rate
         self.graph = graph
         self.policy = policy or BandwidthPolicy(n=graph.num_nodes)
         self.max_rounds = max_rounds
@@ -251,171 +254,76 @@ class Simulator:
         """
         programs = self._build_programs()
         if self.vectorized is False:
-            fallback_reasons = ("vectorized=False requested",)
+            fallback_reasons: tuple[str, ...] = ("vectorized=False requested",)
         else:
-            reasons = self._bulk_reasons_against(programs)
-            if not reasons:
-                return self._run_bulk(programs)
-            if self.vectorized is True:
+            fallback_reasons = tuple(self._bulk_reasons_against(programs))
+            if fallback_reasons and self.vectorized is True:
                 raise ConfigError(
                     "vectorized=True but the fast path is unavailable: "
-                    + "; ".join(reasons)
+                    + "; ".join(fallback_reasons)
                 )
-            fallback_reasons = tuple(reasons)
+        return self._run_rounds(programs, fallback_reasons)
+
+    def _run_rounds(
+        self,
+        programs: dict[int, NodeProgram],
+        fallback_reasons: tuple[str, ...],
+    ) -> SimulationResult:
+        """The round loop, in one of two dispatch modes.
+
+        Both modes deliver, fault-filter, trace and account a round the
+        same way, and give each stepped node the same
+        ``on_round(ctx, inbox)`` call with its control messages.
+
+        * **Fast path** (no ``fallback_reasons``): idle nodes are
+          skipped outright (safe by the :class:`VectorizedProgram`
+          ``bulk_idle`` / ``next_wake`` contract).  Heavy traffic moves
+          as aggregate per-edge counts (:class:`BulkOutbox`) between
+          cross-node *drivers* that cooperating programs register
+          through ``ctx.shared`` (see :class:`SharedFastPathState`): a
+          driver claims whole message kinds and processes them
+          network-wide once per round instead of node by node, over the
+          run's directed-edge arrays (``shared.edges``).  A bulk kind
+          that no driver claims is a :class:`ProtocolError`.
+        * **Per-message dispatch**: ``ctx.shared`` is None, so no driver
+          registers and every message is a node's.  Every node that is
+          neither crashed nor halted without mail is stepped every
+          round, in canonical order; ``bulk_idle`` and ``next_wake`` are
+          never consulted.  With ``record_messages`` each round's
+          delivered messages are appended to the message log.
+
+        Bandwidth limits are enforced on the merged control + bulk load
+        of every edge, and :class:`RunMetrics` folds in the merged
+        :class:`~repro.congest.transport.RoundTraffic` of each round.
+        """
+        fast = not fallback_reasons
+        n = self.graph.num_nodes
         metrics = RunMetrics(instruments=self._instruments)
         profiler = self._profiler
         message_log: list[list[Message]] = []
         outbox = RoundOutbox(self.policy)
-        order = self.graph.canonical_order()
-        fault_rt = None if self.faults.is_trivial else FaultRuntime(self.faults)
-
-        # Round 0: on_start, no deliveries.
-        for node in order:
-            ctx = RoundContext(
-                node, programs[node].neighbors, outbox, round_number=0
-            )
-            programs[node].on_start(ctx)
-
-        in_flight = outbox.drain()
-        round_number = 0
-        while True:
-            all_halted = all(p.halted for p in programs.values())
-            pending_delayed = (
-                fault_rt is not None and fault_rt.has_pending_delayed
-            )
-            if all_halted and not in_flight and not pending_delayed:
-                break
-            round_number += 1
-            profiler.round_tick(round_number)
-            if round_number > self.max_rounds:
-                error_cls = (
-                    UnrecoverableLossError
-                    if fault_rt is not None
-                    else RoundLimitExceeded
-                )
-                raise error_cls(
-                    f"no termination after {self.max_rounds} rounds "
-                    f"({sum(p.halted for p in programs.values())}/"
-                    f"{len(programs)} nodes halted, "
-                    f"{len(in_flight)} messages in flight)",
-                    context={
-                        "round": round_number,
-                        "max_rounds": self.max_rounds,
-                        "halted": sum(
-                            p.halted for p in programs.values()
-                        ),
-                        "nodes": len(programs),
-                        "in_flight": len(in_flight),
-                        "faults": (
-                            fault_rt.counters.summary()
-                            if fault_rt is not None
-                            else None
-                        ),
-                    },
-                    metrics=metrics,
-                )
-            # Deliver last round's messages through the fault plan.
-            crashed_now: frozenset[int] = frozenset()
-            if fault_rt is not None:
-                with profiler.span("faults.filter"):
-                    crashed_now = fault_rt.crashed(round_number)
-                    fault_rt.note_crash_rounds(len(crashed_now))
-                    fault_rt.begin_round(round_number)
-                    in_flight = fault_rt.filter_messages(
-                        round_number, in_flight
-                    )
-                    matured, _ = fault_rt.take_delayed(round_number)
-                    in_flight = in_flight + matured
-                if self._instruments is not None:
-                    self._instruments.record_fault_counters(
-                        round_number, fault_rt.counters.snapshot()
-                    )
-            with profiler.span("deliver"):
-                inboxes: dict[int, list[Message]] = {
-                    node: [] for node in order
-                }
-                for message in in_flight:
-                    inboxes[message.receiver].append(message)
-                    self.tracer.record(
-                        round_number,
-                        message.receiver,
-                        "deliver",
-                        message.kind,
-                        message.sender,
-                    )
-                metrics.record_round(in_flight)
-            if self.record_messages:
-                message_log.append(in_flight)
-            # Every node acts each round; receiving mail un-halts a node.
-            with profiler.span("nodes"):
-                for node in order:
-                    if node in crashed_now:
-                        continue  # down: executes nothing, sends nothing
-                    program = programs[node]
-                    inbox = inboxes[node]
-                    if program.halted and not inbox:
-                        continue
-                    if program.halted and inbox:
-                        program.unhalt()
-                    ctx = RoundContext(
-                        node, program.neighbors, outbox, round_number
-                    )
-                    program.on_round(ctx, inbox)
-            in_flight = outbox.drain()
-
-        profiler.run_finished()
-        if fault_rt is not None:
-            metrics.faults = fault_rt.counters.summary()
-        return SimulationResult(
-            programs=programs,
-            metrics=metrics,
-            tracer=self.tracer,
-            message_log=message_log,
-            fallback_reasons=fallback_reasons,
-        )
-
-    def _run_bulk(
-        self, programs: dict[int, NodeProgram]
-    ) -> SimulationResult:
-        """The vectorized fast path.
-
-        Identical round structure to :meth:`run`, and each stepped node
-        gets the same ``on_round(ctx, inbox)`` call, but idle nodes are
-        skipped outright (safe by the :class:`VectorizedProgram`
-        ``bulk_idle`` / ``next_wake`` contract).  Node programs send and
-        receive ordinary :class:`Message` objects only.  Heavy traffic
-        moves as aggregate per-edge counts (:class:`BulkOutbox`) between
-        cross-node *drivers* that cooperating programs register through
-        ``ctx.shared`` (see :class:`SharedFastPathState`): a driver
-        claims whole message kinds and processes them network-wide once
-        per round instead of node by node, over the run's directed-edge
-        arrays (``shared.edges``).  A bulk kind that no driver claims is
-        a :class:`ProtocolError`.  Bandwidth limits are enforced on the
-        merged control + bulk load of every edge, and
-        :class:`RunMetrics` receives exactly the numbers the per-message
-        loop would have recorded.
-        """
-        n = self.graph.num_nodes
-        metrics = RunMetrics(instruments=self._instruments)
-        profiler = self._profiler
-        outbox = RoundOutbox(self.policy)
         bulk_outbox = BulkOutbox(self.policy)
         order = self.graph.canonical_order()
-        neighbor_arrays = [
-            np.array(programs[node].neighbors, dtype=np.int64)
-            for node in order
-        ]
-        shared = SharedFastPathState(
-            EdgeIndex(order, neighbor_arrays), bulk_outbox
-        )
         fault_rt = None if self.faults.is_trivial else FaultRuntime(self.faults)
-        shared.fault_runtime = fault_rt
-        shared.profiler = profiler
-        shared.instruments = self._instruments
+        shared = None
+        if fast:
+            neighbor_arrays = [
+                np.array(programs[node].neighbors, dtype=np.int64)
+                for node in order
+            ]
+            shared = SharedFastPathState(
+                EdgeIndex(order, neighbor_arrays), bulk_outbox
+            )
+            shared.fault_runtime = fault_rt
+            shared.profiler = profiler
+            shared.instruments = self._instruments
+        # Registered drivers, in run order (aliases ``shared.drivers``,
+        # which only grows); none in per-message mode.
+        drivers: list[object] = shared.drivers if fast else []
         # O(1) global-termination accounting: every halt/unhalt
         # transition bumps this counter through the program's halt sink,
         # so the loop never scans all n programs per round.
-        halted_total = 0
+        halted_total = sum(program.halted for program in programs.values())
 
         def _note_halt(delta: int) -> None:
             nonlocal halted_total
@@ -442,7 +350,7 @@ class Simulator:
         def refresh_claims() -> None:
             nonlocal known_drivers
             claimed_kinds.clear()
-            for driver in shared.drivers:
+            for driver in drivers:
                 for kind in getattr(driver, "claimed_kinds", ()):
                     if kind in claimed_kinds:
                         raise ConfigError(
@@ -451,24 +359,22 @@ class Simulator:
                         )
                     claimed_kinds[kind] = driver
             early_drivers[:] = [
-                driver
-                for driver in shared.drivers
-                if hasattr(driver, "receive_rows")
+                driver for driver in drivers if hasattr(driver, "receive_rows")
             ]
             pass_drivers[:] = [
-                driver
-                for driver in shared.drivers
-                if hasattr(driver, "after_nodes")
+                driver for driver in drivers if hasattr(driver, "after_nodes")
             ]
-            known_drivers = len(shared.drivers)
+            known_drivers = len(drivers)
 
         def finish_node_pass(round_number: int, stepped: list[int]) -> None:
-            """Run the drivers' ``after_nodes`` hooks, then file the
-            stepped nodes' calendar wakes."""
-            if known_drivers != len(shared.drivers):
+            """Run the drivers' ``after_nodes`` hooks, then, on the fast
+            path, file the stepped nodes' calendar wakes."""
+            if known_drivers != len(drivers):
                 refresh_claims()
             for driver in pass_drivers:
                 driver.after_nodes(round_number, outbox)
+            if not fast:
+                return
             for node in stepped:
                 program = programs[node]
                 if not program.halted:
@@ -476,10 +382,11 @@ class Simulator:
                     if wake is not None:
                         schedule_wake(node, wake)
 
-        # Wake calendar: ``calendar[r]`` lists nodes that asked (via
-        # ``next_wake``) to be stepped in round ``r`` even without mail;
-        # ``wake_round`` is the authoritative per-node target so stale
-        # calendar entries (superseded by an earlier wake) are skipped.
+        # Fast-path wake calendar: ``calendar[r]`` lists nodes that asked
+        # (via ``next_wake``) to be stepped in round ``r`` even without
+        # mail; ``wake_round`` is the authoritative per-node target so
+        # stale calendar entries (superseded by an earlier wake) are
+        # skipped.
         calendar: dict[int, list[int]] = {}
         wake_round: dict[int, int] = {}
 
@@ -544,8 +451,7 @@ class Simulator:
             crashed_now: frozenset[int] = frozenset()
             if fault_rt is not None:
                 with profiler.span("faults.filter"):
-                    # Same application order as the per-message loop:
-                    # control messages first, then bulk rows (indices
+                    # Control messages first, then bulk rows (indices
                     # continue across the two), then matured delayed
                     # traffic; the replacement traffic numbers reflect
                     # what was actually delivered.
@@ -563,12 +469,14 @@ class Simulator:
                         round_number, fault_rt.counters.snapshot()
                     )
             metrics.record_round_aggregate(bulk_in_flight.traffic)
+            if self.record_messages:
+                message_log.append(in_flight)
             if not isinstance(self.tracer, NullTracer):
-                # Expand this round's deliveries into the same per-
-                # message trace events the slow loop records (order is
-                # kind-major rather than delivery order; equivalence
-                # tests compare sorted streams).  Done before the
-                # claim pass so driver traffic is traced too.
+                # Expand this round's deliveries into per-message trace
+                # events (bulk rows kind-major after the control
+                # messages; equivalence tests compare sorted streams).
+                # Done before the claim pass so driver traffic is
+                # traced too.
                 for message in in_flight:
                     self.tracer.record(
                         round_number,
@@ -605,24 +513,28 @@ class Simulator:
                 for message in in_flight:
                     inboxes.setdefault(message.receiver, []).append(message)
             with profiler.span("nodes"):
-                # Step exactly the nodes with mail plus the ones whose
-                # wake round arrived; everything else provably has
-                # nothing to do this round (the ``next_wake`` /
-                # ``bulk_idle`` contract), so per-round cost tracks the
-                # active set instead of n.
-                step_set = set(inboxes)
-                for node in calendar.pop(round_number, ()):
-                    if wake_round.get(node) == round_number:
-                        del wake_round[node]
-                        step_set.add(node)
+                if fast:
+                    # Step exactly the nodes with mail plus the ones
+                    # whose wake round arrived; everything else provably
+                    # has nothing to do this round (the ``next_wake`` /
+                    # ``bulk_idle`` contract), so per-round cost tracks
+                    # the active set instead of n.
+                    step_set = set(inboxes)
+                    for node in calendar.pop(round_number, ()):
+                        if wake_round.get(node) == round_number:
+                            del wake_round[node]
+                            step_set.add(node)
+                    step_order = sorted(step_set)
+                else:
+                    step_order = order
                 stepped: list[int] = []
-                for node in sorted(step_set):
+                for node in step_order:
                     if node in crashed_now:
                         # Down: executes nothing, sends nothing, loses
-                        # this round's mail.  Re-arm so the node is
-                        # re-examined right after it recovers, exactly
-                        # like the historical every-round scan did.
-                        schedule_wake(node, round_number + 1)
+                        # this round's mail.  The fast path re-arms it so
+                        # it is re-examined right after it recovers.
+                        if fast:
+                            schedule_wake(node, round_number + 1)
                         continue
                     program = programs[node]
                     inbox = inboxes.get(node)
@@ -630,7 +542,7 @@ class Simulator:
                         if inbox is None:
                             continue
                         program.unhalt()
-                    elif inbox is None and program.bulk_idle:
+                    elif inbox is None and fast and program.bulk_idle:
                         continue
                     ctx = contexts[node]
                     ctx.round_number = round_number
@@ -638,14 +550,14 @@ class Simulator:
                     stepped.append(node)
                 finish_node_pass(round_number, stepped)
             with profiler.span("drivers"):
-                for driver in shared.drivers:
+                for driver in drivers:
                     driver.end_round(
                         round_number,
                         claimed_traffic.get(id(driver), {}),
                         outbox,
                         bulk_outbox,
                     )
-            if shared.wake_requests:
+            if fast and shared.wake_requests:
                 for node, target in shared.wake_requests:
                     # A target at or before the current round means
                     # "as soon as possible": the next round.
@@ -661,7 +573,9 @@ class Simulator:
             programs=programs,
             metrics=metrics,
             tracer=self.tracer,
-            fast_path=True,
+            message_log=message_log,
+            fast_path=fast,
+            fallback_reasons=fallback_reasons,
         )
 
 

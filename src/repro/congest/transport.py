@@ -235,8 +235,7 @@ class BulkRound:
         control into bulk, fixing the canonical order).  Filters every
         kind's rows, folds in traffic *delayed into* this round, and
         recomputes the delivered :class:`RoundTraffic` - so RunMetrics
-        counts what actually arrived, exactly as the per-message loop's
-        post-filter accounting does.  Returns the final control list
+        counts what actually arrived.  Returns the final control list
         (matured delayed messages appended) and the replacement round.
 
         No budget enforcement here: senders respected the CONGEST cap
@@ -311,11 +310,12 @@ class BulkRound:
     def trace_into(self, tracer, round_number: int) -> None:
         """Emit one ``deliver`` trace event per materialized message of
         this round's bulk traffic - the same ``(round, receiver,
-        "deliver", kind, sender)`` tuples the per-message loop records,
-        with multiplicity expanded.  Called by the fast path before any
-        driver claims traffic, so claimed kinds are traced too.  Event
-        *order* differs from the slow loop (kind-major here, delivery
-        order there); equivalence tests compare sorted streams."""
+        "deliver", kind, sender)`` tuples a delivered ``Message``
+        yields, with multiplicity expanded.  Called by the round loop
+        before any driver claims traffic, so claimed kinds are traced
+        too.  Event *order* differs from per-message dispatch
+        (kind-major here, delivery order there); equivalence tests
+        compare sorted streams."""
         for kind, batch in self._kinds.items():
             receivers = self._receivers[kind]
             senders = batch.senders

@@ -124,11 +124,6 @@ class InstrumentSet:
     def observe(self, name: str, value: int) -> None:
         self.hist(name).observe(value)
 
-    def observe_values(self, name: str, values) -> None:
-        histogram = self.hist(name)
-        for value in values:
-            histogram.observe(value)
-
     def observe_array(self, name: str, values: np.ndarray) -> None:
         self.hist(name).observe_array(values)
 

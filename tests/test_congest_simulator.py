@@ -233,39 +233,6 @@ class TestBandwidthPolicy:
 
 
 class TestMetrics:
-    def test_phase_marking(self):
-        from repro.congest.metrics import RunMetrics
-
-        metrics = RunMetrics()
-        metrics.record_round([])
-        metrics.record_round([])
-        metrics.mark_phase("setup")
-        metrics.record_round([])
-        metrics.mark_phase("main")
-        assert metrics.phase_rounds == {"setup": 2, "main": 1}
-
-    def test_phase_marking_reentrant(self):
-        # Regression: re-marking a phase name must *add* the rounds
-        # since the previous mark, not corrupt the other phases (the
-        # old subtract-all-other-phases logic double-counted under
-        # interleaved A, B, A marks).
-        from repro.congest.metrics import RunMetrics
-
-        metrics = RunMetrics()
-        for _ in range(3):
-            metrics.record_round([])
-        metrics.mark_phase("a")
-        for _ in range(2):
-            metrics.record_round([])
-        metrics.mark_phase("b")
-        for _ in range(4):
-            metrics.record_round([])
-        metrics.mark_phase("a")
-        assert metrics.phase_rounds == {"a": 7, "b": 2}
-        # A mark with no new rounds is a no-op, not a reset.
-        metrics.mark_phase("b")
-        assert metrics.phase_rounds == {"a": 7, "b": 2}
-
     def test_bits_crossing_cut(self):
         from repro.congest.metrics import RunMetrics
 

@@ -126,14 +126,6 @@ class TestInstrumentSet:
         assert instruments.round_series("faults_dropped", 3) == [2, 0, 3]
         assert instruments.round_series("faults_delayed", 3) == [0, 1, 0]
 
-    def test_observe_values_matches_observe(self):
-        a = InstrumentSet()
-        b = InstrumentSet()
-        for value in (1, 2, 3):
-            a.observe("x", value)
-        b.observe_values("x", [1, 2, 3])
-        assert np.array_equal(a.hist("x").buckets, b.hist("x").buckets)
-
 
 class TestTelemetry:
     def test_default_construction(self):

@@ -39,11 +39,31 @@ class NodeInfo:
     n:
         Number of nodes in the network.  The paper's Algorithm 1 takes
         ``n`` as input, so it is part of each node's initial knowledge.
+    lossy:
+        Whether the run's links break the CONGEST model's reliable
+        channels.  Not a caller option: the synchronous scheduler sets
+        it when the run's :class:`~repro.congest.faults.FaultPlan` is
+        non-trivial, and the asynchronous executor leaves it False,
+        since its synchronizer masks every fault below the round
+        abstraction.  The RWBC protocol reads it to turn its recovery
+        on: every control and walk message travels through a per-edge
+        ARQ (:mod:`repro.congest.reliable`), the setup timeline
+        stretches by :data:`~repro.core.protocol.SETUP_SLACK` to absorb
+        retransmission latency, the done wave floods over all edges
+        instead of only tree edges, and the exchange phase becomes
+        self-paced (each node ships its next unsent count column each
+        round and finishes when everything is sent, acked, and
+        received).  That needs a bandwidth policy with at least
+        ``walk_budget + 4`` messages per edge.  Under drops,
+        duplicates, delays, or crash-recover windows the recovering
+        protocol still terminates with exact counting (exactly-once
+        token delivery).
     """
 
     node_id: int
     neighbors: tuple[int, ...]
     n: int
+    lossy: bool = False
 
     @property
     def degree(self) -> int:
@@ -259,12 +279,6 @@ class SharedFastPathState:
         # may ever influence protocol behavior or randomness.
         self.profiler: object = NULL_PROFILER
         self.instruments: object | None = None
-        # Wake requests drained by the scheduler after the driver pass:
-        # a driver (or a program called *from* a driver, outside the
-        # per-node loop) that changes a node's phase can no longer rely
-        # on the scheduler's post-step ``next_wake`` query, so it files
-        # the node's next calendar round here instead.
-        self.wake_requests: list[tuple[int, int]] = []
 
     def register_driver(self, driver: object, last: bool = False) -> None:
         """Register a cross-node driver; drivers run in registration
@@ -276,11 +290,6 @@ class SharedFastPathState:
             self._trailing += 1
         else:
             self.drivers.insert(len(self.drivers) - self._trailing, driver)
-
-    def request_wake(self, node: int, round_number: int) -> None:
-        """Ask the scheduler to step ``node`` at ``round_number`` even
-        if no mail arrives for it (see :meth:`VectorizedProgram.next_wake`)."""
-        self.wake_requests.append((node, round_number))
 
 
 class NodeProgram(abc.ABC):
@@ -400,9 +409,8 @@ class VectorizedProgram(NodeProgram):
 
         Contract: between ``round_number`` and the returned wake round,
         an empty (mail-less) step of this program must be a no-op, for
-        the same reason ``bulk_idle`` skipping is safe.  A state change
-        driven from *outside* the per-node loop (a driver switching the
-        program's phase) must be paired with a
-        :meth:`SharedFastPathState.request_wake` call when the new phase
-        needs calendar wakes."""
+        the same reason ``bulk_idle`` skipping is safe.  The scheduler
+        asks only after the node's own step, so a driver that switches a
+        program's phase from outside the per-node loop must leave it in
+        a phase that needs no calendar wake."""
         return None if self.bulk_idle else round_number + 1

@@ -114,21 +114,18 @@ class Simulator:
     require_connected:
         Reject disconnected topologies up front (random walk betweenness
         is undefined across components).
-    drop_rate:
-        Probability that any individual message is silently lost in
-        transit - shorthand for ``faults=FaultPlan.from_drop_rate(...)``
-        with a seed derived from the simulator seed.  The CONGEST model
-        assumes reliable synchronous channels; protocols not written
-        for loss fail *detectably* under this knob (e.g. lost walk
-        tokens stall the termination detector, surfacing as
-        :class:`UnrecoverableLossError` at the round limit) rather than
-        silently wrong.
     faults:
-        A full :class:`~repro.congest.faults.FaultPlan` - seeded
-        per-edge drop/duplicate/delay schedules and per-node crash
-        windows.  Applied by the round loop at delivery time, in
-        either dispatch mode; injected-fault counts land in
-        ``metrics.faults``.  Mutually exclusive with ``drop_rate``.
+        A :class:`~repro.congest.faults.FaultPlan` - seeded per-edge
+        drop/duplicate/delay schedules and per-node crash windows
+        (``FaultPlan.from_drop_rate(p)`` for plain i.i.d. loss).
+        Applied by the round loop at delivery time, in either dispatch
+        mode; injected-fault counts land in ``metrics.faults``.  The
+        CONGEST model assumes reliable synchronous channels, so a
+        non-trivial plan sets every node's ``NodeInfo.lossy``: a
+        protocol that can recover (the RWBC protocol's per-edge ARQ)
+        turns its recovery on, and one that cannot (e.g. BFS) sees the
+        losses - a run that cannot terminate surfaces as
+        :class:`UnrecoverableLossError` at the round limit.
     vectorized:
         Dispatch-mode selection for the one round loop.  ``None``
         (default) auto-selects: the fast path runs when every program
@@ -154,7 +151,6 @@ class Simulator:
         record_messages: bool = False,
         tracer: Tracer | None = None,
         require_connected: bool = True,
-        drop_rate: float = 0.0,
         faults: FaultPlan | None = None,
         vectorized: bool | None = None,
         telemetry=None,
@@ -171,18 +167,8 @@ class Simulator:
             raise ConfigError("graph must be connected")
         if max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
-        if drop_rate and faults is not None:
-            raise ConfigError(
-                "pass either drop_rate (shorthand) or faults (full plan), "
-                "not both"
-            )
         if faults is None:
-            # Validates the rate (FaultInjectionError is a ConfigError).
-            # The plan seed derives from the simulator seed so that, as
-            # with the old bare-float knob, reseeding the run reseeds
-            # the losses.
-            plan_seed = 0xD509 if seed is None else (seed ^ 0xD509)
-            faults = FaultPlan.from_drop_rate(drop_rate, seed=plan_seed)
+            faults = FaultPlan()
         for window in faults.crashes:
             if not graph.has_node(window.node):
                 raise FaultInjectionError(
@@ -212,12 +198,14 @@ class Simulator:
         # not depend on Python dict iteration order; each is built only
         # if its program draws from it.
         entropy = seed_entropy(self._seed)
+        lossy = not self.faults.is_trivial
         programs: dict[int, NodeProgram] = {}
         for index, node in enumerate(self.graph.canonical_order()):
             info = NodeInfo(
                 node_id=node,
                 neighbors=tuple(sorted(self.graph.neighbors(node))),
                 n=self.graph.num_nodes,
+                lossy=lossy,
             )
             programs[node] = self._factory(info, LazyGenerator(entropy, index))
         return programs
@@ -557,12 +545,6 @@ class Simulator:
                         outbox,
                         bulk_outbox,
                     )
-            if fast and shared.wake_requests:
-                for node, target in shared.wake_requests:
-                    # A target at or before the current round means
-                    # "as soon as possible": the next round.
-                    schedule_wake(node, max(target, round_number + 1))
-                shared.wake_requests.clear()
             in_flight = outbox.drain()
             bulk_in_flight = bulk_outbox.drain(n, in_flight)
 

@@ -151,9 +151,10 @@ def estimate_rwbc_distributed(
             f"unknown executor {executor!r}: expected 'sync' or 'async'"
         )
     lossy = faults is not None and not faults.is_trivial
-    # Under the async executor the synchronizer's transport handles all
-    # loss below the round abstraction; the protocol itself runs in its
-    # plain (non-reliable) shape and never observes a fault.
+    # The protocol recovers where its links are lossy (NodeInfo.lossy):
+    # under the async executor the synchronizer's transport handles all
+    # loss below the round abstraction, so the protocol runs in its
+    # plain shape and never observes a fault.
     reliable = lossy and executor != "async"
     if executor == "async":
         if record_messages:
@@ -179,7 +180,6 @@ def estimate_rwbc_distributed(
         normalized=normalized,
         survival_alpha=survival_alpha,
         split_sampling=split_sampling,
-        reliable=reliable,
         instruments=(
             telemetry.instruments if telemetry is not None else None
         ),

@@ -4,7 +4,7 @@ Every node sends its ``n`` count columns to every neighbor, then
 combines theirs into potentials (:meth:`RWBCNodeProgram._finish`).
 This driver claims :data:`~repro.core.protocol.KIND_EXCHANGE`, so the
 columns travel as bulk rows and no node is stepped for them.  It runs on
-fault-free runs and on reliable runs.
+every fast-path run, fault-free or reliable (lossy links).
 
 **Fault-free.**  The done wave paces each node: a node that relays
 ``done`` in round ``r`` has ``start[v] = r + 1`` and broadcasts column

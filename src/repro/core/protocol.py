@@ -134,21 +134,6 @@ class ProtocolConfig:
         per walk token and one extra integer per exchange message - both
         still ``O(log n)``.  Requires even ``walks_per_source``.  Nodes
         then also expose ``betweenness_debiased`` and ``noise_floor``.
-    reliable:
-        Run the loss-tolerant variant of the protocol: every control and
-        walk message travels through a per-edge ARQ
-        (:mod:`repro.congest.reliable`), the setup timeline stretches by
-        :data:`SETUP_SLACK` to absorb retransmission latency, the done wave
-        floods over all edges instead of only tree edges, and the
-        exchange phase becomes self-paced (each node ships its next
-        unsent count column each round and finishes when everything is
-        sent, acked, and received).  Requires a bandwidth policy with at
-        least ``walk_budget + 4`` messages per edge.  Fault-free
-        reliable runs produce the same estimates as unreliable runs up
-        to walk-randomness scheduling; under a
-        :class:`~repro.congest.faults.FaultPlan` with drops, duplicates,
-        delays, or crash-recover windows, the reliable protocol still
-        terminates with exact counting (exactly-once token delivery).
     instruments:
         Optional ``repro.obs.InstrumentSet`` shared by every node:
         walk-send counters and the ARQ's window/retransmit/latency
@@ -166,7 +151,6 @@ class ProtocolConfig:
     normalized: bool = True
     survival_alpha: float | None = None
     split_sampling: bool = False
-    reliable: bool = False
     instruments: object | None = field(
         default=None, repr=False, compare=False
     )
@@ -250,17 +234,16 @@ class RWBCNodeProgram(VectorizedProgram):
         self._flood = FloodMaxBFS(
             info.node_id, leader_rank(rng.entropy, info.node_id, info.n)
         )
-        # Fast path only: the shared setup driver (non-reliable runs
-        # without fault injection).  When set, the flood, the parent
-        # announcements and the degree exchange run inside the driver,
-        # which freezes this node's tree, target and neighbor degrees;
-        # the node sleeps until it joins the counting phase.
+        # Fast path only: the shared setup driver (fault-free runs).
+        # When set, the flood, the parent announcements and the degree
+        # exchange run inside the driver, which freezes this node's
+        # tree, target and neighbor degrees; the node sleeps until it
+        # joins the counting phase.
         self._setup_engine = None
-        # Fast path only: the shared exchange driver (fault-free runs, and
-        # every reliable run).  When set, the exchange phase - column
-        # sends, neighbor-column receipt, and the final local
-        # computation - runs inside the driver, and this node is woken
-        # only for control mail.
+        # Fast path only: the shared exchange driver.  When set, the
+        # exchange phase - column sends, neighbor-column receipt, and
+        # the final local computation - runs inside the driver, and
+        # this node is woken only for control mail.
         self._xch_engine = None
         self._tree: FloodMaxState | None = None
         self._walks: WalkManager | None = None
@@ -274,7 +257,7 @@ class RWBCNodeProgram(VectorizedProgram):
         # matrix.
         self._neighbor_matrix: np.ndarray | None = None
         self._neighbor_counts: dict[int, np.ndarray] | None = None
-        # Reliable-mode state (all inert when config.reliable is False).
+        # Recovery state (all inert unless info.lossy).
         self._channel: ReliableChannel | None = None
         self._adopters: set[int] = set()
         self._early_terms: list[tuple[int, int]] = []
@@ -297,11 +280,11 @@ class RWBCNodeProgram(VectorizedProgram):
     # ------------------------------------------------------------------
     def on_start(self, ctx: RoundContext) -> None:
         shared = ctx.shared
-        if not self.config.reliable:
-            if shared is not None and shared.fault_runtime is None:
-                # Fault-free fast path: hand the whole setup phase to the
-                # shared driver, which floods every node's candidate once
-                # the last node has registered.
+        if not self.info.lossy:
+            if shared is not None:
+                # Fast path: hand the whole setup phase to the shared
+                # driver, which floods every node's candidate once the
+                # last node has registered.
                 from repro.core.setup_engine import SetupEngine
 
                 setup = shared.slots.get("setup_engine")
@@ -406,49 +389,33 @@ class RWBCNodeProgram(VectorizedProgram):
     def next_wake(self, round_number: int) -> int | None:
         """Calendar wakes for the fast-path scheduler.
 
-        Mirrors the phase timeline exactly: in non-reliable setup the
-        only mail-less rounds that *do* anything are the milestones
-        ``n`` (parent announcement), ``n + 1`` (degree broadcast) and
-        ``n + 2`` (launch) - between floods the ``FloodMaxBFS.step``
-        with an empty inbox is a strict no-op, so sleeping until the
-        next milestone is safe.  When the shared setup driver owns the
-        phase, its traffic never reaches the node and the driver does
-        the milestones' work, so the node sleeps straight through to
-        its launch at ``n + 2``, where it only builds its manager and
-        counter and registers them: the engine launches the walks.
-        Reliable setup is timer-driven: with empty mail its step only
-        flushes the ARQ and checks the milestones, so the node sleeps
-        until the sooner of its channel's
+        Only setup has calendar wakes.  On fault-free links the shared
+        setup driver owns the phase: its traffic never reaches the node
+        and the driver does the milestones' work, so the node sleeps
+        straight through to its launch at ``n + 2``, where it only
+        builds its manager and counter and registers them: the engine
+        launches the walks.  Lossy setup is timer-driven: with empty
+        mail its step only flushes the ARQ and checks the milestones,
+        so the node sleeps until the sooner of its channel's
         :meth:`~repro.congest.reliable.ReliableChannel.wake_round` and
         its next milestone (``SETUP_SLACK * n`` until it has announced,
-        then the launch at twice that).  Acks arrive as
-        rows without a step and only postpone the channel's answer, so
-        a wake filed before them is at worst early.  Counting is
+        then the launch at twice that).  Acks arrive as rows without a
+        step and only postpone the channel's answer, so a wake filed
+        before them is at worst early.  Counting is
         mail-only (the engine does the work; with the array
-        convergecast only the done wave wakes a node).  Exchange runs
-        every round from the node's first column, the round after it
-        relayed ``done``, to its finish, unless the shared exchange
-        driver owns it - always, on fault-free and reliable runs.  Then
-        the driver sends the columns, flushes the ARQ and finishes the
-        node, and the node wakes only for control mail (degrees, done
-        and term retransmits)."""
-        if self.phase == PHASE_SETUP:
-            if self._channel is not None:
-                announce = SETUP_SLACK * self.info.n
-                milestone = 2 * announce if self._announced else announce
-                wake = self._channel.wake_round(round_number)
-                return milestone if wake is None else min(wake, milestone)
-            n = self.info.n
-            if self._setup_engine is not None:
-                return n + 2
-            return n if round_number < n else round_number + 1
-        if self.phase == PHASE_COUNTING:
+        convergecast only the done wave wakes a node).  The shared
+        exchange driver sends the columns, flushes the ARQ and finishes
+        the node, so in exchange the node wakes only for control mail
+        (degrees, done and term retransmits), and once done only late
+        mail matters."""
+        if self.phase != PHASE_SETUP:
             return None
-        if self.phase == PHASE_EXCHANGE:
-            if self._xch_engine is not None:
-                return None
-            return round_number + 1
-        return None  # PHASE_DONE: only late mail matters
+        if self._setup_engine is not None:
+            return self.info.n + 2
+        announce = SETUP_SLACK * self.info.n
+        milestone = 2 * announce if self._announced else announce
+        wake = self._channel.wake_round(round_number)
+        return milestone if wake is None else min(wake, milestone)
 
     # ------------------------------------------------------------------
     # Phase 1: setup (leader election, tree, degrees)
@@ -574,34 +541,30 @@ class RWBCNodeProgram(VectorizedProgram):
         if shared is not None:
             engine = shared.slots.get("walk_engine")
             if engine is None:
-                # The convergecast runs as arrays where the setup driver
-                # runs: fault-free and not reliable.
-                convergecast = (
-                    self._channel is None and shared.fault_runtime is None
-                )
+                from repro.core.exchange_engine import ExchangeEngine
+
+                # The run's ARQ table: None on fault-free links.
+                table = shared.slots.get("link_table")
                 engine = CountingWalkEngine(
                     shared.edges,
-                    convergecast,
+                    table,
                     self.config.walks_per_source,
                     self.config.length,
                     self.config.split_sampling,
                 )
                 shared.slots["walk_engine"] = engine
-                if convergecast or self._channel is not None:
-                    from repro.core.exchange_engine import ExchangeEngine
-
-                    # Registered first, so each round it accepts the
-                    # exchange columns before the walk engine flushes
-                    # the counting nodes they reach.
-                    xch = ExchangeEngine(
-                        engine,
-                        shared.edges,
-                        table=shared.slots.get("link_table"),
-                        fault_runtime=shared.fault_runtime,
-                        profiler=shared.profiler,
-                    )
-                    shared.slots["exchange_engine"] = xch
-                    shared.register_driver(xch)
+                # Registered first, so each round it accepts the
+                # exchange columns before the walk engine flushes the
+                # counting nodes they reach.
+                xch = ExchangeEngine(
+                    engine,
+                    shared.edges,
+                    table=table,
+                    fault_runtime=shared.fault_runtime,
+                    profiler=shared.profiler,
+                )
+                shared.slots["exchange_engine"] = xch
+                shared.register_driver(xch)
                 shared.register_driver(engine)
         self._walks = WalkManager(
             node_id=self.node_id,
@@ -626,7 +589,7 @@ class RWBCNodeProgram(VectorizedProgram):
             parent=self._tree.parent,
             children=self._tree.children,
             expected_total=launchers * self.config.walks_per_source,
-            strict=not self.config.reliable,
+            strict=not self.info.lossy,
         )
         for sender, total in self._early_terms:
             self._death_counter.receive_report(sender, total)
@@ -806,26 +769,13 @@ class RWBCNodeProgram(VectorizedProgram):
                 ctx.send(child, KIND_DONE)
         self.exchange_start_round = round_number
         self.phase = PHASE_EXCHANGE
-        shared = ctx.shared
-        if shared is None:
-            return
-        xch = shared.slots.get("exchange_engine")
-        if xch is not None:
+        if ctx.shared is not None:
             # The shared driver runs this node's exchange: the columns
             # travel as bulk rows (one priced push per round fault-free,
             # ARQ-sequenced rows under recovery), and it calls
             # ``_finish`` on views into the engine's count tensor.
-            xch.register(self)
-            self._xch_engine = xch
-        else:
-            # No driver (faults without recovery): this transition may
-            # have happened inside the engine's end-of-round pass (the
-            # root's detection), where the scheduler cannot observe the
-            # phase change - file the wake for the first exchange round
-            # explicitly.  Redundant with the post-step next_wake query
-            # when the transition happened in a normal step; the
-            # scheduler dedups.
-            shared.request_wake(self.node_id, round_number + 1)
+            self._xch_engine = ctx.shared.slots["exchange_engine"]
+            self._xch_engine.register(self)
 
     # ------------------------------------------------------------------
     # Phase 3: exchange (Algorithm 2) + local computation

@@ -44,9 +44,8 @@ Byte-identity with the per-node path is structural:
 * **Random streams.**  Ranks are hashed in each program's constructor on
   every path; the driver draws nothing.
 
-Installed exactly where :class:`~repro.core.exchange_engine.ExchangeEngine`
-is: on the shared fast path when faults are off and the protocol is not
-in reliable mode.  Reliable and faulty runs, the per-message loop and
+Installed on the shared fast path when the links are fault-free
+(``NodeInfo.lossy`` is False).  Lossy runs, the per-message loop and
 the asynchronous executor keep stepping ``FloodMaxBFS`` per node.
 """
 

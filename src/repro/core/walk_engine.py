@@ -62,7 +62,7 @@ built once (:func:`walk_bit_tables`) and tagged with their edge ids
 (:meth:`BulkOutbox.push_priced`), as it does the convergecast's
 ``term`` rows, chosen by the same
 :func:`~repro.core.termination.report_due` rule each per-node counter
-applies; on faulty and reliable runs through
+applies; on lossy links, sequenced through the ARQ table, through
 :meth:`BulkOutbox.push_rows`.  Either way the bits and counts charged
 are those of the materialized messages.  The tested guarantee
 (``tests/test_walks_batched.py``, ``tests/test_counting_bookends.py``):
@@ -78,7 +78,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.congest.errors import ConfigError, ProtocolError
-from repro.congest.message import TAG_BITS, Message, int_bits_array
+from repro.congest.message import TAG_BITS, int_bits_array
 from repro.congest.splitmix import GOLDEN, _mix64_array, stream_key
 from repro.obs.spans import NULL_PROFILER
 from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
@@ -86,6 +86,7 @@ from repro.walks.batched import aggregate_network_groups
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.congest.node import EdgeIndex, NodeProgram, RoundContext
+    from repro.congest.reliable import LinkTable
     from repro.congest.transport import BulkOutbox, RoundOutbox
     from repro.core.walk_manager import WalkManager
 
@@ -692,28 +693,34 @@ class CountingWalkEngine:
     round after the per-node loop; on its first call the engine launches
     every node's walks and takes over all walk movement from there.
 
-    ``convergecast``: run the termination convergecast as arrays and
-    claim its ``term`` rows (fault-free, non-reliable runs).  Otherwise
-    each node's :class:`DeathCounterLogic` reports, and ``term`` travels
-    as control mail the node folds in itself.  ``split_sampling``: both
-    halves of the count tensor will be written, which
-    :func:`check_tensor_fits` counts before it is allocated.
+    ``table``: the run's ARQ table (a
+    :class:`~repro.congest.reliable.LinkTable`) on lossy links, None on
+    fault-free ones.  Fault-free, the engine runs the termination
+    convergecast as arrays and claims its ``term`` rows.  On lossy
+    links it dedups, acks and sequences walk tokens through the table
+    and flushes the counting nodes' channels, while each node's
+    :class:`DeathCounterLogic` reports through its channel and ``term``
+    travels as control mail the node folds in itself.
+    ``split_sampling``: both halves of the count tensor will be
+    written, which :func:`check_tensor_fits` counts before it is
+    allocated.
     """
 
     def __init__(
         self,
         edges: EdgeIndex,
-        convergecast: bool,
+        table: "LinkTable | None",
         walks_per_source: int,
         length: int,
         split_sampling: bool,
     ) -> None:
         n = edges.n
         self.n = n
+        self._table = table
+        self._reliable = table is not None
         self.claimed_kinds = WALK_KINDS | (
-            {KIND_TERM} if convergecast else set()
+            set() if self._reliable else {KIND_TERM}
         )
-        self._convergecast = convergecast
         # xi tensors and per-node aggregates; managers hold views into
         # ``counts`` so both access paths see the same numbers.  The
         # cells are stored half-first, ``[half, node, source]``, and
@@ -737,14 +744,11 @@ class CountingWalkEngine:
             np.zeros(n, dtype=np.int64),
         )
         self._touched: set[int] = set()
-        # Reliable-mode state: the run's shared ARQ table (a
-        # repro.congest.reliable.LinkTable), per-node channel views,
-        # nodes that left the counting phase this round (the engine owes
-        # them one last flush), and the run's FaultRuntime for the
-        # crashed set.  All stay empty/None on fault-free runs.
-        self._table = None
+        # Lossy-link state: per-node channel views of the table, nodes
+        # that left the counting phase this round (the engine owes them
+        # one last flush), and the run's FaultRuntime for the crashed
+        # set.  All stay empty/None on fault-free runs.
         self._channels: dict[int, object] = {}
-        self._reliable = False
         self._transitioned: set[int] = set()
         self._fault_runtime = None
         # Telemetry (observation-only; installed from ctx.shared at
@@ -765,7 +769,7 @@ class CountingWalkEngine:
         self._max_degree = int(edges.degrees.max())
         self._policy: TransportPolicy = TransportPolicy.QUEUE
         self._budget = 1
-        # ``convergecast`` mode prices walk and ``term`` rows itself
+        # Fault-free, the engine prices walk and ``term`` rows itself
         # (:func:`walk_bit_tables`, filled at finalize) and tags them
         # with their edge ids, so the outbox's drain reads each edge's
         # load off the rows instead of merging them.
@@ -773,7 +777,7 @@ class CountingWalkEngine:
         self._parent_edge = _EMPTY
         self._alpha: float | None = None
         self._absorbing_target = -1
-        # Array convergecast (``convergecast`` mode): per node, the
+        # Array convergecast (fault-free): per node, the
         # children's summed reports, the last total it reported, its
         # latest report its parent has heard, whether the done wave
         # stopped it, and its tree parent (-1 at the root).  Local
@@ -802,11 +806,10 @@ class CountingWalkEngine:
         launches its walks at the first :meth:`end_round`.
 
         ``channel`` is the node's
-        :class:`~repro.congest.reliable.ReliableChannel` when the
-        protocol runs in reliable mode; the engine then performs the
-        node's walk-token dedup, acking, flushing, and
-        retransmission-aware emission while the node is counting, on
-        the channels' shared table."""
+        :class:`~repro.congest.reliable.ReliableChannel` on lossy links;
+        the engine then performs the node's walk-token dedup, acking,
+        flushing, and retransmission-aware emission while the node is
+        counting, on the channels' shared table."""
         node = manager.node_id
         if node in self._managers:
             raise ProtocolError(
@@ -819,9 +822,6 @@ class CountingWalkEngine:
         self._contexts[node] = ctx
         self._streams[0][node] = manager.walk_key
         self._channels[node] = channel
-        if channel is not None:
-            self._reliable = True
-            self._table = channel.table
         shared = ctx.shared
         if shared is not None:
             if self._fault_runtime is None:
@@ -858,7 +858,7 @@ class CountingWalkEngine:
         if launch_round:
             self._finalize()
         profiler = self._profiler
-        term = claimed.pop(KIND_TERM, None) if self._convergecast else None
+        term = None if self._reliable else claimed.pop(KIND_TERM, None)
         crashed = (
             self._fault_runtime.crashed(round_number)
             if self._fault_runtime is not None
@@ -873,21 +873,18 @@ class CountingWalkEngine:
             dead = self._process_arrivals(claimed)
         else:
             dead = ()
-        if self._convergecast:
-            if launch_round or term is not None or len(dead):
-                with profiler.span("engine.post_round"):
-                    self._convergecast_round(
-                        round_number, bulk_outbox, term, dead
-                    )
-        elif self._touched or len(dead):
-            with profiler.span("engine.post_round"):
-                self._post_round(round_number, outbox, dead)
         retransmits = None
         if self._reliable:
+            if self._touched or len(dead):
+                with profiler.span("engine.post_round"):
+                    self._post_round(round_number, dead)
             with profiler.span("engine.arq_flush"):
                 retransmits = self._flush_channels(
                     round_number, crashed, outbox, bulk_outbox
                 )
+        elif launch_round or term is not None or len(dead):
+            with profiler.span("engine.post_round"):
+                self._convergecast_round(round_number, bulk_outbox, term, dead)
         if self._queues.rows:
             with profiler.span("engine.emit"):
                 self._emit(bulk_outbox, round_number, retransmits, crashed)
@@ -909,7 +906,11 @@ class CountingWalkEngine:
         self._alpha = first.survival_alpha
         self._absorbing_target = first.target
         self._launch(first)
-        if self._convergecast:
+        if self._reliable:
+            # Every node launched this round, so every node's counter
+            # owes its first report.
+            self._touched.update(range(self.n))
+        else:
             for node, counter in self._counters.items():
                 if counter.parent is None:
                     self._root = node
@@ -925,10 +926,6 @@ class CountingWalkEngine:
             )
             self._parent_edge = np.full(self.n, -1, dtype=np.int64)
             self._parent_edge[self._edge_src[uplinks]] = uplinks
-        else:
-            # Every node launched this round, so every node's counter
-            # owes its first report.
-            self._touched.update(range(self.n))
         self._finalized = True
 
     def _launch(self, manager: WalkManager) -> None:
@@ -1091,14 +1088,14 @@ class CountingWalkEngine:
         return np.nonzero(deaths)[0]
 
     def _post_round(
-        self,
-        round_number: int,
-        outbox: "RoundOutbox",
-        dead: np.ndarray | tuple,
+        self, round_number: int, dead: np.ndarray | tuple
     ) -> None:
-        """The non-walk tail of each node's counting round: fold this
-        round's deaths into the convergecast, send changed subtree
-        totals, and let the root start the done wave on detection."""
+        """The non-walk tail of each node's counting round on lossy
+        links: fold this round's deaths into the convergecast, queue
+        changed subtree totals on the node's channel (sequenced and
+        shipped by this round's flush, exactly like the slow path's
+        queue-then-flush), and let the root start the done wave on
+        detection."""
         post = self._touched
         if len(dead):
             post = post | {int(node) for node in dead}
@@ -1119,21 +1116,9 @@ class CountingWalkEngine:
             else:
                 total = counter.pop_report()
                 if total is not None:
-                    if self._reliable:
-                        # Sequenced and shipped by this round's flush,
-                        # exactly like the slow path's queue-then-flush.
-                        self._channels[node].queue(
-                            counter.parent, KIND_TERM, (total,), latest=True
-                        )
-                    else:
-                        outbox.push(
-                            Message(
-                                sender=node,
-                                receiver=counter.parent,
-                                kind=KIND_TERM,
-                                fields=(total,),
-                            )
-                        )
+                    self._channels[node].queue(
+                        counter.parent, KIND_TERM, (total,), latest=True
+                    )
         self._touched = set()
 
     def _convergecast_round(
@@ -1143,8 +1128,8 @@ class CountingWalkEngine:
         term: ClaimedKind | None,
         dead: np.ndarray | tuple,
     ) -> None:
-        """:meth:`_post_round` for every node at once (``convergecast``
-        mode): fold this round's ``term`` rows and deaths into the
+        """:meth:`_post_round` for every node at once, on fault-free
+        links: fold this round's ``term`` rows and deaths into the
         subtree totals, ship every due report (:func:`report_due`) as
         one priced push - the same fields, bits and edges as the
         per-node ``term`` messages - and let the root start the done
@@ -1265,7 +1250,7 @@ class CountingWalkEngine:
             # Sequenced QUEUE rows are one per token: re-read the senders.
             senders = self._edge_src[edges]
             sequence_walk_rows(kind, edges, fields, round_number, self._table)
-        if not self._convergecast:
+        if self._reliable:
             bulk_outbox.push_rows(kind, senders, receivers, fields, copies)
             return
         row_bits = (

@@ -1,26 +1,24 @@
 """Failure-injection tests: lossy channels, with and without recovery.
 
 The CONGEST model assumes reliable synchronous channels.  The first half
-of this file documents how the *plain* protocols depend on that
-assumption: lost walk tokens stall the monotone death counter, so the
-RWBC protocol fails detectably instead of returning silently corrupted
-values.  The second half exercises the fault-tolerant mode: under a
-:class:`FaultPlan` the reliable layer restores exactly-once delivery,
-the protocol completes, and both scheduler loops produce byte-identical
-results for the same seeds.
+of this file documents how a protocol with no recovery (BFS) depends on
+that assumption, and where the RWBC protocol's recovery comes from: a
+non-trivial :class:`FaultPlan` on the synchronous scheduler marks every
+node's links lossy, which turns the protocol's ARQ on.  The second half
+exercises that fault-tolerant mode: the reliable layer restores
+exactly-once delivery, the protocol completes, and both scheduler loops
+produce byte-identical results for the same seeds.
 """
 
 import numpy as np
 import pytest
 
-from repro.congest.errors import (
-    ConfigError,
-    ProtocolError,
-    RoundLimitExceeded,
-)
+from repro.congest.asynchronous import AsyncSimulator
+from repro.congest.errors import ConfigError
 from repro.congest.faults import CrashWindow, FaultPlan
 from repro.congest.primitives.bfs import make_bfs_factory
 from repro.congest.scheduler import Simulator
+from repro.congest.transport import BandwidthPolicy
 from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.exact import rwbc_exact
 from repro.core.parameters import WalkParameters
@@ -29,17 +27,23 @@ from repro.graphs.generators import cycle_graph, erdos_renyi_graph, path_graph
 from repro.graphs.properties import bfs_distances
 
 
+def _drops(rate: float, seed: int) -> FaultPlan:
+    """I.i.d. loss at ``rate``, on the plan seed these tests have
+    always used for a run seeded ``seed``."""
+    return FaultPlan.from_drop_rate(rate, seed=seed ^ 0xD509)
+
+
 class TestDropRateConfig:
     def test_invalid_rates(self):
         with pytest.raises(ConfigError):
-            Simulator(path_graph(3), make_bfs_factory(0), drop_rate=1.0)
+            FaultPlan.from_drop_rate(1.0)
         with pytest.raises(ConfigError):
-            Simulator(path_graph(3), make_bfs_factory(0), drop_rate=-0.1)
+            FaultPlan.from_drop_rate(-0.1)
 
     def test_zero_rate_is_default_behaviour(self):
         graph = cycle_graph(6)
         lossless = Simulator(
-            graph, make_bfs_factory(0), seed=1, drop_rate=0.0
+            graph, make_bfs_factory(0), seed=1, faults=_drops(0.0, 1)
         ).run()
         default = Simulator(graph, make_bfs_factory(0), seed=1).run()
         for node in graph.nodes():
@@ -54,7 +58,7 @@ class TestLossyBFS:
         """With every message dropped, only the root knows anything."""
         graph = path_graph(5)
         result = Simulator(
-            graph, make_bfs_factory(0), seed=0, drop_rate=0.999999
+            graph, make_bfs_factory(0), seed=0, faults=_drops(0.999999, 0)
         ).run()
         # Statistically all messages are gone; distance None downstream.
         unreached = [
@@ -68,7 +72,7 @@ class TestLossyBFS:
         graph = erdos_renyi_graph(20, 0.25, seed=3, ensure_connected=True)
         exact = bfs_distances(graph, 0)
         result = Simulator(
-            graph, make_bfs_factory(0), seed=3, drop_rate=0.3
+            graph, make_bfs_factory(0), seed=3, faults=_drops(0.3, 3)
         ).run()
         for node in graph.nodes():
             got = result.program(node).distance
@@ -77,29 +81,67 @@ class TestLossyBFS:
 
 
 class TestLossyRWBCProtocol:
-    def test_fails_detectably_not_silently(self):
-        """Without the reliable layer, loss breaks the protocol
-        *loudly*: either a dropped control message trips a protocol
-        invariant, or dropped walk tokens starve the termination
-        detector until the round limit - never a silent wrong answer."""
-        graph = cycle_graph(8)
-        config = ProtocolConfig(length=40, walks_per_source=10)
-        simulator = Simulator(
+    """Recovery follows the links: the run's plan, not a protocol
+    option, decides whether the RWBC protocol runs its ARQ."""
+
+    CONFIG = ProtocolConfig(length=12, walks_per_source=4)
+
+    def _sync(self, graph, faults, vectorized):
+        return Simulator(
             graph,
-            make_protocol_factory(config),
+            make_protocol_factory(self.CONFIG),
+            policy=BandwidthPolicy(n=graph.num_nodes, messages_per_edge=6),
             seed=2,
-            drop_rate=0.2,
-            max_rounds=2000,
-        )
-        with pytest.raises((ProtocolError, RoundLimitExceeded)):
-            simulator.run()
+            faults=faults,
+            vectorized=vectorized,
+        ).run()
+
+    def test_a_lossy_plan_turns_recovery_on(self):
+        graph = cycle_graph(8)
+        plan = FaultPlan(seed=4, drop_rate=1e-12)
+        slow = self._sync(graph, plan, vectorized=False)
+        fast = self._sync(graph, plan, vectorized=True)
+        for result in (slow, fast):
+            for program in result.programs.values():
+                assert program.info.lossy
+                assert program._channel is not None
+        assert fast.fast_path and not slow.fast_path
+        for node in graph.nodes():
+            assert (
+                fast.program(node).betweenness
+                == slow.program(node).betweenness
+            )
+
+    def test_fault_free_links_run_without_recovery(self):
+        graph = cycle_graph(8)
+        fast = self._sync(graph, FaultPlan(), vectorized=True)
+        for program in fast.programs.values():
+            assert not program.info.lossy
+            assert program._channel is None
+            assert program._setup_engine is not None
+
+    def test_the_async_synchronizer_masks_the_plan(self):
+        """The asynchronous executor recovers below the round
+        abstraction, so the protocol never sees lossy links."""
+        graph = cycle_graph(8)
+        result = AsyncSimulator(
+            graph,
+            make_protocol_factory(self.CONFIG),
+            seed=2,
+            faults=FaultPlan(seed=4, drop_rate=0.1),
+        ).run()
+        assert result.metrics.faults["dropped"] > 0
+        for program in result.programs.values():
+            assert not program.info.lossy
+            assert program._channel is None
+            assert program.betweenness is not None
 
     def test_reproducible_drops(self):
         graph = path_graph(6)
         runs = []
         for _ in range(2):
             result = Simulator(
-                graph, make_bfs_factory(0), seed=9, drop_rate=0.5
+                graph, make_bfs_factory(0), seed=9, faults=_drops(0.5, 9)
             ).run()
             runs.append(
                 tuple(result.program(v).distance for v in graph.nodes())

@@ -76,9 +76,9 @@ def _pin(mode: str) -> tuple[str, int, int, int]:
         "batch": {"policy": TransportPolicy.BATCH},
         "damped": {"survival_alpha": 0.8},
         "split": {"split_sampling": True},
-        "lossy": {"reliable": True},
-        "lossy-batch": {"reliable": True, "policy": TransportPolicy.BATCH},
-        "lossy-damped": {"reliable": True, "survival_alpha": 0.8},
+        "lossy": {},
+        "lossy-batch": {"policy": TransportPolicy.BATCH},
+        "lossy-damped": {"survival_alpha": 0.8},
         "async": {},
     }[mode]
     config = ProtocolConfig(**BASE, **overrides)

@@ -184,7 +184,7 @@ def test_walk_keys_ignore_the_fault_plan_seed():
     """Walk keys and leader ranks come from the protocol seed and the
     node, never from the fault plan's seed."""
     graph = erdos_renyi_graph(12, 0.4, seed=2, ensure_connected=True)
-    config = ProtocolConfig(length=6, walks_per_source=2, reliable=True)
+    config = ProtocolConfig(length=6, walks_per_source=2)
     keys = {}
     for plan_seed in (1, 2):
         result = Simulator(

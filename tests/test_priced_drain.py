@@ -1,6 +1,6 @@
 """Pre-priced walk rows and the outbox's drain without a merge.
 
-On fault-free, non-reliable fast-path runs the counting engine looks
+On fault-free fast-path runs the counting engine looks
 each walk row's bit cost up in tables (:func:`walk_bit_tables`) and
 pushes walk and ``term`` rows tagged with their directed-edge ids
 (:meth:`BulkOutbox.push_priced`), so :meth:`BulkOutbox.drain` sums
@@ -192,9 +192,7 @@ def test_control_mail_takes_the_merge(monkeypatch):
     assert drained.traffic == _merged([walk], control)
 
 
-def _counting_kinds(
-    monkeypatch, reliable=False, **simulator_kwargs
-) -> tuple[set, set]:
+def _counting_kinds(monkeypatch, **simulator_kwargs) -> tuple[set, set]:
     """Run a small protocol on the fast path; return the kinds drained
     without a merge and with one."""
     fast, merged = set(), set()
@@ -214,9 +212,7 @@ def _counting_kinds(
     monkeypatch.setattr(transport, "_priced_round", spy_priced)
     monkeypatch.setattr(transport, "_round_traffic", spy_merge)
     graph = erdos_renyi_graph(16, 0.3, seed=2, ensure_connected=True)
-    config = ProtocolConfig(
-        length=20, walks_per_source=4, reliable=reliable
-    )
+    config = ProtocolConfig(length=20, walks_per_source=4)
     result = Simulator(
         graph,
         make_protocol_factory(config),
@@ -234,16 +230,9 @@ def test_fault_free_counting_skips_the_merge(monkeypatch):
     assert KIND_WALK not in merged
 
 
-@pytest.mark.parametrize(
-    "reliable, drop_rate",
-    # A lossy reliable run, and a non-reliable one whose plan is
-    # non-trivial but (at this rate) drops nothing, so it completes.
-    [(True, 0.05), (False, 1e-12)],
-    ids=["reliable-lossy", "unreliable-inert"],
-)
-def test_a_fault_plan_takes_the_merge(monkeypatch, reliable, drop_rate):
-    plan = FaultPlan.from_drop_rate(drop_rate, seed=3)
-    fast, merged = _counting_kinds(monkeypatch, reliable, faults=plan)
+def test_a_fault_plan_takes_the_merge(monkeypatch):
+    plan = FaultPlan.from_drop_rate(0.05, seed=3)
+    fast, merged = _counting_kinds(monkeypatch, faults=plan)
     assert KIND_WALK in merged
     assert KIND_WALK not in fast and KIND_TERM not in fast
 

@@ -278,9 +278,7 @@ class TestTimerWakesAndAckRows:
         and refuses the plan with a structured error instead."""
         n = 8
         config = ProtocolConfig(
-            length=PARAMS.length,
-            walks_per_source=PARAMS.walks_per_source,
-            reliable=True,
+            length=PARAMS.length, walks_per_source=PARAMS.walks_per_source
         )
         launch = 2 * SETUP_SLACK * n
         plan = FaultPlan(

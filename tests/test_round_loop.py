@@ -95,7 +95,7 @@ class TestAccountingAgainstTheLog:
             graph,
             make_bfs_factory(0),
             seed=3,
-            drop_rate=0.3,
+            faults=FaultPlan.from_drop_rate(0.3, seed=3 ^ 0xD509),
             record_messages=True,
         ).run()
         assert result.metrics.faults["dropped"] > 0

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.congest.asynchronous import AsyncSimulator
-from repro.congest.faults import FaultPlan
+from repro.congest.faults import CrashWindow, FaultPlan
 from repro.congest.scheduler import Simulator
 from repro.congest.transport import BandwidthPolicy
 from repro.core.protocol import ProtocolConfig, make_protocol_factory
@@ -66,10 +66,33 @@ PINS = {
         "7d767390108f6f822f0569d0a07bd870b4c28059aa83e09858044655d69b69f1",
         72, 6704, 133459,
     ),
+    "chaos": (
+        "349cf8027ee75890cd24e15292571ed9f19effc74850fa644bb16be68e246bdc",
+        264, 3503, 71048,
+    ),
+}
+
+#: Drops, duplicates, delays of up to three rounds and an early crash
+#: window: every fate the round loop delivers in its own order.
+CHAOS = FaultPlan(
+    seed=5,
+    drop_rate=0.08,
+    duplicate_rate=0.08,
+    delay_rate=0.08,
+    max_delay=3,
+    crashes=(CrashWindow(node=0, start=2, end=8),),
+)
+#: The chaos run's injected faults, recorded with its pin.
+CHAOS_FAULTS = {
+    "dropped": 293,
+    "duplicated": 232,
+    "delayed": 255,
+    "crash_dropped": 23,
+    "crash_node_rounds": 6,
 }
 
 
-def _pin(mode: str) -> tuple[str, int, int, int]:
+def _run(mode: str, vectorized: bool = False):
     n = GRAPH.num_nodes
     overrides = {
         "queue": {},
@@ -80,12 +103,13 @@ def _pin(mode: str) -> tuple[str, int, int, int]:
         "lossy-batch": {"policy": TransportPolicy.BATCH},
         "lossy-damped": {"survival_alpha": 0.8},
         "async": {},
+        "chaos": {},
     }[mode]
     config = ProtocolConfig(**BASE, **overrides)
     factory = make_protocol_factory(config)
     if mode == "async":
         result = AsyncSimulator(GRAPH, factory, seed=SEED).run()
-    elif mode.startswith("lossy"):
+    elif mode.startswith("lossy") or mode == "chaos":
         result = Simulator(
             GRAPH,
             factory,
@@ -93,11 +117,18 @@ def _pin(mode: str) -> tuple[str, int, int, int]:
                 n=n, messages_per_edge=config.walk_budget + 4
             ),
             seed=SEED,
-            faults=FaultPlan(seed=5, drop_rate=0.1),
-            vectorized=False,
+            faults=(
+                CHAOS if mode == "chaos" else FaultPlan(seed=5, drop_rate=0.1)
+            ),
+            vectorized=vectorized,
         ).run()
     else:
         result = Simulator(GRAPH, factory, seed=SEED, vectorized=False).run()
+    return result
+
+
+def _pin(result) -> tuple[str, int, int, int]:
+    n = GRAPH.num_nodes
     counts = np.stack(
         [result.program(node)._walks.half_counts for node in range(n)]
     ).astype("<i8")
@@ -113,4 +144,18 @@ def _pin(mode: str) -> tuple[str, int, int, int]:
 
 @pytest.mark.parametrize("mode", sorted(PINS))
 def test_per_message_loop_matches_its_pin(mode):
-    assert _pin(mode) == PINS[mode]
+    result = _run(mode)
+    assert _pin(result) == PINS[mode]
+    if mode == "chaos":
+        assert result.metrics.faults == CHAOS_FAULTS
+
+
+def test_fast_path_matches_the_chaos_pin():
+    """The fast path delivers the chaos plan's duplicates, delays and
+    crash losses in the per-message loop's order, so it reaches the
+    same pin; cross-loop equivalence alone would miss an order change
+    both loops share."""
+    result = _run("chaos", vectorized=True)
+    assert result.fast_path
+    assert _pin(result) == PINS["chaos"]
+    assert result.metrics.faults == CHAOS_FAULTS

@@ -18,8 +18,9 @@ Determinism contract
 Every per-message fault decision is a *pure hash* of
 ``(plan.seed, round, sender, receiver, kind, index)`` where ``index``
 is the message's position among the round's messages on that directed
-edge and kind, counted in canonical delivery order (control messages in
-outbox push order first, then aggregate bulk rows in row order).  There
+edge and kind, counted from zero in canonical delivery order (control
+messages in outbox push order first, then each bulk kind's rows in row
+order).  There
 is no sequential RNG stream to keep aligned, so the per-message loop
 and the vectorized fast path - which materialize the very same traffic
 in different containers - reach *identical* decisions, and a plan's
@@ -27,8 +28,8 @@ schedule is independent of the protocol seed (one fault schedule can be
 replayed against many protocol seeds).
 
 :class:`FaultRuntime` is the per-run applicator: the scheduler creates
-one per simulation and funnels each round's in-flight traffic through
-it on both execution paths.
+one per simulation and hands it each round's in-flight traffic, in one
+call, on both execution paths.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from repro.congest.errors import FaultInjectionError
 from repro.congest.message import Message
 from repro.congest.splitmix import GOLDEN, MASK64, _mix64_array, _mix64_int
+from repro.congest.transport import BulkKindInbox, BulkRound
 
 # Decision salts: one independent hash family per fault type.
 _SALT_DROP = 0xD1
@@ -292,24 +294,43 @@ class FaultCounters:
         return self.summary()
 
 
-#: One delayed bulk row awaiting maturity: (sender, receiver, fields, count).
-_DelayedRow = tuple[int, int, tuple[int, ...], int]
+#: No delayed copies: empty ``(rows, slips, counts)`` arrays.
+_NO_DELAYS = (np.zeros(0, dtype=np.int64),) * 3
+
+
+def _claim_indices(
+    senders: np.ndarray,
+    receivers: np.ndarray,
+    codes: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Each row's first fate index: rows take the next ``counts[i]``
+    indices of their ``(sender, receiver, code)`` key in row order, from
+    zero.  One stable sort groups the rows by key and a segmented cumsum
+    numbers them inside each group."""
+    order = np.lexsort((receivers, senders, codes))
+    first = np.zeros(len(order), dtype=bool)
+    for column in (codes, senders, receivers):
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
+    first[0] = True
+    ordered = counts[order]
+    before = np.cumsum(ordered) - ordered
+    starts = np.empty(len(order), dtype=np.int64)
+    starts[order] = before - before[first][np.cumsum(first) - 1]
+    return starts
 
 
 class FaultRuntime:
     """Applies one :class:`FaultPlan` to one simulation run.
 
-    The scheduler calls, in order, once per round:
-
-    1. :meth:`crashed` - the nodes down this round;
-    2. :meth:`begin_round` - reset the per-(edge, kind) index counters;
-    3. :meth:`filter_messages` on the round's control messages, then
-       (fast path only) :meth:`filter_bulk` per bulk kind.  Both are
-       thin wrappers of one fate core, :meth:`_decide_rows`, whose
-       index counters carry across the calls, fixing the canonical
-       control-then-bulk order;
-    4. :meth:`take_delayed` - traffic delayed in earlier rounds that
-       matures now (delivered after the fresh traffic, in both loops).
+    Each synchronous round the scheduler reads :meth:`crashed` (the
+    nodes down this round) and hands the round's in-flight traffic to
+    :meth:`deliver`, which decides every message's fate in one call of
+    the fate core, :meth:`_decide_rows`, and appends the traffic delayed
+    into the round (delivered after the fresh traffic, in both loops).
+    The asynchronous executor decides one message at a time instead
+    (:meth:`async_fate`).
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -317,9 +338,9 @@ class FaultRuntime:
         self.counters = FaultCounters()
         self._uniform_rates = not plan.edge_overrides
         # All rates zero everywhere (crash-only or crash-free plans):
-        # no per-message hash is ever evaluated during the run, so the
-        # per-edge fate index counters are never read and whole rounds
-        # can skip fate processing outright.
+        # no per-message hash is ever evaluated during the run, so
+        # fate indices are never needed and whole rounds can skip fate
+        # processing outright.
         self._all_rates_zero = (
             plan.drop_rate == 0.0
             and plan.duplicate_rate == 0.0
@@ -329,16 +350,14 @@ class FaultRuntime:
                 for rates in plan.edge_overrides.values()
             )
         )
-        # This round's next fate index per (sender, receiver) key, per
-        # kind code, as (senders, receivers, next indices); see
-        # _claim_indices.
-        self._indices: dict[int, tuple[np.ndarray, ...]] = {}
         # Asynchronous-executor fate counters: one running index per
         # (round, sender, receiver, kind) across the whole run (the
         # event loop has no per-round reset point; see async_fate).
         self._async_indices: dict[tuple[int, int, int, int], int] = {}
+        # Delayed traffic by maturity round: control messages, and each
+        # bulk kind's rows as one batch per round that delayed them.
         self._delayed_messages: dict[int, list[Message]] = {}
-        self._delayed_bulk: dict[int, dict[str, list[_DelayedRow]]] = {}
+        self._delayed_bulk: dict[int, dict[str, list[BulkKindInbox]]] = {}
         self._crash_cache: dict[int, frozenset[int]] = {}
         self._down_array_cache: dict[int, np.ndarray] = {}
 
@@ -354,10 +373,6 @@ class FaultRuntime:
             )
             self._crash_cache[round_number] = cached
         return cached
-
-    def note_crash_rounds(self, count: int) -> None:
-        """Scheduler hook: ``count`` node-rounds were lost to crashes."""
-        self.counters.crash_node_rounds += count
 
     def _down_array(self, round_number: int) -> np.ndarray:
         """The round's crashed set as a sorted int64 array (cached)."""
@@ -418,9 +433,135 @@ class FaultRuntime:
     # ------------------------------------------------------------------
     # Per-round application
     # ------------------------------------------------------------------
-    def begin_round(self, round_number: int) -> None:
-        self._indices = {}
-        self._round = round_number
+    def deliver(
+        self, round_number: int, control: list[Message], bulk: BulkRound
+    ) -> tuple[list[Message], BulkRound]:
+        """Apply the plan to one round's in-flight traffic: the control
+        messages and the drained :class:`BulkRound`.  Returns what the
+        round delivers, as the control list and the replacement round.
+
+        Every fate is decided in one :meth:`_decide_rows` call over the
+        canonical order: control messages in push order, then each bulk
+        kind's rows in row order.  Messages to crashed nodes are lost; a
+        duplicate arrives right after its original (a bulk row gains a
+        copy); a delayed message re-queues.  Traffic maturing this round
+        follows the fresh traffic: messages in the order they were
+        delayed, and each kind's rows after that kind's fresh rows, in
+        the order their batches were delayed.  Within one batch rows are
+        grouped by edge, edges in order of first appearance among the
+        kind's rows, rows in row order.  Matured traffic already had
+        its fate and is delivered unless its receiver is down now.
+
+        No budget enforcement here: senders respected the CONGEST cap
+        at drain time; duplication and delay are *adversary* actions,
+        and their pile-ups at delivery are the adversary's, not the
+        program's.
+        """
+        down = self.crashed(round_number)
+        self.counters.crash_node_rounds += len(down)
+        inboxes = bulk.inboxes
+        count = len(control)
+        delivered: list[Message] = []
+        kept: dict[str, BulkKindInbox] = {}
+        if control or inboxes:
+            columns = [
+                (
+                    np.fromiter((m.sender for m in control), np.int64, count),
+                    np.fromiter((m.receiver for m in control), np.int64, count),
+                    np.fromiter(
+                        (kind_code(m.kind) for m in control), np.uint64, count
+                    ),
+                    np.ones(count, dtype=np.int64),
+                )
+            ] + [
+                (
+                    inbox.senders,
+                    inbox.receivers,
+                    np.full(len(inbox.senders), kind_code(kind), np.uint64),
+                    inbox.multiplicity,
+                )
+                for kind, inbox in inboxes.items()
+            ]
+            copies, (rows, slips, counts) = self._decide_rows(
+                round_number,
+                *(np.concatenate(column) for column in zip(*columns)),
+            )
+            for message, copy_count in zip(control, copies[:count].tolist()):
+                delivered.extend([message] * copy_count)
+            split = int(np.searchsorted(rows, count))
+            for row, slip in zip(rows[:split].tolist(), slips[:split].tolist()):
+                self._delayed_messages.setdefault(
+                    round_number + slip, []
+                ).append(control[row])
+            low = count
+            for kind, inbox in inboxes.items():
+                high = low + len(inbox.senders)
+                first, last = np.searchsorted(rows, (low, high))
+                if last > first:
+                    self._delay_rows(
+                        round_number,
+                        kind,
+                        inbox,
+                        rows[first:last] - low,
+                        slips[first:last],
+                        counts[first:last],
+                    )
+                mine = copies[low:high]
+                keep = mine > 0
+                if keep.any():
+                    kept[kind] = inbox.select(keep, mine[keep])
+                low = high
+        matured = self._delayed_messages.pop(round_number, [])
+        arrived = [m for m in matured if m.receiver not in down]
+        self.counters.crash_dropped += len(matured) - len(arrived)
+        delivered += arrived
+        for kind, batches in self._delayed_bulk.pop(round_number, {}).items():
+            rows = BulkKindInbox.concat(batches)
+            if down:
+                lost = np.isin(rows.receivers, self._down_array(round_number))
+                if lost.any():
+                    self.counters.crash_dropped += int(
+                        rows.multiplicity[lost].sum()
+                    )
+                    if lost.all():
+                        continue
+                    rows = rows.select(~lost, rows.multiplicity[~lost])
+            kept[kind] = (
+                BulkKindInbox.concat([kept[kind], rows])
+                if kind in kept
+                else rows
+            )
+        return delivered, BulkRound(kept, delivered, bulk.n)
+
+    def _delay_rows(
+        self,
+        round_number: int,
+        kind: str,
+        inbox: BulkKindInbox,
+        rows: np.ndarray,
+        slips: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
+        """Queue one kind's delayed rows (``counts[i]`` copies of row
+        ``rows[i]`` slip ``slips[i]`` rounds; ascending by row, then
+        slip) as one batch per maturity round, grouped by edge, edges in
+        order of first appearance among the kind's live rows."""
+        live = np.flatnonzero(inbox.multiplicity > 0)
+        edge_keys = (inbox.senders[live].astype(np.int64) << np.int64(32)) | (
+            inbox.receivers[live]
+        )
+        _, first, inverse = np.unique(
+            edge_keys, return_index=True, return_inverse=True
+        )
+        edge_first = np.zeros(len(inbox.senders), dtype=np.int64)
+        edge_first[live] = live[first][inverse]
+        order = np.argsort(edge_first[rows], kind="stable")
+        rows, slips, counts = rows[order], slips[order], counts[order]
+        for slip in sorted(set(slips.tolist())):
+            mine = slips == slip
+            self._delayed_bulk.setdefault(round_number + slip, {}).setdefault(
+                kind, []
+            ).append(inbox.select(rows[mine], counts[mine]))
 
     def _batched_fates(
         self,
@@ -479,21 +620,22 @@ class FaultRuntime:
         receivers: np.ndarray,
         codes: np.ndarray,
         multiplicity: np.ndarray,
-    ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-        """The round's fates for a batch of rows, in canonical order.
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The round's fates for its rows, in canonical order.
 
         Row ``i`` stands for ``multiplicity[i]`` identical messages of
         kind code ``codes[i]`` on edge ``(senders[i], receivers[i])``.
         Rows to crashed receivers are lost whole.  Every other row takes
         the next ``multiplicity[i]`` consecutive indices of its (edge,
-        kind), in row order, continuing the counters of earlier calls
-        this round - exactly the positions the per-message loop assigns
-        to the same traffic - and one batched hash decides every message.
+        kind), in row order from zero - exactly the positions the
+        per-message loop assigns to the same traffic - and one batched
+        hash decides every message.
 
         Returns each row's delivered copies (0 removes the row; a
-        duplicated message adds one) and the delayed ``(row, slip,
-        count)`` triples, ascending by row then slip.  The caller
-        re-queues the delayed copies; the counters are bumped here.
+        duplicated message adds one) and the delayed copies as arrays
+        ``(rows, slips, counts)``, ascending by row then slip.  The
+        caller re-queues the delayed copies; the counters are bumped
+        here.
         """
         copies = multiplicity.astype(np.int64, copy=True)
         if self.crashed(round_number):
@@ -503,19 +645,16 @@ class FaultRuntime:
                 copies[lost] = 0
         if self._all_rates_zero:
             # Crash-only plan: no per-message hash is ever evaluated, so
-            # the per-(edge, kind) index counters are never read and need
-            # not advance; the crash loss above is the plan's whole effect.
-            return copies, []
+            # no fate index is needed; the crash loss above is the
+            # plan's whole effect.
+            return copies, _NO_DELAYS
         rows = np.flatnonzero(copies)
         if not len(rows):
-            return copies, []
+            return copies, _NO_DELAYS
         row_counts = copies[rows]
         row_senders = senders[rows]
         row_receivers = receivers[rows]
         row_codes = codes[rows]
-        starts = self._claim_indices(
-            row_senders, row_receivers, row_codes, row_counts
-        )
         if self._uniform_rates:
             drop = self.plan.drop_rate
             dup = self.plan.duplicate_rate
@@ -533,16 +672,17 @@ class FaultRuntime:
             )
             have_drop, have_dup, have_delay = row_rates.any(axis=0).tolist()
         if not (have_drop or have_dup or have_delay):
-            return copies, []
+            return copies, _NO_DELAYS
         # One entry per message: row j covers messages ``bounds[j] ..
         # bounds[j + 1] - 1``, at consecutive indices from its start.
         bounds = np.cumsum(row_counts) - row_counts
+        starts = _claim_indices(row_senders, row_receivers, row_codes, row_counts)
         message_index = np.arange(int(row_counts.sum())) + np.repeat(
             starts - bounds, row_counts
         )
         bases = np.repeat(
             _edge_base_array(
-                self.plan.seed, self._round, row_senders, row_receivers,
+                self.plan.seed, round_number, row_senders, row_receivers,
                 row_codes,
             ),
             row_counts,
@@ -562,195 +702,15 @@ class FaultRuntime:
         self.counters.dropped += int(np.count_nonzero(dropped))
         self.counters.duplicated += int(np.count_nonzero(duplicated))
         if not slipped.any():
-            return copies, []
+            return copies, _NO_DELAYS
         self.counters.delayed += int(np.count_nonzero(slipped))
         span = self.plan.max_delay + 1
-        pairs, pair_counts = np.unique(
+        pairs, counts = np.unique(
             np.repeat(rows, row_counts)[slipped] * span
             + delay_rounds[slipped],
             return_counts=True,
         )
-        delayed = [
-            (pair // span, pair % span, count)
-            for pair, count in zip(pairs.tolist(), pair_counts.tolist())
-        ]
-        return copies, delayed
-
-    def _claim_indices(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        codes: np.ndarray,
-        counts: np.ndarray,
-    ) -> np.ndarray:
-        """Each row's first fate index: rows take the next ``counts[i]``
-        indices of their ``(sender, receiver, code)`` key in row order,
-        continuing this round's counters.  One stable sort groups the
-        rows by key and a segmented cumsum numbers them inside each
-        group; the counters are kept per code as the keys' arrays, and
-        a code seen earlier in the round is looked up once per key."""
-        order = np.lexsort((receivers, senders, codes))
-        keys = (codes[order], senders[order], receivers[order])
-        first = np.zeros(len(order), dtype=bool)
-        for column in keys:
-            first[1:] |= column[1:] != column[:-1]
-        first[0] = True
-        firsts = np.flatnonzero(first)
-        ordered = counts[order]
-        before = np.cumsum(ordered) - ordered
-        group_codes, group_senders, group_receivers = (
-            column[firsts] for column in keys
-        )
-        ends = np.add.reduceat(ordered, firsts)
-        bases = np.zeros(len(firsts), dtype=np.int64)
-        code_starts = np.flatnonzero(
-            np.append(True, group_codes[1:] != group_codes[:-1])
-        )
-        for lo, hi in zip(code_starts, [*code_starts[1:], len(firsts)]):
-            code, mine = int(group_codes[lo]), slice(lo, hi)
-            held = self._indices.get(code)
-            pairs = (group_senders[mine], group_receivers[mine])
-            if held is not None:
-                # The code came earlier this round: carry its counters.
-                counters = dict(
-                    zip(zip(*(c.tolist() for c in held[:2])), held[2].tolist())
-                )
-                edges = list(zip(*(c.tolist() for c in pairs)))
-                bases[mine] = [counters.get(edge, 0) for edge in edges]
-                ends[mine] += bases[mine]
-                counters.update(zip(edges, ends[mine].tolist()))
-                held = tuple(
-                    np.array(column)
-                    for column in zip(
-                        *((*edge, end) for edge, end in counters.items())
-                    )
-                )
-            else:
-                held = (*pairs, ends[mine])
-            self._indices[code] = held
-        starts = np.empty(len(order), dtype=np.int64)
-        starts[order] = (bases - before[firsts])[np.cumsum(first) - 1] + before
-        return starts
-
-    def filter_messages(
-        self, round_number: int, messages: list[Message]
-    ) -> list[Message]:
-        """Apply the plan to one round's materialized messages.
-
-        Call :meth:`begin_round` first.  Messages to crashed nodes are
-        lost; the rest face the drop/delay/duplicate hash.  Duplicates
-        are delivered immediately after their original, and delayed
-        messages re-queue in message order.
-        """
-        if not messages:
-            return []
-        count = len(messages)
-        copies, delayed = self._decide_rows(
-            round_number,
-            np.fromiter((m.sender for m in messages), np.int64, count),
-            np.fromiter((m.receiver for m in messages), np.int64, count),
-            np.fromiter(
-                (kind_code(m.kind) for m in messages), np.uint64, count
-            ),
-            np.ones(count, dtype=np.int64),
-        )
-        delivered: list[Message] = []
-        append = delivered.append
-        for message, n in zip(messages, copies.tolist()):
-            if n:
-                append(message)
-                if n == 2:
-                    append(message)
-        for row, slip, _ in delayed:
-            self._delayed_messages.setdefault(
-                round_number + slip, []
-            ).append(messages[row])
-        return delivered
-
-    def filter_bulk(
-        self,
-        round_number: int,
-        kind: str,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        fields: np.ndarray,
-        multiplicity: np.ndarray,
-    ) -> np.ndarray:
-        """Apply the plan to one kind's aggregate rows; returns the new
-        per-row multiplicities (0 removes the row).
-
-        Each row stands for ``multiplicity[i]`` identical messages,
-        occupying consecutive indices in its edge's canonical order -
-        exactly the positions the per-message loop assigns to the same
-        traffic - so decisions agree bit-for-bit across the loops.
-        Delayed copies re-queue grouped by edge, edges in order of first
-        appearance, rows in row order and slips ascending within a row.
-        """
-        copies, delayed = self._decide_rows(
-            round_number,
-            senders,
-            receivers,
-            np.full(len(senders), kind_code(kind), dtype=np.uint64),
-            multiplicity,
-        )
-        if delayed:
-            live = np.flatnonzero(multiplicity > 0)
-            edge_keys = (senders[live].astype(np.int64) << np.int64(32)) | (
-                receivers[live]
-            )
-            _, first, inverse = np.unique(
-                edge_keys, return_index=True, return_inverse=True
-            )
-            edge_first = np.zeros(len(senders), dtype=np.int64)
-            edge_first[live] = live[first][inverse]
-            edge_first_list = edge_first.tolist()
-            delayed.sort(key=lambda triple: edge_first_list[triple[0]])
-            queued = self._delayed_bulk
-            for row, slip, count in delayed:
-                queued.setdefault(round_number + slip, {}).setdefault(
-                    kind, []
-                ).append(
-                    (
-                        int(senders[row]),
-                        int(receivers[row]),
-                        tuple(int(x) for x in fields[row]),
-                        count,
-                    )
-                )
-        return copies
-
-    def take_delayed(
-        self, round_number: int
-    ) -> tuple[list[Message], dict[str, list[_DelayedRow]]]:
-        """Matured delayed traffic for this round.
-
-        Delayed messages are delivered unconditionally (they already
-        had their one fault) - unless their receiver is down *now*, in
-        which case they are lost to the crash.
-        """
-        messages = self._delayed_messages.pop(round_number, [])
-        bulk = self._delayed_bulk.pop(round_number, {})
-        down = self.crashed(round_number)
-        if down:
-            kept_messages = []
-            for message in messages:
-                if message.receiver in down:
-                    self.counters.crash_dropped += 1
-                else:
-                    kept_messages.append(message)
-            messages = kept_messages
-            kept_bulk: dict[str, list[_DelayedRow]] = {}
-            for kind, rows in bulk.items():
-                kept_rows = []
-                for sender, receiver, fields, count in rows:
-                    if receiver in down:
-                        self.counters.crash_dropped += count
-                    else:
-                        kept_rows.append((sender, receiver, fields, count))
-                if kept_rows:
-                    kept_bulk[kind] = kept_rows
-            bulk = kept_bulk
-        return messages, bulk
+        return copies, (pairs // span, pairs % span, counts)
 
     @property
     def has_pending_delayed(self) -> bool:

@@ -439,60 +439,56 @@ class Simulator:
             crashed_now: frozenset[int] = frozenset()
             if fault_rt is not None:
                 with profiler.span("faults.filter"):
-                    # Control messages first, then bulk rows (indices
-                    # continue across the two), then matured delayed
-                    # traffic; the replacement traffic numbers reflect
-                    # what was actually delivered.
+                    # One fault pass over the round's control messages
+                    # and bulk rows, plus the delayed traffic maturing
+                    # now; the round is accounted from what it delivers.
                     crashed_now = fault_rt.crashed(round_number)
-                    fault_rt.note_crash_rounds(len(crashed_now))
-                    fault_rt.begin_round(round_number)
-                    in_flight = fault_rt.filter_messages(
-                        round_number, in_flight
-                    )
-                    in_flight, bulk_in_flight = bulk_in_flight.apply_faults(
-                        fault_rt, round_number, n, in_flight
+                    in_flight, bulk_in_flight = fault_rt.deliver(
+                        round_number, in_flight, bulk_in_flight
                     )
                 if self._instruments is not None:
                     self._instruments.record_fault_counters(
                         round_number, fault_rt.counters.snapshot()
                     )
-            metrics.record_round_aggregate(bulk_in_flight.traffic)
-            if self.record_messages:
-                message_log.append(in_flight)
-            if not isinstance(self.tracer, NullTracer):
-                # Expand this round's deliveries into per-message trace
-                # events (bulk rows kind-major after the control
-                # messages; equivalence tests compare sorted streams).
-                # Done before the claim pass so driver traffic is
-                # traced too.
-                for message in in_flight:
-                    self.tracer.record(
-                        round_number,
-                        message.receiver,
-                        "deliver",
-                        message.kind,
-                        message.sender,
-                    )
-                bulk_in_flight.trace_into(self.tracer, round_number)
-            # Every bulk kind goes to the driver claiming it, whole: at
-            # end of round, or before the node pass to a driver with
-            # ``receive_rows``.  Node programs see control messages only.
-            claimed_traffic: dict[int, dict[str, tuple]] = {}
-            if bulk_in_flight:
-                for kind, driver in claimed_kinds.items():
-                    data = bulk_in_flight.take(kind)
-                    if data is not None:
-                        claimed_traffic.setdefault(id(driver), {})[
-                            kind
-                        ] = data
-                if bulk_in_flight:
-                    raise ProtocolError(
-                        f"bulk {bulk_in_flight.kinds[0]!r} rows arrived in "
-                        f"round {round_number} but no fast-path driver "
-                        "claims the kind; bulk traffic must go driver to "
-                        "driver"
-                    )
             with profiler.span("deliver"):
+                # The round's one traffic merge (of what the fault pass
+                # delivered, on a faulty run) is delivery work.
+                metrics.record_round_aggregate(bulk_in_flight.traffic)
+                if self.record_messages:
+                    message_log.append(in_flight)
+                if not isinstance(self.tracer, NullTracer):
+                    # Expand this round's deliveries into per-message trace
+                    # events (bulk rows kind-major after the control
+                    # messages; equivalence tests compare sorted streams).
+                    # Done before the claim pass so driver traffic is
+                    # traced too.
+                    for message in in_flight:
+                        self.tracer.record(
+                            round_number,
+                            message.receiver,
+                            "deliver",
+                            message.kind,
+                            message.sender,
+                        )
+                    bulk_in_flight.trace_into(self.tracer, round_number)
+                # Every bulk kind goes to the driver claiming it, whole: at
+                # end of round, or before the node pass to a driver with
+                # ``receive_rows``.  Node programs see control messages only.
+                claimed_traffic: dict[int, dict[str, tuple]] = {}
+                if bulk_in_flight:
+                    for kind, driver in claimed_kinds.items():
+                        data = bulk_in_flight.take(kind)
+                        if data is not None:
+                            claimed_traffic.setdefault(id(driver), {})[
+                                kind
+                            ] = data
+                    if bulk_in_flight:
+                        raise ProtocolError(
+                            f"bulk {bulk_in_flight.kinds[0]!r} rows arrived in "
+                            f"round {round_number} but no fast-path driver "
+                            "claims the kind; bulk traffic must go driver to "
+                            "driver"
+                        )
                 for driver in early_drivers:
                     rows = claimed_traffic.pop(id(driver), None)
                     if rows:

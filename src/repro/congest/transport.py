@@ -19,13 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from repro.congest.errors import CongestViolation, ConfigError
 from repro.congest.message import TAG_BITS, Message, int_bits_array
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.congest.faults import FaultRuntime
 
 
 @dataclass(frozen=True)
@@ -114,14 +109,45 @@ class RoundOutbox:
 @dataclass(frozen=True)
 class BulkKindInbox:
     """The aggregated rows of one message kind in one round, network
-    wide; the receivers ride alongside in :class:`BulkRound`."""
+    wide: row ``i`` stands for ``multiplicity[i]`` identical messages
+    ``senders[i] -> receivers[i]`` of ``row_bits[i]`` bits each."""
 
     senders: np.ndarray
+    receivers: np.ndarray
     # (groups, field_count) integer matrix; None for priced traffic
     # pushed without a payload (:meth:`BulkOutbox.push_priced`), which
     # only its claiming driver ever takes.
     fields: np.ndarray | None
     multiplicity: np.ndarray  # identical copies per row
+    row_bits: np.ndarray
+
+    def select(
+        self, rows: np.ndarray, multiplicity: np.ndarray
+    ) -> "BulkKindInbox":
+        """The rows at ``rows`` (indices or a mask), now carrying
+        ``multiplicity`` copies each."""
+        return BulkKindInbox(
+            senders=self.senders[rows],
+            receivers=self.receivers[rows],
+            fields=None if self.fields is None else self.fields[rows],
+            multiplicity=multiplicity,
+            row_bits=self.row_bits[rows],
+        )
+
+    @staticmethod
+    def concat(parts: list["BulkKindInbox"]) -> "BulkKindInbox":
+        """One kind's rows from several batches, in batch order."""
+        if len(parts) == 1:
+            return parts[0]
+        return BulkKindInbox(
+            *(
+                np.concatenate([getattr(part, name) for part in parts])
+                for name in (
+                    "senders", "receivers", "fields", "multiplicity",
+                    "row_bits",
+                )
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -148,6 +174,9 @@ class RoundTraffic:
     )
 
 
+_NO_TRAFFIC = RoundTraffic()
+
+
 @dataclass
 class _KindBatch:
     """Accumulated same-kind records of one round (pre-concatenation)."""
@@ -167,40 +196,55 @@ class _KindBatch:
 
 
 class BulkRound:
-    """One round's drained aggregate traffic, in flight to next round.
+    """One round's drained traffic, in flight to the next round: the
+    aggregate rows of each kind (``inboxes``) and the control messages
+    that shared the round's edges.
 
-    Holds concatenated per-kind arrays plus the merged
-    :class:`RoundTraffic` numbers the scheduler folds into
-    :class:`~repro.congest.metrics.RunMetrics` at delivery time - the
-    same totals and per-edge maxima that materializing every message
-    would have produced.
+    ``traffic`` is the merged :class:`RoundTraffic` the scheduler folds
+    into :class:`~repro.congest.metrics.RunMetrics` at delivery time -
+    the same totals and per-edge maxima that materializing every
+    message would have produced.  It is computed on first read: a
+    faulty round is replaced by what its fault pass delivers
+    (:meth:`~repro.congest.faults.FaultRuntime.deliver`), and only that
+    replacement is ever accounted.
     """
 
     def __init__(
         self,
-        kinds: dict[str, BulkKindInbox],
-        receivers_by_kind: dict[str, np.ndarray],
-        row_bits_by_kind: dict[str, np.ndarray],
-        traffic: RoundTraffic,
+        inboxes: dict[str, BulkKindInbox],
+        control: list[Message],
+        n: int,
+        traffic: RoundTraffic | None = None,
+        loads: tuple[np.ndarray, ...] | None = None,
     ) -> None:
-        self._kinds = kinds
-        self._receivers = receivers_by_kind
-        self._row_bits = row_bits_by_kind
-        self.traffic = traffic
+        self.inboxes = inboxes
+        self._control = control
+        self.n = n
+        self._traffic = traffic
+        # The drain's budget check (see _edge_loads), reused by the merge.
+        self._loads = loads
 
     def __bool__(self) -> bool:
-        return bool(self._kinds)
+        return bool(self.inboxes)
 
     @property
     def kinds(self) -> tuple[str, ...]:
         """The message kinds still in this round (not yet taken)."""
-        return tuple(self._kinds)
+        return tuple(self.inboxes)
 
     @property
     def total_messages(self) -> int:
         return sum(
-            int(batch.multiplicity.sum()) for batch in self._kinds.values()
+            int(inbox.multiplicity.sum()) for inbox in self.inboxes.values()
         )
+
+    @property
+    def traffic(self) -> RoundTraffic:
+        if self._traffic is None:
+            self._traffic = _round_traffic(
+                self.inboxes, self._control, self.n, self._loads
+            )
+        return self._traffic
 
     def take(
         self, kind: str
@@ -210,102 +254,16 @@ class BulkRound:
 
         Every bulk kind belongs to the fast-path driver that claims it:
         the scheduler hands each claimed kind to its driver whole, and
-        no node program ever sees a bulk row.  Accounting is unaffected
-        (``traffic`` was fixed at drain time).  ``fields`` is None for
-        priced traffic pushed without a payload
+        no node program ever sees a bulk row.  Accounting is unaffected:
+        ``traffic`` is fixed before the first row leaves.  ``fields`` is
+        None for priced traffic pushed without a payload
         (:meth:`BulkOutbox.push_priced`)."""
-        batch = self._kinds.pop(kind, None)
-        if batch is None:
+        inbox = self.inboxes.get(kind)
+        if inbox is None:
             return None
-        receivers = self._receivers.pop(kind)
-        self._row_bits.pop(kind)
-        return batch.senders, receivers, batch.fields, batch.multiplicity
-
-    def apply_faults(
-        self,
-        runtime: "FaultRuntime",
-        round_number: int,
-        n: int,
-        control_messages: list[Message],
-    ) -> tuple[list[Message], "BulkRound"]:
-        """Run this round's aggregate traffic through the fault plan.
-
-        ``control_messages`` must already be fault-filtered (the
-        scheduler does that first; per-edge fault indices continue from
-        control into bulk, fixing the canonical order).  Filters every
-        kind's rows, folds in traffic *delayed into* this round, and
-        recomputes the delivered :class:`RoundTraffic` - so RunMetrics
-        counts what actually arrived.  Returns the final control list
-        (matured delayed messages appended) and the replacement round.
-
-        No budget enforcement here: senders respected the CONGEST cap
-        at drain time; duplication and delay are *adversary* actions,
-        and their pile-ups at delivery are the adversary's, not the
-        program's.
-        """
-        kinds: dict[str, BulkKindInbox] = {}
-        receivers_by_kind: dict[str, np.ndarray] = {}
-        row_bits_by_kind: dict[str, np.ndarray] = {}
-        for kind, batch in self._kinds.items():
-            receivers = self._receivers[kind]
-            new_mult = runtime.filter_bulk(
-                round_number,
-                kind,
-                batch.senders,
-                receivers,
-                batch.fields,
-                batch.multiplicity,
-            )
-            keep = new_mult > 0
-            if keep.any():
-                kinds[kind] = BulkKindInbox(
-                    senders=batch.senders[keep],
-                    fields=batch.fields[keep],
-                    multiplicity=new_mult[keep],
-                )
-                receivers_by_kind[kind] = receivers[keep]
-                row_bits_by_kind[kind] = self._row_bits[kind][keep]
-        matured_messages, matured_bulk = runtime.take_delayed(round_number)
-        for kind, rows in matured_bulk.items():
-            senders = np.array([r[0] for r in rows], dtype=np.int64)
-            receivers = np.array([r[1] for r in rows], dtype=np.int64)
-            fields = np.array([r[2] for r in rows], dtype=np.int64)
-            if fields.ndim == 1:  # all-empty payloads
-                fields = fields.reshape(len(rows), 0)
-            multiplicity = np.array([r[3] for r in rows], dtype=np.int64)
-            row_bits = TAG_BITS + int_bits_array(fields).sum(axis=1)
-            if kind in kinds:
-                old = kinds[kind]
-                kinds[kind] = BulkKindInbox(
-                    senders=np.concatenate((old.senders, senders)),
-                    fields=np.concatenate((old.fields, fields)),
-                    multiplicity=np.concatenate(
-                        (old.multiplicity, multiplicity)
-                    ),
-                )
-                receivers_by_kind[kind] = np.concatenate(
-                    (receivers_by_kind[kind], receivers)
-                )
-                row_bits_by_kind[kind] = np.concatenate(
-                    (row_bits_by_kind[kind], row_bits)
-                )
-            else:
-                kinds[kind] = BulkKindInbox(
-                    senders=senders,
-                    fields=fields,
-                    multiplicity=multiplicity,
-                )
-                receivers_by_kind[kind] = receivers
-                row_bits_by_kind[kind] = row_bits
-        control = control_messages + matured_messages
-        traffic = RoundTraffic()
-        if kinds or control:
-            traffic, _, _ = _round_traffic(
-                kinds, receivers_by_kind, row_bits_by_kind, control, n
-            )
-        return control, BulkRound(
-            kinds, receivers_by_kind, row_bits_by_kind, traffic
-        )
+        self.traffic  # account the round before it shrinks
+        del self.inboxes[kind]
+        return inbox.senders, inbox.receivers, inbox.fields, inbox.multiplicity
 
     def trace_into(self, tracer, round_number: int) -> None:
         """Emit one ``deliver`` trace event per materialized message of
@@ -316,78 +274,68 @@ class BulkRound:
         too.  Event *order* differs from per-message dispatch
         (kind-major here, delivery order there); equivalence tests
         compare sorted streams."""
-        for kind, batch in self._kinds.items():
-            receivers = self._receivers[kind]
-            senders = batch.senders
-            multiplicity = batch.multiplicity
-            for i in range(len(receivers)):
-                receiver = int(receivers[i])
-                sender = int(senders[i])
-                for _ in range(int(multiplicity[i])):
+        for kind, inbox in self.inboxes.items():
+            for receiver, sender, copies in zip(
+                inbox.receivers.tolist(),
+                inbox.senders.tolist(),
+                inbox.multiplicity.tolist(),
+            ):
+                for _ in range(copies):
                     tracer.record(
                         round_number, receiver, "deliver", kind, sender
                     )
 
 
-def _round_traffic(
-    kinds: dict[str, BulkKindInbox],
-    receivers_by_kind: dict[str, np.ndarray],
-    row_bits_by_kind: dict[str, np.ndarray],
-    control_messages: list[Message],
-    n: int,
-) -> tuple[RoundTraffic, np.ndarray, np.ndarray]:
-    """One round's merged bulk + control accounting, no enforcement.
-
-    Returns the :class:`RoundTraffic` plus the directed-edge code
-    (``sender * n + receiver``) of every row and each row's index into
-    ``traffic.edge_messages``, so :meth:`BulkOutbox.drain` can name an
-    overloaded edge.  The round must carry some traffic."""
-    edge_codes_parts: list[np.ndarray] = []
-    edge_messages_parts: list[np.ndarray] = []
-    edge_bits_parts: list[np.ndarray] = []
-    total_messages = 0
-    total_bits = 0
-    max_message_bits = 0
-    for kind, batch in kinds.items():
-        receivers = receivers_by_kind[kind]
-        row_bits = row_bits_by_kind[kind]
-        edge_codes_parts.append(batch.senders * n + receivers)
-        edge_messages_parts.append(batch.multiplicity)
-        edge_bits_parts.append(batch.multiplicity * row_bits)
-        total_messages += int(batch.multiplicity.sum())
-        total_bits += int((batch.multiplicity * row_bits).sum())
-        max_message_bits = max(max_message_bits, int(row_bits.max()))
-    if control_messages:
-        codes = np.array(
-            [m.sender * n + m.receiver for m in control_messages],
-            dtype=np.int64,
+def _edge_loads(
+    inboxes: dict[str, BulkKindInbox], control: list[Message], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's directed-edge code (``sender * n + receiver``; bulk
+    rows kind by kind, then the control messages), its index into the
+    per-edge loads, and every loaded edge's message count.  This is all
+    the per-edge budget check needs; :func:`_round_traffic` finishes
+    the merge from it.  The round must carry some traffic."""
+    codes = [inbox.senders * n + inbox.receivers for inbox in inboxes.values()]
+    messages = [inbox.multiplicity for inbox in inboxes.values()]
+    if control:
+        codes.append(
+            np.array([m.sender * n + m.receiver for m in control], np.int64)
         )
-        bits = np.array([m.bits for m in control_messages], dtype=np.int64)
-        edge_codes_parts.append(codes)
-        edge_messages_parts.append(np.ones(len(codes), dtype=np.int64))
-        edge_bits_parts.append(bits)
-        total_messages += len(control_messages)
-        total_bits += int(bits.sum())
-        max_message_bits = max(max_message_bits, int(bits.max()))
-    codes = np.concatenate(edge_codes_parts)
+        messages.append(np.ones(len(control), dtype=np.int64))
+    codes = np.concatenate(codes)
     _, inverse = np.unique(codes, return_inverse=True)
-    edge_messages = np.bincount(
-        inverse, weights=np.concatenate(edge_messages_parts)
-    )
-    edge_bits = np.bincount(inverse, weights=np.concatenate(edge_bits_parts))
-    traffic = RoundTraffic(
-        total_messages=total_messages,
-        total_bits=total_bits,
+    edge_messages = np.bincount(inverse, weights=np.concatenate(messages))
+    return codes, inverse, edge_messages.astype(np.int64)
+
+
+def _round_traffic(
+    inboxes: dict[str, BulkKindInbox],
+    control: list[Message],
+    n: int,
+    loads: tuple[np.ndarray, ...] | None = None,
+) -> RoundTraffic:
+    """One round's merged bulk + control accounting, no enforcement;
+    ``loads`` is the round's :func:`_edge_loads`, when already known."""
+    if not inboxes and not control:
+        return _NO_TRAFFIC
+    _, inverse, edge_messages = loads or _edge_loads(inboxes, control, n)
+    bits = [inbox.multiplicity * inbox.row_bits for inbox in inboxes.values()]
+    peak = max((int(inbox.row_bits.max()) for inbox in inboxes.values()),
+               default=0)
+    if control:
+        control_bits = np.array([m.bits for m in control], dtype=np.int64)
+        bits.append(control_bits)
+        peak = max(peak, int(control_bits.max()))
+    bits = np.concatenate(bits)
+    edge_bits = np.bincount(inverse, weights=bits).astype(np.int64)
+    return RoundTraffic(
+        total_messages=int(edge_messages.sum()),
+        total_bits=int(bits.sum()),
         max_edge_messages=int(edge_messages.max()),
         max_edge_bits=int(edge_bits.max()),
-        max_message_bits=max_message_bits,
-        edge_messages=edge_messages.astype(np.int64),
-        edge_bits=edge_bits.astype(np.int64),
+        max_message_bits=peak,
+        edge_messages=edge_messages,
+        edge_bits=edge_bits,
     )
-    return traffic, codes, inverse
-
-
-_EMPTY_ROUND = BulkRound({}, {}, {}, RoundTraffic())
 
 
 class BulkOutbox:
@@ -504,88 +452,94 @@ class BulkOutbox:
         )
 
     def drain(self, n: int, control_messages: list[Message]) -> BulkRound:
-        """Close the round: merge accounting with the round's control
-        messages, enforce the shared per-edge budget, and hand back the
+        """Close the round: enforce the per-edge budget that bulk rows
+        and the round's control messages share, and hand back the
         in-flight :class:`BulkRound`.
 
-        A round of priced pushes alone skips the merge: its loads reduce
-        over the rows' edge ids.  Every other round, and a priced round
-        over the per-edge budget (to name the edge), merges the rows by
-        ``(sender, receiver)``."""
+        A round without bulk rows checks nothing here
+        (:meth:`RoundOutbox.push` held each edge's control mail to the
+        budget).  A round of priced pushes alone reduces its loads over
+        the rows' edge ids and accounts itself at once.  Every other
+        round, and a priced round over the budget (to name the edge),
+        counts each ``(sender, receiver)`` edge's messages
+        (:func:`_edge_loads`); the merge's bit half waits until the
+        round's traffic is read, so a round that the fault pass
+        replaces never finishes it."""
         batches, self._batches = self._batches, {}
-        if not batches and not control_messages:
-            return _EMPTY_ROUND
+        if not batches:
+            return BulkRound({}, control_messages, n)
         if not control_messages and all(
             batch.priced for batch in batches.values()
         ):
-            priced = _priced_round(batches)
+            priced = _priced_round(batches, n)
             if (
                 priced is not None
                 and priced.traffic.max_edge_messages
                 <= self._policy.messages_per_edge
             ):
                 return priced
-        kinds: dict[str, BulkKindInbox] = {}
-        receivers_by_kind: dict[str, np.ndarray] = {}
-        row_bits_by_kind: dict[str, np.ndarray] = {}
-        for kind, batch in batches.items():
-            kinds[kind] = BulkKindInbox(
+        inboxes = {
+            kind: BulkKindInbox(
                 senders=np.concatenate(batch.senders),
+                receivers=np.concatenate(batch.receivers),
                 fields=np.concatenate(batch.fields) if batch.fields else None,
                 multiplicity=np.concatenate(batch.multiplicity),
+                row_bits=np.concatenate(batch.row_bits),
             )
-            receivers_by_kind[kind] = np.concatenate(batch.receivers)
-            row_bits_by_kind[kind] = np.concatenate(batch.row_bits)
-        traffic, codes, inverse = _round_traffic(
-            kinds, receivers_by_kind, row_bits_by_kind, control_messages, n
-        )
-        if traffic.max_edge_messages > self._policy.messages_per_edge:
-            over = int(codes[np.argmax(traffic.edge_messages[inverse])])
+            for kind, batch in batches.items()
+        }
+        loads = _edge_loads(inboxes, control_messages, n)
+        codes, inverse, edge_messages = loads
+        load = int(edge_messages.max())
+        if load > self._policy.messages_per_edge:
+            over = int(codes[np.argmax(edge_messages[inverse])])
             raise CongestViolation(
                 f"edge ({over // n} -> {over % n}) carries "
-                f"{traffic.max_edge_messages} messages this round "
+                f"{load} messages this round "
                 f"(limit {self._policy.messages_per_edge})"
             )
-        return BulkRound(kinds, receivers_by_kind, row_bits_by_kind, traffic)
+        return BulkRound(inboxes, control_messages, n, loads=loads)
 
 
-def _priced_round(batches: dict[str, _KindBatch]) -> BulkRound | None:
+def _priced_round(batches: dict[str, _KindBatch], n: int) -> BulkRound | None:
     """A round of priced pushes only, accounted without merging rows:
     a lone push on distinct edges makes each row its edge's load, and
     pushes tagged with edge ids sum their loads by id.  None when a
     push without edge ids shares the round."""
-    kinds: dict[str, BulkKindInbox] = {}
-    receivers_by_kind: dict[str, np.ndarray] = {}
-    row_bits_by_kind: dict[str, np.ndarray] = {}
-    for kind, batch in batches.items():
-        kinds[kind] = BulkKindInbox(
+    inboxes = {
+        kind: BulkKindInbox(
             senders=batch.senders[0],
+            receivers=batch.receivers[0],
             fields=batch.fields[0] if batch.fields else None,
             multiplicity=batch.multiplicity[0],
+            row_bits=batch.row_bits[0],
         )
-        receivers_by_kind[kind] = batch.receivers[0]
-        row_bits_by_kind[kind] = batch.row_bits[0]
+        for kind, batch in batches.items()
+    }
     peak = max(batch.peak for batch in batches.values())
     untagged = [batch.edges is None for batch in batches.values()]
     if untagged == [True]:
         # One push on distinct edges: each row is its edge's load.
-        ((kind, row_bits),) = row_bits_by_kind.items()
+        (inbox,) = inboxes.values()
         traffic = RoundTraffic(
-            total_messages=len(row_bits),
-            total_bits=int(row_bits.sum()),
+            total_messages=len(inbox.row_bits),
+            total_bits=int(inbox.row_bits.sum()),
             max_edge_messages=1,
             max_edge_bits=peak,
             max_message_bits=peak,
-            edge_messages=kinds[kind].multiplicity,
-            edge_bits=row_bits,
+            edge_messages=inbox.multiplicity,
+            edge_bits=inbox.row_bits,
         )
-        return BulkRound(kinds, receivers_by_kind, row_bits_by_kind, traffic)
+        return BulkRound(inboxes, [], n, traffic)
     if any(untagged):
         return None
     edges = np.concatenate([batch.edges for batch in batches.values()])
-    messages = np.concatenate([inbox.multiplicity for inbox in kinds.values()])
-    row_bits = np.concatenate(list(row_bits_by_kind.values()))
-    bits = messages * row_bits
+    messages = np.concatenate(
+        [inbox.multiplicity for inbox in inboxes.values()]
+    )
+    bits = messages * np.concatenate(
+        [inbox.row_bits for inbox in inboxes.values()]
+    )
     # Loads by edge id; every used edge carries a message.
     edge_messages = np.bincount(edges, weights=messages)
     used = edge_messages.nonzero()[0]
@@ -600,4 +554,4 @@ def _priced_round(batches: dict[str, _KindBatch]) -> BulkRound | None:
         edge_messages=edge_messages,
         edge_bits=edge_bits,
     )
-    return BulkRound(kinds, receivers_by_kind, row_bits_by_kind, traffic)
+    return BulkRound(inboxes, [], n, traffic)

@@ -150,12 +150,12 @@ def estimate_rwbc_distributed(
         raise ConfigError(
             f"unknown executor {executor!r}: expected 'sync' or 'async'"
         )
+    # The same test that sets NodeInfo.lossy on the synchronous loop;
+    # there the protocol recovers from the losses itself.  Under the
+    # async executor the synchronizer's transport handles all loss below
+    # the round abstraction, so the protocol runs in its plain shape and
+    # never observes a fault.
     lossy = faults is not None and not faults.is_trivial
-    # The protocol recovers where its links are lossy (NodeInfo.lossy):
-    # under the async executor the synchronizer's transport handles all
-    # loss below the round abstraction, so the protocol runs in its
-    # plain shape and never observes a fault.
-    reliable = lossy and executor != "async"
     if executor == "async":
         if record_messages:
             raise ConfigError(
@@ -184,13 +184,12 @@ def estimate_rwbc_distributed(
             telemetry.instruments if telemetry is not None else None
         ),
     )
-    if reliable:
-        _validate_crash_windows(faults, n)
     if bandwidth is None:
-        # Reliable mode needs two extra per-edge slots: one for the ack
-        # and one so token retransmissions plus control retransmissions
-        # fit alongside the fresh traffic of a congested round.
-        extra = 4 if reliable else 2
+        # Protocol-level recovery needs two extra per-edge slots: one
+        # for the ack and one so token retransmissions plus control
+        # retransmissions fit alongside the fresh traffic of a congested
+        # round.
+        extra = 4 if lossy and executor == "sync" else 2
         bandwidth = BandwidthPolicy(n=n, messages_per_edge=walk_budget + extra)
     if executor == "async":
         simulator = AsyncSimulator(
@@ -205,13 +204,15 @@ def estimate_rwbc_distributed(
             telemetry=telemetry,
         )
     else:
+        if lossy:
+            _validate_crash_windows(faults, n)
         simulator = Simulator(
             relabeled,
             make_protocol_factory(config),
             policy=bandwidth,
             seed=seed,
             max_rounds=max_rounds
-            or default_max_rounds(n, parameters, reliable),
+            or default_max_rounds(n, parameters, lossy),
             record_messages=record_messages,
             vectorized=vectorized,
             faults=faults,
@@ -246,22 +247,28 @@ def estimate_rwbc_distributed(
             for index in range(n)
         }
     recovery = None
-    if reliable:
-        recovery = {"retransmissions": 0, "acks_sent": 0,
-                    "duplicates_rejected": 0}
-        for index in range(n):
-            stats = programs[index]._channel.stats
-            recovery["retransmissions"] += stats.retransmissions
-            recovery["acks_sent"] += stats.acks_sent
-            recovery["duplicates_rejected"] += stats.duplicates_rejected
-    elif executor == "async" and lossy:
-        # Recovery happened in the synchronizer's transport, not in the
-        # protocol; report its counters in the same slot.
-        recovery = result.metrics.recovery_summary()
     if executor == "async":
+        if lossy:
+            # Recovery happened in the synchronizer's transport, not in
+            # the protocol; report its counters in the same slot.
+            recovery = result.metrics.recovery_summary()
         message_log = None
         fallback_reasons = ("async executor (event-driven per-message)",)
     else:
+        # The programs that recovered are the ones told their links
+        # are lossy.
+        channels = [
+            program._channel.stats
+            for program in programs.values()
+            if program.info.lossy
+        ]
+        if channels:
+            recovery = {
+                name: sum(getattr(stats, name) for stats in channels)
+                for name in (
+                    "retransmissions", "acks_sent", "duplicates_rejected",
+                )
+            }
         message_log = result.message_log
         fallback_reasons = result.fallback_reasons
     return DistributedRWBCResult(

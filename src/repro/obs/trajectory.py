@@ -85,16 +85,31 @@ def machine_fingerprint() -> dict:
 
 
 def git_sha(short: bool = True) -> str:
-    """The repo's current commit SHA, or ``"unknown"`` outside git."""
-    command = ["git", "rev-parse"] + (["--short"] if short else []) + ["HEAD"]
-    try:
-        out = subprocess.run(
-            command, capture_output=True, text=True, timeout=10, check=False
-        )
-    except OSError:
+    """The repo's current commit SHA, or ``"unknown"`` outside git.
+
+    A working tree whose tracked files differ from HEAD gives
+    ``"<sha>-dirty"``: an entry recorded there describes code that no
+    commit holds."""
+
+    def git(*args: str) -> str | None:
+        try:
+            out = subprocess.run(
+                ["git", *args],
+                capture_output=True,
+                text=True,
+                timeout=10,
+                check=False,
+            )
+        except OSError:
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    sha = git("rev-parse", *(["--short"] if short else []), "HEAD")
+    if not sha:
         return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+    if git("status", "--porcelain", "--untracked-files=no"):
+        sha += "-dirty"
+    return sha
 
 
 def new_entry(

@@ -136,6 +136,32 @@ class TestLossyRWBCProtocol:
             assert program._channel is None
             assert program.betweenness is not None
 
+    def test_the_estimator_reports_the_recovering_layer(self):
+        """Recovery stats come from whichever layer recovered: the
+        protocol's channels on the synchronous loop, the synchronizer's
+        transport under the async executor."""
+        graph = cycle_graph(8)
+        plan = FaultPlan(seed=4, drop_rate=0.1)
+        parameters = WalkParameters(length=12, walks_per_source=4)
+        sync = estimate_rwbc_distributed(graph, parameters, seed=2, faults=plan)
+        assert set(sync.recovery) == {
+            "retransmissions", "acks_sent", "duplicates_rejected",
+        }
+        assert sync.recovery["retransmissions"] > 0
+        assert sync.recovery["acks_sent"] > 0
+        async_run = estimate_rwbc_distributed(
+            graph, parameters, seed=2, faults=plan, executor="async"
+        )
+        assert async_run.recovery == async_run.metrics.recovery_summary()
+        assert async_run.recovery["retransmissions"] > 0
+        for clean in (
+            estimate_rwbc_distributed(graph, parameters, seed=2),
+            estimate_rwbc_distributed(
+                graph, parameters, seed=2, executor="async"
+            ),
+        ):
+            assert clean.recovery is None
+
     def test_reproducible_drops(self):
         graph = path_graph(6)
         runs = []

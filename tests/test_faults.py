@@ -26,10 +26,33 @@ from repro.congest.faults import (
     kind_code,
 )
 from repro.congest.message import Message
+from repro.congest.transport import BandwidthPolicy, BulkOutbox
+
+#: Node ids stay below N; the edge budget never binds.
+N = 8
+POLICY = BandwidthPolicy(n=N, messages_per_edge=10**6)
 
 
 def _msg(sender, receiver, kind="walk", fields=(1, 2)):
     return Message(sender=sender, receiver=receiver, kind=kind, fields=fields)
+
+
+def _round(runtime, round_number, control=(), bulk=()):
+    """One round through the fault pass: the ``control`` messages, and
+    bulk rows ``(kind, senders, receivers, fields, multiplicity)``
+    pushed in order (a kind pushed twice is one batch, as on the fast
+    path).  Returns the delivered messages and the delivered round."""
+    outbox = BulkOutbox(POLICY)
+    for kind, senders, receivers, fields, multiplicity in bulk:
+        outbox.push_rows(
+            kind,
+            np.array(senders),
+            np.array(receivers),
+            np.array(fields),
+            np.array(multiplicity),
+        )
+    control = list(control)
+    return runtime.deliver(round_number, control, outbox.drain(N, control))
 
 
 class TestFaultPlanValidation:
@@ -98,8 +121,7 @@ class TestDeterminism:
         outcomes = []
         for _ in range(2):
             runtime = FaultRuntime(plan)
-            runtime.begin_round(5)
-            delivered = runtime.filter_messages(5, list(traffic))
+            delivered, _ = _round(runtime, 5, traffic)
             outcomes.append(
                 ([(m.sender, m.receiver, m.kind) for m in delivered],
                  runtime.counters.summary())
@@ -111,21 +133,23 @@ class TestDeterminism:
         counts = set()
         for seed in (1, 2, 3):
             runtime = FaultRuntime(FaultPlan(seed=seed, drop_rate=0.5))
-            runtime.begin_round(1)
-            counts.add(len(runtime.filter_messages(1, list(traffic))))
+            counts.add(len(_round(runtime, 1, traffic)[0]))
         assert len(counts) > 1
 
     def test_rounds_are_independent(self):
+        """Each round numbers its traffic from zero: round 2 on a
+        runtime that already ran round 1 decides what a fresh runtime
+        decides, and the two rounds' fates differ."""
         plan = FaultPlan(seed=9, drop_rate=0.5)
+        traffic = [_msg(0, 1, fields=(i,)) for i in range(100)]
         runtime = FaultRuntime(plan)
-        survivors = []
-        for round_number in (1, 2):
-            runtime.begin_round(round_number)
-            delivered = runtime.filter_messages(
-                round_number, [_msg(0, 1, fields=(i,)) for i in range(100)]
-            )
-            survivors.append(tuple(m.fields[0] for m in delivered))
+        survivors = [
+            tuple(m.fields[0] for m in _round(runtime, round_number, traffic)[0])
+            for round_number in (1, 2)
+        ]
         assert survivors[0] != survivors[1]
+        fresh = _round(FaultRuntime(plan), 2, traffic)[0]
+        assert tuple(m.fields[0] for m in fresh) == survivors[1]
 
     def test_bulk_matches_per_message(self):
         """The same traffic expressed as bulk rows and as individual
@@ -134,62 +158,46 @@ class TestDeterminism:
         count = 40
 
         as_messages = FaultRuntime(plan)
-        as_messages.begin_round(3)
-        delivered = as_messages.filter_messages(
-            3, [_msg(0, 1, fields=(7, 7)) for _ in range(count)]
+        delivered, _ = _round(
+            as_messages, 3, [_msg(0, 1, fields=(7, 7)) for _ in range(count)]
         )
 
         as_bulk = FaultRuntime(plan)
-        as_bulk.begin_round(3)
-        new_mult = as_bulk.filter_bulk(
-            3,
-            "walk",
-            senders=np.array([0]),
-            receivers=np.array([1]),
-            fields=np.array([[7, 7]]),
-            multiplicity=np.array([count]),
+        _, rows = _round(
+            as_bulk, 3, bulk=[("walk", [0], [1], [[7, 7]], [count])]
         )
-        assert int(new_mult[0]) == len(delivered)
+        assert rows.inboxes["walk"].multiplicity.tolist() == [len(delivered)]
         assert (
             as_messages.counters.summary() == as_bulk.counters.summary()
         )
 
     def test_control_then_bulk_index_composition(self):
         """Bulk rows occupy the indices *after* the round's control
-        messages of the same (edge, kind) - and zero-rate fate calls
-        still advance the shared counter."""
+        messages of the same (edge, kind)."""
         plan = FaultPlan(seed=21, drop_rate=0.4)
         total = 30
         split = 10
 
         whole = FaultRuntime(plan)
-        whole.begin_round(2)
-        whole.filter_messages(
-            2, [_msg(0, 1) for _ in range(total)]
-        )
+        _round(whole, 2, [_msg(0, 1) for _ in range(total)])
 
         composed = FaultRuntime(plan)
-        composed.begin_round(2)
-        composed.filter_messages(2, [_msg(0, 1) for _ in range(split)])
-        composed.filter_bulk(
+        _round(
+            composed,
             2,
-            "walk",
-            senders=np.array([0]),
-            receivers=np.array([1]),
-            fields=np.array([[1, 2]]),
-            multiplicity=np.array([total - split]),
+            [_msg(0, 1) for _ in range(split)],
+            bulk=[("walk", [0], [1], [[1, 2]], [total - split])],
         )
         assert (
             whole.counters.summary() == composed.counters.summary()
         )
 
-
     def test_index_counters_carry_per_edge_and_kind(self):
-        """Per-(edge, kind) counters carry across the calls of a round
-        for every key at once: control messages on some edges and kinds,
-        then two bulk calls of one kind over overlapping and new edges,
-        take the indices one call over all of it in the same order
-        would."""
+        """Indices continue from control into bulk per (edge, kind) for
+        every key at once: control messages on some edges and kinds,
+        then two pushes of one bulk kind over overlapping and new edges,
+        take the indices that all of it sent as messages, in the same
+        order, would."""
         plan = FaultPlan(seed=5, drop_rate=0.35, duplicate_rate=0.2)
         edges = [(0, 1), (1, 0), (2, 1), (0, 3), (3, 2)]
         control = [
@@ -197,28 +205,33 @@ class TestDeterminism:
         ] * 2
         bulk = [(edges[i % 5], 1 + i % 3) for i in range(12)]
         whole = FaultRuntime(plan)
-        whole.begin_round(4)
         flat = control + [
             _msg(s, r, "walk", fields=(i,))
             for i, ((s, r), copies) in enumerate(bulk)
             for _ in range(copies)
         ]
-        delivered = whole.filter_messages(4, flat)
+        delivered, _ = _round(whole, 4, flat)
 
         composed = FaultRuntime(plan)
-        composed.begin_round(4)
-        first = composed.filter_messages(4, control)
-        assert first == delivered[: len(first)]
-        copies = []
-        for part in (bulk[:7], bulk[7:]):
-            copies += composed.filter_bulk(
-                4,
+        pushes = [
+            (
                 "walk",
-                senders=np.array([s for (s, _), _ in part]),
-                receivers=np.array([r for (_, r), _ in part]),
-                fields=np.zeros((len(part), 1), dtype=np.int64),
-                multiplicity=np.array([c for _, c in part]),
-            ).tolist()
+                [s for (s, _), _ in part],
+                [r for (_, r), _ in part],
+                [[i] for i in indices],
+                [c for _, c in part],
+            )
+            for part, indices in (
+                (bulk[:7], range(7)),
+                (bulk[7:], range(7, 12)),
+            )
+        ]
+        first, rows = _round(composed, 4, control, bulk=pushes)
+        assert first == delivered[: len(first)]
+        copies = [0] * len(bulk)
+        inbox = rows.inboxes["walk"]
+        for row, count in zip(inbox.fields[:, 0], inbox.multiplicity):
+            copies[row] += count
         arrived = [m.fields[0] for m in delivered[len(first):]]
         assert copies == [arrived.count(i) for i in range(len(bulk))]
         assert whole.counters.summary() == composed.counters.summary()
@@ -227,7 +240,8 @@ class TestDeterminism:
 class TestAsyncFateTwin:
     """``async_fate`` keeps its own pure-int hash and its own copy of
     the drop > delay > duplicate priority; it must decide, message by
-    message, what the batched fate core decides for the same traffic."""
+    message, what the batched fate core (``FaultRuntime.deliver``)
+    decides for the same traffic."""
 
     PLAN = FaultPlan(
         seed=31,
@@ -246,8 +260,8 @@ class TestAsyncFateTwin:
         sender, receiver = edge
         round_number, count = 7, 300
         batched = FaultRuntime(self.PLAN)
-        batched.begin_round(round_number)
-        delivered = batched.filter_messages(
+        delivered, _ = _round(
+            batched,
             round_number,
             [_msg(sender, receiver, kind, fields=(i,)) for i in range(count)],
         )
@@ -256,7 +270,7 @@ class TestAsyncFateTwin:
             copies[message.fields[0]] += 1
         slips = [0] * count
         for slip in range(1, self.PLAN.max_delay + 1):
-            matured, _ = batched.take_delayed(round_number + slip)
+            matured, _ = _round(batched, round_number + slip)
             for message in matured:
                 slips[message.fields[0]] = slip
         expected = [
@@ -326,16 +340,14 @@ class TestHashTwins:
 class TestFilterSemantics:
     def test_zero_rate_plan_is_identity(self):
         runtime = FaultRuntime(FaultPlan())
-        runtime.begin_round(1)
         traffic = [_msg(0, 1, fields=(i,)) for i in range(10)]
-        assert runtime.filter_messages(1, traffic) == traffic
+        assert _round(runtime, 1, traffic)[0] == traffic
         assert runtime.counters.summary()["dropped"] == 0
 
     def test_duplicates_arrive_adjacent(self):
         runtime = FaultRuntime(FaultPlan(seed=5, duplicate_rate=0.5))
-        runtime.begin_round(1)
-        delivered = runtime.filter_messages(
-            1, [_msg(0, 1, fields=(i,)) for i in range(40)]
+        delivered, _ = _round(
+            runtime, 1, [_msg(0, 1, fields=(i,)) for i in range(40)]
         )
         dup_count = runtime.counters.duplicated
         assert dup_count > 0
@@ -349,9 +361,8 @@ class TestFilterSemantics:
         runtime = FaultRuntime(
             FaultPlan(seed=3, delay_rate=0.5, max_delay=2)
         )
-        runtime.begin_round(1)
-        delivered = runtime.filter_messages(
-            1, [_msg(0, 1, fields=(i,)) for i in range(40)]
+        delivered, _ = _round(
+            runtime, 1, [_msg(0, 1, fields=(i,)) for i in range(40)]
         )
         delayed = runtime.counters.delayed
         assert delayed > 0
@@ -359,7 +370,7 @@ class TestFilterSemantics:
         assert runtime.has_pending_delayed
         recovered = []
         for later in (2, 3):
-            messages, bulk = runtime.take_delayed(later)
+            messages, bulk = _round(runtime, later)
             recovered.extend(messages)
             assert not bulk
         assert len(recovered) == delayed
@@ -370,12 +381,12 @@ class TestFilterSemantics:
         runtime = FaultRuntime(plan)
         assert runtime.crashed(1) == frozenset()
         assert runtime.crashed(2) == frozenset({1})
-        runtime.begin_round(2)
-        delivered = runtime.filter_messages(
-            2, [_msg(0, 1), _msg(0, 2), _msg(2, 1)]
+        delivered, _ = _round(
+            runtime, 2, [_msg(0, 1), _msg(0, 2), _msg(2, 1)]
         )
         assert [(m.sender, m.receiver) for m in delivered] == [(0, 2)]
         assert runtime.counters.crash_dropped == 2
+        assert runtime.counters.crash_node_rounds == 1
 
     def test_delayed_message_lost_to_crash(self):
         plan = FaultPlan(
@@ -385,13 +396,113 @@ class TestFilterSemantics:
             crashes=(CrashWindow(node=1, start=2, end=3),),
         )
         runtime = FaultRuntime(plan)
-        runtime.begin_round(1)
-        runtime.filter_messages(1, [_msg(0, 1) for _ in range(20)])
+        _round(runtime, 1, [_msg(0, 1) for _ in range(20)])
         delayed = runtime.counters.delayed
         assert delayed > 0
-        messages, _ = runtime.take_delayed(2)  # node 1 is down in round 2
+        messages, _ = _round(runtime, 2)  # node 1 is down in round 2
         assert messages == []
         assert runtime.counters.crash_dropped == delayed
+
+    @staticmethod
+    def _matured_rows(runtime, rounds):
+        """Each later round's matured bulk ``walk`` rows, expanded to
+        one row index per copy (payload column 0 is the row index)."""
+        matured = []
+        for round_number in rounds:
+            _, rows = _round(runtime, round_number)
+            inbox = rows.inboxes.get("walk")
+            matured.append(
+                []
+                if inbox is None
+                else np.repeat(inbox.fields[:, 0], inbox.multiplicity).tolist()
+            )
+        return matured
+
+    def test_delayed_bulk_rows_mature_like_messages(self):
+        """Rows laid out edge by edge mature in the order the same
+        traffic sent as messages does, round by round."""
+        plan = FaultPlan(
+            seed=17, drop_rate=0.1, duplicate_rate=0.1, delay_rate=0.4,
+            max_delay=3,
+        )
+        edges = [(0, 1)] * 3 + [(2, 1)] * 2 + [(1, 0)] * 2 + [(3, 2)]
+        copies = 3
+        as_messages = FaultRuntime(plan)
+        _round(
+            as_messages,
+            1,
+            [
+                _msg(s, r, fields=(i, 9))
+                for i, (s, r) in enumerate(edges)
+                for _ in range(copies)
+            ],
+        )
+        as_bulk = FaultRuntime(plan)
+        _round(
+            as_bulk,
+            1,
+            bulk=[
+                (
+                    "walk",
+                    [s for s, _ in edges],
+                    [r for _, r in edges],
+                    [[i, 9] for i in range(len(edges))],
+                    [copies] * len(edges),
+                )
+            ],
+        )
+        later = range(2, 2 + plan.max_delay)
+        expected = [
+            [m.fields[0] for m in _round(as_messages, r)[0]] for r in later
+        ]
+        assert self._matured_rows(as_bulk, later) == expected
+        assert sum(map(len, expected)) == as_bulk.counters.delayed > 0
+        assert as_messages.counters.summary() == as_bulk.counters.summary()
+        assert not as_bulk.has_pending_delayed
+
+    def test_delayed_bulk_rows_group_by_edge(self):
+        """Rows of one edge that are not adjacent mature together: edges
+        in order of first appearance among the kind's rows, rows in row
+        order within an edge."""
+        plan = FaultPlan(seed=2, delay_rate=0.6, max_delay=2)
+        edges = [(0, 1), (2, 1), (0, 1), (2, 1), (0, 1)]
+        runtime = FaultRuntime(plan)
+        _round(
+            runtime,
+            1,
+            bulk=[
+                (
+                    "walk",
+                    [s for s, _ in edges],
+                    [r for _, r in edges],
+                    [[i] for i in range(len(edges))],
+                    [4] * len(edges),
+                )
+            ],
+        )
+        edge_first = {0: 0, 2: 0, 4: 0, 1: 1, 3: 1}
+        matured = self._matured_rows(runtime, (2, 3))
+        assert sum(map(len, matured)) == runtime.counters.delayed > 0
+        for rows in matured:
+            assert rows == sorted(rows, key=lambda i: (edge_first[i], i))
+        assert any(rows != sorted(rows) for rows in matured)
+
+    def test_delayed_bulk_rows_lost_to_crash(self):
+        plan = FaultPlan(
+            seed=3,
+            delay_rate=0.9,
+            max_delay=1,
+            crashes=(CrashWindow(node=1, start=2, end=3),),
+        )
+        runtime = FaultRuntime(plan)
+        _round(runtime, 1, bulk=[("walk", [0, 2], [1, 3], [[5], [6]], [8, 8])])
+        delayed = runtime.counters.delayed
+        _, rows = _round(runtime, 2)  # node 1 is down in round 2
+        inbox = rows.inboxes["walk"]
+        assert inbox.receivers.tolist() == [3]
+        assert runtime.counters.crash_dropped == delayed - int(
+            inbox.multiplicity.sum()
+        ) > 0
 
     def test_latest_crash_end(self):
         runtime = FaultRuntime(

@@ -1,6 +1,7 @@
 """Tests for the committed perf-trajectory layer (repro.obs.trajectory)."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -93,6 +94,37 @@ class TestEntry:
 
     def test_git_sha_is_string(self):
         assert isinstance(git_sha(), str)
+
+    def test_git_sha_marks_a_dirty_tree(self, tmp_path, monkeypatch):
+        """HEAD labels a clean tree; uncommitted changes to a tracked
+        file add ``-dirty``, and an untracked file does not."""
+        monkeypatch.chdir(tmp_path)
+        assert git_sha() == "unknown"
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                check=True,
+                capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "one")
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout.strip()
+        assert git_sha(short=False) == head
+        assert head.startswith(git_sha())
+        (tmp_path / "untracked.txt").write_text("new\n")
+        assert git_sha(short=False) == head
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert git_sha(short=False) == f"{head}-dirty"
+        assert git_sha().endswith("-dirty")
 
 
 class TestFileRoundTrip:

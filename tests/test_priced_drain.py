@@ -16,7 +16,7 @@ import pytest
 
 from repro.congest import transport
 from repro.congest.errors import CongestViolation
-from repro.congest.faults import FaultPlan
+from repro.congest.faults import FaultPlan, FaultRuntime
 from repro.congest.message import TAG_BITS, Message, int_bits_array
 from repro.congest.scheduler import Simulator
 from repro.congest.transport import (
@@ -127,15 +127,17 @@ def _push(outbox, kind, edges, fields, multiplicity):
 
 def _merged(pushes, control=()) -> transport.RoundTraffic:
     """The same rows through the general merge."""
-    kinds, receivers, row_bits = {}, {}, {}
-    for kind, edges, fields, multiplicity in pushes:
-        kinds[kind] = BulkKindInbox(SRC[edges], fields, multiplicity)
-        receivers[kind] = DST[edges]
-        row_bits[kind] = TAG_BITS + int_bits_array(fields).sum(axis=1)
-    traffic, _, _ = _round_traffic(
-        kinds, receivers, row_bits, list(control), N
-    )
-    return traffic
+    kinds = {
+        kind: BulkKindInbox(
+            SRC[edges],
+            DST[edges],
+            fields,
+            multiplicity,
+            TAG_BITS + int_bits_array(fields).sum(axis=1),
+        )
+        for kind, edges, fields, multiplicity in pushes
+    }
+    return _round_traffic(kinds, list(control), N)
 
 
 @pytest.mark.parametrize("walk, term", [(True, False), (True, True), (False, True)])
@@ -188,8 +190,8 @@ def test_control_mail_takes_the_merge(monkeypatch):
     )
     control = [Message(sender=0, receiver=1, kind="done", fields=(3,))]
     drained = outbox.drain(N, control)
-    assert len(merges) == 1
     assert drained.traffic == _merged([walk], control)
+    assert len(merges) == 1
 
 
 def _counting_kinds(monkeypatch, **simulator_kwargs) -> tuple[set, set]:
@@ -199,8 +201,8 @@ def _counting_kinds(monkeypatch, **simulator_kwargs) -> tuple[set, set]:
     priced_round = transport._priced_round
     round_traffic = transport._round_traffic
 
-    def spy_priced(batches):
-        result = priced_round(batches)
+    def spy_priced(batches, n):
+        result = priced_round(batches, n)
         if result is not None:
             fast.update(batches)
         return result
@@ -235,6 +237,59 @@ def test_a_fault_plan_takes_the_merge(monkeypatch):
     fast, merged = _counting_kinds(monkeypatch, faults=plan)
     assert KIND_WALK in merged
     assert KIND_WALK not in fast and KIND_TERM not in fast
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_a_faulty_round_decides_and_accounts_once(vectorized, monkeypatch):
+    """On both loops each round of a faulty run takes one fault pass:
+    one ``_decide_rows`` call over its control messages and bulk rows,
+    and at most one ``RoundTraffic``, built from what the round
+    delivers (the drained round is never accounted; a round that
+    delivers nothing shares the empty figures)."""
+    current = [0]
+    busy, decided, built = set(), Counter(), Counter()
+    deliver = FaultRuntime.deliver
+    decide_rows = FaultRuntime._decide_rows
+    round_traffic = transport.RoundTraffic
+
+    def spy_deliver(self, round_number, control, bulk):
+        current[0] = round_number
+        if control or bulk:
+            busy.add(round_number)
+        return deliver(self, round_number, control, bulk)
+
+    def spy_decide(self, *args):
+        decided[current[0]] += 1
+        return decide_rows(self, *args)
+
+    def spy_traffic(*args, **kwargs):
+        built[current[0]] += 1
+        return round_traffic(*args, **kwargs)
+
+    monkeypatch.setattr(FaultRuntime, "deliver", spy_deliver)
+    monkeypatch.setattr(FaultRuntime, "_decide_rows", spy_decide)
+    monkeypatch.setattr(transport, "RoundTraffic", spy_traffic)
+    graph = erdos_renyi_graph(12, 0.3, seed=2, ensure_connected=True)
+    config = ProtocolConfig(length=16, walks_per_source=4)
+    plan = FaultPlan(
+        seed=3, drop_rate=0.1, duplicate_rate=0.05, delay_rate=0.05,
+        max_delay=2,
+    )
+    result = Simulator(
+        graph,
+        make_protocol_factory(config),
+        policy=BandwidthPolicy(n=12, messages_per_edge=config.walk_budget + 4),
+        seed=5,
+        faults=plan,
+        vectorized=vectorized,
+    ).run()
+    assert result.fast_path == vectorized
+    metrics = result.metrics
+    assert metrics.faults["delayed"] > 0
+    assert decided == Counter(busy)
+    assert built == Counter(
+        r for r, count in enumerate(metrics.messages_per_round, 1) if count
+    )
 
 
 @pytest.mark.parametrize("also_term", [False, True])

@@ -4,8 +4,8 @@ The fast path's reliable machinery (array ARQ acceptance through
 ``LinkTable.accept_rows`` in ``walk_engine._dedup_claimed`` and in the
 exchange driver, block seq assignment in ``sequence_walk_rows``, the
 table-wide flushes, the exchange driver's column rows, and
-``FaultRuntime.filter_bulk`` over aggregate rows, which shares its fate
-core with ``filter_messages``)
+``FaultRuntime.deliver``, which decides aggregate rows and control
+messages in one fault pass)
 must reproduce the per-message loop byte for byte.  The fixed-seed
 checks in ``test_failure_injection.py`` pin a handful of schedules;
 this file adds the boundary cases those seeds happen to miss, plus a

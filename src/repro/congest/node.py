@@ -238,11 +238,12 @@ class SharedFastPathState:
       exactly once, where ``claimed`` maps each claimed kind to its
       ``(senders, receivers, fields, multiplicity)`` arrays;
     * a driver that defines ``receive_rows(round_number, claimed)``
-      gets its claimed traffic there instead, right after the claim
-      pass and before any node or driver runs (its ``end_round`` then
-      sees an empty map).  The ARQ's ack transport
-      (:class:`~repro.congest.reliable.AckRows`) applies acks this way,
-      so no node is stepped for one;
+      sees its claimed traffic there first, right after the claim pass
+      and before any node or driver runs; its ``end_round`` then gets
+      the same map, as ``receive_rows`` left it.  The ARQ's ack
+      transport (:class:`~repro.congest.reliable.AckRows`) applies acks
+      this way, so no node is stepped for one, and the walk engine
+      accepts ``term`` and ``done`` rows before any flush;
     * a driver that defines ``after_nodes(round_number, outbox)`` runs
       it right after the node pass, before the stepped nodes'
       ``next_wake`` queries and before any ``end_round``.  The ARQ's

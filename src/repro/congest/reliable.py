@@ -544,10 +544,12 @@ class LinkTable:
 
     def settle(self, slots: np.ndarray, round_number: int) -> np.ndarray:
         """Owe what receive-then-flush round handlers would have sent for
-        accepts at ``slots`` that a fast-path driver ran after them
-        (duplicates: a fresh arrival past counting is a protocol
-        error).  Returns the sends, as :meth:`flush` does; the table
-        keeps the acks (it is built with ``ack_rows``).
+        accepts at ``slots`` that no handler ran: a driver's accepts
+        after the node's flush (duplicates: a fresh token or column
+        past counting is a protocol error), or the walk engine's early
+        accepts of ``term`` and ``done`` at a node nobody steps.
+        Returns the sends, as :meth:`flush` does; the table keeps the
+        acks (it is built with ``ack_rows``).
 
         A node whose flush has not run this round (a halted node the
         scheduler did not step) is flushed now.  For the others the

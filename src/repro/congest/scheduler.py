@@ -472,8 +472,9 @@ class Simulator:
                         )
                     bulk_in_flight.trace_into(self.tracer, round_number)
                 # Every bulk kind goes to the driver claiming it, whole: at
-                # end of round, or before the node pass to a driver with
-                # ``receive_rows``.  Node programs see control messages only.
+                # end of round, and first before the node pass to a driver
+                # with ``receive_rows``.  Node programs see control
+                # messages only.
                 claimed_traffic: dict[int, dict[str, tuple]] = {}
                 if bulk_in_flight:
                     for kind, driver in claimed_kinds.items():
@@ -490,7 +491,7 @@ class Simulator:
                             "driver"
                         )
                 for driver in early_drivers:
-                    rows = claimed_traffic.pop(id(driver), None)
+                    rows = claimed_traffic.get(id(driver))
                     if rows:
                         driver.receive_rows(round_number, rows)
                 inboxes: dict[int, list[Message]] = {}

@@ -288,23 +288,34 @@ class BulkRound:
 
 def _edge_loads(
     inboxes: dict[str, BulkKindInbox], control: list[Message], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's directed-edge code (``sender * n + receiver``; bulk
-    rows kind by kind, then the control messages), its index into the
-    per-edge loads, and every loaded edge's message count.  This is all
-    the per-edge budget check needs; :func:`_round_traffic` finishes
-    the merge from it.  The round must carry some traffic."""
-    codes = [inbox.senders * n + inbox.receivers for inbox in inboxes.values()]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's sender and receiver (bulk rows kind by kind, then the
+    control messages), its index into the per-edge loads, and every
+    loaded edge's message count.  This is all the per-edge budget check
+    needs; :func:`_round_traffic` finishes the merge from it.  The round
+    must carry some traffic.
+
+    An edge's code is ``sender * n + receiver`` when every label lies in
+    ``0..n-1``; other int labels (``Simulator`` takes any) are coded
+    over their ranks among the round's labels, so no two edges share a
+    code."""
+    senders = [inbox.senders for inbox in inboxes.values()]
+    receivers = [inbox.receivers for inbox in inboxes.values()]
     messages = [inbox.multiplicity for inbox in inboxes.values()]
     if control:
-        codes.append(
-            np.array([m.sender * n + m.receiver for m in control], np.int64)
-        )
+        senders.append(np.array([m.sender for m in control], np.int64))
+        receivers.append(np.array([m.receiver for m in control], np.int64))
         messages.append(np.ones(len(control), dtype=np.int64))
-    codes = np.concatenate(codes)
+    senders = np.concatenate(senders)
+    receivers = np.concatenate(receivers)
+    codes = senders * n + receivers
+    labels = np.concatenate([senders, receivers])
+    if labels.min() < 0 or labels.max() >= n:
+        labels, ranks = np.unique(labels, return_inverse=True)
+        codes = ranks[: len(senders)] * len(labels) + ranks[len(senders):]
     _, inverse = np.unique(codes, return_inverse=True)
     edge_messages = np.bincount(inverse, weights=np.concatenate(messages))
-    return codes, inverse, edge_messages.astype(np.int64)
+    return senders, receivers, inverse, edge_messages.astype(np.int64)
 
 
 def _round_traffic(
@@ -317,7 +328,7 @@ def _round_traffic(
     ``loads`` is the round's :func:`_edge_loads`, when already known."""
     if not inboxes and not control:
         return _NO_TRAFFIC
-    _, inverse, edge_messages = loads or _edge_loads(inboxes, control, n)
+    _, _, inverse, edge_messages = loads or _edge_loads(inboxes, control, n)
     bits = [inbox.multiplicity * inbox.row_bits for inbox in inboxes.values()]
     peak = max((int(inbox.row_bits.max()) for inbox in inboxes.values()),
                default=0)
@@ -489,12 +500,13 @@ class BulkOutbox:
             for kind, batch in batches.items()
         }
         loads = _edge_loads(inboxes, control_messages, n)
-        codes, inverse, edge_messages = loads
+        senders, receivers, inverse, edge_messages = loads
         load = int(edge_messages.max())
         if load > self._policy.messages_per_edge:
-            over = int(codes[np.argmax(edge_messages[inverse])])
+            # The first row on a most loaded edge names it.
+            over = int(np.argmax(edge_messages[inverse]))
             raise CongestViolation(
-                f"edge ({over // n} -> {over % n}) carries "
+                f"edge ({senders[over]} -> {receivers[over]}) carries "
                 f"{load} messages this round "
                 f"(limit {self._policy.messages_per_edge})"
             )

@@ -98,13 +98,14 @@ class ExchangeEngine:
         profiler=NULL_PROFILER,
     ) -> None:
         from repro.core.protocol import KIND_EXCHANGE
-        from repro.core.walk_engine import KIND_WALK, KIND_WALK_BATCH
+        from repro.core.walk_engine import ROW_KINDS
 
         self.claimed_kinds = frozenset({KIND_EXCHANGE})
         self._kind = KIND_EXCHANGE
         # Reliable: the sends that travel as rows - columns, and the
-        # walk tokens a node that left counting still retransmits.
-        self._row_kinds = (KIND_EXCHANGE, KIND_WALK, KIND_WALK_BATCH)
+        # walk engine's kinds, which a node that left counting still
+        # retransmits.
+        self._row_kinds = (KIND_EXCHANGE,) + ROW_KINDS
         self.n = edges.n
         # Fault-free: each node's first broadcast round, _UNREGISTERED
         # until it registers, and the first and last of those starts.
@@ -269,14 +270,13 @@ class ExchangeEngine:
                 if self._fault_runtime is not None
                 else frozenset()
             )
-            # A node crashed this round does nothing; one that switched
-            # phase this round got the walk engine's flush and sends its
-            # first column next round.
+            # A node crashed this round does nothing.  One that leaves
+            # counting this round registers after this call, gets the
+            # walk engine's flush and sends its first column next round.
             steps = [
                 self._programs[node]
                 for node in sorted(self._programs)
                 if node not in crashed
-                and self._programs[node].exchange_start_round != round_number
             ]
             if steps:
                 with profiler.span("engine.arq_flush"):

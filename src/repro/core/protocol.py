@@ -375,15 +375,13 @@ class RWBCNodeProgram(VectorizedProgram):
 
     @property
     def bulk_idle(self) -> bool:
-        """Skippable on the fast path: during counting, all walk
-        movement and termination reporting runs inside the shared
-        :class:`CountingWalkEngine`, so a node only needs a round of its
-        own when control mail arrives - the done wave, plus term reports
-        and retransmitted control where the engine leaves the
-        convergecast to the nodes (acks are rows, applied without a
-        step).  Setup and exchange wakes come from :meth:`next_wake`
-        instead: its calendar, or no wake at all where the shared setup
-        and exchange drivers own those phases."""
+        """Skippable on the fast path: in counting, the shared
+        :class:`CountingWalkEngine` runs the walks, the convergecast and
+        the done wave (no walk, ``term``, ``done`` or ack row steps a
+        node), so only control mail - a late degree - needs a round.
+        Setup and exchange wakes come from :meth:`next_wake` instead:
+        its calendar, or no wake at all where the shared setup and
+        exchange drivers own those phases."""
         return self.phase == PHASE_COUNTING
 
     def next_wake(self, round_number: int) -> int | None:
@@ -393,21 +391,20 @@ class RWBCNodeProgram(VectorizedProgram):
         setup driver owns the phase: its traffic never reaches the node
         and the driver does the milestones' work, so the node sleeps
         straight through to its launch at ``n + 2``, where it only
-        builds its manager and counter and registers them: the engine
-        launches the walks.  Lossy setup is timer-driven: with empty
+        builds its manager and registers it: the engine launches the
+        walks.  Lossy setup is timer-driven: with empty
         mail its step only flushes the ARQ and checks the milestones,
         so the node sleeps until the sooner of its channel's
         :meth:`~repro.congest.reliable.ReliableChannel.wake_round` and
         its next milestone (``SETUP_SLACK * n`` until it has announced,
         then the launch at twice that).  Acks arrive as rows without a
         step and only postpone the channel's answer, so a wake filed
-        before them is at worst early.  Counting is
-        mail-only (the engine does the work; with the array
-        convergecast only the done wave wakes a node).  The shared
-        exchange driver sends the columns, flushes the ARQ and finishes
-        the node, so in exchange the node wakes only for control mail
-        (degrees, done and term retransmits), and once done only late
-        mail matters."""
+        before them is at worst early.  Counting is mail-only: the
+        engine runs the walks, the convergecast and the done wave, and
+        moves the node into the exchange phase.  The shared exchange
+        driver sends the columns, flushes the ARQ and finishes the
+        node, so in exchange the node wakes only for late control mail
+        (degrees), and once done only late mail matters."""
         if self.phase != PHASE_SETUP:
             return None
         if self._setup_engine is not None:
@@ -529,11 +526,13 @@ class RWBCNodeProgram(VectorizedProgram):
         self._channel.flush(ctx.round_number, ctx.send_fields)
 
     def _launch_counting(self, ctx: RoundContext, r: int) -> None:
-        """Build the walk manager and death counter and start counting.
+        """Build the walk manager and start counting.
 
         On the fast path the node joins (or creates) the network-wide
         engine, which launches every node's walks at the end of this
-        round and owns the sends from then on; otherwise the node
+        round, owns the sends and the convergecast from then on, and
+        hands the node to the exchange driver when the done wave
+        reaches it.  Otherwise the node builds its death counter,
         launches its own walks and sends this round's traffic."""
         n = self.info.n
         shared = ctx.shared
@@ -551,6 +550,9 @@ class RWBCNodeProgram(VectorizedProgram):
                     self.config.walks_per_source,
                     self.config.length,
                     self.config.split_sampling,
+                    fault_runtime=shared.fault_runtime,
+                    profiler=shared.profiler,
+                    instruments=shared.instruments,
                 )
                 shared.slots["walk_engine"] = engine
                 # Registered first, so each round it accepts the
@@ -566,6 +568,7 @@ class RWBCNodeProgram(VectorizedProgram):
                 shared.slots["exchange_engine"] = xch
                 shared.register_driver(xch)
                 shared.register_driver(engine)
+            self._xch_engine = shared.slots["exchange_engine"]
         self._walks = WalkManager(
             node_id=self.node_id,
             neighbors=self.neighbors,
@@ -581,6 +584,12 @@ class RWBCNodeProgram(VectorizedProgram):
             split_sampling=self.config.split_sampling,
             half_counts=None if engine is None else engine.counts[self.node_id],
         )
+        self.phase = PHASE_COUNTING
+        self.counting_start_round = r
+        if engine is not None:
+            engine.register(self, self._walks, self._tree.parent)
+            self._engine = engine
+            return
         # In damped mode every node launches K walks; in absorbing mode
         # the target sits out (its walks would die at birth).
         launchers = n if self.config.survival_alpha is not None else n - 1
@@ -594,14 +603,6 @@ class RWBCNodeProgram(VectorizedProgram):
         for sender, total in self._early_terms:
             self._death_counter.receive_report(sender, total)
         self._early_terms = []
-        self.phase = PHASE_COUNTING
-        self.counting_start_round = r
-        if engine is not None:
-            engine.register(
-                self, self._walks, self._death_counter, ctx, self._channel
-            )
-            self._engine = engine
-            return
         self._walks.launch()
         if self._channel is None:
             self._counting_sends(ctx)
@@ -639,29 +640,14 @@ class RWBCNodeProgram(VectorizedProgram):
     def _counting_round_engine(
         self, ctx: RoundContext, inbox: list[Message]
     ) -> None:
-        """Fast-path counting round: only control mail reaches the node
-        (walk traffic is claimed by the engine), so this just folds in
-        term reports, reacts to the done wave, and tells the engine the
-        node was active so the post-round pass re-examines its
-        reporting state.  When the engine runs the convergecast as
-        arrays it claims the term rows too, and the done wave is the
-        only mail that steps a counting node.
-
-        In reliable mode walk retransmissions are claimed rows too, and
-        acks are rows the ack transport applies before the node pass.
-        The engine owns this node's flush while it is counting, so none
-        happens here, and the exchange driver takes the columns early
-        neighbors send."""
-        walk_mail, done = self._counting_mail(inbox)
-        if walk_mail:
-            raise ProtocolError(
-                f"walk tokens reached node {self.node_id} as control mail "
-                "on the fast path"
-            )
-        if done:
-            self._begin_done_wave(ctx, ctx.round_number)
-            return
-        self._engine.touch(self.node_id)
+        """Fast-path counting round.  The engine claims the walk,
+        ``term`` and ``done`` rows, so only control mail steps a
+        counting node: a degree a neighbor crashed through the
+        announcement round sends late, with its flood and adopt
+        stragglers (which need only the engine flush's acks)."""
+        for message, payload in self._mail(inbox):
+            if message.kind == KIND_DEGREE:
+                self._neighbor_degrees[message.sender] = payload[0]
 
     def _counting_round(
         self, ctx: RoundContext, inbox: list[Message]
@@ -740,41 +726,39 @@ class RWBCNodeProgram(VectorizedProgram):
         self._xch_received[sender] += 1
 
     def _begin_done_wave(self, ctx: RoundContext, round_number: int) -> None:
-        """Switch to the exchange phase in ``round_number``, relaying
-        ``done``, which carries no fields.  The exchange starts from
+        """Per-message loop: stop reporting, relay the field-less
+        ``done`` and :meth:`_enter_exchange`.  Under loss the tree is not
+        a safe broadcast overlay (an adopt may still be in flight), so
+        the wave floods over every edge.  On the fast path the walk
+        engine does this for every node at once."""
+        self._death_counter.stop()
+        if self._channel is not None:
+            self._channel.queue_all(KIND_DONE, (), latest=True)
+        else:
+            for child in self._tree.children:
+                ctx.send(child, KIND_DONE)
+        self._enter_exchange(round_number)
+
+    def _enter_exchange(self, round_number: int) -> None:
+        """Leave counting in ``round_number``, the round the done wave
+        reaches this node (or starts at it).  The exchange starts from
         the next round in both modes: fault-free, column ``i`` goes out
         in round ``round_number + 1 + i`` and the node finishes at
         ``round_number + n + 2``; under recovery the node paces itself
         through its ARQ.  So ``done`` and a column never share an edge
-        in one round, and ``exchange_start_round`` is this round."""
-        self._death_counter.stop()
-        if self._engine is not None:
-            self._engine.stop_reporting(self.node_id)
+        in one round, and ``exchange_start_round`` is this round.  On
+        the fast path the shared exchange driver takes the node over:
+        the columns travel as bulk rows (one priced push per round
+        fault-free, ARQ-sequenced rows under recovery), and it calls
+        ``_finish`` on views into the engine's count tensor."""
         if self._walks.held_walks:
             raise ProtocolError(
                 f"node {self.node_id} still holds walks at the done wave; "
                 "termination detection is broken"
             )
-        if self._channel is not None:
-            # Under loss the tree is not a safe broadcast overlay (an
-            # adopt may still be in flight), so the done wave floods
-            # over every edge; duplicates are cheap and dedup is free.
-            self._channel.queue_all(KIND_DONE, (), latest=True)
-            if self._engine is not None:
-                # The engine owns this node's flush for the transition
-                # round (its per-node call already happened).
-                self._engine.note_transition(self.node_id)
-        else:
-            for child in self._tree.children:
-                ctx.send(child, KIND_DONE)
         self.exchange_start_round = round_number
         self.phase = PHASE_EXCHANGE
-        if ctx.shared is not None:
-            # The shared driver runs this node's exchange: the columns
-            # travel as bulk rows (one priced push per round fault-free,
-            # ARQ-sequenced rows under recovery), and it calls
-            # ``_finish`` on views into the engine's count tensor.
-            self._xch_engine = ctx.shared.slots["exchange_engine"]
+        if self._xch_engine is not None:
             self._xch_engine.register(self)
 
     # ------------------------------------------------------------------

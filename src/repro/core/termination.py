@@ -20,9 +20,13 @@ switches to the exchange phase in the round the wave reaches it; the
 exchange is paced per node from that round
 (:mod:`repro.core.protocol`).
 
-When to report is one rule, :func:`report_due`.  Per node it runs inside
-:meth:`DeathCounterLogic.pop_report`; on the fault-free fast path the
-counting engine applies it to every node's counters as arrays at once.
+When to report is one rule, :func:`report_due`.  On the per-message
+loop (and the asynchronous executor) each node runs it inside its own
+:class:`DeathCounterLogic`.  On the fast path there are no per-node
+counters: on both link models the counting engine
+(:class:`~repro.core.walk_engine.CountingWalkEngine`) claims ``term`` and
+``done`` as rows, applies the rule to every node's totals as arrays at
+once, and sends the done wave itself.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ def report_due(total, last_reported, stopped, parent):
 
 
 class DeathCounterLogic:
-    """Embeddable monotone-counter convergecast for one node."""
+    """One node's monotone-counter convergecast, for the per-message
+    loop; the fast path runs the same rule for every node at once, as
+    arrays, inside the counting engine."""
 
     def __init__(
         self,

@@ -7,13 +7,12 @@ shared :class:`CountingWalkEngine` (a fast-path *driver*, see
 the walk message kinds, so each round the scheduler hands it the entire
 network's in-flight walk traffic as four flat arrays; the engine then
 runs the whole round - visit counting, absorption/expiry/thinning,
-next-hop sampling, per-edge budgeted emission, and the death-counter
-convergecast sends - with one pass of vectorized kernels instead of
-``n`` per-node calls.  Both bookends of the phase are network-wide too:
-the engine launches every node's walks (Algorithm 1 line 3) in one
-routing pass, and on fault-free runs it also claims the ``term`` kind
-and runs the death-count convergecast as arrays, so nodes are stepped
-only for the ``done`` wave.
+next-hop sampling, per-edge budgeted emission - with one pass of
+vectorized kernels instead of ``n`` per-node calls.  Both bookends of
+the phase are network-wide too: the engine launches every node's walks
+(Algorithm 1 line 3) in one routing pass, and on both link models it
+claims ``term`` and ``done``, runs the convergecast as arrays and sends
+the done wave, so no node is stepped for either kind.
 
 One kernel, two slices.  The counting round's rule lives once, in this
 module's functions, and both scheduler loops run it:
@@ -59,12 +58,13 @@ per-message loop sends each row as ``copies``
 the CONGEST audit and the asynchronous executor).  The engine pushes
 every row of the round at once: on fault-free runs priced from tables
 built once (:func:`walk_bit_tables`) and tagged with their edge ids
-(:meth:`BulkOutbox.push_priced`), as it does the convergecast's
-``term`` rows, chosen by the same
-:func:`~repro.core.termination.report_due` rule each per-node counter
-applies; on lossy links, sequenced through the ARQ table, through
-:meth:`BulkOutbox.push_rows`.  Either way the bits and counts charged
-are those of the materialized messages.  The tested guarantee
+(:meth:`BulkOutbox.push_priced`), as are the ``term`` and ``done``
+rows, which the :func:`~repro.core.termination.report_due` rule and the
+done wave choose; on lossy links sequenced through the ARQ table (which
+also queues ``term`` and ``done`` as control; flushes ship them as
+rows) and pushed with :meth:`BulkOutbox.push_rows`.  Either way the
+bits and counts charged are those of the materialized messages.  The
+tested guarantee
 (``tests/test_walks_batched.py``, ``tests/test_counting_bookends.py``):
 same seed in, identical tallies, estimates, round counts, and traffic
 accounting out.
@@ -81,11 +81,11 @@ from repro.congest.errors import ConfigError, ProtocolError
 from repro.congest.message import TAG_BITS, int_bits_array
 from repro.congest.splitmix import GOLDEN, _mix64_array, stream_key
 from repro.obs.spans import NULL_PROFILER
-from repro.core.termination import KIND_TERM, DeathCounterLogic, report_due
+from repro.core.termination import KIND_DONE, KIND_TERM, report_due
 from repro.walks.batched import aggregate_network_groups
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.congest.node import EdgeIndex, NodeProgram, RoundContext
+    from repro.congest.node import EdgeIndex, NodeProgram
     from repro.congest.reliable import LinkTable
     from repro.congest.transport import BulkOutbox, RoundOutbox
     from repro.core.walk_manager import WalkManager
@@ -93,8 +93,10 @@ if TYPE_CHECKING:  # pragma: no cover
 KIND_WALK = "walk"
 KIND_WALK_BATCH = "walkb"
 WALK_KINDS = frozenset({KIND_WALK, KIND_WALK_BATCH})
-# The walk kinds in a fixed order, for shipping ARQ sends as rows.
-_WALK_ROWS = (KIND_WALK, KIND_WALK_BATCH)
+#: The counting phase's control kinds, claimed by the engine as rows.
+CONTROL_KINDS = (KIND_TERM, KIND_DONE)
+#: The engine's kinds in a fixed order, for shipping ARQ sends as rows.
+ROW_KINDS = (KIND_WALK, KIND_WALK_BATCH) + CONTROL_KINDS
 
 #: Claimed traffic of one kind: (senders, receivers, fields, multiplicity).
 ClaimedKind = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -687,23 +689,20 @@ class CountingWalkEngine:
 
     Lifecycle: the first node to finish setup creates the engine in
     ``ctx.shared`` and registers it as a driver; every node then builds
-    its manager over its view of the engine's count tensor, calls
-    :meth:`register`, and :meth:`touch` each counting round it is woken
-    for control mail.  The scheduler calls :meth:`end_round` once per
+    its manager over its view of the engine's count tensor and calls
+    :meth:`register`.  The scheduler calls :meth:`end_round` once per
     round after the per-node loop; on its first call the engine launches
     every node's walks and takes over all walk movement from there.
 
     ``table``: the run's ARQ table (a
     :class:`~repro.congest.reliable.LinkTable`) on lossy links, None on
-    fault-free ones.  Fault-free, the engine runs the termination
-    convergecast as arrays and claims its ``term`` rows.  On lossy
-    links it dedups, acks and sequences walk tokens through the table
-    and flushes the counting nodes' channels, while each node's
-    :class:`DeathCounterLogic` reports through its channel and ``term``
-    travels as control mail the node folds in itself.
-    ``split_sampling``: both halves of the count tensor will be
-    written, which :func:`check_tensor_fits` counts before it is
-    allocated.
+    fault-free ones.  On lossy links the engine dedups, acks and
+    sequences walk tokens through the table, accepts ``term`` and
+    ``done`` rows, queues reports and the done wave as control, and
+    flushes the counting nodes' channels.  ``split_sampling``: both
+    halves of the count tensor will be written, which
+    :func:`check_tensor_fits` counts before it is allocated.
+    ``fault_runtime`` names the crashed nodes.
     """
 
     def __init__(
@@ -713,14 +712,15 @@ class CountingWalkEngine:
         walks_per_source: int,
         length: int,
         split_sampling: bool,
+        fault_runtime=None,
+        profiler=NULL_PROFILER,
+        instruments=None,
     ) -> None:
         n = edges.n
         self.n = n
         self._table = table
         self._reliable = table is not None
-        self.claimed_kinds = WALK_KINDS | (
-            set() if self._reliable else {KIND_TERM}
-        )
+        self.claimed_kinds = WALK_KINDS | set(CONTROL_KINDS)
         # xi tensors and per-node aggregates; managers hold views into
         # ``counts`` so both access paths see the same numbers.  The
         # cells are stored half-first, ``[half, node, source]``, and
@@ -734,34 +734,25 @@ class CountingWalkEngine:
         self.deaths = np.zeros(n, dtype=np.int64)
         self._round_deaths = np.zeros(n, dtype=np.int64)
         self._programs: dict[int, NodeProgram] = {}
-        self._managers: dict[int, WalkManager] = {}
-        self._counters: dict[int, DeathCounterLogic] = {}
-        self._contexts: dict[int, RoundContext] = {}
         # Every node's walk stream: its key (filled at register) and
         # its next counter value.
         self._streams: WalkStreams = (
             np.zeros(n, dtype=np.uint64),
             np.zeros(n, dtype=np.int64),
         )
-        self._touched: set[int] = set()
-        # Lossy-link state: per-node channel views of the table, nodes
-        # that left the counting phase this round (the engine owes them
-        # one last flush), and the run's FaultRuntime for the crashed
-        # set.  All stay empty/None on fault-free runs.
-        self._channels: dict[int, object] = {}
-        self._transitioned: set[int] = set()
-        self._fault_runtime = None
-        # Telemetry (observation-only; installed from ctx.shared at
-        # register time).  Spans time the engine's kernels; instruments
-        # count emitted walk messages.  Never read back by the protocol.
-        self._profiler = NULL_PROFILER
-        self._instruments = None
+        self._fault_runtime = fault_runtime
+        # Telemetry (observation-only): spans time the engine's kernels;
+        # instruments count emitted walk messages.  Never read back by
+        # the protocol.
+        self._profiler = profiler
+        self._instruments = instruments
         # Every directed edge's FIFO queue of pending token groups.
         self._queues = EdgeQueues(len(edges.dst))
         self._seq = 0
         self._finalized = False
-        # The run's directed edges (``SharedFastPathState.edges``): edge
-        # ``offsets[v] + port`` is ``v -> neighbors[port]``.
+        # The run's directed edges (``SharedFastPathState.edges``, the
+        # LinkTable's slots): edge ``offsets[v] + port`` is ``v ->
+        # neighbors[port]``.
         self._offsets = edges.offsets
         self._targets = edges.dst
         self._degrees = edges.degrees
@@ -769,84 +760,73 @@ class CountingWalkEngine:
         self._max_degree = int(edges.degrees.max())
         self._policy: TransportPolicy = TransportPolicy.QUEUE
         self._budget = 1
-        # Fault-free, the engine prices walk and ``term`` rows itself
-        # (:func:`walk_bit_tables`, filled at finalize) and tags them
-        # with their edge ids, so the outbox's drain reads each edge's
-        # load off the rows instead of merging them.
+        # Fault-free, the engine prices walk, ``term`` and ``done`` rows
+        # itself (:func:`walk_bit_tables`, filled at finalize) and tags
+        # them with their edge ids, so the outbox's drain reads each
+        # edge's load off the rows instead of merging them.
         self._head_bits = self._hop_bits = _EMPTY
-        self._parent_edge = _EMPTY
         self._alpha: float | None = None
         self._absorbing_target = -1
-        # Array convergecast (fault-free): per node, the
-        # children's summed reports, the last total it reported, its
-        # latest report its parent has heard, whether the done wave
-        # stopped it, and its tree parent (-1 at the root).  Local
-        # deaths are ``deaths``.  Filled at finalize.
+        # The convergecast: per node, the children's summed reports, the
+        # last total it reported, its latest report its parent has
+        # heard, whether it left counting, its tree parent (-1 at the
+        # root) and the edges to and from it.  Local deaths are
+        # ``deaths``.
         self._child_sum = np.zeros(n, dtype=np.int64)
         self._last_reported = np.full(n, -1, dtype=np.int64)
         self._heard = np.zeros(n, dtype=np.int64)
         self._stopped = np.zeros(n, dtype=bool)
         self._parent = np.full(n, -1, dtype=np.int64)
-        self._root = -1
+        self._parent_edge = np.full(n, -1, dtype=np.int64)
+        self._child_edge = np.full(n, -1, dtype=np.int64)
+        self._roots = _EMPTY
         self._expected_total = 0
 
     # ------------------------------------------------------------------
-    # Per-node hooks (called from the node programs)
+    # Per-node hook (called from the node programs)
     # ------------------------------------------------------------------
     def register(
-        self,
-        program: "NodeProgram",
-        manager: WalkManager,
-        counter: DeathCounterLogic,
-        ctx: "RoundContext",
-        channel=None,
+        self, program: "NodeProgram", manager: WalkManager, parent: int | None
     ) -> None:
-        """Adopt one node.  The manager must tally into
-        ``counts[node]`` (pass it as ``half_counts``); the engine
-        launches its walks at the first :meth:`end_round`.
-
-        ``channel`` is the node's
-        :class:`~repro.congest.reliable.ReliableChannel` on lossy links;
-        the engine then performs the node's walk-token dedup, acking,
-        flushing, and retransmission-aware emission while the node is
-        counting, on the channels' shared table."""
+        """Adopt one node, whose tree parent is ``parent`` (None at the
+        root).  The manager must tally into ``counts[node]`` (pass it as
+        ``half_counts``); the engine launches its walks at the first
+        :meth:`end_round`."""
         node = manager.node_id
-        if node in self._managers:
+        if node in self._programs:
             raise ProtocolError(
                 f"node {node} registered twice with the walk engine"
             )
         manager.attach_engine(self)
         self._programs[node] = program
-        self._managers[node] = manager
-        self._counters[node] = counter
-        self._contexts[node] = ctx
         self._streams[0][node] = manager.walk_key
-        self._channels[node] = channel
-        shared = ctx.shared
-        if shared is not None:
-            if self._fault_runtime is None:
-                self._fault_runtime = shared.fault_runtime
-            self._profiler = shared.profiler
-            self._instruments = shared.instruments
-
-    def touch(self, node: int) -> None:
-        """Mark a node as active this round (it ran for control mail),
-        so the post-round pass considers its termination reporting."""
-        self._touched.add(node)
-
-    def stop_reporting(self, node: int) -> None:
-        """The done wave reached ``node``: its counter stops reporting."""
-        self._stopped[node] = True
-
-    def note_transition(self, node: int) -> None:
-        """A counting node switched to the exchange phase during this
-        round's calls; the engine still owes its channel this round's
-        flush (from next round the exchange driver flushes it)."""
-        self._transitioned.add(node)
+        self._parent[node] = -1 if parent is None else parent
 
     # ------------------------------------------------------------------
-    # Driver hook (called by the scheduler, once per round)
+    # Driver hooks (called by the scheduler, once per round)
     # ------------------------------------------------------------------
+    def receive_rows(
+        self, round_number: int, claimed: dict[str, ClaimedKind]
+    ) -> None:
+        """Lossy links: run this round's ``term`` and ``done`` rows
+        through the receive windows before the node pass, as handlers
+        would, so every flush of the round acks them.  A row's
+        multiplicity becomes its fresh copies (0 for a duplicate)."""
+        if not self._reliable:
+            return
+        table = self._table
+        for kind in CONTROL_KINDS:
+            rows = claimed.get(kind)
+            if rows is not None:
+                senders, receivers, fields, multiplicity = rows
+                fresh = table.accept_rows(
+                    table.slots(receivers, senders), fields[:, -1],
+                    multiplicity,
+                )
+                claimed[kind] = (
+                    senders, receivers, fields, fresh.astype(np.int64)
+                )
+
     def end_round(
         self,
         round_number: int,
@@ -858,33 +838,39 @@ class CountingWalkEngine:
         if launch_round:
             self._finalize()
         profiler = self._profiler
-        term = None if self._reliable else claimed.pop(KIND_TERM, None)
+        term = claimed.pop(KIND_TERM, None)
+        done = claimed.pop(KIND_DONE, None)
+        # The nodes that leave counting this round: first, ascending,
+        # the counting receivers of a fresh ``done``.
+        stopping = np.zeros(self.n, dtype=bool)
+        if done is not None:
+            _, receivers, _, fresh = done
+            stopping[receivers[fresh > 0]] = True
+            stopping &= ~self._stopped
+            self._leave_counting(np.flatnonzero(stopping), round_number)
         crashed = (
             self._fault_runtime.crashed(round_number)
             if self._fault_runtime is not None
             else frozenset()
         )
-        if self._reliable and claimed:
+        if self._reliable and (claimed or term or done):
             with profiler.span("engine.dedup"):
-                claimed = self._dedup_claimed(
-                    claimed, round_number, outbox, bulk_outbox
+                claimed = self._dedup(
+                    claimed, (term, done), stopping, round_number, outbox,
+                    bulk_outbox,
                 )
-        if claimed:
-            dead = self._process_arrivals(claimed)
-        else:
-            dead = ()
+        dead = self._process_arrivals(claimed) if claimed else ()
+        if launch_round or term or len(dead) or stopping.any():
+            with profiler.span("engine.post_round"):
+                self._convergecast_round(
+                    round_number, bulk_outbox, term, dead, stopping
+                )
         retransmits = None
         if self._reliable:
-            if self._touched or len(dead):
-                with profiler.span("engine.post_round"):
-                    self._post_round(round_number, dead)
             with profiler.span("engine.arq_flush"):
                 retransmits = self._flush_channels(
-                    round_number, crashed, outbox, bulk_outbox
+                    round_number, crashed, stopping, outbox, bulk_outbox
                 )
-        elif launch_round or term is not None or len(dead):
-            with profiler.span("engine.post_round"):
-                self._convergecast_round(round_number, bulk_outbox, term, dead)
         if self._queues.rows:
             with profiler.span("engine.emit"):
                 self._emit(bulk_outbox, round_number, retransmits, crashed)
@@ -895,37 +881,36 @@ class CountingWalkEngine:
     def _finalize(self) -> None:
         """First end_round (the launch round): launch every node's
         walks and set up the convergecast."""
-        if len(self._managers) != self.n:
+        if len(self._programs) != self.n:
             raise ProtocolError(
-                f"walk engine started with {len(self._managers)}/{self.n} "
+                f"walk engine started with {len(self._programs)}/{self.n} "
                 "nodes registered"
             )
-        first = self._managers[0]
+        first = self._programs[0]._walks
         self._policy = first.policy
         self._budget = first.walk_budget
         self._alpha = first.survival_alpha
         self._absorbing_target = first.target
         self._launch(first)
-        if self._reliable:
-            # Every node launched this round, so every node's counter
-            # owes its first report.
-            self._touched.update(range(self.n))
-        else:
-            for node, counter in self._counters.items():
-                if counter.parent is None:
-                    self._root = node
-                else:
-                    self._parent[node] = counter.parent
-            self._expected_total = self._counters[0].expected_total
+        # In damped mode every node launches K walks; in absorbing mode
+        # the target sits out.
+        launchers = self.n if self._alpha is not None else self.n - 1
+        self._expected_total = launchers * first.walks_per_source
+        self._roots = np.flatnonzero(self._parent < 0)
+        # Each node's edge to its tree parent, and that parent's edge
+        # back to it (the root has neither).
+        uplinks = np.flatnonzero(
+            self._targets == self._parent[self._edge_src]
+        )
+        self._parent_edge[self._edge_src[uplinks]] = uplinks
+        downlinks = np.flatnonzero(
+            self._edge_src == self._parent[self._targets]
+        )
+        self._child_edge[self._targets[downlinks]] = downlinks
+        if not self._reliable:
             self._head_bits, self._hop_bits = walk_bit_tables(
                 self.n, first.length
             )
-            # Each node's edge to its tree parent (the root has none).
-            uplinks = np.flatnonzero(
-                self._targets == self._parent[self._edge_src]
-            )
-            self._parent_edge = np.full(self.n, -1, dtype=np.int64)
-            self._parent_edge[self._edge_src[uplinks]] = uplinks
         self._finalized = True
 
     def _launch(self, manager: WalkManager) -> None:
@@ -966,62 +951,60 @@ class CountingWalkEngine:
         np.add.at(self.held, self._edge_src[entries[:, 0]], entries[:, 5])
         self._queues.append(entries)
 
-    def _dedup_claimed(
+    def _dedup(
         self,
         claimed: dict[str, ClaimedKind],
+        control: tuple[ClaimedKind | None, ...],
+        stopping: np.ndarray,
         round_number: int,
         outbox: "RoundOutbox",
         bulk_outbox: "BulkOutbox",
     ) -> dict[str, ClaimedKind]:
-        """Reliable mode: run every claimed walk row through the
-        receiver's ARQ before counting.
+        """Lossy links: run every claimed walk row through the
+        receiver's ARQ before counting, and settle the late rows.
 
-        Each kind's rows go through :meth:`LinkTable.accept_rows
+        Each walk kind's rows go through :meth:`LinkTable.accept_rows
         <repro.congest.reliable.LinkTable.accept_rows>`, the rule the
         per-message loop applies to each token message: a first-seen
         seq is fresh (kept, multiplicity one - fault duplication cannot
         double a token), a repeat is rejected, and every copy past the
-        fresh one counts as a rejected duplicate.  A receiver still in
-        setup leaves the row unaccepted and unacked, so the sender
-        retransmits it past the launch round.  Within a round the final
-        receive windows do not depend on arrival order, so the slow
-        path's arrival order and this row order agree byte for byte.
+        fresh one counts as a rejected duplicate.  Within a round the
+        final receive windows do not depend on arrival order, so the
+        slow path's arrival order and this row order agree byte for
+        byte.
 
-        A receiver past counting was flushed before this pass (by the
-        exchange driver, or by its own handler once done), or nobody
-        steps it; its accepts here are settled through
+        A row is late when its receiver left counting before this round
+        (the exchange driver flushed it, or nobody steps it once done).
+        Late walk rows and late ``control`` rows (``term`` and ``done``,
+        accepted in :meth:`receive_rows`) are settled in one
         :meth:`LinkTable.settle
-        <repro.congest.reliable.LinkTable.settle>` instead."""
+        <repro.congest.reliable.LinkTable.settle>`."""
         out: dict[str, ClaimedKind] = {}
         table = self._table
-        programs = self._programs
-        transitioned = np.zeros(self.n, dtype=bool)
-        transitioned[list(self._transitioned)] = True
+        stopped = self._stopped
         late: list[np.ndarray] = []
+        for rows in control:
+            if rows is not None:
+                senders, receivers = rows[0], rows[1]
+                mine = stopped[receivers] & ~stopping[receivers]
+                if mine.any():
+                    late.append(table.slots(receivers[mine], senders[mine]))
         for kind, (senders, receivers, fields, multiplicity) in (
             claimed.items()
         ):
-            nodes = np.flatnonzero(np.bincount(receivers))
-            phase = np.empty(self.n, dtype=object)
-            phase[nodes] = [programs[node].phase for node in nodes.tolist()]
-            phase = phase[receivers]
-            # Crashed through the launch round: no accept, no ack; the
-            # sender retries later.
-            rows = np.flatnonzero(phase != "setup")
-            slots = table.slots(receivers[rows], senders[rows])
-            fresh = table.accept_rows(
-                slots, fields[rows, -1], multiplicity[rows]
-            )
-            past = phase[rows] != "counting"
+            slots = table.slots(receivers, senders)
+            fresh = table.accept_rows(slots, fields[:, -1], multiplicity)
+            past = stopped[receivers]
             lost = np.flatnonzero(fresh & past)
             if len(lost):
-                row = rows[lost[0]]
+                node = int(receivers[lost[0]])
                 raise ProtocolError(
-                    f"fresh walk token arrived during {phase[row]} at node "
-                    f"{int(receivers[row])}: recovery lost a death"
+                    "fresh walk token arrived during "
+                    f"{self._programs[node].phase} at node {node}: "
+                    "recovery lost a death"
                 )
-            late.append(slots[past & ~transitioned[receivers[rows]]])
-            keep = rows[fresh]
+            late.append(slots[past & ~stopping[receivers]])
+            keep = np.flatnonzero(fresh)
             if len(keep):
                 out[kind] = (
                     senders[keep],
@@ -1032,7 +1015,7 @@ class CountingWalkEngine:
         late_slots = np.concatenate(late) if late else _EMPTY
         if len(late_slots):
             sends = table.settle(late_slots, round_number)
-            table.ship(sends, outbox, bulk_outbox, _WALK_ROWS)
+            table.ship(sends, outbox, bulk_outbox, ROW_KINDS)
         return out
 
     def _process_arrivals(
@@ -1087,39 +1070,12 @@ class CountingWalkEngine:
             self._queues.append(entries)
         return np.nonzero(deaths)[0]
 
-    def _post_round(
-        self, round_number: int, dead: np.ndarray | tuple
-    ) -> None:
-        """The non-walk tail of each node's counting round on lossy
-        links: fold this round's deaths into the convergecast, queue
-        changed subtree totals on the node's channel (sequenced and
-        shipped by this round's flush, exactly like the slow path's
-        queue-then-flush), and let the root start the done wave on
-        detection."""
-        post = self._touched
-        if len(dead):
-            post = post | {int(node) for node in dead}
-        for node in sorted(post):
-            counter = self._counters[node]
-            delta = int(self._round_deaths[node])
-            if delta:
-                self._round_deaths[node] = 0
-                self.deaths[node] += delta
-                counter.record_deaths(delta)
-            if counter.stopped:
-                continue
-            if counter.parent is None:
-                if counter.root_detects_completion:
-                    self._programs[node]._begin_done_wave(
-                        self._contexts[node], round_number
-                    )
-            else:
-                total = counter.pop_report()
-                if total is not None:
-                    self._channels[node].queue(
-                        counter.parent, KIND_TERM, (total,), latest=True
-                    )
-        self._touched = set()
+    def _leave_counting(self, nodes: np.ndarray, round_number: int) -> None:
+        """Move ``nodes`` (ascending) into the exchange phase."""
+        self._stopped[nodes] = True
+        programs = self._programs
+        for node in nodes.tolist():
+            programs[node]._enter_exchange(round_number)
 
     def _convergecast_round(
         self,
@@ -1127,19 +1083,24 @@ class CountingWalkEngine:
         bulk_outbox: "BulkOutbox",
         term: ClaimedKind | None,
         dead: np.ndarray | tuple,
+        stopping: np.ndarray,
     ) -> None:
-        """:meth:`_post_round` for every node at once, on fault-free
-        links: fold this round's ``term`` rows and deaths into the
-        subtree totals, ship every due report (:func:`report_due`) as
-        one priced push - the same fields, bits and edges as the
-        per-node ``term`` messages - and let the root start the done
-        wave on detection, in the same round as the per-node pass.
+        """Each node's :class:`~repro.core.termination.DeathCounterLogic`
+        round at once: fold this round's fresh ``term`` rows and deaths
+        into the subtree totals, report every due total
+        (:func:`report_due`), let a complete root start the done wave,
+        and relay ``done`` from every node in ``stopping``.  The
+        per-node counters examine only the totals that moved; no other
+        node has anything due, so both report the same nodes.
 
-        The per-node pass examines only the nodes whose totals moved;
-        every other node has nothing due, so examining all of them
-        reports the same nodes."""
+        Reports and the wave carry the per-node messages' fields, bits
+        and edges: priced pushes fault-free, and on lossy links control
+        queued with one :meth:`LinkTable.queue_rows
+        <repro.congest.reliable.LinkTable.queue_rows>` call per kind.
+        Under loss the wave floods every edge (an ``adopt`` may still be
+        in flight, so the tree is not a safe overlay)."""
         if term is not None:
-            senders, receivers, fields, _ = term
+            senders, receivers, fields, fresh = term
             strangers = np.flatnonzero(self._parent[senders] != receivers)
             if len(strangers):
                 bad = strangers[0]
@@ -1147,10 +1108,17 @@ class CountingWalkEngine:
                     f"termination report from non-child {int(senders[bad])} "
                     f"at node {int(receivers[bad])}"
                 )
-            # Monotone: a child's latest report replaces its earlier one.
-            heard = np.maximum(self._heard[senders], fields[:, 0])
-            np.add.at(self._child_sum, receivers, heard - self._heard[senders])
-            self._heard[senders] = heard
+            # Monotone: a child's latest report replaces its earlier ones.
+            rows = fresh > 0
+            heard = self._heard.copy()
+            np.maximum.at(heard, senders[rows], fields[rows, 0])
+            risen = np.flatnonzero(heard != self._heard)
+            np.add.at(
+                self._child_sum,
+                self._parent[risen],
+                heard[risen] - self._heard[risen],
+            )
+            self._heard = heard
         if len(dead):
             self.deaths[dead] += self._round_deaths[dead]
             self._round_deaths[dead] = 0
@@ -1161,51 +1129,74 @@ class CountingWalkEngine:
         if len(reporters):
             totals = total[reporters]
             self._last_reported[reporters] = totals
-            bulk_outbox.push_priced(
-                KIND_TERM,
-                reporters,
-                self._parent[reporters],
-                TAG_BITS + int_bits_array(totals),
-                edges=self._parent_edge[reporters],
-                fields=totals[:, None],
+            edges = self._parent_edge[reporters]
+            if self._reliable:
+                self._table.queue_rows(
+                    edges, KIND_TERM, totals[:, None], latest=True
+                )
+            else:
+                bulk_outbox.push_priced(
+                    KIND_TERM,
+                    reporters,
+                    self._parent[reporters],
+                    TAG_BITS + int_bits_array(totals),
+                    edges=edges,
+                    fields=totals[:, None],
+                )
+        roots = self._roots
+        complete = roots[
+            ~self._stopped[roots] & (total[roots] >= self._expected_total)
+        ]
+        if len(complete):
+            stopping[complete] = True
+            self._leave_counting(complete, round_number)
+        if not stopping.any():
+            return
+        if self._reliable:
+            slots = np.flatnonzero(stopping[self._edge_src])
+            self._table.queue_rows(
+                slots,
+                KIND_DONE,
+                np.zeros((len(slots), 0), dtype=np.int64),
+                latest=True,
             )
-        root = self._root
-        if not self._stopped[root] and total[root] >= self._expected_total:
-            self._programs[root]._begin_done_wave(
-                self._contexts[root], round_number
-            )
+            return
+        children = np.flatnonzero(
+            stopping[self._parent] & (self._parent >= 0)
+        )
+        bulk_outbox.push_priced(
+            KIND_DONE,
+            self._parent[children],
+            children,
+            np.full(len(children), TAG_BITS, dtype=np.int64),
+            edges=self._child_edge[children],
+        )
 
     def _flush_channels(
         self,
         round_number: int,
         crashed: frozenset,
+        stopping: np.ndarray,
         outbox: "RoundOutbox",
         bulk_outbox: "BulkOutbox",
     ) -> np.ndarray | None:
         """Run the per-round ARQ flush (:meth:`LinkTable.flush
         <repro.congest.reliable.LinkTable.flush>`) for every node the
         engine owns this round: counting nodes plus the ones that left
-        counting during this round's calls.  (Setup and done nodes flush
-        in their own handlers, exchange nodes in the exchange driver; a
-        crashed node flushes nothing, same as the per-message loop
-        skipping it.)  Returns the token retransmissions per edge, the
-        fresh budget debits for :meth:`_emit`, or None if there were
+        counting this round.  (Setup and done nodes flush in their own
+        handlers or through a settle, exchange nodes in the exchange
+        driver; a crashed node flushes nothing, same as the per-message
+        loop skipping it.)  Returns the token retransmissions per edge,
+        the fresh budget debits for :meth:`_emit`, or None if there were
         none."""
-        programs = self._programs
-        nodes = [
-            node
-            for node in range(self.n)
-            if node not in crashed
-            and (
-                programs[node].phase == "counting"
-                or node in self._transitioned
-            )
-        ]
-        self._transitioned = set()
-        if not nodes:
+        owned = ~self._stopped | stopping
+        if crashed:
+            owned[list(crashed)] = False
+        nodes = np.flatnonzero(owned)
+        if not len(nodes):
             return None
-        debits, sends, _ = self._table.flush(np.array(nodes), round_number)
-        self._table.ship(sends, outbox, bulk_outbox, _WALK_ROWS)
+        debits, sends, _ = self._table.flush(nodes, round_number)
+        self._table.ship(sends, outbox, bulk_outbox, ROW_KINDS)
         return debits
 
     def _emit(

@@ -39,9 +39,6 @@ import numpy as np
 __all__ = ["InstrumentSet", "Log2Histogram"]
 
 _BUCKETS = 64
-# Bucket boundaries for vectorized bucketing: value v lands in bucket
-# max(0, floor(log2(v))), matching the scalar bit_length() path.
-_POW2 = np.power(2.0, np.arange(_BUCKETS, dtype=np.float64))
 
 
 class Log2Histogram:
@@ -71,14 +68,12 @@ class Log2Histogram:
         if len(values) == 0:
             return
         values = np.asarray(values)
-        # searchsorted gives bucket + 1, and 0 for the values 0 and 1
-        # that bucket 0 also holds: one bincount, no scatter-add.
-        per_slot = np.bincount(
-            np.searchsorted(_POW2, values, side="right"),
-            minlength=_BUCKETS + 1,
-        )
-        self.buckets += per_slot[1:]
-        self.buckets[0] += per_slot[0]
+        # A value v >= 1 is m * 2**e with 0.5 <= m < 1, so its bucket,
+        # floor(log2(v)), is e - 1; 0 and 1 both land in bucket 0.  The
+        # exponent is the float64's: it matches the scalar bit_length()
+        # path below 2**53.
+        buckets = (np.frexp(values)[1] - 1).clip(0, _BUCKETS - 1)
+        self.buckets += np.bincount(buckets, minlength=_BUCKETS)
         self.count += int(len(values))
         self.total += int(values.sum())
         peak = int(values.max())

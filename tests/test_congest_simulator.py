@@ -10,9 +10,9 @@ from repro.congest.errors import (
     RoundLimitExceeded,
 )
 from repro.congest.message import Message
-from repro.congest.node import NodeProgram
+from repro.congest.node import NodeProgram, VectorizedProgram
 from repro.congest.scheduler import Simulator, run_program
-from repro.congest.transport import BandwidthPolicy
+from repro.congest.transport import BandwidthPolicy, BulkOutbox
 from repro.core.protocol import ProtocolConfig, RWBCNodeProgram
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.graphs.graph import Graph
@@ -250,3 +250,41 @@ class TestMetrics:
         summary = result.metrics.summary()
         assert summary["total_messages"] == 4
         assert summary["rounds"] == 1
+
+
+class VectorizedPing(PingOnce, VectorizedProgram):
+    """:class:`PingOnce`, runnable on the fast path."""
+
+
+class TestLabelsOutsideZeroToN:
+    """``Simulator`` takes any int labels.  On the path 3 - 0 - 1 the
+    code ``sender * n + receiver`` gives edges ``0 -> 3`` and ``1 -> 0``
+    the same value, 3; the per-edge loads must still keep them apart."""
+
+    GRAPH = Graph(edges=[(3, 0), (0, 1)])
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_each_edge_counts_its_own_messages(self, vectorized):
+        result = Simulator(
+            self.GRAPH, VectorizedPing, vectorized=vectorized
+        ).run()
+        assert result.fast_path == vectorized
+        assert result.metrics.total_messages == 4
+        assert result.metrics.max_messages_per_edge_round == 1
+
+    def test_bulk_budget_check_names_the_loaded_edge(self):
+        outbox = BulkOutbox(BandwidthPolicy(n=3, messages_per_edge=1))
+        fields = np.ones((2, 1), dtype=np.int64)
+        outbox.push_rows("x", np.array([0, 1]), np.array([3, 0]), fields)
+        outbox.drain(3, [])
+        outbox.push_rows(
+            "x",
+            np.array([0, 3]),
+            np.array([3, 0]),
+            fields,
+            multiplicity=np.array([1, 2]),
+        )
+        with pytest.raises(
+            CongestViolation, match=r"edge \(3 -> 0\) carries 2 messages"
+        ):
+            outbox.drain(3, [])

@@ -87,7 +87,14 @@ class TestLog2Histogram:
         assert buckets[1024] == 1
 
     def test_scalar_and_array_paths_agree(self):
-        values = np.array([0, 1, 2, 3, 5, 8, 13, 21, 1000, 65536])
+        # Every bucket boundary 2**k - 1, 2**k, 2**k + 1 the float64
+        # exponent resolves (k <= 52).
+        edges = [
+            2**k + offset for k in range(1, 53) for offset in (-1, 0, 1)
+        ]
+        values = np.array(
+            [0, 1, 2, 3, 5, 8, 13, 21, 1000, 65536] + edges, dtype=np.int64
+        )
         scalar = Log2Histogram()
         for value in values:
             scalar.observe(int(value))

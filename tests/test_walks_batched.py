@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.congest.errors import ConfigError
 from repro.congest.scheduler import Simulator
 from repro.congest.trace import Tracer
+from repro.congest.splitmix import GOLDEN, _mix64_array
 from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.parameters import WalkParameters
 from repro.core.protocol import ProtocolConfig, make_protocol_factory
@@ -415,6 +416,314 @@ def test_queues_match_the_sorted_table(case):
             model.append(entries)
         else:
             _check_take(queues, model, op[1], policy)
+
+
+# ---------------------------------------------------------------------------
+# Round twin: the counting round against a frozen copy of its composition
+# ---------------------------------------------------------------------------
+def _ref_segments(values):
+    boundary = np.empty(len(values), dtype=bool)
+    boundary[0] = True
+    np.not_equal(values[1:], values[:-1], out=boundary[1:])
+    starts = boundary.nonzero()[0]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = len(values)
+    return starts, ends
+
+
+def _ref_aggregate(nodes, sources, remainings, halves, counts):
+    source_base = int(sources.max()) + 1
+    remaining_base = int(remainings.max()) + 1
+    key = (
+        (nodes * source_base + sources) * remaining_base + remainings
+    ) * 2 + halves
+    order = np.argsort(key)
+    starts, _ = _ref_segments(key[order])
+    first = order[starts]
+    return (
+        nodes[first],
+        sources[first],
+        remainings[first],
+        halves[first],
+        np.add.reduceat(counts[order], starts).astype(np.int64),
+    )
+
+
+def _ref_draw(streams, nodes, needs):
+    keys, counters = streams
+    first = counters[nodes]
+    counters[nodes] = first + needs
+    ends = np.cumsum(needs)
+    steps = np.arange(int(needs.sum()), dtype=np.uint64) + np.repeat(
+        (first - (ends - needs)).astype(np.uint64), needs
+    )
+    return _mix64_array(
+        np.repeat(keys[nodes], needs) + steps * np.uint64(GOLDEN)
+    )
+
+
+def _ref_ports(streams, degrees, nodes, needs):
+    node_degrees = degrees[nodes]
+    routed = node_degrees > 1
+    if not routed.all():
+        ports = np.zeros(int(needs.sum()), dtype=np.int64)
+        if routed.any():
+            ports[np.repeat(routed, needs)] = _ref_ports(
+                streams, degrees, nodes[routed], needs[routed]
+            )
+        return ports
+    node_degrees = node_degrees.astype(np.uint64)
+    m = (_ref_draw(streams, nodes, needs) >> np.uint64(32)) * np.repeat(
+        node_degrees, needs
+    )
+    ports = (m >> np.uint64(32)).astype(np.int64)
+    thresholds = (np.uint64(1 << 32) - node_degrees) % node_degrees
+    rejected = np.flatnonzero(
+        (m & np.uint64(0xFFFFFFFF)) < np.repeat(thresholds, needs)
+    )
+    if len(rejected):
+        segment = np.repeat(np.arange(len(nodes)), needs)
+        keep = np.ones(len(ports), dtype=bool)
+        keep[rejected] = False
+        short = np.bincount(segment[rejected], minlength=len(nodes))
+        refill = np.flatnonzero(short)
+        more = _ref_ports(streams, degrees, nodes[refill], short[refill])
+        owner = np.concatenate(
+            (segment[keep], np.repeat(refill, short[refill]))
+        )
+        ports = np.concatenate((ports[keep], more))[
+            np.argsort(owner, kind="stable")
+        ]
+    return ports
+
+
+def _ref_thin(streams, nodes, counts, alpha):
+    starts, _ = _ref_segments(nodes)
+    draws = _ref_draw(
+        streams, nodes[starts], np.add.reduceat(counts, starts)
+    )
+    alive = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53 < alpha
+    return np.add.reduceat(alive, np.cumsum(counts) - counts, dtype=np.int64)
+
+
+def _ref_route(nodes, sources, remainings, halves, counts, streams,
+               degrees, offsets, seq_start):
+    groups = len(nodes)
+    starts, _ = _ref_segments(nodes)
+    draws = _ref_ports(
+        streams, degrees, nodes[starts], np.add.reduceat(counts, starts)
+    )
+    group_base = offsets[nodes] * groups + np.arange(groups, dtype=np.int64)
+    keys = np.sort(np.repeat(group_base, counts) + draws * groups)
+    starts, ends = _ref_segments(keys)
+    cells = keys[starts]
+    group_of = cells % groups
+    entries = np.empty((len(cells), 6), dtype=np.int64)
+    entries[:, 0] = cells // groups
+    entries[:, 1] = np.arange(seq_start, seq_start + len(cells))
+    entries[:, 2] = sources[group_of]
+    entries[:, 3] = remainings[group_of]
+    entries[:, 4] = halves[group_of]
+    entries[:, 5] = ends - starts
+    return entries, seq_start + len(cells)
+
+
+def _ref_round(arrivals, streams, alpha, target, tensor, degrees, offsets,
+               seq):
+    """One counting round as the kernel composed it: returns
+    ``(entries, deaths per node, next seq)`` and tallies into
+    ``tensor``."""
+    nodes, sources, remainings, halves, counts = _ref_aggregate(*arrivals)
+    deaths = np.zeros(tensor.shape[0], dtype=np.int64)
+    if alpha is not None:
+        survivors = _ref_thin(streams, nodes, counts, alpha)
+        np.add.at(deaths, nodes, counts - survivors)
+        keep = survivors > 0
+        counts = survivors
+    else:
+        absorbed = nodes == target
+        deaths[target] += int(counts[absorbed].sum()) if target >= 0 else 0
+        keep = ~absorbed
+    nodes, sources, remainings, halves, counts = (
+        a[keep] for a in (nodes, sources, remainings, halves, counts)
+    )
+    np.add.at(tensor, (nodes, halves, sources), counts.astype(tensor.dtype))
+    expired = remainings == 0
+    np.add.at(deaths, nodes[expired], counts[expired])
+    live = ~expired
+    nodes, sources, remainings, halves, counts = (
+        a[live] for a in (nodes, sources, remainings, halves, counts)
+    )
+    if not len(nodes):
+        return np.empty((0, 6), dtype=np.int64), deaths, seq
+    entries, seq = _ref_route(nodes, sources, remainings, halves, counts,
+                              streams, degrees, offsets, seq)
+    return entries, deaths, seq
+
+
+def _round(queues, arrivals, streams, alpha, target, tensor, degrees,
+           offsets, seq):
+    """The same round through the library: aggregation, the kernel and
+    the per-edge queues.  Returns ``(entries, deaths per node, next
+    seq)``."""
+    nodes, sources, remainings, halves, counts = aggregate_network_groups(
+        *arrivals
+    )
+    entries, death_nodes, death_counts, seq = (
+        walk_engine.counting_round_kernel(
+            nodes, sources, remainings, halves, counts, streams, alpha,
+            target, tensor, degrees, offsets, int(degrees.max()), seq,
+        )
+    )
+    deaths = np.zeros(tensor.shape[0], dtype=np.int64)
+    np.add.at(deaths, death_nodes, death_counts)
+    if queues is not None:
+        queues.append(entries)
+    return entries, deaths, seq
+
+
+def _held(queues, edge_src, n) -> np.ndarray:
+    """Per-node tokens queued on the node's out-edges, by walking every
+    chain."""
+    held = np.zeros(n, dtype=np.int64)
+    for edge, rows in _chains(queues).items():
+        held[edge_src[edge]] += int(rows[:, 5].sum())
+    return held
+
+
+#: The twin's graph: leaves 2 and 3 (degree 1), a triangle 4-5-6, and
+#: degrees 1, 2 and 3 elsewhere.
+_TWIN_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (4, 6), (5, 6)]
+_TWIN_N = 7
+
+
+def _twin_graph(wide: bool):
+    """``(degrees, offsets, edge sources)`` of the twin graph.  ``wide``
+    gives node 6 degree ``2**31 + 1`` instead, whose Lemire threshold
+    rejects about half of all draws; its edges exist only as ids, so
+    wide rounds skip the queues."""
+    adjacency = [[] for _ in range(_TWIN_N)]
+    for u, v in _TWIN_EDGES:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
+    if wide:
+        degrees[6] = 2**31 + 1
+    offsets = np.zeros(_TWIN_N + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    edge_src = np.repeat(np.arange(_TWIN_N), degrees) if not wide else None
+    return degrees, offsets, edge_src
+
+
+@st.composite
+def _twin_cases(draw):
+    """A mode (absorbing with a drawn target, or damped), split halves,
+    a policy, stream keys and counters, and a few rounds of random
+    arrival multisets with budgets."""
+    wide = draw(st.booleans())
+    alpha = draw(st.sampled_from([None, None, 0.35, 0.85]))
+    split = draw(st.booleans())
+    policy = draw(st.sampled_from(list(TransportPolicy)))
+    target = draw(st.integers(0, _TWIN_N - 1))
+    keys = draw(
+        st.lists(
+            st.integers(0, 2**64 - 1), min_size=_TWIN_N, max_size=_TWIN_N
+        )
+    )
+    counters = draw(
+        st.lists(st.integers(0, 300), min_size=_TWIN_N, max_size=_TWIN_N)
+    )
+    group = st.tuples(
+        st.integers(0, _TWIN_N - 1),
+        st.integers(0, _TWIN_N - 1),
+        st.integers(0, 4),
+        st.integers(0, 1 if split else 0),
+        st.integers(1, 5),
+    )
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        arrivals = draw(st.lists(group, max_size=30))
+        if split and arrivals and draw(st.booleans()):
+            # Groups that differ in half or remaining only: a count
+            # cell's groups are then apart in canonical order.
+            v, s, r, h, c = arrivals[0]
+            arrivals += [(v, s, r, 1 - h, c), (v, s, (r + 1) % 5, h, c)]
+        if draw(st.booleans()):
+            # The absorbing target among the arrivals.
+            arrivals.append((target, draw(st.integers(0, _TWIN_N - 1)),
+                             draw(st.integers(0, 4)), 0, 2))
+        if draw(st.booleans()):
+            budget = draw(st.integers(1, 4))
+        else:
+            budget = np.array(
+                draw(st.lists(st.integers(-1, 3), min_size=len(_TWIN_EDGES)
+                              * 2, max_size=len(_TWIN_EDGES) * 2)),
+                dtype=np.int64,
+            )
+        rounds.append((arrivals, budget))
+    return wide, alpha, policy, target, keys, counters, rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(_twin_cases())
+def test_round_matches_the_frozen_composition(case):
+    """Aggregation, the kernel, the queues' append and take, round after
+    round, against a frozen copy of the composition they replaced (its
+    ``np.add.at`` tallies, recursive degree-1 routing and sorted-table
+    queues): the same entries, count tensor, deaths per node, stream
+    counters, per-node held tokens and take output, byte for byte -
+    through degree-1 nodes, Lemire rejections, the absorbing target,
+    damped thinning, split halves and both policies."""
+    wide, alpha, policy, target, keys, counters, rounds = case
+    degrees, offsets, edge_src = _twin_graph(wide)
+    if alpha is not None:
+        target = -1
+    streams = [
+        (np.array(keys, dtype=np.uint64),
+         np.array(counters, dtype=np.int64))
+        for _ in range(2)
+    ]
+    tensors = [
+        np.zeros((2, _TWIN_N, _TWIN_N), dtype=np.uint16).transpose(1, 0, 2)
+        for _ in range(2)
+    ]
+    num_edges = len(_TWIN_EDGES) * 2
+    queues = None if wide else EdgeQueues(num_edges)
+    model = _Model(num_edges)
+    seqs = [0, 0]
+    for arrivals, budget in rounds:
+        if not arrivals:
+            continue
+        columns = tuple(
+            np.array([row[i] for row in arrivals], dtype=np.int64)
+            for i in range(5)
+        )
+        expected, expected_deaths, seqs[0] = _ref_round(
+            columns, streams[0], alpha, target, tensors[0], degrees,
+            offsets, seqs[0],
+        )
+        got, deaths, seqs[1] = _round(
+            queues, columns, streams[1], alpha, target, tensors[1], degrees,
+            offsets, seqs[1],
+        )
+        assert np.array_equal(got, expected)
+        assert np.array_equal(deaths, expected_deaths)
+        assert seqs[0] == seqs[1]
+        assert np.array_equal(tensors[0], tensors[1])
+        assert np.array_equal(streams[0][1], streams[1][1])
+        if queues is None:
+            continue
+        model.append(expected)
+        assert np.array_equal(
+            _held(queues, edge_src, _TWIN_N),
+            np.bincount(
+                edge_src[model.table[:, 0]],
+                weights=model.table[:, 5],
+                minlength=_TWIN_N,
+            ).astype(np.int64),
+        )
+        _check_take(queues, model, budget, policy)
 
 
 class TestCsrStepping:

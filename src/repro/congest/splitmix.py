@@ -26,14 +26,22 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 
+_GOLDEN = np.uint64(GOLDEN)
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+_FACTORS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
 def _mix64_array(values: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer for 1-d uint64 arrays.
     Elementwise ufuncs on arrays wrap silently (only numpy *scalar*
     arithmetic warns on overflow), so no ``errstate`` guard is needed."""
-    z = values + np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = values + _GOLDEN
+    z ^= z >> _SHIFTS[0]
+    z *= _FACTORS[0]
+    z ^= z >> _SHIFTS[1]
+    z *= _FACTORS[1]
+    z ^= z >> _SHIFTS[2]
+    return z
 
 
 def _mix64_int(value: int) -> int:

@@ -5,66 +5,63 @@ registers its :class:`~repro.core.walk_manager.WalkManager` with one
 shared :class:`CountingWalkEngine` (a fast-path *driver*, see
 :class:`~repro.congest.node.SharedFastPathState`).  The engine claims
 the walk message kinds, so each round the scheduler hands it the entire
-network's in-flight walk traffic as four flat arrays; the engine then
-runs the whole round - visit counting, absorption/expiry/thinning,
-next-hop sampling, per-edge budgeted emission - with one pass of
-vectorized kernels instead of ``n`` per-node calls.  Both bookends of
-the phase are network-wide too: the engine launches every node's walks
-(Algorithm 1 line 3) in one routing pass, and on both link models it
-claims ``term`` and ``done``, runs the convergecast as arrays and sends
-the done wave, so no node is stepped for either kind.
+network's in-flight walk traffic as flat arrays, and it runs the round
+for every node at once.  It also launches every node's walks (Algorithm
+1 line 3) in one routing pass and, on both link models, claims ``term``
+and ``done``, runs the convergecast as arrays and sends the done wave,
+so no node is stepped for either kind.
 
 One kernel, two slices.  The counting round's rule lives once, in this
-module's functions, and both scheduler loops run it:
+module's functions, and both scheduler loops run it; the engine runs
+them over the whole network, each per-message
+:class:`~repro.core.walk_manager.WalkManager` on its one-node slice
+(node 0, its ports as edge ids, its count slab as a one-node tensor).
+A round is a fixed handful of array passes over that round's groups,
+whatever the backlog:
 
-* :func:`~repro.walks.batched.aggregate_network_groups` canonicalizes
-  the arrivals, :func:`counting_round_kernel` thins or absorbs, tallies,
-  expires and routes them (through :func:`route_entries`, which the
-  launch uses too, with the groups of :func:`launch_groups`), the routed
-  groups join the tails of per-edge FIFO queues (:class:`EdgeQueues`),
-  and :meth:`EdgeQueues.take` decides which tokens each edge sends.
-  The engine runs them over the whole network; each per-message
-  :class:`~repro.core.walk_manager.WalkManager` runs them on its
-  one-node slice (node 0, its ports as edge ids, its count slab as a
-  one-node tensor);
-* randomness stays attributed, as counter-based streams: node ``v``
-  holds a 64-bit key, :func:`walk_key` of the run's seed entropy, the
-  node and the walk domain tag :data:`WALK_STREAM` (so no node reads
-  another's bits, and the fault filter's hash, keyed by the fault
-  plan's seed, never meets them), plus one int64 counter.  Its ``j``-th
-  draw is ``_mix64(key_v + j * GOLDEN)``
+* :func:`~repro.walks.batched.aggregate_network_groups` sorts the
+  arrivals once, into canonical (node, source, remaining, half) order;
+* :func:`counting_round_kernel` finds the node runs of that order once
+  and reuses them: thinning or absorption, the visit tally (one sum per
+  (node, source) run), expiry, each node's deaths, and next hops
+  (:func:`route_entries`, which the launch uses too, with the groups of
+  :func:`launch_groups`) - a dropped group keeps its place with zero
+  tokens instead of being filtered out;
+* routing sorts the tokens once, edge-major with each edge's groups in
+  canonical order, and hands its edge runs to :meth:`EdgeQueues.append`,
+  which links them onto per-edge FIFO queues and keeps each edge's
+  token total; :meth:`EdgeQueues.take` reads only each queue's head -
+  at most ``budget`` rows per edge - so which token moves when is the
+  same on either slice;
+* randomness is counter-based: node ``v`` holds a 64-bit key,
+  :func:`walk_key` of the run's seed entropy, the node and the walk
+  domain tag :data:`WALK_STREAM` (so no node reads another's bits, and
+  the fault filter's hash never meets them), plus one int64 counter.
+  Its ``j``-th draw is ``_mix64(key_v + j * GOLDEN)``
   (:mod:`repro.congest.splitmix`).  Damped thinning takes one draw per
   token (:func:`thin_groups`), then routing one per token at nodes of
   degree two or more (:func:`walk_ports`, Lemire's rule on the high 32
   bits; a rejected draw is skipped for the next counter value), each
-  node's tokens in canonical group order.  A draw is a function of its
-  key and counter only, so serving many nodes in one pass gives what
-  serving them one by one would;
-* routing emits its rows edge-major, each edge's in canonical group
-  order, and they join that edge's queue at the tail; emission reads
-  only each queue's head - at most ``budget`` rows per edge - so which
-  token moves when under the bandwidth budget is the same on either
-  slice, and a round costs the tokens it moves, not the backlog;
+  node's tokens in canonical group order.  That order is the stream
+  contract: a draw depends on its key and counter only, so serving many
+  nodes in one pass gives what serving them one by one would;
 * the walk message format lives here once: :func:`walk_rows` encodes
-  what :meth:`EdgeQueues.take` dequeues as message rows (kind, edge id,
-  fields, copies), :func:`sequence_walk_rows` gives each row its ARQ
-  seq in reliable mode, and :func:`walk_groups` decodes arriving rows -
-  claimed bulk rows and stacked per-message payloads alike - back into
-  token groups.
+  what :meth:`EdgeQueues.take` dequeues as message rows,
+  :func:`sequence_walk_rows` gives each row its ARQ seq in reliable
+  mode, and :func:`walk_groups` decodes arriving rows back into token
+  groups.
 
 What the slices do not share is how a round's rows travel.  The
 per-message loop sends each row as ``copies``
 :class:`~repro.congest.message.Message` objects (for the message log,
 the CONGEST audit and the asynchronous executor).  The engine pushes
-every row of the round at once: on fault-free runs priced from tables
-built once (:func:`walk_bit_tables`) and tagged with their edge ids
+every row of the round at once: fault-free, priced from tables built
+once (:func:`walk_bit_tables`) and tagged with their edge ids
 (:meth:`BulkOutbox.push_priced`), as are the ``term`` and ``done``
-rows, which the :func:`~repro.core.termination.report_due` rule and the
-done wave choose; on lossy links sequenced through the ARQ table (which
-also queues ``term`` and ``done`` as control; flushes ship them as
-rows) and pushed with :meth:`BulkOutbox.push_rows`.  Either way the
-bits and counts charged are those of the materialized messages.  The
-tested guarantee
+rows; on lossy links sequenced through the ARQ table (which also
+queues ``term`` and ``done`` as control) and pushed with
+:meth:`BulkOutbox.push_rows`.  Either way the bits and counts charged
+are those of the materialized messages.  The tested guarantee
 (``tests/test_walks_batched.py``, ``tests/test_counting_bookends.py``):
 same seed in, identical tallies, estimates, round counts, and traffic
 accounting out.
@@ -112,6 +109,7 @@ WalkStreams = tuple[np.ndarray, np.ndarray]
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_TWO32 = np.uint64(1 << 32)
 _STEP = np.uint64(GOLDEN)
 
 
@@ -198,21 +196,28 @@ def walk_key(entropy: int, node: int) -> int:
 
 
 def _draw(
-    streams: WalkStreams, nodes: np.ndarray, needs: np.ndarray
+    streams: WalkStreams,
+    nodes: np.ndarray,
+    needs: np.ndarray,
+    advance: np.ndarray,
 ) -> np.ndarray:
     """The next ``needs[i]`` hashes of each distinct node ``nodes[i]``'s
-    stream, concatenated in that order, and advance the counters: draw
-    ``j`` of the stream keyed ``k`` is ``_mix64(k + j * GOLDEN)``."""
+    stream, concatenated in that order, and advance each counter by
+    ``advance[i]`` (its ``needs[i]``, or 0 for a node whose draws go
+    unused): draw ``j`` of the stream keyed ``k`` is ``_mix64(k + j *
+    GOLDEN)``."""
     keys, counters = streams
     first = counters[nodes]
-    counters[nodes] = first + needs
-    # Each token's counter, mod 2**64: its node's first counter, less
-    # the node's offset in the concatenation, plus the token's position.
-    ends = np.cumsum(needs)
-    steps = np.arange(int(needs.sum()), dtype=np.uint64) + np.repeat(
-        (first - (ends - needs)).astype(np.uint64), needs
+    counters[nodes] = first + advance
+    # Each token's stream position, mod 2**64: its node's first
+    # counter, less the node's offset in the concatenation, plus the
+    # token's position.
+    ends = needs.cumsum()
+    bases = keys[nodes] + (first - ends + needs).astype(np.uint64) * _STEP
+    return _mix64_array(
+        bases.repeat(needs)
+        + np.arange(int(ends[-1]), dtype=np.uint64) * _STEP
     )
-    return _mix64_array(np.repeat(keys[nodes], needs) + steps * _STEP)
 
 
 def walk_ports(
@@ -228,57 +233,49 @@ def walk_ports(
     degree-``d`` node (Lemire's rule), rejected when ``(u * d) mod
     2**32 < (2**32 - d) mod d``; a rejected draw is skipped and the
     token takes the next counter value, so the ports are exactly
-    uniform.  A degree-1 node has one port and draws nothing.  Degrees
-    must be below ``2**32``."""
+    uniform.  A degree-1 node has one port and draws nothing: the rule
+    gives it port 0 and no rejection whatever the hash, so its tokens
+    ride the same pass and only its counter stays put.  Degrees must be
+    below ``2**32``."""
     node_degrees = degrees[nodes]
-    routed = node_degrees > 1
-    if not routed.all():
-        ports = np.zeros(int(needs.sum()), dtype=np.int64)
-        if routed.any():
-            ports[np.repeat(routed, needs)] = walk_ports(
-                streams, degrees, nodes[routed], needs[routed]
-            )
-        return ports
+    draws = _draw(streams, nodes, needs, needs * (node_degrees > 1))
+    owner = np.arange(len(nodes)).repeat(needs)
     node_degrees = node_degrees.astype(np.uint64)
-    m = (_draw(streams, nodes, needs) >> _SHIFT32) * np.repeat(
-        node_degrees, needs
-    )
+    m = (draws >> _SHIFT32) * node_degrees[owner]
     ports = (m >> _SHIFT32).astype(np.int64)
-    thresholds = (np.uint64(1 << 32) - node_degrees) % node_degrees
-    rejected = np.flatnonzero((m & _LOW32) < np.repeat(thresholds, needs))
+    thresholds = (_TWO32 - node_degrees) % node_degrees
+    rejected = ((m & _LOW32) < thresholds[owner]).nonzero()[0]
     if len(rejected):
-        # Each segment keeps its accepted ports in order, then takes
-        # its shortfall from the node's next counter values.
-        segment = np.repeat(np.arange(len(nodes)), needs)
+        # Each node keeps its accepted ports in order, then takes its
+        # shortfall from its next counter values.
         keep = np.ones(len(ports), dtype=bool)
         keep[rejected] = False
-        short = np.bincount(segment[rejected], minlength=len(nodes))
-        refill = np.flatnonzero(short)
+        short = np.bincount(owner[rejected], minlength=len(nodes))
+        refill = short.nonzero()[0]
         more = walk_ports(streams, degrees, nodes[refill], short[refill])
-        owner = np.concatenate(
-            (segment[keep], np.repeat(refill, short[refill]))
-        )
+        owner = np.concatenate((owner[keep], refill.repeat(short[refill])))
         ports = np.concatenate((ports[keep], more))[
-            np.argsort(owner, kind="stable")
+            owner.argsort(kind="stable")
         ]
     return ports
 
 
 def thin_groups(
     streams: WalkStreams,
-    nodes: np.ndarray,
+    heads: np.ndarray,
+    arrived: np.ndarray,
     counts: np.ndarray,
     alpha: float,
 ) -> np.ndarray:
     """Damped mode: how many of each node-sorted group's ``counts``
-    tokens survive their hop.  Each token survives with probability
-    ``alpha``, on one draw of its node's stream: ``u < alpha``, with
-    ``u`` the draw's top 53 bits as a float in ``[0, 1)``.  A node's
-    tokens draw in group order."""
-    starts, _ = _segments(nodes)
-    draws = _draw(streams, nodes[starts], np.add.reduceat(counts, starts))
+    tokens survive their hop.  ``heads`` are the distinct nodes in
+    order and ``arrived`` their tokens.  Each token survives with
+    probability ``alpha``, on one draw of its node's stream: ``u <
+    alpha``, with ``u`` the draw's top 53 bits as a float in ``[0,
+    1)``.  A node's tokens draw in group order."""
+    draws = _draw(streams, heads, arrived, arrived)
     alive = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53 < alpha
-    return np.add.reduceat(alive, np.cumsum(counts) - counts, dtype=np.int64)
+    return np.add.reduceat(alive, counts.cumsum() - counts, dtype=np.int64)
 
 
 def counting_round_kernel(
@@ -295,7 +292,7 @@ def counting_round_kernel(
     offsets: np.ndarray,
     max_degree: int,
     seq_start: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """One round of Algorithm 1 lines 7-15 over a canonical group array.
 
     The node-local half of the counting round: thin (damped mode) or
@@ -308,78 +305,55 @@ def counting_round_kernel(
     counters.
 
     ``nodes`` must be sorted ascending (the canonical order from
-    :func:`~repro.walks.batched.aggregate_network_groups`).
-    ``max_degree`` goes unread (routing counts by sorting); it stays in
-    the parameter list, as does the name ``rngs``, because the
-    benchmark's layer probe (``bench/probes.py``) wraps this function by
-    its exact signature.  Returns ``(entries, death_nodes,
-    death_counts, next_seq)``: queue rows ``(edge id, seq, source,
-    remaining_here, half, count)`` in :func:`route_entries` order, the
-    death deltas to fold into the convergecast (unaggregated pairs; the
-    caller ``np.add.at``s them), and the advanced sequence counter.
+    :func:`~repro.walks.batched.aggregate_network_groups`); its node
+    runs are found once and serve every pass, since a group that is
+    absorbed, thinned out or expired keeps its place with zero tokens.
+    ``count_tensor`` is the ``(nodes, 2, n)`` view of a C-contiguous
+    ``(2, nodes, n)`` array (the engine's tensor, or a manager's slab as
+    ``half_counts[None]``).  ``max_degree`` goes unread and the streams
+    keep the name ``rngs``: the benchmark's layer probe
+    (``bench/probes.py``) wraps this function by its parameter list.
+
+    Returns ``(entries, firsts, death_nodes, death_counts, next_seq)``:
+    queue rows ``(edge id, seq, source, remaining_here, half, count)``
+    and their edge runs' first rows, as :func:`route_entries` builds
+    them for :meth:`EdgeQueues.append`; each distinct node of the round,
+    ascending, with the tokens that died there (absorbed, thinned out or
+    expired; zero where none did); and the advanced sequence counter.
     """
-    death_node_parts: list[np.ndarray] = []
-    death_count_parts: list[np.ndarray] = []
+    starts = _run_starts(nodes)
+    heads = nodes[starts]
+    arrived = np.add.reduceat(counts, starts)
     if alpha is not None:
-        survivors = thin_groups(rngs, nodes, counts, alpha)
-        death_node_parts.append(nodes)
-        death_count_parts.append(counts - survivors)
-        alive = survivors > 0
-        if not alive.all():
-            nodes = nodes[alive]
-            sources = sources[alive]
-            remainings = remainings[alive]
-            halves = halves[alive]
-            counts = survivors[alive]
-        else:
-            counts = survivors
+        visits = thin_groups(rngs, heads, arrived, counts, alpha)
     else:
-        # Absorbing mode: arrivals at t die without counting the
-        # visit (Eq. 3's removed row).
-        absorbed = nodes == absorbing_target
-        if absorbed.any():
-            death_node_parts.append(
-                np.array([absorbing_target], dtype=np.int64)
-            )
-            death_count_parts.append(
-                np.array([int(counts[absorbed].sum())], dtype=np.int64)
-            )
-            keep = ~absorbed
-            nodes = nodes[keep]
-            sources = sources[keep]
-            remainings = remainings[keep]
-            halves = halves[keep]
-            counts = counts[keep]
-    if len(nodes):
-        np.add.at(
-            count_tensor,
-            (nodes, halves, sources),
-            counts.astype(count_tensor.dtype, copy=False),
-        )
-        expired = remainings == 0
-        if expired.any():
-            death_node_parts.append(nodes[expired])
-            death_count_parts.append(counts[expired])
-            live = ~expired
-            nodes = nodes[live]
-            sources = sources[live]
-            remainings = remainings[live]
-            halves = halves[live]
-            counts = counts[live]
-    if len(nodes):
-        entries, seq_start = route_entries(
-            nodes, sources, remainings, halves, counts, rngs, degrees,
-            offsets, seq_start,
+        # Absorbing mode: arrivals at t die without counting the visit
+        # (Eq. 3's removed row).
+        visits = counts * (nodes != absorbing_target)
+    # Tally: in canonical order a (node, source) cell's groups are
+    # adjacent when every half is 0, so one sum per run and one write
+    # per cell add the visits; a round with half-1 groups sorts first.
+    cells_by_half = count_tensor.transpose(1, 0, 2)
+    _, rows, n = cells_by_half.shape
+    cells = nodes * n + sources
+    tally = visits
+    if halves.any():
+        cells += halves * (rows * n)
+        order = cells.argsort(kind="stable")
+        cells, tally = cells[order], visits[order]
+    runs = _run_starts(cells)
+    flat = cells_by_half.reshape(-1)
+    flat[cells[runs]] += np.add.reduceat(tally, runs).astype(flat.dtype)
+    live = visits * (remainings > 0)
+    needs = np.add.reduceat(live, starts)
+    if needs.any():
+        entries, firsts, seq_start = route_entries(
+            nodes, sources, remainings, halves, live, heads, needs, rngs,
+            degrees, offsets, seq_start,
         )
     else:
-        entries = np.empty((0, 6), dtype=np.int64)
-    if death_node_parts:
-        death_nodes = np.concatenate(death_node_parts)
-        death_counts = np.concatenate(death_count_parts)
-    else:
-        death_nodes = _EMPTY
-        death_counts = _EMPTY
-    return entries, death_nodes, death_counts, seq_start
+        entries, firsts = np.empty((0, 6), dtype=np.int64), _EMPTY
+    return entries, firsts, heads, arrived - needs, seq_start
 
 
 def route_entries(
@@ -388,37 +362,39 @@ def route_entries(
     remainings: np.ndarray,
     halves: np.ndarray,
     counts: np.ndarray,
+    heads: np.ndarray,
+    needs: np.ndarray,
     streams: WalkStreams,
     degrees: np.ndarray,
     offsets: np.ndarray,
     seq_start: int,
-) -> tuple[np.ndarray, int]:
-    """Sample next hops for a non-empty node-sorted group array and
-    build its queue rows; returns ``(entries, next_seq)``.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sample next hops for a node-sorted group array and build its
+    queue rows; returns ``(entries, firsts, next_seq)``.
 
-    Each node's tokens take the next ports of that node's own stream
-    (:func:`walk_ports`), in segment order.  The draws, expansion,
-    counting, and entry building are each one batch over the whole
-    array.  The rows come out in (edge, group) order: edge-major, and on
-    each edge the groups in ascending segment order, which is that
-    edge's FIFO order, so :meth:`EdgeQueues.append` takes them as they
+    ``counts`` are the tokens each group routes (zero for a group that
+    routes none), ``heads`` the array's distinct nodes in order and
+    ``needs`` their routed tokens, at least one in all.  Each node's
+    tokens take the next ports of that node's own stream
+    (:func:`walk_ports`), in group order.  The rows come out in (edge,
+    group) order: edge-major, and on each edge the groups in ascending
+    order, which is that edge's FIFO order; ``firsts`` indexes each
+    edge's first row, so :meth:`EdgeQueues.append` takes them as they
     are.  Both the counting round's survivors and the launch route
     through here."""
     groups = len(nodes)
-    starts, _ = _segments(nodes)
-    draws = walk_ports(
-        streams, degrees, nodes[starts], np.add.reduceat(counts, starts)
-    )
     # Count tokens per (edge, group) cell with one sort of the tokens'
-    # cell keys: ascending keys are edge-major, groups ascending within
-    # an edge.
-    group_base = offsets[nodes] * groups + np.arange(groups, dtype=np.int64)
-    keys = np.repeat(group_base, counts) + draws * groups
+    # cell keys, ``edge << shift | group``: ascending keys are
+    # edge-major, groups ascending within an edge.
+    shift = groups.bit_length()
+    keys = (
+        (offsets[nodes] << shift) + np.arange(groups, dtype=np.int64)
+    ).repeat(counts) + (walk_ports(streams, degrees, heads, needs) << shift)
     keys.sort()
-    starts, ends = _segments(keys)
+    starts = _run_starts(keys)
     cells = keys[starts]
-    edge = cells // groups
-    group_of = cells - edge * groups
+    edge = cells >> shift
+    group_of = cells & ((1 << shift) - 1)
     entries = np.empty((len(cells), 6), dtype=np.int64)
     entries[:, 0] = edge
     entries[:, 1] = np.arange(
@@ -427,8 +403,10 @@ def route_entries(
     entries[:, 2] = sources[group_of]
     entries[:, 3] = remainings[group_of]
     entries[:, 4] = halves[group_of]
-    entries[:, 5] = ends - starts
-    return entries, seq_start + len(cells)
+    entries[:-1, 5] = starts[1:]
+    entries[-1, 5] = len(keys)
+    entries[:, 5] -= starts
+    return entries, _run_starts(edge), seq_start + len(cells)
 
 
 def walk_bit_tables(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -525,7 +503,10 @@ class EdgeQueues:
     mask either.
 
     :meth:`take` reads only the first ``budget`` rows of each non-empty
-    edge, so a round costs what it sends, not the backlog.  Rows a take
+    edge, so a round costs what it sends, not the backlog.
+    :attr:`edge_tokens` holds each edge's queued tokens, updated by the
+    same index writes that link and unlink rows; the engine's per-node
+    held counts are sums of it.  Rows a take
     empties stay in the store, dead, until an append finds it full:
     then it is compacted when dead rows outnumber live ones, and grown
     (2x) otherwise.  Rows are appended past every existing row and
@@ -545,25 +526,34 @@ class EdgeQueues:
         self._rows = np.zeros((capacity, 6), dtype=np.int64)
         self._next = np.full(capacity, self._null, dtype=np.int64)
         self._tail = np.arange(num_edges, dtype=np.int64)
-        self._lengths = np.zeros(num_edges, dtype=np.int64)
+        self.edge_tokens = np.zeros(num_edges, dtype=np.int64)
         self._size = self._base
-        #: Live rows and the tokens they hold.
+        #: Live rows.
         self.rows = 0
-        self.tokens = 0
 
-    def append(self, entries: np.ndarray) -> None:
+    def append(self, entries: np.ndarray, firsts: np.ndarray) -> None:
         """Queue rows at the tails of their edges.  The rows come
-        edge-major, each edge's in FIFO order, as :func:`route_entries`
-        builds them."""
-        if not len(entries):
+        edge-major, each edge's in FIFO order, and ``firsts`` indexes
+        each edge's first row, as :func:`route_entries` builds them."""
+        size = len(entries)
+        if not size:
             return
-        self._reserve(len(entries))
+        self._reserve(size)
         lo = self._size
-        self._size = lo + len(entries)
-        self._rows[lo:self._size] = entries
-        self._link(lo, self._size)
-        self.rows += len(entries)
-        self.tokens += int(entries[:, 5].sum())
+        hi = self._size = lo + size
+        self._rows[lo:hi] = entries
+        edges = entries[firsts, 0]
+        tails = np.empty_like(firsts)
+        tails[:-1] = firsts[1:]
+        tails[-1] = size
+        tails += lo - 1
+        nxt = self._next
+        nxt[lo:hi] = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        nxt[tails] = self._null
+        nxt[self._tail[edges]] = firsts + lo
+        self._tail[edges] = tails
+        self.edge_tokens[edges] += np.add.reduceat(entries[:, 5], firsts)
+        self.rows += size
 
     def take(
         self, budget: int | np.ndarray, policy: TransportPolicy
@@ -582,7 +572,8 @@ class EdgeQueues:
         Returns ``(sent, taken)``: the sending rows as they stood before
         the take, in (edge, FIFO) order, and how many tokens each
         sends."""
-        active = np.flatnonzero(self._lengths)
+        tokens = self.edge_tokens
+        active = tokens.nonzero()[0]
         if isinstance(budget, np.ndarray):
             slots = budget[active]
             open_edges = slots > 0
@@ -595,9 +586,12 @@ class EdgeQueues:
         if width <= 0:
             return self._rows[:0], _EMPTY
         # Either policy sends at most one row per slot, and no edge more
-        # rows than it holds.
-        width = min(width, int(self._lengths[active].max()))
+        # rows than it holds tokens.
+        width = min(width, int(tokens[active].max()))
+        queue = policy is TransportPolicy.QUEUE
+        per_edge = isinstance(slots, np.ndarray)
         nxt = self._next
+        null = self._null
         counts = self._rows[:, 5]
         # Slot by slot down every active chain at once: ``chain[:, j]``
         # is each edge's ``j``-th row (the null row past its end).
@@ -609,48 +603,36 @@ class EdgeQueues:
         for slot in range(width):
             chain[:, slot] = row
             count = counts[row]
-            if policy is TransportPolicy.QUEUE:
+            if queue:
                 sends = np.minimum(count, left)
                 left = left - sends
-            elif isinstance(slots, np.ndarray):
-                sends = np.where(slot < slots, count, 0)
+            elif per_edge:
+                sends = count * (slot < slots)
             else:
                 sends = count
             take[:, slot] = sends
             # The rows a take empties are a prefix of each chain.
-            emptied += (sends == count) & (count > 0)
+            emptied += (sends == count) & (row != null)
             row = nxt[row]
         chain[:, width] = row
         new_heads = chain.ravel()[
             np.arange(0, chain.size, width + 1) + emptied
         ]
         nxt[active] = new_heads
-        self._lengths[active] -= emptied
-        drained = active[new_heads == self._null]
+        if queue:
+            tokens[active] -= slots - left
+        else:
+            tokens[active] -= np.add.reduce(take, axis=1)
+        drained = active[new_heads == null]
         self._tail[drained] = drained
         flat_take = take.ravel()
-        sending = np.flatnonzero(flat_take)
+        sending = flat_take.nonzero()[0]
         sent_rows = chain[:, :width].ravel()[sending]
         taken = flat_take[sending]
-        sent = np.take(self._rows, sent_rows, axis=0)
+        sent = self._rows.take(sent_rows, axis=0)
         counts[sent_rows] -= taken
         self.rows -= int(emptied.sum())
-        self.tokens -= int(taken.sum())
         return sent, taken
-
-    def _link(self, lo: int, hi: int) -> None:
-        """Chain rows ``lo:hi`` (edge-major, FIFO within an edge) onto
-        their edges' tails."""
-        edges = self._rows[lo:hi, 0]
-        firsts, ends = _segments(edges)
-        first_edges = edges[firsts]
-        firsts += lo
-        ends += lo
-        self._next[lo:hi] = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        self._next[ends - 1] = self._null
-        self._next[self._tail[first_edges]] = firsts
-        self._tail[first_edges] = ends - 1
-        self._lengths[first_edges] += ends - firsts
 
     def _reserve(self, extra: int) -> None:
         """Make room for ``extra`` more rows: compact when dead rows
@@ -674,7 +656,7 @@ class EdgeQueues:
         renumber every link.  A take unlinks each row it empties, so no
         chain passes through a dead row."""
         base = self._base
-        live = base + np.flatnonzero(self._rows[base:self._size, 5])
+        live = base + self._rows[base:self._size, 5].nonzero()[0]
         renumber = np.arange(self._size, dtype=np.int64)
         renumber[live] = np.arange(base, base + len(live), dtype=np.int64)
         self._size = base + len(live)
@@ -730,9 +712,7 @@ class CountingWalkEngine:
         dtype = count_dtype(walks_per_source, length)
         check_tensor_fits(n, dtype, 2 if split_sampling else 1)
         self.counts = np.zeros((2, n, n), dtype=dtype).transpose(1, 0, 2)
-        self.held = np.zeros(n, dtype=np.int64)
         self.deaths = np.zeros(n, dtype=np.int64)
-        self._round_deaths = np.zeros(n, dtype=np.int64)
         self._programs: dict[int, NodeProgram] = {}
         # Every node's walk stream: its key (filled at register) and
         # its next counter value.
@@ -761,10 +741,11 @@ class CountingWalkEngine:
         self._policy: TransportPolicy = TransportPolicy.QUEUE
         self._budget = 1
         # Fault-free, the engine prices walk, ``term`` and ``done`` rows
-        # itself (:func:`walk_bit_tables`, filled at finalize) and tags
-        # them with their edge ids, so the outbox's drain reads each
-        # edge's load off the rows instead of merging them.
-        self._head_bits = self._hop_bits = _EMPTY
+        # itself (:func:`walk_bit_tables` and a ``term`` row's bits by
+        # its total, filled at finalize) and tags them with their edge
+        # ids, so the outbox's drain reads each edge's load off the rows
+        # instead of merging them.
+        self._head_bits = self._hop_bits = self._term_bits = _EMPTY
         self._alpha: float | None = None
         self._absorbing_target = -1
         # The convergecast: per node, the children's summed reports, the
@@ -779,7 +760,6 @@ class CountingWalkEngine:
         self._parent = np.full(n, -1, dtype=np.int64)
         self._parent_edge = np.full(n, -1, dtype=np.int64)
         self._child_edge = np.full(n, -1, dtype=np.int64)
-        self._roots = _EMPTY
         self._expected_total = 0
 
     # ------------------------------------------------------------------
@@ -859,11 +839,14 @@ class CountingWalkEngine:
                     claimed, (term, done), stopping, round_number, outbox,
                     bulk_outbox,
                 )
-        dead = self._process_arrivals(claimed) if claimed else ()
-        if launch_round or term or len(dead) or stopping.any():
+        moved = self._process_arrivals(claimed) if claimed else _EMPTY
+        if launch_round:
+            # No node has reported yet, so every total is due.
+            moved = np.arange(self.n, dtype=np.int64)
+        if term or len(moved) or done is not None:
             with profiler.span("engine.post_round"):
                 self._convergecast_round(
-                    round_number, bulk_outbox, term, dead, stopping
+                    round_number, bulk_outbox, term, moved, stopping
                 )
         retransmits = None
         if self._reliable:
@@ -896,7 +879,6 @@ class CountingWalkEngine:
         # the target sits out.
         launchers = self.n if self._alpha is not None else self.n - 1
         self._expected_total = launchers * first.walks_per_source
-        self._roots = np.flatnonzero(self._parent < 0)
         # Each node's edge to its tree parent, and that parent's edge
         # back to it (the root has neither).
         uplinks = np.flatnonzero(
@@ -910,6 +892,9 @@ class CountingWalkEngine:
         if not self._reliable:
             self._head_bits, self._hop_bits = walk_bit_tables(
                 self.n, first.length
+            )
+            self._term_bits = TAG_BITS + int_bits_array(
+                np.arange(self._expected_total + 1)
             )
         self._finalized = True
 
@@ -937,19 +922,12 @@ class CountingWalkEngine:
             self.counts[nodes, halves, nodes] += counts.astype(
                 self.counts.dtype
             )
-        entries, self._seq = route_entries(
-            nodes,
-            nodes,
-            np.full(len(nodes), manager.length, dtype=np.int64),
-            halves,
-            counts,
-            self._streams,
-            self._degrees,
-            self._offsets,
-            0,
+        entries, firsts, self._seq = route_entries(
+            nodes, nodes, np.full(len(nodes), manager.length), halves,
+            counts, launchers, np.full(len(launchers), sum(group_counts)),
+            self._streams, self._degrees, self._offsets, 0,
         )
-        np.add.at(self.held, self._edge_src[entries[:, 0]], entries[:, 5])
-        self._queues.append(entries)
+        self._queues.append(entries, firsts)
 
     def _dedup(
         self,
@@ -1023,7 +1001,8 @@ class CountingWalkEngine:
     ) -> np.ndarray:
         """One round of Algorithm 1 lines 7-15 for the whole network.
 
-        Returns the nodes whose death count changed this round."""
+        Returns the nodes whose death count changed this round,
+        ascending."""
         parts: list[tuple[np.ndarray, ...]] = [
             (receivers, *walk_groups(kind, fields, multiplicity))
             for kind, (_, receivers, fields, multiplicity) in claimed.items()
@@ -1040,35 +1019,28 @@ class CountingWalkEngine:
                 aggregate_network_groups(*raw)
             )
         with profiler.span("engine.kernel"):
-            entries, death_nodes, death_counts, self._seq = (
+            entries, firsts, heads, node_deaths, self._seq = (
                 counting_round_kernel(
-                    nodes,
-                    sources,
-                    remainings,
-                    halves,
-                    counts,
-                    self._streams,
-                    self._alpha,
-                    self._absorbing_target,
-                    self.counts,
-                    self._degrees,
-                    self._offsets,
-                    self._max_degree,
-                    self._seq,
+                    nodes, sources, remainings, halves, counts,
+                    self._streams, self._alpha, self._absorbing_target,
+                    self.counts, self._degrees, self._offsets,
+                    self._max_degree, self._seq,
                 )
             )
-        deaths = self._round_deaths
-        if len(death_nodes):
-            np.add.at(deaths, death_nodes, death_counts)
-        if len(entries):
-            # Routed tokens are held at the edge's source until they
-            # drain through the budgeted outbox - same per-node totals
-            # as the pre-routing tally, just grouped by edge.
-            np.add.at(
-                self.held, self._edge_src[entries[:, 0]], entries[:, 5]
-            )
-            self._queues.append(entries)
-        return np.nonzero(deaths)[0]
+        self.deaths[heads] += node_deaths
+        self._queues.append(entries, firsts)
+        return heads[node_deaths > 0]
+
+    @property
+    def held(self) -> np.ndarray:
+        """Tokens queued on each node's out-edges."""
+        tokens = self._queues.edge_tokens
+        return np.bincount(self._edge_src, tokens, self.n).astype(np.int64)
+
+    def held_walks(self, node: int) -> int:
+        """Tokens queued on ``node``'s own out-edges."""
+        start, end = self._offsets[node:node + 2]
+        return int(self._queues.edge_tokens[start:end].sum())
 
     def _leave_counting(self, nodes: np.ndarray, round_number: int) -> None:
         """Move ``nodes`` (ascending) into the exchange phase."""
@@ -1082,16 +1054,19 @@ class CountingWalkEngine:
         round_number: int,
         bulk_outbox: "BulkOutbox",
         term: ClaimedKind | None,
-        dead: np.ndarray | tuple,
+        moved: np.ndarray,
         stopping: np.ndarray,
     ) -> None:
         """Each node's :class:`~repro.core.termination.DeathCounterLogic`
-        round at once: fold this round's fresh ``term`` rows and deaths
-        into the subtree totals, report every due total
-        (:func:`report_due`), let a complete root start the done wave,
-        and relay ``done`` from every node in ``stopping``.  The
-        per-node counters examine only the totals that moved; no other
-        node has anything due, so both report the same nodes.
+        round at once: fold this round's fresh ``term`` rows into the
+        subtree totals, report every due total (:func:`report_due`), let
+        a complete root start the done wave, and relay ``done`` from
+        every node in ``stopping``.  A total moves only at ``moved``
+        (the nodes whose deaths rose this round, ascending; every node
+        in the launch round) and at the parents of children whose
+        report rose, so only those nodes are examined: as in the
+        per-node counters, no other node has anything due.  A round
+        that only relays ``done`` skips the fold and the report pass.
 
         Reports and the wave carry the per-node messages' fields, bits
         and edges: priced pushes fault-free, and on lossy links control
@@ -1100,56 +1075,41 @@ class CountingWalkEngine:
         Under loss the wave floods every edge (an ``adopt`` may still be
         in flight, so the tree is not a safe overlay)."""
         if term is not None:
-            senders, receivers, fields, fresh = term
-            strangers = np.flatnonzero(self._parent[senders] != receivers)
-            if len(strangers):
-                bad = strangers[0]
-                raise ProtocolError(
-                    f"termination report from non-child {int(senders[bad])} "
-                    f"at node {int(receivers[bad])}"
-                )
-            # Monotone: a child's latest report replaces its earlier ones.
-            rows = fresh > 0
-            heard = self._heard.copy()
-            np.maximum.at(heard, senders[rows], fields[rows, 0])
-            risen = np.flatnonzero(heard != self._heard)
-            np.add.at(
-                self._child_sum,
-                self._parent[risen],
-                heard[risen] - self._heard[risen],
+            marks = np.zeros(self.n, dtype=bool)
+            marks[moved] = True
+            marks[self._fold_reports(term)] = True
+            moved = marks.nonzero()[0]
+        if len(moved):
+            total = self.deaths[moved] + self._child_sum[moved]
+            stopped = self._stopped[moved]
+            parents = self._parent[moved]
+            due = report_due(
+                total, self._last_reported[moved], stopped, parents
             )
-            self._heard = heard
-        if len(dead):
-            self.deaths[dead] += self._round_deaths[dead]
-            self._round_deaths[dead] = 0
-        total = self.deaths + self._child_sum
-        reporters = np.flatnonzero(
-            report_due(total, self._last_reported, self._stopped, self._parent)
-        )
-        if len(reporters):
-            totals = total[reporters]
-            self._last_reported[reporters] = totals
-            edges = self._parent_edge[reporters]
-            if self._reliable:
-                self._table.queue_rows(
-                    edges, KIND_TERM, totals[:, None], latest=True
-                )
-            else:
-                bulk_outbox.push_priced(
-                    KIND_TERM,
-                    reporters,
-                    self._parent[reporters],
-                    TAG_BITS + int_bits_array(totals),
-                    edges=edges,
-                    fields=totals[:, None],
-                )
-        roots = self._roots
-        complete = roots[
-            ~self._stopped[roots] & (total[roots] >= self._expected_total)
-        ]
-        if len(complete):
-            stopping[complete] = True
-            self._leave_counting(complete, round_number)
+            reporters = moved[due]
+            if len(reporters):
+                totals = total[due]
+                self._last_reported[reporters] = totals
+                edges = self._parent_edge[reporters]
+                if self._reliable:
+                    self._table.queue_rows(
+                        edges, KIND_TERM, totals[:, None], latest=True
+                    )
+                else:
+                    bulk_outbox.push_priced(
+                        KIND_TERM,
+                        reporters,
+                        parents[due],
+                        self._term_bits[totals],
+                        edges=edges,
+                        fields=totals[:, None],
+                    )
+            complete = moved[
+                (parents < 0) & ~stopped & (total >= self._expected_total)
+            ]
+            if len(complete):
+                stopping[complete] = True
+                self._leave_counting(complete, round_number)
         if not stopping.any():
             return
         if self._reliable:
@@ -1171,6 +1131,44 @@ class CountingWalkEngine:
             np.full(len(children), TAG_BITS, dtype=np.int64),
             edges=self._child_edge[children],
         )
+
+    def _fold_reports(self, term: ClaimedKind) -> np.ndarray:
+        """Fold fresh ``term`` rows into the children's summed reports
+        and return the parents whose sum rose.  Monotone: a child's
+        largest report of the round counts, by how far it exceeds the
+        one its parent last heard."""
+        senders, receivers, fields, fresh = term
+        strangers = (self._parent[senders] != receivers).nonzero()[0]
+        if len(strangers):
+            bad = strangers[0]
+            raise ProtocolError(
+                f"termination report from non-child {int(senders[bad])} "
+                f"at node {int(receivers[bad])}"
+            )
+        reports = fields[:, 0]
+        if not fresh.all():
+            rows = fresh.nonzero()[0]
+            senders, reports = senders[rows], reports[rows]
+        if not (senders[1:] > senders[:-1]).all():
+            # Keep each child's largest report: the last of its run
+            # once sorted by child, then report.
+            order = np.lexsort((reports, senders))
+            last = np.empty(len(order), dtype=bool)
+            last[-1:] = True
+            np.not_equal(
+                senders[order[1:]], senders[order[:-1]], out=last[:-1]
+            )
+            senders, reports = senders[order[last]], reports[order[last]]
+        rise = reports - self._heard[senders]
+        up = rise > 0
+        senders, rise = senders[up], rise[up]
+        self._heard[senders] += rise
+        sums = np.bincount(
+            self._parent[senders], weights=rise, minlength=self.n
+        )
+        raised = sums.nonzero()[0]
+        self._child_sum[raised] += sums[raised].astype(np.int64)
+        return raised
 
     def _flush_channels(
         self,
@@ -1227,8 +1225,6 @@ class CountingWalkEngine:
         sent, taken = self._queues.take(budget, self._policy)
         if not len(sent):
             return
-        senders = self._edge_src[sent[:, 0]]
-        np.subtract.at(self.held, senders, taken)
         kind, edges, fields, copies = walk_rows(
             sent, taken, self._policy, self._reliable
         )
@@ -1236,12 +1232,10 @@ class CountingWalkEngine:
             self._instruments.bump_round(
                 "walk_sends", round_number, int(copies.sum())
             )
+        senders = self._edge_src[edges]
         receivers = self._targets[edges]
         if self._reliable:
-            # Sequenced QUEUE rows are one per token: re-read the senders.
-            senders = self._edge_src[edges]
             sequence_walk_rows(kind, edges, fields, round_number, self._table)
-        if self._reliable:
             bulk_outbox.push_rows(kind, senders, receivers, fields, copies)
             return
         row_bits = (
@@ -1261,14 +1255,10 @@ class CountingWalkEngine:
         )
 
 
-def _segments(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start/end index pairs of the equal-value runs of a non-empty
-    array (sorted, or at least with each value in one run)."""
-    boundary = np.empty(len(nodes), dtype=bool)
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each equal-value run of a non-empty array starts (the
+    array sorted, or at least with each value in one run)."""
+    boundary = np.empty(len(values), dtype=bool)
     boundary[0] = True
-    np.not_equal(nodes[1:], nodes[:-1], out=boundary[1:])
-    starts = boundary.nonzero()[0]
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[-1] = len(nodes)
-    return starts, ends
+    np.not_equal(values[1:], values[:-1], out=boundary[1:])
+    return boundary.nonzero()[0]

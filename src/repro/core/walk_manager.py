@@ -68,7 +68,8 @@ from repro.core.walk_engine import (
 )
 from repro.walks.batched import aggregate_network_groups
 
-#: The one-node slice's edge offsets: node 0's port ``j`` is edge ``j``.
+#: The one-node slice's nodes, and its edge offsets: node 0's port
+#: ``j`` is edge ``j``.
 _ORIGIN = np.zeros(1, dtype=np.int64)
 
 
@@ -205,18 +206,13 @@ class WalkManager:
                 self.half_counts.dtype
             )
         groups = len(halves)
-        entries, self._seq = route_entries(
-            np.zeros(groups, dtype=np.int64),
-            np.full(groups, self.node_id, dtype=np.int64),
-            np.full(groups, self.length, dtype=np.int64),
-            halves,
-            group_counts,
-            self._streams,
-            self._degrees,
-            _ORIGIN,
-            self._seq,
+        entries, firsts, self._seq = route_entries(
+            np.zeros(groups, dtype=np.int64), np.full(groups, self.node_id),
+            np.full(groups, self.length), halves, group_counts, _ORIGIN,
+            group_counts.sum(keepdims=True), self._streams, self._degrees,
+            _ORIGIN, self._seq,
         )
-        self._queues.append(entries)
+        self._queues.append(entries, firsts)
 
     def receive(
         self, source: int, remaining: int, count: int = 1, half: int = 0
@@ -268,23 +264,14 @@ class WalkManager:
                 counts,
             )
         )
-        entries, _, death_counts, self._seq = counting_round_kernel(
-            nodes,
-            sources,
-            remainings,
-            halves,
-            counts,
-            self._streams,
-            self.survival_alpha,
-            0 if self.node_id == self.target else -1,
-            self.half_counts[None],
-            self._degrees,
-            _ORIGIN,
-            len(self.neighbors),
-            self._seq,
+        entries, firsts, _, death_counts, self._seq = counting_round_kernel(
+            nodes, sources, remainings, halves, counts, self._streams,
+            self.survival_alpha, 0 if self.node_id == self.target else -1,
+            self.half_counts[None], self._degrees, _ORIGIN,
+            len(self.neighbors), self._seq,
         )
         self._deaths += int(death_counts.sum())
-        self._queues.append(entries)
+        self._queues.append(entries, firsts)
 
     # ------------------------------------------------------------------
     # Sending
@@ -363,8 +350,8 @@ class WalkManager:
     def held_walks(self) -> int:
         """Tokens currently queued at this node."""
         if self._engine is not None:
-            return int(self._engine.held[self.node_id])
-        return self._queues.tokens
+            return self._engine.held_walks(self.node_id)
+        return int(self._queues.edge_tokens.sum())
 
     @property
     def idle(self) -> bool:

@@ -87,12 +87,12 @@ def aggregate_network_groups(
     # The key is injective over the tuple, so every index in a run of
     # equal keys carries the same tuple and any sort yields the same
     # groups and sums.
-    order = np.argsort(key)
+    order = key.argsort()
     sorted_key = key[order]
     boundary = np.empty(len(sorted_key), dtype=bool)
     boundary[0] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundary[1:])
-    starts = np.nonzero(boundary)[0]
+    starts = boundary.nonzero()[0]
     merged = np.add.reduceat(counts[order], starts)
     first = order[starts]
     return (

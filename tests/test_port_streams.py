@@ -165,7 +165,9 @@ def test_thinning_takes_one_draw_per_token():
     streams, _ = _streams([2, 2, 2])
     nodes = np.array([0, 0, 2], dtype=np.int64)
     counts = np.array([4000, 1000, 3000], dtype=np.int64)
-    survivors = thin_groups(streams, nodes, counts, alpha)
+    survivors = thin_groups(
+        streams, np.array([0, 2]), np.array([5000, 3000]), counts, alpha
+    )
     assert streams[1].tolist() == [5000, 0, 3000]
     reference = _Reference(*_streams([2, 2, 2]))
     expected = []

@@ -167,9 +167,16 @@ def _entries(edges, counts, seq_start=0) -> np.ndarray:
     return entries
 
 
+def _append(queues: EdgeQueues, entries: np.ndarray) -> None:
+    """Append edge-major rows, marking each edge's first row."""
+    firsts = np.flatnonzero(np.diff(entries[:, 0], prepend=-1))
+    queues.append(entries, firsts)
+
+
 def _chains(queues: EdgeQueues) -> dict[int, np.ndarray]:
     """Every non-empty queue's live rows, head first, by walking its
-    chain - checking the tail slot and the row count on the way."""
+    chain - checking the tail slot and the edge's token total on the
+    way."""
     chains = {}
     for edge in range(queues.num_edges):
         rows = []
@@ -180,7 +187,7 @@ def _chains(queues: EdgeQueues) -> dict[int, np.ndarray]:
             rows.append(queues._rows[row].copy())
             last, row = row, int(queues._next[row])
         assert int(queues._tail[edge]) == last
-        assert int(queues._lengths[edge]) == len(rows)
+        assert int(queues.edge_tokens[edge]) == sum(row[5] for row in rows)
         if rows:
             chains[edge] = np.array(rows)
     return chains
@@ -193,7 +200,7 @@ HAND_COUNTS = np.array([2, 2, 1, 5, 1, 1], dtype=np.int64)
 
 def _hand_queues() -> EdgeQueues:
     queues = EdgeQueues(3)
-    queues.append(_entries(HAND_EDGES, HAND_COUNTS))
+    _append(queues, _entries(HAND_EDGES, HAND_COUNTS))
     return queues
 
 
@@ -217,12 +224,12 @@ class TestBudgetTakes:
         assert chains[0][:, 5].tolist() == [1, 1]
         assert chains[1][:, 1].tolist() == [3, 4]
         assert chains[1][:, 5].tolist() == [2, 1]
-        assert (queues.rows, queues.tokens) == (4, 5)
+        assert (queues.rows, int(queues.edge_tokens.sum())) == (4, 5)
         # Next round the split remainders are still at their heads.
         sent, taken = queues.take(3, TransportPolicy.QUEUE)
         assert sent[:, 1].tolist() == [1, 2, 3, 4]
         assert taken.tolist() == [1, 1, 2, 1]
-        assert (queues.rows, queues.tokens) == (0, 0)
+        assert (queues.rows, int(queues.edge_tokens.sum())) == (0, 0)
         assert _chains(queues) == {}
 
     def test_batch_takes_whole_rows_up_to_budget(self):
@@ -247,7 +254,7 @@ class TestBudgetTakes:
         sent, taken = queues.take(np.array([1, 0, -1]), policy)
         assert sent[:, 1].tolist() == [0]
         assert taken.tolist() == expected
-        assert queues.tokens == int(HAND_COUNTS.sum()) - expected[0]
+        assert queues.edge_tokens.sum() == HAND_COUNTS.sum() - expected[0]
 
     @pytest.mark.parametrize(
         "policy", list(TransportPolicy), ids=lambda policy: policy.value
@@ -257,7 +264,7 @@ class TestBudgetTakes:
         edges = np.sort(rng.integers(0, 7, size=60))
         counts = rng.integers(1, 6, size=60)
         queues = EdgeQueues(7)
-        queues.append(_entries(edges, counts))
+        _append(queues, _entries(edges, counts))
         sent, taken = queues.take(4, policy)
         assert np.all((taken > 0) & (taken <= sent[:, 5]))
         assert np.all(np.diff(sent[:, 0]) >= 0)
@@ -283,7 +290,7 @@ class TestEdgeQueues:
     def test_append_joins_the_tails(self):
         queues = _hand_queues()
         queues.take(1, TransportPolicy.BATCH)
-        queues.append(_entries(np.array([0, 2, 2]), [7, 8, 9], seq_start=6))
+        _append(queues, _entries(np.array([0, 2, 2]), [7, 8, 9], seq_start=6))
         chains = _chains(queues)
         assert chains[0][:, 1].tolist() == [1, 2, 6]
         assert chains[1][:, 1].tolist() == [4]
@@ -318,7 +325,7 @@ class TestEdgeQueues:
                 seq,
             )
             seq += size
-            queues.append(entries)
+            _append(queues, entries)
             model.append(entries)
             _check_take(queues, model, 2, TransportPolicy.QUEUE)
         assert compactions
@@ -361,7 +368,7 @@ def _check_take(queues, model, budget, policy) -> None:
     )
     assert np.array_equal(live, model.table)
     assert queues.rows == len(model.table)
-    assert queues.tokens == int(model.table[:, 5].sum())
+    assert queues.edge_tokens.sum() == model.table[:, 5].sum()
 
 
 _EDGES = 6
@@ -412,7 +419,7 @@ def test_queues_match_the_sorted_table(case):
             _, edges, counts = op
             entries = _entries(np.array(edges, dtype=np.int64), counts, seq)
             seq += len(edges)
-            queues.append(entries)
+            _append(queues, entries)
             model.append(entries)
         else:
             _check_take(queues, model, op[1], policy)
@@ -570,16 +577,17 @@ def _round(queues, arrivals, streams, alpha, target, tensor, degrees,
     nodes, sources, remainings, halves, counts = aggregate_network_groups(
         *arrivals
     )
-    entries, death_nodes, death_counts, seq = (
+    entries, firsts, death_nodes, death_counts, seq = (
         walk_engine.counting_round_kernel(
             nodes, sources, remainings, halves, counts, streams, alpha,
             target, tensor, degrees, offsets, int(degrees.max()), seq,
         )
     )
+    assert np.all(np.diff(death_nodes) > 0)
     deaths = np.zeros(tensor.shape[0], dtype=np.int64)
-    np.add.at(deaths, death_nodes, death_counts)
+    deaths[death_nodes] = death_counts
     if queues is not None:
-        queues.append(entries)
+        queues.append(entries, firsts)
     return entries, deaths, seq
 
 

@@ -542,7 +542,7 @@ class EdgeQueues:
         lo = self._size
         hi = self._size = lo + size
         self._rows[lo:hi] = entries
-        edges = entries[firsts, 0]
+        edges = entries[:, 0][firsts]
         tails = np.empty_like(firsts)
         tails[:-1] = firsts[1:]
         tails[-1] = size
@@ -591,17 +591,15 @@ class EdgeQueues:
         queue = policy is TransportPolicy.QUEUE
         per_edge = isinstance(slots, np.ndarray)
         nxt = self._next
-        null = self._null
         counts = self._rows[:, 5]
         # Slot by slot down every active chain at once: ``chain[:, j]``
-        # is each edge's ``j``-th row (the null row past its end).
+        # is each edge's ``j``-th row (the null row past its end), one
+        # column past the rows read, for the new heads.
         chain = np.empty((len(active), width + 1), dtype=np.int64)
         take = np.empty((len(active), width), dtype=np.int64)
-        emptied = np.zeros(len(active), dtype=np.int64)
         left = slots
-        row = nxt[active]
+        row = chain[:, 0] = nxt[active]
         for slot in range(width):
-            chain[:, slot] = row
             count = counts[row]
             if queue:
                 sends = np.minimum(count, left)
@@ -611,27 +609,28 @@ class EdgeQueues:
             else:
                 sends = count
             take[:, slot] = sends
-            # The rows a take empties are a prefix of each chain.
-            emptied += (sends == count) & (row != null)
-            row = nxt[row]
-        chain[:, width] = row
+            row = chain[:, slot + 1] = nxt[row]
+        flat_take = take.ravel()
+        sending = flat_take.nonzero()[0]
+        sent_rows = chain[:, :width].ravel()[sending]
+        taken = flat_take[sending]
+        sent = self._rows.take(sent_rows, axis=0)
+        rest = counts[sent_rows] - taken
+        counts[sent_rows] = rest
+        # The rows a take empties are a prefix of each chain.
+        emptied = sending[rest == 0]
         new_heads = chain.ravel()[
-            np.arange(0, chain.size, width + 1) + emptied
+            np.arange(0, chain.size, width + 1)
+            + np.bincount(emptied // width, minlength=len(active))
         ]
         nxt[active] = new_heads
         if queue:
             tokens[active] -= slots - left
         else:
             tokens[active] -= np.add.reduce(take, axis=1)
-        drained = active[new_heads == null]
+        drained = active[new_heads == self._null]
         self._tail[drained] = drained
-        flat_take = take.ravel()
-        sending = flat_take.nonzero()[0]
-        sent_rows = chain[:, :width].ravel()[sending]
-        taken = flat_take[sending]
-        sent = self._rows.take(sent_rows, axis=0)
-        counts[sent_rows] -= taken
-        self.rows -= int(emptied.sum())
+        self.rows -= len(emptied)
         return sent, taken
 
     def _reserve(self, extra: int) -> None:

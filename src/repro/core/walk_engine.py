@@ -506,10 +506,9 @@ class EdgeQueues:
     edge, so a round costs what it sends, not the backlog.
     :attr:`edge_tokens` holds each edge's queued tokens, updated by the
     same index writes that link and unlink rows; the engine's per-node
-    held counts are sums of it.  Rows a take
-    empties stay in the store, dead, until an append finds it full:
-    then it is compacted when dead rows outnumber live ones, and grown
-    (2x) otherwise.  Rows are appended past every existing row and
+    held counts are sums of it.  Rows a take empties stay in the store,
+    dead, until an append finds it full: then it is compacted when dead
+    rows outnumber live ones, and grown (2x) otherwise.  Rows are appended past every existing row and
     compaction keeps their order, so along each chain the row index
     ascends.
 

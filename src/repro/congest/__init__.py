@@ -3,8 +3,10 @@
 The model (Peleg 2000; paper section III-A): nodes communicate in
 synchronous rounds; per round, each directed edge carries at most a
 constant number of ``O(log n)``-bit messages.  The simulator enforces
-both limits at send time and records the metrics (rounds, messages, bits,
-per-edge congestion) the paper's complexity claims are phrased in.
+both limits in the round they are broken (a message's bits when it is
+sent, an edge's messages when the round closes) and records the metrics
+(rounds, messages, bits, per-edge congestion) the paper's complexity
+claims are phrased in.
 """
 
 from repro.congest.errors import (

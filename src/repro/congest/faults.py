@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from repro.congest.errors import FaultInjectionError
 from repro.congest.message import Message
 from repro.congest.splitmix import GOLDEN, MASK64, _mix64_array, _mix64_int
 from repro.congest.transport import BulkKindInbox, BulkRound
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.congest.node import EdgeIndex
 
 # Decision salts: one independent hash family per fault type.
 _SALT_DROP = 0xD1
@@ -298,22 +301,16 @@ class FaultCounters:
 _NO_DELAYS = (np.zeros(0, dtype=np.int64),) * 3
 
 
-def _claim_indices(
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    codes: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
+def _claim_indices(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each row's first fate index: rows take the next ``counts[i]``
-    indices of their ``(sender, receiver, code)`` key in row order, from
-    zero.  One stable sort groups the rows by key and a segmented cumsum
-    numbers them inside each group."""
-    order = np.lexsort((receivers, senders, codes))
-    first = np.zeros(len(order), dtype=bool)
-    for column in (codes, senders, receivers):
-        column = column[order]
-        first[1:] |= column[1:] != column[:-1]
+    indices of their key in row order, from zero.  One stable sort
+    groups the rows by key and a segmented cumsum numbers them inside
+    each group."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(order), dtype=bool)
     first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     ordered = counts[order]
     before = np.cumsum(ordered) - ordered
     starts = np.empty(len(order), dtype=np.int64)
@@ -354,6 +351,10 @@ class FaultRuntime:
         # (round, sender, receiver, kind) across the whole run (the
         # event loop has no per-round reset point; see async_fate).
         self._async_indices: dict[tuple[int, int, int, int], int] = {}
+        # The kinds the synchronous rounds carried, numbered on first
+        # sight, and their hash codes by number.
+        self._kinds: dict[str, int] = {}
+        self._codes = np.zeros(0, dtype=np.uint64)
         # Delayed traffic by maturity round: control messages, and each
         # bulk kind's rows as one batch per round that delayed them.
         self._delayed_messages: dict[int, list[Message]] = {}
@@ -433,6 +434,14 @@ class FaultRuntime:
     # ------------------------------------------------------------------
     # Per-round application
     # ------------------------------------------------------------------
+    def _kind(self, kind: str) -> int:
+        """The kind's number in this run (assigned on first sight)."""
+        number = self._kinds.get(kind)
+        if number is None:
+            number = self._kinds[kind] = len(self._kinds)
+            self._codes = np.append(self._codes, np.uint64(kind_code(kind)))
+        return number
+
     def deliver(
         self, round_number: int, control: list[Message], bulk: BulkRound
     ) -> tuple[list[Message], BulkRound]:
@@ -466,24 +475,23 @@ class FaultRuntime:
         if control or inboxes:
             columns = [
                 (
-                    np.fromiter((m.sender for m in control), np.int64, count),
-                    np.fromiter((m.receiver for m in control), np.int64, count),
-                    np.fromiter(
-                        (kind_code(m.kind) for m in control), np.uint64, count
-                    ),
-                    np.ones(count, dtype=np.int64),
-                )
-            ] + [
-                (
-                    inbox.senders,
-                    inbox.receivers,
-                    np.full(len(inbox.senders), kind_code(kind), np.uint64),
+                    inbox.edges,
+                    np.full(len(inbox.edges), self._kind(kind), np.int64),
                     inbox.multiplicity,
                 )
                 for kind, inbox in inboxes.items()
             ]
+            if control:
+                columns.insert(0, (
+                    bulk.control_edges,
+                    np.fromiter(
+                        (self._kind(m.kind) for m in control), np.int64, count
+                    ),
+                    np.ones(count, dtype=np.int64),
+                ))
             copies, (rows, slips, counts) = self._decide_rows(
                 round_number,
+                bulk.edges,
                 *(np.concatenate(column) for column in zip(*columns)),
             )
             for message, copy_count in zip(control, copies[:count].tolist()):
@@ -531,7 +539,7 @@ class FaultRuntime:
                 if kind in kept
                 else rows
             )
-        return delivered, BulkRound(kept, delivered, bulk.n)
+        return delivered, BulkRound(kept, delivered, bulk.edges)
 
     def _delay_rows(
         self,
@@ -544,16 +552,13 @@ class FaultRuntime:
     ) -> None:
         """Queue one kind's delayed rows (``counts[i]`` copies of row
         ``rows[i]`` slip ``slips[i]`` rounds; ascending by row, then
-        slip) as one batch per maturity round, grouped by edge, edges in
-        order of first appearance among the kind's live rows."""
+        slip) as one batch per maturity round, grouped by edge id, edges
+        in order of first appearance among the kind's live rows."""
         live = np.flatnonzero(inbox.multiplicity > 0)
-        edge_keys = (inbox.senders[live].astype(np.int64) << np.int64(32)) | (
-            inbox.receivers[live]
-        )
         _, first, inverse = np.unique(
-            edge_keys, return_index=True, return_inverse=True
+            inbox.edges[live], return_index=True, return_inverse=True
         )
-        edge_first = np.zeros(len(inbox.senders), dtype=np.int64)
+        edge_first = np.zeros(len(inbox.edges), dtype=np.int64)
         edge_first[live] = live[first][inverse]
         order = np.argsort(edge_first[rows], kind="stable")
         rows, slips, counts = rows[order], slips[order], counts[order]
@@ -616,20 +621,21 @@ class FaultRuntime:
     def _decide_rows(
         self,
         round_number: int,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        codes: np.ndarray,
+        edges: "EdgeIndex",
+        ids: np.ndarray,
+        kinds: np.ndarray,
         multiplicity: np.ndarray,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The round's fates for its rows, in canonical order.
 
         Row ``i`` stands for ``multiplicity[i]`` identical messages of
-        kind code ``codes[i]`` on edge ``(senders[i], receivers[i])``.
-        Rows to crashed receivers are lost whole.  Every other row takes
-        the next ``multiplicity[i]`` consecutive indices of its (edge,
-        kind), in row order from zero - exactly the positions the
-        per-message loop assigns to the same traffic - and one batched
-        hash decides every message.
+        the kind numbered ``kinds[i]`` (see :meth:`_kind`) on the edge
+        ``ids[i]`` of ``edges``.  Rows to crashed receivers are lost
+        whole.  Every other row takes the next ``multiplicity[i]``
+        consecutive indices of its (edge id, kind), in row order from
+        zero - exactly the positions the per-message loop assigns to the
+        same traffic - and one batched hash of each row's sender,
+        receiver and kind code decides every message.
 
         Returns each row's delivered copies (0 removes the row; a
         duplicated message adds one) and the delayed copies as arrays
@@ -639,7 +645,7 @@ class FaultRuntime:
         """
         copies = multiplicity.astype(np.int64, copy=True)
         if self.crashed(round_number):
-            lost = np.isin(receivers, self._down_array(round_number))
+            lost = np.isin(edges.dst[ids], self._down_array(round_number))
             if lost.any():
                 self.counters.crash_dropped += int(copies[lost].sum())
                 copies[lost] = 0
@@ -652,9 +658,9 @@ class FaultRuntime:
         if not len(rows):
             return copies, _NO_DELAYS
         row_counts = copies[rows]
-        row_senders = senders[rows]
-        row_receivers = receivers[rows]
-        row_codes = codes[rows]
+        row_ids = ids[rows]
+        row_senders = edges.src[row_ids]
+        row_receivers = edges.dst[row_ids]
         if self._uniform_rates:
             drop = self.plan.drop_rate
             dup = self.plan.duplicate_rate
@@ -676,14 +682,17 @@ class FaultRuntime:
         # One entry per message: row j covers messages ``bounds[j] ..
         # bounds[j + 1] - 1``, at consecutive indices from its start.
         bounds = np.cumsum(row_counts) - row_counts
-        starts = _claim_indices(row_senders, row_receivers, row_codes, row_counts)
+        row_kinds = kinds[rows]
+        starts = _claim_indices(
+            row_ids * len(self._kinds) + row_kinds, row_counts
+        )
         message_index = np.arange(int(row_counts.sum())) + np.repeat(
             starts - bounds, row_counts
         )
         bases = np.repeat(
             _edge_base_array(
                 self.plan.seed, round_number, row_senders, row_receivers,
-                row_codes,
+                self._codes[row_kinds],
             ),
             row_counts,
         )

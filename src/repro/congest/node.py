@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.congest.errors import ProtocolError
+from repro.congest.errors import ConfigError, ProtocolError
 from repro.congest.message import Message
 from repro.obs.spans import NULL_PROFILER
 
@@ -152,8 +152,9 @@ class RoundContext:
         ProtocolError
             If ``neighbor`` is not adjacent to this node.
         CongestViolation
-            If the message or the edge's round budget exceeds the model
-            limits (raised by the transport).
+            If the message exceeds the per-message budget (raised by
+            the transport, which raises it for an edge over its round
+            budget when the round closes).
         """
         if neighbor not in self._neighbors:
             raise ProtocolError(
@@ -188,7 +189,7 @@ class RoundContext:
 
 
 class EdgeIndex:
-    """The run's directed edges as flat arrays, built once per fast-path run.
+    """The run's directed edges as flat arrays, built once per run.
 
     Edge ids ascend node-major over the graph's canonical order, and
     each node's edges follow its ports - the ``info.neighbors`` order -
@@ -197,9 +198,14 @@ class EdgeIndex:
     pushes them in exactly the order a sorted per-node loop of
     ``broadcast`` calls would have sent them.  With the protocol's
     ``0 .. n-1`` labels a node's canonical position is its label.
+
+    The id is the one name of a directed edge below the node programs:
+    the transport sums loads by it, the fault pass numbers fates by it,
+    and the ARQ table's slots are ids.  :meth:`ids` names the edges of
+    ``(sender, receiver)`` pairs.
     """
 
-    __slots__ = ("offsets", "degrees", "src", "dst")
+    __slots__ = ("offsets", "degrees", "src", "dst", "_labels", "_keys")
 
     def __init__(
         self, order: tuple[int, ...], neighbor_arrays: list[np.ndarray]
@@ -209,12 +215,49 @@ class EdgeIndex:
         np.cumsum(degrees, out=offsets[1:])
         self.offsets = offsets
         self.degrees = degrees
-        self.src = np.repeat(np.array(order, dtype=np.int64), degrees)
-        self.dst = np.concatenate(neighbor_arrays)
+        labels = np.array(order, dtype=np.int64)
+        self.src = np.repeat(labels, degrees)
+        self.dst = np.concatenate(neighbor_arrays).astype(np.int64)
+        # Labels other than 0 .. n-1 are looked up by their canonical
+        # rank.  Over ranks, ``sender * n + receiver`` ascends with the
+        # id, so :meth:`ids` is one binary search.
+        n = len(labels)
+        plain = not n or (labels[0] == 0 and labels[-1] == n - 1)
+        self._labels = None if plain else labels
+        keys = self._ranks(self.src) * n + self._ranks(self.dst)
+        if not (keys[1:] > keys[:-1]).all():
+            raise ConfigError(
+                "EdgeIndex needs the canonical node order and ascending ports"
+            )
+        self._keys = keys
 
     @property
     def n(self) -> int:
         return len(self.degrees)
+
+    def _ranks(self, labels: np.ndarray) -> np.ndarray:
+        if self._labels is None:
+            return labels
+        return np.searchsorted(self._labels, labels)
+
+    def ids(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+        """The ids of the edges ``senders[i] -> receivers[i]``; a pair
+        that is not an edge is a :class:`ProtocolError`."""
+        senders = np.asarray(senders, dtype=np.int64)
+        receivers = np.asarray(receivers, dtype=np.int64)
+        found = np.searchsorted(
+            self._keys, self._ranks(senders) * self.n + self._ranks(receivers)
+        )
+        np.minimum(found, len(self._keys) - 1, out=found)
+        bad = np.flatnonzero(
+            (self.src[found] != senders) | (self.dst[found] != receivers)
+        )
+        if len(bad):
+            raise ProtocolError(
+                f"node {int(senders[bad[0]])} has no edge to node "
+                f"{int(receivers[bad[0]])}"
+            )
+        return found
 
 
 class SharedFastPathState:

@@ -60,6 +60,7 @@ from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.congest.node import EdgeIndex
     from repro.congest.transport import BulkOutbox, RoundOutbox
 
 #: Kind tag of ack messages (unreliable; a newer ack supersedes).
@@ -228,7 +229,6 @@ class LinkTable:
         self.owners = np.repeat(np.arange(nodes), np.diff(self.offsets))
         # Owner per slot plus the dead slot's, a node no flush picks.
         self._slot_owner = np.append(self.owners, nodes)
-        self._keys = (self.owners << 32) | self.peers
         self.token_budget = token_budget
         self.token_kinds = token_kinds
         self.control_slots = control_slots
@@ -256,19 +256,6 @@ class LinkTable:
         # flushed (see flush_pending).
         self._pending: list[int] = []
         self._wakes: tuple[int, dict[int, int]] = (-1, {})
-
-    def slots(self, owners: np.ndarray, peers: np.ndarray) -> np.ndarray:
-        """The slots of ``owners[i]``'s channels to ``peers[i]``; a pair
-        that is not an edge is a protocol error."""
-        keys = (owners << 32) | peers
-        found = np.searchsorted(self._keys, keys).clip(0, self.size - 1)
-        bad = np.flatnonzero(self._keys[found] != keys)
-        if len(bad):
-            raise ProtocolError(
-                f"node {int(owners[bad[0]])} got reliable traffic from "
-                f"non-neighbor {int(peers[bad[0]])}"
-            )
-        return found
 
     def code(self, kind: str) -> int:
         """The kind's code in the stores (assigned on first use)."""
@@ -866,7 +853,10 @@ class AckRows:
     other driver and ships them, in send order, as one push.  Arriving
     rows go through :meth:`LinkTable.apply_acks` in
     :meth:`receive_rows`, before any node or driver runs, so no node is
-    stepped for an ack and the receiver's phase does not matter.
+    stepped for an ack and the receiver's phase does not matter.  The
+    table's slots are the ids of ``edges``, the run's
+    :class:`~repro.congest.node.EdgeIndex`: a row from ``u`` to ``v``
+    acks the slot of edge ``v -> u``.
 
     An ack only confirms: applied before the round's handlers instead
     of inside them, it leaves every later decision the same, and
@@ -881,15 +871,15 @@ class AckRows:
 
     claimed_kinds = frozenset({KIND_ACK})
 
-    def __init__(self, table: LinkTable) -> None:
+    def __init__(self, table: LinkTable, edges: "EdgeIndex") -> None:
         self.table = table
+        self._edges = edges
 
     def receive_rows(self, round_number: int, claimed: dict) -> None:
         """Apply this round's arriving ack rows."""
         senders, receivers, fields, _ = claimed[KIND_ACK]
-        table = self.table
-        table.apply_acks(
-            table.slots(receivers, senders), fields[:, 0], fields[:, 1]
+        self.table.apply_acks(
+            self._edges.ids(receivers, senders), fields[:, 0], fields[:, 1]
         )
 
     def after_nodes(self, round_number: int, outbox: "RoundOutbox") -> None:

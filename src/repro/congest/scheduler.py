@@ -289,19 +289,22 @@ class Simulator:
         metrics = RunMetrics(instruments=self._instruments)
         profiler = self._profiler
         message_log: list[list[Message]] = []
-        outbox = RoundOutbox(self.policy)
-        bulk_outbox = BulkOutbox(self.policy)
         order = self.graph.canonical_order()
+        # The run's directed edges: the one name of an edge for the
+        # transport's loads, the fault pass and the drivers.
+        edges = EdgeIndex(
+            order,
+            [
+                np.array(programs[node].neighbors, dtype=np.int64)
+                for node in order
+            ],
+        )
+        outbox = RoundOutbox(self.policy)
+        bulk_outbox = BulkOutbox(self.policy, edges)
         fault_rt = None if self.faults.is_trivial else FaultRuntime(self.faults)
         shared = None
         if fast:
-            neighbor_arrays = [
-                np.array(programs[node].neighbors, dtype=np.int64)
-                for node in order
-            ]
-            shared = SharedFastPathState(
-                EdgeIndex(order, neighbor_arrays), bulk_outbox
-            )
+            shared = SharedFastPathState(edges, bulk_outbox)
             shared.fault_runtime = fault_rt
             shared.profiler = profiler
             shared.instruments = self._instruments

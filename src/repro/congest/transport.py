@@ -8,19 +8,25 @@ them at the start of the next, enforcing the CONGEST limits:
   round.
 
 Violations raise :class:`~repro.congest.errors.CongestViolation`
-immediately at send time, attributing the bug to the offending program
-rather than silently dropping traffic.
+rather than silently dropping traffic: an oversized message at send
+time, attributing the bug to the offending program, and an edge over
+its round budget when the round closes (:meth:`BulkOutbox.drain`),
+naming the edge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.congest.errors import CongestViolation, ConfigError
 from repro.congest.message import TAG_BITS, Message, int_bits_array
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.congest.node import EdgeIndex
 
 
 @dataclass(frozen=True)
@@ -63,14 +69,15 @@ class BandwidthPolicy:
 
 
 class RoundOutbox:
-    """Accumulates one round's outgoing messages under the bandwidth policy."""
+    """Accumulates one round's outgoing control messages.  Each must fit
+    the per-message budget; the per-edge budget they share with the
+    round's bulk rows is checked when :meth:`BulkOutbox.drain` closes
+    the round."""
 
     def __init__(self, policy: BandwidthPolicy) -> None:
-        self._policy = policy
         # The policy is frozen: read its derived bit limit once.
         self._bit_limit = policy.bits_per_message
         self._messages: list[Message] = []
-        self._edge_counts: dict[tuple[int, int], int] = {}
 
     def push(self, message: Message) -> None:
         """Accept a message or raise :class:`CongestViolation`."""
@@ -80,21 +87,12 @@ class RoundOutbox:
                 f"message {message!r} is {message.bits} bits, exceeding the "
                 f"per-message budget of {limit} bits"
             )
-        edge = (message.sender, message.receiver)
-        used = self._edge_counts.get(edge, 0)
-        if used >= self._policy.messages_per_edge:
-            raise CongestViolation(
-                f"edge {edge} already carries {used} messages this round "
-                f"(limit {self._policy.messages_per_edge})"
-            )
-        self._edge_counts[edge] = used + 1
         self._messages.append(message)
 
     def drain(self) -> list[Message]:
         """Remove and return all queued messages."""
         messages = self._messages
         self._messages = []
-        self._edge_counts = {}
         return messages
 
     def __len__(self) -> int:
@@ -110,10 +108,13 @@ class RoundOutbox:
 class BulkKindInbox:
     """The aggregated rows of one message kind in one round, network
     wide: row ``i`` stands for ``multiplicity[i]`` identical messages
-    ``senders[i] -> receivers[i]`` of ``row_bits[i]`` bits each."""
+    ``senders[i] -> receivers[i]`` of ``row_bits[i]`` bits each, on the
+    directed edge whose :class:`~repro.congest.node.EdgeIndex` id is
+    ``edges[i]``."""
 
     senders: np.ndarray
     receivers: np.ndarray
+    edges: np.ndarray
     # (groups, field_count) integer matrix; None for priced traffic
     # pushed without a payload (:meth:`BulkOutbox.push_priced`), which
     # only its claiming driver ever takes.
@@ -129,6 +130,7 @@ class BulkKindInbox:
         return BulkKindInbox(
             senders=self.senders[rows],
             receivers=self.receivers[rows],
+            edges=self.edges[rows],
             fields=None if self.fields is None else self.fields[rows],
             multiplicity=multiplicity,
             row_bits=self.row_bits[rows],
@@ -141,9 +143,10 @@ class BulkKindInbox:
             return parts[0]
         return BulkKindInbox(
             *(
-                np.concatenate([getattr(part, name) for part in parts])
+                None if getattr(parts[0], name) is None
+                else np.concatenate([getattr(part, name) for part in parts])
                 for name in (
-                    "senders", "receivers", "fields", "multiplicity",
+                    "senders", "receivers", "edges", "fields", "multiplicity",
                     "row_bits",
                 )
             )
@@ -175,30 +178,18 @@ class RoundTraffic:
 
 
 _NO_TRAFFIC = RoundTraffic()
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
-@dataclass
-class _KindBatch:
-    """Accumulated same-kind records of one round (pre-concatenation)."""
-
-    senders: list[np.ndarray] = field(default_factory=list)
-    receivers: list[np.ndarray] = field(default_factory=list)
-    fields: list[np.ndarray] = field(default_factory=list)
-    multiplicity: list[np.ndarray] = field(default_factory=list)
-    row_bits: list[np.ndarray] = field(default_factory=list)
-    # Set by :meth:`BulkOutbox.push_priced`: rows whose bits the caller
-    # priced, each its own edge's only row unless ``edges`` names the
-    # rows' directed-edge ids, and the costliest row's bits, taken once
-    # by the budget check.
-    priced: bool = False
-    edges: np.ndarray | None = None
-    peak: int = 0
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class BulkRound:
     """One round's drained traffic, in flight to the next round: the
     aggregate rows of each kind (``inboxes``) and the control messages
-    that shared the round's edges.
+    that shared the round's edges, over the run's
+    :class:`~repro.congest.node.EdgeIndex` (``edges``).
 
     ``traffic`` is the merged :class:`RoundTraffic` the scheduler folds
     into :class:`~repro.congest.metrics.RunMetrics` at delivery time -
@@ -206,23 +197,57 @@ class BulkRound:
     message would have produced.  It is computed on first read: a
     faulty round is replaced by what its fault pass delivers
     (:meth:`~repro.congest.faults.FaultRuntime.deliver`), and only that
-    replacement is ever accounted.
+    replacement is ever accounted.  ``peak`` is the costliest row's
+    bits when the pushes already know it (0: not known), and ``copies``
+    whether a row may stand for several messages.  Every round takes the
+    one per-edge load rule: messages and bits summed by edge id.
     """
 
     def __init__(
         self,
         inboxes: dict[str, BulkKindInbox],
         control: list[Message],
-        n: int,
-        traffic: RoundTraffic | None = None,
-        loads: tuple[np.ndarray, ...] | None = None,
+        edges: "EdgeIndex",
+        peak: int = 0,
+        copies: bool = True,
     ) -> None:
         self.inboxes = inboxes
         self._control = control
-        self.n = n
-        self._traffic = traffic
-        # The drain's budget check (see _edge_loads), reused by the merge.
-        self._loads = loads
+        self.edges = edges
+        self._peak = peak
+        self._copies = copies
+        self._traffic: RoundTraffic | None = None
+        # The first half of the round's one load rule, all the drain's
+        # budget check needs: the rows' edge ids and message counts
+        # (each kind's rows, then the control messages), and per-edge
+        # message loads.  Rows whose ids strictly ascend are their own
+        # loads (``_used`` None); otherwise the loads are summed by id,
+        # over the edges ``_used``.
+        ids = [inbox.edges for inbox in inboxes.values()]
+        messages = [inbox.multiplicity for inbox in inboxes.values()]
+        #: The control messages' edge ids, in order.
+        self.control_edges = _NO_ROWS
+        if control:
+            count = len(control)
+            self.control_edges = edges.ids(
+                np.fromiter((m.sender for m in control), np.int64, count),
+                np.fromiter((m.receiver for m in control), np.int64, count),
+            )
+            ids.append(self.control_edges)
+            messages.append(np.ones(count, dtype=np.int64))
+        self._ids = self._messages = self._edge_messages = _NO_ROWS
+        self._used = None
+        if not ids:
+            self._traffic = _NO_TRAFFIC
+        else:
+            self._ids = ids = _joined(ids)
+            self._messages = self._edge_messages = messages = _joined(messages)
+            if not (ids[1:] > ids[:-1]).all():
+                counts = np.bincount(ids, weights=messages)
+                self._used = counts.nonzero()[0]
+                self._edge_messages = counts[self._used].astype(np.int64)
+        # Distinct edges, one message each.
+        self._single = self._used is None and not copies
 
     def __bool__(self) -> bool:
         return bool(self.inboxes)
@@ -238,13 +263,63 @@ class BulkRound:
             int(inbox.multiplicity.sum()) for inbox in self.inboxes.values()
         )
 
+    def enforce(self, limit: int) -> None:
+        """Raise :class:`CongestViolation` when an edge carries more
+        than ``limit`` messages; the first row on a most loaded edge
+        names it."""
+        if self._single:
+            return
+        load = int(self._edge_messages.max())
+        if load > limit:
+            ids = self._ids
+            loads = np.bincount(ids, weights=self._messages)[ids]
+            edge = ids[int(np.argmax(loads))]
+            raise CongestViolation(
+                f"edge ({self.edges.src[edge]} -> {self.edges.dst[edge]}) "
+                f"carries {load} messages this round (limit {limit})"
+            )
+
     @property
     def traffic(self) -> RoundTraffic:
+        """The round's accounting, no enforcement: the bit half of the
+        load rule finishes what the constructor started."""
         if self._traffic is None:
-            self._traffic = _round_traffic(
-                self.inboxes, self._control, self.n, self._loads
-            )
+            self._traffic = self._round_traffic()
         return self._traffic
+
+    def _round_traffic(self) -> RoundTraffic:
+        inboxes = self.inboxes.values()
+        bits = [
+            inbox.multiplicity * inbox.row_bits if self._copies
+            else inbox.row_bits
+            for inbox in inboxes
+        ]
+        peak = self._peak or max(
+            (int(inbox.row_bits.max()) for inbox in inboxes), default=0
+        )
+        if self._control:
+            control = self._control
+            control_bits = np.fromiter(
+                (m.bits for m in control), np.int64, len(control)
+            )
+            bits.append(control_bits)
+            peak = max(peak, int(control_bits.max()))
+        bits = edge_bits = _joined(bits)
+        if self._used is not None:
+            edge_bits = np.bincount(self._ids, weights=bits)[self._used]
+            edge_bits = edge_bits.astype(np.int64)
+        # Distinct edges of one message each need no reductions but the
+        # total bits.
+        single = self._single
+        return RoundTraffic(
+            total_messages=len(bits) if single else int(self._messages.sum()),
+            total_bits=int(bits.sum()),
+            max_edge_messages=1 if single else int(self._edge_messages.max()),
+            max_edge_bits=peak if single else int(edge_bits.max()),
+            max_message_bits=peak,
+            edge_messages=self._edge_messages,
+            edge_bits=edge_bits,
+        )
 
     def take(
         self, kind: str
@@ -286,87 +361,33 @@ class BulkRound:
                     )
 
 
-def _edge_loads(
-    inboxes: dict[str, BulkKindInbox], control: list[Message], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's sender and receiver (bulk rows kind by kind, then the
-    control messages), its index into the per-edge loads, and every
-    loaded edge's message count.  This is all the per-edge budget check
-    needs; :func:`_round_traffic` finishes the merge from it.  The round
-    must carry some traffic.
-
-    An edge's code is ``sender * n + receiver`` when every label lies in
-    ``0..n-1``; other int labels (``Simulator`` takes any) are coded
-    over their ranks among the round's labels, so no two edges share a
-    code."""
-    senders = [inbox.senders for inbox in inboxes.values()]
-    receivers = [inbox.receivers for inbox in inboxes.values()]
-    messages = [inbox.multiplicity for inbox in inboxes.values()]
-    if control:
-        senders.append(np.array([m.sender for m in control], np.int64))
-        receivers.append(np.array([m.receiver for m in control], np.int64))
-        messages.append(np.ones(len(control), dtype=np.int64))
-    senders = np.concatenate(senders)
-    receivers = np.concatenate(receivers)
-    codes = senders * n + receivers
-    labels = np.concatenate([senders, receivers])
-    if labels.min() < 0 or labels.max() >= n:
-        labels, ranks = np.unique(labels, return_inverse=True)
-        codes = ranks[: len(senders)] * len(labels) + ranks[len(senders):]
-    _, inverse = np.unique(codes, return_inverse=True)
-    edge_messages = np.bincount(inverse, weights=np.concatenate(messages))
-    return senders, receivers, inverse, edge_messages.astype(np.int64)
-
-
-def _round_traffic(
-    inboxes: dict[str, BulkKindInbox],
-    control: list[Message],
-    n: int,
-    loads: tuple[np.ndarray, ...] | None = None,
-) -> RoundTraffic:
-    """One round's merged bulk + control accounting, no enforcement;
-    ``loads`` is the round's :func:`_edge_loads`, when already known."""
-    if not inboxes and not control:
-        return _NO_TRAFFIC
-    _, _, inverse, edge_messages = loads or _edge_loads(inboxes, control, n)
-    bits = [inbox.multiplicity * inbox.row_bits for inbox in inboxes.values()]
-    peak = max((int(inbox.row_bits.max()) for inbox in inboxes.values()),
-               default=0)
-    if control:
-        control_bits = np.array([m.bits for m in control], dtype=np.int64)
-        bits.append(control_bits)
-        peak = max(peak, int(control_bits.max()))
-    bits = np.concatenate(bits)
-    edge_bits = np.bincount(inverse, weights=bits).astype(np.int64)
-    return RoundTraffic(
-        total_messages=int(edge_messages.sum()),
-        total_bits=int(bits.sum()),
-        max_edge_messages=int(edge_messages.max()),
-        max_edge_bits=int(edge_bits.max()),
-        max_message_bits=peak,
-        edge_messages=edge_messages,
-        edge_bits=edge_bits,
-    )
-
-
 class BulkOutbox:
     """Fast-path counterpart of :class:`RoundOutbox`.
 
     Fast-path drivers (never node programs; the handle lives on
     :class:`~repro.congest.node.SharedFastPathState`) push whole arrays
-    of counted messages; limits are checked
-    vectorized - the per-message bit budget at push time, the per-edge
-    message budget at :meth:`drain` (jointly with the round's control
-    messages, since both share each edge's capacity).  The charged
-    quantities are exactly those of the materialized messages: same
-    per-field integer bit costs, same per-edge counts.
+    of counted messages over the run's
+    :class:`~repro.congest.node.EdgeIndex` (``edges``); limits are
+    checked vectorized - the per-message bit budget at push time, the
+    per-edge message budget at :meth:`drain` (jointly with the round's
+    control messages, since both share each edge's capacity).  The
+    charged quantities are exactly those of the materialized messages:
+    same per-field integer bit costs, same per-edge counts.
     """
 
-    def __init__(self, policy: BandwidthPolicy) -> None:
+    def __init__(self, policy: BandwidthPolicy, edges: "EdgeIndex") -> None:
         self._policy = policy
         # The policy is frozen: read its derived bit limit once.
         self._bit_limit = policy.bits_per_message
-        self._batches: dict[str, _KindBatch] = {}
+        self._edges = edges
+        self._batches: dict[str, list[BulkKindInbox]] = {}
+        # The round's costliest row so far, and whether a push gave
+        # its rows copies.
+        self._peak = 0
+        self._copies = False
+        # Rows pushed without copies share views of one read-only array
+        # of ones.
+        self._ones = np.ones(0, dtype=np.int64)
 
     def push_rows(
         self,
@@ -379,7 +400,10 @@ class BulkOutbox:
         """Queue aggregate sends from *many* senders at once (row ``i``
         travels ``senders[i] -> receivers[i]``).  This is how a fast-path
         driver ships one whole round of network traffic in a single
-        call."""
+        call: the rows are priced from their fields and named by their
+        edge ids (:meth:`EdgeIndex.ids
+        <repro.congest.node.EdgeIndex.ids>`), then pushed as
+        :meth:`push_priced` pushes them."""
         if len(receivers) == 0:
             return
         senders = np.asarray(senders, dtype=np.int64)
@@ -390,35 +414,17 @@ class BulkOutbox:
                 "bulk fields must be (len(receivers), f), got "
                 f"{fields.shape} for {len(receivers)} receivers"
             )
-        if multiplicity is None:
-            multiplicity = np.ones(len(receivers), dtype=np.int64)
-        else:
+        if multiplicity is not None:
             multiplicity = np.asarray(multiplicity, dtype=np.int64)
-        row_bits = TAG_BITS + int_bits_array(fields).sum(axis=1)
-        self._check_budget(kind, senders, row_bits)
-        batch = self._batches.setdefault(kind, _KindBatch())
-        batch.senders.append(senders)
-        batch.receivers.append(receivers)
-        batch.fields.append(fields)
-        batch.multiplicity.append(multiplicity)
-        batch.row_bits.append(row_bits)
-
-    def _check_budget(
-        self, kind: str, senders: np.ndarray, row_bits: np.ndarray
-    ) -> int:
-        """Return the costliest row's bits; raise
-        :class:`CongestViolation` for that row when it exceeds the
-        per-message budget."""
-        peak = int(row_bits.max())
-        limit = self._bit_limit
-        if peak > limit:
-            worst = int(np.argmax(row_bits))
-            raise CongestViolation(
-                f"bulk {kind!r} message from node {int(senders[worst])} is "
-                f"{peak} bits, exceeding the per-message budget of "
-                f"{limit} bits"
-            )
-        return peak
+        self.push_priced(
+            kind,
+            senders,
+            receivers,
+            TAG_BITS + int_bits_array(fields).sum(axis=1),
+            self._edges.ids(senders, receivers),
+            fields,
+            multiplicity,
+        )
 
     def push_priced(
         self,
@@ -426,144 +432,66 @@ class BulkOutbox:
         senders: np.ndarray,
         receivers: np.ndarray,
         row_bits: np.ndarray,
-        edges: np.ndarray | None = None,
+        edges: np.ndarray,
         fields: np.ndarray | None = None,
         multiplicity: np.ndarray | None = None,
     ) -> None:
-        """Queue rows whose bit costs the caller has already priced - a
-        fast-path driver that can price a whole phase, or look its
-        rows' costs up in tables, skips pricing a fields matrix every
-        round.  The per-message budget is enforced here, exactly as in
-        :meth:`push_rows`, and this must be the kind's only push of the
-        round.
-
-        Without ``edges`` the rows lie on *distinct* directed edges, one
-        message each.  With ``edges`` - the rows' directed-edge ids
-        (:class:`~repro.congest.node.EdgeIndex` numbering) - rows may
-        share an edge.  ``fields`` is the payload the claiming driver
-        reads next round (None: no payload; the driver reads what it
-        needs elsewhere) and ``multiplicity`` the identical copies per
-        row.  Accounting is that of materialized messages with those bit
-        costs; :meth:`drain` reads each edge's load straight off the rows
-        when only priced pushes share the round."""
-        if len(receivers) == 0:
+        """Queue rows whose bit costs and edge ids the caller already
+        holds - a fast-path driver that can price a whole phase, or
+        look its rows' costs up in tables, skips pricing a fields matrix
+        every round.  ``edges`` are the rows' directed-edge ids
+        (:class:`~repro.congest.node.EdgeIndex` numbering), ``fields``
+        the payload the claiming driver reads next round (None: no
+        payload; the driver reads what it needs elsewhere) and
+        ``multiplicity`` the identical copies per row (None: one).  The
+        per-message budget is enforced here; accounting is that of
+        materialized messages with those bit costs."""
+        if len(edges) == 0:
             return
-        peak = self._check_budget(kind, senders, row_bits)
+        row_bits = np.asarray(row_bits, dtype=np.int64)
+        peak = int(row_bits.max())
+        if peak > self._bit_limit:
+            worst = int(np.argmax(row_bits))
+            raise CongestViolation(
+                f"bulk {kind!r} message from node {int(senders[worst])} is "
+                f"{peak} bits, exceeding the per-message budget of "
+                f"{self._bit_limit} bits"
+            )
+        self._peak = max(self._peak, peak)
         if multiplicity is None:
-            multiplicity = np.ones(len(senders), dtype=np.int64)
-        self._batches[kind] = _KindBatch(
-            senders=[senders],
-            receivers=[receivers],
-            fields=[] if fields is None else [fields],
-            multiplicity=[multiplicity],
-            row_bits=[np.asarray(row_bits, dtype=np.int64)],
-            priced=True,
-            edges=edges,
-            peak=peak,
+            if len(self._ones) < len(edges):
+                self._ones = np.ones(len(edges), dtype=np.int64)
+                self._ones.flags.writeable = False
+            multiplicity = self._ones[:len(edges)]
+        else:
+            self._copies = True
+        self._batches.setdefault(kind, []).append(
+            BulkKindInbox(
+                senders, receivers, edges, fields, multiplicity, row_bits
+            )
         )
 
     def drain(self, n: int, control_messages: list[Message]) -> BulkRound:
         """Close the round: enforce the per-edge budget that bulk rows
         and the round's control messages share, and hand back the
-        in-flight :class:`BulkRound`.
+        in-flight :class:`BulkRound` (``n`` is the network size, which
+        the outbox's edge index already knows).
 
-        A round without bulk rows checks nothing here
-        (:meth:`RoundOutbox.push` held each edge's control mail to the
-        budget).  A round of priced pushes alone reduces its loads over
-        the rows' edge ids and accounts itself at once.  Every other
-        round, and a priced round over the budget (to name the edge),
-        counts each ``(sender, receiver)`` edge's messages
-        (:func:`_edge_loads`); the merge's bit half waits until the
+        Every round sums each edge's messages by id
+        (:meth:`BulkRound.enforce`); the bit half waits until the
         round's traffic is read, so a round that the fault pass
         replaces never finishes it."""
         batches, self._batches = self._batches, {}
-        if not batches:
-            return BulkRound({}, control_messages, n)
-        if not control_messages and all(
-            batch.priced for batch in batches.values()
-        ):
-            priced = _priced_round(batches, n)
-            if (
-                priced is not None
-                and priced.traffic.max_edge_messages
-                <= self._policy.messages_per_edge
-            ):
-                return priced
-        inboxes = {
-            kind: BulkKindInbox(
-                senders=np.concatenate(batch.senders),
-                receivers=np.concatenate(batch.receivers),
-                fields=np.concatenate(batch.fields) if batch.fields else None,
-                multiplicity=np.concatenate(batch.multiplicity),
-                row_bits=np.concatenate(batch.row_bits),
-            )
-            for kind, batch in batches.items()
-        }
-        loads = _edge_loads(inboxes, control_messages, n)
-        senders, receivers, inverse, edge_messages = loads
-        load = int(edge_messages.max())
-        if load > self._policy.messages_per_edge:
-            # The first row on a most loaded edge names it.
-            over = int(np.argmax(edge_messages[inverse]))
-            raise CongestViolation(
-                f"edge ({senders[over]} -> {receivers[over]}) carries "
-                f"{load} messages this round "
-                f"(limit {self._policy.messages_per_edge})"
-            )
-        return BulkRound(inboxes, control_messages, n, loads=loads)
-
-
-def _priced_round(batches: dict[str, _KindBatch], n: int) -> BulkRound | None:
-    """A round of priced pushes only, accounted without merging rows:
-    a lone push on distinct edges makes each row its edge's load, and
-    pushes tagged with edge ids sum their loads by id.  None when a
-    push without edge ids shares the round."""
-    inboxes = {
-        kind: BulkKindInbox(
-            senders=batch.senders[0],
-            receivers=batch.receivers[0],
-            fields=batch.fields[0] if batch.fields else None,
-            multiplicity=batch.multiplicity[0],
-            row_bits=batch.row_bits[0],
+        bulk = BulkRound(
+            {
+                kind: BulkKindInbox.concat(parts)
+                for kind, parts in batches.items()
+            },
+            control_messages,
+            self._edges,
+            self._peak,
+            self._copies,
         )
-        for kind, batch in batches.items()
-    }
-    peak = max(batch.peak for batch in batches.values())
-    untagged = [batch.edges is None for batch in batches.values()]
-    if untagged == [True]:
-        # One push on distinct edges: each row is its edge's load.
-        (inbox,) = inboxes.values()
-        traffic = RoundTraffic(
-            total_messages=len(inbox.row_bits),
-            total_bits=int(inbox.row_bits.sum()),
-            max_edge_messages=1,
-            max_edge_bits=peak,
-            max_message_bits=peak,
-            edge_messages=inbox.multiplicity,
-            edge_bits=inbox.row_bits,
-        )
-        return BulkRound(inboxes, [], n, traffic)
-    if any(untagged):
-        return None
-    edges = np.concatenate([batch.edges for batch in batches.values()])
-    messages = np.concatenate(
-        [inbox.multiplicity for inbox in inboxes.values()]
-    )
-    bits = messages * np.concatenate(
-        [inbox.row_bits for inbox in inboxes.values()]
-    )
-    # Loads by edge id; every used edge carries a message.
-    edge_messages = np.bincount(edges, weights=messages)
-    used = edge_messages.nonzero()[0]
-    edge_messages = edge_messages[used].astype(np.int64)
-    edge_bits = np.bincount(edges, weights=bits)[used].astype(np.int64)
-    traffic = RoundTraffic(
-        total_messages=int(edge_messages.sum()),
-        total_bits=int(edge_bits.sum()),
-        max_edge_messages=int(edge_messages.max()),
-        max_edge_bits=int(edge_bits.max()),
-        max_message_bits=peak,
-        edge_messages=edge_messages,
-        edge_bits=edge_bits,
-    )
-    return BulkRound(inboxes, [], n, traffic)
+        self._peak, self._copies = 0, False
+        bulk.enforce(self._policy.messages_per_edge)
+        return bulk

@@ -1,6 +1,6 @@
 """Post-hoc CONGEST compliance auditing of recorded message logs.
 
-The transport enforces the model limits at send time; this module
+The transport enforces the model limits as the rounds run; this module
 *re-verifies* them independently from a recorded log (and checks what the
 transport cannot: that every message travelled along an actual edge of
 the graph).  Used by the lower-bound experiments, where the whole

@@ -15,7 +15,7 @@ table of field costs over ``0..max(max cell, n - 1)`` built at the
 first exchange round (cells are small integers, at most
 ``K * (l + 1)``; a half of the tensor that is all zero, as the second
 is outside split mode, is priced as a constant), and hands the prices
-over those nodes' directed edges to
+and the ids of those nodes' directed edges to
 :meth:`~repro.congest.transport.BulkOutbox.push_priced`.  The run's
 :class:`~repro.congest.node.EdgeIndex` ascends node-major with ports in
 ``info.neighbors`` order, so the rows are the per-node loop's messages,
@@ -113,6 +113,7 @@ class ExchangeEngine:
         self._first_start, self._last_start = _UNREGISTERED, -1
         self._engine = engine
         self._edges = edges
+        self._edge_ids = np.arange(len(edges.dst))
         # Reliable: the shared ARQ table, and per directed edge (the
         # receiver's slot) the fresh columns that arrived on it.
         self._table = table
@@ -179,7 +180,8 @@ class ExchangeEngine:
         if self._field_bits is None:
             self._build_prices()
         sources = round_number - self._start
-        senders, receivers = self._edges.src, self._edges.dst
+        edges = self._edges
+        senders, receivers, ids = edges.src, edges.dst, self._edge_ids
         if len(self._programs) == n and (
             self._last_start <= round_number < self._first_start + n
         ):
@@ -190,10 +192,10 @@ class ExchangeEngine:
             # column, and its edges are dropped.
             columns = sources.clip(0, n - 1)
             node_bits = self._price(columns)
-            keep = (columns == sources)[senders]
-            senders, receivers = senders[keep], receivers[keep]
+            ids = np.flatnonzero((columns == sources)[senders])
+            senders, receivers = senders[ids], receivers[ids]
         bulk_outbox.push_priced(
-            self._kind, senders, receivers, node_bits[senders]
+            self._kind, senders, receivers, node_bits[senders], ids
         )
 
     def _build_prices(self) -> None:
@@ -339,7 +341,7 @@ class ExchangeEngine:
         rows (necessarily duplicates), whose acks are owed late."""
         senders, receivers, fields, multiplicity = rows
         table = self._table
-        slots = table.slots(receivers, senders)
+        slots = self._edges.ids(receivers, senders)
         fresh = table.accept_rows(slots, fields[:, -1], multiplicity)
         np.add.at(self._received, slots[fresh], 1)
         programs = self._engine._programs

@@ -316,7 +316,7 @@ class RWBCNodeProgram(VectorizedProgram):
                     ack_rows=True,
                 )
                 shared.slots["link_table"] = table
-                shared.register_driver(AckRows(table), last=True)
+                shared.register_driver(AckRows(table, shared.edges), last=True)
         self._channel = ReliableChannel(
             node_id=self.node_id,
             neighbors=self.neighbors,

@@ -56,13 +56,14 @@ per-message loop sends each row as ``copies``
 :class:`~repro.congest.message.Message` objects (for the message log,
 the CONGEST audit and the asynchronous executor).  The engine pushes
 every row of the round at once: fault-free, priced from tables built
-once (:func:`walk_bit_tables`) and tagged with their edge ids
+once (:func:`walk_bit_tables`) and pushed with their edge ids
 (:meth:`BulkOutbox.push_priced`), as are the ``term`` and ``done``
 rows; on lossy links sequenced through the ARQ table (which also
 queues ``term`` and ``done`` as control) and pushed with
-:meth:`BulkOutbox.push_rows`.  Either way the bits and counts charged
-are those of the materialized messages.  The tested guarantee
-(``tests/test_walks_batched.py``, ``tests/test_counting_bookends.py``):
+:meth:`BulkOutbox.push_rows`, which looks their ids up.  Either way
+the bits and counts charged are those of the materialized messages.
+The tested guarantee (``tests/test_walks_batched.py``,
+``tests/test_counting_bookends.py``):
 same seed in, identical tallies, estimates, round counts, and traffic
 accounting out.
 """
@@ -731,6 +732,7 @@ class CountingWalkEngine:
         # The run's directed edges (``SharedFastPathState.edges``, the
         # LinkTable's slots): edge ``offsets[v] + port`` is ``v ->
         # neighbors[port]``.
+        self._edges = edges
         self._offsets = edges.offsets
         self._targets = edges.dst
         self._degrees = edges.degrees
@@ -740,9 +742,8 @@ class CountingWalkEngine:
         self._budget = 1
         # Fault-free, the engine prices walk, ``term`` and ``done`` rows
         # itself (:func:`walk_bit_tables` and a ``term`` row's bits by
-        # its total, filled at finalize) and tags them with their edge
-        # ids, so the outbox's drain reads each edge's load off the rows
-        # instead of merging them.
+        # its total, filled at finalize) and pushes them with the edge
+        # ids it already holds.
         self._head_bits = self._hop_bits = self._term_bits = _EMPTY
         self._alpha: float | None = None
         self._absorbing_target = -1
@@ -798,7 +799,7 @@ class CountingWalkEngine:
             if rows is not None:
                 senders, receivers, fields, multiplicity = rows
                 fresh = table.accept_rows(
-                    table.slots(receivers, senders), fields[:, -1],
+                    self._edges.ids(receivers, senders), fields[:, -1],
                     multiplicity,
                 )
                 claimed[kind] = (
@@ -964,11 +965,13 @@ class CountingWalkEngine:
                 senders, receivers = rows[0], rows[1]
                 mine = stopped[receivers] & ~stopping[receivers]
                 if mine.any():
-                    late.append(table.slots(receivers[mine], senders[mine]))
+                    late.append(
+                        self._edges.ids(receivers[mine], senders[mine])
+                    )
         for kind, (senders, receivers, fields, multiplicity) in (
             claimed.items()
         ):
-            slots = table.slots(receivers, senders)
+            slots = self._edges.ids(receivers, senders)
             fresh = table.accept_rows(slots, fields[:, -1], multiplicity)
             past = stopped[receivers]
             lost = np.flatnonzero(fresh & past)
@@ -1099,7 +1102,7 @@ class CountingWalkEngine:
                         reporters,
                         parents[due],
                         self._term_bits[totals],
-                        edges=edges,
+                        edges,
                         fields=totals[:, None],
                     )
             complete = moved[
@@ -1127,7 +1130,7 @@ class CountingWalkEngine:
             self._parent[children],
             children,
             np.full(len(children), TAG_BITS, dtype=np.int64),
-            edges=self._child_edge[children],
+            self._child_edge[children],
         )
 
     def _fold_reports(self, term: ClaimedKind) -> np.ndarray:
@@ -1247,7 +1250,7 @@ class CountingWalkEngine:
             senders,
             receivers,
             row_bits,
-            edges=edges,
+            edges,
             fields=fields,
             multiplicity=copies,
         )

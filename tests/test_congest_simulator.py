@@ -1,5 +1,7 @@
 """Tests for the scheduler, transport enforcement, and metrics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from repro.congest.errors import (
     RoundLimitExceeded,
 )
 from repro.congest.message import Message
-from repro.congest.node import NodeProgram, VectorizedProgram
+from repro.congest.faults import FaultPlan
+from repro.congest.node import EdgeIndex, NodeProgram, VectorizedProgram
 from repro.congest.scheduler import Simulator, run_program
 from repro.congest.transport import BandwidthPolicy, BulkOutbox
 from repro.core.protocol import ProtocolConfig, RWBCNodeProgram
@@ -133,7 +136,13 @@ class TestSimulatorBasics:
 
 class TestEnforcement:
     def test_congestion_violation(self):
-        with pytest.raises(CongestViolation):
+        """Control mail over an edge's budget fails when the round
+        closes, naming the edge of the first overloaded message."""
+        with pytest.raises(
+            CongestViolation,
+            match=r"edge \(0 -> 1\) carries 100 messages this round "
+            r"\(limit 4\)",
+        ):
             run_program(path_graph(3), Chatterbox)
 
     def test_message_width_violation(self):
@@ -256,12 +265,42 @@ class VectorizedPing(PingOnce, VectorizedProgram):
     """:class:`PingOnce`, runnable on the fast path."""
 
 
+class Chatter(VectorizedProgram):
+    """Sends a ``ping`` and a ``pong`` down every edge each round until
+    round :attr:`ROUNDS`, then halts; counts what it receives."""
+
+    ROUNDS = 12
+
+    def __init__(self, info, rng):
+        super().__init__(info, rng)
+        self.received = 0
+
+    def on_start(self, ctx):
+        self._send(ctx)
+
+    def on_round(self, ctx, inbox):
+        self.received += len(inbox)
+        if ctx.round_number < self.ROUNDS:
+            self._send(ctx)
+        else:
+            self.halt()
+
+    def _send(self, ctx):
+        for neighbor in self.neighbors:
+            ctx.send(neighbor, "ping", ctx.round_number)
+            ctx.send(neighbor, "pong", self.node_id, ctx.round_number)
+
+
 class TestLabelsOutsideZeroToN:
     """``Simulator`` takes any int labels.  On the path 3 - 0 - 1 the
-    code ``sender * n + receiver`` gives edges ``0 -> 3`` and ``1 -> 0``
-    the same value, 3; the per-edge loads must still keep them apart."""
+    code ``sender * n + receiver`` would give edges ``0 -> 3`` and
+    ``1 -> 0`` the same value, 3; the run's edge ids keep them apart,
+    in the per-edge loads and in the fault fates alike."""
 
     GRAPH = Graph(edges=[(3, 0), (0, 1)])
+    EDGES = EdgeIndex(
+        (0, 1, 3), [np.array([1, 3]), np.array([0]), np.array([0])]
+    )
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_each_edge_counts_its_own_messages(self, vectorized):
@@ -272,8 +311,47 @@ class TestLabelsOutsideZeroToN:
         assert result.metrics.total_messages == 4
         assert result.metrics.max_messages_per_edge_round == 1
 
+    def test_both_loops_agree_under_faults(self):
+        """Drops, duplicates and delays on both dispatch modes: the
+        same metrics and fault counters, and per-edge maxima that a
+        recount of the per-message run's log confirms."""
+        plan = FaultPlan(
+            seed=11, drop_rate=0.2, duplicate_rate=0.2, delay_rate=0.2,
+            max_delay=2,
+        )
+        runs = [
+            Simulator(
+                self.GRAPH, Chatter, seed=1, faults=plan,
+                vectorized=vectorized, record_messages=not vectorized,
+            ).run()
+            for vectorized in (False, True)
+        ]
+        slow, fast = runs
+        assert fast.fast_path and not slow.fast_path
+        assert slow.metrics.summary() == fast.metrics.summary()
+        assert slow.metrics.faults == fast.metrics.faults
+        assert all(slow.metrics.faults[name] for name in (
+            "dropped", "duplicated", "delayed",
+        ))
+        assert {v: p.received for v, p in slow.programs.items()} == {
+            v: p.received for v, p in fast.programs.items()
+        }
+        edge_messages = edge_bits = 0
+        for delivered in slow.message_log:
+            messages, bits = Counter(), Counter()
+            for message in delivered:
+                messages[message.sender, message.receiver] += 1
+                bits[message.sender, message.receiver] += message.bits
+            edge_messages = max([edge_messages, *messages.values()])
+            edge_bits = max([edge_bits, *bits.values()])
+        assert edge_messages > 2  # a duplicate or a delay piled up
+        assert slow.metrics.max_messages_per_edge_round == edge_messages
+        assert slow.metrics.max_bits_per_edge_round == edge_bits
+
     def test_bulk_budget_check_names_the_loaded_edge(self):
-        outbox = BulkOutbox(BandwidthPolicy(n=3, messages_per_edge=1))
+        outbox = BulkOutbox(
+            BandwidthPolicy(n=3, messages_per_edge=1), self.EDGES
+        )
         fields = np.ones((2, 1), dtype=np.int64)
         outbox.push_rows("x", np.array([0, 1]), np.array([3, 0]), fields)
         outbox.drain(3, [])

@@ -86,7 +86,7 @@ def _per_edge(traffic, codes) -> dict:
 
 def _reference(policy, engine, source, control=()):
     """The round as a fields matrix through push_rows + drain."""
-    outbox = BulkOutbox(policy)
+    outbox = BulkOutbox(policy, _edges())
     fields = np.empty((len(engine.src), 3), dtype=np.int64)
     fields[:, 0] = source
     fields[:, 1] = engine.counts[engine.src, 0, source]
@@ -95,18 +95,14 @@ def _reference(policy, engine, source, control=()):
     return outbox.drain(N, list(control))
 
 
-def _reference_codes(engine) -> np.ndarray:
-    """Edge codes in the order ``drain``'s merge reports edge loads."""
-    return np.unique(engine.src * N + engine.dst)
-
-
 POLICY = BandwidthPolicy(n=N)
 
 
 class TestPricedRounds:
     def test_every_round_matches_push_rows(self):
         driver, engine = _driver(_fabricated_counts())
-        outbox = BulkOutbox(POLICY)
+        outbox = BulkOutbox(POLICY, _edges())
+        # Both drains report one load per edge, in edge id order.
         codes = engine.src * N + engine.dst
         for source in range(N):
             driver.end_round(START + source, {}, None, outbox)
@@ -114,7 +110,7 @@ class TestPricedRounds:
             reference = _reference(POLICY, engine, source)
             assert priced.traffic == reference.traffic
             assert _per_edge(priced.traffic, codes) == _per_edge(
-                reference.traffic, _reference_codes(engine)
+                reference.traffic, codes
             )
             senders, receivers, fields, multiplicity = priced.take(
                 KIND_EXCHANGE
@@ -138,8 +134,9 @@ class TestPricedRounds:
         )
         for source in range(N):
             driver.end_round(START + source, {}, None, recorder)
-            kind, senders, receivers, row_bits = pushed[-1]
+            kind, senders, receivers, row_bits, ids = pushed[-1]
             assert kind == KIND_EXCHANGE
+            assert (ids == _edges().ids(senders, receivers)).all()
             expected = [
                 Message(
                     v,
@@ -152,10 +149,11 @@ class TestPricedRounds:
             assert row_bits.tolist() == expected
 
     def test_shared_round_runs_the_merge(self):
-        """Control traffic on the same edges: the merged accounting
-        must still equal the reference (two messages on edge 0 -> 1)."""
+        """Control traffic on the same edges: the accounting of the
+        shared loads must still equal the reference (two messages on
+        edge 0 -> 1)."""
         driver, engine = _driver(_fabricated_counts())
-        outbox = BulkOutbox(POLICY)
+        outbox = BulkOutbox(POLICY, _edges())
         control = [Message(0, 1, "term", (5,)), Message(4, 2, "done", (40,))]
         driver.end_round(START + 1, {}, None, outbox)
         priced = outbox.drain(N, control)
@@ -171,7 +169,7 @@ class TestPricedRounds:
         """The round after the last column sends nothing, and the round
         after that, ``start + n + 1``, finishes every node."""
         driver, engine = _driver(_fabricated_counts())
-        outbox = BulkOutbox(POLICY)
+        outbox = BulkOutbox(POLICY, _edges())
         for source in range(N):
             driver.end_round(START + source, {}, None, outbox)
             outbox.drain(N, [])
@@ -233,7 +231,8 @@ class TestStaggeredStarts:
                         expected.append((v, u, message.bits))
             got = []
             if pushed:
-                ((senders, receivers, row_bits),) = pushed
+                ((senders, receivers, row_bits, ids),) = pushed
+                assert (ids == _edges().ids(senders, receivers)).all()
                 got = list(
                     zip(senders.tolist(), receivers.tolist(), row_bits.tolist())
                 )
@@ -245,7 +244,7 @@ class TestStaggeredStarts:
         """Node 4 never hears ``done``: its neighbor 2 cannot finish,
         and the driver says which neighbor is missing."""
         driver, programs, _ = self._staggered()
-        outbox = BulkOutbox(POLICY)
+        outbox = BulkOutbox(POLICY, _edges())
         for round_number in range(START - 1, START + N + 2):
             for v, program in programs.items():
                 if v != 4 and program.exchange_start_round == round_number:
@@ -264,7 +263,7 @@ class TestStaggeredStarts:
         driver = ExchangeEngine(SimpleNamespace(counts=counts), _edges())
         driver.register(_Program(3))
         driver.register(_Program(1, START + 1))
-        outbox = BulkOutbox(POLICY)
+        outbox = BulkOutbox(POLICY, _edges())
         for round_number in range(START, START + N + 1):
             driver.end_round(round_number, {}, None, outbox)
             outbox.drain(N, [])
@@ -278,7 +277,7 @@ class TestBudget:
         counts[2, 0, 3] = 1 << 20
         counts[2, 1, 3] = 1 << 20
         driver, engine = _driver(counts)
-        outbox = BulkOutbox(POLICY)
+        outbox = BulkOutbox(POLICY, _edges())
         for source in range(3):
             driver.end_round(START + source, {}, None, outbox)
             outbox.drain(N, [])

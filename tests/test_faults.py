@@ -26,11 +26,17 @@ from repro.congest.faults import (
     kind_code,
 )
 from repro.congest.message import Message
+from repro.congest.node import EdgeIndex
 from repro.congest.transport import BandwidthPolicy, BulkOutbox
 
 #: Node ids stay below N; the edge budget never binds.
 N = 8
 POLICY = BandwidthPolicy(n=N, messages_per_edge=10**6)
+#: Every ordered pair of distinct nodes is an edge.
+EDGES = EdgeIndex(
+    tuple(range(N)),
+    [np.array([v for v in range(N) if v != u]) for u in range(N)],
+)
 
 
 def _msg(sender, receiver, kind="walk", fields=(1, 2)):
@@ -42,7 +48,7 @@ def _round(runtime, round_number, control=(), bulk=()):
     bulk rows ``(kind, senders, receivers, fields, multiplicity)``
     pushed in order (a kind pushed twice is one batch, as on the fast
     path).  Returns the delivered messages and the delivered round."""
-    outbox = BulkOutbox(POLICY)
+    outbox = BulkOutbox(POLICY, EDGES)
     for kind, senders, receivers, fields, multiplicity in bulk:
         outbox.push_rows(
             kind,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
+from repro.congest.node import EdgeIndex
 from repro.congest.reliable import (
     ACK_WINDOW,
     KIND_ACK,
@@ -274,11 +275,6 @@ class TestApplyAck:
         a = make_channel(neighbors=(1,))
         with pytest.raises(ProtocolError):
             a.receive([Message(5, 0, KIND_ACK, (0, 0))])
-        table = LinkTable(
-            np.array([0, 1, 2]), np.array([1, 0]), 1, TOKENS, ack_rows=True
-        )
-        with pytest.raises(ProtocolError):
-            table.slots(np.array([0]), np.array([2]))
 
     def test_same_latencies_as_receive(self):
         observed = []
@@ -427,7 +423,9 @@ class TestTableTwins:
         seqs = table.register_rows(
             np.array([0]), "walk", np.array([[1, 2, 3]]), 5
         )
-        slot = table.slots(np.array([1]), np.array([0]))
+        # Node 1's slot for its channel to node 0: the id of edge 1 -> 0.
+        edges = EdgeIndex((0, 1), [np.array([1]), np.array([0])])
+        slot = edges.ids(np.array([1]), np.array([0]))
         fresh = table.accept_rows(
             np.repeat(slot, 2), np.repeat(seqs, 2), np.array([1, 2])
         )

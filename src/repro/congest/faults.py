@@ -503,7 +503,7 @@ class FaultRuntime:
                 ).append(control[row])
             low = count
             for kind, inbox in inboxes.items():
-                high = low + len(inbox.senders)
+                high = low + len(inbox.edges)
                 first, last = np.searchsorted(rows, (low, high))
                 if last > first:
                     self._delay_rows(
@@ -526,7 +526,9 @@ class FaultRuntime:
         for kind, batches in self._delayed_bulk.pop(round_number, {}).items():
             rows = BulkKindInbox.concat(batches)
             if down:
-                lost = np.isin(rows.receivers, self._down_array(round_number))
+                lost = np.isin(
+                    bulk.edges.dst[rows.edges], self._down_array(round_number)
+                )
                 if lost.any():
                     self.counters.crash_dropped += int(
                         rows.multiplicity[lost].sum()

@@ -44,6 +44,13 @@ def int_bits_array(values: np.ndarray) -> np.ndarray:
     return np.maximum(1, exponents).astype(np.int64) + 1
 
 
+def message_bits_array(fields: np.ndarray) -> np.ndarray:
+    """Vectorized :attr:`Message.bits`: the size of each message whose
+    payload is one row of the ``(messages, f)`` integer matrix
+    ``fields``."""
+    return TAG_BITS + int_bits_array(fields).sum(axis=1)
+
+
 def payload_bits(fields: tuple[int, ...]) -> int:
     """Total bit cost of a message payload, excluding the kind tag."""
     return sum(int_bits(value) for value in fields)

@@ -200,12 +200,14 @@ class EdgeIndex:
     ``0 .. n-1`` labels a node's canonical position is its label.
 
     The id is the one name of a directed edge below the node programs:
-    the transport sums loads by it, the fault pass numbers fates by it,
-    and the ARQ table's slots are ids.  :meth:`ids` names the edges of
-    ``(sender, receiver)`` pairs.
+    a bulk row is its id, the transport sums loads by it, the fault
+    pass numbers fates by it, and the ARQ table's slots are ids.  An
+    id's endpoints are ``src`` and ``dst`` there, and ``reverse`` there
+    is the id of ``v -> u`` for ``u -> v``: the receiver's slot.
+    :meth:`ids` names the edges of ``(sender, receiver)`` label pairs.
     """
 
-    __slots__ = ("offsets", "degrees", "src", "dst", "_labels", "_keys")
+    __slots__ = ("offsets", "degrees", "src", "dst", "reverse", "_labels", "_keys")
 
     def __init__(
         self, order: tuple[int, ...], neighbor_arrays: list[np.ndarray]
@@ -230,6 +232,10 @@ class EdgeIndex:
                 "EdgeIndex needs the canonical node order and ascending ports"
             )
         self._keys = keys
+        back = self._ranks(self.dst) * n + self._ranks(self.src)
+        self.reverse = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
+        if not np.array_equal(keys[self.reverse], back):
+            raise ConfigError("EdgeIndex needs every edge in both directions")
 
     @property
     def n(self) -> int:
@@ -279,7 +285,8 @@ class SharedFastPathState:
     * after all per-node calls of a round, the scheduler invokes
       ``driver.end_round(round_number, claimed, outbox, bulk_outbox)``
       exactly once, where ``claimed`` maps each claimed kind to its
-      ``(senders, receivers, fields, multiplicity)`` arrays;
+      ``(edges, fields, multiplicity)`` arrays: row ``i`` arrived on
+      the directed edge whose :class:`EdgeIndex` id is ``edges[i]``;
     * a driver that defines ``receive_rows(round_number, claimed)``
       sees its claimed traffic there first, right after the claim pass
       and before any node or driver runs; its ``end_round`` then gets

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from repro.congest.errors import ProtocolError
-from repro.congest.message import Message
+from repro.congest.message import Message, message_bits_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.congest.node import EdgeIndex
@@ -614,18 +614,18 @@ class LinkTable:
         row_kinds: tuple[str, ...],
     ) -> None:
         """Ship a fast-path driver's flush sends: the kinds drivers claim
-        (``row_kinds``) as bulk rows, each kind's in send order, and the
-        rest as the control messages a node handler's flush sends."""
+        (``row_kinds``) as bulk rows, each kind's in send order on its
+        slot's edge id, and the rest as the control messages a node
+        handler's flush sends."""
         for kind in row_kinds:
             mine = sends[:, _KIND] == self.code(kind)
             if mine.any():
                 rows = sends[mine]
-                fields = rows[:, _NF + 1:_NF + 1 + rows[0, _NF]]
-                bulk_outbox.push_rows(
-                    kind,
-                    self.owners[rows[:, _SLOT]],
-                    self.peers[rows[:, _SLOT]],
-                    np.column_stack([fields, rows[:, _SEQ]]),
+                fields = np.column_stack(
+                    [rows[:, _NF + 1:_NF + 1 + rows[0, _NF]], rows[:, _SEQ]]
+                )
+                bulk_outbox.push_priced(
+                    kind, rows[:, _SLOT], message_bits_array(fields), fields
                 )
                 sends = sends[~mine]
         owners, peers = self.owners, self.peers
@@ -855,8 +855,8 @@ class AckRows:
     :meth:`receive_rows`, before any node or driver runs, so no node is
     stepped for an ack and the receiver's phase does not matter.  The
     table's slots are the ids of ``edges``, the run's
-    :class:`~repro.congest.node.EdgeIndex`: a row from ``u`` to ``v``
-    acks the slot of edge ``v -> u``.
+    :class:`~repro.congest.node.EdgeIndex`: a row on edge ``u -> v``
+    acks the slot of its reverse, ``v -> u``.
 
     An ack only confirms: applied before the round's handlers instead
     of inside them, it leaves every later decision the same, and
@@ -877,9 +877,9 @@ class AckRows:
 
     def receive_rows(self, round_number: int, claimed: dict) -> None:
         """Apply this round's arriving ack rows."""
-        senders, receivers, fields, _ = claimed[KIND_ACK]
+        ids, fields, _ = claimed[KIND_ACK]
         self.table.apply_acks(
-            self._edges.ids(receivers, senders), fields[:, 0], fields[:, 1]
+            self._edges.reverse[ids], fields[:, 0], fields[:, 1]
         )
 
     def after_nodes(self, round_number: int, outbox: "RoundOutbox") -> None:
@@ -898,11 +898,9 @@ class AckRows:
         acks = self.table.take_ack_rows()
         if acks is not None:
             slots, cums, bitmaps = acks
-            bulk_outbox.push_rows(
-                KIND_ACK,
-                self.table.owners[slots],
-                self.table.peers[slots],
-                np.column_stack([cums, bitmaps]),
+            fields = np.column_stack([cums, bitmaps])
+            bulk_outbox.push_priced(
+                KIND_ACK, slots, message_bits_array(fields), fields
             )
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.congest.errors import CongestViolation, ConfigError
-from repro.congest.message import TAG_BITS, Message, int_bits_array
+from repro.congest.message import Message, message_bits_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.congest.node import EdgeIndex
@@ -108,12 +108,11 @@ class RoundOutbox:
 class BulkKindInbox:
     """The aggregated rows of one message kind in one round, network
     wide: row ``i`` stands for ``multiplicity[i]`` identical messages
-    ``senders[i] -> receivers[i]`` of ``row_bits[i]`` bits each, on the
-    directed edge whose :class:`~repro.congest.node.EdgeIndex` id is
-    ``edges[i]``."""
+    of ``row_bits[i]`` bits each on the directed edge whose
+    :class:`~repro.congest.node.EdgeIndex` id is ``edges[i]``, the
+    row's only name (its endpoints are that index's ``src`` and
+    ``dst`` at the id)."""
 
-    senders: np.ndarray
-    receivers: np.ndarray
     edges: np.ndarray
     # (groups, field_count) integer matrix; None for priced traffic
     # pushed without a payload (:meth:`BulkOutbox.push_priced`), which
@@ -128,8 +127,6 @@ class BulkKindInbox:
         """The rows at ``rows`` (indices or a mask), now carrying
         ``multiplicity`` copies each."""
         return BulkKindInbox(
-            senders=self.senders[rows],
-            receivers=self.receivers[rows],
             edges=self.edges[rows],
             fields=None if self.fields is None else self.fields[rows],
             multiplicity=multiplicity,
@@ -145,10 +142,7 @@ class BulkKindInbox:
             *(
                 None if getattr(parts[0], name) is None
                 else np.concatenate([getattr(part, name) for part in parts])
-                for name in (
-                    "senders", "receivers", "edges", "fields", "multiplicity",
-                    "row_bits",
-                )
+                for name in ("edges", "fields", "multiplicity", "row_bits")
             )
         )
 
@@ -323,9 +317,10 @@ class BulkRound:
 
     def take(
         self, kind: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray] | None:
         """Remove one kind's traffic wholesale and return it as
-        ``(senders, receivers, fields, multiplicity)`` arrays.
+        ``(edges, fields, multiplicity)`` arrays, ``edges`` the rows'
+        edge ids.
 
         Every bulk kind belongs to the fast-path driver that claims it:
         the scheduler hands each claimed kind to its driver whole, and
@@ -338,7 +333,7 @@ class BulkRound:
             return None
         self.traffic  # account the round before it shrinks
         del self.inboxes[kind]
-        return inbox.senders, inbox.receivers, inbox.fields, inbox.multiplicity
+        return inbox.edges, inbox.fields, inbox.multiplicity
 
     def trace_into(self, tracer, round_number: int) -> None:
         """Emit one ``deliver`` trace event per materialized message of
@@ -349,10 +344,11 @@ class BulkRound:
         too.  Event *order* differs from per-message dispatch
         (kind-major here, delivery order there); equivalence tests
         compare sorted streams."""
+        src, dst = self.edges.src, self.edges.dst
         for kind, inbox in self.inboxes.items():
             for receiver, sender, copies in zip(
-                inbox.receivers.tolist(),
-                inbox.senders.tolist(),
+                dst[inbox.edges].tolist(),
+                src[inbox.edges].tolist(),
                 inbox.multiplicity.tolist(),
             ):
                 for _ in range(copies):
@@ -397,13 +393,12 @@ class BulkOutbox:
         fields: np.ndarray,
         multiplicity: np.ndarray | None = None,
     ) -> None:
-        """Queue aggregate sends from *many* senders at once (row ``i``
-        travels ``senders[i] -> receivers[i]``).  This is how a fast-path
-        driver ships one whole round of network traffic in a single
-        call: the rows are priced from their fields and named by their
-        edge ids (:meth:`EdgeIndex.ids
-        <repro.congest.node.EdgeIndex.ids>`), then pushed as
-        :meth:`push_priced` pushes them."""
+        """Queue aggregate sends from *many* senders at once, addressed
+        by label (row ``i`` travels ``senders[i] -> receivers[i]``): the
+        rows are priced from their fields and named by their edge ids
+        (:meth:`EdgeIndex.ids <repro.congest.node.EdgeIndex.ids>`), then
+        pushed as :meth:`push_priced` pushes them.  Fast-path drivers
+        hold their rows' ids and push them with :meth:`push_priced`."""
         if len(receivers) == 0:
             return
         senders = np.asarray(senders, dtype=np.int64)
@@ -418,10 +413,8 @@ class BulkOutbox:
             multiplicity = np.asarray(multiplicity, dtype=np.int64)
         self.push_priced(
             kind,
-            senders,
-            receivers,
-            TAG_BITS + int_bits_array(fields).sum(axis=1),
             self._edges.ids(senders, receivers),
+            message_bits_array(fields),
             fields,
             multiplicity,
         )
@@ -429,23 +422,21 @@ class BulkOutbox:
     def push_priced(
         self,
         kind: str,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        row_bits: np.ndarray,
         edges: np.ndarray,
+        row_bits: np.ndarray,
         fields: np.ndarray | None = None,
         multiplicity: np.ndarray | None = None,
     ) -> None:
-        """Queue rows whose bit costs and edge ids the caller already
-        holds - a fast-path driver that can price a whole phase, or
-        look its rows' costs up in tables, skips pricing a fields matrix
-        every round.  ``edges`` are the rows' directed-edge ids
-        (:class:`~repro.congest.node.EdgeIndex` numbering), ``fields``
-        the payload the claiming driver reads next round (None: no
-        payload; the driver reads what it needs elsewhere) and
-        ``multiplicity`` the identical copies per row (None: one).  The
-        per-message budget is enforced here; accounting is that of
-        materialized messages with those bit costs."""
+        """Queue rows on the directed edges whose ids
+        (:class:`~repro.congest.node.EdgeIndex` numbering) are
+        ``edges``, at bit costs ``row_bits`` - a driver prices them with
+        :func:`~repro.congest.message.message_bits_array`, or looks them
+        up in tables built once.  ``fields`` is the payload the claiming
+        driver reads next round (None: no payload; the driver reads
+        what it needs elsewhere) and ``multiplicity`` the identical
+        copies per row (None: one).  The per-message budget is enforced
+        here; accounting is that of materialized messages with those
+        bit costs."""
         if len(edges) == 0:
             return
         row_bits = np.asarray(row_bits, dtype=np.int64)
@@ -453,7 +444,8 @@ class BulkOutbox:
         if peak > self._bit_limit:
             worst = int(np.argmax(row_bits))
             raise CongestViolation(
-                f"bulk {kind!r} message from node {int(senders[worst])} is "
+                f"bulk {kind!r} message from node "
+                f"{int(self._edges.src[edges[worst]])} is "
                 f"{peak} bits, exceeding the per-message budget of "
                 f"{self._bit_limit} bits"
             )
@@ -466,9 +458,7 @@ class BulkOutbox:
         else:
             self._copies = True
         self._batches.setdefault(kind, []).append(
-            BulkKindInbox(
-                senders, receivers, edges, fields, multiplicity, row_bits
-            )
+            BulkKindInbox(edges, fields, multiplicity, row_bits)
         )
 
     def drain(self, n: int, control_messages: list[Message]) -> BulkRound:

@@ -35,10 +35,11 @@ crashed, from the round after the node's done-wave transition, it
 queues the node's next column to all its neighbors and runs one
 :meth:`LinkTable.flush <repro.congest.reliable.LinkTable.flush>` over
 all of them.  ``xch`` sends, fresh or retransmitted with the seq last,
-and walk tokens the node still retransmits travel as ``push_rows`` rows
-in (edge, seq) order - the order that fixes their fault-fate indices -
-and everything else as control messages, except acks, which the table
-keeps for :class:`~repro.congest.reliable.AckRows` to ship as rows.
+and walk tokens the node still retransmits travel as rows on their
+slots' edge ids in (edge, seq) order - the order that fixes their
+fault-fate indices - and everything else as control messages, except
+acks, which :class:`~repro.congest.reliable.AckRows` ships as rows.
+A column is accepted on the slot ``EdgeIndex.reverse`` of its id.
 Duplicates that reach finished nodes are settled through
 :meth:`LinkTable.settle <repro.congest.reliable.LinkTable.settle>`.
 The driver registers before the walk engine, so a column reaching a
@@ -180,8 +181,7 @@ class ExchangeEngine:
         if self._field_bits is None:
             self._build_prices()
         sources = round_number - self._start
-        edges = self._edges
-        senders, receivers, ids = edges.src, edges.dst, self._edge_ids
+        senders, ids = self._edges.src, self._edge_ids
         if len(self._programs) == n and (
             self._last_start <= round_number < self._first_start + n
         ):
@@ -193,10 +193,8 @@ class ExchangeEngine:
             columns = sources.clip(0, n - 1)
             node_bits = self._price(columns)
             ids = np.flatnonzero((columns == sources)[senders])
-            senders, receivers = senders[ids], receivers[ids]
-        bulk_outbox.push_priced(
-            self._kind, senders, receivers, node_bits[senders], ids
-        )
+            senders = senders[ids]
+        bulk_outbox.push_priced(self._kind, ids, node_bits[senders])
 
     def _build_prices(self) -> None:
         n = self.n
@@ -339,9 +337,10 @@ class ExchangeEngine:
         the walk engine does its walk rows, and count the fresh ones
         per directed edge.  Returns the slots of the finished receivers'
         rows (necessarily duplicates), whose acks are owed late."""
-        senders, receivers, fields, multiplicity = rows
+        ids, fields, multiplicity = rows
         table = self._table
-        slots = self._edges.ids(receivers, senders)
+        receivers = self._edges.dst[ids]
+        slots = self._edges.reverse[ids]
         fresh = table.accept_rows(slots, fields[:, -1], multiplicity)
         np.add.at(self._received, slots[fresh], 1)
         programs = self._engine._programs

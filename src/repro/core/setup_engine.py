@@ -12,13 +12,13 @@ whole network as arrays:
 
 * **Round 0.**  When the last node registers (from its ``on_start``),
   every node's own candidate ``(rank, id, 0)`` goes out on every edge
-  as one :meth:`~repro.congest.transport.BulkOutbox.push_rows`.
+  as one :meth:`~repro.congest.transport.BulkOutbox.push_priced`.
 * **Rounds 1 .. n.**  The round's flood arrivals are relaxed at once by
   :func:`~repro.congest.primitives.flood.relax_flood` - the same rule
   :meth:`FloodMaxBFS.step` applies to one node's inbox - over the
   driver's ``(best_rank, best_id, distance, parent)`` arrays, and the
-  improved nodes' rebroadcasts ship as one ``push_rows``.  Round ``n``
-  also ships every non-root node's ``adopt`` to its parent.
+  improved nodes' rebroadcasts ship as one push.  Round ``n`` also
+  ships every non-root node's ``adopt`` to its parent.
 * **Round n + 1.**  Children are the sorted ``adopt`` senders.  The
   driver freezes every program's :class:`FloodMaxState`, ``target`` and
   neighbor degrees, and ships the degree rows.
@@ -35,9 +35,11 @@ Byte-identity with the per-node path is structural:
   :class:`~repro.congest.node.EdgeIndex` (node-major, ports in
   ``info.neighbors`` order), the order of a sorted per-node loop of
   ``broadcast`` calls, so every round carries the same messages with
-  the same fields on the same edges.  ``push_rows`` prices them as the
-  materialized messages, the scheduler records and traces them before
-  the claim, so counters, per-edge histograms and trace streams match.
+  the same fields on the same edges.  A push takes the edge ids of a
+  mask over the index and prices its rows as the materialized messages
+  (``message_bits_array``); the scheduler records and traces them
+  before the claim, so counters, per-edge histograms and trace streams
+  match.
 * **Ties.**  Each receiver's flood arrivals reach ``relax_flood`` in
   ascending sender order - the per-message inbox order - so an
   equal-distance tie goes to the same (smallest) sender.
@@ -56,6 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.congest.errors import ProtocolError
+from repro.congest.message import message_bits_array
 from repro.congest.primitives.flood import (
     KIND_ADOPT,
     KIND_FLOOD,
@@ -124,38 +127,37 @@ class SetupEngine:
                 f"setup engine entered round {round_number} with "
                 f"{len(self._programs)}/{n} nodes registered"
             )
+        edges = self._edges
         flood = claimed.get(KIND_FLOOD)
         if flood is not None and round_number <= n:
-            senders, receivers, fields, _ = flood
+            ids, fields, _ = flood
             nodes, rows = relax_flood(
                 self._best_rank, self._best_id, self._distance,
-                receivers, fields,
+                edges.dst[ids], fields,
             )
             if len(nodes):
                 self._best_rank[nodes] = fields[rows, 0]
                 self._best_id[nodes] = fields[rows, 1]
                 self._distance[nodes] = fields[rows, 2] + 1
-                self._parent[nodes] = senders[rows]
+                self._parent[nodes] = edges.src[ids[rows]]
                 improved = np.zeros(n, dtype=bool)
                 improved[nodes] = True
                 self._push_flood(bulk_outbox, improved)
         if round_number == n:
             # Every non-root node announces itself to its parent.
-            children = np.flatnonzero(self._parent >= 0)
-            bulk_outbox.push_rows(
-                KIND_ADOPT,
-                children,
-                self._parent[children],
-                np.empty((len(children), 0), dtype=np.int64),
+            ids = np.flatnonzero(edges.dst == self._parent[edges.src])
+            fields = np.empty((len(ids), 0), dtype=np.int64)
+            bulk_outbox.push_priced(
+                KIND_ADOPT, ids, message_bits_array(fields), fields
             )
         elif round_number == n + 1:
             self._freeze(claimed.get(KIND_ADOPT))
-            edges = self._edges
-            bulk_outbox.push_rows(
+            fields = edges.degrees[edges.src][:, None]
+            bulk_outbox.push_priced(
                 self._degree_kind,
-                edges.src,
-                edges.dst,
-                edges.degrees[edges.src][:, None],
+                np.arange(len(edges.dst)),
+                message_bits_array(fields),
+                fields,
             )
             # The degree rows arrive next round, still claimed, and are
             # dropped: their content is already in place.
@@ -172,7 +174,9 @@ class SetupEngine:
             (self._best_rank[src], self._best_id[src], self._distance[src]),
             axis=1,
         )
-        bulk_outbox.push_rows(KIND_FLOOD, src, edges.dst[mask], fields)
+        bulk_outbox.push_priced(
+            KIND_FLOOD, np.flatnonzero(mask), message_bits_array(fields), fields
+        )
 
     def _freeze(self, adopt: "ClaimedKind | None") -> None:
         """Hand every program its final tree state, target and neighbor
@@ -181,7 +185,8 @@ class SetupEngine:
         if adopt is None:
             children = [()] * n
         else:
-            senders, receivers, _, _ = adopt
+            ids = adopt[0]
+            senders, receivers = self._edges.src[ids], self._edges.dst[ids]
             order = np.lexsort((senders, receivers))
             split = np.cumsum(np.bincount(receivers, minlength=n))[:-1]
             children = [

@@ -55,13 +55,14 @@ What the slices do not share is how a round's rows travel.  The
 per-message loop sends each row as ``copies``
 :class:`~repro.congest.message.Message` objects (for the message log,
 the CONGEST audit and the asynchronous executor).  The engine pushes
-every row of the round at once: fault-free, priced from tables built
-once (:func:`walk_bit_tables`) and pushed with their edge ids
-(:meth:`BulkOutbox.push_priced`), as are the ``term`` and ``done``
-rows; on lossy links sequenced through the ARQ table (which also
-queues ``term`` and ``done`` as control) and pushed with
-:meth:`BulkOutbox.push_rows`, which looks their ids up.  Either way
-the bits and counts charged are those of the materialized messages.
+every row of the round at once on the edge ids it holds
+(:meth:`BulkOutbox.push_priced`): fault-free priced from tables built
+once (:func:`walk_bit_tables`), as are ``term`` and ``done``; on lossy
+links sequenced through the ARQ table (which queues ``term`` and
+``done`` as control) and priced by :func:`message_bits_array`.  An
+arriving row's receiver is ``dst`` at its id, its ARQ slot ``reverse``
+there.  Either way the bits and counts charged are those of the
+materialized messages.
 The tested guarantee (``tests/test_walks_batched.py``,
 ``tests/test_counting_bookends.py``):
 same seed in, identical tallies, estimates, round counts, and traffic
@@ -76,7 +77,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.congest.errors import ConfigError, ProtocolError
-from repro.congest.message import TAG_BITS, int_bits_array
+from repro.congest.message import TAG_BITS, int_bits_array, message_bits_array
 from repro.congest.splitmix import GOLDEN, _mix64_array, stream_key
 from repro.obs.spans import NULL_PROFILER
 from repro.core.termination import KIND_DONE, KIND_TERM, report_due
@@ -96,8 +97,8 @@ CONTROL_KINDS = (KIND_TERM, KIND_DONE)
 #: The engine's kinds in a fixed order, for shipping ARQ sends as rows.
 ROW_KINDS = (KIND_WALK, KIND_WALK_BATCH) + CONTROL_KINDS
 
-#: Claimed traffic of one kind: (senders, receivers, fields, multiplicity).
-ClaimedKind = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Claimed traffic of one kind: (edge ids, fields, multiplicity).
+ClaimedKind = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -797,14 +798,11 @@ class CountingWalkEngine:
         for kind in CONTROL_KINDS:
             rows = claimed.get(kind)
             if rows is not None:
-                senders, receivers, fields, multiplicity = rows
+                ids, fields, multiplicity = rows
                 fresh = table.accept_rows(
-                    self._edges.ids(receivers, senders), fields[:, -1],
-                    multiplicity,
+                    self._edges.reverse[ids], fields[:, -1], multiplicity
                 )
-                claimed[kind] = (
-                    senders, receivers, fields, fresh.astype(np.int64)
-                )
+                claimed[kind] = (ids, fields, fresh.astype(np.int64))
 
     def end_round(
         self,
@@ -823,8 +821,8 @@ class CountingWalkEngine:
         # the counting receivers of a fresh ``done``.
         stopping = np.zeros(self.n, dtype=bool)
         if done is not None:
-            _, receivers, _, fresh = done
-            stopping[receivers[fresh > 0]] = True
+            ids, _, fresh = done
+            stopping[self._targets[ids[fresh > 0]]] = True
             stopping &= ~self._stopped
             self._leave_counting(np.flatnonzero(stopping), round_number)
         crashed = (
@@ -892,8 +890,8 @@ class CountingWalkEngine:
             self._head_bits, self._hop_bits = walk_bit_tables(
                 self.n, first.length
             )
-            self._term_bits = TAG_BITS + int_bits_array(
-                np.arange(self._expected_total + 1)
+            self._term_bits = message_bits_array(
+                np.arange(self._expected_total + 1)[:, None]
             )
         self._finalized = True
 
@@ -959,19 +957,18 @@ class CountingWalkEngine:
         out: dict[str, ClaimedKind] = {}
         table = self._table
         stopped = self._stopped
+        reverse = self._edges.reverse
         late: list[np.ndarray] = []
         for rows in control:
             if rows is not None:
-                senders, receivers = rows[0], rows[1]
+                ids = rows[0]
+                receivers = self._targets[ids]
                 mine = stopped[receivers] & ~stopping[receivers]
                 if mine.any():
-                    late.append(
-                        self._edges.ids(receivers[mine], senders[mine])
-                    )
-        for kind, (senders, receivers, fields, multiplicity) in (
-            claimed.items()
-        ):
-            slots = self._edges.ids(receivers, senders)
+                    late.append(reverse[ids[mine]])
+        for kind, (ids, fields, multiplicity) in claimed.items():
+            receivers = self._targets[ids]
+            slots = reverse[ids]
             fresh = table.accept_rows(slots, fields[:, -1], multiplicity)
             past = stopped[receivers]
             lost = np.flatnonzero(fresh & past)
@@ -986,10 +983,7 @@ class CountingWalkEngine:
             keep = np.flatnonzero(fresh)
             if len(keep):
                 out[kind] = (
-                    senders[keep],
-                    receivers[keep],
-                    fields[keep],
-                    np.ones(len(keep), dtype=np.int64),
+                    ids[keep], fields[keep], np.ones(len(keep), dtype=np.int64)
                 )
         late_slots = np.concatenate(late) if late else _EMPTY
         if len(late_slots):
@@ -1005,8 +999,8 @@ class CountingWalkEngine:
         Returns the nodes whose death count changed this round,
         ascending."""
         parts: list[tuple[np.ndarray, ...]] = [
-            (receivers, *walk_groups(kind, fields, multiplicity))
-            for kind, (_, receivers, fields, multiplicity) in claimed.items()
+            (self._targets[ids], *walk_groups(kind, fields, multiplicity))
+            for kind, (ids, fields, multiplicity) in claimed.items()
         ]
         if len(parts) == 1:
             raw = parts[0]
@@ -1099,10 +1093,8 @@ class CountingWalkEngine:
                 else:
                     bulk_outbox.push_priced(
                         KIND_TERM,
-                        reporters,
-                        parents[due],
-                        self._term_bits[totals],
                         edges,
+                        self._term_bits[totals],
                         fields=totals[:, None],
                     )
             complete = moved[
@@ -1127,10 +1119,8 @@ class CountingWalkEngine:
         )
         bulk_outbox.push_priced(
             KIND_DONE,
-            self._parent[children],
-            children,
-            np.full(len(children), TAG_BITS, dtype=np.int64),
             self._child_edge[children],
+            np.full(len(children), TAG_BITS, dtype=np.int64),
         )
 
     def _fold_reports(self, term: ClaimedKind) -> np.ndarray:
@@ -1138,13 +1128,14 @@ class CountingWalkEngine:
         and return the parents whose sum rose.  Monotone: a child's
         largest report of the round counts, by how far it exceeds the
         one its parent last heard."""
-        senders, receivers, fields, fresh = term
-        strangers = (self._parent[senders] != receivers).nonzero()[0]
+        ids, fields, fresh = term
+        senders = self._edge_src[ids]
+        strangers = (ids != self._parent_edge[senders]).nonzero()[0]
         if len(strangers):
-            bad = strangers[0]
+            bad = ids[strangers[0]]
             raise ProtocolError(
-                f"termination report from non-child {int(senders[bad])} "
-                f"at node {int(receivers[bad])}"
+                "termination report from non-child "
+                f"{int(self._edge_src[bad])} at node {int(self._targets[bad])}"
             )
         reports = fields[:, 0]
         if not fresh.all():
@@ -1233,26 +1224,18 @@ class CountingWalkEngine:
             self._instruments.bump_round(
                 "walk_sends", round_number, int(copies.sum())
             )
-        senders = self._edge_src[edges]
-        receivers = self._targets[edges]
         if self._reliable:
             sequence_walk_rows(kind, edges, fields, round_number, self._table)
-            bulk_outbox.push_rows(kind, senders, receivers, fields, copies)
-            return
-        row_bits = (
-            self._head_bits[fields[:, 2], fields[:, 0]]
-            + self._hop_bits[fields[:, 1]]
-        )
-        if kind == KIND_WALK_BATCH:
-            row_bits += int_bits_array(fields[:, 3])
+            row_bits = message_bits_array(fields)
+        else:
+            row_bits = (
+                self._head_bits[fields[:, 2], fields[:, 0]]
+                + self._hop_bits[fields[:, 1]]
+            )
+            if kind == KIND_WALK_BATCH:
+                row_bits += int_bits_array(fields[:, 3])
         bulk_outbox.push_priced(
-            kind,
-            senders,
-            receivers,
-            row_bits,
-            edges,
-            fields=fields,
-            multiplicity=copies,
+            kind, edges, row_bits, fields=fields, multiplicity=copies
         )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.congest import transport
-from repro.congest.errors import CongestViolation, ProtocolError
+from repro.congest.errors import CongestViolation, ConfigError, ProtocolError
 from repro.congest.faults import FaultPlan, FaultRuntime
 from repro.congest.message import TAG_BITS, Message, int_bits_array
 from repro.congest.node import EdgeIndex
@@ -94,11 +94,15 @@ def _index(graph: Graph) -> EdgeIndex:
     "edges",
     [
         [(0, 1), (1, 2), (2, 0), (2, 3)],
+        [(10, 20), (20, 30), (30, 10), (30, 40)],
         [(-5, 7), (7, 100), (-5, -1), (-1, 100), (100, 2), (2, -5)],
     ],
-    ids=["zero-to-n", "negative-and-sparse"],
+    ids=["zero-to-n", "relabelled", "negative-and-sparse"],
 )
 def test_ids_name_every_edge(edges):
+    """Every edge's id, and ``reverse``: an involution that swaps
+    ``src`` and ``dst``, the id :meth:`EdgeIndex.ids` gives the
+    reversed pair."""
     index = _index(Graph(edges=edges))
     count = len(index.dst)
     assert count == 2 * len(edges)
@@ -106,6 +110,28 @@ def test_ids_name_every_edge(edges):
     reverse = index.ids(index.dst, index.src)
     assert np.array_equal(index.src[reverse], index.dst)
     assert np.array_equal(index.dst[reverse], index.src)
+    assert np.array_equal(index.reverse, reverse)
+    assert np.array_equal(index.reverse[index.reverse], np.arange(count))
+    assert not (index.reverse == np.arange(count)).any()
+
+
+def test_an_index_needs_both_directions():
+    with pytest.raises(ConfigError, match="both directions"):
+        EdgeIndex((0, 1, 2), [np.array([1]), np.array([0, 2]), np.array([])])
+
+
+def test_an_oversized_row_names_its_senders_label():
+    """On labels 10, 20, 30, 40 a row over the per-message budget names
+    its sender's label, read from the row's id - not the sender's
+    canonical rank."""
+    index = _index(Graph(edges=[(10, 20), (20, 30), (30, 40)]))
+    outbox = BulkOutbox(BandwidthPolicy(n=4), index)
+    edge = int(index.ids(np.array([30]), np.array([20]))[0])
+    fields = np.array([[1], [1 << 60]], dtype=np.int64)
+    with pytest.raises(CongestViolation, match="from node 30 is 70 bits"):
+        outbox.push_priced(
+            KIND_WALK, np.array([0, edge]), _bits(fields), fields=fields
+        )
 
 
 PATH = [(0, 1), (1, 2), (2, 3)]
@@ -177,13 +203,7 @@ def _bits(fields) -> np.ndarray:
 
 def _push(outbox, kind, edges, fields, multiplicity):
     outbox.push_priced(
-        kind,
-        SRC[edges],
-        DST[edges],
-        _bits(fields),
-        edges,
-        fields=fields,
-        multiplicity=multiplicity,
+        kind, edges, _bits(fields), fields=fields, multiplicity=multiplicity
     )
 
 
@@ -264,20 +284,26 @@ def test_drain_matches_a_recount(round_kind, seed):
         counters = runtime.counters
         assert counters.dropped and counters.duplicated and counters.delayed
         rows = [
-            (inbox.senders, inbox.receivers, inbox.fields, inbox.multiplicity)
+            (SRC[inbox.edges], DST[inbox.edges], inbox.fields,
+             inbox.multiplicity)
             for inbox in drained.inboxes.values()
         ]
-        walk = drained.inboxes[KIND_WALK]
-        assert np.array_equal(
-            walk.edges, EDGES.ids(walk.senders, walk.receivers)
-        )
+        # The fault pass keeps each row's id with its payload: every
+        # delivered row is a pushed (edge, fields) row.
+        for kind, edges, fields, _ in pushes:
+            inbox = drained.inboxes[kind]
+            assert {
+                (edge, *row)
+                for edge, row in zip(inbox.edges.tolist(), inbox.fields.tolist())
+            } <= {
+                (edge, *row) for edge, row in zip(edges.tolist(), fields.tolist())
+            }
     _assert_traffic(drained.traffic, rows, control)
     if round_kind == "faulty":
         return
     for kind, edges, fields, copies in pushes:
-        senders, receivers, got_fields, got_copies = drained.take(kind)
-        assert np.array_equal(senders, SRC[edges])
-        assert np.array_equal(receivers, DST[edges])
+        got_edges, got_fields, got_copies = drained.take(kind)
+        assert np.array_equal(got_edges, edges)
         assert np.array_equal(got_fields, fields)
         assert np.array_equal(
             got_copies, np.ones(len(edges)) if copies is None else copies

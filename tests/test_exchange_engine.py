@@ -6,7 +6,9 @@ and ships the round as priced traffic (:meth:`BulkOutbox.push_priced`).
 These tests drive it over a fabricated tensor and check every round
 against the references: each pushed row priced as its
 :class:`~repro.congest.message.Message`, and the same rows pushed as a
-fields matrix through :meth:`BulkOutbox.push_rows` and drained.
+fields matrix through :meth:`BulkOutbox.push_rows` and drained.  On
+lossy links (:class:`TestReliable`) the driver accepts each arriving
+column on the receiver's slot for it, the reverse of the row's edge id.
 """
 
 import re
@@ -16,11 +18,15 @@ import numpy as np
 import pytest
 
 from repro.congest.errors import CongestViolation, ProtocolError
+from repro.congest.faults import FaultPlan
 from repro.congest.message import Message
 from repro.congest.node import EdgeIndex
 from repro.congest.transport import BandwidthPolicy, BulkOutbox
+from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.exchange_engine import ExchangeEngine
+from repro.core.parameters import WalkParameters
 from repro.core.protocol import KIND_EXCHANGE
+from repro.graphs.generators import erdos_renyi_graph
 
 #: A small connected graph (adjacency in ascending neighbor order).
 NEIGHBORS = {0: [1, 2], 1: [0, 2, 3], 2: [0, 1, 4], 3: [1], 4: [2]}
@@ -112,12 +118,9 @@ class TestPricedRounds:
             assert _per_edge(priced.traffic, codes) == _per_edge(
                 reference.traffic, codes
             )
-            senders, receivers, fields, multiplicity = priced.take(
-                KIND_EXCHANGE
-            )
+            ids, fields, multiplicity = priced.take(KIND_EXCHANGE)
             assert fields is None
-            assert (senders == engine.src).all()
-            assert (receivers == engine.dst).all()
+            assert (ids == np.arange(len(engine.src))).all()
             assert (multiplicity == 1).all()
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint8])
@@ -134,9 +137,9 @@ class TestPricedRounds:
         )
         for source in range(N):
             driver.end_round(START + source, {}, None, recorder)
-            kind, senders, receivers, row_bits, ids = pushed[-1]
+            kind, ids, row_bits = pushed[-1]
             assert kind == KIND_EXCHANGE
-            assert (ids == _edges().ids(senders, receivers)).all()
+            senders, receivers = _edges().src[ids], _edges().dst[ids]
             expected = [
                 Message(
                     v,
@@ -231,8 +234,8 @@ class TestStaggeredStarts:
                         expected.append((v, u, message.bits))
             got = []
             if pushed:
-                ((senders, receivers, row_bits, ids),) = pushed
-                assert (ids == _edges().ids(senders, receivers)).all()
+                ((ids, row_bits),) = pushed
+                senders, receivers = _edges().src[ids], _edges().dst[ids]
                 got = list(
                     zip(senders.tolist(), receivers.tolist(), row_bits.tolist())
                 )
@@ -287,3 +290,48 @@ class TestBudget:
         with pytest.raises(CongestViolation) as reference:
             _reference(POLICY, engine, 3)
         assert str(raised.value) == str(reference.value)
+
+
+class TestReliable:
+    """Lossy links under a duplicate- and delay-heavy plan, on the fast
+    path: the driver accepts every arriving column on its receiver's
+    slot - the reverse of the row's edge id - so each directed edge
+    counts each of the sender's ``n`` columns once, and the duplicates
+    that reach finished nodes are settled, so every channel of the run's
+    table ends drained."""
+
+    PLAN = FaultPlan(seed=12, duplicate_rate=0.3, delay_rate=0.3, max_delay=30)
+
+    def test_columns_count_once_and_the_table_drains(self, monkeypatch):
+        graph = erdos_renyi_graph(6, 0.5, seed=2, ensure_connected=True)
+        drivers, late = [], []
+        accept = ExchangeEngine._accept
+
+        def spy(driver, rows):
+            if not drivers:
+                drivers.append(driver)
+            assert driver is drivers[0]
+            ids = rows[0]
+            edges, table = driver._edges, driver._table
+            slots = edges.reverse[ids]
+            assert (table.owners[slots] == edges.dst[ids]).all()
+            assert (table.peers[slots] == edges.src[ids]).all()
+            settled = accept(driver, rows)
+            late.append(len(settled))
+            return settled
+
+        monkeypatch.setattr(ExchangeEngine, "_accept", spy)
+        result = estimate_rwbc_distributed(
+            graph,
+            WalkParameters(length=20, walks_per_source=6),
+            seed=3,
+            faults=self.PLAN,
+            vectorized=True,
+        )
+        faults = result.metrics.faults
+        assert faults["duplicated"] > 0 and faults["delayed"] > 0
+        (driver,) = drivers
+        assert not driver._programs
+        assert (driver._received == driver.n).all()
+        assert sum(late) > 0
+        assert driver._table.drained_nodes().all()

@@ -505,7 +505,7 @@ class TestFilterSemantics:
         delayed = runtime.counters.delayed
         _, rows = _round(runtime, 2)  # node 1 is down in round 2
         inbox = rows.inboxes["walk"]
-        assert inbox.receivers.tolist() == [3]
+        assert EDGES.dst[inbox.edges].tolist() == [3]
         assert runtime.counters.crash_dropped == delayed - int(
             inbox.multiplicity.sum()
         ) > 0

@@ -173,7 +173,7 @@ def test_fast_path_matches_the_chaos_pin(mode, monkeypatch):
     def spy(engine, round_number, claimed):
         for kind in (KIND_TERM, KIND_DONE):
             if kind in claimed:
-                for node in claimed[kind][1].tolist():
+                for node in engine._edges.dst[claimed[kind][0]].tolist():
                     phase = engine._programs[node].phase
                     if phase in late:
                         late[phase] += 1

@@ -254,7 +254,8 @@ class TestTimerWakesAndAckRows:
             finished[program.node_id] = program
 
         def receive_spy(driver, round_number, claimed):
-            _, receivers, _, multiplicity = claimed[KIND_ACK]
+            ids, _, multiplicity = claimed[KIND_ACK]
+            receivers = driver._edges.dst[ids]
             for node, copies in zip(receivers.tolist(), multiplicity.tolist()):
                 program = finished.get(node)
                 if program is not None and program.phase == PHASE_DONE:
@@ -438,7 +439,7 @@ class TestExchangeDriver:
                 if kind in claimed:
                     late.extend(
                         node
-                        for node in claimed[kind][1].tolist()
+                        for node in engine._edges.dst[claimed[kind][0]].tolist()
                         if engine._programs[node].phase == PHASE_DONE
                     )
             receive_rows(engine, round_number, claimed)
